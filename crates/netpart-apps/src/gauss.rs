@@ -31,6 +31,8 @@ use netpart_model::{AppModel, CommPhase, CompPhase, OpKind, PartitionVector};
 use netpart_spmd::{Checkpoint, SpmdApp, Step};
 use netpart_topology::Topology;
 
+use crate::wire;
+
 const PART_FIND: u32 = 0;
 const PART_ELIMINATE: u32 = 1;
 
@@ -120,6 +122,7 @@ pub fn back_substitute(n: usize, a: &[f64], b: &[f64], pivots: &[usize]) -> Vec<
     x
 }
 
+#[cfg_attr(test, derive(Clone))]
 struct RankState {
     /// Global indices of owned rows (contiguous block).
     start: usize,
@@ -189,30 +192,18 @@ impl GaussApp {
         let mut pivots: Vec<usize> = Vec::new();
         for blob in &ckpt.ranks {
             assert!(blob.len() >= 24, "checkpoint blob truncated");
-            let start = u64::from_le_bytes(blob[0..8].try_into().expect("8")) as usize;
-            let end = u64::from_le_bytes(blob[8..16].try_into().expect("8")) as usize;
-            let np = u64::from_le_bytes(blob[16..24].try_into().expect("8")) as usize;
-            let mut off = 24;
-            let blob_pivots: Vec<usize> = (0..np)
-                .map(|i| {
-                    let s = off + 8 * i;
-                    u64::from_le_bytes(blob[s..s + 8].try_into().expect("8")) as usize
-                })
-                .collect();
+            let (start, end) = (wire::get_index(blob, 0), wire::get_index(blob, 8));
+            let np = wire::get_index(blob, 16);
+            let blob_pivots: Vec<usize> =
+                (0..np).map(|i| wire::get_index(blob, 24 + 8 * i)).collect();
             if pivots.is_empty() {
                 pivots = blob_pivots;
             } else {
                 debug_assert_eq!(pivots, blob_pivots, "inconsistent pivot prefixes");
             }
-            off += 8 * np;
-            let rows = end - start;
-            for (i, chunk) in blob[off..off + 8 * rows * n].chunks_exact(8).enumerate() {
-                a_full[start * n + i] = f64::from_le_bytes(chunk.try_into().expect("8"));
-            }
-            off += 8 * rows * n;
-            for (i, chunk) in blob[off..off + 8 * rows].chunks_exact(8).enumerate() {
-                b_full[start + i] = f64::from_le_bytes(chunk.try_into().expect("8"));
-            }
+            let (a_at, b_at) = (24 + 8 * np, 24 + 8 * np + 8 * (end - start) * n);
+            wire::get_f64s(&blob[a_at..b_at], &mut a_full[start * n..end * n]);
+            wire::get_f64s(&blob[b_at..], &mut b_full[start..end]);
         }
         let mut app = GaussApp::new(n, a_full, b_full, p);
         // Steps fully eliminated as of cycle C: (C+1)/2 — those pivots'
@@ -283,8 +274,9 @@ impl SpmdApp for GaussApp {
             }
             assert_eq!(vector.total(), self.n as u64);
         }
-        let ranges = vector.ranges();
-        let (gs, ge) = (ranges[rank].start as usize, ranges[rank].end as usize);
+        // Set up in rank order: each block starts where the last ended.
+        let gs = self.ranks.last().map_or(0, |s| s.end);
+        let ge = gs + vector.count(rank) as usize;
         let n = self.n;
         self.ranks.push(RankState {
             start: gs,
@@ -374,16 +366,10 @@ impl SpmdApp for GaussApp {
         if cycle == 2 * self.n as u64 {
             debug_assert_eq!(to, 0);
             // Eliminated rows + rhs entries, full width.
-            let n = self.n;
             let s = &self.ranks[rank];
-            let rows = s.end - s.start;
-            let mut buf = Vec::with_capacity(8 * rows * (n + 1));
-            for v in &s.a {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-            for v in &s.b {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
+            let mut buf = Vec::with_capacity(8 * (s.a.len() + s.b.len()));
+            wire::put_f64s(&mut buf, &s.a);
+            wire::put_f64s(&mut buf, &s.b);
             return Bytes::from(buf);
         }
         let selection = cycle.is_multiple_of(2);
@@ -392,13 +378,15 @@ impl SpmdApp for GaussApp {
                 // Candidate going up: (|value| bits, row).
                 let (v, row) = self.ranks[rank].candidate;
                 let mut buf = Vec::with_capacity(16);
-                buf.extend_from_slice(&v.to_le_bytes());
-                buf.extend_from_slice(&(row as u64).to_le_bytes());
+                wire::put_f64s(&mut buf, &[v]);
+                wire::put_u64s(&mut buf, &[row as u64]);
                 Bytes::from(buf)
             } else {
                 // Decision going down: the winning row.
                 let k = (cycle / 2) as usize;
-                Bytes::from(self.pivots[k].to_le_bytes().to_vec())
+                let mut buf = Vec::with_capacity(8);
+                wire::put_u64s(&mut buf, &[self.pivots[k] as u64]);
+                Bytes::from(buf)
             }
         } else {
             // Pivot row broadcast: columns k..N then the rhs entry.
@@ -408,10 +396,8 @@ impl SpmdApp for GaussApp {
             let s = &self.ranks[rank];
             let li = row - s.start;
             let mut buf = Vec::with_capacity(8 * (n - k + 1));
-            for j in k..n {
-                buf.extend_from_slice(&s.a[li * n + j].to_le_bytes());
-            }
-            buf.extend_from_slice(&s.b[li].to_le_bytes());
+            wire::put_f64s(&mut buf, &s.a[li * n + k..(li + 1) * n]);
+            wire::put_f64s(&mut buf, &[s.b[li]]);
             Bytes::from(buf)
         }
     }
@@ -425,14 +411,9 @@ impl SpmdApp for GaussApp {
                 let s = &self.ranks[from];
                 (s.start, s.end)
             };
-            let rows = ge - gs;
-            let vals: Vec<f64> = payload
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8")))
-                .collect();
-            debug_assert_eq!(vals.len(), rows * (n + 1));
-            self.gathered_a[gs * n..ge * n].copy_from_slice(&vals[..rows * n]);
-            self.gathered_b[gs..ge].copy_from_slice(&vals[rows * n..]);
+            let (a_bytes, b_bytes) = payload.split_at(8 * (ge - gs) * n);
+            wire::get_f64s(a_bytes, &mut self.gathered_a[gs * n..ge * n]);
+            wire::get_f64s(b_bytes, &mut self.gathered_b[gs..ge]);
             return;
         }
         let selection = cycle.is_multiple_of(2);
@@ -440,8 +421,9 @@ impl SpmdApp for GaussApp {
         if selection {
             if self.tree_children(rank).contains(&from) {
                 // Child candidate: fold into ours.
-                let v = f64::from_le_bytes(payload[..8].try_into().expect("8"));
-                let row = u64::from_le_bytes(payload[8..16].try_into().expect("8")) as usize;
+                let mut v = [0.0];
+                wire::get_f64s(&payload[..8], &mut v);
+                let (v, row) = (v[0], wire::get_index(payload, 8));
                 let cur = &self.ranks[rank].candidate;
                 if row != usize::MAX && (cur.1 == usize::MAX || v > cur.0) {
                     self.ranks[rank].candidate = (v, row);
@@ -457,17 +439,14 @@ impl SpmdApp for GaussApp {
                 }
             } else {
                 // Decision from the parent.
-                let row = usize::from_le_bytes(payload[..8].try_into().expect("8"));
-                self.record_decision(k, row);
+                self.record_decision(k, wire::get_index(payload, 0));
             }
         } else {
             // Pivot row data.
-            let vals: Vec<f64> = payload
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8")))
-                .collect();
             let _ = from;
-            self.pivot_row[rank] = vals;
+            let vals = &mut self.pivot_row[rank];
+            vals.resize(payload.len() / 8, 0.0);
+            wire::get_f64s(payload, vals);
         }
     }
 
@@ -513,18 +492,22 @@ impl SpmdApp for GaussApp {
                     std::mem::take(&mut self.pivot_row[rank])
                 };
                 debug_assert_eq!(pivot_data.len(), n - k + 1);
+                let (pivot_a, pivot_b) = pivot_data.split_at(n - k);
                 let s = &mut self.ranks[rank];
                 let mut flops = 0u64;
                 for gi in s.start..s.end {
                     if self.used[gi] || gi == pivot_global {
                         continue;
                     }
+                    // One `row[j] -= f * pivot[j]` run over slices, in
+                    // column order, multiply then subtract, never fused.
                     let li = gi - s.start;
-                    let f = s.a[li * n + k] / pivot_data[0];
-                    for j in k..n {
-                        s.a[li * n + j] -= f * pivot_data[j - k];
+                    let row = &mut s.a[li * n + k..(li + 1) * n];
+                    let f = row[0] / pivot_a[0];
+                    for (x, p) in row.iter_mut().zip(pivot_a) {
+                        *x -= f * p;
                     }
-                    s.b[li] -= f * pivot_data[n - k];
+                    s.b[li] -= f * pivot_b[0];
                     flops += 2 * (n - k + 1) as u64 + 1;
                 }
                 // Everyone marks the pivot used once this step completes
@@ -557,18 +540,12 @@ impl SpmdApp for GaussApp {
         debug_assert!(self.pivots.len() >= keep, "decision missing at checkpoint");
         let s = &self.ranks[rank];
         let mut buf = Vec::with_capacity(24 + 8 * (keep + s.a.len() + s.b.len()));
-        buf.extend_from_slice(&(s.start as u64).to_le_bytes());
-        buf.extend_from_slice(&(s.end as u64).to_le_bytes());
-        buf.extend_from_slice(&(keep as u64).to_le_bytes());
+        wire::put_u64s(&mut buf, &[s.start as u64, s.end as u64, keep as u64]);
         for &p in &self.pivots[..keep] {
-            buf.extend_from_slice(&(p as u64).to_le_bytes());
+            wire::put_u64s(&mut buf, &[p as u64]);
         }
-        for v in &s.a {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &s.b {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+        wire::put_f64s(&mut buf, &s.a);
+        wire::put_f64s(&mut buf, &s.b);
         Some(Bytes::from(buf))
     }
 }
@@ -588,6 +565,73 @@ impl GaussApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The index-per-element `PART_ELIMINATE` loop, kept verbatim as the
+    /// oracle its slice-shaped replacement must match bit for bit.
+    #[allow(clippy::needless_range_loop)]
+    fn eliminate_scalar(
+        s: &mut RankState,
+        used: &[bool],
+        n: usize,
+        k: usize,
+        pivot_global: usize,
+        pivot_data: &[f64],
+    ) -> u64 {
+        let mut flops = 0u64;
+        for gi in s.start..s.end {
+            if used[gi] || gi == pivot_global {
+                continue;
+            }
+            let li = gi - s.start;
+            let f = s.a[li * n + k] / pivot_data[0];
+            for j in k..n {
+                s.a[li * n + j] -= f * pivot_data[j - k];
+            }
+            s.b[li] -= f * pivot_data[n - k];
+            flops += 2 * (n - k + 1) as u64 + 1;
+        }
+        flops
+    }
+
+    proptest! {
+        /// Two ranks split the rows at a random cut; the pivot row lives
+        /// on one of them, so both the owner's local-copy path and the
+        /// other's broadcast-buffer path run against the oracle.
+        #[test]
+        fn slice_eliminate_matches_scalar_oracle(
+            n in 2usize..20,
+            geometry in (0usize..1000, 0usize..1000, 0usize..1000),
+            used in prop::collection::vec(any::<bool>(), 20..21),
+            values in prop::collection::vec(-10.0f64..10.0, 420..421),
+        ) {
+            let (cut, k, pivot_global) = (1 + geometry.0 % (n - 1), geometry.1 % n, geometry.2 % n);
+            let (a, b) = values.split_at(n * n);
+            let mut app = GaussApp::new(n, a.to_vec(), b[..n].to_vec(), 2);
+            app.setup(0, &PartitionVector::from_counts(vec![cut as u64, (n - cut) as u64]));
+            app.setup(1, &PartitionVector::from_counts(vec![cut as u64, (n - cut) as u64]));
+            app.used = used[..n].to_vec();
+            app.used[pivot_global] = false;
+            app.pivots = vec![pivot_global; k + 1];
+            let pivot_data: Vec<f64> = a[pivot_global * n + k..(pivot_global + 1) * n]
+                .iter()
+                .chain(&b[pivot_global..pivot_global + 1])
+                .copied()
+                .collect();
+            for rank in 0..2 {
+                let mut want = app.ranks[rank].clone();
+                let want_flops =
+                    eliminate_scalar(&mut want, &app.used, n, k, pivot_global, &pivot_data);
+                app.pivot_row[rank] = pivot_data.clone();
+                app.used[pivot_global] = false;
+                let (got_flops, _) = app.compute(rank, 2 * k as u64 + 1, PART_ELIMINATE);
+                prop_assert_eq!(got_flops, want_flops as f64);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                prop_assert_eq!(bits(&app.ranks[rank].a), bits(&want.a));
+                prop_assert_eq!(bits(&app.ranks[rank].b), bits(&want.b));
+            }
+        }
+    }
 
     #[test]
     fn sequential_solver_recovers_known_solution() {

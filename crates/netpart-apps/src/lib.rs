@@ -22,6 +22,23 @@
 //!
 //! Each module exposes both the executable [`SpmdApp`](netpart_spmd::SpmdApp)
 //! and the `*_model` annotation constructor the partitioner consumes.
+//!
+//! ## The data path: bit-identity is the contract
+//!
+//! Answers are compared bit for bit with the naive oracles
+//! ([`sequential_reference`], [`sequential_solve`], [`reference_product`]).
+//! So the kernels are slice-shaped — row slices taken once per row, a
+//! branch-free pass the compiler vectorizes — but **never reassociate**:
+//! each point is still `(above + below + left + right) / 4.0` left to
+//! right, `x -= f * p` and `c += a * b` a multiply then an add, no fused
+//! multiply-add, no blocked sums; the scalar loops they replaced are the
+//! `#[cfg(test)]` oracles. Flop counts are the §4 annotations, not machine
+//! operations, so simulated time never depends on how a kernel is written.
+//!
+//! Every payload and checkpoint goes through one private `wire` codec:
+//! little-endian `u64` header words and runs of `f32`/`f64` bit patterns,
+//! concatenated without framing (both ends know each run's length; a
+//! wrong length panics); each `produce`/`checkpoint` states its layout.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,6 +48,7 @@ pub mod matmul;
 pub mod particles;
 pub mod stencil;
 pub mod stencil2d;
+mod wire;
 
 pub use gauss::{gauss_model, make_system, sequential_solve, GaussApp};
 pub use matmul::{make_matrices, matmul_model, reference_product, MatmulApp};

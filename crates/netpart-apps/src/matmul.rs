@@ -21,6 +21,8 @@ use netpart_model::{AppModel, CommPhase, CompPhase, OpKind, PartitionVector};
 use netpart_spmd::{SpmdApp, Step};
 use netpart_topology::Topology;
 
+use crate::wire;
+
 /// §4-style annotations for the ring matmul at a given processor count.
 pub fn matmul_model(n: u64, p: u32) -> AppModel {
     let block_rows = (n as f64 / p.max(1) as f64).ceil();
@@ -67,6 +69,7 @@ pub fn reference_product(n: usize, a: &[f64], b: &[f64]) -> Vec<f64> {
     c
 }
 
+#[cfg_attr(test, derive(Clone))]
 struct RankState {
     /// Owned A-row range (and C-row range).
     start: usize,
@@ -87,7 +90,6 @@ pub struct MatmulApp {
     a_full: Vec<f64>,
     b_full: Vec<f64>,
     ranks: Vec<RankState>,
-    ranges: Vec<(usize, usize)>,
 }
 
 impl MatmulApp {
@@ -101,7 +103,6 @@ impl MatmulApp {
             a_full: a,
             b_full: b,
             ranks: Vec::with_capacity(p),
-            ranges: Vec::new(),
         }
     }
 
@@ -129,13 +130,10 @@ impl SpmdApp for MatmulApp {
         if rank == 0 {
             self.ranks.clear();
             assert_eq!(vector.total(), self.n as u64);
-            self.ranges = vector
-                .ranges()
-                .into_iter()
-                .map(|r| (r.start as usize, r.end as usize))
-                .collect();
         }
-        let (gs, ge) = self.ranges[rank];
+        // Set up in rank order: each block starts where the last ended.
+        let gs = self.ranks.last().map_or(0, |s| s.end);
+        let ge = gs + vector.count(rank) as usize;
         assert!(ge > gs, "matmul ranks must own at least one row");
         let n = self.n;
         self.ranks.push(RankState {
@@ -177,28 +175,58 @@ impl SpmdApp for MatmulApp {
         debug_assert_eq!(to, self.ring_next(rank));
         let s = &self.ranks[rank];
         let mut buf = Vec::with_capacity(8 + 8 * s.block.len());
-        buf.extend_from_slice(&(s.block_start as u64).to_le_bytes());
-        for v in &s.block {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+        wire::put_u64s(&mut buf, &[s.block_start as u64]);
+        wire::put_f64s(&mut buf, &s.block);
         Bytes::from(buf)
     }
 
     fn consume(&mut self, rank: usize, _cycle: u64, from: usize, payload: &[u8]) {
         debug_assert_eq!(from, self.ring_prev(rank));
-        let block_start = u64::from_le_bytes(payload[..8].try_into().expect("8")) as usize;
-        let block: Vec<f64> = payload[8..]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8")))
-            .collect();
         let s = &mut self.ranks[rank];
-        s.block_start = block_start;
-        s.block = block;
+        s.block_start = wire::get_index(payload, 0);
+        s.block.resize((payload.len() - 8) / 8, 0.0);
+        wire::get_f64s(&payload[8..], &mut s.block);
     }
 
     fn compute(&mut self, rank: usize, _cycle: u64, _part: u32) -> (f64, OpKind) {
         let n = self.n;
         let s = &mut self.ranks[rank];
+        let my_rows = s.end - s.start;
+        let block_rows = s.block.len() / n;
+        // Row i of C accumulates a[i][k] · B[k] for each visiting B row k,
+        // in k order then column order, multiply then add, never fused.
+        for (c_row, a_row) in s.c.chunks_exact_mut(n).zip(s.a.chunks_exact(n)) {
+            let a_cols = &a_row[s.block_start..s.block_start + block_rows];
+            for (&aik, b_row) in a_cols.iter().zip(s.block.chunks_exact(n)) {
+                if aik == 0.0 {
+                    continue;
+                }
+                for (c, &b) in c_row.iter_mut().zip(b_row) {
+                    *c += aik * b;
+                }
+            }
+        }
+        (
+            2.0 * my_rows as f64 * block_rows as f64 * n as f64,
+            OpKind::Flop,
+        )
+    }
+
+    fn distribution_bytes(&self, rank: usize) -> u64 {
+        let s = &self.ranks[rank];
+        // A rows + initial B block.
+        (2 * (s.end - s.start) * self.n * 8) as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The index-per-element loop `compute` replaced, kept verbatim as
+    /// the oracle the slice kernel must match bit for bit.
+    fn compute_scalar(s: &mut RankState, n: usize) {
         let my_rows = s.end - s.start;
         let block_rows = s.block.len() / n;
         for i in 0..my_rows {
@@ -212,22 +240,37 @@ impl SpmdApp for MatmulApp {
                 }
             }
         }
-        (
-            2.0 * my_rows as f64 * block_rows as f64 * n as f64,
-            OpKind::Flop,
-        )
     }
 
-    fn distribution_bytes(&self, rank: usize) -> u64 {
-        let (gs, ge) = self.ranges[rank];
-        // A rows + initial B block.
-        (2 * (ge - gs) * self.n * 8) as u64
+    proptest! {
+        #[test]
+        fn slice_multiply_matches_scalar_oracle(
+            n in 1usize..16,
+            geometry in (0usize..1000, 0usize..1000, 0usize..1000),
+            values in prop::collection::vec(-2.0f64..2.0, 800..801),
+        ) {
+            let (a, b, c) = geometry;
+            let my_rows = 1 + a % n;
+            let block_start = b % n;
+            let block_rows = 1 + c % (n - block_start);
+            let mut app = MatmulApp::new(n, vec![0.0; n * n], vec![0.0; n * n], 1);
+            let mut a_rows = values[..my_rows * n].to_vec();
+            a_rows[0] = 0.0; // the zero-skip branch
+            app.ranks.push(RankState {
+                start: 0,
+                end: my_rows,
+                a: a_rows,
+                c: values[my_rows * n..2 * my_rows * n].to_vec(),
+                block_start,
+                block: values[2 * my_rows * n..][..block_rows * n].to_vec(),
+            });
+            let mut want = app.ranks[0].clone();
+            compute_scalar(&mut want, n);
+            app.compute(0, 0, 0);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&app.ranks[0].c), bits(&want.c));
+        }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn reference_is_correct_on_identity() {

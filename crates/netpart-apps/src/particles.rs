@@ -16,6 +16,8 @@ use netpart_model::{AppModel, CommPhase, CompPhase, OpKind, PartitionVector};
 use netpart_spmd::{SpmdApp, Step};
 use netpart_topology::Topology;
 
+use crate::wire;
+
 /// Flops charged per particle per cycle (force + integration).
 const OPS_PER_PARTICLE: f64 = 10.0;
 
@@ -133,8 +135,7 @@ impl ParticleApp {
     fn encode(ps: &[Particle]) -> Bytes {
         let mut buf = Vec::with_capacity(16 * ps.len());
         for p in ps {
-            buf.extend_from_slice(&p.x.to_le_bytes());
-            buf.extend_from_slice(&p.v.to_le_bytes());
+            wire::put_f64s(&mut buf, &[p.x, p.v]);
         }
         Bytes::from(buf)
     }
@@ -142,9 +143,10 @@ impl ParticleApp {
     fn decode(payload: &[u8]) -> Vec<Particle> {
         payload
             .chunks_exact(16)
-            .map(|c| Particle {
-                x: f64::from_le_bytes(c[..8].try_into().expect("8")),
-                v: f64::from_le_bytes(c[8..].try_into().expect("8")),
+            .map(|c| {
+                let mut xv = [0.0; 2];
+                wire::get_f64s(c, &mut xv);
+                Particle { x: xv[0], v: xv[1] }
             })
             .collect()
     }
@@ -169,8 +171,9 @@ impl SpmdApp for ParticleApp {
             self.ranks.clear();
             assert_eq!(vector.total(), self.num_cells as u64);
         }
-        let ranges = vector.ranges();
-        let (gs, ge) = (ranges[rank].start as usize, ranges[rank].end as usize);
+        // Set up in rank order: each block starts where the last ended.
+        let gs = self.ranks.last().map_or(0, |s| s.end);
+        let ge = gs + vector.count(rank) as usize;
         assert!(
             ge > gs,
             "every rank must own at least one cell (emigrants travel one block)"

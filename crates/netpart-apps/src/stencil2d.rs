@@ -26,7 +26,8 @@ use netpart_model::{AppModel, CommPhase, CompPhase, OpKind, PartitionVector};
 use netpart_spmd::{SpmdApp, Step};
 use netpart_topology::Topology;
 
-use crate::stencil::initial_grid;
+use crate::stencil::{initial_grid, Block};
+use crate::wire;
 
 /// §4-style annotations for the 2-D decomposition at a *given* processor
 /// count (the mesh factorization fixes the message sizes).
@@ -50,44 +51,12 @@ pub fn stencil2d_model(n: u64, p: u32) -> AppModel {
         ))
 }
 
-/// Split `n` into `parts` contiguous spans, remainder to the front.
-fn spans(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
-}
-
-struct Block {
-    /// Global row range.
-    r0: usize,
-    r1: usize,
-    /// Global column range.
-    c0: usize,
-    c1: usize,
-    /// Owned block values, row-major `(r1-r0) × (c1-c0)`.
-    cur: Vec<f32>,
-    next: Vec<f32>,
-    /// Halos: north/south rows (block width), west/east columns (height).
-    halo_n: Vec<f32>,
-    halo_s: Vec<f32>,
-    halo_w: Vec<f32>,
-    halo_e: Vec<f32>,
-}
-
-impl Block {
-    fn width(&self) -> usize {
-        self.c1 - self.c0
-    }
-    fn height(&self) -> usize {
-        self.r1 - self.r0
-    }
+/// Span `i` of `n` split into `parts` contiguous spans, remainder to the
+/// front.
+fn span(n: usize, parts: usize, i: usize) -> (usize, usize) {
+    let (base, extra) = (n / parts, n % parts);
+    let start = i * base + i.min(extra);
+    (start, start + base + usize::from(i < extra))
 }
 
 /// The 2-D block-decomposed stencil application.
@@ -97,6 +66,7 @@ pub struct Stencil2DApp {
     p: usize,
     mesh: (u32, u32),
     blocks: Vec<Block>,
+    initial: Vec<f32>,
 }
 
 impl Stencil2DApp {
@@ -111,6 +81,7 @@ impl Stencil2DApp {
             p,
             mesh: Topology::mesh_dims(p as u32),
             blocks: Vec::with_capacity(p),
+            initial: initial_grid(n),
         }
     }
 
@@ -129,13 +100,9 @@ impl Stencil2DApp {
 
     /// Reassemble the full grid.
     pub fn gather(&self) -> Vec<f32> {
-        let n = self.n;
-        let mut g = vec![0.0f32; n * n];
+        let mut g = vec![0.0f32; self.n * self.n];
         for b in &self.blocks {
-            for (li, gr) in (b.r0..b.r1).enumerate() {
-                let w = b.width();
-                g[gr * n + b.c0..gr * n + b.c1].copy_from_slice(&b.cur[li * w..(li + 1) * w]);
-            }
+            b.paste(&mut g, self.n);
         }
         g
     }
@@ -157,26 +124,9 @@ impl SpmdApp for Stencil2DApp {
         }
         let (rows, cols) = (self.mesh.0 as usize, self.mesh.1 as usize);
         let (mr, mc) = self.mesh_pos(rank);
-        let rspan = spans(self.n, rows)[mr];
-        let cspan = spans(self.n, cols)[mc];
-        let grid = initial_grid(self.n);
-        let (h, w) = (rspan.1 - rspan.0, cspan.1 - cspan.0);
-        let mut cur = Vec::with_capacity(h * w);
-        for gr in rspan.0..rspan.1 {
-            cur.extend_from_slice(&grid[gr * self.n + cspan.0..gr * self.n + cspan.1]);
-        }
-        self.blocks.push(Block {
-            r0: rspan.0,
-            r1: rspan.1,
-            c0: cspan.0,
-            c1: cspan.1,
-            next: vec![0.0; h * w],
-            cur,
-            halo_n: vec![0.0; w],
-            halo_s: vec![0.0; w],
-            halo_w: vec![0.0; h],
-            halo_e: vec![0.0; h],
-        });
+        let (rspan, cspan) = (span(self.n, rows, mr), span(self.n, cols, mc));
+        self.blocks
+            .push(Block::cut(&self.initial, self.n, rspan, cspan));
     }
 
     fn num_cycles(&self) -> u64 {
@@ -199,20 +149,15 @@ impl SpmdApp for Stencil2DApp {
         let (mr, mc) = self.mesh_pos(rank);
         let (tr, tc) = self.mesh_pos(to);
         let b = &self.blocks[rank];
-        let w = b.width();
-        let h = b.height();
-        let values: Vec<f32> = if tr < mr {
-            b.cur[0..w].to_vec() // my north row
-        } else if tr > mr {
-            b.cur[(h - 1) * w..h * w].to_vec() // my south row
-        } else if tc < mc {
-            (0..h).map(|r| b.cur[r * w]).collect() // my west column
+        let (w, h) = (b.width(), b.r1 - b.r0);
+        let mut buf = Vec::with_capacity(4 * w.max(h));
+        if tr != mr {
+            let first = if tr < mr { 0 } else { (h - 1) * w };
+            wire::put_f32s(&mut buf, &b.cur[first..first + w]); // my north or south row
         } else {
-            (0..h).map(|r| b.cur[r * w + w - 1]).collect() // my east column
-        };
-        let mut buf = Vec::with_capacity(4 * values.len());
-        for v in values {
-            buf.extend_from_slice(&v.to_le_bytes());
+            let c = if tc < mc { 0 } else { w - 1 };
+            let column: Vec<f32> = b.cur[c..].iter().step_by(w).copied().collect();
+            wire::put_f32s(&mut buf, &column); // my west or east column
         }
         Bytes::from(buf)
     }
@@ -221,7 +166,7 @@ impl SpmdApp for Stencil2DApp {
         let (mr, mc) = self.mesh_pos(rank);
         let (fr, fc) = self.mesh_pos(from);
         let b = &mut self.blocks[rank];
-        let target: &mut Vec<f32> = if fr < mr {
+        let target = if fr < mr {
             &mut b.halo_n
         } else if fr > mr {
             &mut b.halo_s
@@ -230,56 +175,23 @@ impl SpmdApp for Stencil2DApp {
         } else {
             &mut b.halo_e
         };
-        assert_eq!(payload.len(), 4 * target.len(), "halo size mismatch");
-        for (i, chunk) in payload.chunks_exact(4).enumerate() {
-            target[i] = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-        }
+        wire::get_f32s(payload, target);
     }
 
     fn compute(&mut self, rank: usize, _cycle: u64, _part: u32) -> (f64, OpKind) {
         let n = self.n;
         let b = &mut self.blocks[rank];
-        let (w, h) = (b.width(), b.height());
-        let mut points = 0u64;
-        for li in 0..h {
-            let gr = b.r0 + li;
-            for lj in 0..w {
-                let gc = b.c0 + lj;
-                if gr == 0 || gr == n - 1 || gc == 0 || gc == n - 1 {
-                    b.next[li * w + lj] = b.cur[li * w + lj];
-                    continue;
-                }
-                points += 1;
-                let north = if li > 0 {
-                    b.cur[(li - 1) * w + lj]
-                } else {
-                    b.halo_n[lj]
-                };
-                let south = if li + 1 < h {
-                    b.cur[(li + 1) * w + lj]
-                } else {
-                    b.halo_s[lj]
-                };
-                let west = if lj > 0 {
-                    b.cur[li * w + lj - 1]
-                } else {
-                    b.halo_w[li]
-                };
-                let east = if lj + 1 < w {
-                    b.cur[li * w + lj + 1]
-                } else {
-                    b.halo_e[li]
-                };
-                b.next[li * w + lj] = (north + south + west + east) / 4.0;
-            }
-        }
-        std::mem::swap(&mut b.cur, &mut b.next);
-        (5.0 * points as f64, OpKind::Flop)
+        let rows_updated = b.update_rows(n, b.r0, b.r1);
+        b.swap();
+        // 5 flops per updated point: the block's columns minus any fixed
+        // global boundary column it holds.
+        let cols_updated = b.c1.min(n - 1).saturating_sub(b.c0.max(1));
+        (5.0 * (rows_updated * cols_updated) as f64, OpKind::Flop)
     }
 
     fn distribution_bytes(&self, rank: usize) -> u64 {
         let b = &self.blocks[rank];
-        (b.width() * b.height() * 4) as u64
+        (b.cur.len() * 4) as u64
     }
 }
 
@@ -290,6 +202,7 @@ mod tests {
 
     #[test]
     fn spans_tile_exactly() {
+        let spans = |n, parts| (0..parts).map(|i| span(n, parts, i)).collect::<Vec<_>>();
         assert_eq!(spans(10, 3), vec![(0, 4), (4, 7), (7, 10)]);
         assert_eq!(
             spans(6, 6),

@@ -8,7 +8,8 @@ use netpart_apps::stencil::{sequential_reference, StencilApp, StencilVariant};
 use netpart_calibrate::Testbed;
 use netpart_model::PartitionVector;
 use netpart_spmd::Executor;
-use netpart_topology::PlacementStrategy;
+use netpart_topology::{PlacementStrategy, Topology};
+use proptest::prelude::*;
 
 fn run_stencil(
     n: usize,
@@ -56,6 +57,48 @@ fn sten2_matches_sequential_bitwise() {
         let vector = PartitionVector::equal(n as u64, p as usize);
         let (grid, _) = run_stencil(n, iters, StencilVariant::Sten2, &per_cluster, vector);
         assert_eq!(grid, reference, "config {per_cluster:?}");
+    }
+}
+
+proptest! {
+    /// Any grid down to N = 2, any rank count, any partition vector that
+    /// leaves no rank empty — one-row ranks fed by both halos and ranks
+    /// holding a global boundary row included — under both variants: the
+    /// slice kernels and the wire codec reproduce the naive reference.
+    #[test]
+    fn stencil_matches_sequential_for_any_partition(
+        n in 2usize..28,
+        p in 1usize..13,
+        picks in prop::collection::vec(any::<u64>(), 28..29),
+        overlap in any::<bool>(),
+        iters in 1u64..4,
+    ) {
+        let p = p.min(n);
+        let mut counts = vec![1u64; p];
+        for pick in &picks[..n - p] {
+            counts[(pick % p as u64) as usize] += 1;
+        }
+        let variant = if overlap { StencilVariant::Sten2 } else { StencilVariant::Sten1 };
+        let per_cluster = [p.min(6) as u32, (p - p.min(6)) as u32];
+        let vector = PartitionVector::from_counts(counts.clone());
+        let (grid, _) = run_stencil(n, iters, variant, &per_cluster, vector);
+        prop_assert_eq!(grid, sequential_reference(n, iters), "{:?} {:?}", variant, counts);
+    }
+
+    /// The 2-D decomposition on every mesh that fits the grid, down to
+    /// blocks one point wide and one point high.
+    #[test]
+    fn stencil2d_matches_sequential_for_any_mesh(n in 2usize..20, p in 1u32..13, iters in 1u64..4) {
+        use netpart_apps::stencil2d::Stencil2DApp;
+        let (rows, cols) = Topology::mesh_dims(p);
+        prop_assume!(n >= rows.max(cols) as usize);
+        let tb = Testbed::paper();
+        let (mmps, nodes) = tb.build(&[p.min(6), p - p.min(6)], PlacementStrategy::ClusterContiguous);
+        let mut app = Stencil2DApp::new(n, iters, p as usize);
+        let mut exec = Executor::new(mmps, nodes);
+        exec.run(&mut app, &PartitionVector::equal(n as u64, p as usize), false)
+            .expect("2-D run");
+        prop_assert_eq!(app.gather(), sequential_reference(n, iters), "n={} p={}", n, p);
     }
 }
 

@@ -128,6 +128,14 @@ pub enum NetpartError {
         /// Nodes the configuration requested.
         asked: u32,
     },
+    /// A plan's integer partition vector leaves a configured rank with no
+    /// PDUs (the real-valued shares rounded one down to zero), so the
+    /// block-decomposed applications cannot run it. Surfaced when the
+    /// plan is *run*; planning alone still succeeds.
+    EmptyRank {
+        /// The first rank assigned zero PDUs.
+        rank: usize,
+    },
     /// A scenario or plan was internally inconsistent (e.g. a pinned
     /// configuration of the wrong length).
     InvalidScenario(String),
@@ -274,6 +282,9 @@ impl std::fmt::Display for NetpartError {
                     "cluster {cluster} has only {have} nodes, asked for {asked}"
                 )
             }
+            NetpartError::EmptyRank { rank } => {
+                write!(f, "partition vector assigns rank {rank} zero PDUs")
+            }
             NetpartError::InvalidScenario(e) => write!(f, "invalid scenario: {e}"),
             NetpartError::InvalidFabric(e) => write!(f, "invalid fabric: {e}"),
             NetpartError::InvalidFaultPlan(e) => write!(f, "invalid fault plan: {e}"),
@@ -407,6 +418,7 @@ mod tests {
                 },
                 "has only 6 nodes",
             ),
+            (NetpartError::EmptyRank { rank: 7 }, "rank 7 zero PDUs"),
             (NetpartError::InvalidScenario("bad".into()), "bad"),
             (
                 NetpartError::InvalidFabric("fabric is partitioned: no router path".into()),

@@ -219,8 +219,12 @@ pub struct CycleEngine<'a, A: SpmdApp, P: Probe> {
     probe: &'a mut P,
     states: Vec<TaskState>,
     mailbox: Vec<HashMap<(u64, Rank, u8), Bytes>>,
-    send_seq: Vec<HashMap<(u64, Rank), u8>>,
-    recv_next: Vec<HashMap<(u64, Rank), u8>>,
+    /// Per rank, the next message sequence number to stamp on a send to
+    /// each peer / expect from each peer *within the rank's current
+    /// cycle*. A rank only sends and receives in its current cycle, so
+    /// both maps are emptied when it advances and stay O(neighbors).
+    send_seq: Vec<HashMap<Rank, u8>>,
+    recv_next: Vec<HashMap<Rank, u8>>,
     cycle_max: Vec<SimTime>,
     rank_finish: Vec<SimTime>,
     compute_busy: Vec<SimDur>,
@@ -710,6 +714,10 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                     self.done += 1;
                     return Ok(());
                 }
+                #[cfg(test)]
+                tests::note_seq_entries(self.send_seq[rank].len() + self.recv_next[rank].len());
+                self.send_seq[rank].clear();
+                self.recv_next[rank].clear();
                 self.states[rank].cycle = next;
                 self.load_script(rank);
                 continue;
@@ -722,7 +730,7 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                     let started = self.phase_enter(rank);
                     let cycle = self.states[rank].cycle;
                     for peer in to {
-                        let seq_entry = self.send_seq[rank].entry((cycle, peer)).or_insert(0);
+                        let seq_entry = self.send_seq[rank].entry(peer).or_insert(0);
                         let seq = *seq_entry;
                         *seq_entry = seq_entry.wrapping_add(1);
                         let payload = self.app.produce(rank, cycle, peer);
@@ -763,11 +771,10 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                     let mut progress = self.states[rank].recv_progress;
                     while progress < from.len() {
                         let f = from[progress];
-                        let next_seq = *self.recv_next[rank].entry((cycle, f)).or_insert(0);
-                        match self.mailbox[rank].remove(&(cycle, f, next_seq)) {
+                        let next_seq = self.recv_next[rank].entry(f).or_insert(0);
+                        match self.mailbox[rank].remove(&(cycle, f, *next_seq)) {
                             Some(payload) => {
-                                *self.recv_next[rank].get_mut(&(cycle, f)).expect("present") =
-                                    next_seq.wrapping_add(1);
+                                *next_seq = next_seq.wrapping_add(1);
                                 self.app.consume(rank, cycle, f, &payload);
                                 progress += 1;
                             }
@@ -787,5 +794,73 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use netpart_model::OpKind;
+    use netpart_sim::{NetworkBuilder, ProcType, SegmentSpec};
+
+    use super::*;
+
+    thread_local! {
+        /// Most `send_seq` + `recv_next` entries any rank held when it
+        /// finished a cycle, on this test thread.
+        static SEQ_ENTRIES_HIGH_WATER: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn note_seq_entries(entries: usize) {
+        SEQ_ENTRIES_HIGH_WATER.with(|h| h.set(h.get().max(entries)));
+    }
+
+    /// A ring exchange with no arithmetic: two peers per rank per cycle.
+    struct Ring {
+        p: usize,
+        cycles: u64,
+    }
+
+    impl SpmdApp for Ring {
+        fn setup(&mut self, _rank: Rank, _vector: &PartitionVector) {}
+        fn num_cycles(&self) -> u64 {
+            self.cycles
+        }
+        fn script(&self, rank: Rank, _cycle: u64) -> Vec<Step> {
+            let peers = vec![(rank + 1) % self.p, (rank + self.p - 1) % self.p];
+            vec![
+                Step::Send { to: peers.clone() },
+                Step::Recv { from: peers },
+                Step::Compute { part: 0 },
+            ]
+        }
+        fn produce(&mut self, _rank: Rank, _cycle: u64, _to: Rank) -> Bytes {
+            Bytes::from(vec![0u8; 8])
+        }
+        fn consume(&mut self, _rank: Rank, _cycle: u64, _from: Rank, _payload: &[u8]) {}
+        fn compute(&mut self, _rank: Rank, _cycle: u64, _part: u32) -> (f64, OpKind) {
+            (100.0, OpKind::Flop)
+        }
+    }
+
+    /// The sequence maps used to be keyed by `(cycle, peer)` and never
+    /// pruned: `neighbors` new entries per rank per cycle for the whole
+    /// run. They must stay at one entry per peer per direction.
+    #[test]
+    fn sequence_maps_stay_bounded_by_neighbors_over_1000_cycles() {
+        let p = 4;
+        let mut b = NetworkBuilder::new(3);
+        let pt = b.add_proc_type(ProcType::sparcstation_2());
+        let seg = b.add_segment(SegmentSpec::ethernet_10mbps());
+        let nodes: Vec<NodeId> = (0..p).map(|_| b.add_node(pt, seg)).collect();
+        let mut mmps = Mmps::with_defaults(b.build().expect("network"));
+        let mut app = Ring { p, cycles: 1000 };
+        let vector = PartitionVector::equal(p as u64, p);
+        let report = CycleEngine::run(&mut mmps, &nodes, &mut app, &vector, false, &mut NoProbe)
+            .expect("ring run");
+        assert_eq!(report.per_cycle.len(), 1000);
+        let neighbors = 2;
+        assert_eq!(SEQ_ENTRIES_HIGH_WATER.with(Cell::get), 2 * neighbors);
     }
 }

@@ -306,10 +306,23 @@ impl Plan {
         self.config.iter().sum::<u32>() as usize
     }
 
+    /// Refuse to execute a vector that leaves a configured rank without
+    /// PDUs: rounding the real-valued shares can do that when ranks
+    /// outnumber PDUs per share, and a block-decomposed application cannot
+    /// own an empty block. Checked on entry to a run, not in
+    /// [`Scenario::plan`] — such a plan is still a valid *estimate*.
+    fn check_runnable(&self) -> Result<(), NetpartError> {
+        match self.vector.counts().iter().position(|&c| c == 0) {
+            Some(rank) => Err(NetpartError::EmptyRank { rank }),
+            None => Ok(()),
+        }
+    }
+
     /// The online half: execute `app` on the simulated testbed through
     /// the cycle engine and return the instrumented result. The plan can
     /// be run any number of times; each run builds a fresh network.
     pub fn run<A: SpmdApp>(&self, app: &mut A) -> Result<Run, NetpartError> {
+        self.check_runnable()?;
         let (mmps, nodes) = self.testbed.try_build(&self.config, self.placement)?;
         let mut exec = Executor::new(mmps, nodes);
         let mut probe = PhaseTotalsProbe::default();
@@ -1024,6 +1037,7 @@ impl Scenario {
         F: FnMut(usize, AppStart<'_>) -> Result<A, NetpartError>,
     {
         let plan = self.plan()?;
+        plan.check_runnable()?;
         let mut cur_part = plan.partition.clone().ok_or_else(|| {
             NetpartError::InvalidScenario("plan() produced no partition output".into())
         })?;
@@ -2274,19 +2288,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fabric_partition_recovers_as_island_and_readmits_on_heal() {
-        use netpart_apps::stencil::sequential_reference;
-        use netpart_calibrate::Wiring;
-        // Dumbbell fabric: router 0 joins clusters {0,1} to trunk
-        // segment 4, router 1 joins {2,3}. Killing router 1 cuts the
-        // right half off while every node on it stays alive — a pure
-        // fabric partition, invisible to the intra-cluster probe round.
-        let testbed = Testbed::synthetic(4, 1, 1.2).with_wiring(Wiring::Dumbbell);
-        let app = stencil_model(1200, StencilVariant::Sten1);
-        // The paper model only covers the paper's testbed; price this
-        // synthetic fabric with a small analytic fixed model instead
-        // (same shape the bench crate's scale sweeps use).
+    /// The paper model only covers the paper's testbed; synthetic fabrics
+    /// are priced with a small analytic fixed model instead (same shape
+    /// the bench crate's scale sweeps use).
+    fn hop_cost_model(testbed: &Testbed, app: &AppModel) -> CalibratedCostModel {
         let mut cost = CalibratedCostModel::default();
         for c in 0..testbed.clusters.len() {
             for phase in app.comm_phases() {
@@ -2318,6 +2323,49 @@ mod tests {
                 );
             }
         }
+        cost
+    }
+
+    /// Regression (benchmark/README sizing finding 2): at 1024 nodes and
+    /// N = 8192 the integer vector rounds some rank down to zero rows.
+    /// Planning that is fine; running it used to panic inside
+    /// `StencilApp::setup` and is now a typed error naming the rank.
+    #[test]
+    fn plan_with_an_empty_rank_plans_but_refuses_to_run() {
+        let testbed = Testbed::synthetic(32, 32, 1.15);
+        let model = stencil_model(8192, StencilVariant::Sten1);
+        let cost = hop_cost_model(&testbed, &model);
+        let s = Scenario::new(testbed, model).with_cost(CostSource::Fixed(cost));
+        let plan = s.plan().unwrap();
+        let rank = plan.vector.counts().iter().position(|&c| c == 0);
+        let rank = rank.expect("the repro must round some rank to zero rows");
+        let expected = NetpartError::EmptyRank { rank };
+        // The check precedes any use of the application, so a token app
+        // stands in for the 8192² grid.
+        let mut app = StencilApp::new(2, 1, StencilVariant::Sten1, 1);
+        assert_eq!(plan.run(&mut app).unwrap_err(), expected);
+        let recovered = s.run_recoverable_with(
+            &FaultSchedule::new(),
+            RecoveryPolicy::FailFast,
+            CheckpointPolicy::local(2),
+            |_, _| -> Result<StencilApp, NetpartError> {
+                unreachable!("rejected before any app is built")
+            },
+        );
+        assert_eq!(recovered.map(|_| ()).unwrap_err(), expected);
+    }
+
+    #[test]
+    fn fabric_partition_recovers_as_island_and_readmits_on_heal() {
+        use netpart_apps::stencil::sequential_reference;
+        use netpart_calibrate::Wiring;
+        // Dumbbell fabric: router 0 joins clusters {0,1} to trunk
+        // segment 4, router 1 joins {2,3}. Killing router 1 cuts the
+        // right half off while every node on it stays alive — a pure
+        // fabric partition, invisible to the intra-cluster probe round.
+        let testbed = Testbed::synthetic(4, 1, 1.2).with_wiring(Wiring::Dumbbell);
+        let app = stencil_model(1200, StencilVariant::Sten1);
+        let cost = hop_cost_model(&testbed, &app);
         let s = Scenario::new(testbed, app).with_cost(CostSource::Fixed(cost));
         let plan = s.plan().unwrap();
         assert!(
