@@ -532,21 +532,20 @@ fn cmd_chaos_fabric(smoke: bool) {
 }
 
 fn cmd_simcore() {
-    println!("Event-core throughput — wheel queue vs committed heap baseline:");
+    println!("Event-core throughput — time-wheel queue, events/s against the CI floors:");
     let samples = run_simcore(3);
     println!(
-        "{:<18} {:>12} {:>10} {:>14} {:>14} {:>8}",
-        "workload", "events", "wall (s)", "events/s", "heap (ev/s)", "speedup"
+        "{:<18} {:>12} {:>10} {:>14} {:>12}",
+        "workload", "events", "wall (s)", "events/s", "floor"
     );
     for s in &samples {
-        let eps = s.events_per_sec();
-        let (base, speedup) = match s.heap_baseline() {
-            Some(b) => (format!("{b:.3e}"), format!("{:.1}x", eps / b)),
-            None => ("-".into(), "-".into()),
-        };
         println!(
-            "{:<18} {:>12} {:>10.4} {:>14.4e} {:>14} {:>8}",
-            s.name, s.events, s.wall_secs, eps, base, speedup
+            "{:<18} {:>12} {:>10.4} {:>14.4e} {:>12.1e}",
+            s.name,
+            s.events,
+            s.wall_secs,
+            s.events_per_sec(),
+            s.floor().unwrap_or(0.0)
         );
     }
     let json = simcore_json(&samples);

@@ -34,7 +34,8 @@
 //! schedule, and the simulator replays it identically, so every row of
 //! `BENCH_chaos.json` is reproducible from its seed alone.
 
-use netpart::{AppStart, CheckpointPolicy, CostSource, FaultSchedule, RecoveryPolicy, Scenario};
+use crate::faults::{bits_eq_f32, bits_eq_f64, gauss_factory, stencil_factory};
+use netpart::{CheckpointPolicy, CostSource, FaultSchedule, RecoveryPolicy, Scenario};
 use netpart_apps::{
     gauss_model, make_system, sequential_reference, sequential_solve, stencil_model, GaussApp,
     StencilApp, StencilVariant,
@@ -345,47 +346,28 @@ impl ChaosTarget {
                 variant,
                 reference,
             } => {
-                let (n, iters, variant) = (*n, *iters, *variant);
+                let factory = stencil_factory(*n, *iters, *variant);
                 self.scenario
-                    .run_recoverable_with(&faults, policy, ckpt, move |ranks, start| {
-                        Ok(match start {
-                            AppStart::Fresh => StencilApp::new(n, iters, variant, ranks),
-                            AppStart::Resume(c) => StencilApp::resume(c, n, iters, variant, ranks),
-                        })
-                    })
+                    .run_recoverable_with(&faults, policy, ckpt, factory)
                     .map(|(run, app)| {
                         let mut got = app.gather();
                         if sabotage && run.recovery.as_ref().is_some_and(|r| r.replans > 0) {
                             got[0] = f32::from_bits(got[0].to_bits() ^ 1);
                         }
-                        let identical = got.len() == reference.len()
-                            && got
-                                .iter()
-                                .zip(reference)
-                                .all(|(x, y)| x.to_bits() == y.to_bits());
+                        let identical = bits_eq_f32(&got, reference);
                         (run, identical)
                     })
             }
             TargetKind::Gauss { n, a, b, reference } => {
-                let n = *n;
-                let (ac, bc) = (a.clone(), b.clone());
+                let factory = gauss_factory(*n, a, b);
                 self.scenario
-                    .run_recoverable_with(&faults, policy, ckpt, move |ranks, start| {
-                        Ok(match start {
-                            AppStart::Fresh => GaussApp::new(n, ac.clone(), bc.clone(), ranks),
-                            AppStart::Resume(c) => GaussApp::resume(c, n, ranks),
-                        })
-                    })
+                    .run_recoverable_with(&faults, policy, ckpt, factory)
                     .map(|(run, app)| {
                         let mut got = app.solve();
                         if sabotage && run.recovery.as_ref().is_some_and(|r| r.replans > 0) {
                             got[0] = f64::from_bits(got[0].to_bits() ^ 1);
                         }
-                        let identical = got.len() == reference.len()
-                            && got
-                                .iter()
-                                .zip(reference)
-                                .all(|(x, y)| x.to_bits() == y.to_bits());
+                        let identical = bits_eq_f64(&got, reference);
                         (run, identical)
                     })
             }

@@ -30,7 +30,9 @@
 //! unreachable thresholds prices every run exactly like the plain paper
 //! testbed.
 
-use netpart::{AppStart, CostSource, Fault, FaultSchedule, RecoveryPolicy, Scenario};
+use crate::drift::{adapt_policy, COOLDOWN, DEGRADE_THRESHOLD};
+use crate::faults::{bits_eq_f32, stencil_factory, variant_label};
+use netpart::{CostSource, Fault, FaultSchedule, RecoveryPolicy, Scenario};
 use netpart_apps::{sequential_reference, stencil_model, StencilApp, StencilVariant};
 use netpart_calibrate::{
     calibrate_cluster_gated, CalibratedCostModel, CalibrationConfig, CostModel, Testbed,
@@ -39,11 +41,6 @@ use netpart_mmps::WindowConfig;
 use netpart_model::NetpartError;
 use netpart_sim::{CongestionSpec, OverflowPolicy, SimDur};
 use netpart_topology::Topology;
-
-/// Drift-monitor threshold shared with the drift experiments.
-const DEGRADE_THRESHOLD: f64 = 1.75;
-/// Cooldown cycles after a declined repartition.
-const COOLDOWN: u64 = 4;
 
 /// How one recoverable run under congestion ended.
 #[derive(Debug, Clone)]
@@ -176,38 +173,6 @@ pub fn congested_testbed() -> Testbed {
         ..WindowConfig::default()
     });
     t
-}
-
-fn adapt_policy(min_gain: f64) -> RecoveryPolicy {
-    RecoveryPolicy::Adapt {
-        degrade_threshold: DEGRADE_THRESHOLD,
-        min_gain,
-        cooldown: COOLDOWN,
-    }
-}
-
-fn bits_eq_f32(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-fn stencil_factory(
-    n: usize,
-    iters: u64,
-    variant: StencilVariant,
-) -> impl FnMut(usize, AppStart<'_>) -> Result<StencilApp, NetpartError> {
-    move |ranks, start| {
-        Ok(match start {
-            AppStart::Fresh => StencilApp::new(n, iters, variant, ranks),
-            AppStart::Resume(c) => StencilApp::resume(c, n, iters, variant, ranks),
-        })
-    }
-}
-
-fn variant_label(variant: StencilVariant) -> &'static str {
-    match variant {
-        StencilVariant::Sten1 => "STEN-1",
-        StencilVariant::Sten2 => "STEN-2",
-    }
 }
 
 /// Run one recoverable stencil under `policy` and fold the result into a

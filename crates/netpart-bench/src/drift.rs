@@ -16,17 +16,18 @@
 //! PRNG and requires the adaptive run to finish with the bit-identical
 //! sequential answer, whatever the monitor decided to do.
 
-use netpart::{AppStart, CostSource, Fault, FaultSchedule, RecoveryPolicy, Scenario};
-use netpart_apps::{sequential_reference, stencil_model, StencilApp, StencilVariant};
-use netpart_calibrate::{CalibratedCostModel, Testbed};
+use crate::faults::{bits_eq_f32, stencil_factory, stencil_scenario, variant_label};
+use netpart::{Fault, FaultSchedule, RecoveryPolicy};
+use netpart_apps::{sequential_reference, StencilApp, StencilVariant};
+use netpart_calibrate::CalibratedCostModel;
 use netpart_model::NetpartError;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Drift-monitor threshold used by the table and chaos harness: a rank
 /// 75% over its predicted phase time counts as degraded.
-const DEGRADE_THRESHOLD: f64 = 1.75;
+pub(crate) const DEGRADE_THRESHOLD: f64 = 1.75;
 /// Cooldown cycles after a declined repartition.
-const COOLDOWN: u64 = 4;
+pub(crate) const COOLDOWN: u64 = 4;
 
 /// One row of the drift table: a stencil under a mid-run gray slowdown,
 /// adaptive vs staying put.
@@ -97,40 +98,13 @@ pub struct DriftChaosCase {
     pub bit_identical: bool,
 }
 
-fn adapt_policy(min_gain: f64) -> RecoveryPolicy {
+/// The `Adapt` policy every gray-failure harness runs (drift and
+/// congestion alike): shared threshold and cooldown, caller's gate.
+pub(crate) fn adapt_policy(min_gain: f64) -> RecoveryPolicy {
     RecoveryPolicy::Adapt {
         degrade_threshold: DEGRADE_THRESHOLD,
         min_gain,
         cooldown: COOLDOWN,
-    }
-}
-
-fn bits_eq_f32(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-fn stencil_scenario(n: u64, variant: StencilVariant, model: &CalibratedCostModel) -> Scenario {
-    Scenario::new(Testbed::paper(), stencil_model(n, variant))
-        .with_cost(CostSource::Fixed(model.clone()))
-}
-
-fn stencil_factory(
-    n: usize,
-    iters: u64,
-    variant: StencilVariant,
-) -> impl FnMut(usize, AppStart<'_>) -> Result<StencilApp, NetpartError> {
-    move |ranks, start| {
-        Ok(match start {
-            AppStart::Fresh => StencilApp::new(n, iters, variant, ranks),
-            AppStart::Resume(c) => StencilApp::resume(c, n, iters, variant, ranks),
-        })
-    }
-}
-
-fn variant_label(variant: StencilVariant) -> &'static str {
-    match variant {
-        StencilVariant::Sten1 => "STEN-1",
-        StencilVariant::Sten2 => "STEN-2",
     }
 }
 

@@ -7,6 +7,7 @@
 //! partitioning decision, and [`netpart::Plan::run`] executes it on the
 //! one cycle engine. Every fallible step returns [`NetpartError`].
 
+use crate::faults::stencil_scenario;
 use netpart::pipeline::{CostSource, Scenario};
 use netpart_apps::gauss::{make_system, GaussApp};
 use netpart_apps::stencil::{stencil_model, StencilApp, StencilVariant};
@@ -46,13 +47,6 @@ pub const PAPER_TOPOLOGIES: [Topology; 4] = [
 pub fn paper_calibration() -> Result<CalibratedCostModel, NetpartError> {
     let tb = Testbed::paper();
     calibrate_testbed_cached(&tb, &PAPER_TOPOLOGIES, &CalibrationConfig::default())
-}
-
-/// The scenario every stencil experiment starts from: the paper testbed,
-/// the given stencil model, and the supplied (already fitted) cost model.
-fn stencil_scenario(n: u64, variant: StencilVariant, model: &CalibratedCostModel) -> Scenario {
-    Scenario::new(Testbed::paper(), stencil_model(n, variant))
-        .with_cost(CostSource::Fixed(model.clone()))
 }
 
 /// One fitted-constant row of the calibration report.

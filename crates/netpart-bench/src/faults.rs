@@ -99,20 +99,28 @@ fn replan_policy() -> RecoveryPolicy {
     }
 }
 
-fn bits_eq_f32(a: &[f32], b: &[f32]) -> bool {
+pub(crate) fn bits_eq_f32(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-fn bits_eq_f64(a: &[f64], b: &[f64]) -> bool {
+pub(crate) fn bits_eq_f64(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-fn stencil_scenario(n: u64, variant: StencilVariant, model: &CalibratedCostModel) -> Scenario {
+/// The scenario every stencil experiment starts from: the paper testbed,
+/// the given stencil model, and the supplied (already fitted) cost model.
+pub(crate) fn stencil_scenario(
+    n: u64,
+    variant: StencilVariant,
+    model: &CalibratedCostModel,
+) -> Scenario {
     Scenario::new(Testbed::paper(), stencil_model(n, variant))
         .with_cost(CostSource::Fixed(model.clone()))
 }
 
-fn stencil_factory(
+/// The stencil app factory every recovery harness hands to
+/// `run_recoverable`: fresh on the first segment, resumed afterwards.
+pub(crate) fn stencil_factory(
     n: usize,
     iters: u64,
     variant: StencilVariant,
@@ -125,7 +133,22 @@ fn stencil_factory(
     }
 }
 
-fn variant_label(variant: StencilVariant) -> &'static str {
+/// The GAUSS counterpart of [`stencil_factory`].
+pub(crate) fn gauss_factory(
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+) -> impl FnMut(usize, AppStart<'_>) -> Result<GaussApp, NetpartError> {
+    let (a, b) = (a.to_vec(), b.to_vec());
+    move |ranks, start| {
+        Ok(match start {
+            AppStart::Fresh => GaussApp::new(n, a.clone(), b.clone(), ranks),
+            AppStart::Resume(c) => GaussApp::resume(c, n, ranks),
+        })
+    }
+}
+
+pub(crate) fn variant_label(variant: StencilVariant) -> &'static str {
     match variant {
         StencilVariant::Sten1 => "STEN-1",
         StencilVariant::Sten2 => "STEN-2",
@@ -211,21 +234,17 @@ fn gauss_fault_row(
         rank: crashed_rank,
     });
 
-    let factory = |a: &[f64], b: &[f64]| {
-        let (a, b) = (a.to_vec(), b.to_vec());
-        move |ranks: usize, start: AppStart<'_>| {
-            Ok(match start {
-                AppStart::Fresh => GaussApp::new(n, a.clone(), b.clone(), ranks),
-                AppStart::Resume(c) => GaussApp::resume(c, n, ranks),
-            })
-        }
-    };
-
-    let (run, rapp) = s.run_recoverable(&faults, replan_policy(), 4, factory(&a, &b))?;
+    let factory = gauss_factory(n, &a, &b);
+    let (run, rapp) = s.run_recoverable(&faults, replan_policy(), 4, factory)?;
     let reference = sequential_solve(n, &a, &b);
     let bit_identical = bits_eq_f64(&rapp.solve(), &reference);
 
-    let fail_fast = match s.run_recoverable(&faults, RecoveryPolicy::FailFast, 4, factory(&a, &b)) {
+    let fail_fast = match s.run_recoverable(
+        &faults,
+        RecoveryPolicy::FailFast,
+        4,
+        gauss_factory(n, &a, &b),
+    ) {
         Ok(_) => "completed (crash missed the run)".to_string(),
         Err(e) => e.to_string(),
     };
@@ -412,13 +431,8 @@ pub fn chaos_run(seed: u64, model: &CalibratedCostModel) -> Result<Vec<ChaosCase
 
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(2 * 0x9E37_79B9));
         let faults = draw_schedule(&mut rng, ranks, fault_free.elapsed_ms);
-        let (ac, bc) = (a.clone(), b.clone());
-        let (run, rapp) = s.run_recoverable(&faults, replan_policy(), 4, move |ranks, start| {
-            Ok(match start {
-                AppStart::Fresh => GaussApp::new(n, ac.clone(), bc.clone(), ranks),
-                AppStart::Resume(c) => GaussApp::resume(c, n, ranks),
-            })
-        })?;
+        let factory = gauss_factory(n, &a, &b);
+        let (run, rapp) = s.run_recoverable(&faults, replan_policy(), 4, factory)?;
         cases.push(ChaosCase {
             app: "GAUSS",
             seed,

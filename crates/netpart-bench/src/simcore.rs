@@ -16,13 +16,12 @@
 //!
 //! Workloads are deterministic (fixed seeds, fixed sizes), so the event
 //! *count* of each is a constant of the codebase; only the wall time
-//! varies by machine. The committed [`HEAP_BASELINE`] numbers pin what
-//! the retired `BinaryHeap` core measured on the reference machine at the
-//! commit that replaced it, giving every later run a before/after
-//! denominator. [`SIMCORE_FLOOR_EVENTS_PER_SEC`] is the CI regression
-//! floor — deliberately far below the measured throughput so slower CI
-//! hardware does not false-positive, while a real algorithmic regression
-//! (events/s collapsing toward heap-era figures) still trips it.
+//! varies by machine. [`SIMCORE_FLOORS`] are the CI regression floors —
+//! deliberately far below the measured throughput so slower CI hardware
+//! does not false-positive, while a real algorithmic regression (events/s
+//! collapsing) still trips them. How the wheel compares with the
+//! `BinaryHeap` it replaced is an in-run A/B recorded in DESIGN.md
+//! ("Event core"), not a constant committed from another machine.
 
 use std::time::Instant;
 
@@ -61,24 +60,11 @@ pub const SIMCORE_FLOORS: [(&str, f64); 3] = [
     ("sten1_cycle", 5.0e4),
 ];
 
-/// Events/s of the retired `BinaryHeap` core, measured on the reference
-/// machine at the commit that replaced it (same workloads, identical
-/// event counts, best wall time over an interleaved heap/wheel
-/// measurement campaign, release profile). Committed so the speedup
-/// column of `BENCH_simcore.json` survives the heap's removal. The
-/// campaign and the queue-level attribution behind these figures are
-/// written up in DESIGN.md ("Event core").
-pub const HEAP_BASELINE: [(&str, f64); 3] = [
-    ("datagram_drain", 5.54e6),
-    ("mmps_trains", 1.10e7),
-    ("sten1_cycle", 2.39e5),
-];
-
 /// One timed workload: scheduler work items processed and the wall time
 /// the drain took.
 #[derive(Debug, Clone)]
 pub struct SimcoreSample {
-    /// Workload name (stable key, used by the baseline table).
+    /// Workload name (stable key, used by the floor table).
     pub name: &'static str,
     /// Scheduler work items processed (deterministic per codebase).
     pub events: u64,
@@ -94,14 +80,6 @@ impl SimcoreSample {
         } else {
             0.0
         }
-    }
-
-    /// The committed heap-core figure for this workload, if recorded.
-    pub fn heap_baseline(&self) -> Option<f64> {
-        HEAP_BASELINE
-            .iter()
-            .find(|(n, _)| *n == self.name)
-            .map(|&(_, eps)| eps)
     }
 
     /// This workload's CI floor, if one is set.
@@ -238,16 +216,12 @@ pub fn run_simcore(repeats: usize) -> Vec<SimcoreSample> {
 }
 
 /// Render `BENCH_simcore.json`: per-workload events, wall time, events/s,
-/// the committed heap baseline and the implied speedup, plus the CI floor
-/// and whether this run cleared it.
+/// the CI floor and whether this run cleared it.
 pub fn simcore_json(samples: &[SimcoreSample]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"benchmark\": \"simcore\",\n");
     s.push_str("  \"queue\": \"hierarchical time-wheel (3 tiers x 256 slots, 1.024us tick)\",\n");
-    s.push_str(
-        "  \"baseline\": \"BinaryHeap core, measured pre-switch on the reference machine\",\n",
-    );
     s.push_str("  \"methodology\": \"release build, best wall time of 3 full drains per workload; events = Network::events_processed (deterministic per workload)\",\n");
     s.push_str(&format!(
         "  \"floor_cleared\": {},\n",
@@ -262,15 +236,8 @@ pub fn simcore_json(samples: &[SimcoreSample]) -> String {
         s.push_str(&format!("      \"wall_secs\": {:.6},\n", sample.wall_secs));
         s.push_str(&format!("      \"events_per_sec\": {eps:.4e},\n"));
         match sample.floor() {
-            Some(f) => s.push_str(&format!("      \"floor_events_per_sec\": {f:.3e},\n")),
-            None => s.push_str("      \"floor_events_per_sec\": null,\n"),
-        }
-        match sample.heap_baseline() {
-            Some(base) => {
-                s.push_str(&format!("      \"heap_events_per_sec\": {base:.4e},\n"));
-                s.push_str(&format!("      \"speedup_vs_heap\": {:.2}\n", eps / base));
-            }
-            None => s.push_str("      \"heap_events_per_sec\": null\n"),
+            Some(f) => s.push_str(&format!("      \"floor_events_per_sec\": {f:.3e}\n")),
+            None => s.push_str("      \"floor_events_per_sec\": null\n"),
         }
         s.push_str(if i + 1 == samples.len() {
             "    }\n"
@@ -298,7 +265,8 @@ mod tests {
         let samples = vec![d, m];
         let json = simcore_json(&samples);
         assert!(json.contains("\"datagram_drain\""));
-        assert!(json.contains("\"speedup_vs_heap\""));
+        assert!(json.contains("\"floor_events_per_sec\""));
+        assert!(!json.contains("heap"), "no cross-machine baseline columns");
         assert!(json.contains("\"floor_cleared\""));
     }
 
@@ -310,12 +278,8 @@ mod tests {
     }
 
     #[test]
-    fn baseline_and_floor_tables_cover_all_workloads() {
+    fn floor_table_covers_all_workloads() {
         for name in ["datagram_drain", "mmps_trains", "sten1_cycle"] {
-            assert!(
-                HEAP_BASELINE.iter().any(|(n, _)| *n == name),
-                "missing baseline for {name}"
-            );
             assert!(
                 SIMCORE_FLOORS.iter().any(|(n, _)| *n == name),
                 "missing floor for {name}"

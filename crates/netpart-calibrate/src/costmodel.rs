@@ -309,13 +309,6 @@ impl CommCostModel for CalibratedCostModel {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PaperCostModel;
 
-impl PaperCostModel {
-    /// Sparc2 seconds-per-flop from §6 (`S_i ≈ 0.3 µs`).
-    pub const S_SPARC2: f64 = 0.3e-6;
-    /// IPC seconds-per-flop from §6 (`S_i ≈ 0.6 µs`).
-    pub const S_IPC: f64 = 0.6e-6;
-}
-
 impl CommCostModel for PaperCostModel {
     fn covers(&self, cluster: usize, topo: Topology) -> bool {
         cluster < 2 && topo == Topology::OneD

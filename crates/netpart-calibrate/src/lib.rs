@@ -47,5 +47,5 @@ pub use fit::{
 };
 pub use linreg::{least_squares, FitResult};
 pub use netpart_sim::{Fabric, Wiring};
-pub use recal::{inflate_intra, refit_speed, speed_scale, InflatedCostModel};
+pub use recal::{speed_scale, InflatedCostModel};
 pub use testbed::{ClusterSpec, Testbed};

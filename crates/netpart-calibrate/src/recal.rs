@@ -10,24 +10,23 @@
 //!
 //! * **Compute drift** — a rank observed `r×` slower than the plan's
 //!   `T_comp` prediction means its cluster's effective seconds-per-op is
-//!   `r×` the calibrated value ([`refit_speed`]). The caller applies the
+//!   `r×` the calibrated value ([`speed_scale`]). The caller applies the
 //!   scale to its system model's `sec_per_flop` / `sec_per_intop` for the
 //!   degraded cluster only.
 //! * **Communication drift** — a rank observed `r×` more receive-wait
 //!   than `T_comm` predicted means its segment's Eq. 1 cost function is
-//!   uniformly inflated ([`inflate_intra`] rescales the fitted constants
-//!   in place; [`InflatedCostModel`] wraps *any* cost model — including
-//!   the read-only [`PaperCostModel`](crate::PaperCostModel) — without
-//!   mutating it).
+//!   uniformly inflated ([`InflatedCostModel`] wraps *any* cost model —
+//!   including the read-only [`PaperCostModel`](crate::PaperCostModel) —
+//!   without mutating it).
 //!
-//! All three are pure arithmetic: no benchmarking runs, no RNG, no
-//! network traffic. Determinism of the surrounding pipeline is untouched.
+//! Both are pure arithmetic: no benchmarking runs, no RNG, no network
+//! traffic. Determinism of the surrounding pipeline is untouched.
 //!
 //! [`DriftMonitor`]: ../netpart_spmd/drift/struct.DriftMonitor.html
 
 use netpart_topology::Topology;
 
-use crate::costmodel::{CalibratedCostModel, CommCostModel, CrossClusterMode};
+use crate::costmodel::{CommCostModel, CrossClusterMode};
 
 /// The speed scale implied by a drift observation: `observed / predicted`
 /// compute time, clamped to be ≥ 1 (online recalibration only ever
@@ -40,35 +39,6 @@ pub fn speed_scale(observed_ms: f64, predicted_ms: f64) -> f64 {
         return 1.0;
     }
     (observed_ms / predicted_ms).max(1.0)
-}
-
-/// Refit a cluster's seconds-per-op from a drift observation: the
-/// calibrated `sec_per_op` scaled by [`speed_scale`].
-pub fn refit_speed(sec_per_op: f64, observed_ms: f64, predicted_ms: f64) -> f64 {
-    sec_per_op * speed_scale(observed_ms, predicted_ms)
-}
-
-/// Uniformly inflate the fitted Eq. 1 constants of `cluster` (every
-/// topology entry) by `factor`, in place. Returns the number of entries
-/// rescaled. Factors below 1 are clamped to 1 — see [`speed_scale`] for
-/// why online recalibration never un-degrades.
-pub fn inflate_intra(model: &mut CalibratedCostModel, cluster: usize, factor: f64) -> usize {
-    let factor = if factor.is_finite() {
-        factor.max(1.0)
-    } else {
-        1.0
-    };
-    let mut touched = 0;
-    for ((c, _), fit) in model.intra.iter_mut() {
-        if *c == cluster {
-            fit.c1 *= factor;
-            fit.c2 *= factor;
-            fit.c3 *= factor;
-            fit.c4 *= factor;
-            touched += 1;
-        }
-    }
-    touched
 }
 
 /// A view over any [`CommCostModel`] with one cluster's intra cost
@@ -128,7 +98,7 @@ impl CommCostModel for InflatedCostModel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costmodel::FittedCost;
+    use crate::costmodel::{CalibratedCostModel, FittedCost};
 
     fn fit(c1: f64, c3: f64) -> FittedCost {
         FittedCost {
@@ -147,24 +117,6 @@ mod tests {
         assert_eq!(speed_scale(5.0, 10.0), 1.0, "never un-degrades");
         assert_eq!(speed_scale(10.0, 0.0), 1.0);
         assert_eq!(speed_scale(f64::NAN, 10.0), 1.0);
-        assert_eq!(refit_speed(0.3e-6, 40.0, 10.0), 1.2e-6);
-    }
-
-    #[test]
-    fn inflate_intra_rescales_only_the_target_cluster() {
-        let mut m = CalibratedCostModel::default();
-        m.set_intra(0, Topology::OneD, fit(1.0, 0.01));
-        m.set_intra(1, Topology::OneD, fit(2.0, 0.02));
-        let touched = inflate_intra(&mut m, 1, 3.0);
-        assert_eq!(touched, 1);
-        let before = m.intra[&(0, Topology::OneD)];
-        assert_eq!(before.c1, 1.0, "other cluster untouched");
-        let after = m.intra[&(1, Topology::OneD)];
-        assert_eq!(after.c1, 6.0);
-        assert_eq!(after.c3, 0.06);
-        // Sub-unit factors clamp: nothing shrinks.
-        inflate_intra(&mut m, 1, 0.5);
-        assert_eq!(m.intra[&(1, Topology::OneD)].c1, 6.0);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use netpart_topology::Topology;
 use crate::system::SystemModel;
 
 /// Detailed estimate for one configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TcBreakdown {
     /// Per-cluster PDU share of one processor (real-valued Eq. 3 result).
     pub shares: Vec<f64>,

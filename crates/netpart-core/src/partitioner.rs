@@ -72,7 +72,7 @@ pub struct PartitionOptions {
 
 /// The partitioner's output: the processor configuration and the data
 /// decomposition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Partition {
     /// Processors used per cluster, indexed by cluster id.
     pub config: Vec<u32>,

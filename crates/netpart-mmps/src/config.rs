@@ -105,15 +105,6 @@ impl MmpsConfig {
     pub fn rto_for(&self, bytes: u32) -> SimDur {
         self.base_rto + SimDur::from_nanos(self.rto_per_byte.as_nanos() * bytes as u64)
     }
-
-    /// RTO after `retries` unsuccessful attempts: exponential backoff,
-    /// capped at 64× the base value. Without backoff, a temporarily
-    /// congested channel turns spurious timeouts into a retransmission
-    /// spiral (every duplicate adds load, delaying acks further).
-    pub fn rto_backoff(&self, bytes: u32, retries: u32) -> SimDur {
-        let base = self.rto_for(bytes);
-        base.saturating_mul(1u64 << retries.min(6))
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use std::fmt;
 use std::ops::Range;
 
 /// PDU counts per task rank, in rank (placement) order.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct PartitionVector {
     counts: Vec<u64>,
 }

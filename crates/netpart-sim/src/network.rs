@@ -400,18 +400,6 @@ impl Network {
         self.nodes[node.index()].crashed
     }
 
-    /// Whether the router is inside an injected outage window right now.
-    /// Substrate-only, like [`node_crashed`](Network::node_crashed).
-    pub fn router_down(&self, router: RouterId) -> bool {
-        self.now < self.routers[router.index()].down_until
-    }
-
-    /// The channel-loss probability currently in effect on `segment`
-    /// (the spec value, or a loss-burst override). Substrate-only.
-    pub fn segment_loss_now(&self, segment: SegmentId) -> f64 {
-        self.segments[segment.index()].effective_loss(self.now)
-    }
-
     /// Utilization statistics for a segment.
     pub fn segment_stats(&self, segment: SegmentId) -> SegmentStats {
         self.segments[segment.index()].stats(self.now)

@@ -123,20 +123,6 @@ impl ProcType {
             data_format: 2,
         }
     }
-
-    /// A Sun3-class machine: the slow end of the spectrum.
-    pub fn sun3() -> ProcType {
-        ProcType {
-            name: "Sun3".into(),
-            sec_per_flop: 2.4e-6,
-            sec_per_intop: 0.9e-6,
-            send_overhead: SimDur::from_micros(900),
-            recv_overhead: SimDur::from_micros(750),
-            send_sec_per_byte: 2.2e-6,
-            recv_sec_per_byte: 1.9e-6,
-            data_format: 0,
-        }
-    }
 }
 
 /// One workstation on the network.

@@ -95,12 +95,6 @@ impl SimDur {
         SimDur::from_secs_f64(ms / 1.0e3)
     }
 
-    /// Build a span from a floating point number of microseconds.
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> SimDur {
-        SimDur::from_secs_f64(us / 1.0e6)
-    }
-
     /// Nanoseconds in this span.
     #[inline]
     pub fn as_nanos(self) -> u64 {

@@ -280,31 +280,6 @@ impl CheckpointStore {
         Some((out, restores))
     }
 
-    /// Flip one bit in `rank`'s *primary* blob at global `cycle` without
-    /// touching the recorded checksum. Fault-injection helper for tests:
-    /// the next checksum verification must reject the copy.
-    pub fn corrupt_primary(&mut self, rank: Rank, cycle: u64) -> bool {
-        Self::flip_bit(self.per_rank[rank].get_mut(&cycle))
-    }
-
-    /// Flip one bit in `rank`'s *replica* blob at global `cycle` without
-    /// touching the recorded checksum. Fault-injection helper for tests.
-    pub fn corrupt_replica(&mut self, rank: Rank, cycle: u64) -> bool {
-        Self::flip_bit(self.replicas[rank].get_mut(&cycle))
-    }
-
-    fn flip_bit(held: Option<&mut Held>) -> bool {
-        match held {
-            Some(h) if !h.data.is_empty() => {
-                let mut v = h.data.to_vec();
-                v[0] ^= 0x01;
-                h.data = Bytes::from(v);
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Highest global cycle any rank has completed in this run.
     pub fn max_cycle_seen(&self) -> Option<u64> {
         self.max_cycle_seen
@@ -352,23 +327,25 @@ impl Probe for CheckpointStore {
 
 /// Composition of two probes: every observation goes to both. Built for
 /// the recovery pipeline, which wants its phase-totals instrumentation
-/// *and* a [`CheckpointStore`] on the same run.
+/// *and* a [`CheckpointStore`] on the same run. Either side may be a
+/// `dyn Probe`, so an optional observer is one slot in one stack (a
+/// [`NoProbe`](crate::NoProbe) when absent) rather than a second stack.
 #[derive(Debug)]
-pub struct Tee<'p, A: Probe, B: Probe> {
+pub struct Tee<'p, A: Probe + ?Sized, B: Probe + ?Sized> {
     /// First observer.
     pub a: &'p mut A,
     /// Second observer (checkpoint queries prefer this one).
     pub b: &'p mut B,
 }
 
-impl<'p, A: Probe, B: Probe> Tee<'p, A, B> {
+impl<'p, A: Probe + ?Sized, B: Probe + ?Sized> Tee<'p, A, B> {
     /// Tee observations into `a` and `b`.
     pub fn new(a: &'p mut A, b: &'p mut B) -> Tee<'p, A, B> {
         Tee { a, b }
     }
 }
 
-impl<A: Probe, B: Probe> Probe for Tee<'_, A, B> {
+impl<A: Probe + ?Sized, B: Probe + ?Sized> Probe for Tee<'_, A, B> {
     fn on_phase(&mut self, rank: Rank, cycle: u64, phase: Phase, started: SimTime, ended: SimTime) {
         self.a.on_phase(rank, cycle, phase, started, ended);
         self.b.on_phase(rank, cycle, phase, started, ended);
@@ -431,6 +408,35 @@ impl<A: Probe, B: Probe> Probe for Tee<'_, A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fault injection for the tests below: at-rest rot the checksums
+    /// must catch.
+    impl CheckpointStore {
+        /// Flip one bit in `rank`'s *primary* blob at global `cycle` without
+        /// touching the recorded checksum. Fault-injection helper for tests:
+        /// the next checksum verification must reject the copy.
+        fn corrupt_primary(&mut self, rank: Rank, cycle: u64) -> bool {
+            Self::flip_bit(self.per_rank[rank].get_mut(&cycle))
+        }
+
+        /// Flip one bit in `rank`'s *replica* blob at global `cycle` without
+        /// touching the recorded checksum. Fault-injection helper for tests.
+        fn corrupt_replica(&mut self, rank: Rank, cycle: u64) -> bool {
+            Self::flip_bit(self.replicas[rank].get_mut(&cycle))
+        }
+
+        fn flip_bit(held: Option<&mut Held>) -> bool {
+            match held {
+                Some(h) if !h.data.is_empty() => {
+                    let mut v = h.data.to_vec();
+                    v[0] ^= 0x01;
+                    h.data = Bytes::from(v);
+                    true
+                }
+                _ => false,
+            }
+        }
+    }
 
     fn blob(x: u8) -> Bytes {
         Bytes::from(vec![x])

@@ -215,6 +215,63 @@ impl DriftMonitor {
         Some(obs / (self.pred_comm_ms + self.pred_comp_ms[rank] + self.cfg.slack_ms))
     }
 
+    /// Attribute the confirmed drift to its *source*: the refined report
+    /// (source rank and that rank's raw ratios) plus the source's compute
+    /// slowdown relative to its peers (`1.0` = no compute outlier, the
+    /// confirmation stands as communication drift). `rank_clusters[r]`
+    /// is rank `r`'s cluster. `None` until a drift is confirmed.
+    ///
+    /// In a bulk-synchronous cycle the *healthy* neighbours of a slow
+    /// rank can trip the receive-wait test first (they sit waiting on
+    /// it), so the confirmed rank may name a symptom. And the plan's
+    /// per-cluster compute prediction can be systematically biased for a
+    /// given app, which shifts every ratio in a cluster by the same
+    /// factor. Both problems cancel against same-cluster peers: the rank
+    /// whose compute ratio stands `degrade_threshold ×` above its peers'
+    /// median (and above prediction in absolute terms) is the
+    /// degradation source, and the ratio relative to that peer median is
+    /// its slowdown.
+    pub fn attribute(&self, rank_clusters: &[u32]) -> Option<(DriftReport, f64)> {
+        let report = self.confirmed?;
+        let ratios: Vec<f64> = (0..self.pred_comp_ms.len())
+            .map(|r| self.comp_ratio(r).unwrap_or(1.0))
+            .collect();
+        // A rank alone in its cluster has no peers to difference
+        // against; its baseline falls back to the prediction (1.0).
+        let peer_median = |r: usize| -> f64 {
+            let mut peers: Vec<f64> = (0..ratios.len())
+                .filter(|&q| q != r && rank_clusters[q] == rank_clusters[r])
+                .map(|q| ratios[q])
+                .collect();
+            if peers.is_empty() {
+                return 1.0;
+            }
+            peers.sort_by(f64::total_cmp);
+            peers[peers.len() / 2].max(f64::EPSILON)
+        };
+        let worst = (0..ratios.len())
+            .map(|r| (r, ratios[r] / peer_median(r)))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap_or((report.rank, 1.0));
+        let (rank, comp_scale) = if worst.1 > self.cfg.degrade_threshold && ratios[worst.0] > 1.0 {
+            (worst.0, worst.1.max(1.0))
+        } else {
+            (report.rank, 1.0)
+        };
+        let comm_ratio = if rank == report.rank {
+            report.comm_ratio
+        } else {
+            self.comm_ratio(rank).unwrap_or(1.0)
+        };
+        let source = DriftReport {
+            rank,
+            comp_ratio: ratios[rank],
+            comm_ratio,
+            ..report
+        };
+        Some((source, comp_scale))
+    }
+
     fn smooth(prev: Option<f64>, sample: f64, alpha: f64) -> f64 {
         match prev {
             None => sample,
@@ -568,5 +625,68 @@ mod tests {
             m.on_cycle(0, c, t(21));
         }
         assert!(m.confirmed().is_none());
+    }
+
+    /// The waiter confirms first, the slow computer is the source: peer
+    /// differencing must name the outlier, not the symptom, and cancel a
+    /// cluster-wide prediction bias instead of reading it as drift.
+    #[test]
+    fn attribution_names_the_compute_outlier_not_the_waiting_rank() {
+        let cfg = DriftConfig {
+            hysteresis: 2,
+            warmup: 0,
+            alpha: 1.0,
+            ..DriftConfig::default()
+        };
+        // Ranks 0-2 share cluster 0; rank 3 is alone in cluster 1. Every
+        // cluster-0 rank runs 1.5x its (biased) prediction; rank 1 runs 6x.
+        let mut m = DriftMonitor::new(cfg, 0, vec![10.0; 4], 2.0);
+        assert!(
+            m.attribute(&[0, 0, 0, 1]).is_none(),
+            "nothing confirmed yet"
+        );
+        for c in 0..3 {
+            // Rank 0 waits 60 ms on its slow neighbour and trips first.
+            m.on_phase(0, c, Phase::Compute, t(0), t(15));
+            m.on_phase(0, c, Phase::Recv, t(15), t(75));
+            m.on_cycle(0, c, t(75));
+            feed_cycle(&mut m, 1, c, 60);
+            feed_cycle(&mut m, 2, c, 15);
+            feed_cycle(&mut m, 3, c, 10);
+        }
+        let confirmed = *m.confirmed().expect("confirmed");
+        assert_eq!(confirmed.rank, 0, "the waiter is what the detector saw");
+        let (source, comp_scale) = m.attribute(&[0, 0, 0, 1]).expect("attributed");
+        assert_eq!(source.rank, 1, "the outlier is the source");
+        assert_eq!(comp_scale, 4.0, "60 ms against the 15 ms peer median");
+        assert!(
+            (source.comp_ratio - 60.0 / 10.25).abs() < 1e-12,
+            "raw ratio kept"
+        );
+        assert_eq!(
+            source.comm_ratio, 0.0,
+            "the source's own wait, not the waiter's"
+        );
+        assert_eq!(
+            (source.cycle, source.first_degraded_cycle, source.segment),
+            (
+                confirmed.cycle,
+                confirmed.first_degraded_cycle,
+                confirmed.segment
+            )
+        );
+
+        // No outlier: a uniform bias is not a slowdown, so a comm-driven
+        // confirmation stands as confirmed, with no compute scale.
+        let mut m = DriftMonitor::new(cfg, 0, vec![10.0; 2], 2.0);
+        for c in 0..3 {
+            for r in 0..2 {
+                m.on_phase(r, c, Phase::Compute, t(0), t(15));
+                m.on_phase(r, c, Phase::Recv, t(15), t(95));
+                m.on_cycle(r, c, t(95));
+            }
+        }
+        let confirmed = *m.confirmed().expect("confirmed");
+        assert_eq!(m.attribute(&[0, 0]), Some((confirmed, 1.0)));
     }
 }

@@ -43,6 +43,10 @@
 //! partition, and execute.
 
 #![forbid(unsafe_code)]
+// ROADMAP: "no function over ~100 lines". The lint is opt-in (pedantic),
+// so only this crate pays it; the threshold lives in clippy.toml and CI's
+// `-D warnings` makes it a gate.
+#![warn(clippy::too_many_lines)]
 
 pub mod pipeline;
 pub mod serve;

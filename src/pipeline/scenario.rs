@@ -1,0 +1,422 @@
+//! Describe and plan: [`Scenario`] (what to run where, and how to price
+//! it) and [`Plan`] (the partitioning decision, ready to execute).
+
+use netpart_calibrate::{
+    calibrate_testbed_cached_budgeted, CalibratedCostModel, CalibrationConfig, CommCostModel,
+    PaperCostModel, Testbed,
+};
+use netpart_core::{partition_budgeted, Estimator, Partition, PartitionOptions, SystemModel};
+use netpart_model::{AppModel, Budget, NetpartError, PartitionVector};
+use netpart_spmd::{Executor, SpmdApp};
+use netpart_topology::{PlacementStrategy, Topology};
+
+use super::run::{PhaseTotalsProbe, Run};
+
+/// Where a [`Scenario`] gets its communication cost model.
+#[derive(Debug, Clone)]
+pub enum CostSource {
+    /// No cost model at all: only [`Scenario::plan_pinned`] works, and
+    /// pinned plans carry no `T_c` prediction. For measurement-only runs.
+    Measured,
+    /// The constants printed in §6 of the paper (1-D topology, two
+    /// clusters). Reproduces Table 1 independently of simulator tuning.
+    Paper,
+    /// Calibrate the scenario's testbed against the simulator (or reuse
+    /// the memoized/persisted calibration) with this configuration — the
+    /// paper's offline benchmarking step.
+    Calibrated(CalibrationConfig),
+    /// A caller-supplied, already-fitted model.
+    Fixed(CalibratedCostModel),
+}
+
+/// A complete experiment description: *what* to run *where*, and how to
+/// price it. Public fields — construct with [`Scenario::new`] and adjust.
+#[derive(Debug, Clone)]
+pub struct Scenario {
+    /// The simulated network of workstation clusters.
+    pub testbed: Testbed,
+    /// The annotated application model (PDUs, phases, complexities).
+    pub app: AppModel,
+    /// Topologies to calibrate. Defaults to every topology the model's
+    /// communication phases mention.
+    pub topologies: Vec<Topology>,
+    /// Cost-model source for planning.
+    pub cost: CostSource,
+    /// Partitioner knobs (search strategy, cluster order).
+    pub options: PartitionOptions,
+    /// How ranks map onto testbed nodes.
+    pub placement: PlacementStrategy,
+    /// Whether runs include the master's startup data distribution.
+    /// Table 2 timings exclude it, so the default is `false`.
+    pub distribute: bool,
+}
+
+impl Scenario {
+    /// A scenario with the paper's defaults: calibrated cost model,
+    /// default partitioner options, cluster-contiguous placement, no
+    /// startup distribution, topologies taken from the app model.
+    pub fn new(testbed: Testbed, app: AppModel) -> Scenario {
+        let mut topologies: Vec<Topology> =
+            app.comm_phases().iter().map(|ph| ph.topology).collect();
+        topologies.dedup();
+        Scenario {
+            testbed,
+            app,
+            topologies,
+            cost: CostSource::Calibrated(CalibrationConfig::default()),
+            options: PartitionOptions::default(),
+            placement: PlacementStrategy::ClusterContiguous,
+            distribute: false,
+        }
+    }
+
+    /// Replace the cost-model source.
+    pub fn with_cost(mut self, cost: CostSource) -> Scenario {
+        self.cost = cost;
+        self
+    }
+
+    /// Replace the partitioner options.
+    pub fn with_options(mut self, options: PartitionOptions) -> Scenario {
+        self.options = options;
+        self
+    }
+
+    /// Checks shared by every planning path.
+    pub(super) fn validate(&self) -> Result<(), NetpartError> {
+        if self.testbed.num_clusters() == 0 || self.testbed.clusters.iter().all(|c| c.nodes == 0) {
+            return Err(NetpartError::EmptyTestbed);
+        }
+        if self.app.num_pdus() == 0 {
+            return Err(NetpartError::ZeroPdus);
+        }
+        if self.app.comp_phases().is_empty() || self.app.comm_phases().is_empty() {
+            return Err(NetpartError::InvalidScenario(format!(
+                "application model '{}' needs at least one computation and one communication phase",
+                self.app.name()
+            )));
+        }
+        // The wiring must describe a well-formed, fully connected fabric —
+        // dangling router ports or a partitioned custom wiring surface as
+        // [`NetpartError::InvalidFabric`] here, before calibration runs or
+        // any traffic is silently dropped.
+        self.testbed.cluster_hops()?;
+        Ok(())
+    }
+
+    /// Resolve [`CostSource`] into a priced model, verifying it covers
+    /// every (cluster, topology) pair the application can exercise.
+    pub(super) fn resolve_model(&self) -> Result<Box<dyn CommCostModel>, NetpartError> {
+        self.resolve_model_budgeted(&Budget::unlimited())
+    }
+
+    /// [`resolve_model`](Self::resolve_model) under a cooperative
+    /// [`Budget`]: a `Calibrated` cost source polls the budget through
+    /// the calibration sweep (cache hits are served regardless).
+    fn resolve_model_budgeted(
+        &self,
+        budget: &Budget,
+    ) -> Result<Box<dyn CommCostModel>, NetpartError> {
+        let model: Box<dyn CommCostModel> = match &self.cost {
+            CostSource::Measured => {
+                return Err(NetpartError::InvalidScenario(
+                    "scenario has no cost model; plan() needs one (use plan_pinned for \
+                     measurement-only runs)"
+                        .into(),
+                ))
+            }
+            CostSource::Paper => Box::new(PaperCostModel),
+            CostSource::Calibrated(cfg) => Box::new(calibrate_testbed_cached_budgeted(
+                &self.testbed,
+                &self.topologies,
+                cfg,
+                budget,
+            )?),
+            CostSource::Fixed(m) => Box::new(m.clone()),
+        };
+        for cluster in 0..self.testbed.num_clusters() {
+            if self.testbed.clusters[cluster].nodes == 0 {
+                continue;
+            }
+            for phase in self.app.comm_phases() {
+                if !model.covers(cluster, phase.topology) {
+                    return Err(NetpartError::Calibration(format!(
+                        "cost model has no fit for cluster {cluster} topology {}",
+                        phase.topology
+                    )));
+                }
+            }
+        }
+        Ok(model)
+    }
+
+    /// The offline half of the paper's method: obtain a cost model,
+    /// run the heuristic partitioner, and return the decision with its
+    /// predicted per-cycle time.
+    pub fn plan(&self) -> Result<Plan, NetpartError> {
+        self.plan_budgeted(&Budget::unlimited())
+    }
+
+    /// [`plan`](Self::plan) under a cooperative [`Budget`]: the
+    /// calibration sweep and the partitioner's fill loop poll the budget
+    /// at their checkpoints, so an expired request returns the typed
+    /// [`NetpartError::PlanDeadlineExceeded`] instead of finishing. With
+    /// an unlimited budget the arithmetic — and therefore the plan — is
+    /// bit-identical to [`plan`](Self::plan).
+    pub fn plan_budgeted(&self, budget: &Budget) -> Result<Plan, NetpartError> {
+        self.validate()?;
+        let model = self.resolve_model_budgeted(budget)?;
+        let part = self.partition_under(&*model, budget)?;
+        Ok(Plan {
+            testbed: self.testbed.clone(),
+            placement: self.placement,
+            distribute: self.distribute,
+            config: part.config.clone(),
+            vector: part.vector.clone(),
+            predicted_tc_ms: Some(part.predicted_tc_ms()),
+            partition: Some(part),
+        })
+    }
+
+    /// Run the heuristic partitioner under an already-resolved model.
+    pub(super) fn partition_under(
+        &self,
+        model: &dyn CommCostModel,
+        budget: &Budget,
+    ) -> Result<Partition, NetpartError> {
+        let sys = SystemModel::from_testbed(&self.testbed);
+        let est = Estimator::new(&sys, model, &self.app);
+        partition_budgeted(&est, &self.options, budget)
+    }
+
+    /// The escape hatch for measured sweeps (Table 2's seven fixed
+    /// configurations, Fig. 3's fill-order curve): pin the processor
+    /// configuration and decomposition instead of asking the partitioner.
+    /// The scenario's cost model still prices the pinned configuration
+    /// when it has one, so estimate-vs-measured comparisons fall out.
+    pub fn plan_pinned(
+        &self,
+        config: &[u32],
+        vector: PartitionVector,
+    ) -> Result<Plan, NetpartError> {
+        self.validate()?;
+        if config.len() > self.testbed.num_clusters() {
+            return Err(NetpartError::InvalidScenario(format!(
+                "pinned configuration names {} clusters but the testbed has {}",
+                config.len(),
+                self.testbed.num_clusters()
+            )));
+        }
+        for (cluster, (&asked, spec)) in config.iter().zip(&self.testbed.clusters).enumerate() {
+            if asked > spec.nodes {
+                return Err(NetpartError::ClusterOvercommitted {
+                    cluster,
+                    have: spec.nodes,
+                    asked,
+                });
+            }
+        }
+        let total: u32 = config.iter().sum();
+        if total == 0 {
+            return Err(NetpartError::NoProcessorsAvailable);
+        }
+        if vector.num_ranks() != total as usize {
+            return Err(NetpartError::RankMismatch {
+                vector: vector.num_ranks(),
+                nodes: total as usize,
+            });
+        }
+        let predicted_tc_ms = match &self.cost {
+            CostSource::Measured => None,
+            _ => {
+                let model = self.resolve_model()?;
+                let sys = SystemModel::from_testbed(&self.testbed);
+                let est = Estimator::new(&sys, &*model, &self.app);
+                Some(est.t_c_ms(config))
+            }
+        };
+        Ok(Plan {
+            testbed: self.testbed.clone(),
+            placement: self.placement,
+            distribute: self.distribute,
+            config: config.to_vec(),
+            vector,
+            predicted_tc_ms,
+            partition: None,
+        })
+    }
+}
+
+/// A partitioning decision ready to execute: which processors, which
+/// decomposition, and what the model expects it to cost.
+#[derive(Debug, Clone)]
+pub struct Plan {
+    testbed: Testbed,
+    placement: PlacementStrategy,
+    distribute: bool,
+    /// Processors used per cluster, indexed by cluster id.
+    pub config: Vec<u32>,
+    /// PDUs per rank.
+    pub vector: PartitionVector,
+    /// The model's per-cycle prediction, ms (`None` for pinned plans
+    /// under [`CostSource::Measured`]).
+    pub predicted_tc_ms: Option<f64>,
+    /// The full partitioner output when [`Scenario::plan`] chose the
+    /// configuration (`None` for pinned plans).
+    pub partition: Option<Partition>,
+}
+
+impl Plan {
+    /// Total ranks the plan runs.
+    pub fn ranks(&self) -> usize {
+        self.config.iter().sum::<u32>() as usize
+    }
+
+    /// The online half: execute `app` on the simulated testbed through
+    /// the cycle engine and return the instrumented result. The plan can
+    /// be run any number of times; each run builds a fresh network.
+    pub fn run<A: SpmdApp>(&self, app: &mut A) -> Result<Run, NetpartError> {
+        check_runnable(&self.vector)?;
+        let (mmps, nodes) = self.testbed.try_build(&self.config, self.placement)?;
+        let mut exec = Executor::new(mmps, nodes);
+        let mut probe = PhaseTotalsProbe::default();
+        let report = exec.run_probed(app, &self.vector, self.distribute, &mut probe)?;
+        Ok(Run {
+            elapsed_ms: report.elapsed.as_millis_f64(),
+            predicted_tc_ms: self.predicted_tc_ms,
+            phases: probe.totals,
+            recovery: None,
+            report,
+        })
+    }
+}
+
+/// Refuse to execute a vector that leaves a configured rank without
+/// PDUs: rounding the real-valued shares can do that when ranks
+/// outnumber PDUs per share, and a block-decomposed application cannot
+/// own an empty block. Checked on entry to a run, not in
+/// [`Scenario::plan`] — such a plan is still a valid *estimate*.
+pub(super) fn check_runnable(vector: &PartitionVector) -> Result<(), NetpartError> {
+    match vector.counts().iter().position(|&c| c == 0) {
+        Some(rank) => Err(NetpartError::EmptyRank { rank }),
+        None => Ok(()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::{hop_cost_model, small_scenario};
+    use super::super::{CheckpointPolicy, FaultSchedule, RecoveryPolicy};
+    use super::*;
+    use netpart_apps::stencil::{stencil_model, StencilApp, StencilVariant};
+
+    #[test]
+    fn plan_then_run_round_trips() {
+        let plan = small_scenario().plan().unwrap();
+        assert!(plan.ranks() >= 1);
+        assert!(plan.predicted_tc_ms.is_some());
+        let mut app = StencilApp::new(40, 4, StencilVariant::Sten1, plan.ranks());
+        let run = plan.run(&mut app).unwrap();
+        assert!(run.elapsed_ms > 0.0);
+        assert_eq!(run.phases.cycles, 4 * plan.ranks() as u64);
+        if plan.ranks() > 1 {
+            assert!(run.phases.messages > 0);
+            assert!(run.phases.compute_ms > 0.0);
+        }
+    }
+
+    #[test]
+    fn empty_testbed_is_a_typed_error() {
+        let mut s = small_scenario();
+        s.testbed.clusters.clear();
+        assert_eq!(s.plan().unwrap_err(), NetpartError::EmptyTestbed);
+    }
+
+    #[test]
+    fn zero_pdus_is_a_typed_error() {
+        let mut s = small_scenario();
+        s.app = stencil_model(0, StencilVariant::Sten1);
+        assert_eq!(s.plan().unwrap_err(), NetpartError::ZeroPdus);
+    }
+
+    #[test]
+    fn partitioned_fabric_fails_at_plan_time() {
+        use netpart_calibrate::Wiring;
+        // Three clusters, but the custom wiring's one router joins only
+        // segments 0 and 1 — cluster 2 is unreachable. plan() must refuse
+        // with the typed fabric error before calibrating or simulating.
+        let testbed = Testbed::synthetic(3, 2, 1.2).with_wiring(Wiring::Custom(vec![vec![0, 1]]));
+        let s = Scenario::new(testbed, stencil_model(40, StencilVariant::Sten1))
+            .with_cost(CostSource::Paper);
+        let err = s.plan().unwrap_err();
+        assert!(
+            matches!(err, NetpartError::InvalidFabric(_)),
+            "expected InvalidFabric, got {err:?}"
+        );
+        // plan_pinned goes through the same gate.
+        let err = s
+            .plan_pinned(&[1, 1, 1], PartitionVector::equal(40, 3))
+            .unwrap_err();
+        assert!(matches!(err, NetpartError::InvalidFabric(_)));
+    }
+
+    #[test]
+    fn miscalibrated_model_is_a_typed_error() {
+        // An empty fixed model covers nothing the stencil needs.
+        let s = small_scenario().with_cost(CostSource::Fixed(CalibratedCostModel::default()));
+        match s.plan().unwrap_err() {
+            NetpartError::Calibration(msg) => assert!(msg.contains("no fit"), "{msg}"),
+            other => panic!("expected Calibration, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pinned_plan_validates_capacity() {
+        let s = small_scenario();
+        let err = s
+            .plan_pinned(&[99, 0], PartitionVector::equal(40, 99))
+            .unwrap_err();
+        assert!(matches!(err, NetpartError::ClusterOvercommitted { .. }));
+    }
+
+    #[test]
+    fn pinned_plan_runs_without_a_cost_model() {
+        let s = small_scenario().with_cost(CostSource::Measured);
+        let plan = s
+            .plan_pinned(&[2, 0], PartitionVector::equal(40, 2))
+            .unwrap();
+        assert_eq!(plan.predicted_tc_ms, None);
+        let mut app = StencilApp::new(40, 3, StencilVariant::Sten1, 2);
+        let run = plan.run(&mut app).unwrap();
+        assert!(run.elapsed_ms > 0.0);
+    }
+
+    /// Regression (benchmark/README sizing finding 2): at 1024 nodes and
+    /// N = 8192 the integer vector rounds some rank down to zero rows.
+    /// Planning that is fine; running it used to panic inside
+    /// `StencilApp::setup` and is now a typed error naming the rank.
+    #[test]
+    fn plan_with_an_empty_rank_plans_but_refuses_to_run() {
+        let testbed = Testbed::synthetic(32, 32, 1.15);
+        let model = stencil_model(8192, StencilVariant::Sten1);
+        let cost = hop_cost_model(&testbed, &model);
+        let s = Scenario::new(testbed, model).with_cost(CostSource::Fixed(cost));
+        let plan = s.plan().unwrap();
+        let rank = plan.vector.counts().iter().position(|&c| c == 0);
+        let rank = rank.expect("the repro must round some rank to zero rows");
+        let expected = NetpartError::EmptyRank { rank };
+        // The check precedes any use of the application, so a token app
+        // stands in for the 8192² grid.
+        let mut app = StencilApp::new(2, 1, StencilVariant::Sten1, 1);
+        assert_eq!(plan.run(&mut app).unwrap_err(), expected);
+        let recovered = s.run_recoverable_with(
+            &FaultSchedule::new(),
+            RecoveryPolicy::FailFast,
+            CheckpointPolicy::local(2),
+            |_, _| -> Result<StencilApp, NetpartError> {
+                unreachable!("rejected before any app is built")
+            },
+        );
+        assert_eq!(recovered.map(|_| ()).unwrap_err(), expected);
+    }
+}
