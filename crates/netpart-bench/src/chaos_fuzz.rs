@@ -400,7 +400,8 @@ impl ChaosTarget {
                     NetpartError::InvalidFaultPlan(_)
                     | NetpartError::RankMismatch { .. }
                     | NetpartError::InvalidScenario(_)
-                    | NetpartError::Calibration(_) => {
+                    | NetpartError::Calibration(_)
+                    | NetpartError::MissingFit { .. } => {
                         ChaosVerdict::Violation(format!("plumbing-class error: {e}"))
                     }
                     other => ChaosVerdict::TypedError(other.to_string()),

@@ -22,12 +22,14 @@
 //! [`Estimator::cluster_evals`], measures the *per-cluster* work: a full
 //! breakdown walks all `K` clusters, while a [`FillContext`] delta-eval —
 //! the fast path for the partitioner's fill-in-order inner loop, where
-//! only one cluster's count varies — touches exactly one.
+//! only one cluster's count varies — touches exactly one. The fill loop
+//! itself keeps Eq. 2 summarized over the clusters already filled (a
+//! `FillState`), so a plan reads the cost tables `O(K²)` times in all.
 
 use std::cell::Cell;
 
 use netpart_calibrate::{CommCostModel, CrossClusterMode};
-use netpart_model::{AppModel, PartitionVector};
+use netpart_model::{AppModel, OpKind, PartitionVector};
 use netpart_topology::Topology;
 
 use crate::system::SystemModel;
@@ -89,8 +91,9 @@ impl<'a> Estimator<'a> {
 
     /// Per-cluster units of estimation work spent: `K` for every full
     /// breakdown, `1` for every [`FillContext`] delta-eval, `K` to build a
-    /// context. This is the honest cost metric for comparing the
-    /// incremental fill path against the walk-all-clusters baseline.
+    /// context (its Eq. 3 denominator is `K` additions). This is the
+    /// honest cost metric for comparing the incremental fill path against
+    /// the walk-all-clusters baseline.
     pub fn cluster_evals(&self) -> u64 {
         self.cluster_evals.get()
     }
@@ -278,84 +281,162 @@ impl<'a> Estimator<'a> {
     /// fixed). Callers fall back to [`Estimator::t_c_ms`].
     ///
     /// The context itself costs `K` [`cluster_evals`] units to build —
-    /// amortized over the `O(log P)` probes of one cluster's search.
+    /// amortized over the `O(log P)` probes of one cluster's search. An
+    /// arbitrary background is summarized from scratch here, one crossing
+    /// penalty per pair of its active clusters; the partitioner's fill
+    /// loop, whose background only ever grows, keeps the summary running
+    /// instead.
     ///
     /// [`cluster_evals`]: Estimator::cluster_evals
     pub fn fill_context(&self, fixed: &[u32], cluster: usize) -> Option<FillContext<'a, '_>> {
+        let mut background = fixed.to_vec();
+        background[cluster] = 0;
+        Some(self.fill_state(&background)?.context(cluster))
+    }
+
+    /// Summarize `background` (processors pinned per cluster) as a
+    /// [`FillState`]; `None` exactly when [`fill_context`] refuses.
+    ///
+    /// [`fill_context`]: Estimator::fill_context
+    pub(crate) fn fill_state(&self, background: &[u32]) -> Option<FillState<'a, '_>> {
         let comp = self.app.dominant_comp();
         let comm = self.app.dominant_comm();
         if !comp.linear || !comm.constant_bytes || comm.topology.is_bandwidth_limited() {
             return None;
         }
-        let kind = comp.op_kind;
-        let k = fixed.len();
-        self.cluster_evals.set(self.cluster_evals.get() + k as u64);
-
-        let bytes = comm.bytes(0.0).max(0.0);
-        let topo = comm.topology;
-        let extra = match self.cost.cross_mode() {
-            CrossClusterMode::Plain => 0,
-            CrossClusterMode::AddStation => 1,
+        let mut state = FillState {
+            pinned: Pinned {
+                est: self,
+                // Eq. 3/4 for linear complexity: every active cluster's
+                // compute time collapses to num_PDUs·ops_per_pdu·1e3 /
+                // Σ_j P_j/S_j, so a varying cluster only moves the
+                // denominator.
+                comp_numer_ms: 1.0e3 * comp.ops(1.0) * self.app.num_pdus() as f64,
+                bytes: comm.bytes(0.0).max(0.0),
+                topo: comm.topology,
+                extra: match self.cost.cross_mode() {
+                    CrossClusterMode::Plain => 0,
+                    CrossClusterMode::AddStation => 1,
+                },
+                overlap: self.app.dominant_phases_overlap(),
+                total: 0,
+                worst_intra: 0.0,
+                worst_cross: 0.0,
+            },
+            kind: comp.op_kind,
+            counts: vec![0; background.len()],
+            denom_terms: vec![0.0; background.len()],
+            active: Vec::new(),
         };
-
-        // Eq. 3/4 for linear complexity: every active cluster's compute
-        // time collapses to num_PDUs·ops_per_pdu·1e3 / Σ_j P_j/S_j, so the
-        // varying cluster only moves the denominator.
-        let ops_per_pdu = comp.ops(1.0);
-        let comp_numer_ms = 1.0e3 * ops_per_pdu * self.app.num_pdus() as f64;
-        let mut fixed_denom = 0.0f64;
-        for (j, &p) in fixed.iter().enumerate() {
-            if j != cluster {
-                fixed_denom += p as f64 / self.system.clusters[j].sec_per_op(kind);
-            }
+        for (j, &p) in background.iter().enumerate().filter(|(_, &p)| p > 0) {
+            let cross = state.cross_with(j);
+            state.push(j, p, cross);
         }
-        let inv_s_c = 1.0 / self.system.clusters[cluster].sec_per_op(kind);
+        Some(state)
+    }
+}
 
-        // Eq. 2 decomposition: the fixed clusters' worst intra term and
-        // worst pairwise crossing penalty never change; the candidate
-        // cluster contributes one intra term and one best-of-partners
-        // crossing term, each O(1) per probe.
-        let fixed_active: Vec<usize> = (0..k).filter(|&j| j != cluster && fixed[j] > 0).collect();
-        let mut fixed_worst_intra = 0.0f64;
-        let mut cross_with_c = 0.0f64;
-        for &j in &fixed_active {
-            let p = (fixed[j] + extra).max(2);
-            fixed_worst_intra = fixed_worst_intra.max(self.cost.intra_ms(j, topo, bytes, p));
-            cross_with_c = cross_with_c.max(
-                self.cost.router_ms(cluster, j, bytes) + self.cost.coerce_ms(cluster, j, bytes),
-            );
-        }
-        let mut fixed_worst_cross = 0.0f64;
-        for (i, &a) in fixed_active.iter().enumerate() {
-            for &b in &fixed_active[i + 1..] {
-                fixed_worst_cross = fixed_worst_cross
-                    .max(self.cost.router_ms(a, b, bytes) + self.cost.coerce_ms(a, b, bytes));
-            }
-        }
+/// Eq. 2 summarized over a set of pinned clusters, together with the
+/// application constants every probe against them prices with.
+#[derive(Clone, Copy)]
+struct Pinned<'a, 'b> {
+    est: &'b Estimator<'a>,
+    /// `1e3 · ops_per_pdu · num_PDUs` — Eq. 4's shared numerator (ms).
+    comp_numer_ms: f64,
+    bytes: f64,
+    topo: Topology,
+    extra: u32,
+    overlap: bool,
+    /// Processors pinned in all; nonzero exactly when a cluster is active.
+    total: u32,
+    /// Worst Eq. 1 term over the active clusters, each as one of several.
+    worst_intra: f64,
+    /// Worst crossing penalty over pairs of active clusters.
+    worst_cross: f64,
+}
 
-        // The p = 0 candidate reduces to the fixed configuration alone.
-        let mut at_zero = fixed.to_vec();
-        at_zero[cluster] = 0;
-        let comm_p0 = self.cost.total_ms(&at_zero, topo, bytes);
-        let fixed_total: u32 = at_zero.iter().sum();
+/// The [`Pinned`] summary of a set of clusters that only grows — the
+/// partitioner's fill loop commits one cluster at a time and never
+/// revisits it. Pricing the next cluster then needs its own row of
+/// crossing penalties against the pinned ones (`O(active)` table reads),
+/// not every pair again; pinning it folds that row in with one `max`.
+///
+/// `max` does not care in which order it meets its operands, and Eq. 3's
+/// denominator is still added up in cluster-index order from per-cluster
+/// terms, so a [`FillContext`] taken from a running state holds the same
+/// bits as one summarized from scratch.
+pub(crate) struct FillState<'a, 'b> {
+    pinned: Pinned<'a, 'b>,
+    kind: OpKind,
+    /// Processors pinned per cluster.
+    counts: Vec<u32>,
+    /// `counts[j] / S_j` — Eq. 3's denominator, term by term.
+    denom_terms: Vec<f64>,
+    /// Clusters with a nonzero pinned count.
+    active: Vec<usize>,
+}
 
-        Some(FillContext {
-            est: self,
-            cluster,
-            fixed_total,
-            fixed_denom,
-            comp_numer_ms,
-            inv_s_c,
-            bytes,
-            topo,
-            extra,
-            overlap: self.app.dominant_phases_overlap(),
-            comm_p0,
-            any_fixed_active: !fixed_active.is_empty(),
-            fixed_worst_intra,
-            fixed_worst_cross,
-            cross_with_c,
+impl<'a, 'b> FillState<'a, 'b> {
+    /// Worst router + coercion penalty between `cluster` and any pinned
+    /// active cluster.
+    fn cross_with(&self, cluster: usize) -> f64 {
+        let Pinned { est, bytes, .. } = self.pinned;
+        self.active.iter().fold(0.0f64, |worst, &j| {
+            worst.max(est.cost.router_ms(cluster, j, bytes) + est.cost.coerce_ms(cluster, j, bytes))
         })
+    }
+
+    fn push(&mut self, cluster: usize, p: u32, cross_with_c: f64) {
+        if p == 0 {
+            return;
+        }
+        let pin = &mut self.pinned;
+        let own = pin
+            .est
+            .cost
+            .intra_ms(cluster, pin.topo, pin.bytes, (p + pin.extra).max(2));
+        pin.worst_intra = pin.worst_intra.max(own);
+        pin.worst_cross = pin.worst_cross.max(cross_with_c);
+        pin.total += p;
+        self.counts[cluster] = p;
+        self.denom_terms[cluster] =
+            p as f64 / pin.est.system.clusters[cluster].sec_per_op(self.kind);
+        self.active.push(cluster);
+    }
+
+    /// The context that varies `cluster` — one the state has not pinned —
+    /// against everything it has.
+    pub(crate) fn context(&self, cluster: usize) -> FillContext<'a, 'b> {
+        debug_assert_eq!(self.counts[cluster], 0, "cluster is already pinned");
+        let pinned = self.pinned;
+        let est = pinned.est;
+        est.cluster_evals
+            .set(est.cluster_evals.get() + self.counts.len() as u64);
+        let mut fixed_denom = 0.0f64;
+        for (j, &term) in self.denom_terms.iter().enumerate() {
+            if j != cluster {
+                fixed_denom += term;
+            }
+        }
+        FillContext {
+            pinned,
+            cluster,
+            fixed_denom,
+            inv_s_c: 1.0 / est.system.clusters[cluster].sec_per_op(self.kind),
+            comm_p0: match self.active[..] {
+                _ if pinned.total <= 1 => 0.0,
+                [only] => est
+                    .cost
+                    .intra_ms(only, pinned.topo, pinned.bytes, self.counts[only]),
+                _ => pinned.worst_intra + pinned.worst_cross,
+            },
+            cross_with_c: self.cross_with(cluster),
+        }
+    }
+
+    /// Pin `ctx`'s cluster at `p` processors.
+    pub(crate) fn commit(&mut self, ctx: &FillContext<'_, '_>, p: u32) {
+        self.push(ctx.cluster, p, ctx.cross_with_c);
     }
 }
 
@@ -369,64 +450,47 @@ impl<'a> Estimator<'a> {
 /// association than the full Eq. 3 walk); the property tests pin the
 /// relative difference below 1e-9.
 pub struct FillContext<'a, 'b> {
-    est: &'b Estimator<'a>,
+    pinned: Pinned<'a, 'b>,
     cluster: usize,
-    fixed_total: u32,
     /// Σ_{j≠c} P_j / S_j — the pinned part of Eq. 3's denominator.
     fixed_denom: f64,
-    /// `1e3 · ops_per_pdu · num_PDUs` — Eq. 4's shared numerator (ms).
-    comp_numer_ms: f64,
     inv_s_c: f64,
-    bytes: f64,
-    topo: Topology,
-    extra: u32,
-    overlap: bool,
     /// Eq. 2 for the pinned clusters alone (the `p = 0` candidate).
     comm_p0: f64,
-    any_fixed_active: bool,
-    fixed_worst_intra: f64,
-    fixed_worst_cross: f64,
     /// Worst crossing penalty between the varied cluster and any pinned
     /// active cluster.
     cross_with_c: f64,
 }
 
 impl FillContext<'_, '_> {
-    /// The cluster whose count this context varies.
-    pub fn cluster(&self) -> usize {
-        self.cluster
-    }
-
     /// Eq. 6 with the varied cluster at `p` processors, in O(1).
     pub fn t_c_ms(&self, p: u32) -> f64 {
-        let est = self.est;
+        let pin = &self.pinned;
+        let est = pin.est;
         est.evaluations.set(est.evaluations.get() + 1);
         est.cluster_evals.set(est.cluster_evals.get() + 1);
 
-        let total = self.fixed_total + p;
         let denom = self.fixed_denom + p as f64 * self.inv_s_c;
         let worst_comp = if denom > 0.0 {
-            self.comp_numer_ms / denom
+            pin.comp_numer_ms / denom
         } else {
             0.0
         };
 
-        let t_comm = if total <= 1 {
+        let t_comm = if pin.total + p <= 1 {
             0.0
         } else if p == 0 {
             self.comm_p0
-        } else if !self.any_fixed_active {
-            est.cost.intra_ms(self.cluster, self.topo, self.bytes, p)
+        } else if pin.total == 0 {
+            est.cost.intra_ms(self.cluster, pin.topo, pin.bytes, p)
         } else {
-            let own =
-                est.cost
-                    .intra_ms(self.cluster, self.topo, self.bytes, (p + self.extra).max(2));
-            let worst_intra = self.fixed_worst_intra.max(own);
-            let worst_cross = self.fixed_worst_cross.max(self.cross_with_c);
-            worst_intra + worst_cross
+            let own = est
+                .cost
+                .intra_ms(self.cluster, pin.topo, pin.bytes, (p + pin.extra).max(2));
+            pin.worst_intra.max(own) + pin.worst_cross.max(self.cross_with_c)
         };
 
-        let t_overlap = if self.overlap {
+        let t_overlap = if pin.overlap {
             worst_comp.min(t_comm)
         } else {
             0.0
@@ -441,6 +505,96 @@ mod tests {
     use netpart_calibrate::{PaperCostModel, Testbed};
     use netpart_model::{CommPhase, CompPhase, OpKind};
     use netpart_topology::Topology;
+
+    impl<'a> Estimator<'a> {
+        /// [`fill_context`](Estimator::fill_context) as it was before the
+        /// running [`FillState`]: every pair of pinned active clusters
+        /// re-walked, and Eq. 2 evaluated once more for the `p = 0` candidate.
+        /// The reference the running state must equal bit for bit.
+        pub(crate) fn fill_context_from_scratch(
+            &self,
+            fixed: &[u32],
+            cluster: usize,
+        ) -> Option<FillContext<'a, '_>> {
+            let comp = self.app.dominant_comp();
+            let comm = self.app.dominant_comm();
+            if !comp.linear || !comm.constant_bytes || comm.topology.is_bandwidth_limited() {
+                return None;
+            }
+            let kind = comp.op_kind;
+            let k = fixed.len();
+            self.cluster_evals.set(self.cluster_evals.get() + k as u64);
+
+            let bytes = comm.bytes(0.0).max(0.0);
+            let topo = comm.topology;
+            let extra = match self.cost.cross_mode() {
+                CrossClusterMode::Plain => 0,
+                CrossClusterMode::AddStation => 1,
+            };
+
+            // Eq. 3/4 for linear complexity: every active cluster's compute
+            // time collapses to num_PDUs·ops_per_pdu·1e3 / Σ_j P_j/S_j, so the
+            // varying cluster only moves the denominator.
+            let ops_per_pdu = comp.ops(1.0);
+            let comp_numer_ms = 1.0e3 * ops_per_pdu * self.app.num_pdus() as f64;
+            let mut fixed_denom = 0.0f64;
+            for (j, &p) in fixed.iter().enumerate() {
+                if j != cluster {
+                    fixed_denom += p as f64 / self.system.clusters[j].sec_per_op(kind);
+                }
+            }
+            let inv_s_c = 1.0 / self.system.clusters[cluster].sec_per_op(kind);
+
+            // Eq. 2 decomposition: the fixed clusters' worst intra term and
+            // worst pairwise crossing penalty never change; the candidate
+            // cluster contributes one intra term and one best-of-partners
+            // crossing term, each O(1) per probe.
+            let fixed_active: Vec<usize> =
+                (0..k).filter(|&j| j != cluster && fixed[j] > 0).collect();
+            let mut fixed_worst_intra = 0.0f64;
+            let mut cross_with_c = 0.0f64;
+            for &j in &fixed_active {
+                let p = (fixed[j] + extra).max(2);
+                fixed_worst_intra = fixed_worst_intra.max(self.cost.intra_ms(j, topo, bytes, p));
+                cross_with_c = cross_with_c.max(
+                    self.cost.router_ms(cluster, j, bytes) + self.cost.coerce_ms(cluster, j, bytes),
+                );
+            }
+            let mut fixed_worst_cross = 0.0f64;
+            for (i, &a) in fixed_active.iter().enumerate() {
+                for &b in &fixed_active[i + 1..] {
+                    fixed_worst_cross = fixed_worst_cross
+                        .max(self.cost.router_ms(a, b, bytes) + self.cost.coerce_ms(a, b, bytes));
+                }
+            }
+
+            // The p = 0 candidate reduces to the fixed configuration alone.
+            let mut at_zero = fixed.to_vec();
+            at_zero[cluster] = 0;
+            let comm_p0 = self.cost.total_ms(&at_zero, topo, bytes);
+            let fixed_total: u32 = at_zero.iter().sum();
+
+            assert_eq!(fixed_active.is_empty(), fixed_total == 0);
+            Some(FillContext {
+                pinned: Pinned {
+                    est: self,
+                    comp_numer_ms,
+                    bytes,
+                    topo,
+                    extra,
+                    overlap: self.app.dominant_phases_overlap(),
+                    total: fixed_total,
+                    worst_intra: fixed_worst_intra,
+                    worst_cross: fixed_worst_cross,
+                },
+                cluster,
+                fixed_denom,
+                inv_s_c,
+                comm_p0,
+                cross_with_c,
+            })
+        }
+    }
 
     fn paper_system() -> SystemModel {
         SystemModel::from_testbed(&Testbed::paper())
@@ -634,16 +788,21 @@ mod tests {
                 let rel = (fast - full).abs() / full.max(1e-12);
                 assert!(rel < 1e-9, "overlap={overlap} p={p}: {fast} vs {full}");
             }
-            // Empty background: the context must also price the
-            // single-active-cluster and p ∈ {0, 1} shapes correctly.
-            let ctx = est.fill_context(&[0u32; 12], 3).unwrap();
-            for p in [0u32, 1, 2, 8] {
-                let mut full_cfg = vec![0u32; 12];
-                full_cfg[3] = p;
-                let full = est.t_c_ms(&full_cfg);
-                let fast = ctx.t_c_ms(p);
-                let rel = (fast - full).abs() / full.max(1e-12);
-                assert!(rel < 1e-9, "empty bg p={p}: {fast} vs {full}");
+            // Empty background, and one lone pinned processor: the
+            // context must also price the single-active-cluster and
+            // p ∈ {0, 1} shapes correctly.
+            for lone in [0u32, 1] {
+                let mut fixed = vec![0u32; 12];
+                fixed[7] = lone;
+                let ctx = est.fill_context(&fixed, 3).unwrap();
+                for p in [0u32, 1, 2, 8] {
+                    let mut full_cfg = fixed.clone();
+                    full_cfg[3] = p;
+                    let full = est.t_c_ms(&full_cfg);
+                    let fast = ctx.t_c_ms(p);
+                    let rel = (fast - full).abs() / full.max(1e-12);
+                    assert!(rel < 1e-9, "lone={lone} p={p}: {fast} vs {full}");
+                }
             }
         }
     }

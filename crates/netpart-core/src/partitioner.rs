@@ -37,8 +37,8 @@ pub enum ClusterOrder {
 pub enum EvalMode {
     /// Every probe is a full Eq. 3–6 breakdown walking all `K` clusters.
     Full,
-    /// Probes go through [`Estimator::fill_context`] delta-evals (O(1)
-    /// per probe after an O(K) setup per cluster). Falls back to full
+    /// Probes go through [`FillContext`](crate::FillContext) delta-evals
+    /// (O(1) per probe after an O(K) setup per cluster). Falls back to full
     /// breakdowns when the fast path's algebra does not apply (non-linear
     /// complexity, share-dependent bytes, bandwidth-limited topology).
     Incremental,
@@ -161,23 +161,7 @@ pub fn partition_budgeted(
     budget.check()?;
     let sys = est.system();
     let k = sys.num_clusters();
-    let kind = est.app().dominant_comp().op_kind;
-    let order: Vec<usize> = match &opts.order {
-        ClusterOrder::FastestFirst => sys.speed_order(kind),
-        ClusterOrder::SlowestFirst => {
-            let mut o = sys.speed_order(kind);
-            o.reverse();
-            o
-        }
-        ClusterOrder::Given(o) => {
-            let mut sorted = o.clone();
-            sorted.sort_unstable();
-            if sorted != (0..k).collect::<Vec<_>>() {
-                return Err(PartitionError::InvalidOrder);
-            }
-            o.clone()
-        }
-    };
+    let order = consideration_order(est, &opts.order)?;
     if sys.total_available() == 0 {
         return Err(PartitionError::NoProcessorsAvailable);
     }
@@ -189,6 +173,13 @@ pub fn partition_budgeted(
         EvalMode::Auto => k >= AUTO_INCREMENTAL_MIN_K,
     };
     let mut config = vec![0u32; k];
+    // The filled clusters, summarized: each cluster's context reads one
+    // row of crossing penalties instead of re-walking every filled pair.
+    let mut filled = if incremental {
+        est.fill_state(&config)
+    } else {
+        None
+    };
     let mut first = true;
     for &cluster in &order {
         budget.check()?;
@@ -200,11 +191,7 @@ pub fn partition_budgeted(
             break;
         }
         let lo = if first { 1 } else { 0 };
-        let ctx = if incremental {
-            est.fill_context(&config, cluster)
-        } else {
-            None
-        };
+        let ctx = filled.as_ref().map(|f| f.context(cluster));
         let result: SearchResult = match &ctx {
             Some(ctx) => opts.strategy.minimize(lo, avail, |p| ctx.t_c_ms(p)),
             None => opts.strategy.minimize(lo, avail, |p| {
@@ -214,6 +201,9 @@ pub fn partition_budgeted(
             }),
         };
         config[cluster] = result.argmin;
+        if let (Some(filled), Some(ctx)) = (&mut filled, &ctx) {
+            filled.commit(ctx, result.argmin);
+        }
         first = false;
         if result.argmin < avail {
             // Communication locality: move to another segment only when
@@ -227,19 +217,52 @@ pub fn partition_budgeted(
 
     let refinement_moves = refine(est, &mut config, opts.refine_passes, budget)?;
 
+    Ok(finish(est, config, order, refinement_moves))
+}
+
+/// Price the chosen configuration and decompose the data over it.
+fn finish(
+    est: &Estimator<'_>,
+    config: Vec<u32>,
+    order: Vec<usize>,
+    refinement_moves: u32,
+) -> Partition {
     let breakdown = est.breakdown(&config);
-    let evaluations = est.evaluations() - 1; // final breakdown isn't search work
-    let cluster_evals = est.cluster_evals() - k as u64;
-    let vector = est.partition_vector(&config, &order);
-    Ok(Partition {
+    Partition {
+        vector: est.partition_vector(&config, &order),
+        // The closing breakdown is not search work.
+        evaluations: est.evaluations() - 1,
+        cluster_evals: est.cluster_evals() - config.len() as u64,
+        breakdown,
         config,
         order,
-        vector,
-        breakdown,
-        evaluations,
-        cluster_evals,
         refinement_moves,
-    })
+    }
+}
+
+/// Resolve a [`ClusterOrder`] to cluster indices for `est`'s system.
+fn consideration_order(
+    est: &Estimator<'_>,
+    order: &ClusterOrder,
+) -> Result<Vec<usize>, PartitionError> {
+    let sys = est.system();
+    let kind = est.app().dominant_comp().op_kind;
+    match order {
+        ClusterOrder::FastestFirst => Ok(sys.speed_order(kind)),
+        ClusterOrder::SlowestFirst => {
+            let mut o = sys.speed_order(kind);
+            o.reverse();
+            Ok(o)
+        }
+        ClusterOrder::Given(o) => {
+            let mut sorted = o.clone();
+            sorted.sort_unstable();
+            if sorted != (0..sys.num_clusters()).collect::<Vec<_>>() {
+                return Err(PartitionError::InvalidOrder);
+            }
+            Ok(o.clone())
+        }
+    }
 }
 
 /// Kernighan–Lin-style local refinement: repeatedly apply the best
@@ -350,20 +373,7 @@ pub fn partition_exhaustive(est: &Estimator<'_>) -> Result<Partition, PartitionE
                     // mid-search.
                     return Err(PartitionError::NoProcessorsAvailable);
                 };
-                let order = sys.speed_order(kind);
-                let breakdown = est.breakdown(&config);
-                let evaluations = est.evaluations() - 1;
-                let cluster_evals = est.cluster_evals() - k as u64;
-                let vector = est.partition_vector(&config, &order);
-                return Ok(Partition {
-                    config,
-                    order,
-                    vector,
-                    breakdown,
-                    evaluations,
-                    cluster_evals,
-                    refinement_moves: 0,
-                });
+                return Ok(finish(est, config, sys.speed_order(kind), 0));
             }
             if config[i] < caps[i] {
                 config[i] += 1;
@@ -379,9 +389,10 @@ pub fn partition_exhaustive(est: &Estimator<'_>) -> Result<Partition, PartitionE
 mod tests {
     use super::*;
     use crate::system::SystemModel;
-    use netpart_calibrate::{PaperCostModel, Testbed};
+    use netpart_calibrate::{CommCostModel, CrossClusterMode, PaperCostModel, Testbed, Wiring};
     use netpart_model::{AppModel, CommPhase, CompPhase, OpKind};
     use netpart_topology::Topology;
+    use std::cell::Cell;
 
     fn paper_system() -> SystemModel {
         SystemModel::from_testbed(&Testbed::paper())
@@ -596,6 +607,295 @@ mod tests {
             }
         }
         (sys, cost)
+    }
+
+    /// Forwards to a calibrated model, counting table reads, with a
+    /// selectable crossing mode.
+    struct Counting<'m> {
+        inner: &'m netpart_calibrate::CalibratedCostModel,
+        mode: CrossClusterMode,
+        intra: Cell<u64>,
+        router: Cell<u64>,
+    }
+
+    impl<'m> Counting<'m> {
+        fn new(inner: &'m netpart_calibrate::CalibratedCostModel, mode: CrossClusterMode) -> Self {
+            Counting {
+                inner,
+                mode,
+                intra: Cell::new(0),
+                router: Cell::new(0),
+            }
+        }
+    }
+
+    impl CommCostModel for Counting<'_> {
+        fn intra_ms(&self, cluster: usize, topo: Topology, bytes: f64, p: u32) -> f64 {
+            self.intra.set(self.intra.get() + 1);
+            self.inner.intra_ms(cluster, topo, bytes, p)
+        }
+        fn router_ms(&self, a: usize, b: usize, bytes: f64) -> f64 {
+            self.router.set(self.router.get() + 1);
+            self.inner.router_ms(a, b, bytes)
+        }
+        fn coerce_ms(&self, a: usize, b: usize, bytes: f64) -> f64 {
+            self.inner.coerce_ms(a, b, bytes)
+        }
+        fn cross_mode(&self) -> CrossClusterMode {
+            self.mode
+        }
+    }
+
+    /// The complexity guard: a default plan reads the router table
+    /// O(K²) times — one row per filled cluster plus the final Eq. 2 —
+    /// where re-walking every filled pair for every cluster read it
+    /// ≈ K³/3 times (~700k at K = 128). An exact count, no wall clock.
+    #[test]
+    fn a_plan_reads_the_router_table_k_squared_times() {
+        for k in [16usize, 128] {
+            let (_, cost) = synthetic_setup(k);
+            // Equal speeds and a large problem: the fill runs through
+            // every cluster, the worst case for pair walks.
+            let sys = SystemModel::from_testbed(&Testbed::synthetic(k, 8, 1.0));
+            let counting = Counting::new(&cost, CrossClusterMode::Plain);
+            let app = stencil(8 * 8 * k as u64, false);
+            let est = Estimator::new(&sys, &counting, &app);
+            let p = partition(&est, &PartitionOptions::default()).unwrap();
+            assert_eq!(
+                p.total_processors(),
+                8 * k as u32,
+                "K={k}: fill must reach every cluster"
+            );
+            let (k, router, intra) = (k as u64, counting.router.get(), counting.intra.get());
+            assert!(router <= 2 * k * k, "K={k}: {router} router reads");
+            assert!(
+                intra <= p.evaluations + 3 * k,
+                "K={k}: {intra} intra reads for {} evaluations",
+                p.evaluations
+            );
+        }
+    }
+
+    /// The fill loop as it ran before the running state: each cluster's
+    /// context summarized from scratch, and the vector rounded rank by
+    /// rank.
+    fn partition_from_scratch(est: &Estimator<'_>, opts: &PartitionOptions) -> Partition {
+        let sys = est.system();
+        let k = sys.num_clusters();
+        let order = consideration_order(est, &opts.order).unwrap();
+        est.reset_evaluations();
+        let mut config = vec![0u32; k];
+        let mut first = true;
+        for &cluster in &order {
+            let avail = sys.clusters[cluster].available;
+            if avail == 0 {
+                if first {
+                    continue;
+                }
+                break;
+            }
+            let ctx = est
+                .fill_context_from_scratch(&config, cluster)
+                .expect("stencil models take the fast path");
+            let result = opts
+                .strategy
+                .minimize(u32::from(first), avail, |p| ctx.t_c_ms(p));
+            config[cluster] = result.argmin;
+            first = false;
+            if result.argmin < avail {
+                break;
+            }
+        }
+        let refinement_moves =
+            refine(est, &mut config, opts.refine_passes, &Budget::unlimited()).unwrap();
+        let breakdown = est.breakdown(&config);
+        let shares = est.shares(&config);
+        let per_rank: Vec<f64> = order
+            .iter()
+            .flat_map(|&c| std::iter::repeat_n(shares[c], config[c] as usize))
+            .collect();
+        Partition {
+            vector: PartitionVector::from_real_shares(&per_rank, est.app().num_pdus()),
+            evaluations: est.evaluations() - 1,
+            cluster_evals: est.cluster_evals() - k as u64,
+            config,
+            order,
+            breakdown,
+            refinement_moves,
+        }
+    }
+
+    /// A random system for the running-state properties: any wiring, a
+    /// fifth of the clusters idle and a fifth half available.
+    fn random_system(
+        k: usize,
+        nodes_per: u32,
+        picks: (usize, usize),
+        busy: &[u32],
+    ) -> (SystemModel, netpart_calibrate::CalibratedCostModel) {
+        let wiring = match picks.0 {
+            0 => Wiring::Star,
+            1 => Wiring::Pairwise,
+            2 => Wiring::Tree { arity: 2 + k % 3 },
+            3 => Wiring::FatTree {
+                pod: 1 + k % 4,
+                spines: 2,
+            },
+            4 => Wiring::Dumbbell,
+            _ => Wiring::Custom((1..k).map(|i| vec![i - 1, i]).collect()),
+        };
+        let testbed =
+            Testbed::synthetic(k, nodes_per, [1.0, 1.07, 1.3][picks.1]).with_wiring(wiring);
+        let available: Vec<u32> = (0..k)
+            .map(|c| match busy[c] {
+                0 => 0,
+                1 => nodes_per / 2,
+                _ => nodes_per,
+            })
+            .collect();
+        let sys = SystemModel::from_testbed(&testbed).with_available(&available);
+        (sys, hop_model(&testbed))
+    }
+
+    fn cross_mode(flags: u32) -> CrossClusterMode {
+        if flags & 1 == 0 {
+            CrossClusterMode::Plain
+        } else {
+            CrossClusterMode::AddStation
+        }
+    }
+
+    proptest::proptest! {
+        /// The running fill state changes what a plan costs and nothing
+        /// about the plan: configuration, `T_c` bits, both work counters
+        /// and the vector equal the from-scratch loop's on random
+        /// systems of every wiring, with idle clusters, explicit orders,
+        /// both crossing modes and refinement.
+        #[test]
+        fn running_fill_state_equals_the_from_scratch_loop(
+            k in 1usize..49,
+            nodes_per in 1u32..9,
+            picks in (0usize..6, 0usize..3),
+            n in 50u64..200_000,
+            busy in proptest::prop::collection::vec(0u32..5, 48..49),
+            keys in proptest::prop::collection::vec(proptest::any::<u32>(), 48..49),
+            flags in 0u32..32,
+        ) {
+            let (sys, cost) = random_system(k, nodes_per, picks, &busy);
+            proptest::prop_assume!(sys.total_available() > 0);
+            let counting = Counting::new(&cost, cross_mode(flags));
+            let app = stencil(n, flags & 2 != 0);
+            let est = Estimator::new(&sys, &counting, &app);
+            let opts = PartitionOptions {
+                eval_mode: EvalMode::Incremental,
+                refine_passes: if flags & 4 == 0 { 0 } else { 2 },
+                order: match flags >> 3 {
+                    0 => ClusterOrder::FastestFirst,
+                    1 => ClusterOrder::SlowestFirst,
+                    _ => {
+                        let mut o: Vec<usize> = (0..k).collect();
+                        o.sort_by_key(|&c| keys[c]);
+                        ClusterOrder::Given(o)
+                    }
+                },
+                ..Default::default()
+            };
+            let expect = partition_from_scratch(&est, &opts);
+            let got = partition(&est, &opts).unwrap();
+            proptest::prop_assert_eq!(&got.config, &expect.config);
+            proptest::prop_assert_eq!(
+                got.predicted_tc_ms().to_bits(),
+                expect.predicted_tc_ms().to_bits()
+            );
+            proptest::prop_assert_eq!(got.evaluations, expect.evaluations);
+            proptest::prop_assert_eq!(got.cluster_evals, expect.cluster_evals);
+            proptest::prop_assert_eq!(got.refinement_moves, expect.refinement_moves);
+            proptest::prop_assert_eq!(got.vector.counts(), expect.vector.counts());
+            proptest::prop_assert_eq!(&got.order, &expect.order);
+        }
+
+        /// Below the plan: pin clusters in a random order at random
+        /// counts — not only the counts a search would choose — and every
+        /// context the running state hands out prices every candidate to
+        /// the bits of the context summarized from scratch.
+        #[test]
+        fn running_contexts_equal_from_scratch_contexts(
+            k in 1usize..33,
+            nodes_per in 1u32..9,
+            picks in (0usize..6, 0usize..3),
+            busy in proptest::prop::collection::vec(0u32..5, 32..33),
+            keys in proptest::prop::collection::vec(proptest::any::<u32>(), 32..33),
+            flags in 0u32..4,
+        ) {
+            let (sys, cost) = random_system(k, nodes_per, picks, &busy);
+            let counting = Counting::new(&cost, cross_mode(flags));
+            let app = stencil(20_000, flags & 2 != 0);
+            let est = Estimator::new(&sys, &counting, &app);
+            let mut order: Vec<usize> = (0..k).collect();
+            order.sort_by_key(|&c| keys[c]);
+            let mut config = vec![0u32; k];
+            let mut filled = est.fill_state(&config).expect("stencil models take the fast path");
+            for cluster in order {
+                let running = filled.context(cluster);
+                let scratch = est.fill_context_from_scratch(&config, cluster).unwrap();
+                let avail = sys.clusters[cluster].available;
+                for p in 0..=avail {
+                    proptest::prop_assert_eq!(
+                        running.t_c_ms(p).to_bits(),
+                        scratch.t_c_ms(p).to_bits(),
+                        "cluster {} at p={} over {:?}", cluster, p, config
+                    );
+                }
+                config[cluster] = (keys[cluster] >> 8) % (avail + 1);
+                filled.commit(&running, config[cluster]);
+            }
+        }
+    }
+
+    /// Router penalties from the testbed's hop distances, per-cluster
+    /// intra fits, and coercion between clusters of different parity.
+    fn hop_model(testbed: &Testbed) -> netpart_calibrate::CalibratedCostModel {
+        use netpart_calibrate::{CalibratedCostModel, FittedCost, LinearCost};
+        let hops = testbed.cluster_hops().expect("the wirings used connect");
+        let mut model = CalibratedCostModel::default();
+        for (a, row) in hops.iter().enumerate() {
+            model.set_intra(
+                a,
+                Topology::OneD,
+                FittedCost {
+                    c1: 0.2 + 0.013 * (a % 7) as f64,
+                    c2: 0.5,
+                    c3: -0.001,
+                    c4: 0.0011,
+                    r_squared: 1.0,
+                    abs_fix: true,
+                },
+            );
+            for (b, &d) in row.iter().enumerate().skip(a + 1) {
+                // Scrambled per pair, so a late cluster's row is often
+                // cheaper than a pair filled long before it.
+                let h = f64::from(d) * (1 + (a * 7 + b * 13) % 4) as f64;
+                model.set_router(
+                    a,
+                    b,
+                    LinearCost {
+                        a: 0.4 * h,
+                        k: 0.0007 * h,
+                    },
+                );
+                if (a + b) % 2 == 1 {
+                    model.set_coerce(
+                        a,
+                        b,
+                        LinearCost {
+                            a: 0.0,
+                            k: 0.0002 * (1 + b % 3) as f64,
+                        },
+                    );
+                }
+            }
+        }
+        model
     }
 
     #[test]

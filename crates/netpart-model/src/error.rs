@@ -113,6 +113,14 @@ pub enum NetpartError {
     /// (ill-posed least-squares system, non-finite constants, a topology
     /// that was never benchmarked).
     Calibration(String),
+    /// The cost model has no Eq. 1 fit for a (cluster, topology) pair the
+    /// application communicates over.
+    MissingFit {
+        /// The cluster the model cannot price.
+        cluster: usize,
+        /// The topology it has no fit for.
+        topology: netpart_topology::Topology,
+    },
 
     // ---- Scenario / pipeline -------------------------------------------
     /// The testbed has no clusters or no nodes to run on.
@@ -268,6 +276,10 @@ impl std::fmt::Display for NetpartError {
             }
             NetpartError::InvalidOrder => write!(f, "cluster order is not a permutation"),
             NetpartError::Calibration(e) => write!(f, "calibration error: {e}"),
+            NetpartError::MissingFit { cluster, topology } => write!(
+                f,
+                "calibration error: cost model has no fit for cluster {cluster} topology {topology}"
+            ),
             NetpartError::EmptyTestbed => write!(f, "testbed has no clusters"),
             NetpartError::ZeroPdus => {
                 write!(f, "application model decomposes into zero PDUs")
@@ -408,6 +420,13 @@ mod tests {
             (NetpartError::NoProcessorsAvailable, "no processors"),
             (NetpartError::InvalidOrder, "not a permutation"),
             (NetpartError::Calibration("singular".into()), "singular"),
+            (
+                NetpartError::MissingFit {
+                    cluster: 3,
+                    topology: netpart_topology::Topology::Ring,
+                },
+                "calibration error: cost model has no fit for cluster 3 topology ring",
+            ),
             (NetpartError::EmptyTestbed, "no clusters"),
             (NetpartError::ZeroPdus, "zero PDUs"),
             (

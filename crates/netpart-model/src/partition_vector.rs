@@ -9,17 +9,22 @@
 
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
-/// PDU counts per task rank, in rank (placement) order.
+/// PDU counts per task rank, in rank (placement) order. Immutable once
+/// built and shared by its clones: a plan, the partition inside it and
+/// every served copy of both hold one allocation, not `P` words each.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct PartitionVector {
-    counts: Vec<u64>,
+    counts: Arc<[u64]>,
 }
 
 impl PartitionVector {
     /// Build from explicit counts.
     pub fn from_counts(counts: Vec<u64>) -> PartitionVector {
-        PartitionVector { counts }
+        PartitionVector {
+            counts: counts.into(),
+        }
     }
 
     /// Build from real-valued shares using largest-remainder rounding, so
@@ -33,7 +38,7 @@ impl PartitionVector {
     /// preserves the invariant.
     pub fn from_real_shares(shares: &[f64], num_pdus: u64) -> PartitionVector {
         if shares.is_empty() {
-            return PartitionVector { counts: Vec::new() };
+            return PartitionVector::default();
         }
         let total: f64 = shares
             .iter()
@@ -44,7 +49,7 @@ impl PartitionVector {
             // Degenerate: give everything to rank 0.
             let mut counts = vec![0u64; shares.len()];
             counts[0] = num_pdus;
-            return PartitionVector { counts };
+            return PartitionVector::from_counts(counts);
         }
         let scaled: Vec<f64> = shares
             .iter()
@@ -73,7 +78,7 @@ impl PartitionVector {
             counts[i] += 1;
             leftover -= 1;
         }
-        PartitionVector { counts }
+        PartitionVector::from_counts(counts)
     }
 
     /// Equal decomposition (the paper's N=1200 baseline): `num_pdus`
@@ -83,7 +88,7 @@ impl PartitionVector {
         let base = num_pdus / p as u64;
         let extra = (num_pdus % p as u64) as usize;
         let counts = (0..p).map(|i| base + u64::from(i < extra)).collect();
-        PartitionVector { counts }
+        PartitionVector::from_counts(counts)
     }
 
     /// PDUs for rank `i`.

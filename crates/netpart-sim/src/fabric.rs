@@ -332,17 +332,32 @@ impl Fabric {
         if a.index() >= n || b.index() >= n {
             return None;
         }
-        let attached = attachment_lists(n, &self.routers);
+        self.leaf_hops_from(a.index(), n)[b.index()]
+    }
+
+    /// Hop distances from segment `src` to the first `leaves` segments:
+    /// one breadth-first search.
+    fn leaf_hops_from(&self, src: usize, leaves: usize) -> Vec<Option<u32>> {
+        let attached = attachment_lists(self.segments.len(), &self.routers);
+        self.hops_row(src, leaves, &attached)
+    }
+
+    fn hops_row(&self, src: usize, leaves: usize, attached: &[Vec<usize>]) -> Vec<Option<u32>> {
+        let n = self.segments.len();
         let mut dist = vec![None; n];
-        let mut first_hop = vec![None; n];
-        bfs_from(
-            a.index(),
-            &self.routers,
-            &attached,
-            &mut first_hop,
-            &mut dist,
-        );
-        dist[b.index()]
+        if src < n {
+            let mut first_hop = vec![None; n];
+            bfs_from(
+                src,
+                &self.routers,
+                attached,
+                SimTime::ZERO,
+                &mut first_hop,
+                &mut dist,
+            );
+        }
+        dist.truncate(leaves);
+        dist
     }
 
     /// Hop distances between the first `leaves` segments — the cluster
@@ -354,15 +369,7 @@ impl Fabric {
         let n = self.segments.len();
         let k = leaves.min(n);
         let attached = attachment_lists(n, &self.routers);
-        (0..k)
-            .map(|src| {
-                let mut dist = vec![None; n];
-                let mut first_hop = vec![None; n];
-                bfs_from(src, &self.routers, &attached, &mut first_hop, &mut dist);
-                dist.truncate(k);
-                dist
-            })
-            .collect()
+        (0..k).map(|src| self.hops_row(src, k, &attached)).collect()
     }
 
     // ---- validation and lowering ----------------------------------------
@@ -420,10 +427,7 @@ impl Fabric {
         let Some(root) = populated.iter().position(|&p| p) else {
             return Ok(());
         };
-        let attached = attachment_lists(n, &self.routers);
-        let mut dist = vec![None; n];
-        let mut first_hop = vec![None; n];
-        bfs_from(root, &self.routers, &attached, &mut first_hop, &mut dist);
+        let dist = self.leaf_hops_from(root, n);
         for (si, (&pop, d)) in populated.iter().zip(&dist).enumerate() {
             if pop && d.is_none() && si != root {
                 return Err(SimError::InvalidFabric(format!(
@@ -455,11 +459,45 @@ impl Fabric {
     }
 }
 
+/// What the route search reads of a router: its ports, and whether the
+/// router or one of its ports is inside an outage window. A description
+/// ([`RouterSpec`]) is always up; a runtime [`Router`] carries windows.
+pub(crate) trait Hop {
+    /// The segments the router joins, in declared order.
+    fn ports(&self) -> &[SegmentId];
+    /// Whether the whole router is down at `now`.
+    fn is_down(&self, _now: SimTime) -> bool {
+        false
+    }
+    /// Whether the port at index `port` is down at `now`.
+    fn port_is_down(&self, _port: usize, _now: SimTime) -> bool {
+        false
+    }
+}
+
+impl Hop for RouterSpec {
+    fn ports(&self) -> &[SegmentId] {
+        &self.segments
+    }
+}
+
+impl Hop for Router {
+    fn ports(&self) -> &[SegmentId] {
+        &self.spec.segments
+    }
+    fn is_down(&self, now: SimTime) -> bool {
+        Router::is_down(self, now)
+    }
+    fn port_is_down(&self, port: usize, now: SimTime) -> bool {
+        Router::port_is_down(self, port, now)
+    }
+}
+
 /// For each segment, the routers attached to it, in router index order.
-fn attachment_lists(num_segments: usize, routers: &[RouterSpec]) -> Vec<Vec<usize>> {
+fn attachment_lists<R: Hop>(num_segments: usize, routers: &[R]) -> Vec<Vec<usize>> {
     let mut attached: Vec<Vec<usize>> = vec![Vec::new(); num_segments];
     for (ri, r) in routers.iter().enumerate() {
-        for s in &r.segments {
+        for s in r.ports() {
             if s.index() < num_segments {
                 attached[s.index()].push(ri);
             }
@@ -474,23 +512,54 @@ fn attachment_lists(num_segments: usize, routers: &[RouterSpec]) -> Vec<Vec<usiz
 /// (routers crossed). Routers are explored in index order and their
 /// ports in declared order, so the search is deterministic and matches
 /// the pre-fabric lowest-index router choice on single-hop fabrics.
-fn bfs_from(
+///
+/// Over runtime routers this is the search of the *residual* fabric at
+/// `now`: a router inside an outage window contributes no edges and a
+/// port inside a link-down window severs its edge in both directions.
+/// Visit order does not depend on liveness, so with nothing down the
+/// residual search agrees route for route with the build-time one, and
+/// two searches at the same liveness state are identical — both are pure
+/// functions of (shape, liveness set).
+///
+/// Each router is expanded once, from the first segment that enters it
+/// through a live port: that expansion gives every live port a distance,
+/// so a later visit could assign nothing. A K-port router costs O(K) per
+/// search instead of O(K²).
+fn bfs_from<R: Hop>(
     src: usize,
-    routers: &[RouterSpec],
+    routers: &[R],
     attached: &[Vec<usize>],
+    now: SimTime,
     first_hop: &mut [Option<(RouterId, SegmentId)>],
     dist: &mut [Option<u32>],
 ) {
     let n = first_hop.len();
     let mut queue = VecDeque::with_capacity(n);
+    let mut expanded = vec![false; routers.len()];
     dist[src] = Some(0);
     queue.push_back(src);
     while let Some(cur) = queue.pop_front() {
         let d = dist[cur].unwrap_or(0);
         for &ri in &attached[cur] {
-            for s in &routers[ri].segments {
+            let r = &routers[ri];
+            if expanded[ri] || r.is_down(now) {
+                continue;
+            }
+            let ports = r.ports();
+            // The frame enters through the port on `cur`; a downed
+            // ingress link severs every edge through this router from
+            // this segment.
+            let ingress_down = ports
+                .iter()
+                .position(|s| s.index() == cur)
+                .is_some_and(|pi| r.port_is_down(pi, now));
+            if ingress_down {
+                continue;
+            }
+            expanded[ri] = true;
+            for (pi, s) in ports.iter().enumerate() {
                 let t = s.index();
-                if t >= n || dist[t].is_some() {
+                if t >= n || dist[t].is_some() || r.port_is_down(pi, now) {
                     continue;
                 }
                 dist[t] = Some(d + 1);
@@ -509,11 +578,15 @@ fn bfs_from(
 /// segments: entry `src * num_segments + dst` holds the (router, egress
 /// segment) a frame on `src` bound for `dst` takes next, or `None` when
 /// no path exists (or `src == dst`). Used by
-/// [`NetworkBuilder::build`](crate::network::NetworkBuilder) so every
-/// network — fabric-generated or hand-built — routes the same way.
-pub(crate) fn compute_routes(
+/// [`NetworkBuilder::build`](crate::network::NetworkBuilder) over the
+/// router descriptions, so every network — fabric-generated or
+/// hand-built — routes the same way, and by the network over its runtime
+/// routers at every liveness transition (outage onset and window end,
+/// never on the fault-free path) to route around what is down at `now`.
+pub(crate) fn compute_routes<R: Hop>(
     num_segments: usize,
-    routers: &[RouterSpec],
+    routers: &[R],
+    now: SimTime,
 ) -> Vec<Option<(RouterId, SegmentId)>> {
     let attached = attachment_lists(num_segments, routers);
     let mut routes = vec![None; num_segments * num_segments];
@@ -522,94 +595,7 @@ pub(crate) fn compute_routes(
     for src in 0..num_segments {
         first_hop.iter_mut().for_each(|f| *f = None);
         dist.iter_mut().for_each(|d| *d = None);
-        bfs_from(src, routers, &attached, &mut first_hop, &mut dist);
-        routes[src * num_segments..(src + 1) * num_segments].clone_from_slice(&first_hop);
-    }
-    routes
-}
-
-/// Breadth-first search over the *residual* fabric at `now`: identical
-/// traversal order to [`bfs_from`] (routers in index order, ports in
-/// declared order), but a router inside an outage window contributes no
-/// edges and a port inside a link-down window severs its edge in both
-/// directions. With nothing down this visits exactly the edges
-/// [`bfs_from`] does, so the two searches agree route for route — the
-/// determinism argument for the incremental recompute is that both are
-/// pure functions of (shape, liveness set) with a fixed visit order.
-fn bfs_from_live(
-    src: usize,
-    routers: &[Router],
-    attached: &[Vec<usize>],
-    now: SimTime,
-    first_hop: &mut [Option<(RouterId, SegmentId)>],
-    dist: &mut [Option<u32>],
-) {
-    let n = first_hop.len();
-    let mut queue = VecDeque::with_capacity(n);
-    dist[src] = Some(0);
-    queue.push_back(src);
-    while let Some(cur) = queue.pop_front() {
-        let d = dist[cur].unwrap_or(0);
-        for &ri in &attached[cur] {
-            let r = &routers[ri];
-            if r.is_down(now) {
-                continue;
-            }
-            let ports = &r.spec.segments;
-            // The frame enters through the port on `cur`; a downed
-            // ingress link severs every edge through this router from
-            // this segment.
-            let ingress_down = ports
-                .iter()
-                .position(|s| s.index() == cur)
-                .is_some_and(|pi| r.port_is_down(pi, now));
-            if ingress_down {
-                continue;
-            }
-            for (pi, s) in ports.iter().enumerate() {
-                let t = s.index();
-                if t >= n || dist[t].is_some() || r.port_is_down(pi, now) {
-                    continue;
-                }
-                dist[t] = Some(d + 1);
-                first_hop[t] = if cur == src {
-                    Some((RouterId(ri as u16), *s))
-                } else {
-                    first_hop[cur]
-                };
-                queue.push_back(t);
-            }
-        }
-    }
-}
-
-/// Recompute the dense next-hop table over the residual fabric: the
-/// bipartite graph minus routers inside outage windows and minus links
-/// inside link-down windows at `now`. Same shape and visit order as
-/// [`compute_routes`], so with everything live the result is equal entry
-/// for entry, and two recomputes at the same liveness state are
-/// byte-identical. Called by the network at every liveness transition
-/// (outage onset and window end) — never on the fault-free path.
-pub(crate) fn compute_routes_live(
-    num_segments: usize,
-    routers: &[Router],
-    now: SimTime,
-) -> Vec<Option<(RouterId, SegmentId)>> {
-    let mut attached: Vec<Vec<usize>> = vec![Vec::new(); num_segments];
-    for (ri, r) in routers.iter().enumerate() {
-        for s in &r.spec.segments {
-            if s.index() < num_segments {
-                attached[s.index()].push(ri);
-            }
-        }
-    }
-    let mut routes = vec![None; num_segments * num_segments];
-    let mut first_hop = vec![None; num_segments];
-    let mut dist = vec![None; num_segments];
-    for src in 0..num_segments {
-        first_hop.iter_mut().for_each(|f| *f = None);
-        dist.iter_mut().for_each(|d| *d = None);
-        bfs_from_live(src, routers, &attached, now, &mut first_hop, &mut dist);
+        bfs_from(src, routers, &attached, now, &mut first_hop, &mut dist);
         routes[src * num_segments..(src + 1) * num_segments].clone_from_slice(&first_hop);
     }
     routes
@@ -619,6 +605,7 @@ pub(crate) fn compute_routes_live(
 mod tests {
     use super::*;
     use crate::router::RouterSpec;
+    use proptest::prelude::*;
 
     fn members(k: usize) -> Vec<FabricCluster> {
         (0..k).map(|_| (ProcType::sparcstation_2(), 2)).collect()
@@ -751,10 +738,121 @@ mod tests {
             Fabric::dumbbell(&members(6), &eth(), &eth(), &rtr(), 7),
             Fabric::pairwise(&members(4), &eth(), &rtr(), 7),
         ] {
-            let statics = compute_routes(f.num_segments(), &f.routers);
+            let statics = compute_routes(f.num_segments(), &f.routers, SimTime::ZERO);
             let runtime: Vec<Router> = f.routers.iter().cloned().map(Router::new).collect();
-            let live = compute_routes_live(f.num_segments(), &runtime, SimTime(123_456));
+            let live = compute_routes(f.num_segments(), &runtime, SimTime(123_456));
             assert_eq!(statics, live);
+        }
+    }
+
+    /// The walk before routers were expanded once: every segment
+    /// re-walks all ports of every attached router. Kept as the
+    /// reference the expand-once search must equal entry for entry.
+    fn bfs_rewalking(
+        src: usize,
+        routers: &[Router],
+        attached: &[Vec<usize>],
+        now: Option<SimTime>,
+        first_hop: &mut [Option<(RouterId, SegmentId)>],
+        dist: &mut [Option<u32>],
+    ) {
+        let n = first_hop.len();
+        let mut queue = VecDeque::with_capacity(n);
+        dist[src] = Some(0);
+        queue.push_back(src);
+        while let Some(cur) = queue.pop_front() {
+            let d = dist[cur].unwrap_or(0);
+            for &ri in &attached[cur] {
+                let r = &routers[ri];
+                let ports = &r.spec.segments;
+                // `now == None` is the static search: nothing is down.
+                let down = |pi: usize| now.is_some_and(|t| r.port_is_down(pi, t));
+                let ingress = ports.iter().position(|s| s.index() == cur);
+                if now.is_some_and(|t| r.is_down(t)) || ingress.is_some_and(down) {
+                    continue;
+                }
+                for (pi, s) in ports.iter().enumerate() {
+                    let t = s.index();
+                    if t >= n || dist[t].is_some() || down(pi) {
+                        continue;
+                    }
+                    dist[t] = Some(d + 1);
+                    first_hop[t] = if cur == src {
+                        Some((RouterId(ri as u16), *s))
+                    } else {
+                        first_hop[cur]
+                    };
+                    queue.push_back(t);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Expanding each router once leaves `dist` and `first_hop` entry
+        /// for entry equal to the re-walking search: on every generator,
+        /// on random custom wirings (duplicate and dangling ports
+        /// included), with everything up and under random router and
+        /// link outages.
+        #[test]
+        fn expand_once_bfs_equals_the_rewalking_search(
+            k in 1usize..14,
+            shape in 0usize..6,
+            arity in 2usize..5,
+            spines in 1usize..4,
+            wiring in prop::collection::vec(prop::collection::vec(0usize..16, 2..6), 0..8),
+            faults in prop::collection::vec((0usize..64, 0usize..8, any::<bool>()), 0..6),
+        ) {
+            let m = members(k);
+            let f = match shape {
+                0 => Fabric::star(&m, &eth(), &rtr(), 7),
+                1 => Fabric::pairwise(&m, &eth(), &rtr(), 7),
+                2 => Fabric::tree(&m, arity, &eth(), &rtr(), 7),
+                3 => Fabric::fat_tree(&m, arity, spines, &eth(), &rtr(), 7),
+                4 => Fabric::dumbbell(&m, &eth(), &eth(), &rtr(), 7),
+                _ => Fabric::custom(&m, &eth(), &rtr(), &wiring, 7),
+            };
+            let n = f.num_segments();
+            let attached = attachment_lists(n, &f.routers);
+            let mut runtime: Vec<Router> = f.routers.iter().cloned().map(Router::new).collect();
+            let search = |src: usize, routers: &[Router], now: Option<SimTime>, reference: bool| {
+                let (mut hop, mut dist) = (vec![None; n], vec![None; n]);
+                match now {
+                    _ if reference => {
+                        bfs_rewalking(src, routers, &attached, now, &mut hop, &mut dist)
+                    }
+                    None => bfs_from(src, &f.routers, &attached, SimTime::ZERO, &mut hop, &mut dist),
+                    Some(t) => bfs_from(src, routers, &attached, t, &mut hop, &mut dist),
+                }
+                (hop, dist)
+            };
+            for src in 0..n {
+                prop_assert_eq!(
+                    search(src, &runtime, None, false),
+                    search(src, &runtime, None, true),
+                    "static src={}", src
+                );
+            }
+            if runtime.is_empty() {
+                return;
+            }
+            for &(ri, port, whole) in &faults {
+                let ri = ri % runtime.len();
+                if whole {
+                    runtime[ri].down_until = SimTime(1_000);
+                } else {
+                    let ports = runtime[ri].spec.segments.clone();
+                    runtime[ri].merge_port_down(ports[port % ports.len()], SimTime(1_000));
+                }
+            }
+            let now = Some(SimTime(500));
+            for src in 0..n {
+                prop_assert_eq!(
+                    search(src, &runtime, now, false),
+                    search(src, &runtime, now, true),
+                    "live src={} faults={:?}", src, faults
+                );
+            }
         }
     }
 
@@ -763,7 +861,7 @@ mod tests {
         // Two routers both joining (0,1): the table must pick r0, the
         // lowest index, exactly as the pre-fabric find_router did.
         let f = Fabric::custom(&members(2), &eth(), &rtr(), &[vec![0, 1], vec![0, 1]], 7);
-        let routes = compute_routes(2, &f.routers);
+        let routes = compute_routes(2, &f.routers, SimTime::ZERO);
         assert_eq!(routes[1], Some((RouterId(0), SegmentId(1))));
         assert_eq!(routes[2], Some((RouterId(0), SegmentId(0))));
     }

@@ -177,7 +177,8 @@ impl NetworkBuilder {
                 }
             }
         }
-        let routes = crate::fabric::compute_routes(self.segments.len(), &self.routers);
+        let routes =
+            crate::fabric::compute_routes(self.segments.len(), &self.routers, SimTime::ZERO);
         Ok(Network {
             proc_types: self.proc_types,
             routes,
@@ -233,7 +234,7 @@ pub struct Network {
     routes: Vec<Option<(RouterId, SegmentId)>>,
     /// The *live* next-hop table over the residual fabric (routers and
     /// links currently inside injected outage windows removed),
-    /// recomputed by [`crate::fabric::compute_routes_live`] at every
+    /// recomputed by [`crate::fabric::compute_routes`] at every
     /// liveness transition. `None` until the first router or link fault
     /// fires — the fault-free path never recomputes and routes off the
     /// static table byte-identically to the pre-liveness simulator.
@@ -533,7 +534,7 @@ impl Network {
     /// only at liveness transitions (outage onset, window end), never
     /// from the steady-state frame path.
     fn recompute_live_routes(&mut self) {
-        self.live_routes = Some(crate::fabric::compute_routes_live(
+        self.live_routes = Some(crate::fabric::compute_routes(
             self.segments.len(),
             &self.routers,
             self.now,

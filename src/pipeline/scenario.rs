@@ -1,6 +1,8 @@
 //! Describe and plan: [`Scenario`] (what to run where, and how to price
 //! it) and [`Plan`] (the partitioning decision, ready to execute).
 
+use std::sync::Arc;
+
 use netpart_calibrate::{
     calibrate_testbed_cached_budgeted, CalibratedCostModel, CalibrationConfig, CommCostModel,
     PaperCostModel, Testbed,
@@ -140,10 +142,10 @@ impl Scenario {
             }
             for phase in self.app.comm_phases() {
                 if !model.covers(cluster, phase.topology) {
-                    return Err(NetpartError::Calibration(format!(
-                        "cost model has no fit for cluster {cluster} topology {}",
-                        phase.topology
-                    )));
+                    return Err(NetpartError::MissingFit {
+                        cluster,
+                        topology: phase.topology,
+                    });
                 }
             }
         }
@@ -168,7 +170,7 @@ impl Scenario {
         let model = self.resolve_model_budgeted(budget)?;
         let part = self.partition_under(&*model, budget)?;
         Ok(Plan {
-            testbed: self.testbed.clone(),
+            testbed: Arc::new(self.testbed.clone()),
             placement: self.placement,
             distribute: self.distribute,
             config: part.config.clone(),
@@ -236,7 +238,7 @@ impl Scenario {
             }
         };
         Ok(Plan {
-            testbed: self.testbed.clone(),
+            testbed: Arc::new(self.testbed.clone()),
             placement: self.placement,
             distribute: self.distribute,
             config: config.to_vec(),
@@ -251,7 +253,8 @@ impl Scenario {
 /// decomposition, and what the model expects it to cost.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    testbed: Testbed,
+    /// Shared by every clone: a served plan is copied once per response.
+    testbed: Arc<Testbed>,
     placement: PlacementStrategy,
     distribute: bool,
     /// Processors used per cluster, indexed by cluster id.
@@ -361,13 +364,42 @@ mod tests {
     }
 
     #[test]
+    fn plan_reports_a_cut_off_cluster_as_cluster_hops_does() {
+        use netpart_calibrate::Wiring;
+        // Two shapes plan() must refuse with exactly the error the hop
+        // matrix reports: a populated cluster cut off (caught by fabric
+        // validation), and an empty one (which validation does not look
+        // at; only the missing path gives it away).
+        for (wiring, empty) in [(vec![vec![0, 1]], None), (vec![vec![1, 2]], Some(0))] {
+            let mut testbed = Testbed::synthetic(3, 2, 1.2).with_wiring(Wiring::Custom(wiring));
+            if let Some(c) = empty {
+                testbed.clusters[c].nodes = 0;
+            }
+            let expected = testbed.cluster_hops().unwrap_err();
+            let s = Scenario::new(testbed, stencil_model(40, StencilVariant::Sten1))
+                .with_cost(CostSource::Paper);
+            let err = s.plan().unwrap_err();
+            assert_eq!(err.to_string(), expected.to_string());
+            assert_eq!(err, expected);
+        }
+    }
+
+    #[test]
     fn miscalibrated_model_is_a_typed_error() {
         // An empty fixed model covers nothing the stencil needs.
         let s = small_scenario().with_cost(CostSource::Fixed(CalibratedCostModel::default()));
-        match s.plan().unwrap_err() {
-            NetpartError::Calibration(msg) => assert!(msg.contains("no fit"), "{msg}"),
-            other => panic!("expected Calibration, got {other:?}"),
-        }
+        let err = s.plan().unwrap_err();
+        assert_eq!(
+            err,
+            NetpartError::MissingFit {
+                cluster: 0,
+                topology: Topology::OneD
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "calibration error: cost model has no fit for cluster 0 topology 1-D"
+        );
     }
 
     #[test]

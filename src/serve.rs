@@ -125,7 +125,10 @@ impl PlanService for ScenarioService {
     }
 
     fn breaker_counts(&self, err: &NetpartError) -> bool {
-        matches!(err, NetpartError::Calibration(_))
+        matches!(
+            err,
+            NetpartError::Calibration(_) | NetpartError::MissingFit { .. }
+        )
     }
 
     fn retryable(&self, err: &NetpartError) -> bool {
