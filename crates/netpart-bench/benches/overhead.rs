@@ -14,8 +14,8 @@ fn bench_overhead(c: &mut Criterion) {
     let model = paper_calibration().expect("calibration");
     let o = overhead_report(&model).expect("overhead");
     println!(
-        "\noverhead: {} evaluations (bound {}), {} µs wall, availability {:.2} ms / {} msgs\n",
-        o.evaluations, o.bound, o.wall_micros, o.availability_ms, o.availability_messages
+        "\noverhead: {} evaluations (bound {}), availability {:.2} ms / {} msgs\n",
+        o.evaluations, o.bound, o.availability_ms, o.availability_messages
     );
 
     let sys = SystemModel::from_testbed(&Testbed::paper());

@@ -41,6 +41,7 @@
 use crate::chaos_fuzz::{
     shrink_schedule, ChaosFuzzCase, ChaosTarget, ChaosVerdict, MinimizedRepro,
 };
+use crate::report::Json;
 use crate::scale::scale_cost_model;
 use netpart_apps::{gauss_model, stencil_model, StencilVariant};
 use netpart_calibrate::{Testbed, Wiring};
@@ -167,9 +168,13 @@ pub struct DirectedRerouteCase {
 }
 
 impl DirectedRerouteCase {
-    /// Whether this directed case met its (stricter) contract.
-    pub fn ok(&self) -> bool {
-        self.case.verdict == ChaosVerdict::OkIdentical
+    /// The case's verdict under the directed (stricter) contract: a typed
+    /// error is a violation too.
+    fn verdict(&self) -> ChaosVerdict {
+        match &self.case.verdict {
+            ChaosVerdict::TypedError(e) => ChaosVerdict::Violation(format!("typed error: {e}")),
+            other => other.clone(),
+        }
     }
 }
 
@@ -190,15 +195,26 @@ impl ChaosFabricReport {
         self.cells.iter().map(|c| c.cases.len()).sum::<usize>() + self.directed.len()
     }
 
-    /// Invariant violations: random-sweep violations plus directed
-    /// cases that did not complete bit-identically.
-    pub fn violations(&self) -> usize {
-        let random: usize = self
-            .cells
-            .iter()
-            .map(|c| c.cases.iter().filter(|k| k.verdict.is_violation()).count())
-            .sum();
-        random + self.directed.iter().filter(|d| !d.ok()).count()
+    /// Invariant violations, one line each: random-sweep violations plus
+    /// directed cases that did not complete bit-identically.
+    pub fn violations(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for c in &self.cells {
+            for k in &c.cases {
+                if let ChaosVerdict::Violation(v) = &k.verdict {
+                    out.push(format!("{} {} seed {}: {v}", c.app, c.wiring, k.seed));
+                }
+            }
+        }
+        for d in &self.directed {
+            if let ChaosVerdict::Violation(v) = d.verdict() {
+                out.push(format!(
+                    "directed fat-tree {}x{}: {v}",
+                    d.clusters, d.nodes_per
+                ));
+            }
+        }
+        out
     }
 }
 
@@ -211,6 +227,10 @@ fn run_cell(
     repros: &mut Vec<MinimizedRepro>,
 ) -> Result<FabricCellReport, NetpartError> {
     let target = build_target(spec)?;
+    let app = match spec.app {
+        CellApp::Sten1 => "STEN-1",
+        CellApp::Gauss => "GAUSS",
+    };
     let rank_clusters = target.rank_clusters()?;
     let spanned: std::collections::BTreeSet<u32> = rank_clusters.iter().copied().collect();
     let mut cases = Vec::with_capacity(seeds as usize);
@@ -224,10 +244,7 @@ fn run_cell(
                 target.run_case(seed, p, false).verdict.is_violation()
             });
             repros.push(MinimizedRepro {
-                app: match spec.app {
-                    CellApp::Sten1 => "STEN-1",
-                    CellApp::Gauss => "GAUSS",
-                },
+                app,
                 seed,
                 original_events: plan.events.len(),
                 plan: min,
@@ -237,10 +254,7 @@ fn run_cell(
         cases.push(case);
     }
     Ok(FabricCellReport {
-        app: match spec.app {
-            CellApp::Sten1 => "STEN-1",
-            CellApp::Gauss => "GAUSS",
-        },
+        app,
         wiring: spec.wiring_name,
         clusters: spec.clusters,
         nodes_per: spec.nodes_per,
@@ -340,7 +354,7 @@ pub fn render_chaos_fabric(report: &ChaosFabricReport) -> String {
     out.push_str(&format!(
         "{} schedules against wired fabrics: {} violation(s)\n\n",
         report.schedules(),
-        report.violations()
+        report.violations().len()
     ));
     out.push_str(&format!(
         "{:<7} {:>9} {:>7} {:>6} {:>9} {:>12} {:>4} {:>6} {:>7}\n",
@@ -373,10 +387,9 @@ pub fn render_chaos_fabric(report: &ChaosFabricReport) -> String {
     }
     out.push_str("\ndirected single-spine outages (must complete via reroute):\n");
     for d in &report.directed {
-        let verdict = match &d.case.verdict {
-            ChaosVerdict::OkIdentical => "rerouted, bit-identical".to_string(),
-            ChaosVerdict::TypedError(e) => format!("VIOLATION (typed error: {e})"),
+        let verdict = match d.verdict() {
             ChaosVerdict::Violation(v) => format!("VIOLATION ({v})"),
+            _ => "rerouted, bit-identical".to_string(),
         };
         out.push_str(&format!(
             "  fat-tree {}x{}: r{} spine seg{} dark {:.0}..{:.0}ms of {:.0}ms, \
@@ -394,139 +407,74 @@ pub fn render_chaos_fabric(report: &ChaosFabricReport) -> String {
         ));
     }
     for r in &report.repros {
-        out.push_str(&format!(
-            "\nVIOLATION {} seed {}: {}\n  minimized {} -> {} event(s):\n",
-            r.app,
-            r.seed,
-            r.violation,
-            r.original_events,
-            r.plan.events.len()
-        ));
-        for ev in &r.plan.events {
-            out.push_str(&format!("    {ev:?}\n"));
-        }
+        out.push_str(&r.render());
     }
     out
 }
 
-/// Serialise a fabric chaos report as `BENCH_chaos_fabric.json`
-/// (hand-rolled, like the repo's other benchmark artefacts).
+/// The fabric chaos report as `BENCH_chaos_fabric.json`.
 pub fn chaos_fabric_json(report: &ChaosFabricReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"description\": \"Fabric-level chaos: seeded random fault schedules (all \
-         eight kinds, including router outages, per-port link downs, and trunk bursts) \
-         against tree and fat-tree fabrics at 256 and 1024 nodes, plus directed \
-         single-spine outages that must complete bit-identically via reroute over the \
-         remaining spines. Invariant: every run completes bit-identical to the \
-         sequential reference or ends in a typed recovery error. Deterministic per \
-         (cell, seed).\",\n",
-    );
-    out.push_str(&format!("  \"schedules\": {},\n", report.schedules()));
-    out.push_str(&format!("  \"violations\": {},\n", report.violations()));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in report.cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"app\": \"{}\", \"wiring\": \"{}\", \"clusters\": {}, \
-             \"nodes_per\": {}, \"nodes\": {}, \"ranks\": {}, \"clusters_spanned\": {}, \
-             \"fault_free_ms\": {:.4}, \"cases\": [\n",
-            c.app,
-            c.wiring,
-            c.clusters,
-            c.nodes_per,
-            c.clusters * c.nodes_per,
-            c.ranks,
-            c.clusters_spanned,
-            c.fault_free_ms
-        ));
-        for (j, k) in c.cases.iter().enumerate() {
-            let (verdict, detail) = match &k.verdict {
-                ChaosVerdict::OkIdentical => ("ok-identical", String::new()),
-                ChaosVerdict::TypedError(e) => ("typed-error", e.clone()),
-                ChaosVerdict::Violation(v) => ("VIOLATION", v.clone()),
-            };
-            out.push_str(&format!(
-                "      {{ \"seed\": {}, \"events\": {}, \"replans\": {}, \
-                 \"replica_restores\": {}, \"generation_fallbacks\": {}, \
-                 \"recovered_ms\": {:.4}, \"verdict\": \"{}\", \"detail\": \"{}\" }}{}\n",
-                k.seed,
-                k.events,
-                k.replans,
-                k.replica_restores,
-                k.generation_fallbacks,
-                k.recovered_ms,
-                verdict,
-                detail.replace('"', "'"),
-                if j + 1 == c.cases.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!(
-            "    ] }}{}\n",
-            if i + 1 == report.cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"directed_reroute\": [\n");
-    for (i, d) in report.directed.iter().enumerate() {
-        let (verdict, detail) = match &d.case.verdict {
-            ChaosVerdict::OkIdentical => ("ok-identical", String::new()),
-            ChaosVerdict::TypedError(e) => ("VIOLATION", format!("typed error: {e}")),
-            ChaosVerdict::Violation(v) => ("VIOLATION", v.clone()),
-        };
-        out.push_str(&format!(
-            "    {{ \"wiring\": \"fat-tree\", \"clusters\": {}, \"nodes_per\": {}, \
-             \"nodes\": {}, \"ranks\": {}, \"pods_spanned\": {}, \"router\": {}, \
-             \"spine_segment\": {}, \"window_ms\": [{:.4}, {:.4}], \
-             \"fault_free_ms\": {:.4}, \"recovered_ms\": {:.4}, \"replans\": {}, \
-             \"verdict\": \"{}\", \"detail\": \"{}\" }}{}\n",
-            d.clusters,
-            d.nodes_per,
-            d.clusters * d.nodes_per,
-            d.ranks,
-            d.pods_spanned,
-            d.router,
-            d.spine_segment,
-            d.window_ms.0,
-            d.window_ms.1,
-            d.fault_free_ms,
-            d.case.recovered_ms,
-            d.case.replans,
-            verdict,
-            detail.replace('"', "'"),
-            if i + 1 == report.directed.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"minimized_repros\": [\n");
-    for (i, r) in report.repros.iter().enumerate() {
-        let events: Vec<String> = r
-            .plan
-            .events
-            .iter()
-            .map(|ev| format!("\"{}\"", format!("{ev:?}").replace('"', "'")))
-            .collect();
-        out.push_str(&format!(
-            "    {{ \"app\": \"{}\", \"seed\": {}, \"original_events\": {}, \
-             \"violation\": \"{}\", \"events\": [{}] }}{}\n",
-            r.app,
-            r.seed,
-            r.original_events,
-            r.violation.replace('"', "'"),
-            events.join(", "),
-            if i + 1 == report.repros.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Json::obj([
+        (
+            "description",
+            "Fabric-level chaos: seeded random fault schedules (all eight kinds, including \
+             router outages, per-port link downs, and trunk bursts) against tree and \
+             fat-tree fabrics at 256 and 1024 nodes, plus directed single-spine outages \
+             that must complete bit-identically via reroute over the remaining spines. \
+             Invariant: every run completes bit-identical to the sequential reference or \
+             ends in a typed recovery error. Deterministic per (cell, seed)."
+                .into(),
+        ),
+        ("schedules", report.schedules().into()),
+        ("violations", report.violations().len().into()),
+        (
+            "cells",
+            Json::arr(&report.cells, |c| {
+                Json::obj([
+                    ("app", c.app.into()),
+                    ("wiring", c.wiring.into()),
+                    ("clusters", c.clusters.into()),
+                    ("nodes_per", c.nodes_per.into()),
+                    ("nodes", (c.clusters * c.nodes_per).into()),
+                    ("ranks", c.ranks.into()),
+                    ("clusters_spanned", c.clusters_spanned.into()),
+                    ("fault_free_ms", Json::ms(c.fault_free_ms)),
+                    ("cases", Json::arr(&c.cases, |k| k.json([]))),
+                ])
+            }),
+        ),
+        (
+            "directed_reroute",
+            Json::arr(&report.directed, |d| {
+                let strict = d.verdict();
+                let (verdict, detail) = strict.label_and_detail();
+                Json::obj([
+                    ("wiring", "fat-tree".into()),
+                    ("clusters", d.clusters.into()),
+                    ("nodes_per", d.nodes_per.into()),
+                    ("nodes", (d.clusters * d.nodes_per).into()),
+                    ("ranks", d.ranks.into()),
+                    ("pods_spanned", d.pods_spanned.into()),
+                    ("router", d.router.into()),
+                    ("spine_segment", d.spine_segment.into()),
+                    (
+                        "window_ms",
+                        Json::Arr(vec![Json::ms(d.window_ms.0), Json::ms(d.window_ms.1)]),
+                    ),
+                    ("fault_free_ms", Json::ms(d.fault_free_ms)),
+                    ("recovered_ms", Json::ms(d.case.recovered_ms)),
+                    ("replans", d.case.replans.into()),
+                    ("verdict", verdict.into()),
+                    ("detail", detail.into()),
+                ])
+            }),
+        ),
+        (
+            "minimized_repros",
+            Json::arr(&report.repros, MinimizedRepro::json),
+        ),
+    ])
+    .render()
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@
 //! `BENCH_chaos.json` is reproducible from its seed alone.
 
 use crate::faults::{bits_eq_f32, bits_eq_f64, gauss_factory, stencil_factory};
+use crate::report::Json;
 use netpart::{CheckpointPolicy, CostSource, FaultSchedule, RecoveryPolicy, Scenario};
 use netpart_apps::{
     gauss_model, make_system, sequential_reference, sequential_solve, stencil_model, GaussApp,
@@ -72,6 +73,15 @@ impl ChaosVerdict {
     pub fn is_violation(&self) -> bool {
         matches!(self, ChaosVerdict::Violation(_))
     }
+
+    /// The artefacts' `"verdict"` label and `"detail"` text.
+    pub(crate) fn label_and_detail(&self) -> (&'static str, &str) {
+        match self {
+            ChaosVerdict::OkIdentical => ("ok-identical", ""),
+            ChaosVerdict::TypedError(e) => ("typed-error", e),
+            ChaosVerdict::Violation(v) => ("VIOLATION", v),
+        }
+    }
 }
 
 /// One fuzzed schedule's outcome.
@@ -95,6 +105,26 @@ pub struct ChaosFuzzCase {
     pub verdict: ChaosVerdict,
 }
 
+impl ChaosFuzzCase {
+    /// The case as an artefact row: `lead` fields first, then the counters
+    /// and the verdict every chaos artefact reports.
+    pub(crate) fn json<const N: usize>(&self, lead: [(&'static str, Json); N]) -> Json {
+        let (verdict, detail) = self.verdict.label_and_detail();
+        let mut fields = Vec::from(lead);
+        fields.extend([
+            ("seed", self.seed.into()),
+            ("events", self.events.into()),
+            ("replans", self.replans.into()),
+            ("replica_restores", self.replica_restores.into()),
+            ("generation_fallbacks", self.generation_fallbacks.into()),
+            ("recovered_ms", Json::ms(self.recovered_ms)),
+            ("verdict", verdict.into()),
+            ("detail", detail.into()),
+        ]);
+        Json::Obj(fields)
+    }
+}
+
 /// A shrunk violation: the minimal schedule that still breaks the
 /// invariant, every event load-bearing.
 #[derive(Debug, Clone)]
@@ -111,6 +141,42 @@ pub struct MinimizedRepro {
     pub violation: String,
 }
 
+impl MinimizedRepro {
+    /// The terminal rendering of a repro: the violation, then the
+    /// surviving events.
+    pub(crate) fn render(&self) -> String {
+        let mut out = format!(
+            "\nVIOLATION {}\n  minimized {} -> {} event(s):\n",
+            self.headline(),
+            self.original_events,
+            self.plan.events.len()
+        );
+        for ev in &self.plan.events {
+            out.push_str(&format!("    {ev:?}\n"));
+        }
+        out
+    }
+
+    /// The violation in one line.
+    pub(crate) fn headline(&self) -> String {
+        format!("{} seed {}: {}", self.app, self.seed, self.violation)
+    }
+
+    /// The repro as an artefact row.
+    pub(crate) fn json(&self) -> Json {
+        Json::obj([
+            ("app", self.app.into()),
+            ("seed", self.seed.into()),
+            ("original_events", self.original_events.into()),
+            ("violation", self.violation.as_str().into()),
+            (
+                "events",
+                Json::arr(&self.plan.events, |ev| format!("{ev:?}").into()),
+            ),
+        ])
+    }
+}
+
 /// Everything a `chaos-fuzz` invocation produced.
 #[derive(Debug, Clone)]
 pub struct ChaosFuzzReport {
@@ -118,6 +184,14 @@ pub struct ChaosFuzzReport {
     pub cases: Vec<ChaosFuzzCase>,
     /// Shrunk repros, one per violating case (empty on a clean fuzz).
     pub repros: Vec<MinimizedRepro>,
+}
+
+impl ChaosFuzzReport {
+    /// One line per schedule that broke the invariant; its shrunk repro
+    /// is in the rendering and the artefact.
+    pub fn violations(&self) -> Vec<String> {
+        self.repros.iter().map(MinimizedRepro::headline).collect()
+    }
 }
 
 enum TargetKind {
@@ -529,86 +603,42 @@ pub fn render_chaos_fuzz(report: &ChaosFuzzReport) -> String {
          {fallbacks} generation fallbacks across the sweep\n"
     ));
     for r in &report.repros {
-        out.push_str(&format!(
-            "\nVIOLATION {} seed {}: {}\n  minimized {} -> {} event(s):\n",
-            r.app,
-            r.seed,
-            r.violation,
-            r.original_events,
-            r.plan.events.len()
-        ));
-        for ev in &r.plan.events {
-            out.push_str(&format!("    {ev:?}\n"));
-        }
+        out.push_str(&r.render());
     }
     out
 }
 
-/// Serialise a fuzz report as `BENCH_chaos.json` (hand-rolled, like the
-/// repo's other benchmark artefacts).
+/// The fuzz report as `BENCH_chaos.json`.
 pub fn chaos_fuzz_json(report: &ChaosFuzzReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"description\": \"Seeded chaos fuzzer over the whole fault model: random \
-         schedules (crashes, transient outages, slowdowns, router outages, loss and \
-         corruption bursts, load steps) against the invariant that every run either \
-         completes bit-identical to the sequential reference or ends in a typed recovery \
-         error. Violations are delta-debugged to minimal repros. Deterministic per seed.\",\n",
-    );
-    out.push_str(&format!(
-        "  \"policy\": {{ \"max_replans\": {MAX_REPLANS}, \"backoff_ms\": {BACKOFF_MS:.1}, \
-         \"checkpoint_every\": {CKPT_EVERY}, \"durability\": \"replicated\" }},\n"
-    ));
-    out.push_str(&format!("  \"schedules\": {},\n", report.cases.len()));
-    out.push_str(&format!("  \"violations\": {},\n", report.repros.len()));
-    out.push_str("  \"cases\": [\n");
-    for (i, c) in report.cases.iter().enumerate() {
-        let (verdict, detail) = match &c.verdict {
-            ChaosVerdict::OkIdentical => ("ok-identical", String::new()),
-            ChaosVerdict::TypedError(e) => ("typed-error", e.clone()),
-            ChaosVerdict::Violation(v) => ("VIOLATION", v.clone()),
-        };
-        out.push_str(&format!(
-            "    {{ \"app\": \"{}\", \"seed\": {}, \"events\": {}, \"replans\": {}, \
-             \"replica_restores\": {}, \"generation_fallbacks\": {}, \"recovered_ms\": {:.4}, \
-             \"verdict\": \"{}\", \"detail\": \"{}\" }}{}\n",
-            c.app,
-            c.seed,
-            c.events,
-            c.replans,
-            c.replica_restores,
-            c.generation_fallbacks,
-            c.recovered_ms,
-            verdict,
-            detail.replace('"', "'"),
-            if i + 1 == report.cases.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"minimized_repros\": [\n");
-    for (i, r) in report.repros.iter().enumerate() {
-        let events: Vec<String> = r
-            .plan
-            .events
-            .iter()
-            .map(|ev| format!("\"{}\"", format!("{ev:?}").replace('"', "'")))
-            .collect();
-        out.push_str(&format!(
-            "    {{ \"app\": \"{}\", \"seed\": {}, \"original_events\": {}, \
-             \"violation\": \"{}\", \"events\": [{}] }}{}\n",
-            r.app,
-            r.seed,
-            r.original_events,
-            r.violation.replace('"', "'"),
-            events.join(", "),
-            if i + 1 == report.repros.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Json::obj([
+        (
+            "description",
+            "Seeded chaos fuzzer over the whole fault model: random schedules (crashes, \
+             transient outages, slowdowns, router outages, loss and corruption bursts, load \
+             steps) against the invariant that every run either completes bit-identical to \
+             the sequential reference or ends in a typed recovery error. Violations are \
+             delta-debugged to minimal repros. Deterministic per seed."
+                .into(),
+        ),
+        (
+            "policy",
+            Json::obj([
+                ("max_replans", MAX_REPLANS.into()),
+                ("backoff_ms", Json::fixed(BACKOFF_MS, 1)),
+                ("checkpoint_every", CKPT_EVERY.into()),
+                ("durability", "replicated".into()),
+            ]),
+        ),
+        ("schedules", report.cases.len().into()),
+        ("violations", report.repros.len().into()),
+        (
+            "cases",
+            Json::arr(&report.cases, |c| c.json([("app", c.app.into())])),
+        ),
+        (
+            "minimized_repros",
+            Json::arr(&report.repros, MinimizedRepro::json),
+        ),
+    ])
+    .render()
 }

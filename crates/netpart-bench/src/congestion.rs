@@ -30,8 +30,9 @@
 //! unreachable thresholds prices every run exactly like the plain paper
 //! testbed.
 
-use crate::drift::{adapt_policy, COOLDOWN, DEGRADE_THRESHOLD};
+use crate::drift::{adapt_policy, adapt_policy_json};
 use crate::faults::{bits_eq_f32, stencil_factory, variant_label};
+use crate::report::Json;
 use netpart::{CostSource, Fault, FaultSchedule, RecoveryPolicy, Scenario};
 use netpart_apps::{sequential_reference, stencil_model, StencilApp, StencilVariant};
 use netpart_calibrate::{
@@ -68,14 +69,6 @@ impl CongestionOutcome {
         match self {
             CongestionOutcome::Finished { bit_identical, .. } => *bit_identical,
             CongestionOutcome::Saturated { .. } => true,
-        }
-    }
-
-    /// Elapsed ms when the run finished.
-    pub fn elapsed_ms(&self) -> Option<f64> {
-        match self {
-            CongestionOutcome::Finished { elapsed_ms, .. } => Some(*elapsed_ms),
-            CongestionOutcome::Saturated { .. } => None,
         }
     }
 }
@@ -146,6 +139,53 @@ pub struct TransparencyCheck {
     /// Whether the two elapsed times are exactly equal and both answers
     /// are bit-identical to the sequential reference.
     pub identical: bool,
+}
+
+/// Everything a `congestion` invocation produced.
+#[derive(Debug, Clone)]
+pub struct CongestionReport {
+    /// The flood, knee and transient scenarios.
+    pub rows: Vec<CongestionRow>,
+    /// The lack-of-fit calibration demonstration.
+    pub lack_of_fit: LackOfFitDemo,
+    /// The opt-in transparency check.
+    pub transparency: TransparencyCheck,
+}
+
+impl CongestionReport {
+    /// Every invariant the report breaks, one line each: a run that is
+    /// neither bit-identical nor a typed error, a flood whose confirmed
+    /// drift was never attributed to the segment, a lack-of-fit gate that
+    /// stayed shut, or a congestion spec that was not transparent.
+    pub fn violations(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        for r in &self.rows {
+            for (policy, outcome) in [("stay", &r.stay), ("adaptive", &r.adaptive)] {
+                if !outcome.invariant_holds() {
+                    violations.push(format!(
+                        "{}: {policy} run broke bit-identical-or-typed-error",
+                        r.scenario
+                    ));
+                }
+            }
+            if r.scenario == "flood" && r.detections > 0 && r.congestion_confirmations == 0 {
+                violations.push(
+                    "flood: drift confirmed but never attributed to the congested segment".into(),
+                );
+            }
+        }
+        let lof = &self.lack_of_fit;
+        if !lof.piecewise {
+            violations.push(format!(
+                "lack-of-fit gate did not fire (linear R² {:.4} vs gate {:.3})",
+                lof.linear_r_squared, lof.gate
+            ));
+        }
+        if !self.transparency.identical {
+            violations.push("unreachable congestion thresholds changed the run".into());
+        }
+        violations
+    }
 }
 
 /// The paper testbed with the congestion model switched on: Mark-policy
@@ -270,14 +310,16 @@ fn congestion_row(
     })
 }
 
-/// The congestion table at the given problem size: the sustained flood,
-/// the mid-run knee crossing, and the congestion-then-clears transient.
-pub fn congestion_table(
+/// The congestion experiment at the given problem size: the sustained
+/// flood, the mid-run knee crossing, and the congestion-then-clears
+/// transient, then the lack-of-fit demonstration and the transparency
+/// check.
+pub fn congestion_report(
     model: &CalibratedCostModel,
     n: usize,
     iters: u64,
-) -> Result<Vec<CongestionRow>, NetpartError> {
-    Ok(vec![
+) -> Result<CongestionReport, NetpartError> {
+    let rows = vec![
         // Sustained oversubscription from early in the run to past its end.
         congestion_row(
             model,
@@ -311,7 +353,12 @@ pub fn congestion_table(
             0.6,
             1500,
         )?,
-    ])
+    ];
+    Ok(CongestionReport {
+        rows,
+        lack_of_fit: lack_of_fit_demo()?,
+        transparency: transparency_check(model)?,
+    })
 }
 
 /// Close the calibration loop on a congested testbed: shrink the knee and
@@ -390,73 +437,6 @@ pub fn transparency_check(model: &CalibratedCostModel) -> Result<TransparencyChe
     })
 }
 
-/// CI floor for the congested-path event rate (events/s): the
-/// [`run_congested_drain`] workload drives every frame through the
-/// bounded-queue/mark bookkeeping, so a collapse here means the
-/// congestion branch regressed algorithmically. Set well below the
-/// uncongested `datagram_drain` floor (2.5e6) to absorb both the extra
-/// per-frame work and slower CI hardware.
-pub const CONGESTION_FLOOR_EVENTS_PER_SEC: f64 = 1.0e6;
-
-/// The congested-path sibling of the simcore datagram drain: seven
-/// stations keep a fixed window of frames outstanding toward one receiver
-/// on a Mark-policy bounded queue, so the queue sits past the knee and
-/// every frame pays the congestion bookkeeping. Returns a
-/// [`crate::simcore::SimcoreSample`] named `congested_drain`; the event
-/// count is deterministic per codebase.
-///
-/// # Panics
-/// If the segment fails to deliver every frame or never marks one — both
-/// would mean the workload is not exercising the congested path at all.
-pub fn run_congested_drain(sends: u64) -> crate::simcore::SimcoreSample {
-    use bytes::Bytes;
-    use netpart_sim::{NetworkBuilder, ProcType, SegmentSpec, SimEvent};
-    use std::time::Instant;
-
-    let mut nb = NetworkBuilder::new(1);
-    let pt = nb.add_proc_type(ProcType::sparcstation_2());
-    let mut spec = SegmentSpec::ethernet_10mbps();
-    spec.congestion = Some(CongestionSpec::ethernet_default(OverflowPolicy::Mark));
-    let seg = nb.add_segment(spec);
-    let nodes: Vec<_> = (0..8).map(|_| nb.add_node(pt, seg)).collect();
-    let mut net = nb.build().expect("valid topology");
-    // Keep 28 frames outstanding: past the knee (8) so frames are marked,
-    // under the hard bound (64) so none are tail-dropped.
-    let window = 28u64.min(sends);
-    let start = Instant::now();
-    let mut sent = 0u64;
-    while sent < window {
-        let s = (sent % 7) as usize;
-        net.send_datagram(nodes[s], nodes[7], sent, Bytes::from_static(b"x"))
-            .expect("send accepted");
-        sent += 1;
-    }
-    let mut delivered = 0u64;
-    let mut marked = 0u64;
-    while let Some(evt) = net.next_event() {
-        if let SimEvent::DatagramDelivered { dgram, .. } = evt {
-            delivered += 1;
-            if dgram.marked_by.is_some() {
-                marked += 1;
-            }
-            if sent < sends {
-                let s = (sent % 7) as usize;
-                net.send_datagram(nodes[s], nodes[7], sent, Bytes::from_static(b"x"))
-                    .expect("send accepted");
-                sent += 1;
-            }
-        }
-    }
-    let wall_secs = start.elapsed().as_secs_f64();
-    assert_eq!(delivered, sends, "bounded Mark queue must deliver all");
-    assert!(marked > 0, "the drain must actually cross the knee");
-    crate::simcore::SimcoreSample {
-        name: "congested_drain",
-        events: net.events_processed(),
-        wall_secs,
-    }
-}
-
 fn outcome_cell(o: &CongestionOutcome) -> String {
     match o {
         CongestionOutcome::Finished {
@@ -471,8 +451,9 @@ fn outcome_cell(o: &CongestionOutcome) -> String {
     }
 }
 
-/// Render the congestion table for the terminal.
-pub fn render_congestion(rows: &[CongestionRow]) -> String {
+/// Render the congestion report for the terminal: the scenario table,
+/// then the lack-of-fit and transparency lines.
+pub fn render_congestion(report: &CongestionReport) -> String {
     let mut out = String::new();
     out.push_str(
         "Congested-segment scenarios — cross traffic floods cluster 0's segment; \
@@ -493,7 +474,7 @@ pub fn render_congestion(rows: &[CongestionRow]) -> String {
         "repart",
         "declined"
     ));
-    for r in rows {
+    for r in &report.rows {
         out.push_str(&format!(
             "{:<10} {:<8} {:>5} {:>12.3} {:>16} {:>8} {:>20} {:>20} {:>4} {:>4} {:>6} {:>8}\n",
             r.scenario,
@@ -510,100 +491,171 @@ pub fn render_congestion(rows: &[CongestionRow]) -> String {
             r.declined
         ));
     }
+    let lof = &report.lack_of_fit;
+    out.push_str(&format!(
+        "\nlack-of-fit: cluster {} ring sweep, linear R² {:.4} vs gate {:.3} → {}\n",
+        lof.cluster,
+        lof.linear_r_squared,
+        lof.gate,
+        if lof.piecewise {
+            format!("two-piece fallback (knee at p={})", lof.knee_p.unwrap_or(0))
+        } else {
+            "linear accepted".to_string()
+        }
+    ));
+    let tr = &report.transparency;
+    out.push_str(&format!(
+        "transparency: plain {:.3} ms vs unreachable-congestion {:.3} ms → {}\n",
+        tr.baseline_ms,
+        tr.shadowed_ms,
+        if tr.identical {
+            "identical"
+        } else {
+            "DIVERGED"
+        }
+    ));
     out
 }
 
-fn outcome_json(o: &CongestionOutcome) -> String {
+fn outcome_json(o: &CongestionOutcome) -> Json {
     match o {
         CongestionOutcome::Finished {
             elapsed_ms,
             bit_identical,
-        } => format!(
-            "{{ \"finished\": true, \"elapsed_ms\": {elapsed_ms:.4}, \
-             \"bit_identical\": {bit_identical} }}"
-        ),
-        CongestionOutcome::Saturated { segment } => {
-            format!("{{ \"finished\": false, \"typed_error\": \"SegmentSaturated\", \"segment\": {segment} }}")
-        }
+        } => Json::obj([
+            ("finished", true.into()),
+            ("elapsed_ms", Json::ms(*elapsed_ms)),
+            ("bit_identical", (*bit_identical).into()),
+        ]),
+        CongestionOutcome::Saturated { segment } => Json::obj([
+            ("finished", false.into()),
+            ("typed_error", "SegmentSaturated".into()),
+            ("segment", (*segment).into()),
+        ]),
     }
 }
 
-/// Serialise the congestion table, the lack-of-fit demonstration, and the
-/// transparency check as `BENCH_congestion.json`.
-pub fn congestion_json(
-    rows: &[CongestionRow],
-    lof: &LackOfFitDemo,
-    transparency: &TransparencyCheck,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"description\": \"Congested-link experiments: background cross traffic floods \
-         cluster 0's segment on a congestion-enabled paper testbed (Mark-policy bounded \
-         queues, MMPS AIMD window). 'stay' runs under plain Replan and limps; 'adaptive' \
-         runs under Adapt, whose drift monitor reads the accumulated congestion marks, \
-         attributes the confirmation to the segment rather than the waiting rank, \
-         recalibrates with the segment cost inflated, and repartitions when the gate \
-         projects a win. Sustained overload may instead surface the typed \
-         SegmentSaturated error. lack_of_fit shows the calibration-side closure: a sweep \
-         crossing the knee fails the linear R-squared gate and falls back to the \
-         two-piece cost model. transparency pins the opt-in property: unreachable \
-         congestion thresholds price runs exactly like the plain testbed.\",\n",
-    );
-    out.push_str("  \"policy\": { \"degrade_threshold\": ");
-    out.push_str(&format!("{DEGRADE_THRESHOLD:.2}"));
-    out.push_str(", \"cooldown_cycles\": ");
-    out.push_str(&COOLDOWN.to_string());
-    out.push_str(" },\n");
-    out.push_str("  \"scenarios\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"scenario\": \"{}\", \"app\": \"{}\", \"n\": {}, \"iters\": {}, \
-             \"ranks\": {}, \"fault_free_ms\": {:.4}, \"flood_from_ms\": {:.4}, \
-             \"flood_until_ms\": {:.4}, \"flood_period_us\": {}, \"stay\": {}, \
-             \"adaptive\": {}, \"detections\": {}, \"congestion_confirmations\": {}, \
-             \"recalibrations\": {}, \"repartitions\": {}, \"declined\": {} }}{}\n",
-            r.scenario,
-            r.app,
-            r.n,
-            r.iters,
-            r.ranks,
-            r.fault_free_ms,
-            r.flood_from_ms,
-            r.flood_until_ms,
-            r.flood_period_us,
-            outcome_json(&r.stay),
-            outcome_json(&r.adaptive),
-            r.detections,
-            r.congestion_confirmations,
-            r.recalibrations,
-            r.repartitions,
-            r.declined,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"lack_of_fit\": {{ \"cluster\": {}, \"gate\": {:.3}, \"linear_r_squared\": {:.4}, \
-         \"knee_p\": {}, \"piecewise\": {} }},\n",
-        lof.cluster,
-        lof.gate,
-        lof.linear_r_squared,
-        lof.knee_p.map_or("null".to_string(), |p| p.to_string()),
-        lof.piecewise
-    ));
-    out.push_str(&format!(
-        "  \"transparency\": {{ \"baseline_ms\": {:.6}, \"shadowed_ms\": {:.6}, \
-         \"identical\": {} }}\n",
-        transparency.baseline_ms, transparency.shadowed_ms, transparency.identical
-    ));
-    out.push_str("}\n");
-    out
+/// The congestion report as `BENCH_congestion.json`.
+pub fn congestion_json(report: &CongestionReport) -> String {
+    let (lof, tr) = (&report.lack_of_fit, &report.transparency);
+    Json::obj([
+        (
+            "description",
+            "Congested-link experiments: background cross traffic floods cluster 0's \
+             segment on a congestion-enabled paper testbed (Mark-policy bounded queues, MMPS \
+             AIMD window). 'stay' runs under plain Replan and limps; 'adaptive' runs under \
+             Adapt, whose drift monitor reads the accumulated congestion marks, attributes \
+             the confirmation to the segment rather than the waiting rank, recalibrates \
+             with the segment cost inflated, and repartitions when the gate projects a win. \
+             Sustained overload may instead surface the typed SegmentSaturated error. \
+             lack_of_fit shows the calibration-side closure: a sweep crossing the knee \
+             fails the linear R-squared gate and falls back to the two-piece cost model. \
+             transparency pins the opt-in property: unreachable congestion thresholds price \
+             runs exactly like the plain testbed."
+                .into(),
+        ),
+        ("policy", adapt_policy_json()),
+        (
+            "scenarios",
+            Json::arr(&report.rows, |r| {
+                Json::obj([
+                    ("scenario", r.scenario.into()),
+                    ("app", r.app.into()),
+                    ("n", r.n.into()),
+                    ("iters", r.iters.into()),
+                    ("ranks", r.ranks.into()),
+                    ("fault_free_ms", Json::ms(r.fault_free_ms)),
+                    ("flood_from_ms", Json::ms(r.flood_from_ms)),
+                    ("flood_until_ms", Json::ms(r.flood_until_ms)),
+                    ("flood_period_us", r.flood_period_us.into()),
+                    ("stay", outcome_json(&r.stay)),
+                    ("adaptive", outcome_json(&r.adaptive)),
+                    ("detections", r.detections.into()),
+                    (
+                        "congestion_confirmations",
+                        r.congestion_confirmations.into(),
+                    ),
+                    ("recalibrations", r.recalibrations.into()),
+                    ("repartitions", r.repartitions.into()),
+                    ("declined", r.declined.into()),
+                ])
+            }),
+        ),
+        (
+            "lack_of_fit",
+            Json::obj([
+                ("cluster", lof.cluster.into()),
+                ("gate", Json::fixed(lof.gate, 3)),
+                ("linear_r_squared", Json::fixed(lof.linear_r_squared, 4)),
+                ("knee_p", lof.knee_p.into()),
+                ("piecewise", lof.piecewise.into()),
+            ]),
+        ),
+        (
+            "transparency",
+            Json::obj([
+                ("baseline_ms", Json::fixed(tr.baseline_ms, 6)),
+                ("shadowed_ms", Json::fixed(tr.shadowed_ms, 6)),
+                ("identical", tr.identical.into()),
+            ]),
+        ),
+    ])
+    .render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Scheduler work items and marked deliveries of the congested-path
+    /// drain: seven stations keep a fixed window of frames outstanding toward
+    /// one receiver on a Mark-policy bounded queue, so the queue sits past
+    /// the knee and every frame pays the congestion bookkeeping. Both counts
+    /// are constants of the codebase.
+    ///
+    /// # Panics
+    /// If the segment fails to deliver every frame — the bounded Mark queue
+    /// must never drop under this window.
+    fn run_congested_drain(sends: u64) -> (u64, u64) {
+        use bytes::Bytes;
+        use netpart_sim::{NetworkBuilder, ProcType, SegmentSpec, SimEvent};
+
+        let mut nb = NetworkBuilder::new(1);
+        let pt = nb.add_proc_type(ProcType::sparcstation_2());
+        let mut spec = SegmentSpec::ethernet_10mbps();
+        spec.congestion = Some(CongestionSpec::ethernet_default(OverflowPolicy::Mark));
+        let seg = nb.add_segment(spec);
+        let nodes: Vec<_> = (0..8).map(|_| nb.add_node(pt, seg)).collect();
+        let mut net = nb.build().expect("valid topology");
+        // Keep 28 frames outstanding: past the knee (8) so frames are marked,
+        // under the hard bound (64) so none are tail-dropped.
+        let window = 28u64.min(sends);
+        let mut sent = 0u64;
+        while sent < window {
+            let s = (sent % 7) as usize;
+            net.send_datagram(nodes[s], nodes[7], sent, Bytes::from_static(b"x"))
+                .expect("send accepted");
+            sent += 1;
+        }
+        let mut delivered = 0u64;
+        let mut marked = 0u64;
+        while let Some(evt) = net.next_event() {
+            if let SimEvent::DatagramDelivered { dgram, .. } = evt {
+                delivered += 1;
+                if dgram.marked_by.is_some() {
+                    marked += 1;
+                }
+                if sent < sends {
+                    let s = (sent % 7) as usize;
+                    net.send_datagram(nodes[s], nodes[7], sent, Bytes::from_static(b"x"))
+                        .expect("send accepted");
+                    sent += 1;
+                }
+            }
+        }
+        assert_eq!(delivered, sends, "bounded Mark queue must deliver all");
+        (net.events_processed(), marked)
+    }
 
     #[test]
     fn transparency_is_exact() {
@@ -619,10 +671,13 @@ mod tests {
 
     #[test]
     fn congested_drain_is_deterministic() {
-        let a = run_congested_drain(500);
-        let b = run_congested_drain(500);
-        assert_eq!(a.events, b.events, "event count must be deterministic");
-        assert!(a.events_per_sec() > 0.0);
+        let (events, marked) = run_congested_drain(500);
+        assert_eq!(
+            (events, marked),
+            run_congested_drain(500),
+            "event and mark counts must be deterministic"
+        );
+        assert!(marked > 0, "the drain must actually cross the knee");
     }
 
     #[test]

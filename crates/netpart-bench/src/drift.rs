@@ -17,6 +17,7 @@
 //! sequential answer, whatever the monitor decided to do.
 
 use crate::faults::{bits_eq_f32, stencil_factory, stencil_scenario, variant_label};
+use crate::report::Json;
 use netpart::{Fault, FaultSchedule, RecoveryPolicy};
 use netpart_apps::{sequential_reference, StencilApp, StencilVariant};
 use netpart_calibrate::CalibratedCostModel;
@@ -25,9 +26,9 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Drift-monitor threshold used by the table and chaos harness: a rank
 /// 75% over its predicted phase time counts as degraded.
-pub(crate) const DEGRADE_THRESHOLD: f64 = 1.75;
+const DEGRADE_THRESHOLD: f64 = 1.75;
 /// Cooldown cycles after a declined repartition.
-pub(crate) const COOLDOWN: u64 = 4;
+const COOLDOWN: u64 = 4;
 
 /// One row of the drift table: a stencil under a mid-run gray slowdown,
 /// adaptive vs staying put.
@@ -106,6 +107,14 @@ pub(crate) fn adapt_policy(min_gain: f64) -> RecoveryPolicy {
         min_gain,
         cooldown: COOLDOWN,
     }
+}
+
+/// The `"policy"` object of every artefact whose runs use [`adapt_policy`].
+pub(crate) fn adapt_policy_json() -> Json {
+    Json::obj([
+        ("degrade_threshold", Json::fixed(DEGRADE_THRESHOLD, 2)),
+        ("cooldown_cycles", COOLDOWN.into()),
+    ])
 }
 
 /// Run one drift case: fault-free baseline, the gray slowdown under plain
@@ -368,79 +377,109 @@ pub fn render_drift_chaos(cases: &[DriftChaosCase]) -> String {
     out
 }
 
-/// Serialise the drift table and chaos outcomes as the hand-rolled JSON
-/// the repo uses for benchmark artefacts (`BENCH_drift.json`).
+/// Every break of the harness's invariant, one line each: a drift row or
+/// a chaos case whose final answer is not bit-identical to the sequential
+/// reference. Empty on a passing run.
+pub fn drift_violations(rows: &[DriftRow], chaos: &[DriftChaosCase]) -> Vec<String> {
+    let rows = rows.iter().filter(|r| !r.bit_identical).map(|r| {
+        format!(
+            "{} n={} min_gain {}: adaptive answer is not bit-identical",
+            r.app, r.n, r.min_gain_ms
+        )
+    });
+    let chaos = chaos.iter().filter(|c| !c.bit_identical).map(|c| {
+        format!(
+            "chaos {} seed {}: adaptive answer is not bit-identical",
+            c.app, c.seed
+        )
+    });
+    rows.chain(chaos).collect()
+}
+
+/// The drift table and chaos outcomes as `BENCH_drift.json`.
 pub fn drift_json(rows: &[DriftRow], chaos: &[DriftChaosCase]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"description\": \"Gray-failure drift experiments: one node slows mid-run \
-         without fail-stopping. 'stay' runs under plain Replan (blind to gray failures) \
-         and limps; 'adaptive' runs under Adapt, which detects drift against the plan's \
-         predictions, recalibrates online, and repartitions only when the projected \
-         saving beats the migration cost by min_gain. All times are simulated \
-         milliseconds on the paper testbed; bit_identical compares the final answer \
-         against the sequential reference bit for bit.\",\n",
-    );
-    out.push_str("  \"policy\": { \"degrade_threshold\": ");
-    out.push_str(&format!("{DEGRADE_THRESHOLD:.2}"));
-    out.push_str(", \"cooldown_cycles\": ");
-    out.push_str(&COOLDOWN.to_string());
-    out.push_str(" },\n");
-    out.push_str("  \"gray_slowdown\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"app\": \"{}\", \"n\": {}, \"iters\": {}, \"ranks\": {}, \
-             \"fault_free_ms\": {:.4}, \"degraded_rank\": {}, \"factor\": {:.1}, \
-             \"onset_ms\": {:.4}, \"min_gain_ms\": {}, \"stay_ms\": {:.4}, \
-             \"adaptive_ms\": {:.4}, \"detections\": {}, \"recalibrations\": {}, \
-             \"repartitions\": {}, \"declined\": {}, \"cycles_to_detect\": {}, \
-             \"drift_gain_ms\": {:.4}, \"bit_identical\": {} }}{}\n",
-            r.app,
-            r.n,
-            r.iters,
-            r.ranks,
-            r.fault_free_ms,
-            r.degraded_rank,
-            r.factor,
-            r.onset_ms,
-            if r.min_gain_ms.is_finite() {
-                format!("{:.1}", r.min_gain_ms)
-            } else {
-                "\"inf\"".to_string()
-            },
-            r.stay_ms,
-            r.adaptive_ms,
-            r.detections,
-            r.recalibrations,
-            r.repartitions,
-            r.declined,
-            r.cycles_to_detect,
-            r.drift_gain_ms,
-            r.bit_identical,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    Json::obj([
+        (
+            "description",
+            "Gray-failure drift experiments: one node slows mid-run without fail-stopping. \
+             'stay' runs under plain Replan (blind to gray failures) and limps; 'adaptive' \
+             runs under Adapt, which detects drift against the plan's predictions, \
+             recalibrates online, and repartitions only when the projected saving beats the \
+             migration cost by min_gain. All times are simulated milliseconds on the paper \
+             testbed; bit_identical compares the final answer against the sequential \
+             reference bit for bit."
+                .into(),
+        ),
+        ("policy", adapt_policy_json()),
+        (
+            "gray_slowdown",
+            Json::arr(rows, |r| {
+                Json::obj([
+                    ("app", r.app.into()),
+                    ("n", r.n.into()),
+                    ("iters", r.iters.into()),
+                    ("ranks", r.ranks.into()),
+                    ("fault_free_ms", Json::ms(r.fault_free_ms)),
+                    ("degraded_rank", r.degraded_rank.into()),
+                    ("factor", Json::fixed(r.factor, 1)),
+                    ("onset_ms", Json::ms(r.onset_ms)),
+                    (
+                        "min_gain_ms",
+                        if r.min_gain_ms.is_finite() {
+                            Json::fixed(r.min_gain_ms, 1)
+                        } else {
+                            "inf".into()
+                        },
+                    ),
+                    ("stay_ms", Json::ms(r.stay_ms)),
+                    ("adaptive_ms", Json::ms(r.adaptive_ms)),
+                    ("detections", r.detections.into()),
+                    ("recalibrations", r.recalibrations.into()),
+                    ("repartitions", r.repartitions.into()),
+                    ("declined", r.declined.into()),
+                    ("cycles_to_detect", r.cycles_to_detect.into()),
+                    ("drift_gain_ms", Json::ms(r.drift_gain_ms)),
+                    ("bit_identical", r.bit_identical.into()),
+                ])
+            }),
+        ),
+        (
+            "chaos",
+            Json::arr(chaos, |c| {
+                Json::obj([
+                    ("app", c.app.into()),
+                    ("seed", c.seed.into()),
+                    ("faults", c.faults.faults.len().into()),
+                    ("fault_free_ms", Json::ms(c.fault_free_ms)),
+                    ("adaptive_ms", Json::ms(c.adaptive_ms)),
+                    ("detections", c.detections.into()),
+                    ("repartitions", c.repartitions.into()),
+                    ("declined", c.declined.into()),
+                    ("replans", c.replans.into()),
+                    ("bit_identical", c.bit_identical.into()),
+                ])
+            }),
+        ),
+    ])
+    .render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_chaos_case_that_is_not_bit_identical_is_exactly_one_violation() {
+        let model = crate::experiments::paper_calibration().expect("calibration");
+        let rows = drift_table(&model).expect("drift table");
+        let mut chaos = drift_chaos_run(11, &model).expect("drift chaos run");
+        assert_eq!(drift_violations(&rows, &chaos), Vec::<String>::new());
+        chaos[0].bit_identical = false;
+        let violations = drift_violations(&rows, &chaos);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].starts_with("chaos STEN-1 seed 11"),
+            "{violations:?}"
+        );
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"chaos\": [\n");
-    for (i, c) in chaos.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"app\": \"{}\", \"seed\": {}, \"faults\": {}, \"fault_free_ms\": {:.4}, \
-             \"adaptive_ms\": {:.4}, \"detections\": {}, \"repartitions\": {}, \
-             \"declined\": {}, \"replans\": {}, \"bit_identical\": {} }}{}\n",
-            c.app,
-            c.seed,
-            c.faults.faults.len(),
-            c.fault_free_ms,
-            c.adaptive_ms,
-            c.detections,
-            c.repartitions,
-            c.declined,
-            c.replans,
-            c.bit_identical,
-            if i + 1 == chaos.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

@@ -356,8 +356,8 @@ pub fn fig2_example() -> PartitionVector {
     PartitionVector::equal(20, 4)
 }
 
-/// §5/§6 overhead reproduction: partitioning evaluations + wall time, and
-/// the availability protocol's simulated cost.
+/// §5/§6 overhead reproduction: partitioning evaluations against the
+/// paper's bound, and the availability protocol's simulated cost.
 #[derive(Debug)]
 pub struct OverheadNumbers {
     /// `T_c` evaluations spent for the N=1200 partition (§6 says 6 for
@@ -365,8 +365,6 @@ pub struct OverheadNumbers {
     pub evaluations: u64,
     /// The `2·K·(log₂P+1)` bound.
     pub bound: u64,
-    /// Host wall time of the partitioning call.
-    pub wall_micros: u128,
     /// Simulated ms of one cluster-manager availability round.
     pub availability_ms: f64,
     /// Messages exchanged by the availability protocol.
@@ -389,7 +387,6 @@ pub fn overhead_report(model: &CalibratedCostModel) -> Result<OverheadNumbers, N
     Ok(OverheadNumbers {
         evaluations: oh.evaluations,
         bound: oh.bound,
-        wall_micros: oh.wall.as_micros(),
         availability_ms: avail.protocol_time.as_millis_f64(),
         availability_messages: avail.messages,
     })
@@ -579,8 +576,6 @@ pub struct ScalabilityRow {
     pub evaluations: u64,
     /// The `2·K·(log₂P_max+1)` bound.
     pub bound: u64,
-    /// Host wall time of one partitioning call, microseconds.
-    pub wall_micros: u128,
     /// Configurations the exhaustive reference would have to score
     /// (`Π (N_k + 1)`), for contrast.
     pub exhaustive_space: f64,
@@ -595,9 +590,6 @@ pub fn scalability(
     n: u64,
 ) -> Result<Vec<ScalabilityRow>, NetpartError> {
     use netpart_calibrate::{FittedCost, LinearCost};
-    // Each K is an independent cell; evaluations/bounds are deterministic,
-    // and `wall_micros` is a host-clock measurement that varies run to run
-    // regardless of parallelism.
     crate::sweep::sweep(ks.to_vec(), |k| {
         let tb = Testbed::synthetic(k, nodes_per, 1.4);
         let sys = SystemModel::from_testbed(&tb);
@@ -626,16 +618,13 @@ pub fn scalability(
         }
         let app = stencil_model(n, StencilVariant::Sten1);
         let est = Estimator::new(&sys, &model, &app);
-        let start = std::time::Instant::now();
         let p = partition(&est, &PartitionOptions::default())?;
-        let wall = start.elapsed();
         let p_max = nodes_per.max(1) as f64;
         Ok(ScalabilityRow {
             k,
             total_p: sys.total_available(),
             evaluations: p.evaluations,
             bound: 2 * k as u64 * (p_max.log2().ceil() as u64 + 1),
-            wall_micros: wall.as_micros(),
             exhaustive_space: ((nodes_per + 1) as f64).powi(k as i32),
         })
     })

@@ -12,6 +12,7 @@
 //! checks the same bit-identity invariant; the same seed reproduces the
 //! same schedule, failures, and recovery trace.
 
+use crate::report::Json;
 use netpart::{AppStart, CostSource, Fault, FaultSchedule, RecoveryPolicy, Run, Scenario};
 use netpart_apps::{
     gauss_model, make_system, sequential_reference, sequential_solve, stencil_model, GaussApp,
@@ -469,68 +470,96 @@ pub fn render_chaos(cases: &[ChaosCase]) -> String {
     out
 }
 
-/// Serialise the faults table and chaos outcomes as the hand-rolled JSON
-/// the repo uses for benchmark artefacts (`BENCH_faults.json`).
+/// Every break of the harness's invariant, one line each: a crash row or
+/// a chaos case whose recovered answer is not bit-identical to the
+/// sequential reference. Empty on a passing run.
+pub fn faults_violations(rows: &[FaultRow], chaos: &[ChaosCase]) -> Vec<String> {
+    let rows = rows
+        .iter()
+        .filter(|r| !r.bit_identical)
+        .map(|r| format!("{} n={}: recovered answer is not bit-identical", r.app, r.n));
+    let chaos = chaos.iter().filter(|c| !c.bit_identical).map(|c| {
+        format!(
+            "chaos {} seed {}: recovered answer is not bit-identical",
+            c.app, c.seed
+        )
+    });
+    rows.chain(chaos).collect()
+}
+
+/// The faults table and chaos outcomes as `BENCH_faults.json`.
 pub fn faults_json(rows: &[FaultRow], chaos: &[ChaosCase]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"description\": \"Fault-injection experiments: recovery overhead of \
-         checkpointed repartition-and-resume vs fault-free runs, and the seeded chaos \
-         harness. All times are simulated milliseconds on the paper testbed; \
-         bit_identical compares the recovered answer against the sequential reference \
-         bit for bit.\",\n",
-    );
-    out.push_str("  \"policy\": { \"max_replans\": ");
-    out.push_str(&MAX_REPLANS.to_string());
-    out.push_str(", \"backoff_ms\": ");
-    out.push_str(&format!("{BACKOFF_MS:.1}"));
-    out.push_str(" },\n");
-    out.push_str("  \"crash_recovery\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"app\": \"{}\", \"n\": {}, \"ranks\": {}, \"fault_free_ms\": {:.4}, \
-             \"crashed_rank\": {}, \"crash_at_ms\": {:.4}, \"recovered_ms\": {:.4}, \
-             \"replans\": {}, \"cycles_lost\": {}, \"overhead_ms\": {:.4}, \
-             \"bit_identical\": {}, \"drift_detections\": {}, \"repartitions\": {}, \
-             \"recalibrations\": {}, \"cycles_to_detect\": {}, \"drift_gain_ms\": {:.4}, \
-             \"fail_fast_error\": \"{}\" }}{}\n",
-            r.app,
-            r.n,
-            r.ranks,
-            r.fault_free_ms,
-            r.crashed_rank,
-            r.crash_at_ms,
-            r.recovered_ms,
-            r.replans,
-            r.cycles_lost,
-            r.overhead_ms,
-            r.bit_identical,
-            r.drift_detections,
-            r.repartitions,
-            r.recalibrations,
-            r.cycles_to_detect,
-            r.drift_gain_ms,
-            r.fail_fast.replace('"', "'"),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    Json::obj([
+        (
+            "description",
+            "Fault-injection experiments: recovery overhead of checkpointed \
+             repartition-and-resume vs fault-free runs, and the seeded chaos harness. All \
+             times are simulated milliseconds on the paper testbed; bit_identical compares \
+             the recovered answer against the sequential reference bit for bit."
+                .into(),
+        ),
+        (
+            "policy",
+            Json::obj([
+                ("max_replans", MAX_REPLANS.into()),
+                ("backoff_ms", Json::fixed(BACKOFF_MS, 1)),
+            ]),
+        ),
+        (
+            "crash_recovery",
+            Json::arr(rows, |r| {
+                Json::obj([
+                    ("app", r.app.into()),
+                    ("n", r.n.into()),
+                    ("ranks", r.ranks.into()),
+                    ("fault_free_ms", Json::ms(r.fault_free_ms)),
+                    ("crashed_rank", r.crashed_rank.into()),
+                    ("crash_at_ms", Json::ms(r.crash_at_ms)),
+                    ("recovered_ms", Json::ms(r.recovered_ms)),
+                    ("replans", r.replans.into()),
+                    ("cycles_lost", r.cycles_lost.into()),
+                    ("overhead_ms", Json::ms(r.overhead_ms)),
+                    ("bit_identical", r.bit_identical.into()),
+                    ("drift_detections", r.drift_detections.into()),
+                    ("repartitions", r.repartitions.into()),
+                    ("recalibrations", r.recalibrations.into()),
+                    ("cycles_to_detect", r.cycles_to_detect.into()),
+                    ("drift_gain_ms", Json::ms(r.drift_gain_ms)),
+                    ("fail_fast_error", r.fail_fast.as_str().into()),
+                ])
+            }),
+        ),
+        (
+            "chaos",
+            Json::arr(chaos, |c| {
+                Json::obj([
+                    ("app", c.app.into()),
+                    ("seed", c.seed.into()),
+                    ("faults", c.faults.faults.len().into()),
+                    ("replans", c.replans.into()),
+                    ("fault_free_ms", Json::ms(c.fault_free_ms)),
+                    ("recovered_ms", Json::ms(c.recovered_ms)),
+                    ("bit_identical", c.bit_identical.into()),
+                ])
+            }),
+        ),
+    ])
+    .render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_row_that_is_not_bit_identical_is_exactly_one_violation() {
+        let model = crate::experiments::paper_calibration().expect("calibration");
+        let mut rows = faults_table(&model).expect("faults table");
+        let chaos = chaos_run(11, &model).expect("chaos run");
+        assert_eq!(faults_violations(&rows, &chaos), Vec::<String>::new());
+        rows[1].bit_identical = false;
+        let violations = faults_violations(&rows, &chaos);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with("STEN-2 n=120"), "{violations:?}");
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"chaos\": [\n");
-    for (i, c) in chaos.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"app\": \"{}\", \"seed\": {}, \"faults\": {}, \"replans\": {}, \
-             \"fault_free_ms\": {:.4}, \"recovered_ms\": {:.4}, \"bit_identical\": {} }}{}\n",
-            c.app,
-            c.seed,
-            c.faults.faults.len(),
-            c.replans,
-            c.fault_free_ms,
-            c.recovered_ms,
-            c.bit_identical,
-            if i + 1 == chaos.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

@@ -28,7 +28,6 @@ pub mod faults;
 pub mod report;
 pub mod scale;
 pub mod serve;
-pub mod simcore;
 pub mod sweep;
 
 pub use ablations::*;
@@ -41,4 +40,3 @@ pub use faults::*;
 pub use report::*;
 pub use scale::*;
 pub use serve::*;
-pub use simcore::*;

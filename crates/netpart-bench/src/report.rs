@@ -1,4 +1,5 @@
-//! Table formatting for the `experiments` binary.
+//! Table formatting for the `experiments` binary, and the one JSON writer
+//! behind every `BENCH_*.json` artefact.
 
 use netpart_apps::stencil::StencilVariant;
 
@@ -235,6 +236,165 @@ pub fn export_csv(
     Ok(written)
 }
 
+/// A JSON value for the `BENCH_*.json` artefacts. Emitters build one from
+/// their report; [`Json::render`] alone decides commas, indentation and
+/// string escaping, so no harness writes a brace or a quote by hand.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number, already formatted (see [`Json::fixed`]).
+    Num(String),
+    /// A string, escaped when rendered.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object; fields keep their order.
+    Obj(Vec<(&'static str, Json)>),
+}
+
+impl Json {
+    /// An object from its fields, in order.
+    pub fn obj<const N: usize>(fields: [(&'static str, Json); N]) -> Json {
+        Json::Obj(fields.into())
+    }
+
+    /// An array with one element per item.
+    pub fn arr<T>(items: &[T], each: impl Fn(&T) -> Json) -> Json {
+        Json::Arr(items.iter().map(each).collect())
+    }
+
+    /// `v` in fixed point with `digits` decimals; JSON has no NaN or
+    /// infinity, so a non-finite value is `null`.
+    pub fn fixed(v: f64, digits: usize) -> Json {
+        if v.is_finite() {
+            Json::Num(format!("{v:.digits$}"))
+        } else {
+            Json::Null
+        }
+    }
+
+    /// Simulated milliseconds, the artefacts' commonest quantity: four
+    /// decimals.
+    pub fn ms(v: f64) -> Json {
+        Json::fixed(v, 4)
+    }
+
+    /// The value as a document: two-space indentation, a container whose
+    /// members are all scalars on one line, a trailing newline.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => out.push_str(n),
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) => {
+                write_members(out, depth, ['[', ']'], items.iter().map(|v| (None, v)))
+            }
+            Json::Obj(fields) => {
+                let members = fields.iter().map(|(k, v)| (Some(*k), v));
+                write_members(out, depth, ['{', '}'], members)
+            }
+        }
+    }
+}
+
+fn write_members<'a>(
+    out: &mut String,
+    depth: usize,
+    [open, close]: [char; 2],
+    members: impl Iterator<Item = (Option<&'a str>, &'a Json)> + Clone,
+) {
+    let inline = members
+        .clone()
+        .all(|(_, v)| !matches!(v, Json::Arr(_) | Json::Obj(_)));
+    let pad = |out: &mut String, depth: usize| {
+        if inline {
+            out.push(' ');
+        } else {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        }
+    };
+    out.push(open);
+    let mut empty = true;
+    for (key, v) in members {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        pad(out, depth + 1);
+        if let Some(key) = key {
+            write_escaped(out, key);
+            out.push_str(": ");
+        }
+        v.write(out, depth + 1);
+    }
+    if !empty {
+        pad(out, depth);
+    }
+    out.push(close);
+}
+
+/// RFC 8259 §7: `"`, `\` and U+0000–U+001F must be escaped; everything
+/// else may stand for itself.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c < '\u{20}' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_owned())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+macro_rules! json_from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Num(v.to_string())
+            }
+        }
+    )*};
+}
+json_from_integer!(u16, u32, u64, usize);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,5 +403,31 @@ mod tests {
     fn variant_names() {
         assert_eq!(variant_name(StencilVariant::Sten1), "STEN-1");
         assert_eq!(variant_name(StencilVariant::Sten2), "STEN-2");
+    }
+
+    /// Regression: the emitters' only escaping was `replace('"', "'")`,
+    /// so a backslash or a newline in an error text made invalid JSON.
+    #[test]
+    fn strings_are_escaped_per_rfc_8259() {
+        let doc = Json::from("a\"b\\c\n\u{1}").render();
+        assert_eq!(doc, "\"a\\\"b\\\\c\\u000a\\u0001\"\n");
+    }
+
+    #[test]
+    fn scalar_containers_render_inline_and_nested_ones_indent() {
+        let doc = Json::obj([
+            ("n", 3u32.into()),
+            ("gate", Json::fixed(0.97, 3)),
+            ("inf", Json::ms(f64::INFINITY)),
+            ("knee", Option::<u32>::None.into()),
+            (
+                "rows",
+                Json::arr(&[1u64, 2], |&v| Json::obj([("v", v.into())])),
+            ),
+            ("none", Json::Arr(Vec::new())),
+        ]);
+        let want = "{\n  \"n\": 3,\n  \"gate\": 0.970,\n  \"inf\": null,\n  \"knee\": null,\n  \
+                    \"rows\": [\n    { \"v\": 1 },\n    { \"v\": 2 }\n  ],\n  \"none\": []\n}\n";
+        assert_eq!(doc.render(), want);
     }
 }

@@ -1,123 +1,19 @@
-//! Planning and simulation at fabric scale — far beyond the paper's
+//! The analytic hop-aware cost model for fabrics far beyond the paper's
 //! 12-node testbed.
 //!
-//! The paper argues (§5) that the partitioning method is cheap enough to
-//! run at job-launch time. This module measures that claim on the
-//! hierarchical fabrics the generalized testbed can describe: router
-//! trees, two-tier fat-trees, and dumbbells at 256, 1024, and 4096 nodes.
-//! Each cell plans the same application twice — once with the classic
-//! walk-all-clusters evaluator ([`EvalMode::Full`]) and once with the
-//! incremental per-cluster delta evaluator ([`EvalMode::Incremental`]) —
-//! and records wall time, `T_c` evaluations, and the per-cluster work
-//! counter [`cluster_evals`](netpart_core::Partition::cluster_evals) for
-//! both, so the O(1)-per-probe speedup is visible as data rather than
-//! asserted in prose. Small cells additionally run a short simulated
-//! iteration through the multi-hop network to time the fabric itself.
-//!
-//! Costs come from an analytic hop-aware model (calibrating 64 segments
-//! per cell would dominate the measurement without changing the search):
-//! every cluster shares one intra fit, and each cluster pair's router
-//! penalty scales with its hop distance on the actual fabric, exactly the
-//! shape [`calibrate_testbed`](netpart_calibrate::calibrate_testbed)
-//! produces on multi-router wirings.
-//!
-//! `experiments -- scale` prints the table and writes `BENCH_scale.json`;
-//! `experiments -- scale-smoke` runs the 256-node fat-tree cell under a
-//! wall-clock ceiling and fails the process on regression (CI's guard).
+//! Calibrating 64 segments per cell would dominate a fabric-scale harness
+//! without changing the search, so the fabric chaos cells
+//! ([`crate::chaos_fabric`](mod@crate::chaos_fabric)) price their testbeds
+//! analytically: every cluster shares one intra fit, and each cluster
+//! pair's router penalty scales with its hop distance on the actual
+//! fabric, exactly the shape
+//! [`calibrate_testbed`](netpart_calibrate::calibrate_testbed) produces on
+//! multi-router wirings. What planning and simulating at this scale cost
+//! in host time is measured by the repo benchmark (`plan_scale`,
+//! `fabric`), not here.
 
-use std::time::Instant;
-
-use netpart::pipeline::{CostSource, Scenario};
 use netpart::NetpartError;
-use netpart_apps::gauss::gauss_model;
-use netpart_apps::stencil::{stencil_model, StencilApp, StencilVariant};
-use netpart_calibrate::{CalibratedCostModel, FittedCost, LinearCost, Testbed, Wiring};
-use netpart_core::{EvalMode, PartitionOptions};
-
-/// One (clusters × nodes-per-cluster) point of the sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ScaleSize {
-    /// Number of clusters (leaf segments).
-    pub clusters: usize,
-    /// Homogeneous machines per cluster.
-    pub nodes_per: u32,
-}
-
-impl ScaleSize {
-    /// Total machines in the fabric.
-    pub fn nodes(&self) -> u32 {
-        self.clusters as u32 * self.nodes_per
-    }
-}
-
-/// The sweep's system sizes: 256, 1024, and 4096 total nodes.
-pub const SCALE_SIZES: [ScaleSize; 3] = [
-    ScaleSize {
-        clusters: 16,
-        nodes_per: 16,
-    },
-    ScaleSize {
-        clusters: 32,
-        nodes_per: 32,
-    },
-    ScaleSize {
-        clusters: 64,
-        nodes_per: 64,
-    },
-];
-
-/// The hierarchical wirings the sweep exercises, with display names.
-pub fn scale_wirings() -> Vec<(&'static str, Wiring)> {
-    vec![
-        ("tree", Wiring::Tree { arity: 4 }),
-        ("fat-tree", Wiring::FatTree { pod: 8, spines: 4 }),
-        ("dumbbell", Wiring::Dumbbell),
-    ]
-}
-
-/// Largest fabric (total nodes) the sweep also runs a short simulated
-/// iteration on; bigger cells are plan-only so the sweep stays minutes,
-/// not hours.
-pub const SCALE_SIM_MAX_NODES: u32 = 256;
-
-/// One cell of the scale sweep: one application on one wiring at one
-/// size, planned under both evaluator modes.
-#[derive(Debug, Clone)]
-pub struct ScaleRow {
-    /// Application name (`STEN-1` or `GAUSS`).
-    pub app: &'static str,
-    /// Wiring name (`tree`, `fat-tree`, `dumbbell`).
-    pub wiring: &'static str,
-    /// Clusters in the fabric.
-    pub clusters: usize,
-    /// Total machines in the fabric.
-    pub nodes: u32,
-    /// Wall time of `Scenario::plan` under [`EvalMode::Full`], µs.
-    pub plan_full_micros: u128,
-    /// Wall time of `Scenario::plan` under [`EvalMode::Incremental`], µs.
-    pub plan_incremental_micros: u128,
-    /// `T_c` probes under the full evaluator.
-    pub evaluations_full: u64,
-    /// `T_c` probes under the incremental evaluator.
-    pub evaluations_incremental: u64,
-    /// Per-cluster cost evaluations under the full evaluator (each probe
-    /// walks all K clusters).
-    pub cluster_evals_full: u64,
-    /// Per-cluster cost evaluations under the incremental evaluator (one
-    /// per probe after the per-cluster context build).
-    pub cluster_evals_incremental: u64,
-    /// Whether both evaluators chose the identical configuration.
-    pub configs_agree: bool,
-    /// Processors the plan uses.
-    pub procs_used: u32,
-    /// The model's per-cycle prediction for the chosen plan, ms.
-    pub predicted_tc_ms: f64,
-    /// Simulated ms of a short (1-iteration) run through the multi-hop
-    /// fabric; `None` for plan-only cells.
-    pub sim_elapsed_ms: Option<f64>,
-    /// Host wall time of that run, µs; `None` for plan-only cells.
-    pub sim_wall_micros: Option<u128>,
-}
+use netpart_calibrate::{CalibratedCostModel, FittedCost, LinearCost, Testbed};
 
 /// The analytic hop-aware cost model for a testbed: one shared intra fit
 /// per (cluster, topology) the application mentions, and a router penalty
@@ -163,284 +59,11 @@ pub fn scale_cost_model(
     Ok(model)
 }
 
-/// Which application a sweep cell plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScaleApp {
-    Sten1,
-    Gauss,
-}
-
-/// Plan (and for small STEN-1 cells, briefly run) one cell.
-fn scale_cell(app: ScaleApp, wiring_name: &'static str, size: ScaleSize) -> ScaleCellResult {
-    let run = || -> Result<ScaleRow, NetpartError> {
-        let wiring = scale_wirings()
-            .into_iter()
-            .find(|(n, _)| *n == wiring_name)
-            .map(|(_, w)| w)
-            .expect("wiring name comes from scale_wirings");
-        let testbed = Testbed::synthetic(size.clusters, size.nodes_per, 1.15).with_wiring(wiring);
-        let n = match app {
-            ScaleApp::Sten1 => 8 * size.nodes() as u64,
-            ScaleApp::Gauss => 4 * size.nodes() as u64,
-        };
-        let model = match app {
-            ScaleApp::Sten1 => stencil_model(n, StencilVariant::Sten1),
-            ScaleApp::Gauss => gauss_model(n),
-        };
-        let cost = scale_cost_model(&testbed, &model)?;
-        let scenario = Scenario::new(testbed, model).with_cost(CostSource::Fixed(cost));
-
-        let plan_with = |mode: EvalMode| -> Result<(netpart::Plan, u128), NetpartError> {
-            let s = scenario.clone().with_options(PartitionOptions {
-                eval_mode: mode,
-                ..PartitionOptions::default()
-            });
-            let start = Instant::now();
-            let plan = s.plan()?;
-            Ok((plan, start.elapsed().as_micros()))
-        };
-        let (full, plan_full_micros) = plan_with(EvalMode::Full)?;
-        let (inc, plan_incremental_micros) = plan_with(EvalMode::Incremental)?;
-        let fp = full.partition.as_ref().expect("plan() carries a partition");
-        let ip = inc.partition.as_ref().expect("plan() carries a partition");
-
-        let (sim_elapsed_ms, sim_wall_micros) =
-            if app == ScaleApp::Sten1 && size.nodes() <= SCALE_SIM_MAX_NODES {
-                let start = Instant::now();
-                let mut sten = StencilApp::new(n as usize, 1, StencilVariant::Sten1, inc.ranks());
-                let run = inc.run(&mut sten)?;
-                (Some(run.elapsed_ms), Some(start.elapsed().as_micros()))
-            } else {
-                (None, None)
-            };
-
-        Ok(ScaleRow {
-            app: match app {
-                ScaleApp::Sten1 => "STEN-1",
-                ScaleApp::Gauss => "GAUSS",
-            },
-            wiring: wiring_name,
-            clusters: size.clusters,
-            nodes: size.nodes(),
-            plan_full_micros,
-            plan_incremental_micros,
-            evaluations_full: fp.evaluations,
-            evaluations_incremental: ip.evaluations,
-            cluster_evals_full: fp.cluster_evals,
-            cluster_evals_incremental: ip.cluster_evals,
-            configs_agree: fp.config == ip.config,
-            procs_used: inc.config.iter().sum(),
-            predicted_tc_ms: inc.predicted_tc_ms.unwrap_or(f64::NAN),
-            sim_elapsed_ms,
-            sim_wall_micros,
-        })
-    };
-    run()
-}
-
-type ScaleCellResult = Result<ScaleRow, NetpartError>;
-
-/// The full sweep: STEN-1 and GAUSS over every wiring and size. Cells run
-/// in parallel; rows come back in (app, wiring, size) order.
-pub fn scale_sweep() -> Result<Vec<ScaleRow>, NetpartError> {
-    let mut cells: Vec<(ScaleApp, &'static str, ScaleSize)> = Vec::new();
-    for app in [ScaleApp::Sten1, ScaleApp::Gauss] {
-        for (name, _) in scale_wirings() {
-            for size in SCALE_SIZES {
-                cells.push((app, name, size));
-            }
-        }
-    }
-    crate::sweep::sweep(cells, |(app, wiring, size)| scale_cell(app, wiring, size))
-        .into_iter()
-        .collect()
-}
-
-/// Render the sweep as the `experiments -- scale` table.
-pub fn render_scale(rows: &[ScaleRow]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:<7} {:<9} {:>5} {:>6} {:>11} {:>11} {:>12} {:>12} {:>6} {:>11} {:>10}",
-        "app",
-        "wiring",
-        "nodes",
-        "procs",
-        "full µs",
-        "incr µs",
-        "clev full",
-        "clev incr",
-        "agree",
-        "T_c ms",
-        "sim ms"
-    );
-    for r in rows {
-        let sim = r
-            .sim_elapsed_ms
-            .map_or("-".to_string(), |ms| format!("{ms:.1}"));
-        let _ = writeln!(
-            s,
-            "{:<7} {:<9} {:>5} {:>6} {:>11} {:>11} {:>12} {:>12} {:>6} {:>11.2} {:>10}",
-            r.app,
-            r.wiring,
-            r.nodes,
-            r.procs_used,
-            r.plan_full_micros,
-            r.plan_incremental_micros,
-            r.cluster_evals_full,
-            r.cluster_evals_incremental,
-            if r.configs_agree { "yes" } else { "NO" },
-            r.predicted_tc_ms,
-            sim
-        );
-    }
-    s
-}
-
-/// Serialize the sweep to the `BENCH_scale.json` schema.
-pub fn scale_json(rows: &[ScaleRow]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"scale\",\n");
-    s.push_str(
-        "  \"methodology\": \"release build; analytic hop-aware cost model (shared intra fit, \
-         router penalty scaled by fabric hop distance); each cell planned under EvalMode::Full \
-         and EvalMode::Incremental; cells at or below 256 nodes also run one simulated STEN-1 \
-         iteration through the multi-hop fabric\",\n",
-    );
-    s.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"app\": \"{}\",\n", r.app));
-        s.push_str(&format!("      \"wiring\": \"{}\",\n", r.wiring));
-        s.push_str(&format!("      \"clusters\": {},\n", r.clusters));
-        s.push_str(&format!("      \"nodes\": {},\n", r.nodes));
-        s.push_str(&format!(
-            "      \"plan_full_micros\": {},\n",
-            r.plan_full_micros
-        ));
-        s.push_str(&format!(
-            "      \"plan_incremental_micros\": {},\n",
-            r.plan_incremental_micros
-        ));
-        s.push_str(&format!(
-            "      \"evaluations_full\": {},\n",
-            r.evaluations_full
-        ));
-        s.push_str(&format!(
-            "      \"evaluations_incremental\": {},\n",
-            r.evaluations_incremental
-        ));
-        s.push_str(&format!(
-            "      \"cluster_evals_full\": {},\n",
-            r.cluster_evals_full
-        ));
-        s.push_str(&format!(
-            "      \"cluster_evals_incremental\": {},\n",
-            r.cluster_evals_incremental
-        ));
-        s.push_str(&format!("      \"configs_agree\": {},\n", r.configs_agree));
-        s.push_str(&format!("      \"procs_used\": {},\n", r.procs_used));
-        s.push_str(&format!(
-            "      \"predicted_tc_ms\": {:.4},\n",
-            r.predicted_tc_ms
-        ));
-        match r.sim_elapsed_ms {
-            Some(ms) => s.push_str(&format!("      \"sim_elapsed_ms\": {ms:.4},\n")),
-            None => s.push_str("      \"sim_elapsed_ms\": null,\n"),
-        }
-        match r.sim_wall_micros {
-            Some(us) => s.push_str(&format!("      \"sim_wall_micros\": {us}\n")),
-            None => s.push_str("      \"sim_wall_micros\": null\n"),
-        }
-        s.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
-}
-
-/// Ceiling on the smoke cell's plan wall time (host seconds). Planning a
-/// 256-node fat-tree takes single-digit milliseconds on any machine this
-/// runs on; the ceiling only exists to catch a complexity regression that
-/// turns the inner loop quadratic.
-pub const SMOKE_PLAN_CEILING_SECS: f64 = 10.0;
-
-/// Ceiling on the smoke cell's one-iteration simulated run (host seconds).
-pub const SMOKE_RUN_CEILING_SECS: f64 = 120.0;
-
-/// What `experiments -- scale-smoke` found wrong, if anything.
-#[derive(Debug, Clone)]
-pub enum SmokeVerdict {
-    /// Everything inside the ceilings, incremental strictly cheaper.
-    Pass(Box<ScaleRow>),
-    /// A named regression; the CLI turns this into a nonzero exit.
-    Regression(String),
-}
-
-/// CI's scale guard: plan (both evaluator modes) and briefly run STEN-1
-/// on the 256-node fat-tree, verifying the wall-clock ceilings hold, both
-/// evaluators agree on the configuration, and the incremental evaluator
-/// does strictly less per-cluster work than the walk-all-clusters
-/// baseline.
-pub fn scale_smoke() -> Result<SmokeVerdict, NetpartError> {
-    let row = scale_cell(ScaleApp::Sten1, "fat-tree", SCALE_SIZES[0])?;
-    let plan_secs = row.plan_full_micros.max(row.plan_incremental_micros) as f64 / 1.0e6;
-    if plan_secs > SMOKE_PLAN_CEILING_SECS {
-        return Ok(SmokeVerdict::Regression(format!(
-            "plan took {plan_secs:.2}s, ceiling {SMOKE_PLAN_CEILING_SECS}s"
-        )));
-    }
-    match row.sim_wall_micros {
-        None => {
-            return Ok(SmokeVerdict::Regression(
-                "smoke cell ran no simulation".into(),
-            ))
-        }
-        Some(us) if us as f64 / 1.0e6 > SMOKE_RUN_CEILING_SECS => {
-            return Ok(SmokeVerdict::Regression(format!(
-                "simulated iteration took {:.2}s, ceiling {SMOKE_RUN_CEILING_SECS}s",
-                us as f64 / 1.0e6
-            )))
-        }
-        Some(_) => {}
-    }
-    if !row.configs_agree {
-        return Ok(SmokeVerdict::Regression(
-            "incremental and full evaluators disagree on the configuration".into(),
-        ));
-    }
-    if row.cluster_evals_incremental >= row.cluster_evals_full {
-        return Ok(SmokeVerdict::Regression(format!(
-            "incremental evaluator did {} cluster evals, full did {} — no saving",
-            row.cluster_evals_incremental, row.cluster_evals_full
-        )));
-    }
-    Ok(SmokeVerdict::Pass(Box::new(row)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn smoke_cell_passes_and_saves_work() {
-        match scale_smoke().unwrap() {
-            SmokeVerdict::Pass(row) => {
-                assert_eq!(row.nodes, 256);
-                assert_eq!(row.wiring, "fat-tree");
-                assert!(row.cluster_evals_incremental < row.cluster_evals_full);
-                assert!(row.configs_agree);
-                assert!(row.sim_elapsed_ms.is_some());
-            }
-            SmokeVerdict::Regression(msg) => panic!("smoke regressed: {msg}"),
-        }
-    }
+    use netpart_apps::stencil::{stencil_model, StencilVariant};
+    use netpart_calibrate::Wiring;
 
     #[test]
     fn hop_aware_model_prices_distance() {
@@ -469,30 +92,5 @@ mod tests {
         let app = stencil_model(64, StencilVariant::Sten1);
         let err = scale_cost_model(&tb, &app).unwrap_err();
         assert!(matches!(err, NetpartError::InvalidFabric(_)));
-    }
-
-    #[test]
-    fn scale_json_is_shaped() {
-        let row = ScaleRow {
-            app: "STEN-1",
-            wiring: "tree",
-            clusters: 16,
-            nodes: 256,
-            plan_full_micros: 1000,
-            plan_incremental_micros: 500,
-            evaluations_full: 100,
-            evaluations_incremental: 100,
-            cluster_evals_full: 1600,
-            cluster_evals_incremental: 400,
-            configs_agree: true,
-            procs_used: 64,
-            predicted_tc_ms: 12.5,
-            sim_elapsed_ms: None,
-            sim_wall_micros: None,
-        };
-        let json = scale_json(&[row]);
-        assert!(json.contains("\"benchmark\": \"scale\""));
-        assert!(json.contains("\"cluster_evals_incremental\": 400"));
-        assert!(json.contains("\"sim_elapsed_ms\": null"));
     }
 }

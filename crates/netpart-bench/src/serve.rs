@@ -5,9 +5,13 @@
 //! terminates with a correct plan or a typed error — never a hang,
 //! never a wrong plan.**
 //!
-//! `experiments -- serve` prints the tables and writes
-//! `BENCH_serve.json`; `experiments -- serve-smoke` is the fast CI
-//! variant with a plans/sec floor and exits 7 on any violation.
+//! `experiments -- serve` prints the tables and exits 1 on any violation.
+//! What the server sustains in plans per second and at what latency is
+//! the repo benchmark's `serve_open` workload; the only clock read here
+//! is the drain cap that turns a hang into a counted violation. The
+//! flood's shed count and queue high-water depend on how the submitting
+//! thread and the worker interleave, which is why `serve` is not part of
+//! `experiments -- all`.
 
 use std::time::{Duration, Instant};
 
@@ -15,19 +19,12 @@ use netpart::apps::stencil::{stencil_model, StencilVariant};
 use netpart::calibrate::Testbed;
 use netpart::model::NetpartError;
 use netpart::pipeline::{Plan, PlanRequest, PlanResponse, PlanSource, Scenario};
-use netpart::serve::{
-    ChaosSpec, LatencyHistogram, PlanServer, PlanTicket, ServeConfig, ServerStats,
-};
+use netpart::serve::{ChaosSpec, PlanServer, PlanTicket, ServeConfig};
 use netpart::CostSource;
 
 /// Wall-clock cap on draining one phase's tickets — far beyond any sane
 /// completion time, so anything still unresolved counts as a hang.
 const DRAIN_CAP: Duration = Duration::from_secs(60);
-
-/// Conservative plans/sec floor for `serve-smoke` — paper-cost stencil
-/// plans run in well under a millisecond even on one shared CPU, so
-/// dipping below this means the serving layer itself regressed.
-pub const SERVE_SMOKE_PLANS_PER_SEC_FLOOR: f64 = 25.0;
 
 /// Outcome of the sustained distinct-scenario phase.
 #[derive(Debug, Clone)]
@@ -36,10 +33,6 @@ pub struct SustainedOutcome {
     pub distinct: usize,
     /// Repeat submissions that must hit the plan cache.
     pub repeats: usize,
-    /// Wall-clock seconds for the distinct pass.
-    pub wall_secs: f64,
-    /// Distinct plans served per second.
-    pub plans_per_sec: f64,
     /// Cache-hit ratio after the repeat pass.
     pub cache_hit_ratio: f64,
     /// Responses byte-compared against a direct `plan()` call.
@@ -48,8 +41,6 @@ pub struct SustainedOutcome {
     pub sample_mismatches: usize,
     /// Tickets still unresolved at the drain cap (must be 0).
     pub hung: usize,
-    /// Server counters and per-outcome latency histograms.
-    pub stats: ServerStats,
 }
 
 /// Outcome of the flood burst against a bounded admission queue.
@@ -170,7 +161,7 @@ impl ServeBenchReport {
 
 /// The i-th distinct benchmark scenario: paper testbed, stencil model
 /// with a distinct size (⇒ distinct fingerprint), paper cost model so
-/// the phase measures the serving layer rather than calibration sweeps.
+/// the phase exercises the serving layer rather than calibration sweeps.
 fn bench_scenario(i: usize) -> Scenario {
     let variant = if i.is_multiple_of(2) {
         StencilVariant::Sten2
@@ -218,12 +209,10 @@ fn sustained_phase(distinct: usize) -> SustainedOutcome {
         queue_depth: usize::MAX,
         ..ServeConfig::default()
     });
-    let start = Instant::now();
     let tickets: Vec<PlanTicket> = (0..distinct)
         .filter_map(|i| server.submit(PlanRequest::new(bench_scenario(i))).ok())
         .collect();
     let (responses, mut hung) = drain(tickets);
-    let wall_secs = start.elapsed().as_secs_f64();
     // Byte-check a deterministic sample against the unserved pipeline.
     let mut sample_checked = 0usize;
     let mut sample_mismatches = 0usize;
@@ -258,18 +247,15 @@ fn sustained_phase(distinct: usize) -> SustainedOutcome {
             }
         }
     }
-    let stats = server.stats();
+    let cache_hit_ratio = server.stats().cache_hit_ratio();
     server.stop();
     SustainedOutcome {
         distinct,
         repeats,
-        wall_secs,
-        plans_per_sec: distinct as f64 / wall_secs.max(1e-9),
-        cache_hit_ratio: stats.cache_hit_ratio(),
+        cache_hit_ratio,
         sample_checked,
         sample_mismatches,
         hung,
-        stats,
     }
 }
 
@@ -425,22 +411,12 @@ pub fn render_serve(r: &ServeBenchReport) -> String {
     let mut out = String::new();
     let s = &r.sustained;
     out.push_str(&format!(
-        "sustained: {} distinct scenarios in {:.2} s ({:.0} plans/s), \
-         +{} repeats, cache-hit ratio {:.2}\n",
-        s.distinct, s.wall_secs, s.plans_per_sec, s.repeats, s.cache_hit_ratio
+        "sustained: {} distinct scenarios, +{} repeats, cache-hit ratio {:.2}\n",
+        s.distinct, s.repeats, s.cache_hit_ratio
     ));
     out.push_str(&format!(
         "           byte-checked {} samples against direct plan(): {} mismatches, {} hung\n",
         s.sample_checked, s.sample_mismatches, s.hung
-    ));
-    out.push_str(&format!(
-        "           latency ms (mean/p99): fresh {:.3}/{:.3}  cache {:.3}/{:.3}  queue-wait {:.3}/{:.3}\n",
-        s.stats.latency_fresh.mean_ms(),
-        s.stats.latency_fresh.quantile_ms(0.99),
-        s.stats.latency_cache.mean_ms(),
-        s.stats.latency_cache.quantile_ms(0.99),
-        s.stats.queue_wait.mean_ms(),
-        s.stats.queue_wait.quantile_ms(0.99),
     ));
     let f = &r.flood;
     out.push_str(&format!(
@@ -462,86 +438,6 @@ pub fn render_serve(r: &ServeBenchReport) -> String {
     out
 }
 
-fn histogram_json(h: &LatencyHistogram) -> String {
-    format!(
-        "{{ \"count\": {}, \"mean_ms\": {:.6}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}, \"max_ms\": {:.6} }}",
-        h.count,
-        h.mean_ms(),
-        h.quantile_ms(0.5),
-        h.quantile_ms(0.99),
-        h.max_ms
-    )
-}
-
-/// Serialize the report as `BENCH_serve.json`.
-pub fn serve_json(r: &ServeBenchReport) -> String {
-    let s = &r.sustained;
-    let st = &s.stats;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"sustained\": {\n");
-    out.push_str(&format!(
-        "    \"distinct\": {}, \"repeats\": {}, \"wall_secs\": {:.4}, \"plans_per_sec\": {:.1},\n",
-        s.distinct, s.repeats, s.wall_secs, s.plans_per_sec
-    ));
-    out.push_str(&format!(
-        "    \"cache_hit_ratio\": {:.4}, \"sample_checked\": {}, \"sample_mismatches\": {}, \"hung\": {},\n",
-        s.cache_hit_ratio, s.sample_checked, s.sample_mismatches, s.hung
-    ));
-    out.push_str(&format!(
-        "    \"counters\": {{ \"admitted\": {}, \"shed\": {}, \"expired\": {}, \"degraded\": {}, \
-         \"cache_hits\": {}, \"coalesced\": {}, \"fresh\": {}, \"fallbacks\": {}, \"failed\": {}, \
-         \"retries\": {}, \"queue_high_water\": {} }},\n",
-        st.admitted,
-        st.shed,
-        st.expired,
-        st.degraded,
-        st.cache_hits,
-        st.coalesced,
-        st.fresh,
-        st.fallbacks,
-        st.failed,
-        st.retries,
-        st.queue_high_water
-    ));
-    out.push_str(&format!(
-        "    \"latency\": {{ \"fresh\": {}, \"cache\": {}, \"degraded\": {}, \"error\": {}, \"queue_wait\": {} }}\n",
-        histogram_json(&st.latency_fresh),
-        histogram_json(&st.latency_cache),
-        histogram_json(&st.latency_degraded),
-        histogram_json(&st.latency_error),
-        histogram_json(&st.queue_wait),
-    ));
-    out.push_str("  },\n");
-    let f = &r.flood;
-    out.push_str(&format!(
-        "  \"flood\": {{ \"submitted\": {}, \"shed\": {}, \"mistyped_sheds\": {}, \"hung\": {}, \"queue_high_water\": {} }},\n",
-        f.submitted, f.shed, f.mistyped_sheds, f.hung, f.queue_high_water
-    ));
-    let d = &r.deadlines;
-    out.push_str(&format!(
-        "  \"deadlines\": {{ \"submitted\": {}, \"expired\": {}, \"served\": {}, \"other\": {} }},\n",
-        d.submitted, d.expired, d.served, d.other
-    ));
-    let c = &r.chaos;
-    out.push_str(&format!(
-        "  \"chaos\": {{ \"requests\": {}, \"typed_failures\": {}, \"degraded\": {}, \
-         \"wrong_plans\": {}, \"hung\": {}, \"breaker_opens\": {}, \"retries\": {} }},\n",
-        c.requests, c.typed_failures, c.degraded, c.wrong_plans, c.hung, c.breaker_opens, c.retries
-    ));
-    let violations = r.violations();
-    out.push_str(&format!(
-        "  \"violations\": [{}]\n",
-        violations
-            .iter()
-            .map(|v| format!("\"{}\"", v.replace('"', "'")))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,18 +450,5 @@ mod tests {
         assert!(report.flood.shed > 0, "the flood must actually overflow");
         assert!(report.deadlines.expired >= report.deadlines.submitted / 2);
         assert!(report.chaos.degraded > 0);
-    }
-
-    #[test]
-    fn serve_json_is_balanced() {
-        let report = run_serve_bench(12);
-        let json = serve_json(&report);
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert!(json.contains("\"plans_per_sec\""));
-        assert!(json.contains("\"violations\": []"), "{json}");
     }
 }

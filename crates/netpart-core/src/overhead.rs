@@ -4,10 +4,9 @@
 //! recomputed `K·log₂P` times worst case (6 times for K=2, P=12), each
 //! recomputation costing `O(K)` floating point work, against application
 //! elapsed times of hundreds to thousands of milliseconds. This module
-//! measures both the evaluation count and the host wall-clock cost of a
-//! partitioning call so the claim can be reproduced as numbers.
-
-use std::time::{Duration, Instant};
+//! reports the evaluation count of a partitioning call against that
+//! bound, so the claim can be reproduced as numbers; what the call costs
+//! in host time is the repo benchmark's `plan_scale` workload.
 
 use crate::estimator::Estimator;
 use crate::partitioner::{partition, Partition, PartitionError, PartitionOptions};
@@ -20,8 +19,6 @@ pub struct OverheadReport {
     /// The paper's worst-case bound for this system: `2·K·(⌈log₂P_max⌉+1)`
     /// (two probes per binary-search step).
     pub bound: u64,
-    /// Host wall-clock time of the partitioning call.
-    pub wall: Duration,
     /// The partition produced.
     pub partition: Partition,
 }
@@ -41,13 +38,10 @@ pub fn measure_overhead(
         .unwrap_or(1)
         .max(1) as f64;
     let bound = 2 * k * (p_max.log2().ceil() as u64 + 1);
-    let start = Instant::now();
     let partition = partition(est, opts)?;
-    let wall = start.elapsed();
     Ok(OverheadReport {
         evaluations: partition.evaluations,
         bound,
-        wall,
         partition,
     })
 }
@@ -70,8 +64,5 @@ mod tests {
         let est = Estimator::new(&sys, &cost, &app);
         let r = measure_overhead(&est, &PartitionOptions::default()).unwrap();
         assert!(r.evaluations <= r.bound, "{} > {}", r.evaluations, r.bound);
-        // The paper's point: microseconds of overhead against seconds of
-        // stencil runtime. Even a debug build clears 10 ms comfortably.
-        assert!(r.wall < Duration::from_millis(10), "{:?}", r.wall);
     }
 }

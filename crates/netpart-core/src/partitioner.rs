@@ -32,26 +32,16 @@ pub enum ClusterOrder {
     Given(Vec<usize>),
 }
 
-/// How the fill loop prices candidate counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Every probe is a full Eq. 3–6 breakdown walking all `K` clusters.
-    Full,
-    /// Probes go through [`FillContext`](crate::FillContext) delta-evals
-    /// (O(1) per probe after an O(K) setup per cluster). Falls back to full
-    /// breakdowns when the fast path's algebra does not apply (non-linear
-    /// complexity, share-dependent bytes, bandwidth-limited topology).
-    Incremental,
-    /// `Incremental` from `K ≥ 8` clusters, `Full` below. Small systems —
-    /// including the paper's K=2 testbed, whose outputs are pinned
-    /// byte-for-byte by the golden tests — keep the exact original
-    /// floating-point path; large ones get the O(1) probes, which agree
-    /// to ~1e-12 relative but may differ in the last bits.
-    #[default]
-    Auto,
-}
-
-/// From how many clusters [`EvalMode::Auto`] switches to delta-evals.
+/// From how many clusters the fill loop prices candidates through
+/// [`FillContext`](crate::FillContext) delta-evals (O(1) per probe after
+/// an O(K) setup per cluster) instead of a full Eq. 3–6 breakdown walking
+/// all `K` clusters. Small systems — including the paper's K=2 testbed,
+/// whose outputs are pinned byte-for-byte by the golden tests — keep the
+/// exact original floating-point path; large ones get the O(1) probes,
+/// which agree to ~1e-12 relative but may differ in the last bits. The
+/// delta path itself falls back to full breakdowns when its algebra does
+/// not apply (non-linear complexity, share-dependent bytes,
+/// bandwidth-limited topology).
 pub const AUTO_INCREMENTAL_MIN_K: usize = 8;
 
 /// Partitioner knobs.
@@ -61,8 +51,6 @@ pub struct PartitionOptions {
     pub strategy: SearchStrategy,
     /// Cluster consideration order.
     pub order: ClusterOrder,
-    /// Candidate pricing mode for the fill loop.
-    pub eval_mode: EvalMode,
     /// Kernighan–Lin-style refinement passes after the fill loop: each
     /// pass applies the best single-processor move (shift one processor
     /// between clusters, add one, or drop one) while it improves `T_c`.
@@ -87,8 +75,8 @@ pub struct Partition {
     pub evaluations: u64,
     /// Per-cluster units of estimation work spent
     /// ([`Estimator::cluster_evals`]): `K` per full breakdown, `1` per
-    /// incremental delta-eval. The metric that separates
-    /// [`EvalMode::Incremental`] from [`EvalMode::Full`].
+    /// incremental delta-eval — what the delta path saves from
+    /// [`AUTO_INCREMENTAL_MIN_K`] clusters up.
     pub cluster_evals: u64,
     /// Single-processor refinement moves applied (0 unless
     /// [`PartitionOptions::refine_passes`] > 0 found improvements).
@@ -158,6 +146,18 @@ pub fn partition_budgeted(
     opts: &PartitionOptions,
     budget: &Budget,
 ) -> Result<Partition, PartitionError> {
+    let incremental = est.system().num_clusters() >= AUTO_INCREMENTAL_MIN_K;
+    partition_priced(est, opts, budget, incremental)
+}
+
+/// The fill loop under either pricing path; [`partition_budgeted`] picks
+/// `incremental` from the cluster count, the tests compare the two.
+fn partition_priced(
+    est: &Estimator<'_>,
+    opts: &PartitionOptions,
+    budget: &Budget,
+    incremental: bool,
+) -> Result<Partition, PartitionError> {
     budget.check()?;
     let sys = est.system();
     let k = sys.num_clusters();
@@ -167,11 +167,6 @@ pub fn partition_budgeted(
     }
 
     est.reset_evaluations();
-    let incremental = match opts.eval_mode {
-        EvalMode::Full => false,
-        EvalMode::Incremental => true,
-        EvalMode::Auto => k >= AUTO_INCREMENTAL_MIN_K,
-    };
     let mut config = vec![0u32; k];
     // The filled clusters, summarized: each cluster's context reads one
     // row of crossing penalties instead of re-walking every filled pair.
@@ -787,7 +782,6 @@ mod tests {
             let app = stencil(n, flags & 2 != 0);
             let est = Estimator::new(&sys, &counting, &app);
             let opts = PartitionOptions {
-                eval_mode: EvalMode::Incremental,
                 refine_passes: if flags & 4 == 0 { 0 } else { 2 },
                 order: match flags >> 3 {
                     0 => ClusterOrder::FastestFirst,
@@ -801,7 +795,7 @@ mod tests {
                 ..Default::default()
             };
             let expect = partition_from_scratch(&est, &opts);
-            let got = partition(&est, &opts).unwrap();
+            let got = partition_priced(&est, &opts, &Budget::unlimited(), true).unwrap();
             proptest::prop_assert_eq!(&got.config, &expect.config);
             proptest::prop_assert_eq!(
                 got.predicted_tc_ms().to_bits(),
@@ -903,22 +897,9 @@ mod tests {
         let (sys, cost) = synthetic_setup(16);
         let app = stencil(4000, false);
         let est = Estimator::new(&sys, &cost, &app);
-        let full = partition(
-            &est,
-            &PartitionOptions {
-                eval_mode: EvalMode::Full,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let inc = partition(
-            &est,
-            &PartitionOptions {
-                eval_mode: EvalMode::Incremental,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let opts = PartitionOptions::default();
+        let full = partition_priced(&est, &opts, &Budget::unlimited(), false).unwrap();
+        let inc = partition_priced(&est, &opts, &Budget::unlimited(), true).unwrap();
         assert_eq!(inc.config, full.config);
         assert!(
             inc.cluster_evals < full.cluster_evals,
@@ -926,29 +907,24 @@ mod tests {
             inc.cluster_evals,
             full.cluster_evals
         );
-        // Auto resolves to incremental at K = 16 ≥ AUTO_INCREMENTAL_MIN_K.
-        let auto = partition(&est, &PartitionOptions::default()).unwrap();
+        // The public entry point goes incremental at K = 16 ≥ AUTO_INCREMENTAL_MIN_K.
+        let auto = partition(&est, &opts).unwrap();
         assert_eq!(auto.config, full.config);
         assert_eq!(auto.cluster_evals, inc.cluster_evals);
     }
 
     #[test]
     fn auto_mode_keeps_the_exact_path_on_small_systems() {
-        // K = 2 < AUTO_INCREMENTAL_MIN_K: Auto must spend exactly what
-        // Full spends — the golden paper outputs ride on this path.
+        // K = 2 < AUTO_INCREMENTAL_MIN_K: the public entry point must
+        // spend exactly what the full path spends — the golden paper
+        // outputs ride on this path.
         let sys = paper_system();
         let cost = PaperCostModel;
         let app = stencil(600, false);
         let est = Estimator::new(&sys, &cost, &app);
-        let auto = partition(&est, &PartitionOptions::default()).unwrap();
-        let full = partition(
-            &est,
-            &PartitionOptions {
-                eval_mode: EvalMode::Full,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let opts = PartitionOptions::default();
+        let auto = partition(&est, &opts).unwrap();
+        let full = partition_priced(&est, &opts, &Budget::unlimited(), false).unwrap();
         assert_eq!(auto.config, full.config);
         assert_eq!(auto.cluster_evals, full.cluster_evals);
         assert!(auto.predicted_tc_ms() == full.predicted_tc_ms());

@@ -56,8 +56,9 @@ impl LatencyHistogram {
         }
     }
 
-    /// Upper edge (ms) of the bucket containing quantile `q` ∈ [0, 1] —
-    /// a bucketed approximation, exact to within one power of two.
+    /// Upper edge (ms) of the bucket containing quantile `q` ∈ [0, 1],
+    /// capped at the largest latency recorded — a bucketed approximation,
+    /// exact to within one power of two and never above the maximum.
     pub fn quantile_ms(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -67,7 +68,7 @@ impl LatencyHistogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= target {
-                return 2f64.powi(i as i32 + 1) / 1000.0;
+                return (2f64.powi(i as i32 + 1) / 1000.0).min(self.max_ms);
             }
         }
         self.max_ms
@@ -175,6 +176,19 @@ mod tests {
         h.record(100.0); // 100 000 µs → bucket 16
         assert!(h.quantile_ms(0.5) <= 0.016_384 + 1e-9);
         assert!(h.quantile_ms(1.0) >= 100.0);
+    }
+
+    /// Regression: a quantile was its bucket's upper edge, so the report
+    /// printed p99 = 32.8 ms beside max = 22.6 ms.
+    #[test]
+    fn no_quantile_exceeds_the_maximum() {
+        let mut h = LatencyHistogram::default();
+        h.record(5.0);
+        h.record(22.6);
+        for q in [0.0, 0.25, 0.5, 0.75, 0.99, 1.0] {
+            assert!(h.quantile_ms(q) <= 22.6, "q={q}: {}", h.quantile_ms(q));
+        }
+        assert_eq!(h.quantile_ms(1.0), h.max_ms);
     }
 
     #[test]

@@ -429,7 +429,7 @@ impl Network {
     /// [`next_event`](Network::next_event) — internal frame-pipeline steps
     /// included, not just externally visible events. Divide by wall-clock
     /// seconds for the events/s throughput of the simulator core (the
-    /// `experiments -- simcore` subcommand does exactly that).
+    /// repo benchmark's `sim.ns_per_event` is its reciprocal).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
