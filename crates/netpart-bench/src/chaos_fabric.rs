@@ -36,13 +36,12 @@
 //! fuzzer's replicated ones: mirroring hundred-KB blobs across 10 Mb
 //! shared segments saturates them past the MMPS retransmission budget
 //! at 1024 ranks, failing healthy nodes with zero faults injected (see
-//! `ChaosTarget`'s `ckpt` field).
+//! [`ChaosTarget::fabric`]).
 
-use crate::chaos_fuzz::{
-    shrink_schedule, ChaosFuzzCase, ChaosTarget, ChaosVerdict, MinimizedRepro,
-};
+use crate::chaos_fuzz::{ChaosFuzzCase, ChaosTarget, MinimizedRepro};
 use crate::report::Json;
 use crate::scale::scale_cost_model;
+use crate::target::{Target, Verdict};
 use netpart_apps::{gauss_model, stencil_model, StencilVariant};
 use netpart_calibrate::{Testbed, Wiring};
 use netpart_model::NetpartError;
@@ -51,19 +50,13 @@ use netpart_sim::{FaultPlan, RouterId, SimDur, SimTime};
 /// Seeds per random cell; 8 cells × 8 seeds = 64 schedules per sweep.
 pub const FABRIC_SEEDS_PER_CELL: u64 = 8;
 
-/// Which app a cell fuzzes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CellApp {
-    Sten1,
-    Gauss,
-}
-
 /// One random-sweep cell: an app on a wired shape, with a deterministic
 /// per-cell seed base so every schedule in the sweep is distinct and
 /// reproducible from its `(cell, seed)` pair alone.
 #[derive(Debug, Clone)]
 struct CellSpec {
-    app: CellApp,
+    /// GAUSS when set, STEN-1 otherwise.
+    gauss: bool,
     wiring_name: &'static str,
     wiring: Wiring,
     clusters: u32,
@@ -84,9 +77,9 @@ fn cells() -> Vec<CellSpec> {
     let mut base = 0u64;
     for (clusters, nodes_per) in shapes {
         for (wname, wiring) in &wirings {
-            for app in [CellApp::Sten1, CellApp::Gauss] {
+            for gauss in [false, true] {
                 out.push(CellSpec {
-                    app,
+                    gauss,
                     wiring_name: wname,
                     wiring: wiring.clone(),
                     clusters,
@@ -106,18 +99,21 @@ fn cells() -> Vec<CellSpec> {
 fn build_target(spec: &CellSpec) -> Result<ChaosTarget, NetpartError> {
     let tb = Testbed::synthetic(spec.clusters as usize, spec.nodes_per, 1.0)
         .with_wiring(spec.wiring.clone());
-    match spec.app {
-        CellApp::Sten1 => {
-            let n = (4 * spec.clusters * spec.nodes_per) as usize;
-            let model = scale_cost_model(&tb, &stencil_model(n as u64, StencilVariant::Sten1))?;
-            ChaosTarget::sten_fabric(tb, &model, n, 6)
-        }
-        CellApp::Gauss => {
-            let n = (4 * spec.clusters) as usize;
-            let model = scale_cost_model(&tb, &gauss_model(n as u64))?;
-            ChaosTarget::gauss_fabric(tb, &model, n)
-        }
-    }
+    let target = if spec.gauss {
+        let n = (4 * spec.clusters) as usize;
+        let model = scale_cost_model(&tb, &gauss_model(n as u64))?;
+        Target::gauss(tb, &model, n)?
+    } else {
+        sten_target(tb, spec.clusters, spec.nodes_per)?
+    };
+    Ok(ChaosTarget::fabric(target))
+}
+
+/// STEN-1 at 4 rows per node, 6 iterations, priced for the fabric.
+fn sten_target(tb: Testbed, clusters: u32, nodes_per: u32) -> Result<Target, NetpartError> {
+    let n = (4 * clusters * nodes_per) as usize;
+    let model = scale_cost_model(&tb, &stencil_model(n as u64, StencilVariant::Sten1))?;
+    Target::sten(tb, &model, n, 6, StencilVariant::Sten1)
 }
 
 /// One random-sweep cell's results.
@@ -170,9 +166,9 @@ pub struct DirectedRerouteCase {
 impl DirectedRerouteCase {
     /// The case's verdict under the directed (stricter) contract: a typed
     /// error is a violation too.
-    fn verdict(&self) -> ChaosVerdict {
-        match &self.case.verdict {
-            ChaosVerdict::TypedError(e) => ChaosVerdict::Violation(format!("typed error: {e}")),
+    fn verdict(&self) -> Verdict {
+        match &self.case.outcome.verdict {
+            Verdict::Typed(e) => Verdict::Violation(format!("typed error: {e}")),
             other => other.clone(),
         }
     }
@@ -201,13 +197,13 @@ impl ChaosFabricReport {
         let mut out = Vec::new();
         for c in &self.cells {
             for k in &c.cases {
-                if let ChaosVerdict::Violation(v) = &k.verdict {
+                if let Verdict::Violation(v) = &k.outcome.verdict {
                     out.push(format!("{} {} seed {}: {v}", c.app, c.wiring, k.seed));
                 }
             }
         }
         for d in &self.directed {
-            if let ChaosVerdict::Violation(v) = d.verdict() {
+            if let Verdict::Violation(v) = d.verdict() {
                 out.push(format!(
                     "directed fat-tree {}x{}: {v}",
                     d.clusters, d.nodes_per
@@ -227,40 +223,23 @@ fn run_cell(
     repros: &mut Vec<MinimizedRepro>,
 ) -> Result<FabricCellReport, NetpartError> {
     let target = build_target(spec)?;
-    let app = match spec.app {
-        CellApp::Sten1 => "STEN-1",
-        CellApp::Gauss => "GAUSS",
-    };
-    let rank_clusters = target.rank_clusters()?;
+    let app = target.target();
+    let rank_clusters = app.rank_clusters()?;
     let spanned: std::collections::BTreeSet<u32> = rank_clusters.iter().copied().collect();
     let mut cases = Vec::with_capacity(seeds as usize);
-    for i in 0..seeds {
-        let seed = spec.seed_base + i;
-        let plan = FaultPlan::random(seed, target.bounds());
-        let case = target.run_case(seed, &plan, false);
-        if let ChaosVerdict::Violation(v) = &case.verdict {
-            let violation = v.clone();
-            let min = shrink_schedule(&plan, |p| {
-                target.run_case(seed, p, false).verdict.is_violation()
-            });
-            repros.push(MinimizedRepro {
-                app,
-                seed,
-                original_events: plan.events.len(),
-                plan: min,
-                violation,
-            });
-        }
+    for seed in spec.seed_base..spec.seed_base + seeds {
+        let (case, repro) = target.fuzz(seed, false);
         cases.push(case);
+        repros.extend(repro);
     }
     Ok(FabricCellReport {
-        app,
+        app: app.label(),
         wiring: spec.wiring_name,
         clusters: spec.clusters,
         nodes_per: spec.nodes_per,
         ranks: rank_clusters.len(),
         clusters_spanned: spanned.len(),
-        fault_free_ms: target.fault_free_ms(),
+        fault_free_ms: app.fault_free_ms(),
         cases,
     })
 }
@@ -286,13 +265,11 @@ fn run_directed(clusters: u32, nodes_per: u32) -> Result<DirectedRerouteCase, Ne
         .ok_or_else(|| {
             NetpartError::InvalidScenario("fat-tree router 0 has no spine port".into())
         })?;
-    let n = (4 * clusters * nodes_per) as usize;
-    let model = scale_cost_model(&tb, &stencil_model(n as u64, StencilVariant::Sten1))?;
-    let target = ChaosTarget::sten_fabric(tb, &model, n, 6)?;
-    let rank_clusters = target.rank_clusters()?;
+    let target = ChaosTarget::fabric(sten_target(tb, clusters, nodes_per)?);
+    let rank_clusters = target.target().rank_clusters()?;
     let pods: std::collections::BTreeSet<u32> =
         rank_clusters.iter().map(|&c| c / POD as u32).collect();
-    let ff = target.fault_free_ms();
+    let ff = target.target().fault_free_ms();
     let (from_ms, until_ms) = (0.2 * ff, 0.7 * ff);
     let t = |ms: f64| SimTime::ZERO + SimDur::from_millis_f64(ms);
     let plan = FaultPlan::new().link_down(RouterId(0), spine, t(from_ms), t(until_ms));
@@ -361,17 +338,12 @@ pub fn render_chaos_fabric(report: &ChaosFabricReport) -> String {
         "app", "wiring", "shape", "ranks", "clusters", "fault-free", "ok", "typed", "replans"
     ));
     for c in &report.cells {
-        let ok = c
-            .cases
-            .iter()
-            .filter(|k| k.verdict == ChaosVerdict::OkIdentical)
+        let verdicts = || c.cases.iter().map(|k| &k.outcome.verdict);
+        let ok = verdicts().filter(|v| v.is_identical()).count();
+        let typed = verdicts()
+            .filter(|v| matches!(v, Verdict::Typed(_)))
             .count();
-        let typed = c
-            .cases
-            .iter()
-            .filter(|k| matches!(k.verdict, ChaosVerdict::TypedError(_)))
-            .count();
-        let replans: u32 = c.cases.iter().map(|k| k.replans).sum();
+        let replans: u32 = c.cases.iter().map(|k| k.outcome.rec().replans).sum();
         out.push_str(&format!(
             "{:<7} {:>9} {:>7} {:>6} {:>9} {:>10.1}ms {:>4} {:>6} {:>7}\n",
             c.app,
@@ -388,7 +360,7 @@ pub fn render_chaos_fabric(report: &ChaosFabricReport) -> String {
     out.push_str("\ndirected single-spine outages (must complete via reroute):\n");
     for d in &report.directed {
         let verdict = match d.verdict() {
-            ChaosVerdict::Violation(v) => format!("VIOLATION ({v})"),
+            Verdict::Violation(v) => format!("VIOLATION ({v})"),
             _ => "rerouted, bit-identical".to_string(),
         };
         out.push_str(&format!(
@@ -462,8 +434,8 @@ pub fn chaos_fabric_json(report: &ChaosFabricReport) -> String {
                         Json::Arr(vec![Json::ms(d.window_ms.0), Json::ms(d.window_ms.1)]),
                     ),
                     ("fault_free_ms", Json::ms(d.fault_free_ms)),
-                    ("recovered_ms", Json::ms(d.case.recovered_ms)),
-                    ("replans", d.case.replans.into()),
+                    ("recovered_ms", Json::ms(d.case.outcome.elapsed_ms())),
+                    ("replans", d.case.outcome.rec().replans.into()),
                     ("verdict", verdict.into()),
                     ("detail", detail.into()),
                 ])

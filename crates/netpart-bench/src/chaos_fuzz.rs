@@ -34,55 +34,19 @@
 //! schedule, and the simulator replays it identically, so every row of
 //! `BENCH_chaos.json` is reproducible from its seed alone.
 
-use crate::faults::{bits_eq_f32, bits_eq_f64, gauss_factory, stencil_factory};
 use crate::report::Json;
-use netpart::{CheckpointPolicy, CostSource, FaultSchedule, RecoveryPolicy, Scenario};
-use netpart_apps::{
-    gauss_model, make_system, sequential_reference, sequential_solve, stencil_model, GaussApp,
-    StencilApp, StencilVariant,
-};
+use crate::target::{replan_policy, Checked, Target, Verdict, BACKOFF_MS, MAX_REPLANS};
+use netpart::{CheckpointPolicy, FaultSchedule};
+use netpart_apps::StencilVariant;
 use netpart_calibrate::{CalibratedCostModel, Testbed};
 use netpart_model::NetpartError;
 use netpart_sim::{FaultBounds, FaultPlan};
 
-/// Replan budget per fuzzed run: generous enough for multi-fault
-/// schedules, small enough that a hopeless schedule errors out quickly.
-const MAX_REPLANS: u32 = 4;
-/// Simulated pause before each failure-aware availability re-probe, ms.
-const BACKOFF_MS: f64 = 5.0;
 /// Checkpoint interval (cycles) for fuzzed runs. Durability is
-/// per-target (see [`ChaosTarget`]'s `ckpt` field): star targets mirror
-/// blobs to buddy replicas so that machinery stays under fuzz, fabric
-/// targets use local stable storage.
+/// per-target: [`ChaosTarget::star`] mirrors blobs to buddy replicas so
+/// that machinery stays under fuzz, [`ChaosTarget::fabric`] uses local
+/// stable storage.
 const CKPT_EVERY: u64 = 4;
-
-/// How one fuzzed run ended, against the invariant.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChaosVerdict {
-    /// Completed with the bit-identical sequential answer.
-    OkIdentical,
-    /// Ended in an acceptable typed recovery error (rendered).
-    TypedError(String),
-    /// Broke the invariant: wrong answer, or a plumbing-class error no
-    /// valid-by-construction schedule may produce.
-    Violation(String),
-}
-
-impl ChaosVerdict {
-    /// Whether this outcome breaks the invariant.
-    pub fn is_violation(&self) -> bool {
-        matches!(self, ChaosVerdict::Violation(_))
-    }
-
-    /// The artefacts' `"verdict"` label and `"detail"` text.
-    pub(crate) fn label_and_detail(&self) -> (&'static str, &str) {
-        match self {
-            ChaosVerdict::OkIdentical => ("ok-identical", ""),
-            ChaosVerdict::TypedError(e) => ("typed-error", e),
-            ChaosVerdict::Violation(v) => ("VIOLATION", v),
-        }
-    }
-}
 
 /// One fuzzed schedule's outcome.
 #[derive(Debug, Clone)]
@@ -93,31 +57,27 @@ pub struct ChaosFuzzCase {
     pub seed: u64,
     /// Events in the drawn schedule.
     pub events: usize,
-    /// Replan rounds the run took (0 when the schedule never bit).
-    pub replans: u32,
-    /// Blobs recovery restored from buddy replicas.
-    pub replica_restores: u64,
-    /// Checkpoint generations assembly had to skip.
-    pub generation_fallbacks: u64,
-    /// Simulated elapsed ms of the run (0 when it errored).
-    pub recovered_ms: f64,
-    /// The verdict against the invariant.
-    pub verdict: ChaosVerdict,
+    /// The run under `Replan` — elapsed time and recovery accounting
+    /// (replans, buddy-replica restores, generation fallbacks; all 0 when
+    /// the schedule never bit or the run errored) — and the verdict
+    /// against the invariant.
+    pub outcome: Checked,
 }
 
 impl ChaosFuzzCase {
     /// The case as an artefact row: `lead` fields first, then the counters
     /// and the verdict every chaos artefact reports.
     pub(crate) fn json<const N: usize>(&self, lead: [(&'static str, Json); N]) -> Json {
-        let (verdict, detail) = self.verdict.label_and_detail();
+        let (verdict, detail) = self.outcome.verdict.label_and_detail();
+        let rec = self.outcome.rec();
         let mut fields = Vec::from(lead);
         fields.extend([
             ("seed", self.seed.into()),
             ("events", self.events.into()),
-            ("replans", self.replans.into()),
-            ("replica_restores", self.replica_restores.into()),
-            ("generation_fallbacks", self.generation_fallbacks.into()),
-            ("recovered_ms", Json::ms(self.recovered_ms)),
+            ("replans", rec.replans.into()),
+            ("replica_restores", rec.replica_restores.into()),
+            ("generation_fallbacks", rec.generation_fallbacks.into()),
+            ("recovered_ms", Json::ms(self.outcome.elapsed_ms())),
             ("verdict", verdict.into()),
             ("detail", detail.into()),
         ]);
@@ -194,52 +154,13 @@ impl ChaosFuzzReport {
     }
 }
 
-enum TargetKind {
-    Sten {
-        n: usize,
-        iters: u64,
-        variant: StencilVariant,
-        reference: Vec<f32>,
-    },
-    Gauss {
-        n: usize,
-        a: Vec<f64>,
-        b: Vec<f64>,
-        reference: Vec<f64>,
-    },
-}
-
-/// One application under fuzz: a planned scenario, its fault-free
-/// duration (the horizon faults are drawn inside), and the network
-/// dimensions random schedules must respect.
+/// One application under fuzz: the [`Target`], the network dimensions
+/// random schedules must respect (their horizon is 1.2× the fault-free
+/// run), and the checkpoint policy fuzzed runs use.
 pub struct ChaosTarget {
-    label: &'static str,
-    scenario: Scenario,
-    kind: TargetKind,
+    target: Target,
     bounds: FaultBounds,
-    /// Checkpoint policy fuzzed runs use. Star targets keep
-    /// `replicated(CKPT_EVERY)` so the replica machinery stays under
-    /// fuzz; fabric targets use Local durability (the paper's
-    /// stable-storage model) because mirroring hundred-KB blobs across
-    /// 10 Mb shared segments saturates them for longer than the MMPS
-    /// retransmission budget — the burst itself would fail healthy
-    /// ranks — and a watchdog scaled to the target's cycle time (a
-    /// 1024-rank fat-tree cycle outlasts the 10 s default on its own).
     ckpt: CheckpointPolicy,
-}
-
-fn testbed_bounds(tb: &Testbed, horizon_ms: f64) -> FaultBounds {
-    FaultBounds {
-        num_nodes: tb.clusters.iter().map(|c| c.nodes).sum(),
-        num_routers: 1,
-        num_segments: tb.clusters.len() as u32,
-        horizon_ms,
-        max_events: 5,
-        max_crashes: 2,
-        // Empty wiring keeps the classic six-kind draw, so the seeded
-        // star-testbed sweep keeps its schedules byte-identically.
-        router_ports: Vec::new(),
-    }
 }
 
 /// Fabric-shaped bounds for a hierarchical testbed: every router, every
@@ -259,230 +180,88 @@ pub fn fabric_bounds(tb: &Testbed, horizon_ms: f64) -> FaultBounds {
     }
 }
 
+/// The STEN-1 star fuzz target: 60×60 grid, 8 iterations, two ranks on
+/// the paper testbed. Small on purpose — blobs must clear the 10 Mb wire
+/// well inside a checkpoint interval, and a fuzz sweep runs hundreds of
+/// these.
+pub fn sten_star_target(model: &CalibratedCostModel) -> Result<ChaosTarget, NetpartError> {
+    let t = Target::sten(Testbed::paper(), model, 60, 8, StencilVariant::Sten1)?;
+    Ok(ChaosTarget::star(t))
+}
+
 impl ChaosTarget {
-    /// A STEN-1 target on an arbitrary wired testbed, fuzzed under
-    /// fabric-shaped bounds (router outages and link downs included in
-    /// the draw). The star targets below keep their leaner six-kind
-    /// bounds so their seeded schedules stay byte-identical.
-    pub fn sten_fabric(
-        tb: Testbed,
-        model: &CalibratedCostModel,
-        n: usize,
-        iters: u64,
-    ) -> Result<ChaosTarget, NetpartError> {
-        let variant = StencilVariant::Sten1;
-        let bounds_tb = tb.clone();
-        let s = Scenario::new(tb, stencil_model(n as u64, variant))
-            .with_cost(CostSource::Fixed(model.clone()));
-        let plan = s.plan()?;
-        let mut app = StencilApp::new(n, iters, variant, plan.ranks());
-        let fault_free = plan.run(&mut app)?;
-        Ok(ChaosTarget {
-            label: "STEN-1",
-            bounds: fabric_bounds(&bounds_tb, fault_free.elapsed_ms * 1.2),
-            scenario: s,
-            kind: TargetKind::Sten {
-                n,
-                iters,
-                variant,
-                reference: sequential_reference(n, iters),
-            },
-            ckpt: CheckpointPolicy::local(CKPT_EVERY)
-                .with_watchdog_ms(fault_free.elapsed_ms.max(10_000.0)),
-        })
+    /// Fuzz `target` on its wired testbed under [`fabric_bounds`] (router
+    /// outages and link downs included in the draw). Local durability —
+    /// the paper's stable-storage model — because mirroring hundred-KB
+    /// blobs across 10 Mb shared segments saturates them for longer than
+    /// the MMPS retransmission budget (the burst itself would fail healthy
+    /// ranks), and a watchdog scaled to the target's cycle time (a
+    /// 1024-rank fat-tree cycle outlasts the 10 s default on its own).
+    pub fn fabric(target: Target) -> ChaosTarget {
+        let ff = target.fault_free_ms();
+        ChaosTarget {
+            bounds: fabric_bounds(&target.scenario().testbed, ff * 1.2),
+            ckpt: CheckpointPolicy::local(CKPT_EVERY).with_watchdog_ms(ff.max(10_000.0)),
+            target,
+        }
     }
 
-    /// A Gaussian-elimination target on an arbitrary wired testbed with
-    /// fabric-shaped bounds, like [`ChaosTarget::sten_fabric`].
-    pub fn gauss_fabric(
-        tb: Testbed,
-        model: &CalibratedCostModel,
-        n: usize,
-    ) -> Result<ChaosTarget, NetpartError> {
-        let bounds_tb = tb.clone();
-        let s =
-            Scenario::new(tb, gauss_model(n as u64)).with_cost(CostSource::Fixed(model.clone()));
-        let plan = s.plan()?;
-        let (a, b, _x_true) = make_system(n, 1994);
-        let mut app = GaussApp::new(n, a.clone(), b.clone(), plan.ranks());
-        let fault_free = plan.run(&mut app)?;
-        let reference = sequential_solve(n, &a, &b);
-        Ok(ChaosTarget {
-            label: "GAUSS",
-            bounds: fabric_bounds(&bounds_tb, fault_free.elapsed_ms * 1.2),
-            scenario: s,
-            kind: TargetKind::Gauss { n, a, b, reference },
-            ckpt: CheckpointPolicy::local(CKPT_EVERY)
-                .with_watchdog_ms(fault_free.elapsed_ms.max(10_000.0)),
-        })
+    /// Fuzz `target` on a star testbed: the same dimensions with an empty
+    /// wiring, which keeps the classic six-kind draw (so the seeded star
+    /// sweep keeps its schedules byte-identically), and replicated
+    /// checkpoints, so the buddy-replica machinery stays under fuzz.
+    pub fn star(target: Target) -> ChaosTarget {
+        let mut t = ChaosTarget::fabric(target);
+        t.bounds.router_ports = Vec::new();
+        t.ckpt = CheckpointPolicy::replicated(CKPT_EVERY);
+        t
     }
 
-    /// The planned rank→cluster assignment of the target's scenario,
-    /// for span diagnostics (does the placement cross pods?).
-    pub fn rank_clusters(&self) -> Result<Vec<u32>, NetpartError> {
-        let plan = self.scenario.plan()?;
-        let part = plan.partition.ok_or_else(|| {
-            NetpartError::InvalidScenario("plan() produced no partition output".into())
-        })?;
-        Ok(part.rank_clusters())
+    /// The application under fuzz.
+    pub fn target(&self) -> &Target {
+        &self.target
     }
 
-    /// The fault-free elapsed time the bounds horizon was derived from.
-    pub fn fault_free_ms(&self) -> f64 {
-        self.bounds.horizon_ms / 1.2
-    }
-
-    /// The STEN-1 fuzz target: 60×60 grid, 8 iterations, two ranks on
-    /// the paper testbed. Small on purpose — blobs must clear the 10 Mb
-    /// wire well inside a checkpoint interval, and a fuzz sweep runs
-    /// hundreds of these.
-    pub fn sten(model: &CalibratedCostModel) -> Result<ChaosTarget, NetpartError> {
-        let (n, iters, variant) = (60usize, 8u64, StencilVariant::Sten1);
-        let tb = Testbed::paper();
-        let bounds_tb = tb.clone();
-        let s = Scenario::new(tb, stencil_model(n as u64, variant))
-            .with_cost(CostSource::Fixed(model.clone()));
-        let plan = s.plan()?;
-        let mut app = StencilApp::new(n, iters, variant, plan.ranks());
-        let fault_free = plan.run(&mut app)?;
-        Ok(ChaosTarget {
-            label: "STEN-1",
-            bounds: testbed_bounds(&bounds_tb, fault_free.elapsed_ms * 1.2),
-            scenario: s,
-            kind: TargetKind::Sten {
-                n,
-                iters,
-                variant,
-                reference: sequential_reference(n, iters),
-            },
-            ckpt: CheckpointPolicy::replicated(CKPT_EVERY),
-        })
-    }
-
-    /// The Gaussian-elimination fuzz target: order-32 system with
-    /// partial pivoting, compared against the identically-pivoting
-    /// sequential solver.
-    pub fn gauss(model: &CalibratedCostModel) -> Result<ChaosTarget, NetpartError> {
-        let n = 32usize;
-        let tb = Testbed::paper();
-        let bounds_tb = tb.clone();
-        let s =
-            Scenario::new(tb, gauss_model(n as u64)).with_cost(CostSource::Fixed(model.clone()));
-        let plan = s.plan()?;
-        let (a, b, _x_true) = make_system(n, 1994);
-        let mut app = GaussApp::new(n, a.clone(), b.clone(), plan.ranks());
-        let fault_free = plan.run(&mut app)?;
-        let reference = sequential_solve(n, &a, &b);
-        Ok(ChaosTarget {
-            label: "GAUSS",
-            bounds: testbed_bounds(&bounds_tb, fault_free.elapsed_ms * 1.2),
-            scenario: s,
-            kind: TargetKind::Gauss { n, a, b, reference },
-            ckpt: CheckpointPolicy::replicated(CKPT_EVERY),
-        })
-    }
-
-    /// The bounds schedules for this target are drawn within.
-    pub fn bounds(&self) -> &FaultBounds {
-        &self.bounds
-    }
-
-    /// Draw the schedule for `seed` and run it against the invariant.
-    ///
-    /// `sabotage` plants a deliberate recovery-path bug: whenever the
-    /// run actually recovered (at least one replan), the answer's first
-    /// element is bit-flipped before comparison — the signature of a
-    /// recovery that silently dropped or mangled state. It exists so the
-    /// fuzzer's own detection and shrinking paths are testable: a tool
-    /// that has never caught a planted bug cannot be trusted to catch a
-    /// real one.
+    /// Run `plan` against the invariant under the harnesses' `Replan`
+    /// policy; `sabotage` arms the planted recovery-path bug of
+    /// [`Target::run_sabotaged`].
     pub fn run_case(&self, seed: u64, plan: &FaultPlan, sabotage: bool) -> ChaosFuzzCase {
         let faults = FaultSchedule::new().with_raw(plan.clone());
-        let policy = RecoveryPolicy::Replan {
-            max_replans: MAX_REPLANS,
-            backoff_ms: BACKOFF_MS,
-        };
-        let ckpt = self.ckpt;
-        let mut case = ChaosFuzzCase {
-            app: self.label,
+        let (policy, ckpt) = (replan_policy(), self.ckpt);
+        ChaosFuzzCase {
+            app: self.target.label(),
             seed,
             events: plan.events.len(),
-            replans: 0,
-            replica_restores: 0,
-            generation_fallbacks: 0,
-            recovered_ms: 0.0,
-            verdict: ChaosVerdict::OkIdentical,
-        };
-        let outcome: Result<(netpart::Run, bool), NetpartError> = match &self.kind {
-            TargetKind::Sten {
-                n,
-                iters,
-                variant,
-                reference,
-            } => {
-                let factory = stencil_factory(*n, *iters, *variant);
-                self.scenario
-                    .run_recoverable_with(&faults, policy, ckpt, factory)
-                    .map(|(run, app)| {
-                        let mut got = app.gather();
-                        if sabotage && run.recovery.as_ref().is_some_and(|r| r.replans > 0) {
-                            got[0] = f32::from_bits(got[0].to_bits() ^ 1);
-                        }
-                        let identical = bits_eq_f32(&got, reference);
-                        (run, identical)
-                    })
-            }
-            TargetKind::Gauss { n, a, b, reference } => {
-                let factory = gauss_factory(*n, a, b);
-                self.scenario
-                    .run_recoverable_with(&faults, policy, ckpt, factory)
-                    .map(|(run, app)| {
-                        let mut got = app.solve();
-                        if sabotage && run.recovery.as_ref().is_some_and(|r| r.replans > 0) {
-                            got[0] = f64::from_bits(got[0].to_bits() ^ 1);
-                        }
-                        let identical = bits_eq_f64(&got, reference);
-                        (run, identical)
-                    })
-            }
-        };
-        match outcome {
-            Ok((run, identical)) => {
-                if let Some(rec) = &run.recovery {
-                    case.replans = rec.replans;
-                    case.replica_restores = rec.replica_restores;
-                    case.generation_fallbacks = rec.generation_fallbacks;
-                }
-                case.recovered_ms = run.elapsed_ms;
-                case.verdict = if identical {
-                    ChaosVerdict::OkIdentical
-                } else {
-                    ChaosVerdict::Violation(format!(
-                        "completed after {} replan(s) with an answer that is NOT \
-                         bit-identical to the sequential reference",
-                        case.replans
-                    ))
-                };
-            }
-            Err(e) => {
-                // Recovery-family errors are the invariant's second legal
-                // outcome. Plumbing-class errors mean the harness itself
-                // broke: a valid-by-construction schedule must never be
-                // rejected at install, mismatch ranks, or invalidate the
-                // scenario.
-                case.verdict = match e {
-                    NetpartError::InvalidFaultPlan(_)
-                    | NetpartError::RankMismatch { .. }
-                    | NetpartError::InvalidScenario(_)
-                    | NetpartError::Calibration(_)
-                    | NetpartError::MissingFit { .. } => {
-                        ChaosVerdict::Violation(format!("plumbing-class error: {e}"))
-                    }
-                    other => ChaosVerdict::TypedError(other.to_string()),
-                };
-            }
+            outcome: self.target.run_sabotaged(&faults, policy, ckpt, sabotage),
         }
-        case
+    }
+
+    /// Draw the schedule for `seed`, run it, and shrink a violation to a
+    /// minimal repro.
+    pub(crate) fn fuzz(
+        &self,
+        seed: u64,
+        sabotage: bool,
+    ) -> (ChaosFuzzCase, Option<MinimizedRepro>) {
+        let plan = FaultPlan::random(seed, &self.bounds);
+        let case = self.run_case(seed, &plan, sabotage);
+        let still_fails = |p: &FaultPlan| {
+            self.run_case(seed, p, sabotage)
+                .outcome
+                .verdict
+                .is_violation()
+        };
+        let repro = match &case.outcome.verdict {
+            Verdict::Violation(v) => Some(MinimizedRepro {
+                app: case.app,
+                seed,
+                original_events: plan.events.len(),
+                plan: shrink_schedule(&plan, still_fails),
+                violation: v.clone(),
+            }),
+            _ => None,
+        };
+        (case, repro)
     }
 }
 
@@ -521,27 +300,16 @@ pub fn chaos_fuzz(
     model: &CalibratedCostModel,
     seeds: &[u64],
 ) -> Result<ChaosFuzzReport, NetpartError> {
-    let targets = [ChaosTarget::sten(model)?, ChaosTarget::gauss(model)?];
+    // The GAUSS target: an order-32 system with partial pivoting.
+    let gauss = Target::gauss(Testbed::paper(), model, 32)?;
+    let targets = [sten_star_target(model)?, ChaosTarget::star(gauss)];
     let mut cases = Vec::with_capacity(targets.len() * seeds.len());
     let mut repros = Vec::new();
     for target in &targets {
         for &seed in seeds {
-            let plan = FaultPlan::random(seed, target.bounds());
-            let case = target.run_case(seed, &plan, false);
-            if let ChaosVerdict::Violation(v) = &case.verdict {
-                let violation = v.clone();
-                let min = shrink_schedule(&plan, |p| {
-                    target.run_case(seed, p, false).verdict.is_violation()
-                });
-                repros.push(MinimizedRepro {
-                    app: target.label,
-                    seed,
-                    original_events: plan.events.len(),
-                    plan: min,
-                    violation,
-                });
-            }
+            let (case, repro) = target.fuzz(seed, false);
             cases.push(case);
+            repros.extend(repro);
         }
     }
     Ok(ChaosFuzzReport { cases, repros })
@@ -556,43 +324,23 @@ pub fn planted_bug_repro(
     model: &CalibratedCostModel,
     max_seeds: u64,
 ) -> Result<Option<MinimizedRepro>, NetpartError> {
-    let target = ChaosTarget::sten(model)?;
-    for seed in 0..max_seeds {
-        let plan = FaultPlan::random(seed, target.bounds());
-        let case = target.run_case(seed, &plan, true);
-        if let ChaosVerdict::Violation(violation) = case.verdict {
-            let min = shrink_schedule(&plan, |p| {
-                target.run_case(seed, p, true).verdict.is_violation()
-            });
-            return Ok(Some(MinimizedRepro {
-                app: target.label,
-                seed,
-                original_events: plan.events.len(),
-                plan: min,
-                violation,
-            }));
-        }
-    }
-    Ok(None)
+    let target = sten_star_target(model)?;
+    Ok((0..max_seeds).find_map(|seed| target.fuzz(seed, true).1))
 }
 
 /// Render a fuzz report for the terminal.
 pub fn render_chaos_fuzz(report: &ChaosFuzzReport) -> String {
     let mut out = String::new();
     let total = report.cases.len();
-    let ok = report
-        .cases
-        .iter()
-        .filter(|c| c.verdict == ChaosVerdict::OkIdentical)
+    let verdicts = || report.cases.iter().map(|c| &c.outcome.verdict);
+    let ok = verdicts().filter(|v| v.is_identical()).count();
+    let typed = verdicts()
+        .filter(|v| matches!(v, Verdict::Typed(_)))
         .count();
-    let typed = report
-        .cases
-        .iter()
-        .filter(|c| matches!(c.verdict, ChaosVerdict::TypedError(_)))
-        .count();
-    let bit = report.cases.iter().filter(|c| c.replans > 0).count();
-    let restores: u64 = report.cases.iter().map(|c| c.replica_restores).sum();
-    let fallbacks: u64 = report.cases.iter().map(|c| c.generation_fallbacks).sum();
+    let recs: Vec<_> = report.cases.iter().map(|c| c.outcome.rec()).collect();
+    let bit = recs.iter().filter(|r| r.replans > 0).count();
+    let restores: u64 = recs.iter().map(|r| r.replica_restores).sum();
+    let fallbacks: u64 = recs.iter().map(|r| r.generation_fallbacks).sum();
     out.push_str(&format!(
         "{total} schedules fuzzed: {ok} recovered bit-identically, {typed} ended in a \
          typed error, {} VIOLATED the invariant\n",

@@ -31,10 +31,10 @@
 //! testbed.
 
 use crate::drift::{adapt_policy, adapt_policy_json};
-use crate::faults::{bits_eq_f32, stencil_factory, variant_label};
 use crate::report::Json;
-use netpart::{CostSource, Fault, FaultSchedule, RecoveryPolicy, Scenario};
-use netpart_apps::{sequential_reference, stencil_model, StencilApp, StencilVariant};
+use crate::target::{replan_policy, Checked, Target, Verdict};
+use netpart::{CheckpointPolicy, Fault, FaultSchedule, RecoveryPolicy};
+use netpart_apps::StencilVariant;
 use netpart_calibrate::{
     calibrate_cluster_gated, CalibratedCostModel, CalibrationConfig, CostModel, Testbed,
 };
@@ -42,36 +42,6 @@ use netpart_mmps::WindowConfig;
 use netpart_model::NetpartError;
 use netpart_sim::{CongestionSpec, OverflowPolicy, SimDur};
 use netpart_topology::Topology;
-
-/// How one recoverable run under congestion ended.
-#[derive(Debug, Clone)]
-pub enum CongestionOutcome {
-    /// The run completed; `bit_identical` compares the gathered answer
-    /// against the sequential reference bit for bit.
-    Finished {
-        /// Simulated elapsed ms.
-        elapsed_ms: f64,
-        /// Whether the answer matches the sequential reference exactly.
-        bit_identical: bool,
-    },
-    /// The run surfaced the typed saturation error — the documented
-    /// outcome when sustained overload collapses the send window.
-    Saturated {
-        /// Segment index the collapse named.
-        segment: usize,
-    },
-}
-
-impl CongestionOutcome {
-    /// Whether the outcome satisfies the bit-identical-or-typed-error
-    /// invariant.
-    pub fn invariant_holds(&self) -> bool {
-        match self {
-            CongestionOutcome::Finished { bit_identical, .. } => *bit_identical,
-            CongestionOutcome::Saturated { .. } => true,
-        }
-    }
-}
 
 /// One congestion scenario: a flood window on cluster 0's segment, run
 /// fault-free, under plain `Replan` (stays put), and under `Adapt`.
@@ -95,20 +65,16 @@ pub struct CongestionRow {
     pub flood_until_ms: f64,
     /// Microseconds between flood frames (lower = heavier).
     pub flood_period_us: u64,
-    /// Outcome staying put (plain `Replan`, blind to gray congestion).
-    pub stay: CongestionOutcome,
-    /// Outcome under `Adapt`.
-    pub adaptive: CongestionOutcome,
-    /// Drift confirmations in the adaptive run.
-    pub detections: u32,
-    /// Confirmations attributed to a congested segment (not a rank).
-    pub congestion_confirmations: u32,
-    /// Online recalibrations.
-    pub recalibrations: u32,
-    /// Repartitions the cost/benefit gate accepted.
-    pub repartitions: u32,
-    /// Confirmations the gate declined to act on.
-    pub declined: u32,
+    /// Outcome staying put (plain `Replan`, blind to gray congestion):
+    /// finished and checked bit for bit, or the typed
+    /// [`NetpartError::SegmentSaturated`] — the documented outcome when
+    /// sustained overload collapses the send window.
+    pub stay: Checked,
+    /// Outcome under `Adapt`, with its drift accounting (zeroed when the
+    /// run saturated): confirmations, those attributed to a congested
+    /// segment rather than a rank, recalibrations, repartitions accepted
+    /// and declined.
+    pub adaptive: Checked,
 }
 
 /// Outcome of the lack-of-fit calibration demonstration.
@@ -161,14 +127,18 @@ impl CongestionReport {
         let mut violations = Vec::new();
         for r in &self.rows {
             for (policy, outcome) in [("stay", &r.stay), ("adaptive", &r.adaptive)] {
-                if !outcome.invariant_holds() {
+                if outcome.verdict.is_violation() {
                     violations.push(format!(
                         "{}: {policy} run broke bit-identical-or-typed-error",
                         r.scenario
                     ));
                 }
             }
-            if r.scenario == "flood" && r.detections > 0 && r.congestion_confirmations == 0 {
+            let rec = r.adaptive.rec();
+            if r.scenario == "flood"
+                && rec.drift_detections > 0
+                && rec.congestion_confirmations == 0
+            {
                 violations.push(
                     "flood: drift confirmed but never attributed to the congested segment".into(),
                 );
@@ -215,33 +185,18 @@ pub fn congested_testbed() -> Testbed {
     t
 }
 
-/// Run one recoverable stencil under `policy` and fold the result into a
-/// [`CongestionOutcome`]: finished runs are checked bit-for-bit, a
-/// [`NetpartError::SegmentSaturated`] is the accepted typed outcome, and
-/// anything else propagates as a harness error.
+/// Run `t` under `policy`. A finished run is checked bit for bit and a
+/// [`NetpartError::SegmentSaturated`] is the accepted typed outcome; any
+/// other typed error propagates as a harness error.
 fn run_outcome(
-    s: &Scenario,
+    t: &Target,
     faults: &FaultSchedule,
     policy: RecoveryPolicy,
-    n: usize,
-    iters: u64,
-    variant: StencilVariant,
-) -> Result<(CongestionOutcome, netpart::pipeline::RecoveryStats), NetpartError> {
-    match s.run_recoverable(faults, policy, 2, stencil_factory(n, iters, variant)) {
-        Ok((run, app)) => {
-            let rec = run.recovery.clone().unwrap_or_default();
-            Ok((
-                CongestionOutcome::Finished {
-                    elapsed_ms: run.elapsed_ms,
-                    bit_identical: bits_eq_f32(&app.gather(), &sequential_reference(n, iters)),
-                },
-                rec,
-            ))
-        }
-        Err(NetpartError::SegmentSaturated { segment, .. }) => {
-            Ok((CongestionOutcome::Saturated { segment }, Default::default()))
-        }
-        Err(e) => Err(e),
+) -> Result<Checked, NetpartError> {
+    let c = t.run(faults, policy, CheckpointPolicy::local(2));
+    match c.verdict {
+        Verdict::Typed(e) if !matches!(e, NetpartError::SegmentSaturated { .. }) => Err(e),
+        _ => Ok(c),
     }
 }
 
@@ -260,15 +215,9 @@ fn congestion_row(
     until_frac: f64,
     period_us: u64,
 ) -> Result<CongestionRow, NetpartError> {
-    let s = Scenario::new(congested_testbed(), stencil_model(n as u64, variant))
-        .with_cost(CostSource::Fixed(model.clone()));
-    let plan = s.plan()?;
-    let ranks = plan.ranks();
-    let mut app = StencilApp::new(n, iters, variant, ranks);
-    let fault_free = plan.run(&mut app)?;
-
-    let flood_from_ms = fault_free.elapsed_ms * from_frac;
-    let flood_until_ms = fault_free.elapsed_ms * until_frac;
+    let t = Target::sten(congested_testbed(), model, n, iters, variant)?;
+    let flood_from_ms = t.fault_free_ms() * from_frac;
+    let flood_until_ms = t.fault_free_ms() * until_frac;
     let faults = FaultSchedule::new().with(Fault::TrafficFlood {
         cluster: 0,
         from_ms: flood_from_ms,
@@ -276,37 +225,18 @@ fn congestion_row(
         bytes: 1400,
         period_us,
     });
-
-    let (stay, _) = run_outcome(
-        &s,
-        &faults,
-        RecoveryPolicy::Replan {
-            max_replans: 4,
-            backoff_ms: 5.0,
-        },
-        n,
-        iters,
-        variant,
-    )?;
-    let (adaptive, rec) = run_outcome(&s, &faults, adapt_policy(0.0), n, iters, variant)?;
-
     Ok(CongestionRow {
         scenario,
-        app: variant_label(variant),
-        n: n as u64,
+        app: t.label(),
+        n: t.n(),
         iters,
-        ranks,
-        fault_free_ms: fault_free.elapsed_ms,
+        ranks: t.ranks(),
+        fault_free_ms: t.fault_free_ms(),
         flood_from_ms,
         flood_until_ms,
         flood_period_us: period_us,
-        stay,
-        adaptive,
-        detections: rec.drift_detections,
-        congestion_confirmations: rec.congestion_confirmations,
-        recalibrations: rec.recalibrations,
-        repartitions: rec.repartitions,
-        declined: rec.repartitions_declined,
+        stay: run_outcome(&t, &faults, replan_policy())?,
+        adaptive: run_outcome(&t, &faults, adapt_policy(0.0))?,
     })
 }
 
@@ -378,11 +308,9 @@ pub fn lack_of_fit_demo() -> Result<LackOfFitDemo, NetpartError> {
     // backpressure — and sustained saturation would collapse the window
     // into the typed error before the sweep completes.
     tb.mmps.congestion_window = None;
-    let cfg = CalibrationConfig {
-        lack_of_fit_r2: Some(0.97),
-        ..CalibrationConfig::default()
-    };
-    let (model, lof) = calibrate_cluster_gated(&tb, 0, Topology::Ring, &cfg)?;
+    let gate = 0.97;
+    let (model, lof) =
+        calibrate_cluster_gated(&tb, 0, Topology::Ring, &CalibrationConfig::default(), gate)?;
     let piecewise = matches!(model, CostModel::Piecewise(_));
     Ok(match lof {
         Some(l) => LackOfFitDemo {
@@ -394,7 +322,7 @@ pub fn lack_of_fit_demo() -> Result<LackOfFitDemo, NetpartError> {
         },
         None => LackOfFitDemo {
             cluster: 0,
-            gate: cfg.lack_of_fit_r2.unwrap_or(f64::NAN),
+            gate,
             linear_r_squared: match &model {
                 CostModel::Linear(f) => f.r_squared,
                 CostModel::Piecewise(_) => f64::NAN,
@@ -409,19 +337,8 @@ pub fn lack_of_fit_demo() -> Result<LackOfFitDemo, NetpartError> {
 /// knee and queue bound can never be reached prices a full stencil run
 /// exactly like the plain paper testbed — same elapsed time, same bits.
 pub fn transparency_check(model: &CalibratedCostModel) -> Result<TransparencyCheck, NetpartError> {
-    let (n, iters) = (120usize, 10u64);
-    let run = |tb: Testbed| -> Result<(f64, bool), NetpartError> {
-        let s = Scenario::new(tb, stencil_model(n as u64, StencilVariant::Sten1))
-            .with_cost(CostSource::Fixed(model.clone()));
-        let plan = s.plan()?;
-        let mut app = StencilApp::new(n, iters, StencilVariant::Sten1, plan.ranks());
-        let r = plan.run(&mut app)?;
-        Ok((
-            r.elapsed_ms,
-            bits_eq_f32(&app.gather(), &sequential_reference(n, iters)),
-        ))
-    };
-    let (baseline_ms, base_ok) = run(Testbed::paper())?;
+    let run = |tb| Target::sten(tb, model, 120, 10, StencilVariant::Sten1);
+    let base = run(Testbed::paper())?;
     let mut shadow = Testbed::paper();
     shadow.segment.congestion = Some(CongestionSpec {
         queue_frames: 1 << 20,
@@ -429,25 +346,27 @@ pub fn transparency_check(model: &CalibratedCostModel) -> Result<TransparencyChe
         knee_queue: 1 << 20,
         saturated_penalty: SimDur::from_millis(100),
     });
-    let (shadowed_ms, shadow_ok) = run(shadow)?;
+    let shadowed = run(shadow)?;
+    let (baseline_ms, shadowed_ms) = (base.fault_free_ms(), shadowed.fault_free_ms());
     Ok(TransparencyCheck {
         baseline_ms,
         shadowed_ms,
-        identical: baseline_ms == shadowed_ms && base_ok && shadow_ok,
+        identical: baseline_ms == shadowed_ms
+            && base.fault_free().verdict.is_identical()
+            && shadowed.fault_free().verdict.is_identical(),
     })
 }
 
-fn outcome_cell(o: &CongestionOutcome) -> String {
-    match o {
-        CongestionOutcome::Finished {
-            elapsed_ms,
-            bit_identical,
-        } => format!(
+fn outcome_cell(o: &Checked) -> String {
+    match &o.verdict {
+        Verdict::Typed(NetpartError::SegmentSaturated { segment, .. }) => {
+            format!("saturated(seg {segment})")
+        }
+        v => format!(
             "{:.1} ms ({})",
-            elapsed_ms,
-            if *bit_identical { "bit-id" } else { "WRONG" }
+            o.elapsed_ms(),
+            if v.is_identical() { "bit-id" } else { "WRONG" }
         ),
-        CongestionOutcome::Saturated { segment } => format!("saturated(seg {segment})"),
     }
 }
 
@@ -475,6 +394,7 @@ pub fn render_congestion(report: &CongestionReport) -> String {
         "declined"
     ));
     for r in &report.rows {
+        let rec = r.adaptive.rec();
         out.push_str(&format!(
             "{:<10} {:<8} {:>5} {:>12.3} {:>16} {:>8} {:>20} {:>20} {:>4} {:>4} {:>6} {:>8}\n",
             r.scenario,
@@ -485,10 +405,10 @@ pub fn render_congestion(report: &CongestionReport) -> String {
             r.flood_period_us,
             outcome_cell(&r.stay),
             outcome_cell(&r.adaptive),
-            r.detections,
-            r.congestion_confirmations,
-            r.repartitions,
-            r.declined
+            rec.drift_detections,
+            rec.congestion_confirmations,
+            rec.repartitions,
+            rec.repartitions_declined
         ));
     }
     let lof = &report.lack_of_fit;
@@ -517,20 +437,17 @@ pub fn render_congestion(report: &CongestionReport) -> String {
     out
 }
 
-fn outcome_json(o: &CongestionOutcome) -> Json {
-    match o {
-        CongestionOutcome::Finished {
-            elapsed_ms,
-            bit_identical,
-        } => Json::obj([
-            ("finished", true.into()),
-            ("elapsed_ms", Json::ms(*elapsed_ms)),
-            ("bit_identical", (*bit_identical).into()),
-        ]),
-        CongestionOutcome::Saturated { segment } => Json::obj([
+fn outcome_json(o: &Checked) -> Json {
+    match &o.verdict {
+        Verdict::Typed(NetpartError::SegmentSaturated { segment, .. }) => Json::obj([
             ("finished", false.into()),
             ("typed_error", "SegmentSaturated".into()),
             ("segment", (*segment).into()),
+        ]),
+        v => Json::obj([
+            ("finished", true.into()),
+            ("elapsed_ms", Json::ms(o.elapsed_ms())),
+            ("bit_identical", v.is_identical().into()),
         ]),
     }
 }
@@ -558,6 +475,7 @@ pub fn congestion_json(report: &CongestionReport) -> String {
         (
             "scenarios",
             Json::arr(&report.rows, |r| {
+                let rec = r.adaptive.rec();
                 Json::obj([
                     ("scenario", r.scenario.into()),
                     ("app", r.app.into()),
@@ -570,14 +488,14 @@ pub fn congestion_json(report: &CongestionReport) -> String {
                     ("flood_period_us", r.flood_period_us.into()),
                     ("stay", outcome_json(&r.stay)),
                     ("adaptive", outcome_json(&r.adaptive)),
-                    ("detections", r.detections.into()),
+                    ("detections", rec.drift_detections.into()),
                     (
                         "congestion_confirmations",
-                        r.congestion_confirmations.into(),
+                        rec.congestion_confirmations.into(),
                     ),
-                    ("recalibrations", r.recalibrations.into()),
-                    ("repartitions", r.repartitions.into()),
-                    ("declined", r.declined.into()),
+                    ("recalibrations", rec.recalibrations.into()),
+                    ("repartitions", rec.repartitions.into()),
+                    ("declined", rec.repartitions_declined.into()),
                 ])
             }),
         ),

@@ -16,11 +16,11 @@
 //! PRNG and requires the adaptive run to finish with the bit-identical
 //! sequential answer, whatever the monitor decided to do.
 
-use crate::faults::{bits_eq_f32, stencil_factory, stencil_scenario, variant_label};
 use crate::report::Json;
-use netpart::{Fault, FaultSchedule, RecoveryPolicy};
-use netpart_apps::{sequential_reference, StencilApp, StencilVariant};
-use netpart_calibrate::CalibratedCostModel;
+use crate::target::{replan_policy, Checked, Target};
+use netpart::{CheckpointPolicy, Fault, FaultSchedule, RecoveryPolicy};
+use netpart_apps::StencilVariant;
+use netpart_calibrate::{CalibratedCostModel, Testbed};
 use netpart_model::NetpartError;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -54,23 +54,10 @@ pub struct DriftRow {
     pub min_gain_ms: f64,
     /// Elapsed ms staying put (same slowdown under plain `Replan`).
     pub stay_ms: f64,
-    /// Elapsed ms under `Adapt` (detection + recalibration + decision).
-    pub adaptive_ms: f64,
-    /// Drift confirmations.
-    pub detections: u32,
-    /// Online recalibrations.
-    pub recalibrations: u32,
-    /// Repartitions the cost/benefit gate accepted.
-    pub repartitions: u32,
-    /// Drift confirmations the gate declined to act on.
-    pub declined: u32,
-    /// Cycles from drift onset to confirmation, summed over detections.
-    pub cycles_to_detect: u64,
-    /// Projected net gain (ms) of the accepted repartitions.
-    pub drift_gain_ms: f64,
-    /// Whether the adaptive answer is bit-identical to the sequential
-    /// reference.
-    pub bit_identical: bool,
+    /// The slowdown under `Adapt`: elapsed time with detection,
+    /// recalibration and the gate's decision included, the drift
+    /// accounting, and the verdict against the sequential reference.
+    pub adaptive: Checked,
 }
 
 /// One drift-chaos case: a randomly drawn transient-fault schedule run
@@ -85,18 +72,9 @@ pub struct DriftChaosCase {
     pub faults: FaultSchedule,
     /// Fault-free simulated elapsed ms.
     pub fault_free_ms: f64,
-    /// Adaptive run's simulated elapsed ms.
-    pub adaptive_ms: f64,
-    /// Drift confirmations.
-    pub detections: u32,
-    /// Repartitions accepted / declined.
-    pub repartitions: u32,
-    /// Declined repartitions.
-    pub declined: u32,
-    /// Fail-stop replans (crash-and-recover schedules trigger these).
-    pub replans: u32,
-    /// Whether the answer is bit-identical to the sequential reference.
-    pub bit_identical: bool,
+    /// The schedule under `Adapt` (crash-and-recover schedules add
+    /// fail-stop replans to the drift accounting).
+    pub adaptive: Checked,
 }
 
 /// The `Adapt` policy every gray-failure harness runs (drift and
@@ -118,71 +96,36 @@ pub(crate) fn adapt_policy_json() -> Json {
 }
 
 /// Run one drift case: fault-free baseline, the gray slowdown under plain
-/// `Replan` (stays put by construction), and under `Adapt`.
-#[allow(clippy::too_many_arguments)]
+/// `Replan` (stays put by construction — it never fires on a gray
+/// failure), and under `Adapt`.
 fn drift_row(
     model: &CalibratedCostModel,
-    n: usize,
-    iters: u64,
     variant: StencilVariant,
-    onset_frac: f64,
     degraded_rank: usize,
-    factor: f64,
     min_gain: f64,
 ) -> Result<DriftRow, NetpartError> {
-    let s = stencil_scenario(n as u64, variant, model);
-    let plan = s.plan()?;
-    let ranks = plan.ranks();
-    let mut app = StencilApp::new(n, iters, variant, ranks);
-    let fault_free = plan.run(&mut app)?;
-
-    let degraded_rank = degraded_rank.min(ranks - 1);
-    let onset_ms = fault_free.elapsed_ms * onset_frac;
+    let (n, iters, onset_frac, factor) = (120, 30, 0.15, 4.0);
+    let t = Target::sten(Testbed::paper(), model, n, iters, variant)?;
+    let degraded_rank = degraded_rank.min(t.ranks() - 1);
+    let onset_ms = t.fault_free_ms() * onset_frac;
     let faults = FaultSchedule::new().with(Fault::RankSlowdown {
         at_ms: onset_ms,
         rank: degraded_rank,
         factor,
     });
-
-    // Staying put: Replan never fires on a gray failure.
-    let (stay, _) = s.run_recoverable(
-        &faults,
-        RecoveryPolicy::Replan {
-            max_replans: 4,
-            backoff_ms: 5.0,
-        },
-        2,
-        stencil_factory(n, iters, variant),
-    )?;
-
-    let (adaptive, rapp) = s.run_recoverable(
-        &faults,
-        adapt_policy(min_gain),
-        2,
-        stencil_factory(n, iters, variant),
-    )?;
-    let rec = adaptive.recovery.clone().unwrap_or_default();
-    let bit_identical = bits_eq_f32(&rapp.gather(), &sequential_reference(n, iters));
-
+    let ckpt = CheckpointPolicy::local(2);
     Ok(DriftRow {
-        app: variant_label(variant),
-        n: n as u64,
+        app: t.label(),
+        n: t.n(),
         iters,
-        ranks,
-        fault_free_ms: fault_free.elapsed_ms,
+        ranks: t.ranks(),
+        fault_free_ms: t.fault_free_ms(),
         degraded_rank,
         factor,
         onset_ms,
         min_gain_ms: min_gain,
-        stay_ms: stay.elapsed_ms,
-        adaptive_ms: adaptive.elapsed_ms,
-        detections: rec.drift_detections,
-        recalibrations: rec.recalibrations,
-        repartitions: rec.repartitions,
-        declined: rec.repartitions_declined,
-        cycles_to_detect: rec.cycles_to_detect,
-        drift_gain_ms: rec.drift_gain_ms,
-        bit_identical,
+        stay_ms: t.run(&faults, replan_policy(), ckpt).elapsed_ms(),
+        adaptive: t.run(&faults, adapt_policy(min_gain), ckpt),
     })
 }
 
@@ -191,18 +134,9 @@ fn drift_row(
 /// the gate can deliberately decline.
 pub fn drift_table(model: &CalibratedCostModel) -> Result<Vec<DriftRow>, NetpartError> {
     Ok(vec![
-        drift_row(model, 120, 30, StencilVariant::Sten1, 0.15, 0, 4.0, 0.0)?,
-        drift_row(model, 120, 30, StencilVariant::Sten2, 0.15, 1, 4.0, 0.0)?,
-        drift_row(
-            model,
-            120,
-            30,
-            StencilVariant::Sten1,
-            0.15,
-            0,
-            4.0,
-            f64::INFINITY,
-        )?,
+        drift_row(model, StencilVariant::Sten1, 0, 0.0)?,
+        drift_row(model, StencilVariant::Sten2, 1, 0.0)?,
+        drift_row(model, StencilVariant::Sten1, 0, f64::INFINITY)?,
     ])
 }
 
@@ -231,6 +165,7 @@ pub fn render_drift(rows: &[DriftRow]) -> String {
         "bit-id"
     ));
     for r in rows {
+        let rec = r.adaptive.rec();
         out.push_str(&format!(
             "{:<8} {:>5} {:>5} {:>12.3} {:>7} {:>9} {:>12.3} {:>12.3} {:>4} {:>6} {:>8} {:>7} {:>11.3} {:>8}\n",
             r.app,
@@ -244,13 +179,13 @@ pub fn render_drift(rows: &[DriftRow]) -> String {
                 "inf".to_string()
             },
             r.stay_ms,
-            r.adaptive_ms,
-            r.detections,
-            r.repartitions,
-            r.declined,
-            r.cycles_to_detect,
-            r.drift_gain_ms,
-            if r.bit_identical { "yes" } else { "NO" }
+            r.adaptive.elapsed_ms(),
+            rec.drift_detections,
+            rec.repartitions,
+            rec.repartitions_declined,
+            rec.cycles_to_detect,
+            rec.drift_gain_ms,
+            r.adaptive.verdict.yes_no()
         ));
     }
     out
@@ -306,41 +241,20 @@ pub fn drift_chaos_run(
     seed: u64,
     model: &CalibratedCostModel,
 ) -> Result<Vec<DriftChaosCase>, NetpartError> {
-    let mut cases = Vec::new();
-    for (idx, variant) in [StencilVariant::Sten1, StencilVariant::Sten2]
-        .into_iter()
-        .enumerate()
-    {
-        let (n, iters) = (60usize, 10u64);
-        let s = stencil_scenario(n as u64, variant, model);
-        let plan = s.plan()?;
-        let ranks = plan.ranks();
-        let mut app = StencilApp::new(n, iters, variant, ranks);
-        let fault_free = plan.run(&mut app)?;
-
+    let variants = [StencilVariant::Sten1, StencilVariant::Sten2];
+    let cases = variants.into_iter().enumerate().map(|(idx, variant)| {
+        let t = Target::sten(Testbed::paper(), model, 60, 10, variant)?;
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(idx as u64 * 0x6A09_E667));
-        let faults = draw_drift_schedule(&mut rng, ranks, fault_free.elapsed_ms);
-        let (run, rapp) = s.run_recoverable(
-            &faults,
-            adapt_policy(0.0),
-            2,
-            stencil_factory(n, iters, variant),
-        )?;
-        let rec = run.recovery.clone().unwrap_or_default();
-        cases.push(DriftChaosCase {
-            app: variant_label(variant),
+        let faults = draw_drift_schedule(&mut rng, t.ranks(), t.fault_free_ms());
+        Ok(DriftChaosCase {
+            app: t.label(),
             seed,
+            adaptive: t.run(&faults, adapt_policy(0.0), CheckpointPolicy::local(2)),
             faults,
-            fault_free_ms: fault_free.elapsed_ms,
-            adaptive_ms: run.elapsed_ms,
-            detections: rec.drift_detections,
-            repartitions: rec.repartitions,
-            declined: rec.repartitions_declined,
-            replans: rec.replans,
-            bit_identical: bits_eq_f32(&rapp.gather(), &sequential_reference(n, iters)),
-        });
-    }
-    Ok(cases)
+            fault_free_ms: t.fault_free_ms(),
+        })
+    });
+    cases.collect()
 }
 
 /// Render drift-chaos outcomes.
@@ -360,18 +274,19 @@ pub fn render_drift_chaos(cases: &[DriftChaosCase]) -> String {
         "bit-id"
     ));
     for c in cases {
+        let rec = c.adaptive.rec();
         out.push_str(&format!(
             "{:<8} {:>6} {:>7} {:>12.3} {:>12.3} {:>4} {:>6} {:>8} {:>7} {:>8}\n",
             c.app,
             c.seed,
             c.faults.faults.len(),
             c.fault_free_ms,
-            c.adaptive_ms,
-            c.detections,
-            c.repartitions,
-            c.declined,
-            c.replans,
-            if c.bit_identical { "yes" } else { "NO" }
+            c.adaptive.elapsed_ms(),
+            rec.drift_detections,
+            rec.repartitions,
+            rec.repartitions_declined,
+            rec.replans,
+            c.adaptive.verdict.yes_no()
         ));
     }
     out
@@ -381,13 +296,15 @@ pub fn render_drift_chaos(cases: &[DriftChaosCase]) -> String {
 /// a chaos case whose final answer is not bit-identical to the sequential
 /// reference. Empty on a passing run.
 pub fn drift_violations(rows: &[DriftRow], chaos: &[DriftChaosCase]) -> Vec<String> {
-    let rows = rows.iter().filter(|r| !r.bit_identical).map(|r| {
+    let rows = rows.iter().filter(|r| !r.adaptive.verdict.is_identical());
+    let rows = rows.map(|r| {
         format!(
             "{} n={} min_gain {}: adaptive answer is not bit-identical",
             r.app, r.n, r.min_gain_ms
         )
     });
-    let chaos = chaos.iter().filter(|c| !c.bit_identical).map(|c| {
+    let chaos = chaos.iter().filter(|c| !c.adaptive.verdict.is_identical());
+    let chaos = chaos.map(|c| {
         format!(
             "chaos {} seed {}: adaptive answer is not bit-identical",
             c.app, c.seed
@@ -414,6 +331,7 @@ pub fn drift_json(rows: &[DriftRow], chaos: &[DriftChaosCase]) -> String {
         (
             "gray_slowdown",
             Json::arr(rows, |r| {
+                let rec = r.adaptive.rec();
                 Json::obj([
                     ("app", r.app.into()),
                     ("n", r.n.into()),
@@ -432,31 +350,32 @@ pub fn drift_json(rows: &[DriftRow], chaos: &[DriftChaosCase]) -> String {
                         },
                     ),
                     ("stay_ms", Json::ms(r.stay_ms)),
-                    ("adaptive_ms", Json::ms(r.adaptive_ms)),
-                    ("detections", r.detections.into()),
-                    ("recalibrations", r.recalibrations.into()),
-                    ("repartitions", r.repartitions.into()),
-                    ("declined", r.declined.into()),
-                    ("cycles_to_detect", r.cycles_to_detect.into()),
-                    ("drift_gain_ms", Json::ms(r.drift_gain_ms)),
-                    ("bit_identical", r.bit_identical.into()),
+                    ("adaptive_ms", Json::ms(r.adaptive.elapsed_ms())),
+                    ("detections", rec.drift_detections.into()),
+                    ("recalibrations", rec.recalibrations.into()),
+                    ("repartitions", rec.repartitions.into()),
+                    ("declined", rec.repartitions_declined.into()),
+                    ("cycles_to_detect", rec.cycles_to_detect.into()),
+                    ("drift_gain_ms", Json::ms(rec.drift_gain_ms)),
+                    ("bit_identical", r.adaptive.verdict.is_identical().into()),
                 ])
             }),
         ),
         (
             "chaos",
             Json::arr(chaos, |c| {
+                let rec = c.adaptive.rec();
                 Json::obj([
                     ("app", c.app.into()),
                     ("seed", c.seed.into()),
                     ("faults", c.faults.faults.len().into()),
                     ("fault_free_ms", Json::ms(c.fault_free_ms)),
-                    ("adaptive_ms", Json::ms(c.adaptive_ms)),
-                    ("detections", c.detections.into()),
-                    ("repartitions", c.repartitions.into()),
-                    ("declined", c.declined.into()),
-                    ("replans", c.replans.into()),
-                    ("bit_identical", c.bit_identical.into()),
+                    ("adaptive_ms", Json::ms(c.adaptive.elapsed_ms())),
+                    ("detections", rec.drift_detections.into()),
+                    ("repartitions", rec.repartitions.into()),
+                    ("declined", rec.repartitions_declined.into()),
+                    ("replans", rec.replans.into()),
+                    ("bit_identical", c.adaptive.verdict.is_identical().into()),
                 ])
             }),
         ),
@@ -474,7 +393,7 @@ mod tests {
         let rows = drift_table(&model).expect("drift table");
         let mut chaos = drift_chaos_run(11, &model).expect("drift chaos run");
         assert_eq!(drift_violations(&rows, &chaos), Vec::<String>::new());
-        chaos[0].bit_identical = false;
+        chaos[0].adaptive.verdict = crate::Verdict::Violation("planted".into());
         let violations = drift_violations(&rows, &chaos);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(

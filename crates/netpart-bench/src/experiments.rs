@@ -7,7 +7,6 @@
 //! partitioning decision, and [`netpart::Plan::run`] executes it on the
 //! one cycle engine. Every fallible step returns [`NetpartError`].
 
-use crate::faults::stencil_scenario;
 use netpart::pipeline::{CostSource, Scenario};
 use netpart_apps::gauss::{make_system, GaussApp};
 use netpart_apps::stencil::{stencil_model, StencilApp, StencilVariant};
@@ -21,6 +20,13 @@ use netpart_core::{
 };
 use netpart_model::{NetpartError, PartitionVector};
 use netpart_topology::{PlacementStrategy, Topology};
+
+/// The scenario every stencil experiment starts from: the paper testbed,
+/// the given stencil model, and the supplied (already fitted) cost model.
+fn stencil_scenario(n: u64, variant: StencilVariant, model: &CalibratedCostModel) -> Scenario {
+    Scenario::new(Testbed::paper(), stencil_model(n, variant))
+        .with_cost(CostSource::Fixed(model.clone()))
+}
 
 /// The problem sizes of §6.
 pub const PAPER_SIZES: [u64; 4] = [60, 300, 600, 1200];

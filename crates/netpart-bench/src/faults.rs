@@ -13,21 +13,12 @@
 //! same schedule, failures, and recovery trace.
 
 use crate::report::Json;
-use netpart::{AppStart, CostSource, Fault, FaultSchedule, RecoveryPolicy, Run, Scenario};
-use netpart_apps::{
-    gauss_model, make_system, sequential_reference, sequential_solve, stencil_model, GaussApp,
-    StencilApp, StencilVariant,
-};
+use crate::target::{replan_policy, Checked, Target, BACKOFF_MS, MAX_REPLANS};
+use netpart::{CheckpointPolicy, Fault, FaultSchedule, RecoveryPolicy};
+use netpart_apps::StencilVariant;
 use netpart_calibrate::{CalibratedCostModel, Testbed};
 use netpart_model::NetpartError;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-
-/// Replan budget used by the table and the chaos harness: generous enough
-/// that a single scheduled crash (plus any collateral suspicion from a
-/// loss burst) never exhausts it.
-const MAX_REPLANS: u32 = 4;
-/// Simulated pause before the failure-aware availability re-probe, ms.
-const BACKOFF_MS: f64 = 5.0;
 
 /// One row of the faults table: an application under a scheduled mid-run
 /// crash, compared against its own fault-free run.
@@ -45,28 +36,11 @@ pub struct FaultRow {
     pub crashed_rank: usize,
     /// Crash instant, simulated ms.
     pub crash_at_ms: f64,
-    /// Recovered run's simulated elapsed ms (detection + replan included).
-    pub recovered_ms: f64,
-    /// Replan-and-resume rounds the recovery took.
-    pub replans: u32,
-    /// Rank-independent cycles of progress discarded at recovery.
-    pub cycles_lost: u64,
-    /// Simulated ms attributed to recovery itself.
-    pub overhead_ms: f64,
-    /// Whether the recovered answer is bit-identical to the sequential
-    /// reference.
-    pub bit_identical: bool,
-    /// Drift confirmations during recovery — always 0 under `Replan`,
-    /// which never arms the drift monitor.
-    pub drift_detections: u32,
-    /// Drift-triggered repartitions — likewise always 0 under `Replan`.
-    pub repartitions: u32,
-    /// Online recalibrations (one per confirmation) — 0 under `Replan`.
-    pub recalibrations: u32,
-    /// Detection latency summed over confirmations — 0 under `Replan`.
-    pub cycles_to_detect: u64,
-    /// Projected net gain of accepted repartitions — 0 under `Replan`.
-    pub drift_gain_ms: f64,
+    /// The crash under [`RecoveryPolicy::Replan`]: elapsed time with
+    /// detection and replan included, the recovery accounting (its drift
+    /// counters stay 0 — `Replan` never arms the drift monitor), and the
+    /// verdict against the sequential reference.
+    pub recovered: Checked,
     /// The typed error the same crash produces under
     /// [`RecoveryPolicy::FailFast`] (rendered), proving bounded detection.
     pub fail_fast: String,
@@ -82,229 +56,70 @@ pub struct ChaosCase {
     pub seed: u64,
     /// The drawn schedule (deterministic per seed).
     pub faults: FaultSchedule,
-    /// Replan rounds the run needed.
-    pub replans: u32,
     /// Fault-free simulated elapsed ms.
     pub fault_free_ms: f64,
-    /// Recovered simulated elapsed ms.
-    pub recovered_ms: f64,
-    /// Whether the recovered answer is bit-identical to the sequential
-    /// reference.
-    pub bit_identical: bool,
+    /// The schedule under [`RecoveryPolicy::Replan`].
+    pub recovered: Checked,
 }
 
-fn replan_policy() -> RecoveryPolicy {
-    RecoveryPolicy::Replan {
-        max_replans: MAX_REPLANS,
-        backoff_ms: BACKOFF_MS,
-    }
-}
-
-pub(crate) fn bits_eq_f32(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-pub(crate) fn bits_eq_f64(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// The scenario every stencil experiment starts from: the paper testbed,
-/// the given stencil model, and the supplied (already fitted) cost model.
-pub(crate) fn stencil_scenario(
-    n: u64,
-    variant: StencilVariant,
-    model: &CalibratedCostModel,
-) -> Scenario {
-    Scenario::new(Testbed::paper(), stencil_model(n, variant))
-        .with_cost(CostSource::Fixed(model.clone()))
-}
-
-/// The stencil app factory every recovery harness hands to
-/// `run_recoverable`: fresh on the first segment, resumed afterwards.
-pub(crate) fn stencil_factory(
-    n: usize,
-    iters: u64,
-    variant: StencilVariant,
-) -> impl FnMut(usize, AppStart<'_>) -> Result<StencilApp, NetpartError> {
-    move |ranks, start| {
-        Ok(match start {
-            AppStart::Fresh => StencilApp::new(n, iters, variant, ranks),
-            AppStart::Resume(c) => StencilApp::resume(c, n, iters, variant, ranks),
-        })
-    }
-}
-
-/// The GAUSS counterpart of [`stencil_factory`].
-pub(crate) fn gauss_factory(
-    n: usize,
-    a: &[f64],
-    b: &[f64],
-) -> impl FnMut(usize, AppStart<'_>) -> Result<GaussApp, NetpartError> {
-    let (a, b) = (a.to_vec(), b.to_vec());
-    move |ranks, start| {
-        Ok(match start {
-            AppStart::Fresh => GaussApp::new(n, a.clone(), b.clone(), ranks),
-            AppStart::Resume(c) => GaussApp::resume(c, n, ranks),
-        })
-    }
-}
-
-pub(crate) fn variant_label(variant: StencilVariant) -> &'static str {
-    match variant {
-        StencilVariant::Sten1 => "STEN-1",
-        StencilVariant::Sten2 => "STEN-2",
-    }
-}
-
-/// Run one stencil fault case: fault-free baseline, crash under `Replan`,
-/// crash under `FailFast`.
-fn stencil_fault_row(
-    model: &CalibratedCostModel,
-    n: usize,
-    iters: u64,
-    variant: StencilVariant,
-    crash_frac: f64,
-    crashed_rank: usize,
-) -> Result<FaultRow, NetpartError> {
-    let s = stencil_scenario(n as u64, variant, model);
-    let plan = s.plan()?;
-    let ranks = plan.ranks();
-    let mut app = StencilApp::new(n, iters, variant, ranks);
-    let fault_free = plan.run(&mut app)?;
-
-    let crashed_rank = crashed_rank.min(ranks - 1);
-    let crash_at_ms = fault_free.elapsed_ms * crash_frac;
+/// Run one fault case on `t`, checkpointing every `every` cycles: a crash
+/// of `crashed_rank` at `crash_frac` of the fault-free run, under `Replan`
+/// and under `FailFast`.
+fn fault_row(t: &Target, every: u64, crash_frac: f64, crashed_rank: usize) -> FaultRow {
+    let crashed_rank = crashed_rank.min(t.ranks() - 1);
+    let crash_at_ms = t.fault_free_ms() * crash_frac;
     let faults = FaultSchedule::new().with(Fault::RankCrash {
         at_ms: crash_at_ms,
         rank: crashed_rank,
     });
-
-    let (run, rapp) = s.run_recoverable(
-        &faults,
-        replan_policy(),
-        2,
-        stencil_factory(n, iters, variant),
-    )?;
-    let reference = sequential_reference(n, iters);
-    let bit_identical = bits_eq_f32(&rapp.gather(), &reference);
-
-    let fail_fast = match s.run_recoverable(
-        &faults,
-        RecoveryPolicy::FailFast,
-        2,
-        stencil_factory(n, iters, variant),
-    ) {
-        Ok(_) => "completed (crash missed the run)".to_string(),
-        Err(e) => e.to_string(),
-    };
-
-    Ok(fault_row(
-        variant_label(variant),
-        n as u64,
-        ranks,
-        &fault_free,
-        crashed_rank,
-        crash_at_ms,
-        &run,
-        bit_identical,
-        fail_fast,
-    ))
-}
-
-/// Run the Gauss fault case; the reference is [`sequential_solve`], which
-/// applies the identical pivoting rule, so the recovered solution must
-/// match it bit for bit.
-fn gauss_fault_row(
-    model: &CalibratedCostModel,
-    n: usize,
-    crash_frac: f64,
-    crashed_rank: usize,
-) -> Result<FaultRow, NetpartError> {
-    let s = Scenario::new(Testbed::paper(), gauss_model(n as u64))
-        .with_cost(CostSource::Fixed(model.clone()));
-    let plan = s.plan()?;
-    let ranks = plan.ranks();
-    let (a, b, _x_true) = make_system(n, 1994);
-    let mut app = GaussApp::new(n, a.clone(), b.clone(), ranks);
-    let fault_free = plan.run(&mut app)?;
-
-    let crashed_rank = crashed_rank.min(ranks - 1);
-    let crash_at_ms = fault_free.elapsed_ms * crash_frac;
-    let faults = FaultSchedule::new().with(Fault::RankCrash {
-        at_ms: crash_at_ms,
-        rank: crashed_rank,
-    });
-
-    let factory = gauss_factory(n, &a, &b);
-    let (run, rapp) = s.run_recoverable(&faults, replan_policy(), 4, factory)?;
-    let reference = sequential_solve(n, &a, &b);
-    let bit_identical = bits_eq_f64(&rapp.solve(), &reference);
-
-    let fail_fast = match s.run_recoverable(
-        &faults,
-        RecoveryPolicy::FailFast,
-        4,
-        gauss_factory(n, &a, &b),
-    ) {
-        Ok(_) => "completed (crash missed the run)".to_string(),
-        Err(e) => e.to_string(),
-    };
-
-    Ok(fault_row(
-        "GAUSS",
-        n as u64,
-        ranks,
-        &fault_free,
-        crashed_rank,
-        crash_at_ms,
-        &run,
-        bit_identical,
-        fail_fast,
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fault_row(
-    app: &'static str,
-    n: u64,
-    ranks: usize,
-    fault_free: &Run,
-    crashed_rank: usize,
-    crash_at_ms: f64,
-    run: &Run,
-    bit_identical: bool,
-    fail_fast: String,
-) -> FaultRow {
-    let rec = run.recovery.clone().unwrap_or_default();
+    let ckpt = CheckpointPolicy::local(every);
+    let fail_fast = t.run(&faults, RecoveryPolicy::FailFast, ckpt);
     FaultRow {
-        app,
-        n,
-        ranks,
-        fault_free_ms: fault_free.elapsed_ms,
+        app: t.label(),
+        n: t.n(),
+        ranks: t.ranks(),
+        fault_free_ms: t.fault_free_ms(),
         crashed_rank,
         crash_at_ms,
-        recovered_ms: run.elapsed_ms,
-        replans: rec.replans,
-        cycles_lost: rec.cycles_lost,
-        overhead_ms: rec.overhead_ms,
-        bit_identical,
-        drift_detections: rec.drift_detections,
-        repartitions: rec.repartitions,
-        recalibrations: rec.recalibrations,
-        cycles_to_detect: rec.cycles_to_detect,
-        drift_gain_ms: rec.drift_gain_ms,
-        fail_fast,
+        recovered: t.run(&faults, replan_policy(), ckpt),
+        fail_fast: match fail_fast.run {
+            Some(_) => "completed (crash missed the run)".to_string(),
+            None => fail_fast.verdict.label_and_detail().1,
+        },
     }
+}
+
+/// The applications both halves of the harness run, each with its
+/// checkpoint interval: STEN-1 and STEN-2 on an `n × n` grid, GAUSS of
+/// order `gauss_n`, all on the paper testbed.
+fn targets(
+    model: &CalibratedCostModel,
+    n: usize,
+    iters: u64,
+    gauss_n: usize,
+) -> Result<[(Target, u64); 3], NetpartError> {
+    let paper = Testbed::paper;
+    Ok([
+        (
+            Target::sten(paper(), model, n, iters, StencilVariant::Sten1)?,
+            2,
+        ),
+        (
+            Target::sten(paper(), model, n, iters, StencilVariant::Sten2)?,
+            2,
+        ),
+        (Target::gauss(paper(), model, gauss_n)?, 4),
+    ])
 }
 
 /// The faults table: STEN-1, STEN-2, and Gaussian elimination, each with a
 /// mid-run crash of one rank.
 pub fn faults_table(model: &CalibratedCostModel) -> Result<Vec<FaultRow>, NetpartError> {
-    Ok(vec![
-        stencil_fault_row(model, 120, 10, StencilVariant::Sten1, 0.4, 0)?,
-        stencil_fault_row(model, 120, 10, StencilVariant::Sten2, 0.4, 1)?,
-        gauss_fault_row(model, 48, 0.35, 0)?,
-    ])
+    let crashes = [(0.4, 0), (0.4, 1), (0.35, 0)];
+    let rows = targets(model, 120, 10, 48)?.into_iter().zip(crashes);
+    Ok(rows
+        .map(|((t, every), (frac, rank))| fault_row(&t, every, frac, rank))
+        .collect())
 }
 
 /// Render the faults table for the terminal / `BENCH_faults.json` notes.
@@ -328,6 +143,7 @@ pub fn render_faults(rows: &[FaultRow]) -> String {
         "repart"
     ));
     for r in rows {
+        let rec = r.recovered.rec();
         out.push_str(&format!(
             "{:<8} {:>5} {:>5} {:>12.3} {:>6} {:>10.3} {:>12.3} {:>7} {:>9} {:>12.3} {:>8} {:>5} {:>6}\n",
             r.app,
@@ -336,13 +152,13 @@ pub fn render_faults(rows: &[FaultRow]) -> String {
             r.fault_free_ms,
             format!("r{}", r.crashed_rank),
             r.crash_at_ms,
-            r.recovered_ms,
-            r.replans,
-            r.cycles_lost,
-            r.overhead_ms,
-            if r.bit_identical { "yes" } else { "NO" },
-            r.drift_detections,
-            r.repartitions
+            r.recovered.elapsed_ms(),
+            rec.replans,
+            rec.cycles_lost,
+            rec.overhead_ms,
+            r.recovered.verdict.yes_no(),
+            rec.drift_detections,
+            rec.repartitions
         ));
     }
     out.push_str("\nFailFast on the same crash (typed error, bounded detection):\n");
@@ -388,64 +204,20 @@ fn draw_schedule(rng: &mut SmallRng, ranks: usize, fault_free_ms: f64) -> FaultS
 /// STEN-1, STEN-2, and Gauss, each required to recover the bit-identical
 /// sequential answer under [`RecoveryPolicy::Replan`].
 pub fn chaos_run(seed: u64, model: &CalibratedCostModel) -> Result<Vec<ChaosCase>, NetpartError> {
-    let mut cases = Vec::new();
-
-    for (idx, variant) in [StencilVariant::Sten1, StencilVariant::Sten2]
-        .into_iter()
-        .enumerate()
-    {
-        let (n, iters) = (60usize, 8u64);
-        let s = stencil_scenario(n as u64, variant, model);
-        let plan = s.plan()?;
-        let ranks = plan.ranks();
-        let mut app = StencilApp::new(n, iters, variant, ranks);
-        let fault_free = plan.run(&mut app)?;
-
-        let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(idx as u64 * 0x9E37_79B9));
-        let faults = draw_schedule(&mut rng, ranks, fault_free.elapsed_ms);
-        let (run, rapp) = s.run_recoverable(
-            &faults,
-            replan_policy(),
-            2,
-            stencil_factory(n, iters, variant),
-        )?;
-        cases.push(ChaosCase {
-            app: variant_label(variant),
-            seed,
-            faults,
-            replans: run.recovery.as_ref().map_or(0, |r| r.replans),
-            fault_free_ms: fault_free.elapsed_ms,
-            recovered_ms: run.elapsed_ms,
-            bit_identical: bits_eq_f32(&rapp.gather(), &sequential_reference(n, iters)),
-        });
-    }
-
-    {
-        let n = 32usize;
-        let s = Scenario::new(Testbed::paper(), gauss_model(n as u64))
-            .with_cost(CostSource::Fixed(model.clone()));
-        let plan = s.plan()?;
-        let ranks = plan.ranks();
-        let (a, b, _x_true) = make_system(n, 1994);
-        let mut app = GaussApp::new(n, a.clone(), b.clone(), ranks);
-        let fault_free = plan.run(&mut app)?;
-
-        let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(2 * 0x9E37_79B9));
-        let faults = draw_schedule(&mut rng, ranks, fault_free.elapsed_ms);
-        let factory = gauss_factory(n, &a, &b);
-        let (run, rapp) = s.run_recoverable(&faults, replan_policy(), 4, factory)?;
-        cases.push(ChaosCase {
-            app: "GAUSS",
-            seed,
-            faults,
-            replans: run.recovery.as_ref().map_or(0, |r| r.replans),
-            fault_free_ms: fault_free.elapsed_ms,
-            recovered_ms: run.elapsed_ms,
-            bit_identical: bits_eq_f64(&rapp.solve(), &sequential_solve(n, &a, &b)),
-        });
-    }
-
-    Ok(cases)
+    let cases = targets(model, 60, 8, 32)?.into_iter().enumerate();
+    Ok(cases
+        .map(|(idx, (t, every))| {
+            let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(idx as u64 * 0x9E37_79B9));
+            let faults = draw_schedule(&mut rng, t.ranks(), t.fault_free_ms());
+            ChaosCase {
+                app: t.label(),
+                seed,
+                recovered: t.run(&faults, replan_policy(), CheckpointPolicy::local(every)),
+                faults,
+                fault_free_ms: t.fault_free_ms(),
+            }
+        })
+        .collect())
 }
 
 /// Render chaos-harness outcomes.
@@ -461,10 +233,10 @@ pub fn render_chaos(cases: &[ChaosCase]) -> String {
             c.app,
             c.seed,
             c.faults.faults.len(),
-            c.replans,
+            c.recovered.rec().replans,
             c.fault_free_ms,
-            c.recovered_ms,
-            if c.bit_identical { "yes" } else { "NO" }
+            c.recovered.elapsed_ms(),
+            c.recovered.verdict.yes_no()
         ));
     }
     out
@@ -476,9 +248,10 @@ pub fn render_chaos(cases: &[ChaosCase]) -> String {
 pub fn faults_violations(rows: &[FaultRow], chaos: &[ChaosCase]) -> Vec<String> {
     let rows = rows
         .iter()
-        .filter(|r| !r.bit_identical)
+        .filter(|r| !r.recovered.verdict.is_identical())
         .map(|r| format!("{} n={}: recovered answer is not bit-identical", r.app, r.n));
-    let chaos = chaos.iter().filter(|c| !c.bit_identical).map(|c| {
+    let chaos = chaos.iter().filter(|c| !c.recovered.verdict.is_identical());
+    let chaos = chaos.map(|c| {
         format!(
             "chaos {} seed {}: recovered answer is not bit-identical",
             c.app, c.seed
@@ -508,6 +281,7 @@ pub fn faults_json(rows: &[FaultRow], chaos: &[ChaosCase]) -> String {
         (
             "crash_recovery",
             Json::arr(rows, |r| {
+                let rec = r.recovered.rec();
                 Json::obj([
                     ("app", r.app.into()),
                     ("n", r.n.into()),
@@ -515,16 +289,16 @@ pub fn faults_json(rows: &[FaultRow], chaos: &[ChaosCase]) -> String {
                     ("fault_free_ms", Json::ms(r.fault_free_ms)),
                     ("crashed_rank", r.crashed_rank.into()),
                     ("crash_at_ms", Json::ms(r.crash_at_ms)),
-                    ("recovered_ms", Json::ms(r.recovered_ms)),
-                    ("replans", r.replans.into()),
-                    ("cycles_lost", r.cycles_lost.into()),
-                    ("overhead_ms", Json::ms(r.overhead_ms)),
-                    ("bit_identical", r.bit_identical.into()),
-                    ("drift_detections", r.drift_detections.into()),
-                    ("repartitions", r.repartitions.into()),
-                    ("recalibrations", r.recalibrations.into()),
-                    ("cycles_to_detect", r.cycles_to_detect.into()),
-                    ("drift_gain_ms", Json::ms(r.drift_gain_ms)),
+                    ("recovered_ms", Json::ms(r.recovered.elapsed_ms())),
+                    ("replans", rec.replans.into()),
+                    ("cycles_lost", rec.cycles_lost.into()),
+                    ("overhead_ms", Json::ms(rec.overhead_ms)),
+                    ("bit_identical", r.recovered.verdict.is_identical().into()),
+                    ("drift_detections", rec.drift_detections.into()),
+                    ("repartitions", rec.repartitions.into()),
+                    ("recalibrations", rec.recalibrations.into()),
+                    ("cycles_to_detect", rec.cycles_to_detect.into()),
+                    ("drift_gain_ms", Json::ms(rec.drift_gain_ms)),
                     ("fail_fast_error", r.fail_fast.as_str().into()),
                 ])
             }),
@@ -536,10 +310,10 @@ pub fn faults_json(rows: &[FaultRow], chaos: &[ChaosCase]) -> String {
                     ("app", c.app.into()),
                     ("seed", c.seed.into()),
                     ("faults", c.faults.faults.len().into()),
-                    ("replans", c.replans.into()),
+                    ("replans", c.recovered.rec().replans.into()),
                     ("fault_free_ms", Json::ms(c.fault_free_ms)),
-                    ("recovered_ms", Json::ms(c.recovered_ms)),
-                    ("bit_identical", c.bit_identical.into()),
+                    ("recovered_ms", Json::ms(c.recovered.elapsed_ms())),
+                    ("bit_identical", c.recovered.verdict.is_identical().into()),
                 ])
             }),
         ),
@@ -557,7 +331,7 @@ mod tests {
         let mut rows = faults_table(&model).expect("faults table");
         let chaos = chaos_run(11, &model).expect("chaos run");
         assert_eq!(faults_violations(&rows, &chaos), Vec::<String>::new());
-        rows[1].bit_identical = false;
+        rows[1].recovered.verdict = crate::Verdict::Violation("planted".into());
         let violations = faults_violations(&rows, &chaos);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].starts_with("STEN-2 n=120"), "{violations:?}");

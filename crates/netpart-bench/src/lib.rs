@@ -2,8 +2,9 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (§6) plus
 //! the ablations DESIGN.md calls out. The heavy lifting lives here so the
-//! `experiments` binary, the criterion benches, and the workspace
-//! integration tests all share one implementation.
+//! `experiments` binary and the workspace integration tests share one
+//! implementation. Nothing here reads a wall clock: `benchmark/` is the
+//! repo's one perf instrument.
 //!
 //! | paper artifact | function |
 //! |---|---|
@@ -29,6 +30,7 @@ pub mod report;
 pub mod scale;
 pub mod serve;
 pub mod sweep;
+mod target;
 
 pub use ablations::*;
 pub use chaos_fabric::*;
@@ -40,3 +42,4 @@ pub use faults::*;
 pub use report::*;
 pub use scale::*;
 pub use serve::*;
+pub use target::{Checked, Target, Verdict};

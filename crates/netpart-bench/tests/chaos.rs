@@ -22,20 +22,22 @@ fn assert_chaos_seed(seed: u64) {
     let cases = chaos_run(seed, model()).expect("chaos run");
     assert_eq!(cases.len(), 3, "one case per application");
     for c in &cases {
+        let (replans, recovered_ms) = (c.recovered.rec().replans, c.recovered.elapsed_ms());
         assert!(
-            c.bit_identical,
+            c.recovered.verdict.is_identical(),
             "seed {seed}: {} recovered answer diverged from the sequential reference \
              under schedule {:?}",
-            c.app, c.faults
+            c.app,
+            c.faults
         );
         assert!(
-            c.replans >= 1,
+            replans >= 1,
             "seed {seed}: {} schedule {:?} never triggered a recovery",
             c.app,
             c.faults
         );
         assert!(
-            c.recovered_ms > c.fault_free_ms,
+            recovered_ms > c.fault_free_ms,
             "seed {seed}: {} recovery cannot be faster than the fault-free run",
             c.app
         );
@@ -75,12 +77,15 @@ fn chaos_fuzz_fixed_seeds_satisfy_the_invariant() {
         report.repros
     );
     assert!(
-        report.cases.iter().any(|c| c.replans >= 1),
+        report.cases.iter().any(|c| c.outcome.rec().replans >= 1),
         "no fixed-seed schedule triggered a recovery: {:?}",
         report.cases
     );
     assert!(
-        report.cases.iter().any(|c| c.replica_restores >= 1),
+        report
+            .cases
+            .iter()
+            .any(|c| c.outcome.rec().replica_restores >= 1),
         "no fixed-seed schedule restored from a buddy replica: {:?}",
         report.cases
     );
@@ -93,11 +98,20 @@ fn chaos_fuzz_is_deterministic_per_seed() {
     assert_eq!(a.cases.len(), b.cases.len());
     for (x, y) in a.cases.iter().zip(&b.cases) {
         assert_eq!(x.events, y.events, "{}: drawn schedule diverged", x.app);
-        assert_eq!(x.replans, y.replans, "{}: recovery trace diverged", x.app);
-        assert_eq!(x.verdict, y.verdict, "{}: verdict diverged", x.app);
         assert_eq!(
-            x.recovered_ms.to_bits(),
-            y.recovered_ms.to_bits(),
+            x.outcome.rec().replans,
+            y.outcome.rec().replans,
+            "{}: recovery trace diverged",
+            x.app
+        );
+        assert_eq!(
+            x.outcome.verdict, y.outcome.verdict,
+            "{}: verdict diverged",
+            x.app
+        );
+        assert_eq!(
+            x.outcome.elapsed_ms().to_bits(),
+            y.outcome.elapsed_ms().to_bits(),
             "{}: elapsed diverged",
             x.app
         );
@@ -125,10 +139,11 @@ fn planted_recovery_bug_is_caught_and_shrunk_to_a_minimal_schedule() {
     // 1-minimality: the planted bug fires iff the run replans, so the
     // shrunk schedule still violates, and removing any single remaining
     // event must make the violation disappear.
-    let target = ChaosTarget::sten(model()).expect("sten target");
+    let target = sten_star_target(model()).expect("sten target");
     assert!(
         target
             .run_case(repro.seed, &repro.plan, true)
+            .outcome
             .verdict
             .is_violation(),
         "minimized schedule must still reproduce the violation"
@@ -139,6 +154,7 @@ fn planted_recovery_bug_is_caught_and_shrunk_to_a_minimal_schedule() {
         assert!(
             !target
                 .run_case(repro.seed, &reduced, true)
+                .outcome
                 .verdict
                 .is_violation(),
             "event {i} of the minimized schedule is not load-bearing: {:?}",
@@ -150,6 +166,7 @@ fn planted_recovery_bug_is_caught_and_shrunk_to_a_minimal_schedule() {
     assert!(
         !target
             .run_case(repro.seed, &repro.plan, false)
+            .outcome
             .verdict
             .is_violation(),
         "without the planted bug the minimized schedule must satisfy the invariant"
@@ -169,10 +186,15 @@ fn chaos_schedules_are_deterministic_per_seed() {
             "{}: schedule must be seed-determined",
             x.app
         );
-        assert_eq!(x.replans, y.replans, "{}: recovery trace diverged", x.app);
         assert_eq!(
-            x.recovered_ms.to_bits(),
-            y.recovered_ms.to_bits(),
+            x.recovered.rec(),
+            y.recovered.rec(),
+            "{}: recovery trace diverged",
+            x.app
+        );
+        assert_eq!(
+            x.recovered.elapsed_ms().to_bits(),
+            y.recovered.elapsed_ms().to_bits(),
             "{}: recovered elapsed time diverged",
             x.app
         );

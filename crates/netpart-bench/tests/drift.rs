@@ -28,20 +28,21 @@ fn table() -> &'static Vec<DriftRow> {
 #[test]
 fn open_gate_rows_repartition_once_and_beat_staying_put() {
     for r in table().iter().filter(|r| r.min_gain_ms.is_finite()) {
+        let (rec, adaptive_ms) = (r.adaptive.rec(), r.adaptive.elapsed_ms());
         assert_eq!(
-            r.repartitions, 1,
+            rec.repartitions, 1,
             "{}: expected exactly one accepted repartition",
             r.app
         );
         assert!(
-            r.adaptive_ms < r.stay_ms,
+            adaptive_ms < r.stay_ms,
             "{}: adaptive {:.3} ms must beat staying put {:.3} ms",
             r.app,
-            r.adaptive_ms,
+            adaptive_ms,
             r.stay_ms
         );
         assert!(
-            r.drift_gain_ms > 0.0,
+            rec.drift_gain_ms > 0.0,
             "{}: accepted repartition must project a positive net gain",
             r.app
         );
@@ -51,13 +52,18 @@ fn open_gate_rows_repartition_once_and_beat_staying_put() {
 #[test]
 fn detection_latency_is_bounded() {
     for r in table() {
-        assert!(r.detections >= 1, "{}: slowdown never detected", r.app);
+        let rec = r.adaptive.rec();
+        assert!(
+            rec.drift_detections >= 1,
+            "{}: slowdown never detected",
+            r.app
+        );
         assert_eq!(
-            r.recalibrations, r.detections,
+            rec.recalibrations, rec.drift_detections,
             "{}: every confirmation recalibrates",
             r.app
         );
-        let per_detection = r.cycles_to_detect / u64::from(r.detections);
+        let per_detection = rec.cycles_to_detect / u64::from(rec.drift_detections);
         assert!(
             (1..=8).contains(&per_detection),
             "{}: detection took {} cycles per confirmation",
@@ -75,10 +81,15 @@ fn infinite_min_gain_provably_declines() {
         .collect();
     assert!(!inf.is_empty(), "table must carry a forced-decline row");
     for r in inf {
-        assert_eq!(r.repartitions, 0, "{}: gate must decline at ∞", r.app);
-        assert!(r.declined >= 1, "{}: decline must be recorded", r.app);
+        let rec = r.adaptive.rec();
+        assert_eq!(rec.repartitions, 0, "{}: gate must decline at ∞", r.app);
+        assert!(
+            rec.repartitions_declined >= 1,
+            "{}: decline must be recorded",
+            r.app
+        );
         assert_eq!(
-            r.drift_gain_ms, 0.0,
+            rec.drift_gain_ms, 0.0,
             "{}: declined rounds bank no gain",
             r.app
         );
@@ -89,9 +100,10 @@ fn infinite_min_gain_provably_declines() {
 fn every_row_is_bit_identical() {
     for r in table() {
         assert!(
-            r.bit_identical,
+            r.adaptive.verdict.is_identical(),
             "{} (min_gain {}): adaptive answer diverged from the sequential reference",
-            r.app, r.min_gain_ms
+            r.app,
+            r.min_gain_ms
         );
     }
 }
@@ -107,11 +119,12 @@ fn assert_drift_chaos_seed(seed: u64) {
             c.app
         );
         assert!(
-            c.bit_identical,
+            c.adaptive.verdict.is_identical(),
             "seed {seed}: {} adaptive answer diverged under schedule {:?}",
-            c.app, c.faults
+            c.app,
+            c.faults
         );
-        detections += c.detections;
+        detections += c.adaptive.rec().drift_detections;
     }
     assert!(
         detections >= 1,
@@ -146,14 +159,14 @@ fn drift_chaos_is_deterministic_per_seed() {
             x.app
         );
         assert_eq!(
-            (x.detections, x.repartitions, x.declined, x.replans),
-            (y.detections, y.repartitions, y.declined, y.replans),
+            x.adaptive.rec(),
+            y.adaptive.rec(),
             "{}: adaptive trace diverged",
             x.app
         );
         assert_eq!(
-            x.adaptive_ms.to_bits(),
-            y.adaptive_ms.to_bits(),
+            x.adaptive.elapsed_ms().to_bits(),
+            y.adaptive.elapsed_ms().to_bits(),
             "{}: adaptive elapsed time diverged",
             x.app
         );

@@ -1,6 +1,6 @@
 //! Persistent calibration cache.
 //!
-//! The full offline procedure of [`calibrate_testbed`] simulates hundreds
+//! The full offline procedure of [`calibrate_testbed`](crate::calibrate_testbed) simulates hundreds
 //! of communication-cycle benchmarks; its output depends only on the
 //! testbed description, the topology list, and the sweep configuration.
 //! [`calibrate_testbed_cached`] therefore keys the result by a fingerprint
@@ -77,24 +77,25 @@ fn cache_path(fingerprint: u64) -> PathBuf {
     cache_dir().join(format!("{fingerprint:016x}.json"))
 }
 
-/// Like [`calibrate_testbed`], but consults the process memo and the
-/// on-disk cache first. Returns the model and where it came from.
+/// Like [`calibrate_testbed`](crate::calibrate_testbed), but consults the process memo and the
+/// on-disk cache first. Returns the model and where it came from — the
+/// [`CacheStatus`] is the only signal; nothing is logged.
 pub fn calibrate_testbed_cached_status(
     testbed: &Testbed,
     topologies: &[Topology],
     cfg: &CalibrationConfig,
 ) -> Result<(CalibratedCostModel, CacheStatus), NetpartError> {
-    calibrate_testbed_cached_budgeted_status(testbed, topologies, cfg, &Budget::unlimited())
+    cached(testbed, topologies, cfg, &Budget::unlimited())
 }
 
-/// [`calibrate_testbed_cached_status`] under a cooperative [`Budget`].
-/// Cache hits are served regardless of the budget (they are cheap); only
-/// a miss — the full simulated benchmarking procedure — polls the budget,
-/// so an expired plan-server request stops sweeping instead of burning a
+/// The cached calibration under a cooperative [`Budget`]. Cache hits are
+/// served regardless of the budget (they are cheap); only a miss — the
+/// full simulated benchmarking procedure — polls the budget, so an
+/// expired plan-server request stops sweeping instead of burning a
 /// worker. The memo lock is held across the fill, so concurrent requests
 /// for the same fingerprint wait for one calibration (single-flight) —
 /// a waiter's own deadline is re-checked once it acquires the lock.
-pub fn calibrate_testbed_cached_budgeted_status(
+fn cached(
     testbed: &Testbed,
     topologies: &[Topology],
     cfg: &CalibrationConfig,
@@ -116,32 +117,19 @@ pub fn calibrate_testbed_cached_budgeted_status(
         .ok()
         .and_then(|text| parse_model(&text, fp))
     {
-        eprintln!(
-            "netpart-calibrate: reusing cached calibration {} ({})",
-            path.display(),
-            describe(testbed, topologies)
-        );
         map.insert(fp, model.clone());
         return Ok((model, CacheStatus::DiskHit));
     }
 
-    eprintln!(
-        "netpart-calibrate: cache miss, running full calibration ({})",
-        describe(testbed, topologies)
-    );
     budget.check()?;
     let model = calibrate_testbed_budgeted(testbed, topologies, cfg, budget)?;
-    if let Err(e) = persist(&path, fp, &model) {
-        eprintln!(
-            "netpart-calibrate: could not persist calibration to {}: {e}",
-            path.display()
-        );
-    }
+    // A failed write costs the next process a recalibration, nothing else.
+    let _ = persist(&path, fp, &model);
     map.insert(fp, model.clone());
     Ok((model, CacheStatus::Miss))
 }
 
-/// Like [`calibrate_testbed`], but computed at most once per machine for a
+/// Like [`calibrate_testbed`](crate::calibrate_testbed), but computed at most once per machine for a
 /// given (testbed, topologies, config) input.
 pub fn calibrate_testbed_cached(
     testbed: &Testbed,
@@ -158,16 +146,7 @@ pub fn calibrate_testbed_cached_budgeted(
     cfg: &CalibrationConfig,
     budget: &Budget,
 ) -> Result<CalibratedCostModel, NetpartError> {
-    Ok(calibrate_testbed_cached_budgeted_status(testbed, topologies, cfg, budget)?.0)
-}
-
-fn describe(testbed: &Testbed, topologies: &[Topology]) -> String {
-    let names: Vec<&str> = testbed
-        .clusters
-        .iter()
-        .map(|c| c.proc_type.name.as_str())
-        .collect();
-    format!("clusters {names:?}, topologies {topologies:?}")
+    Ok(cached(testbed, topologies, cfg, budget)?.0)
 }
 
 // ---------------------------------------------------------------------------

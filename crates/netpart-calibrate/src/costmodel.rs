@@ -222,9 +222,10 @@ pub trait CommCostModel {
 pub struct CalibratedCostModel {
     /// Eq. 1 constants per (cluster, topology).
     pub intra: HashMap<(usize, Topology), FittedCost>,
-    /// Two-piece overrides per (cluster, topology), installed when gated
-    /// calibration rejects the linear fit. Consulted before `intra`;
-    /// empty (and cost-free) for ungated calibrations.
+    /// Two-piece overrides per (cluster, topology), for a caller that
+    /// carries a [`calibrate_cluster_gated`](crate::fit::calibrate_cluster_gated)
+    /// fallback in a fixed model. Consulted before `intra`; no calibration
+    /// entry point fills it, and the disk cache does not store it.
     pub piecewise: HashMap<(usize, Topology), PiecewiseCost>,
     /// Router penalty per unordered cluster pair (stored with a ≤ b).
     pub router: HashMap<(usize, usize), LinearCost>,
@@ -240,14 +241,6 @@ impl CalibratedCostModel {
     /// Insert an intra-cluster fit.
     pub fn set_intra(&mut self, cluster: usize, topo: Topology, fit: FittedCost) {
         self.intra.insert((cluster, topo), fit);
-    }
-
-    /// Install a two-piece override for a (cluster, topology); it takes
-    /// precedence over the linear entry in [`intra_ms`].
-    ///
-    /// [`intra_ms`]: CommCostModel::intra_ms
-    pub fn set_piecewise(&mut self, cluster: usize, topo: Topology, fit: PiecewiseCost) {
-        self.piecewise.insert((cluster, topo), fit);
     }
 
     /// Insert a router fit for a cluster pair.

@@ -24,12 +24,6 @@ pub struct CalibrationConfig {
     pub cycles: u64,
     /// Leading cycles discarded as warmup (pipeline fill).
     pub warmup: usize,
-    /// Lack-of-fit gate on the linear Eq. 1 fit: when set, a cluster fit
-    /// whose R² falls below this threshold is rejected and
-    /// [`calibrate_cluster_gated`] falls back to a two-piece fit (the
-    /// sweep crossed a congestion knee the linear shape cannot express).
-    /// `None` (the default) keeps the ungated, always-linear behaviour.
-    pub lack_of_fit_r2: Option<f64>,
 }
 
 impl Default for CalibrationConfig {
@@ -38,7 +32,6 @@ impl Default for CalibrationConfig {
             b_values: vec![64, 256, 1024, 2048, 4096, 8192],
             cycles: 12,
             warmup: 2,
-            lack_of_fit_r2: None,
         }
     }
 }
@@ -49,7 +42,7 @@ impl Default for CalibrationConfig {
 pub struct LackOfFit {
     /// R² of the rejected linear fit.
     pub linear_r_squared: f64,
-    /// The configured gate it fell below.
+    /// The gate it fell below.
     pub gate: f64,
     /// First processor count priced by the saturated piece.
     pub knee_p: u32,
@@ -143,22 +136,13 @@ fn fit_eq1(points: &[(u32, u32)], y: &[f64]) -> Option<FittedCost> {
     })
 }
 
+const SINGULAR: &str = "calibration sweep produced a singular system";
+
 /// Benchmark one cluster's Eq. 1 constants for `topo`: sweep
 /// `p ∈ 2..=capacity` × configured message sizes, fit
-/// `T = c1 + c2·p + b·(c3 + c4·p)`.
-pub fn calibrate_cluster(
-    testbed: &Testbed,
-    cluster: usize,
-    topo: Topology,
-    cfg: &CalibrationConfig,
-) -> Result<FittedCost, NetpartError> {
-    calibrate_cluster_budgeted(testbed, cluster, topo, cfg, &Budget::unlimited())
-}
-
-/// [`calibrate_cluster`] under a cooperative [`Budget`]: the sweep checks
-/// the budget before each grid point. With an unlimited budget the result
-/// is bit-identical to [`calibrate_cluster`].
-pub fn calibrate_cluster_budgeted(
+/// `T = c1 + c2·p + b·(c3 + c4·p)`. The sweep checks `budget` before each
+/// grid point.
+fn calibrate_cluster(
     testbed: &Testbed,
     cluster: usize,
     topo: Topology,
@@ -166,35 +150,25 @@ pub fn calibrate_cluster_budgeted(
     budget: &Budget,
 ) -> Result<FittedCost, NetpartError> {
     let (grid, y) = sweep_cluster_grid(testbed, cluster, topo, cfg, budget)?;
-    fit_eq1(&grid, &y).ok_or_else(|| {
-        NetpartError::Calibration("calibration sweep produced a singular system".into())
-    })
+    fit_eq1(&grid, &y).ok_or_else(|| NetpartError::Calibration(SINGULAR.into()))
 }
 
-/// Like [`calibrate_cluster`], but with the lack-of-fit gate applied:
-/// when `cfg.lack_of_fit_r2` is set and the linear fit's R² falls below
-/// it (the measured curve bends — a congestion knee inside the swept `p`
-/// range), fall back to a two-piece fit. The knee is chosen by searching
-/// every split of the swept `p` values with at least two distinct `p` on
-/// each side and keeping the split with the smallest total squared
-/// residual. Returns the model and, when the gate tripped, the typed
-/// [`LackOfFit`] report.
-///
-/// With `lack_of_fit_r2: None` this is exactly [`calibrate_cluster`]
-/// wrapped in [`CostModel::Linear`].
+/// The cluster fit with a lack-of-fit gate on it: when the linear fit's
+/// R² falls below `gate` (the measured curve bends — a congestion knee
+/// inside the swept `p` range the linear shape cannot express), fall back
+/// to a two-piece fit. The knee is chosen by searching every split of the
+/// swept `p` values with at least two distinct `p` on each side and
+/// keeping the split with the smallest total squared residual. Returns
+/// the model and, when the gate tripped, the typed [`LackOfFit`] report.
 pub fn calibrate_cluster_gated(
     testbed: &Testbed,
     cluster: usize,
     topo: Topology,
     cfg: &CalibrationConfig,
+    gate: f64,
 ) -> Result<(CostModel, Option<LackOfFit>), NetpartError> {
     let (grid, y) = sweep_cluster_grid(testbed, cluster, topo, cfg, &Budget::unlimited())?;
     let linear = fit_eq1(&grid, &y);
-    let Some(gate) = cfg.lack_of_fit_r2 else {
-        return linear.map(|f| (CostModel::Linear(f), None)).ok_or_else(|| {
-            NetpartError::Calibration("calibration sweep produced a singular system".into())
-        });
-    };
     if let Some(f) = linear {
         if f.r_squared >= gate {
             return Ok((CostModel::Linear(f), None));
@@ -252,28 +226,47 @@ pub fn calibrate_cluster_gated(
             // The sweep was too small to split (fewer than four distinct
             // p values): keep the linear fit, gate or no gate.
             Some(f) => Ok((CostModel::Linear(f), None)),
-            None => Err(NetpartError::Calibration(
-                "calibration sweep produced a singular system".into(),
-            )),
+            None => Err(NetpartError::Calibration(SINGULAR.into())),
         },
     }
+}
+
+/// Sweep `excess_ms` over the configured message sizes (checking `budget`
+/// before each), fit the excesses as `a + k·b`, and clamp both constants at
+/// 0: the shape of the router and the coercion penalty alike.
+fn fit_excess(
+    cfg: &CalibrationConfig,
+    budget: &Budget,
+    what: &str,
+    excess_ms: impl Fn(u32) -> Result<f64, NetpartError> + Sync,
+) -> Result<LinearCost, NetpartError> {
+    let excesses = netpart_sweep::sweep(cfg.b_values.clone(), |b| {
+        budget.check()?;
+        Ok::<f64, NetpartError>(excess_ms(b)?.max(0.0))
+    });
+    let excesses = excesses.into_iter().collect::<Result<Vec<f64>, _>>()?;
+    let rows: Vec<Vec<f64>> = cfg.b_values.iter().map(|&b| vec![1.0, b as f64]).collect();
+    let fit = least_squares(&rows, &excesses).ok_or_else(|| {
+        NetpartError::Calibration(format!("{what} sweep produced a singular system"))
+    })?;
+    Ok(LinearCost {
+        a: fit.coefficients[0].max(0.0),
+        k: fit.coefficients[1].max(0.0),
+    })
+}
+
+/// One rank on each of clusters `ca` and `cb`.
+fn one_pair(testbed: &Testbed, ca: usize, cb: usize) -> Vec<u32> {
+    let mut config = vec![0u32; testbed.num_clusters()];
+    config[ca] = 1;
+    config[cb] = 1;
+    config
 }
 
 /// Benchmark the router penalty between two clusters: the per-byte excess
 /// of a one-pair cross-cluster cycle over the worse of the two intra-
 /// cluster one-pair cycles, fitted as `a + k·b`.
-pub fn calibrate_router(
-    testbed: &Testbed,
-    ca: usize,
-    cb: usize,
-    cfg: &CalibrationConfig,
-) -> Result<LinearCost, NetpartError> {
-    calibrate_router_budgeted(testbed, ca, cb, cfg, &Budget::unlimited())
-}
-
-/// [`calibrate_router`] under a cooperative [`Budget`] (checked before
-/// each message-size point).
-pub fn calibrate_router_budgeted(
+fn calibrate_router(
     testbed: &Testbed,
     ca: usize,
     cb: usize,
@@ -288,44 +281,19 @@ pub fn calibrate_router_budgeted(
     // pair is then exactly the router's contribution.
     let mut tb = testbed.clone();
     tb.clusters[cb].proc_type = tb.clusters[ca].proc_type.clone();
-
-    let excesses = netpart_sweep::sweep(cfg.b_values.clone(), |b| {
-        budget.check()?;
-        let mut cross_cfg = vec![0u32; tb.num_clusters()];
-        cross_cfg[ca] = 1;
-        cross_cfg[cb] = 1;
+    let cross_cfg = one_pair(&tb, ca, cb);
+    let mut intra_cfg = vec![0u32; tb.num_clusters()];
+    intra_cfg[ca] = 2;
+    fit_excess(cfg, budget, "router", |b| {
         let cross = measure_cycle_ms(&tb, &cross_cfg, Topology::OneD, b, cfg)?;
-        let mut intra_cfg = vec![0u32; tb.num_clusters()];
-        intra_cfg[ca] = 2;
-        let base = measure_cycle_ms(&tb, &intra_cfg, Topology::OneD, b, cfg)?;
-        Ok::<f64, NetpartError>((cross - base).max(0.0))
-    });
-    let excesses = excesses.into_iter().collect::<Result<Vec<f64>, _>>()?;
-    let rows: Vec<Vec<f64>> = cfg.b_values.iter().map(|&b| vec![1.0, b as f64]).collect();
-    let fit = least_squares(&rows, &excesses).ok_or_else(|| {
-        NetpartError::Calibration("router sweep produced a singular system".into())
-    })?;
-    Ok(LinearCost {
-        a: fit.coefficients[0].max(0.0),
-        k: fit.coefficients[1].max(0.0),
+        Ok(cross - measure_cycle_ms(&tb, &intra_cfg, Topology::OneD, b, cfg)?)
     })
 }
 
 /// Benchmark the coercion penalty between two clusters: the per-byte
 /// excess of a cross-format exchange over the identical exchange with
 /// formats unified.
-pub fn calibrate_coerce(
-    testbed: &Testbed,
-    ca: usize,
-    cb: usize,
-    cfg: &CalibrationConfig,
-) -> Result<LinearCost, NetpartError> {
-    calibrate_coerce_budgeted(testbed, ca, cb, cfg, &Budget::unlimited())
-}
-
-/// [`calibrate_coerce`] under a cooperative [`Budget`] (checked before
-/// each message-size point).
-pub fn calibrate_coerce_budgeted(
+fn calibrate_coerce(
     testbed: &Testbed,
     ca: usize,
     cb: usize,
@@ -337,24 +305,10 @@ pub fn calibrate_coerce_budgeted(
     }
     let mut unified = testbed.clone();
     unified.clusters[cb].proc_type.data_format = unified.clusters[ca].proc_type.data_format;
-
-    let excesses = netpart_sweep::sweep(cfg.b_values.clone(), |b| {
-        budget.check()?;
-        let mut cc = vec![0u32; testbed.num_clusters()];
-        cc[ca] = 1;
-        cc[cb] = 1;
+    let cc = one_pair(testbed, ca, cb);
+    fit_excess(cfg, budget, "coercion", |b| {
         let with = measure_cycle_ms(testbed, &cc, Topology::OneD, b, cfg)?;
-        let without = measure_cycle_ms(&unified, &cc, Topology::OneD, b, cfg)?;
-        Ok::<f64, NetpartError>((with - without).max(0.0))
-    });
-    let excesses = excesses.into_iter().collect::<Result<Vec<f64>, _>>()?;
-    let rows: Vec<Vec<f64>> = cfg.b_values.iter().map(|&b| vec![1.0, b as f64]).collect();
-    let fit = least_squares(&rows, &excesses).ok_or_else(|| {
-        NetpartError::Calibration("coercion sweep produced a singular system".into())
-    })?;
-    Ok(LinearCost {
-        a: fit.coefficients[0].max(0.0),
-        k: fit.coefficients[1].max(0.0),
+        Ok(with - measure_cycle_ms(&unified, &cc, Topology::OneD, b, cfg)?)
     })
 }
 
@@ -384,9 +338,8 @@ pub fn calibrate_testbed(
 /// [`calibrate_testbed`] under a cooperative [`Budget`]: every sweep
 /// checks the budget before each simulated grid point, so an expired
 /// plan-server request abandons the procedure at the next point instead
-/// of finishing hours of benchmarking. With an unlimited budget the
-/// model is bit-identical to [`calibrate_testbed`]'s.
-pub fn calibrate_testbed_budgeted(
+/// of finishing hours of benchmarking.
+pub(crate) fn calibrate_testbed_budgeted(
     testbed: &Testbed,
     topologies: &[Topology],
     cfg: &CalibrationConfig,
@@ -401,7 +354,7 @@ pub fn calibrate_testbed_budgeted(
             model.set_intra(
                 cluster,
                 topo,
-                calibrate_cluster_budgeted(testbed, cluster, topo, cfg, budget)?,
+                calibrate_cluster(testbed, cluster, topo, cfg, budget)?,
             );
         }
     }
@@ -416,14 +369,14 @@ pub fn calibrate_testbed_budgeted(
     for pairs in by_distance.values() {
         // Lexicographically first pair at this distance represents it.
         let (ra, rb) = pairs[0];
-        let fit = calibrate_router_budgeted(testbed, ra, rb, cfg, budget)?;
+        let fit = calibrate_router(testbed, ra, rb, cfg, budget)?;
         for &(a, b) in pairs {
             model.set_router(a, b, fit);
         }
     }
     for a in 0..testbed.num_clusters() {
         for b in a + 1..testbed.num_clusters() {
-            model.set_coerce(a, b, calibrate_coerce_budgeted(testbed, a, b, cfg, budget)?);
+            model.set_coerce(a, b, calibrate_coerce(testbed, a, b, cfg, budget)?);
         }
     }
     Ok(model)
@@ -438,7 +391,6 @@ mod tests {
             b_values: vec![256, 1024, 4096],
             cycles: 6,
             warmup: 1,
-            lack_of_fit_r2: None,
         }
     }
 
@@ -524,7 +476,7 @@ mod tests {
     fn fitted_constants_predict_measurements() {
         let tb = Testbed::paper();
         let cfg = quick_cfg();
-        let fit = calibrate_cluster(&tb, 0, Topology::OneD, &cfg).unwrap();
+        let fit = calibrate_cluster(&tb, 0, Topology::OneD, &cfg, &Budget::unlimited()).unwrap();
         assert!(fit.r_squared > 0.95, "fit quality {}", fit.r_squared);
         // Out-of-sample check: predict p=5, b=2048 within 25%.
         let measured = measure_cycle_ms(&tb, &[5, 0], Topology::OneD, 2048, &cfg).unwrap();
@@ -555,7 +507,7 @@ mod tests {
     fn router_penalty_is_positive_and_per_byte() {
         let tb = Testbed::paper();
         let cfg = quick_cfg();
-        let r = calibrate_router(&tb, 0, 1, &cfg).unwrap();
+        let r = calibrate_router(&tb, 0, 1, &cfg, &Budget::unlimited()).unwrap();
         assert!(r.k > 0.0, "router per-byte must be positive: {r:?}");
         // Same order of magnitude as the paper's 0.0006 ms/byte.
         assert!(r.k > 0.0001 && r.k < 0.01, "per-byte {k}", k = r.k);
@@ -570,8 +522,8 @@ mod tests {
         use crate::Wiring;
         let tb = crate::Testbed::synthetic(4, 2, 1.2).with_wiring(Wiring::Tree { arity: 2 });
         let cfg = quick_cfg();
-        let near = calibrate_router(&tb, 0, 1, &cfg).unwrap();
-        let far = calibrate_router(&tb, 0, 2, &cfg).unwrap();
+        let near = calibrate_router(&tb, 0, 1, &cfg, &Budget::unlimited()).unwrap();
+        let far = calibrate_router(&tb, 0, 2, &cfg, &Budget::unlimited()).unwrap();
         assert!(
             far.eval_ms(4096.0) > near.eval_ms(4096.0) * 1.5,
             "3-hop penalty {far:?} should clearly exceed 1-hop {near:?}"
@@ -599,7 +551,7 @@ mod tests {
     fn coercion_zero_for_same_format() {
         let tb = Testbed::paper();
         let cfg = quick_cfg();
-        let c = calibrate_coerce(&tb, 0, 1, &cfg).unwrap();
+        let c = calibrate_coerce(&tb, 0, 1, &cfg, &Budget::unlimited()).unwrap();
         assert_eq!(c, LinearCost::default());
     }
 
@@ -607,7 +559,7 @@ mod tests {
     fn coercion_positive_across_formats() {
         let tb = Testbed::metasystem();
         let cfg = quick_cfg();
-        let c = calibrate_coerce(&tb, 0, 2, &cfg).unwrap();
+        let c = calibrate_coerce(&tb, 0, 2, &cfg, &Budget::unlimited()).unwrap();
         assert!(c.k > 0.0, "cross-format coercion per byte: {c:?}");
     }
 }

@@ -32,8 +32,7 @@ pub mod testbed;
 
 pub use bench_app::CommBench;
 pub use cache::{
-    calibrate_testbed_cached, calibrate_testbed_cached_budgeted,
-    calibrate_testbed_cached_budgeted_status, calibrate_testbed_cached_status,
+    calibrate_testbed_cached, calibrate_testbed_cached_budgeted, calibrate_testbed_cached_status,
     calibration_fingerprint, CacheStatus,
 };
 pub use costmodel::{
@@ -41,9 +40,7 @@ pub use costmodel::{
     PaperCostModel, PiecewiseCost,
 };
 pub use fit::{
-    calibrate_cluster, calibrate_cluster_budgeted, calibrate_cluster_gated, calibrate_coerce,
-    calibrate_coerce_budgeted, calibrate_router, calibrate_router_budgeted, calibrate_testbed,
-    calibrate_testbed_budgeted, measure_cycle_ms, CalibrationConfig, LackOfFit,
+    calibrate_cluster_gated, calibrate_testbed, measure_cycle_ms, CalibrationConfig, LackOfFit,
 };
 pub use linreg::{least_squares, FitResult};
 pub use netpart_sim::{Fabric, Wiring};

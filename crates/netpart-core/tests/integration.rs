@@ -27,7 +27,6 @@ fn faster_network_means_more_processors() {
         b_values: vec![256, 1024, 4096],
         cycles: 8,
         warmup: 2,
-        lack_of_fit_r2: None,
     };
     let eth_tb = Testbed::paper();
     let mut fddi_tb = Testbed::paper();
@@ -108,7 +107,6 @@ fn exhaustive_beats_or_matches_heuristic_on_metasystem() {
         b_values: vec![512, 4096],
         cycles: 6,
         warmup: 1,
-        lack_of_fit_r2: None,
     };
     let tb = Testbed::metasystem();
     let model = calibrate_testbed(&tb, &[Topology::OneD], &quick).expect("calibration");
