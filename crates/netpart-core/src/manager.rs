@@ -27,16 +27,15 @@ pub struct AvailabilityPolicy {
     /// Maximum simulated time a manager waits for any probe's reply.
     /// Members that have not answered when the deadline expires are
     /// reported as [`suspected_dead`](AvailabilityReport::suspected_dead)
-    /// rather than stalling the round. `None` waits until the message
-    /// layer itself gives up on every probe (the pre-fault behavior).
-    pub probe_timeout: Option<SimDur>,
+    /// rather than stalling the round.
+    pub probe_timeout: SimDur,
 }
 
 impl Default for AvailabilityPolicy {
     fn default() -> Self {
         AvailabilityPolicy {
             threshold: 0.10,
-            probe_timeout: Some(SimDur::from_millis_f64(500.0)),
+            probe_timeout: SimDur::from_millis_f64(500.0),
         }
     }
 }
@@ -132,10 +131,8 @@ pub fn determine_available(
     // One deadline bounds the whole round (every probe is in flight from
     // the start, so it bounds each probe's wait too). Cancelled once the
     // last reply arrives, so a fault-free round never observes it.
-    let deadline = policy
-        .probe_timeout
-        .filter(|_| !pending.is_empty())
-        .map(|d| mmps.net().set_timer(d, OWNER_AVAIL, 0));
+    let deadline =
+        (!pending.is_empty()).then(|| mmps.net().set_timer(policy.probe_timeout, OWNER_AVAIL, 0));
 
     // Pump: members answer probes with their load; managers tally replies.
     // A probe or reply that the message layer gives up on marks the member
@@ -316,7 +313,7 @@ mod tests {
             )
             .unwrap();
         let policy = AvailabilityPolicy {
-            probe_timeout: Some(SimDur::from_millis_f64(200.0)),
+            probe_timeout: SimDur::from_millis_f64(200.0),
             ..AvailabilityPolicy::default()
         };
         let r = determine_available(&mut mmps, &clusters, policy);

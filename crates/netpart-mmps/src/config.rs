@@ -58,10 +58,8 @@ pub struct MmpsConfig {
     pub coerce_per_byte: SimDur,
     /// Fixed per-message coercion cost when formats differ.
     pub coerce_per_msg: SimDur,
-    /// Adapt the retransmission timeout to observed round-trip times
-    /// (Jacobson/Karels); the static size-scaled RTO remains the ceiling.
-    pub adaptive_rto: bool,
-    /// Floor for the adaptive RTO.
+    /// Floor for the adaptive RTO (the timeout follows observed round-trip
+    /// times, Jacobson/Karels; the static size-scaled RTO is its ceiling).
     pub min_rto: SimDur,
     /// Per-message delivery deadline: if set, a message still unacked this
     /// long after submission fails at the next retransmission check even
@@ -91,7 +89,6 @@ impl Default for MmpsConfig {
             max_retries: 10,
             coerce_per_byte: SimDur::from_nanos(250), // 0.25 µs per byte
             coerce_per_msg: SimDur::from_micros(150),
-            adaptive_rto: true,
             min_rto: SimDur::from_millis(5),
             give_up_after: None,
             retx_fragment_spacing: SimDur::from_millis(2),

@@ -411,33 +411,18 @@ impl Mmps {
         payload: Bytes,
         len: u32,
     ) -> Result<(), SimError> {
-        let msg = MsgId(msg);
         let plan = FragPlan::new(len, self.cfg.header_bytes);
-        let dummy = payload.is_empty() && len > 0;
         for i in 0..plan.n_frags {
-            let (s, e) = plan.range(i);
-            let frag_payload = if dummy {
-                Bytes::new()
-            } else {
-                payload.slice(s as usize..e as usize)
-            };
-            let wire = plan.frag_len(i) + self.cfg.header_bytes;
-            self.net.send_datagram_sized(
-                src,
-                dst,
-                pack_tag(WireKind::Data, msg, i),
-                frag_payload,
-                wire,
-            )?;
+            self.send_fragment(msg, src, dst, &plan, &payload, i)?;
         }
         let timer = self.net.set_timer(
             self.effective_rto(src, dst, len),
             OWNER_MMPS,
-            token(TOKEN_RETX, msg.0),
+            token(TOKEN_RETX, msg),
         );
         let sent_at = self.net.now();
         self.outgoing.insert(
-            msg.0,
+            msg,
             OutMsg {
                 src,
                 dst,
@@ -451,6 +436,66 @@ impl Mmps {
             },
         );
         Ok(())
+    }
+
+    /// Put fragment `i` of message `msg` on the wire. A message with a
+    /// length but no buffer (a calibration dummy, or one whose payload
+    /// already moved to the receiver) sends empty frames of the right
+    /// wire size.
+    fn send_fragment(
+        &mut self,
+        msg: u64,
+        src: NodeId,
+        dst: NodeId,
+        plan: &FragPlan,
+        payload: &Bytes,
+        i: u32,
+    ) -> Result<(), SimError> {
+        let (s, e) = plan.range(i);
+        let frag_payload = if payload.is_empty() && plan.total > 0 {
+            Bytes::new()
+        } else {
+            payload.slice(s as usize..e as usize)
+        };
+        self.net.send_datagram_sized(
+            src,
+            dst,
+            pack_tag(WireKind::Data, MsgId(msg), i),
+            frag_payload,
+            (e - s) + self.cfg.header_bytes,
+        )?;
+        Ok(())
+    }
+
+    /// Acknowledge `msg` from its receiver `from` back to its sender `to`.
+    /// Best effort: a lost or refused ack is what retransmission is for.
+    fn send_ack(&mut self, msg: u64, from: NodeId, to: NodeId) {
+        let _ = self.net.send_datagram_sized(
+            from,
+            to,
+            pack_tag(WireKind::Ack, MsgId(msg), 0),
+            Bytes::new(),
+            self.cfg.ack_bytes,
+        );
+    }
+
+    /// Give up on `msg`: drop its state, free its window slot — anything
+    /// deferred behind it gets its chance, so backpressure can never wedge
+    /// the queue (every offered message delivers or fails with a typed
+    /// event) — and report the failure.
+    fn fail_message(&mut self, at: SimTime, msg: u64) -> Option<MmpsEvent> {
+        let out = self.outgoing.remove(&msg)?;
+        self.stats.messages_failed += 1;
+        self.retire_incoming(msg);
+        self.window_release(out.src, out.dst);
+        Some(MmpsEvent::MessageFailed {
+            at,
+            msg: MsgId(msg),
+            src: out.src,
+            dst: out.dst,
+            tag: out.user_tag,
+            attempts: out.retries,
+        })
     }
 
     /// One in-flight slot for `(src, dst)` freed (ack, failure, or abort):
@@ -660,13 +705,7 @@ impl Mmps {
                 if let Some(&sender) = self.completed.get(&msg) {
                     // Duplicate of an already-delivered message: re-ack.
                     self.stats.duplicates += 1;
-                    let _ = self.net.send_datagram_sized(
-                        dgram.dst,
-                        sender,
-                        pack_tag(WireKind::Ack, MsgId(msg), 0),
-                        Bytes::new(),
-                        self.cfg.ack_bytes,
-                    );
+                    self.send_ack(msg, dgram.dst, sender);
                     return None;
                 }
                 let out = self.outgoing.get(&msg)?;
@@ -698,13 +737,7 @@ impl Mmps {
                 let payload = std::mem::take(&mut out.payload);
                 let (src, dst, tag, len) = (out.src, out.dst, out.user_tag, out.len);
                 self.completed.insert(msg, src);
-                let _ = self.net.send_datagram_sized(
-                    dst,
-                    src,
-                    pack_tag(WireKind::Ack, MsgId(msg), 0),
-                    Bytes::new(),
-                    self.cfg.ack_bytes,
-                );
+                self.send_ack(msg, dst, src);
                 let coerce = self.coercion_cost(src, dst, len);
                 if coerce > SimDur::ZERO {
                     self.pending_delivery
@@ -771,22 +804,7 @@ impl Mmps {
                     .give_up_after
                     .is_some_and(|d| at.since(out.sent_at) >= d);
                 if out.retries > self.cfg.max_retries || deadline_hit {
-                    let out = self.outgoing.remove(&msg).expect("present");
-                    self.stats.messages_failed += 1;
-                    self.retire_incoming(msg);
-                    // The failed message's window slot frees; anything
-                    // deferred behind it gets its chance (so backpressure
-                    // can never wedge the queue — every offered message
-                    // delivers or fails with a typed event).
-                    self.window_release(out.src, out.dst);
-                    return Some(MmpsEvent::MessageFailed {
-                        at,
-                        msg: MsgId(msg),
-                        src: out.src,
-                        dst: out.dst,
-                        tag: out.user_tag,
-                        attempts: out.retries,
-                    });
+                    return self.fail_message(at, msg);
                 }
                 self.stats.retransmissions += 1;
                 let (src, dst, plan, len, retries) = {
@@ -827,41 +845,14 @@ impl Mmps {
                     & ((1 << (TOKEN_KIND_SHIFT - TOKEN_FRAG_SHIFT)) - 1))
                     as u32;
                 let out = self.outgoing.get(&msg_id)?; // acked meanwhile: skip
-                let (s, e) = out.plan.range(frag);
-                let dummy = out.payload.is_empty() && out.len > 0;
-                let frag_payload = if dummy {
-                    Bytes::new()
-                } else {
-                    out.payload.slice(s as usize..e as usize)
-                };
-                let wire = (e - s) + self.cfg.header_bytes;
-                let (src, dst) = (out.src, out.dst);
-                match self.net.send_datagram_sized(
-                    src,
-                    dst,
-                    pack_tag(WireKind::Data, MsgId(msg_id), frag),
-                    frag_payload,
-                    wire,
-                ) {
+                let (src, dst, plan, payload) = (out.src, out.dst, out.plan, out.payload.clone());
+                match self.send_fragment(msg_id, src, dst, &plan, &payload, frag) {
                     // Every router path to the destination is down: fail
                     // the message *now* instead of burning the remaining
                     // retry budget on frames a partitioned fabric can only
                     // refuse. (Other errors keep the old behaviour — the
                     // retransmission timer decides the message's fate.)
-                    Err(SimError::FabricPartitioned { .. }) => {
-                        let out = self.outgoing.remove(&msg_id).expect("present");
-                        self.stats.messages_failed += 1;
-                        self.retire_incoming(msg_id);
-                        self.window_release(out.src, out.dst);
-                        Some(MmpsEvent::MessageFailed {
-                            at,
-                            msg: MsgId(msg_id),
-                            src: out.src,
-                            dst: out.dst,
-                            tag: out.user_tag,
-                            attempts: out.retries,
-                        })
-                    }
+                    Err(SimError::FabricPartitioned { .. }) => self.fail_message(at, msg_id),
                     _ => None,
                 }
             }
@@ -870,14 +861,11 @@ impl Mmps {
     }
 
     /// The retransmission timeout for a `len`-byte message from `src` to
-    /// `dst`: the adaptive Jacobson/Karels estimate when enabled and
-    /// samples exist (floored at `min_rto`, ceilinged at the static
-    /// size-scaled RTO), otherwise the static value.
+    /// `dst`: the adaptive Jacobson/Karels estimate once the pair has RTT
+    /// samples (floored at `min_rto`, ceilinged at the static size-scaled
+    /// RTO), the static value until then.
     fn effective_rto(&self, src: NodeId, dst: NodeId, len: u32) -> netpart_sim::SimDur {
         let ceiling = self.cfg.rto_for(len);
-        if !self.cfg.adaptive_rto {
-            return ceiling;
-        }
         match self.rtt.get(&(src, dst)) {
             Some(est) => est.rto(self.cfg.min_rto, ceiling),
             None => ceiling,

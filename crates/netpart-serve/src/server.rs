@@ -125,9 +125,6 @@ pub struct ServeConfig {
     pub retry_backoff: Backoff,
     /// Per-class circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Keep a response cache (disable to force every request through
-    /// `execute`, e.g. for throughput benchmarking).
-    pub cache: bool,
 }
 
 impl Default for ServeConfig {
@@ -138,7 +135,6 @@ impl Default for ServeConfig {
             max_retries: 2,
             retry_backoff: Backoff::exponential(5.0, 100.0, 0),
             breaker: BreakerConfig::default(),
-            cache: true,
         }
     }
 }
@@ -429,24 +425,22 @@ impl<S: PlanService> Inner<S> {
                 let map = self.breakers.lock().expect("breakers poisoned");
                 map.get(&class).is_some_and(|b| b.is_open())
             };
-            if self.cfg.cache {
-                let hit = {
-                    let cache = self.cache.lock().expect("cache poisoned");
-                    cache
-                        .get(&fp)
-                        .map(|e| (e.value.clone(), e.created.elapsed()))
+            let hit = {
+                let cache = self.cache.lock().expect("cache poisoned");
+                cache
+                    .get(&fp)
+                    .map(|e| (e.value.clone(), e.created.elapsed()))
+            };
+            if let Some((value, age)) = hit {
+                let source = if open {
+                    ServeSource::StaleCache {
+                        age_ms: age.as_millis() as u64,
+                    }
+                } else {
+                    ServeSource::Cache
                 };
-                if let Some((value, age)) = hit {
-                    let source = if open {
-                        ServeSource::StaleCache {
-                            age_ms: age.as_millis() as u64,
-                        }
-                    } else {
-                        ServeSource::Cache
-                    };
-                    self.complete_ok(&job, value, source, retries_total, queue_ms);
-                    return;
-                }
+                self.complete_ok(&job, value, source, retries_total, queue_ms);
+                return;
             }
             let admission = if open {
                 let mut map = self.breakers.lock().expect("breakers poisoned");
@@ -571,16 +565,14 @@ impl<S: PlanService> Inner<S> {
                 }
                 Err(_) => {}
             }
-            if self.cfg.cache {
-                if let Ok(v) = &result {
-                    self.cache.lock().expect("cache poisoned").insert(
-                        fp,
-                        CacheEntry {
-                            value: v.clone(),
-                            created: Instant::now(),
-                        },
-                    );
-                }
+            if let Ok(v) = &result {
+                self.cache.lock().expect("cache poisoned").insert(
+                    fp,
+                    CacheEntry {
+                        value: v.clone(),
+                        created: Instant::now(),
+                    },
+                );
             }
             // Publish to followers and release the flight.
             let flight = self.inflight.lock().expect("inflight poisoned").remove(&fp);

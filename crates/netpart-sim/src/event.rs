@@ -9,17 +9,19 @@
 //!
 //! The ordering contract is exactly the old binary heap's: items pop in
 //! `(time, class, seq)` order, where `seq` is a monotonically increasing
-//! insertion tie-breaker and `class` makes fault events resolve first at
-//! equal instants. Ties broken by insertion order make every run of the
+//! insertion tie-breaker and `class` makes fault events (a
+//! [`FaultKind`] carried as the plan wrote it, and the window ends the
+//! network schedules for it) resolve first at equal instants. Ties broken by insertion order make every run of the
 //! simulator fully deterministic for a given seed, which the golden,
 //! chaos, and drift suites rely on byte-for-byte; a property test pits the
 //! wheel against the retired heap (kept below as a test-only shim) on
 //! arbitrary push sequences to pin the parity.
 
 use crate::datagram::Datagram;
+use crate::fault::FaultKind;
 use crate::ids::{DgramId, NodeId, RouterId, SegmentId, TimerId};
 use crate::slab::DgramHandle;
-use crate::time::{SimDur, SimTime};
+use crate::time::SimTime;
 
 /// Events visible to the layers above the raw network (MMPS, the SPMD
 /// runtime, the calibration driver). Internal plumbing such as frame
@@ -147,56 +149,31 @@ pub(crate) enum Work {
     /// A background cross-traffic flow fires its next datagram.
     BackgroundSend { flow: usize },
     /// A scheduled fault from a [`FaultPlan`](crate::fault::FaultPlan)
-    /// takes effect.
-    Fault { action: FaultAction },
-}
-
-/// The state change a matured fault applies. Windowed faults (outages,
-/// bursts) carry their end time so overlapping windows merge via `max`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FaultAction {
-    /// Permanent fail-stop of a node.
-    Crash(NodeId),
-    /// Compute-slowdown multiplier for a node from now on.
-    Slow(NodeId, f64),
-    /// Router drops frames until the given time.
-    RouterDown(RouterId, SimTime),
-    /// One router port (the link onto `SegmentId`) drops frames until the
-    /// given time; the rest of the router keeps forwarding.
-    LinkDown(RouterId, SegmentId, SimTime),
+    /// takes effect. The kind rides exactly as the plan spelled it; the
+    /// network clamps its magnitudes when it applies it. Windowed kinds
+    /// carry their end time so overlapping windows merge via `max`.
+    Fault(FaultKind),
     /// A router or link outage window ended: recompute the live routing
-    /// table from current liveness. Scheduled by the down action itself;
+    /// table from current liveness. Scheduled when the outage is applied;
     /// with merged (max'd) overlapping windows an early restore finds the
     /// entity still down and the recompute is a deterministic no-op.
     FabricRestore,
-    /// Segment loss probability override until the given time.
-    Burst(SegmentId, f64, SimTime),
-    /// Clear a node's compute-slowdown multiplier (back to 1.0).
-    EndSlow(NodeId),
-    /// Un-crash a node: it rejoins the network with clean state.
-    Recover(NodeId),
-    /// Set a node's external (background) load fraction.
-    Load(NodeId, f64),
-    /// Segment frame-corruption probability override until the given time.
-    Corrupt(SegmentId, f64, SimTime),
-    /// Start a background cross-traffic flood on a segment (frames of the
-    /// given payload size at the given period) and schedule its stop at
-    /// the given time.
-    FloodStart(SegmentId, u32, SimDur, SimTime),
-    /// Stop the background flow with the given handle.
+    /// A traffic burst's window ended: stop the background flow with the
+    /// given handle. Scheduled when the burst starts.
     FloodStop(usize),
 }
 
 impl Work {
-    /// Scheduling class at equal timestamps: faults resolve before any
-    /// other work item scheduled for the same instant. This makes the
+    /// Scheduling class at equal timestamps: faults (and the window ends
+    /// they schedule) resolve before any other work item scheduled for
+    /// the same instant. This makes the
     /// boundary semantics deterministic by construction — a slowdown
     /// ending at time *t* is applied before a compute block that starts
     /// at *t*, so the block runs at the restored rate (and symmetrically
     /// a slowdown *starting* at *t* does slow a block started at *t*).
     fn class(&self) -> u8 {
         match self {
-            Work::Fault { .. } => 0,
+            Work::Fault(_) | Work::FabricRestore | Work::FloodStop(_) => 0,
             _ => 1,
         }
     }
@@ -588,11 +565,21 @@ mod tests {
     fn fingerprint(at: SimTime, w: &Work) -> (u64, u8, u64) {
         match w {
             Work::Timer { token, .. } => (at.0, 1, *token),
-            Work::Fault {
-                action: FaultAction::Load(node, _),
-            } => (at.0, 0, node.0 as u64),
-            _ => panic!("parity tests only push timers and Load faults"),
+            Work::Fault(FaultKind::ExternalLoad { node, .. }) => (at.0, 0, node.0 as u64),
+            _ => panic!("parity tests only push timers and ExternalLoad faults"),
         }
+    }
+
+    /// Every queue entry pays for the fattest work item. `Work::Fault`
+    /// carries a whole `FaultKind`, so a future fault kind with one field
+    /// too many would grow the hot path's entries; this pins the size.
+    #[test]
+    fn a_fault_kind_does_not_fatten_the_work_item() {
+        assert!(
+            std::mem::size_of::<Work>() <= 32,
+            "Work grew to {} bytes",
+            std::mem::size_of::<Work>()
+        );
     }
 
     #[test]
@@ -624,12 +611,15 @@ mod tests {
         q.push(SimTime(5), timer(1));
         q.push(
             SimTime(5),
-            Work::Fault {
-                action: FaultAction::EndSlow(NodeId(0)),
-            },
+            Work::Fault(FaultKind::EndSlowdown { node: NodeId(0) }),
         );
+        // The window ends a fault schedules are fault-class too.
+        q.push(SimTime(5), Work::FabricRestore);
+        q.push(SimTime(5), Work::FloodStop(0));
         let (_, first) = q.pop().unwrap();
-        assert!(matches!(first, Work::Fault { .. }));
+        assert!(matches!(first, Work::Fault(_)));
+        assert!(matches!(q.pop().unwrap().1, Work::FabricRestore));
+        assert!(matches!(q.pop().unwrap().1, Work::FloodStop(0)));
         // The remaining same-time items keep FIFO order.
         assert_eq!(token_of(&q.pop().unwrap().1), 0);
         assert_eq!(token_of(&q.pop().unwrap().1), 1);
@@ -637,9 +627,7 @@ mod tests {
         q.push(SimTime(9), timer(7));
         q.push(
             SimTime(10),
-            Work::Fault {
-                action: FaultAction::Recover(NodeId(1)),
-            },
+            Work::Fault(FaultKind::NodeRecover { node: NodeId(1) }),
         );
         assert_eq!(q.pop().unwrap().0, SimTime(9));
     }
@@ -849,7 +837,7 @@ mod tests {
             let mut heap = heap_shim::HeapQueue::new();
             let make = |k: u64, fault: bool| -> Work {
                 if fault {
-                    Work::Fault { action: FaultAction::Load(NodeId(k as u32), 0.0) }
+                    Work::Fault(FaultKind::ExternalLoad { node: NodeId(k as u32), load: 0.0 })
                 } else {
                     timer(k)
                 }

@@ -3,9 +3,14 @@
 //! A [`FaultPlan`] is a schedule of fault events — node crashes, node
 //! slowdowns, router outage windows, segment loss bursts — that a test or
 //! experiment installs into a [`Network`](crate::network::Network) before
-//! (or during) a run. Faults ride the same time-ordered event queue as
-//! every other work item, so a given `(network description, seed, plan)`
-//! triple always produces the same trajectory, failure times included.
+//! (or during) a run. A [`FaultEvent`] is an onset time plus a
+//! [`FaultKind`], and that is the only spelling of a fault in the crate:
+//! the builders write it, [`FaultPlan::validate`] reads the ids it names,
+//! the event queue carries the `FaultKind` as handed in, and the network
+//! applies (and clamps) it when it matures. Faults ride the same
+//! time-ordered event queue as every other work item, so a given
+//! `(network description, seed, plan)` triple always produces the same
+//! trajectory, failure times included.
 //! Installing an **empty** plan pushes nothing into the queue and perturbs
 //! neither the RNG nor the event sequence numbering, so a run with an empty
 //! plan is byte-identical to a run with no plan at all (the determinism
@@ -18,12 +23,12 @@
 //!   with it), frames addressed to it are dropped with
 //!   [`DropReason::NodeDown`](crate::event::DropReason::NodeDown), and
 //!   compute blocks running on it never complete. Crashes are permanent
-//!   unless the plan also schedules a later [`FaultEvent::NodeRecover`]
+//!   unless the plan also schedules a later [`FaultKind::NodeRecover`]
 //!   for the same node.
 //! * **Slowdown** — compute blocks *started* at or after time `at` stretch
 //!   by `factor` (on top of the external-load stretch). Models a machine
 //!   that degrades without dying. A scheduled
-//!   [`FaultEvent::EndSlowdown`] clears the multiplier; compute blocks
+//!   [`FaultKind::EndSlowdown`] clears the multiplier; compute blocks
 //!   already in flight keep the rate sampled when they started.
 //! * **Recover** — the node rejoins the network: it accepts frames and
 //!   can compute again, but anything that was lost while it was down
@@ -39,7 +44,7 @@
 //!   routing table over the residual fabric at the window's start and
 //!   end, so flows shift to alternate routers where path diversity
 //!   exists and sends fail fast with
-//!   [`SimError::FabricPartitioned`](crate::error::SimError::FabricPartitioned)
+//!   [`SimError::FabricPartitioned`]
 //!   where none does.
 //! * **Link down** — one router *port* (a `(router, segment)` attachment)
 //!   drops every frame that would enter or leave through it inside the
@@ -79,94 +84,91 @@
 //! detection is only legitimate through observable message behaviour —
 //! retransmission budgets expiring, probes going unanswered.
 
+use crate::error::SimError;
 use crate::ids::{NodeId, RouterId, SegmentId};
-use crate::time::SimTime;
+use crate::time::{SimDur, SimTime};
 
-/// One scheduled fault.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultEvent {
-    /// Node `node` fail-stops at time `at` (permanent).
+/// One scheduled fault: what happens ([`FaultKind`]) and when. The
+/// simulator queues the kind exactly as written here.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultEvent {
+    /// The instant the fault takes effect (window start for windowed
+    /// faults). An onset already in the past at install takes effect at
+    /// the install instant.
+    pub at: SimTime,
+    /// What happens.
+    pub kind: FaultKind,
+}
+
+/// What a fault does. Windowed kinds carry their (exclusive) window end
+/// `until`; the window starts at [`FaultEvent::at`]. Out-of-range
+/// magnitudes are clamped when the fault matures, as documented per field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultKind {
+    /// `node` fail-stops (permanent unless a later
+    /// [`NodeRecover`](FaultKind::NodeRecover) names it).
     NodeCrash {
-        /// Crash instant.
-        at: SimTime,
         /// The victim.
         node: NodeId,
     },
-    /// From time `at`, compute blocks started on `node` stretch by
-    /// `factor` (≥ 1.0; values below 1 are clamped to 1).
+    /// Compute blocks started on `node` from now on stretch by `factor`.
     NodeSlowdown {
-        /// Onset instant.
-        at: SimTime,
         /// The affected node.
         node: NodeId,
-        /// Seconds-per-op multiplier.
+        /// Seconds-per-op multiplier (values below 1 are clamped to 1).
         factor: f64,
     },
-    /// Router `router` drops every frame it is handed in `[from, until)`.
+    /// `router` drops every frame it is handed until `until`.
     RouterOutage {
         /// The affected router.
         router: RouterId,
-        /// Window start.
-        from: SimTime,
         /// Window end (exclusive).
         until: SimTime,
     },
-    /// The link between `router` and `segment` is severed in
-    /// `[from, until)`: frames must neither enter nor leave the router
-    /// through that port, and the live routing table detours around it.
-    /// The pair must actually be wired —
-    /// [`FaultPlan::validate_wired`] rejects a `LinkDown` naming a port
-    /// the router does not have, instead of silently no-opping.
+    /// The link between `router` and `segment` is severed until `until`:
+    /// frames must neither enter nor leave the router through that port,
+    /// and the live routing table detours around it. The pair must
+    /// actually be wired — [`FaultPlan::validate`] rejects a `LinkDown`
+    /// naming a port the router does not have, instead of silently
+    /// no-opping.
     LinkDown {
         /// The router whose port goes down.
         router: RouterId,
         /// The segment the dead port attaches to.
         segment: SegmentId,
-        /// Window start.
-        from: SimTime,
         /// Window end (exclusive).
         until: SimTime,
     },
-    /// Segment `segment`'s channel-loss probability becomes `loss` in
-    /// `[from, until)`.
+    /// `segment`'s channel-loss probability becomes `loss` until `until`.
     LossBurst {
         /// The affected segment.
         segment: SegmentId,
-        /// Window start.
-        from: SimTime,
         /// Window end (exclusive).
         until: SimTime,
         /// Loss probability inside the window (clamped to `[0, 0.999]`).
         loss: f64,
     },
-    /// At time `at` the compute-slowdown multiplier on `node` is cleared
-    /// (back to 1.0). Compute already in flight keeps its sampled rate.
+    /// The compute-slowdown multiplier on `node` is cleared (back to 1.0).
+    /// Compute already in flight keeps its sampled rate.
     EndSlowdown {
-        /// Restore instant.
-        at: SimTime,
         /// The recovering node.
         node: NodeId,
     },
-    /// At time `at` a crashed `node` rejoins the network (accepts frames,
-    /// can compute). State lost during the outage stays lost.
+    /// A crashed `node` rejoins the network (accepts frames, can compute).
+    /// State lost during the outage stays lost.
     NodeRecover {
-        /// Rejoin instant.
-        at: SimTime,
         /// The returning node.
         node: NodeId,
     },
-    /// At time `at` the external (background) load on `node` becomes
-    /// `load` (clamped to `[0, 0.99]`), stretching compute started from
-    /// then on by `1/(1-load)`.
+    /// The external (background) load on `node` becomes `load`, stretching
+    /// compute started from then on by `1/(1-load)`.
     ExternalLoad {
-        /// Onset instant.
-        at: SimTime,
         /// The affected node.
         node: NodeId,
-        /// Background-load fraction.
+        /// Background-load fraction (clamped to `[0, 0.99]`).
         load: f64,
     },
-    /// In `[from, until)` each frame transmitted on `segment` is corrupted
+    /// Until `until` each frame transmitted on `segment` is corrupted
     /// (bits mangled in flight) with probability `prob`. Corrupted frames
     /// still occupy the channel and are delivered, but a checksumming
     /// receiver (the MMPS layer) discards them, so they cost time and
@@ -174,50 +176,59 @@ pub enum FaultEvent {
     CorruptBurst {
         /// The affected segment.
         segment: SegmentId,
-        /// Window start.
-        from: SimTime,
         /// Window end (exclusive).
         until: SimTime,
         /// Per-frame corruption probability inside the window (clamped to
         /// `[0, 1]`).
         prob: f64,
     },
-    /// In `[from, until)` a background cross-traffic flood runs on
-    /// `segment`: `bytes`-byte frames injected every `period` between the
-    /// segment's first two attached nodes, contending for the channel
-    /// (and the congestion queue, when the segment has a
+    /// Until `until` a background cross-traffic flood runs on `segment`:
+    /// `bytes`-byte frames injected every `period` between the segment's
+    /// first two attached nodes, contending for the channel (and the
+    /// congestion queue, when the segment has a
     /// [`CongestionSpec`](crate::segment::CongestionSpec)) exactly like
     /// application traffic. The frames carry tag 0, which reliability
     /// layers ignore. A segment with fewer than two nodes floods nothing.
     TrafficBurst {
         /// The flooded segment.
         segment: SegmentId,
-        /// Window start.
-        from: SimTime,
         /// Window end (exclusive).
         until: SimTime,
-        /// Payload bytes per flood frame (≤ MTU).
+        /// Payload bytes per flood frame (clamped to the MTU).
         bytes: u32,
-        /// Interval between flood frames.
-        period: crate::time::SimDur,
+        /// Interval between flood frames (at least 1 ns).
+        period: SimDur,
     },
 }
 
-impl FaultEvent {
-    /// The instant the fault takes effect (window start for windowed
-    /// faults).
-    pub fn at(&self) -> SimTime {
-        match self {
-            FaultEvent::NodeCrash { at, .. }
-            | FaultEvent::NodeSlowdown { at, .. }
-            | FaultEvent::EndSlowdown { at, .. }
-            | FaultEvent::NodeRecover { at, .. }
-            | FaultEvent::ExternalLoad { at, .. } => *at,
-            FaultEvent::RouterOutage { from, .. }
-            | FaultEvent::LinkDown { from, .. }
-            | FaultEvent::LossBurst { from, .. }
-            | FaultEvent::CorruptBurst { from, .. }
-            | FaultEvent::TrafficBurst { from, .. } => *from,
+impl FaultKind {
+    /// The node, router and segment this fault names and its window end —
+    /// everything [`FaultPlan::validate`] checks, spelled once per kind.
+    fn names(
+        &self,
+    ) -> (
+        Option<NodeId>,
+        Option<RouterId>,
+        Option<SegmentId>,
+        Option<SimTime>,
+    ) {
+        match *self {
+            FaultKind::NodeCrash { node }
+            | FaultKind::NodeSlowdown { node, .. }
+            | FaultKind::EndSlowdown { node }
+            | FaultKind::NodeRecover { node }
+            | FaultKind::ExternalLoad { node, .. } => (Some(node), None, None, None),
+            FaultKind::RouterOutage { router, until } => (None, Some(router), None, Some(until)),
+            FaultKind::LinkDown {
+                router,
+                segment,
+                until,
+            } => (None, Some(router), Some(segment), Some(until)),
+            FaultKind::LossBurst { segment, until, .. }
+            | FaultKind::CorruptBurst { segment, until, .. }
+            | FaultKind::TrafficBurst { segment, until, .. } => {
+                (None, None, Some(segment), Some(until))
+            }
         }
     }
 }
@@ -236,86 +247,77 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Schedule a permanent fail-stop crash of `node` at `at`.
-    pub fn crash(mut self, at: SimTime, node: NodeId) -> FaultPlan {
-        self.events.push(FaultEvent::NodeCrash { at, node });
+    fn push(mut self, at: SimTime, kind: FaultKind) -> FaultPlan {
+        self.events.push(FaultEvent { at, kind });
         self
+    }
+
+    /// Schedule a permanent fail-stop crash of `node` at `at`.
+    pub fn crash(self, at: SimTime, node: NodeId) -> FaultPlan {
+        self.push(at, FaultKind::NodeCrash { node })
     }
 
     /// Schedule a compute slowdown of `node` by `factor` from `at`.
-    pub fn slow(mut self, at: SimTime, node: NodeId, factor: f64) -> FaultPlan {
-        self.events
-            .push(FaultEvent::NodeSlowdown { at, node, factor });
-        self
+    pub fn slow(self, at: SimTime, node: NodeId, factor: f64) -> FaultPlan {
+        self.push(at, FaultKind::NodeSlowdown { node, factor })
     }
 
     /// Schedule a router outage window.
-    pub fn router_outage(mut self, router: RouterId, from: SimTime, until: SimTime) -> FaultPlan {
-        self.events.push(FaultEvent::RouterOutage {
-            router,
-            from,
-            until,
-        });
-        self
+    pub fn router_outage(self, router: RouterId, from: SimTime, until: SimTime) -> FaultPlan {
+        self.push(from, FaultKind::RouterOutage { router, until })
     }
 
     /// Schedule a link-down window on the port joining `router` to
     /// `segment`.
     pub fn link_down(
-        mut self,
+        self,
         router: RouterId,
         segment: SegmentId,
         from: SimTime,
         until: SimTime,
     ) -> FaultPlan {
-        self.events.push(FaultEvent::LinkDown {
+        let kind = FaultKind::LinkDown {
             router,
             segment,
-            from,
             until,
-        });
-        self
+        };
+        self.push(from, kind)
     }
 
     /// Schedule a segment loss burst.
     pub fn loss_burst(
-        mut self,
+        self,
         segment: SegmentId,
         from: SimTime,
         until: SimTime,
         loss: f64,
     ) -> FaultPlan {
-        self.events.push(FaultEvent::LossBurst {
+        let kind = FaultKind::LossBurst {
             segment,
-            from,
             until,
             loss,
-        });
-        self
+        };
+        self.push(from, kind)
     }
 
     /// Schedule the end of a compute slowdown on `node` at `at`.
-    pub fn end_slowdown(mut self, at: SimTime, node: NodeId) -> FaultPlan {
-        self.events.push(FaultEvent::EndSlowdown { at, node });
-        self
+    pub fn end_slowdown(self, at: SimTime, node: NodeId) -> FaultPlan {
+        self.push(at, FaultKind::EndSlowdown { node })
     }
 
     /// Schedule a crashed `node` to rejoin the network at `at`.
-    pub fn node_recover(mut self, at: SimTime, node: NodeId) -> FaultPlan {
-        self.events.push(FaultEvent::NodeRecover { at, node });
-        self
+    pub fn node_recover(self, at: SimTime, node: NodeId) -> FaultPlan {
+        self.push(at, FaultKind::NodeRecover { node })
     }
 
     /// Schedule `node`'s external (background) load to become `load` at
     /// `at`.
-    pub fn load(mut self, at: SimTime, node: NodeId, load: f64) -> FaultPlan {
-        self.events
-            .push(FaultEvent::ExternalLoad { at, node, load });
-        self
+    pub fn load(self, at: SimTime, node: NodeId, load: f64) -> FaultPlan {
+        self.push(at, FaultKind::ExternalLoad { node, load })
     }
 
     /// Schedule a background-load ramp on `node`: `steps` evenly spaced
-    /// [`FaultEvent::ExternalLoad`] events across `[from, until]`,
+    /// [`FaultKind::ExternalLoad`] events across `[from, until]`,
     /// linearly interpolating from the current load assumption `start`
     /// to `end`. With `steps == 1` this degenerates to a single step to
     /// `end` at `from`.
@@ -337,9 +339,7 @@ impl FaultPlan {
                 f64::from(k + 1) / f64::from(steps)
             };
             let at = SimTime(from.0 + (span as f64 * f64::from(k) / f64::from(steps)) as u64);
-            let load = start + (end - start) * frac;
-            self.events
-                .push(FaultEvent::ExternalLoad { at, node, load });
+            self = self.load(at, node, start + (end - start) * frac);
         }
         self
     }
@@ -349,19 +349,18 @@ impl FaultPlan {
     /// `prob` (they still cost channel time; a checksumming receiver
     /// drops them).
     pub fn corrupt_burst(
-        mut self,
+        self,
         segment: SegmentId,
         from: SimTime,
         until: SimTime,
         prob: f64,
     ) -> FaultPlan {
-        self.events.push(FaultEvent::CorruptBurst {
+        let kind = FaultKind::CorruptBurst {
             segment,
-            from,
             until,
             prob,
-        });
-        self
+        };
+        self.push(from, kind)
     }
 
     /// Schedule a background traffic flood on `segment`: `bytes`-byte
@@ -369,21 +368,20 @@ impl FaultPlan {
     /// application traffic (and filling the congestion queue, when the
     /// segment has one).
     pub fn traffic_burst(
-        mut self,
+        self,
         segment: SegmentId,
         from: SimTime,
         until: SimTime,
         bytes: u32,
-        period: crate::time::SimDur,
+        period: SimDur,
     ) -> FaultPlan {
-        self.events.push(FaultEvent::TrafficBurst {
+        let kind = FaultKind::TrafficBurst {
             segment,
-            from,
             until,
             bytes,
             period,
-        });
-        self
+        };
+        self.push(from, kind)
     }
 
     /// Whether the plan schedules nothing.
@@ -396,146 +394,48 @@ impl FaultPlan {
         self.events.len()
     }
 
-    /// Check every event against a network shape: each referenced node,
-    /// router, or segment must exist, and windowed faults must have
-    /// `until >= from`. Returns the first offence found, described with
-    /// the event's index in the plan. [`Network::install_fault_plan`]
-    /// (crate::network::Network::install_fault_plan) calls this, so a bad
-    /// plan is rejected before any event is queued.
-    pub fn validate(
-        &self,
-        num_nodes: usize,
-        num_routers: usize,
-        num_segments: usize,
-    ) -> Result<(), crate::error::SimError> {
-        self.validate_impl(num_nodes, num_routers, num_segments, None)
-    }
-
-    /// Like [`validate`](FaultPlan::validate), but with the actual fabric
-    /// wiring in hand: `ports[r]` lists the segments router `r` attaches
-    /// to (so `ports.len()` is the router count). In addition to the
-    /// shape checks, a [`FaultEvent::LinkDown`] naming a `(router,
-    /// segment)` pair that is not wired is rejected as
-    /// [`InvalidFaultPlan`](crate::error::SimError::InvalidFaultPlan)
-    /// rather than silently no-opping. This is the form
+    /// Check every event against a network: each referenced node, router,
+    /// or segment must exist, a [`FaultKind::LinkDown`] must name a port
+    /// its router actually has, and a windowed fault must have
+    /// `until >= at`. `ports[r]` lists the segments router `r` attaches
+    /// to (so `ports.len()` is the router count). Returns the first
+    /// offence found, described with the event's index in the plan.
     /// [`Network::install_fault_plan`](crate::network::Network::install_fault_plan)
-    /// uses.
-    pub fn validate_wired(
+    /// calls this, so a bad plan is rejected before any event is queued.
+    pub fn validate(
         &self,
         num_nodes: usize,
         num_segments: usize,
         ports: &[&[SegmentId]],
-    ) -> Result<(), crate::error::SimError> {
-        self.validate_impl(num_nodes, ports.len(), num_segments, Some(ports))
-    }
-
-    fn validate_impl(
-        &self,
-        num_nodes: usize,
-        num_routers: usize,
-        num_segments: usize,
-        ports: Option<&[&[SegmentId]]>,
-    ) -> Result<(), crate::error::SimError> {
-        use crate::error::SimError;
+    ) -> Result<(), SimError> {
+        let num_routers = ports.len();
         let bad =
             |i: usize, what: String| Err(SimError::InvalidFaultPlan(format!("event {i} {what}")));
-        let node_ok = |i: usize, n: NodeId| {
-            if n.index() < num_nodes {
-                Ok(())
-            } else {
-                bad(i, format!("names unknown node {n} ({num_nodes} nodes)"))
-            }
-        };
-        let window_ok = |i: usize, from: SimTime, until: SimTime| {
-            if until >= from {
-                Ok(())
-            } else {
-                bad(
-                    i,
-                    format!(
-                        "has until {} ms < from {} ms",
-                        until.as_millis_f64(),
-                        from.as_millis_f64()
-                    ),
-                )
-            }
-        };
         for (i, ev) in self.events.iter().enumerate() {
-            match *ev {
-                FaultEvent::NodeCrash { node, .. }
-                | FaultEvent::NodeSlowdown { node, .. }
-                | FaultEvent::EndSlowdown { node, .. }
-                | FaultEvent::NodeRecover { node, .. }
-                | FaultEvent::ExternalLoad { node, .. } => node_ok(i, node)?,
-                FaultEvent::RouterOutage {
-                    router,
-                    from,
-                    until,
-                } => {
-                    if router.index() >= num_routers {
-                        return bad(
-                            i,
-                            format!("names unknown router {router} ({num_routers} routers)"),
-                        );
-                    }
-                    window_ok(i, from, until)?;
+            let (node, router, segment, until) = ev.kind.names();
+            if let Some(n) = node.filter(|n| n.index() >= num_nodes) {
+                return bad(i, format!("names unknown node {n} ({num_nodes} nodes)"));
+            }
+            if let Some(r) = router.filter(|r| r.index() >= num_routers) {
+                return bad(
+                    i,
+                    format!("names unknown router {r} ({num_routers} routers)"),
+                );
+            }
+            if let Some(s) = segment.filter(|s| s.index() >= num_segments) {
+                return bad(
+                    i,
+                    format!("names unknown segment {s} ({num_segments} segments)"),
+                );
+            }
+            if let (Some(r), Some(s)) = (router, segment) {
+                if !ports[r.index()].contains(&s) {
+                    return bad(i, format!("downs a link {r} does not have: no port on {s}"));
                 }
-                FaultEvent::LinkDown {
-                    router,
-                    segment,
-                    from,
-                    until,
-                } => {
-                    if router.index() >= num_routers {
-                        return bad(
-                            i,
-                            format!("names unknown router {router} ({num_routers} routers)"),
-                        );
-                    }
-                    if segment.index() >= num_segments {
-                        return bad(
-                            i,
-                            format!("names unknown segment {segment} ({num_segments} segments)"),
-                        );
-                    }
-                    if let Some(ports) = ports {
-                        if !ports[router.index()].contains(&segment) {
-                            return bad(
-                                i,
-                                format!(
-                                    "downs a link {router} does not have: no port on {segment}"
-                                ),
-                            );
-                        }
-                    }
-                    window_ok(i, from, until)?;
-                }
-                FaultEvent::LossBurst {
-                    segment,
-                    from,
-                    until,
-                    ..
-                }
-                | FaultEvent::CorruptBurst {
-                    segment,
-                    from,
-                    until,
-                    ..
-                }
-                | FaultEvent::TrafficBurst {
-                    segment,
-                    from,
-                    until,
-                    ..
-                } => {
-                    if segment.index() >= num_segments {
-                        return bad(
-                            i,
-                            format!("names unknown segment {segment} ({num_segments} segments)"),
-                        );
-                    }
-                    window_ok(i, from, until)?;
-                }
+            }
+            if let Some(until) = until.filter(|&until| until < ev.at) {
+                let (until, from) = (until.as_millis_f64(), ev.at.as_millis_f64());
+                return bad(i, format!("has until {until} ms < from {from} ms"));
             }
         }
         Ok(())
@@ -558,7 +458,7 @@ impl FaultPlan {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut plan = FaultPlan::new();
-        let t = |frac: f64| SimTime::ZERO + crate::time::SimDur::from_millis_f64(frac);
+        let t = |frac: f64| SimTime::ZERO + SimDur::from_millis_f64(frac);
         let n_events = 1 + (rng.random::<u32>() % bounds.max_events.max(1)) as usize;
         let mut crashes = 0u32;
         let wired: Vec<usize> = bounds
@@ -616,7 +516,7 @@ impl FaultPlan {
                     let from = bounds.horizon_ms * rng.random::<f64>();
                     let span = bounds.horizon_ms * 0.3 * rng.random::<f64>();
                     let bytes = 256 + rng.random::<u32>() % 1024;
-                    let period = crate::time::SimDur::from_millis_f64(0.2 + rng.random::<f64>());
+                    let period = SimDur::from_millis_f64(0.2 + rng.random::<f64>());
                     plan = plan.traffic_burst(segment, t(from), t(from + span), bytes, period);
                 }
                 7 if !wired.is_empty() => {
@@ -671,7 +571,6 @@ pub struct FaultBounds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDur;
 
     #[test]
     fn builder_accumulates_events_in_order() {
@@ -683,8 +582,8 @@ mod tests {
             .loss_burst(SegmentId(1), t(3), t(4), 0.5);
         assert_eq!(plan.len(), 4);
         assert!(!plan.is_empty());
-        assert_eq!(plan.events[0].at(), t(5));
-        assert_eq!(plan.events[2].at(), t(2));
+        assert_eq!(plan.events[0].at, t(5));
+        assert_eq!(plan.events[2].at, t(2));
         assert!(FaultPlan::new().is_empty());
     }
 
@@ -698,45 +597,47 @@ mod tests {
             .node_recover(t(8), NodeId(1))
             .load(t(3), NodeId(2), 0.5);
         assert_eq!(plan.len(), 5);
-        assert_eq!(plan.events[1].at(), t(6));
-        assert_eq!(plan.events[3].at(), t(8));
+        assert_eq!(plan.events[1].at, t(6));
+        assert_eq!(plan.events[3].at, t(8));
         assert!(matches!(
-            plan.events[4],
-            FaultEvent::ExternalLoad { load, .. } if load == 0.5
+            plan.events[4].kind,
+            FaultKind::ExternalLoad { load, .. } if load == 0.5
         ));
     }
 
     #[test]
     fn validate_rejects_unknown_ids_and_inverted_windows() {
         let t = |ms| SimTime::ZERO + SimDur::from_millis(ms);
+        // 3 nodes, 2 segments, one router wired to both.
+        let ports: [&[SegmentId]; 1] = [&[SegmentId(0), SegmentId(1)]];
         let ok = FaultPlan::new()
             .crash(t(1), NodeId(2))
             .router_outage(RouterId(0), t(2), t(2))
             .loss_burst(SegmentId(1), t(3), t(9), 0.5)
             .corrupt_burst(SegmentId(0), t(1), t(4), 0.3);
-        assert_eq!(ok.validate(3, 1, 2), Ok(()));
+        assert_eq!(ok.validate(3, 2, &ports), Ok(()));
 
         let bad_node = FaultPlan::new().slow(t(0), NodeId(3), 2.0);
-        let e = bad_node.validate(3, 1, 2).unwrap_err();
+        let e = bad_node.validate(3, 2, &ports).unwrap_err();
         assert!(e.to_string().contains("unknown node n3"), "{e}");
 
         let bad_router = FaultPlan::new().router_outage(RouterId(1), t(0), t(5));
-        let e = bad_router.validate(3, 1, 2).unwrap_err();
+        let e = bad_router.validate(3, 2, &ports).unwrap_err();
         assert!(e.to_string().contains("unknown router r1"), "{e}");
 
         let bad_seg = FaultPlan::new().corrupt_burst(SegmentId(2), t(0), t(5), 0.2);
-        let e = bad_seg.validate(3, 1, 2).unwrap_err();
+        let e = bad_seg.validate(3, 2, &ports).unwrap_err();
         assert!(e.to_string().contains("unknown segment seg2"), "{e}");
 
         let inverted = FaultPlan::new().loss_burst(SegmentId(0), t(7), t(3), 0.5);
-        let e = inverted.validate(3, 1, 2).unwrap_err();
+        let e = inverted.validate(3, 2, &ports).unwrap_err();
         assert!(e.to_string().contains('<'), "{e}");
 
         // The offending event's index is reported, not just its kind.
         let second = FaultPlan::new()
             .crash(t(0), NodeId(0))
             .crash(t(1), NodeId(9));
-        let e = second.validate(3, 1, 2).unwrap_err();
+        let e = second.validate(3, 2, &ports).unwrap_err();
         assert!(e.to_string().contains("event 1"), "{e}");
     }
 
@@ -757,7 +658,8 @@ mod tests {
             let b = FaultPlan::random(seed, &bounds);
             assert_eq!(a, b, "seed {seed} not deterministic");
             assert!(!a.is_empty(), "seed {seed} drew an empty plan");
-            assert_eq!(a.validate(12, 1, 2), Ok(()), "seed {seed} invalid");
+            let ports: [&[SegmentId]; 1] = [&[SegmentId(0), SegmentId(1)]];
+            assert_eq!(a.validate(12, 2, &ports), Ok(()), "seed {seed} invalid");
             if a != FaultPlan::random(seed + 1, &bounds) {
                 distinct += 1;
             }
@@ -766,40 +668,43 @@ mod tests {
     }
 
     #[test]
-    fn validate_wired_rejects_unwired_link_down() {
+    fn validate_rejects_unwired_link_down() {
         let t = |ms| SimTime::ZERO + SimDur::from_millis(ms);
         let ports: Vec<&[SegmentId]> =
             vec![&[SegmentId(0), SegmentId(1)], &[SegmentId(1), SegmentId(2)]];
+        // The same shape with every router on every segment.
+        let all = [SegmentId(0), SegmentId(1), SegmentId(2)];
+        let full: Vec<&[SegmentId]> = vec![&all, &all];
 
-        // A wired pair passes both forms.
+        // A wired pair passes under both wirings.
         let ok = FaultPlan::new().link_down(RouterId(1), SegmentId(2), t(1), t(5));
-        assert_eq!(ok.validate(3, 2, 3), Ok(()));
-        assert_eq!(ok.validate_wired(3, 3, &ports), Ok(()));
+        assert_eq!(ok.validate(3, 3, &full), Ok(()));
+        assert_eq!(ok.validate(3, 3, &ports), Ok(()));
 
-        // An unwired pair passes the shape check (both ids exist) but the
-        // wired form rejects it instead of silently no-opping.
+        // A pair whose ids both exist passes where it is wired, and is
+        // rejected — not silently no-opped — where it is not.
         let unwired = FaultPlan::new().link_down(RouterId(0), SegmentId(2), t(1), t(5));
-        assert_eq!(unwired.validate(3, 2, 3), Ok(()));
-        let e = unwired.validate_wired(3, 3, &ports).unwrap_err();
+        assert_eq!(unwired.validate(3, 3, &full), Ok(()));
+        let e = unwired.validate(3, 3, &ports).unwrap_err();
         assert!(e.to_string().contains("no port on seg2"), "{e}");
         assert!(e.to_string().contains("event 0"), "{e}");
 
         // Out-of-range ids and inverted windows are still caught.
         let bad_router = FaultPlan::new().link_down(RouterId(2), SegmentId(0), t(1), t(5));
-        let e = bad_router.validate_wired(3, 3, &ports).unwrap_err();
+        let e = bad_router.validate(3, 3, &ports).unwrap_err();
         assert!(e.to_string().contains("unknown router r2"), "{e}");
         let bad_seg = FaultPlan::new().link_down(RouterId(0), SegmentId(3), t(1), t(5));
-        let e = bad_seg.validate_wired(3, 3, &ports).unwrap_err();
+        let e = bad_seg.validate(3, 3, &ports).unwrap_err();
         assert!(e.to_string().contains("unknown segment seg3"), "{e}");
         let inverted = FaultPlan::new().link_down(RouterId(0), SegmentId(1), t(5), t(1));
-        let e = inverted.validate_wired(3, 3, &ports).unwrap_err();
+        let e = inverted.validate(3, 3, &ports).unwrap_err();
         assert!(e.to_string().contains('<'), "{e}");
     }
 
     #[test]
     fn random_with_wiring_draws_every_fault_kind() {
         // Fabric-shaped bounds: the widened 8-kind draw must surface every
-        // FaultEvent variant somewhere across a modest seed range, and
+        // FaultKind variant somewhere across a modest seed range, and
         // every drawn plan must already satisfy the wired validation.
         let ports: Vec<Vec<SegmentId>> = vec![
             vec![SegmentId(0), SegmentId(1)],
@@ -819,22 +724,22 @@ mod tests {
         for seed in 0..64u64 {
             let plan = FaultPlan::random(seed, &bounds);
             assert_eq!(
-                plan.validate_wired(12, 3, &port_refs),
+                plan.validate(12, 3, &port_refs),
                 Ok(()),
                 "seed {seed} drew an invalid plan"
             );
             for ev in &plan.events {
-                let k = match ev {
-                    FaultEvent::NodeCrash { .. } => 0,
-                    FaultEvent::NodeSlowdown { .. } => 1,
-                    FaultEvent::RouterOutage { .. } => 2,
-                    FaultEvent::LinkDown { .. } => 3,
-                    FaultEvent::LossBurst { .. } => 4,
-                    FaultEvent::EndSlowdown { .. } => 5,
-                    FaultEvent::NodeRecover { .. } => 6,
-                    FaultEvent::ExternalLoad { .. } => 7,
-                    FaultEvent::CorruptBurst { .. } => 8,
-                    FaultEvent::TrafficBurst { .. } => 9,
+                let k = match ev.kind {
+                    FaultKind::NodeCrash { .. } => 0,
+                    FaultKind::NodeSlowdown { .. } => 1,
+                    FaultKind::RouterOutage { .. } => 2,
+                    FaultKind::LinkDown { .. } => 3,
+                    FaultKind::LossBurst { .. } => 4,
+                    FaultKind::EndSlowdown { .. } => 5,
+                    FaultKind::NodeRecover { .. } => 6,
+                    FaultKind::ExternalLoad { .. } => 7,
+                    FaultKind::CorruptBurst { .. } => 8,
+                    FaultKind::TrafficBurst { .. } => 9,
                 };
                 seen[k] = true;
             }
@@ -875,8 +780,8 @@ mod tests {
             for ev in &plan.events {
                 assert!(
                     !matches!(
-                        ev,
-                        FaultEvent::LinkDown { .. } | FaultEvent::TrafficBurst { .. }
+                        ev.kind,
+                        FaultKind::LinkDown { .. } | FaultKind::TrafficBurst { .. }
                     ),
                     "seed {seed} drew a fabric fault without wiring: {ev:?}"
                 );
@@ -892,21 +797,21 @@ mod tests {
         let loads: Vec<f64> = plan
             .events
             .iter()
-            .map(|e| match e {
-                FaultEvent::ExternalLoad { load, .. } => *load,
+            .map(|e| match e.kind {
+                FaultKind::ExternalLoad { load, .. } => load,
                 other => panic!("unexpected event {other:?}"),
             })
             .collect();
         assert_eq!(loads, vec![0.2, 0.4, 0.6000000000000001, 0.8]);
-        assert_eq!(plan.events[0].at(), t(0));
-        assert_eq!(plan.events[3].at(), t(30));
+        assert_eq!(plan.events[0].at, t(0));
+        assert_eq!(plan.events[3].at, t(30));
 
         let single = FaultPlan::new().load_ramp(NodeId(4), t(5), t(9), 0.1, 0.7, 1);
         assert_eq!(single.len(), 1);
-        assert_eq!(single.events[0].at(), t(5));
+        assert_eq!(single.events[0].at, t(5));
         assert!(matches!(
-            single.events[0],
-            FaultEvent::ExternalLoad { load, .. } if load == 0.7
+            single.events[0].kind,
+            FaultKind::ExternalLoad { load, .. } if load == 0.7
         ));
     }
 }

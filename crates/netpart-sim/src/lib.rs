@@ -71,7 +71,7 @@ pub use error::SimError;
 pub use event::{DropReason, SimEvent};
 pub use fabric::{Fabric, FabricCluster, Wiring};
 pub use fasthash::{FastHasher, FastMap, FastSet};
-pub use fault::{FaultBounds, FaultEvent, FaultPlan};
+pub use fault::{FaultBounds, FaultEvent, FaultKind, FaultPlan};
 pub use ids::{DgramId, NodeId, ProcTypeId, RouterId, SegmentId, TimerId};
 pub use network::{BackgroundFlow, Network, NetworkBuilder};
 pub use node::{Node, OpClass, ProcType};

@@ -38,9 +38,9 @@ use bytes::Bytes;
 
 use crate::datagram::{Datagram, MAX_DATAGRAM_PAYLOAD};
 use crate::error::SimError;
-use crate::event::{DropReason, EventQueue, FaultAction, SimEvent, Work};
+use crate::event::{DropReason, EventQueue, SimEvent, Work};
 use crate::fasthash::FastSet;
-use crate::fault::{FaultEvent, FaultPlan};
+use crate::fault::{FaultKind, FaultPlan};
 use crate::ids::{DgramId, NodeId, ProcTypeId, RouterId, SegmentId, TimerId};
 use crate::node::{Node, OpClass, ProcType};
 use crate::router::{Router, RouterSpec, RouterStats};
@@ -333,61 +333,14 @@ impl Network {
     /// anything is queued — silently skipping a misaddressed fault would
     /// make a chaos schedule quietly weaker than it claims.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
-        {
-            let ports: Vec<&[crate::ids::SegmentId]> = self
-                .routers
-                .iter()
-                .map(|r| r.spec.segments.as_slice())
-                .collect();
-            plan.validate_wired(self.nodes.len(), self.segments.len(), &ports)?;
-        }
+        let ports: Vec<&[SegmentId]> = self
+            .routers
+            .iter()
+            .map(|r| r.spec.segments.as_slice())
+            .collect();
+        plan.validate(self.nodes.len(), self.segments.len(), &ports)?;
         for ev in &plan.events {
-            let action = match *ev {
-                FaultEvent::NodeCrash { node, .. } => FaultAction::Crash(node),
-                FaultEvent::NodeSlowdown { node, factor, .. } => {
-                    FaultAction::Slow(node, factor.max(1.0))
-                }
-                FaultEvent::RouterOutage { router, until, .. } => {
-                    FaultAction::RouterDown(router, until)
-                }
-                FaultEvent::LinkDown {
-                    router,
-                    segment,
-                    until,
-                    ..
-                } => FaultAction::LinkDown(router, segment, until),
-                FaultEvent::LossBurst {
-                    segment,
-                    until,
-                    loss,
-                    ..
-                } => FaultAction::Burst(segment, loss.clamp(0.0, 0.999), until),
-                FaultEvent::EndSlowdown { node, .. } => FaultAction::EndSlow(node),
-                FaultEvent::NodeRecover { node, .. } => FaultAction::Recover(node),
-                FaultEvent::ExternalLoad { node, load, .. } => {
-                    FaultAction::Load(node, load.clamp(0.0, 0.99))
-                }
-                FaultEvent::CorruptBurst {
-                    segment,
-                    until,
-                    prob,
-                    ..
-                } => FaultAction::Corrupt(segment, prob.clamp(0.0, 1.0), until),
-                FaultEvent::TrafficBurst {
-                    segment,
-                    until,
-                    bytes,
-                    period,
-                    ..
-                } => FaultAction::FloodStart(
-                    segment,
-                    bytes.min(MAX_DATAGRAM_PAYLOAD as u32),
-                    period.max(SimDur::from_nanos(1)),
-                    until,
-                ),
-            };
-            self.queue
-                .push(ev.at().max(self.now), Work::Fault { action });
+            self.queue.push(ev.at.max(self.now), Work::Fault(ev.kind));
         }
         Ok(())
     }
@@ -439,64 +392,14 @@ impl Network {
     pub fn route_exists(&self, a: NodeId, b: NodeId) -> bool {
         let sa = self.nodes[a.index()].segment;
         let sb = self.nodes[b.index()].segment;
-        sa == sb || self.route(sa, sb).is_some()
+        sa == sb || self.next_hop(sa, sb).is_some()
     }
 
     /// Router hops on the path between two nodes' segments (0 when they
-    /// share a segment), or `None` when no path exists. Walks the
-    /// precomputed next-hop table, so it reports the hop count frames
-    /// actually pay.
+    /// share a segment), or `None` when no path exists. Walks the live
+    /// next-hop table, so it reports the hop count frames actually pay.
     pub fn hop_count(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        let mut cur = self.nodes[a.index()].segment;
-        let dst = self.nodes[b.index()].segment;
-        let mut hops = 0;
-        while cur != dst {
-            let (_, next) = self.route(cur, dst)?;
-            cur = next;
-            hops += 1;
-        }
-        Some(hops)
-    }
-
-    /// Next hop for a frame on `from` bound for a node on `to`: the
-    /// router to hand it to and the segment that router forwards onto.
-    /// Consults the live table once any fabric fault has fired, so flows
-    /// shift to alternate routers/links wherever the residual fabric has
-    /// path diversity.
-    #[inline]
-    fn route(&self, from: SegmentId, to: SegmentId) -> Option<(RouterId, SegmentId)> {
-        let idx = from.index() * self.segments.len() + to.index();
-        match &self.live_routes {
-            Some(t) => t[idx],
-            None => self.routes[idx],
-        }
-    }
-
-    /// Next hop on the full (build-time) fabric, ignoring liveness.
-    #[inline]
-    fn static_route(&self, from: SegmentId, to: SegmentId) -> Option<(RouterId, SegmentId)> {
-        self.routes[from.index() * self.segments.len() + to.index()]
-    }
-
-    /// The live next hop between two segments — the entry frames actually
-    /// follow right now. Substrate-only, like
-    /// [`node_crashed`](Network::node_crashed): tests and diagnostics may
-    /// inspect it; recovery layers must detect reroutes through observed
-    /// message behaviour.
-    pub fn next_hop(&self, from: SegmentId, to: SegmentId) -> Option<(RouterId, SegmentId)> {
-        if from.index() >= self.segments.len() || to.index() >= self.segments.len() {
-            return None;
-        }
-        self.route(from, to)
-    }
-
-    /// The build-time next hop between two segments, unaffected by
-    /// injected faults. Substrate-only.
-    pub fn static_next_hop(&self, from: SegmentId, to: SegmentId) -> Option<(RouterId, SegmentId)> {
-        if from.index() >= self.segments.len() || to.index() >= self.segments.len() {
-            return None;
-        }
-        self.static_route(from, to)
+        self.walk(self.live_table(), a, b)
     }
 
     /// Router hops between two nodes' segments on the build-time routing
@@ -504,12 +407,58 @@ impl Network {
     /// [`hop_count`](Network::hop_count) is compared against when a
     /// reroute's detour needs to be distinguished from the planned path.
     pub fn static_hop_count(&self, a: NodeId, b: NodeId) -> Option<u32> {
+        self.walk(&self.routes, a, b)
+    }
+
+    /// The live next hop between two segments — the entry frames actually
+    /// follow right now (the frame path makes this same lookup at every
+    /// wire hop). For callers outside the crate it is substrate-only,
+    /// like [`node_crashed`](Network::node_crashed): tests and diagnostics
+    /// may inspect it; recovery layers must detect reroutes through
+    /// observed message behaviour.
+    #[inline]
+    pub fn next_hop(&self, from: SegmentId, to: SegmentId) -> Option<(RouterId, SegmentId)> {
+        self.lookup(self.live_table(), from, to)
+    }
+
+    /// The build-time next hop between two segments, unaffected by
+    /// injected faults. Substrate-only.
+    pub fn static_next_hop(&self, from: SegmentId, to: SegmentId) -> Option<(RouterId, SegmentId)> {
+        self.lookup(&self.routes, from, to)
+    }
+
+    /// The table frames follow: the live one once any fabric fault has
+    /// fired (so flows shift to alternate routers/links wherever the
+    /// residual fabric has path diversity), the build-time one until then.
+    #[inline]
+    fn live_table(&self) -> &[Option<(RouterId, SegmentId)>] {
+        self.live_routes.as_deref().unwrap_or(&self.routes)
+    }
+
+    /// `table`'s next hop for a frame on `from` bound for a node on `to`
+    /// (the router to hand it to and the segment that router forwards
+    /// onto); `None` also when either id is out of range.
+    #[inline]
+    fn lookup(
+        &self,
+        table: &[Option<(RouterId, SegmentId)>],
+        from: SegmentId,
+        to: SegmentId,
+    ) -> Option<(RouterId, SegmentId)> {
+        let n = self.segments.len();
+        if from.index() >= n || to.index() >= n {
+            return None;
+        }
+        table[from.index() * n + to.index()]
+    }
+
+    /// Count router hops from `a`'s segment to `b`'s by following `table`.
+    fn walk(&self, table: &[Option<(RouterId, SegmentId)>], a: NodeId, b: NodeId) -> Option<u32> {
         let mut cur = self.nodes[a.index()].segment;
         let dst = self.nodes[b.index()].segment;
         let mut hops = 0;
         while cur != dst {
-            let (_, next) = self.static_route(cur, dst)?;
-            cur = next;
+            cur = self.lookup(table, cur, dst)?.1;
             hops += 1;
         }
         Some(hops)
@@ -549,12 +498,7 @@ impl Network {
     /// nothing; the final restore brings the original routes back.
     fn fabric_fault_applied(&mut self, until: SimTime) {
         if until > self.now {
-            self.queue.push(
-                until,
-                Work::Fault {
-                    action: FaultAction::FabricRestore,
-                },
-            );
+            self.queue.push(until, Work::FabricRestore);
             self.recompute_live_routes();
         }
     }
@@ -606,12 +550,12 @@ impl Network {
         }
         let src_seg = self.nodes[src.index()].segment;
         let dst_seg = self.nodes[dst.index()].segment;
-        if src_seg != dst_seg && self.route(src_seg, dst_seg).is_none() {
+        if src_seg != dst_seg && self.next_hop(src_seg, dst_seg).is_none() {
             // Typed fail-fast: a pair the built fabric never joined is
             // `NoRoute`; a pair that is wired but currently severed by
             // injected outages is `FabricPartitioned`, so callers can
             // stop retrying instead of burning a budget on a dead path.
-            return Err(if self.static_route(src_seg, dst_seg).is_some() {
+            return Err(if self.static_next_hop(src_seg, dst_seg).is_some() {
                 SimError::FabricPartitioned {
                     from: src_seg,
                     to: dst_seg,
@@ -870,54 +814,70 @@ impl Network {
                     .push(self.now + period, Work::BackgroundSend { flow });
                 None
             }
-            Work::Fault { action } => {
-                self.apply_fault(action);
+            Work::Fault(kind) => {
+                self.apply_fault(kind);
+                None
+            }
+            Work::FabricRestore => {
+                self.recompute_live_routes();
+                None
+            }
+            Work::FloodStop(handle) => {
+                self.stop_background_flow(handle);
                 None
             }
         }
     }
 
-    fn apply_fault(&mut self, action: FaultAction) {
-        match action {
-            FaultAction::Crash(node) => {
-                self.nodes[node.index()].crashed = true;
+    /// A scheduled fault matured: apply it, clamping its magnitudes to the
+    /// ranges [`FaultKind`] documents.
+    fn apply_fault(&mut self, kind: FaultKind) {
+        match kind {
+            FaultKind::NodeCrash { node } => self.nodes[node.index()].crashed = true,
+            FaultKind::NodeRecover { node } => self.nodes[node.index()].crashed = false,
+            FaultKind::NodeSlowdown { node, factor } => {
+                self.nodes[node.index()].fault_slowdown = factor.max(1.0);
             }
-            FaultAction::Slow(node, factor) => {
-                self.nodes[node.index()].fault_slowdown = factor;
-            }
-            FaultAction::RouterDown(router, until) => {
+            FaultKind::EndSlowdown { node } => self.nodes[node.index()].fault_slowdown = 1.0,
+            FaultKind::ExternalLoad { node, load } => self.set_external_load(node, load),
+            FaultKind::RouterOutage { router, until } => {
                 let r = &mut self.routers[router.index()];
                 r.down_until = r.down_until.max(until);
                 self.fabric_fault_applied(until);
             }
-            FaultAction::LinkDown(router, segment, until) => {
+            FaultKind::LinkDown {
+                router,
+                segment,
+                until,
+            } => {
                 if self.routers[router.index()].merge_port_down(segment, until) {
                     self.fabric_fault_applied(until);
                 }
             }
-            FaultAction::FabricRestore => {
-                self.recompute_live_routes();
-            }
-            FaultAction::Burst(segment, loss, until) => {
+            FaultKind::LossBurst {
+                segment,
+                until,
+                loss,
+            } => {
                 let s = &mut self.segments[segment.index()];
-                s.burst_loss = loss;
+                s.burst_loss = loss.clamp(0.0, 0.999);
                 s.burst_until = s.burst_until.max(until);
             }
-            FaultAction::EndSlow(node) => {
-                self.nodes[node.index()].fault_slowdown = 1.0;
-            }
-            FaultAction::Recover(node) => {
-                self.nodes[node.index()].crashed = false;
-            }
-            FaultAction::Load(node, load) => {
-                self.nodes[node.index()].external_load = load;
-            }
-            FaultAction::Corrupt(segment, prob, until) => {
+            FaultKind::CorruptBurst {
+                segment,
+                until,
+                prob,
+            } => {
                 let s = &mut self.segments[segment.index()];
-                s.corrupt_prob = prob;
+                s.corrupt_prob = prob.clamp(0.0, 1.0);
                 s.corrupt_until = s.corrupt_until.max(until);
             }
-            FaultAction::FloodStart(segment, bytes, period, until) => {
+            FaultKind::TrafficBurst {
+                segment,
+                until,
+                bytes,
+                period,
+            } => {
                 // The flood rides the ordinary background-flow machinery:
                 // frames between the segment's first two nodes, stopped by
                 // a scheduled FloodStop. Fewer than two attached nodes
@@ -929,19 +889,12 @@ impl Network {
                     let handle = self.add_background_flow(BackgroundFlow {
                         src,
                         dst,
-                        bytes,
-                        period,
+                        bytes: bytes.min(MAX_DATAGRAM_PAYLOAD as u32),
+                        period: period.max(SimDur::from_nanos(1)),
                     });
-                    self.queue.push(
-                        until.max(self.now),
-                        Work::Fault {
-                            action: FaultAction::FloodStop(handle),
-                        },
-                    );
+                    self.queue
+                        .push(until.max(self.now), Work::FloodStop(handle));
                 }
-            }
-            FaultAction::FloodStop(handle) => {
-                self.stop_background_flow(handle);
             }
         }
     }
@@ -1063,7 +1016,7 @@ impl Network {
             // reroutes hop by hop around outages that struck after it was
             // sent — and dies here when the residual fabric no longer
             // joins the pair at all.
-            let Some((router, egress)) = self.route(segment, dst_seg) else {
+            let Some((router, egress)) = self.next_hop(segment, dst_seg) else {
                 return self.drop_frame(dgram, DropReason::LinkDown);
             };
             let r = &mut self.routers[router.index()];
@@ -1103,6 +1056,94 @@ impl Network {
                 },
             );
             None
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The queue carries a fault's magnitudes exactly as the plan wrote
+    /// them; the clamps [`FaultKind`] documents are applied when the fault
+    /// matures. So each is checked on a live network: nothing moves at
+    /// install, and the bound holds once the onset has been processed.
+    #[test]
+    fn fault_magnitudes_are_clamped_when_the_fault_matures() {
+        let (n0, s0) = (NodeId(0), SegmentId(0));
+        let (at, until) = (SimTime(5_000), SimTime(5_010));
+        let flood = |bytes, ns| FaultPlan::new().traffic_burst(s0, at, until, bytes, SimDur(ns));
+        type Probe = fn(&Network) -> f64;
+        let cases: [(&str, FaultPlan, Probe, f64); 8] = [
+            (
+                "slowdown factor >= 1",
+                FaultPlan::new().slow(at, n0, 0.25),
+                |n| n.nodes[0].fault_slowdown,
+                1.0,
+            ),
+            (
+                "external load <= 0.99",
+                FaultPlan::new().load(at, n0, 7.0),
+                |n| n.nodes[0].external_load,
+                0.99,
+            ),
+            (
+                "external load >= 0",
+                FaultPlan::new().load(at, n0, -1.0),
+                |n| n.nodes[0].external_load,
+                0.0,
+            ),
+            (
+                "burst loss <= 0.999",
+                FaultPlan::new().loss_burst(s0, at, until, 1.5),
+                |n| n.segments[0].burst_loss,
+                0.999,
+            ),
+            (
+                "burst loss >= 0",
+                FaultPlan::new().loss_burst(s0, at, until, -0.5),
+                |n| n.segments[0].burst_loss,
+                0.0,
+            ),
+            (
+                "corruption probability <= 1",
+                FaultPlan::new().corrupt_burst(s0, at, until, 2.0),
+                |n| n.segments[0].corrupt_prob,
+                1.0,
+            ),
+            (
+                "flood frame <= MTU",
+                flood(u32::MAX, 4),
+                |n| {
+                    n.background
+                        .first()
+                        .map_or(-1.0, |(f, _)| f64::from(f.bytes))
+                },
+                MAX_DATAGRAM_PAYLOAD as f64,
+            ),
+            (
+                "flood period >= 1 ns",
+                flood(64, 0),
+                |n| {
+                    n.background
+                        .first()
+                        .map_or(-1.0, |(f, _)| f.period.0 as f64)
+                },
+                1.0,
+            ),
+        ];
+        for (name, plan, probe, want) in cases {
+            let mut b = NetworkBuilder::new(1);
+            let pt = b.add_proc_type(ProcType::sparcstation_2());
+            let seg = b.add_segment(SegmentSpec::ethernet_10mbps());
+            b.add_node(pt, seg);
+            b.add_node(pt, seg);
+            let mut net = b.build().expect("network");
+            let before = probe(&net);
+            net.install_fault_plan(&plan).expect("valid plan");
+            assert_eq!(probe(&net), before, "{name}: applied at install");
+            while net.next_event().is_some() {}
+            assert_eq!(probe(&net), want, "{name}");
         }
     }
 }

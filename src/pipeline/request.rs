@@ -150,8 +150,9 @@ impl fmt::Write for Fnv {
 }
 
 /// Fingerprint of everything [`Scenario::plan`] depends on: the full
-/// testbed description, the application model, the topology list, the
-/// cost source, the partitioner options, placement, and distribution.
+/// testbed description, the application model (the topologies calibrated
+/// are a function of it), the cost source, the partitioner options,
+/// placement, and distribution.
 ///
 /// FNV-1a over the `Debug` rendering — the same technique as
 /// [`calibration_fingerprint`] — with two departures. A
@@ -167,7 +168,7 @@ impl fmt::Write for Fnv {
 pub fn scenario_fingerprint(s: &Scenario) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     // Writing into the hash state cannot fail.
-    let _ = write!(h, "{:?}|{:?}|{:?}|", s.testbed, s.app, s.topologies);
+    let _ = write!(h, "{:?}|{:?}|", s.testbed, s.app);
     match &s.cost {
         CostSource::Fixed(m) => {
             let by_topology = |(cluster, topo): (usize, Topology)| (cluster, topo as usize);
@@ -208,7 +209,7 @@ pub fn scenario_fingerprint(s: &Scenario) -> u64 {
 /// in practice never trip.
 pub fn scenario_class(s: &Scenario) -> u64 {
     match &s.cost {
-        CostSource::Calibrated(cfg) => calibration_fingerprint(&s.testbed, &s.topologies, cfg),
+        CostSource::Calibrated(cfg) => calibration_fingerprint(&s.testbed, &s.topologies(), cfg),
         CostSource::Paper => 1,
         CostSource::Measured => 2,
         CostSource::Fixed(_) => 3,
@@ -323,8 +324,8 @@ mod tests {
     fn streaming_the_rendering_hashes_what_collecting_it_hashed() {
         let s = small_scenario();
         let mut repr = format!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-            s.testbed, s.app, s.topologies, s.cost, s.options, s.placement, s.distribute
+            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            s.testbed, s.app, s.cost, s.options, s.placement, s.distribute
         );
         for phase in s.app.comp_phases() {
             for a in [1.0, 7.0, 1000.0, 123_457.0] {

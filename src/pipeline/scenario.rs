@@ -39,9 +39,6 @@ pub struct Scenario {
     pub testbed: Testbed,
     /// The annotated application model (PDUs, phases, complexities).
     pub app: AppModel,
-    /// Topologies to calibrate. Defaults to every topology the model's
-    /// communication phases mention.
-    pub topologies: Vec<Topology>,
     /// Cost-model source for planning.
     pub cost: CostSource,
     /// Partitioner knobs (search strategy, cluster order).
@@ -56,20 +53,29 @@ pub struct Scenario {
 impl Scenario {
     /// A scenario with the paper's defaults: calibrated cost model,
     /// default partitioner options, cluster-contiguous placement, no
-    /// startup distribution, topologies taken from the app model.
+    /// startup distribution.
     pub fn new(testbed: Testbed, app: AppModel) -> Scenario {
-        let mut topologies: Vec<Topology> =
-            app.comm_phases().iter().map(|ph| ph.topology).collect();
-        topologies.dedup();
         Scenario {
             testbed,
             app,
-            topologies,
             cost: CostSource::Calibrated(CalibrationConfig::default()),
             options: PartitionOptions::default(),
             placement: PlacementStrategy::ClusterContiguous,
             distribute: false,
         }
+    }
+
+    /// The topologies a [`CostSource::Calibrated`] scenario calibrates:
+    /// every one the model's communication phases mention.
+    pub(super) fn topologies(&self) -> Vec<Topology> {
+        let mut topologies: Vec<Topology> = self
+            .app
+            .comm_phases()
+            .iter()
+            .map(|ph| ph.topology)
+            .collect();
+        topologies.dedup();
+        topologies
     }
 
     /// Replace the cost-model source.
@@ -130,7 +136,7 @@ impl Scenario {
             CostSource::Paper => Box::new(PaperCostModel),
             CostSource::Calibrated(cfg) => Box::new(calibrate_testbed_cached_budgeted(
                 &self.testbed,
-                &self.topologies,
+                &self.topologies(),
                 cfg,
                 budget,
             )?),

@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use netpart_model::{Budget, NetpartError};
 use netpart_serve::{PlanService, ServeSource, Served, Server, Ticket};
-use netpart_topology::Topology;
 
 use crate::pipeline::{
     scenario_class, scenario_fingerprint, CostSource, Plan, PlanRequest, PlanResponse, PlanSource,
@@ -69,22 +68,6 @@ impl ChaosSpec {
         z ^= z >> 31;
         ((z >> 11) as f64 / (1u64 << 53) as f64) < self.fault_rate
     }
-}
-
-/// Can the paper's §6 constants price this scenario? They cover two
-/// clusters on a 1-D topology — the same predicate
-/// [`PaperCostModel::covers`](crate::calibrate::PaperCostModel) applies
-/// per (cluster, topology) pair during model resolution.
-fn paper_covers(s: &Scenario) -> bool {
-    s.testbed
-        .clusters
-        .iter()
-        .enumerate()
-        .all(|(i, c)| c.nodes == 0 || i < 2)
-        && s.app
-            .comm_phases()
-            .iter()
-            .all(|p| p.topology == Topology::OneD)
 }
 
 /// The [`PlanService`] binding: fingerprints via [`scenario_fingerprint`],
@@ -140,13 +123,16 @@ impl PlanService for ScenarioService {
     fn fallback(&self, req: &PlanRequest, budget: &Budget) -> Option<Result<Plan, NetpartError>> {
         // Degraded mode only makes sense when the broken path is
         // calibration; and the paper model must actually cover the
-        // scenario, else the class's last typed error is the honest
-        // answer.
-        if !matches!(req.scenario.cost, CostSource::Calibrated(_)) || !paper_covers(&req.scenario) {
+        // scenario (model resolution says so with `MissingFit`), else the
+        // class's last typed error is the honest answer.
+        if !matches!(req.scenario.cost, CostSource::Calibrated(_)) {
             return None;
         }
         let fallback = req.scenario.clone().with_cost(CostSource::Paper);
-        Some(fallback.plan_budgeted(budget))
+        match fallback.plan_budgeted(budget) {
+            Err(NetpartError::MissingFit { .. }) => None,
+            planned => Some(planned),
+        }
     }
 }
 
@@ -292,12 +278,27 @@ mod tests {
 
     #[test]
     fn paper_covers_matches_the_model_predicate() {
-        assert!(paper_covers(&paper_scenario(100)));
+        let service = ScenarioService {
+            chaos: None,
+            attempts: AtomicU64::new(0),
+        };
+        let fallback = |s: Scenario| service.fallback(&PlanRequest::new(s), &Budget::unlimited());
+        // `Scenario::new` prices by calibration, the one source that
+        // degrades to the paper's constants.
+        let two = Scenario::new(Testbed::paper(), stencil_model(100, StencilVariant::Sten2));
+        assert!(matches!(fallback(two), Some(Ok(_))));
         let three = Scenario::new(
             Testbed::synthetic(3, 4, 0.2),
             stencil_model(100, StencilVariant::Sten2),
         );
-        assert!(!paper_covers(&three), "three clusters exceed the paper fit");
+        assert!(
+            fallback(three).is_none(),
+            "three clusters exceed the paper fit"
+        );
+        assert!(
+            fallback(paper_scenario(100)).is_none(),
+            "nothing to degrade from"
+        );
     }
 
     #[test]
