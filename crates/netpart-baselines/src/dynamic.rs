@@ -16,41 +16,10 @@
 use bytes::Bytes;
 use netpart_apps::stencil::{StencilApp, StencilVariant};
 use netpart_calibrate::Testbed;
-use netpart_model::{OpKind, PartitionVector};
-use netpart_sim::{SimDur, SimTime};
-use netpart_spmd::{Executor, Phase, Probe, Rank, SpmdApp, SpmdError, Step};
+use netpart_model::{NetpartError, OpKind, PartitionVector};
+use netpart_sim::SimDur;
+use netpart_spmd::{Executor, SpmdApp, Step};
 use netpart_topology::PlacementStrategy;
-
-/// Probe that accumulates each rank's busy compute time over a chunk —
-/// the observation signal the rebalancing policy feeds on. This is the
-/// engine's instrumentation seam at work: the policy watches execution
-/// without the engine knowing it exists.
-struct RateProbe {
-    busy: Vec<SimDur>,
-}
-
-impl RateProbe {
-    fn new(ranks: usize) -> RateProbe {
-        RateProbe {
-            busy: vec![SimDur::ZERO; ranks],
-        }
-    }
-}
-
-impl Probe for RateProbe {
-    fn on_phase(
-        &mut self,
-        rank: Rank,
-        _cycle: u64,
-        phase: Phase,
-        started: SimTime,
-        ended: SimTime,
-    ) {
-        if phase == Phase::Compute {
-            self.busy[rank] += ended.since(started);
-        }
-    }
-}
 
 /// The redistribution traffic between chunks, expressed as a one-cycle
 /// synthetic [`SpmdApp`] so the cycle engine is the only thing that ever
@@ -138,7 +107,7 @@ pub fn run_dynamic_stencil(
     initial_vector: PartitionVector,
     loads: &[f64],
     cfg: &DynamicConfig,
-) -> Result<DynamicReport, SpmdError> {
+) -> Result<DynamicReport, NetpartError> {
     let p: u32 = per_cluster.iter().sum();
     let (mut mmps, nodes) = testbed.build(per_cluster, PlacementStrategy::ClusterContiguous);
     for (rank, &load) in loads.iter().enumerate() {
@@ -156,8 +125,7 @@ pub fn run_dynamic_stencil(
     while remaining > 0 {
         let chunk = cfg.chunk.min(remaining);
         let mut app = StencilApp::from_grid(grid, n, chunk, variant, p as usize);
-        let mut rate_probe = RateProbe::new(p as usize);
-        let report = exec.run_probed(&mut app, &vector, false, &mut rate_probe)?;
+        let report = exec.run(&mut app, &vector, false)?;
         elapsed += report.elapsed;
         grid = app.gather();
         remaining -= chunk;
@@ -166,12 +134,12 @@ pub fn run_dynamic_stencil(
         }
 
         // Observed per-rank computation rates: rows per second of busy
-        // compute time (accumulated by the probe over this chunk). A
+        // compute time (the engine's per-rank total over this chunk). A
         // loaded node shows a depressed rate.
         let rates: Vec<f64> = (0..p as usize)
             .map(|r| {
                 let rows = vector.count(r) as f64;
-                let busy = rate_probe.busy[r].as_secs_f64();
+                let busy = report.compute_time[r].as_secs_f64();
                 if busy > 0.0 {
                     rows / busy
                 } else {

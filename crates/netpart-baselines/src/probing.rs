@@ -11,9 +11,9 @@
 //! `K·log₂P` closed-form evaluations.
 
 use netpart_calibrate::Testbed;
-use netpart_model::PartitionVector;
+use netpart_model::{NetpartError, PartitionVector};
 use netpart_sim::SimDur;
-use netpart_spmd::{Executor, SpmdApp, SpmdError};
+use netpart_spmd::{Executor, SpmdApp};
 use netpart_topology::PlacementStrategy;
 
 /// Result of probe-based selection.
@@ -41,7 +41,7 @@ pub fn select_by_probing<A: SpmdApp>(
     probe_cycles: u64,
     mut make_app: impl FnMut(u32, u64) -> A,
     mut make_vector: impl FnMut(&[u32]) -> PartitionVector,
-) -> Result<ProbeSelection, SpmdError> {
+) -> Result<ProbeSelection, NetpartError> {
     assert!(!candidates.is_empty(), "need at least one candidate");
     let mut probe_cost = SimDur::ZERO;
     let mut measured = Vec::with_capacity(candidates.len());

@@ -8,8 +8,10 @@
 //! bound, so the claim can be reproduced as numbers; what the call costs
 //! in host time is the repo benchmark's `plan_scale` workload.
 
+use netpart_model::NetpartError;
+
 use crate::estimator::Estimator;
-use crate::partitioner::{partition, Partition, PartitionError, PartitionOptions};
+use crate::partitioner::{partition, Partition, PartitionOptions};
 
 /// Measured overhead of one partitioning call.
 #[derive(Debug, Clone)]
@@ -27,7 +29,7 @@ pub struct OverheadReport {
 pub fn measure_overhead(
     est: &Estimator<'_>,
     opts: &PartitionOptions,
-) -> Result<OverheadReport, PartitionError> {
+) -> Result<OverheadReport, NetpartError> {
     let k = est.system().num_clusters() as u64;
     let p_max = est
         .system()

@@ -15,7 +15,7 @@
 //! scalability argument), which [`Partition::evaluations`] lets tests
 //! verify.
 
-use netpart_model::{Budget, PartitionVector};
+use netpart_model::{Budget, NetpartError, PartitionVector};
 
 use crate::estimator::{Estimator, TcBreakdown};
 use crate::search::{SearchResult, SearchStrategy};
@@ -122,16 +122,8 @@ impl Partition {
     }
 }
 
-/// Errors from partitioning. Alias of the workspace-wide
-/// [`netpart_model::NetpartError`]; the relevant variants are
-/// `NoProcessorsAvailable` and `InvalidOrder`.
-pub type PartitionError = netpart_model::NetpartError;
-
 /// Run the heuristic partitioning algorithm.
-pub fn partition(
-    est: &Estimator<'_>,
-    opts: &PartitionOptions,
-) -> Result<Partition, PartitionError> {
+pub fn partition(est: &Estimator<'_>, opts: &PartitionOptions) -> Result<Partition, NetpartError> {
     partition_budgeted(est, opts, &Budget::unlimited())
 }
 
@@ -145,7 +137,7 @@ pub fn partition_budgeted(
     est: &Estimator<'_>,
     opts: &PartitionOptions,
     budget: &Budget,
-) -> Result<Partition, PartitionError> {
+) -> Result<Partition, NetpartError> {
     let incremental = est.system().num_clusters() >= AUTO_INCREMENTAL_MIN_K;
     partition_priced(est, opts, budget, incremental)
 }
@@ -157,13 +149,13 @@ fn partition_priced(
     opts: &PartitionOptions,
     budget: &Budget,
     incremental: bool,
-) -> Result<Partition, PartitionError> {
+) -> Result<Partition, NetpartError> {
     budget.check()?;
     let sys = est.system();
     let k = sys.num_clusters();
     let order = consideration_order(est, &opts.order)?;
     if sys.total_available() == 0 {
-        return Err(PartitionError::NoProcessorsAvailable);
+        return Err(NetpartError::NoProcessorsAvailable);
     }
 
     est.reset_evaluations();
@@ -207,7 +199,7 @@ fn partition_priced(
         }
     }
     if config.iter().all(|&p| p == 0) {
-        return Err(PartitionError::NoProcessorsAvailable);
+        return Err(NetpartError::NoProcessorsAvailable);
     }
 
     let refinement_moves = refine(est, &mut config, opts.refine_passes, budget)?;
@@ -239,7 +231,7 @@ fn finish(
 fn consideration_order(
     est: &Estimator<'_>,
     order: &ClusterOrder,
-) -> Result<Vec<usize>, PartitionError> {
+) -> Result<Vec<usize>, NetpartError> {
     let sys = est.system();
     let kind = est.app().dominant_comp().op_kind;
     match order {
@@ -253,7 +245,7 @@ fn consideration_order(
             let mut sorted = o.clone();
             sorted.sort_unstable();
             if sorted != (0..sys.num_clusters()).collect::<Vec<_>>() {
-                return Err(PartitionError::InvalidOrder);
+                return Err(NetpartError::InvalidOrder);
             }
             Ok(o.clone())
         }
@@ -276,7 +268,7 @@ fn refine(
     config: &mut [u32],
     max_passes: u32,
     budget: &Budget,
-) -> Result<u32, PartitionError> {
+) -> Result<u32, NetpartError> {
     if max_passes == 0 {
         return Ok(0);
     }
@@ -340,12 +332,12 @@ fn refine(
 /// minima and non-conflicting cluster mixes — the reference the heuristic
 /// is measured against (and a stand-in for the general nonlinear
 /// formulation the paper leaves open).
-pub fn partition_exhaustive(est: &Estimator<'_>) -> Result<Partition, PartitionError> {
+pub fn partition_exhaustive(est: &Estimator<'_>) -> Result<Partition, NetpartError> {
     let sys = est.system();
     let k = sys.num_clusters();
     let kind = est.app().dominant_comp().op_kind;
     if sys.total_available() == 0 {
-        return Err(PartitionError::NoProcessorsAvailable);
+        return Err(NetpartError::NoProcessorsAvailable);
     }
     est.reset_evaluations();
     let caps: Vec<u32> = sys.clusters.iter().map(|c| c.available).collect();
@@ -366,7 +358,7 @@ pub fn partition_exhaustive(est: &Estimator<'_>) -> Result<Partition, PartitionE
                     // Unreachable while total_available() > 0, but a typed
                     // error beats a panic if a caller mutates availability
                     // mid-search.
-                    return Err(PartitionError::NoProcessorsAvailable);
+                    return Err(NetpartError::NoProcessorsAvailable);
                 };
                 return Ok(finish(est, config, sys.speed_order(kind), 0));
             }
@@ -1002,7 +994,7 @@ mod tests {
         let est = Estimator::new(&sys, &cost, &app);
         assert_eq!(
             partition(&est, &PartitionOptions::default()).unwrap_err(),
-            PartitionError::NoProcessorsAvailable
+            NetpartError::NoProcessorsAvailable
         );
     }
 
@@ -1030,7 +1022,7 @@ mod tests {
         };
         assert_eq!(
             partition(&est, &opts).unwrap_err(),
-            PartitionError::InvalidOrder
+            NetpartError::InvalidOrder
         );
     }
 
@@ -1067,7 +1059,7 @@ mod tests {
         let b = Budget::deadline_ms(0.0);
         std::thread::sleep(std::time::Duration::from_millis(1));
         match partition_budgeted(&est, &PartitionOptions::default(), &b) {
-            Err(PartitionError::PlanDeadlineExceeded { .. }) => {}
+            Err(NetpartError::PlanDeadlineExceeded { .. }) => {}
             other => panic!("expected PlanDeadlineExceeded, got {other:?}"),
         }
     }
@@ -1085,7 +1077,7 @@ mod tests {
             ..Default::default()
         };
         match partition_budgeted(&est, &opts, &b) {
-            Err(PartitionError::PlanDeadlineExceeded { budget_ms, .. }) => {
+            Err(NetpartError::PlanDeadlineExceeded { budget_ms, .. }) => {
                 assert_eq!(budget_ms, 0, "revoked budget reports 0")
             }
             other => panic!("expected PlanDeadlineExceeded, got {other:?}"),

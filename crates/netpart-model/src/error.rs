@@ -3,10 +3,8 @@
 //! Every fallible path in the partition-and-run pipeline — calibration,
 //! estimation, partitioning, SPMD execution — reports through this one
 //! enum, so library consumers thread a single `Result<_, NetpartError>`
-//! from `Scenario` to `Run` instead of catching panics. The crates that
-//! historically had their own error enums (`netpart_spmd::SpmdError`,
-//! `netpart_core::PartitionError`) re-export this type under those names,
-//! so existing match arms keep compiling.
+//! from `Scenario` to `Run` instead of catching panics. It is the one
+//! name: no crate re-exports it under an alias of its own.
 //!
 //! True invariants (indexing bugs, impossible states) remain
 //! `debug_assert!`s; this type is for conditions a *caller* can cause:

@@ -1,11 +1,12 @@
 //! Cycle-boundary checkpointing for crash recovery.
 //!
-//! The cycle engine's [`Probe`] seam already observes every cycle
-//! completion; this module adds the state capture on top of it. An
-//! application that implements [`SpmdApp::checkpoint`](crate::SpmdApp::checkpoint)
-//! serializes each rank's durable state (the blob format is the app's
-//! own), and a [`CheckpointStore`] attached as the run's probe records
-//! those blobs per rank, per cycle.
+//! An application that implements
+//! [`SpmdApp::checkpoint`](crate::SpmdApp::checkpoint) serializes each
+//! rank's durable state (the blob format is the app's own), and a
+//! [`CheckpointStore`] carried into the run by a
+//! [`Segment`](crate::Segment) records those blobs per rank, per cycle:
+//! the engine asks the store at every cycle boundary whether the cycle is
+//! a checkpoint cycle and hands it the blob.
 //!
 //! # Consistency
 //!
@@ -39,9 +40,8 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
-use netpart_sim::{NodeId, SimTime};
+use netpart_sim::NodeId;
 
-use crate::engine::{Phase, Probe};
 use crate::task::Rank;
 
 /// Reflected ISO-HDLC generator polynomial.
@@ -83,7 +83,7 @@ static CRC_TABLES: [[u32; 256]; 8] = {
 /// byte tail. Measured at ~1.5 GB/s in a release build, 8× the bitwise
 /// loop it replaced — which matters because every blob is hashed at
 /// record, at replica receipt and on every restore check.
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
     let mut words = data.chunks_exact(8);
@@ -138,8 +138,8 @@ pub struct Checkpoint {
     pub ranks: Vec<Bytes>,
 }
 
-/// A [`Probe`] that records per-rank checkpoints every `every` cycles and
-/// tracks the consistent frontier.
+/// Per-rank checkpoints every `every` cycles, and the consistent frontier
+/// over them.
 ///
 /// `base` is the global-cycle offset of the engine run this store is
 /// attached to: a resumed run whose engine-local cycle 0 is really global
@@ -151,7 +151,7 @@ pub struct CheckpointStore {
     base: u64,
     per_rank: Vec<BTreeMap<u64, Held>>,
     /// Buddy-held mirror copies, indexed by the *owner* rank. Populated
-    /// only in replicated mode, by [`Probe::on_replica`] deliveries.
+    /// only in replicated mode, by [`record_replica`](Self::record_replica).
     replicas: Vec<BTreeMap<u64, Held>>,
     /// `buddies[r]` is the rank holding `r`'s replica (`None` in local
     /// mode or for single-rank runs).
@@ -335,119 +335,29 @@ impl CheckpointStore {
     pub fn base(&self) -> u64 {
         self.base
     }
-}
 
-impl Probe for CheckpointStore {
-    fn on_cycle(&mut self, _rank: Rank, cycle: u64, _at: SimTime) {
+    /// Some rank completed engine-local `cycle`.
+    pub fn saw_cycle(&mut self, cycle: u64) {
         let global = self.base + cycle;
         self.max_cycle_seen = Some(self.max_cycle_seen.map_or(global, |m| m.max(global)));
     }
 
-    fn wants_checkpoint(&self, _rank: Rank, cycle: u64) -> bool {
+    /// Whether the completion of engine-local `cycle` is a checkpoint.
+    pub(crate) fn wants(&self, cycle: u64) -> bool {
         (self.base + cycle + 1).is_multiple_of(self.every)
     }
 
-    fn on_checkpoint(&mut self, rank: Rank, cycle: u64, blob: Bytes) {
+    /// `rank`'s serialized state at the completion of engine-local `cycle`.
+    pub fn record(&mut self, rank: Rank, cycle: u64, blob: Bytes) {
         self.per_rank[rank].insert(self.base + cycle, Held::of(blob));
     }
 
-    fn replica_target(&self, rank: Rank) -> Option<Rank> {
-        self.buddy_of(rank)
-    }
-
-    fn on_replica(&mut self, owner: Rank, cycle: u64, blob: Bytes) {
-        // Checksum computed at receipt: the wire already guarantees
-        // content (corrupted frames never deliver), so the CRC guards
-        // against at-rest rot from here on.
+    /// The mirror copy of `owner`'s blob for engine-local `cycle`, arrived
+    /// at its buddy's node. The checksum is computed at receipt: the wire
+    /// already guarantees content (corrupted frames never deliver), so the
+    /// CRC guards against at-rest rot from here on.
+    pub(crate) fn record_replica(&mut self, owner: Rank, cycle: u64, blob: Bytes) {
         self.replicas[owner].insert(self.base + cycle, Held::of(blob));
-    }
-
-    fn tracks_checkpoints(&self) -> bool {
-        true
-    }
-
-    fn last_consistent(&self) -> Option<u64> {
-        self.frontier()
-    }
-}
-
-/// Composition of two probes: every observation goes to both. Built for
-/// the recovery pipeline, which wants its phase-totals instrumentation
-/// *and* a [`CheckpointStore`] on the same run. Either side may be a
-/// `dyn Probe`, so an optional observer is one slot in one stack (a
-/// [`NoProbe`](crate::NoProbe) when absent) rather than a second stack.
-#[derive(Debug)]
-pub struct Tee<'p, A: Probe + ?Sized, B: Probe + ?Sized> {
-    /// First observer.
-    pub a: &'p mut A,
-    /// Second observer (checkpoint queries prefer this one).
-    pub b: &'p mut B,
-}
-
-impl<'p, A: Probe + ?Sized, B: Probe + ?Sized> Tee<'p, A, B> {
-    /// Tee observations into `a` and `b`.
-    pub fn new(a: &'p mut A, b: &'p mut B) -> Tee<'p, A, B> {
-        Tee { a, b }
-    }
-}
-
-impl<A: Probe + ?Sized, B: Probe + ?Sized> Probe for Tee<'_, A, B> {
-    fn on_phase(&mut self, rank: Rank, cycle: u64, phase: Phase, started: SimTime, ended: SimTime) {
-        self.a.on_phase(rank, cycle, phase, started, ended);
-        self.b.on_phase(rank, cycle, phase, started, ended);
-    }
-
-    fn on_cycle(&mut self, rank: Rank, cycle: u64, at: SimTime) {
-        self.a.on_cycle(rank, cycle, at);
-        self.b.on_cycle(rank, cycle, at);
-    }
-
-    fn on_message(&mut self, from: Rank, to: Rank, cycle: u64, bytes: usize, at: SimTime) {
-        self.a.on_message(from, to, cycle, bytes, at);
-        self.b.on_message(from, to, cycle, bytes, at);
-    }
-
-    fn wants_segment_marks(&self) -> bool {
-        self.a.wants_segment_marks() || self.b.wants_segment_marks()
-    }
-
-    fn on_segment_marks(&mut self, rank: Rank, cycle: u64, marks: &[(u16, u64)]) {
-        self.a.on_segment_marks(rank, cycle, marks);
-        self.b.on_segment_marks(rank, cycle, marks);
-    }
-
-    fn wants_checkpoint(&self, rank: Rank, cycle: u64) -> bool {
-        self.a.wants_checkpoint(rank, cycle) || self.b.wants_checkpoint(rank, cycle)
-    }
-
-    fn on_checkpoint(&mut self, rank: Rank, cycle: u64, blob: Bytes) {
-        self.a.on_checkpoint(rank, cycle, blob.clone());
-        self.b.on_checkpoint(rank, cycle, blob);
-    }
-
-    fn replica_target(&self, rank: Rank) -> Option<Rank> {
-        self.a
-            .replica_target(rank)
-            .or_else(|| self.b.replica_target(rank))
-    }
-
-    fn on_replica(&mut self, owner: Rank, cycle: u64, blob: Bytes) {
-        self.a.on_replica(owner, cycle, blob.clone());
-        self.b.on_replica(owner, cycle, blob);
-    }
-
-    fn tracks_checkpoints(&self) -> bool {
-        self.a.tracks_checkpoints() || self.b.tracks_checkpoints()
-    }
-
-    fn last_consistent(&self) -> Option<u64> {
-        self.b
-            .last_consistent()
-            .or_else(|| self.a.last_consistent())
-    }
-
-    fn drift_abort(&self) -> Option<crate::engine::DriftAbort> {
-        self.a.drift_abort().or_else(|| self.b.drift_abort())
     }
 }
 
@@ -502,59 +412,19 @@ mod tests {
         Bytes::from(vec![x])
     }
 
-    /// Regression pin: `Tee` must forward the segment-marks seam to both
-    /// observers. The engine only reads `segment_marks()` when the probe
-    /// asks for it, so a `Tee` that leaves the trait defaults in place
-    /// silently starves a wrapped [`DriftMonitor`](crate::DriftMonitor)
-    /// of the marks it needs to attribute drift to a segment — the
-    /// recovery pipeline then reports every congestion drift as a slow
-    /// rank and never inflates the segment's cost.
-    #[test]
-    fn tee_forwards_segment_marks_to_both_sides() {
-        #[derive(Default)]
-        struct MarkSink {
-            seen: Vec<(u16, u64)>,
-        }
-        impl Probe for MarkSink {
-            fn wants_segment_marks(&self) -> bool {
-                true
-            }
-            fn on_segment_marks(&mut self, _rank: Rank, _cycle: u64, marks: &[(u16, u64)]) {
-                self.seen.extend_from_slice(marks);
-            }
-        }
-        struct Blind;
-        impl Probe for Blind {}
-
-        let mut sink = MarkSink::default();
-        let mut blind = Blind;
-        let mut tee = Tee::new(&mut blind, &mut sink);
-        assert!(
-            tee.wants_segment_marks(),
-            "one interested side is enough for the tee to ask"
-        );
-        tee.on_segment_marks(0, 3, &[(1, 42)]);
-        assert_eq!(sink.seen, vec![(1, 42)]);
-
-        let mut deaf_a = Blind;
-        let mut deaf_b = Blind;
-        let tee = Tee::new(&mut deaf_a, &mut deaf_b);
-        assert!(!tee.wants_segment_marks());
-    }
-
     #[test]
     fn frontier_is_min_over_ranks_of_last_recorded() {
         let mut s = CheckpointStore::new(3, 1, 0);
         assert_eq!(s.frontier(), None);
         for c in 0..5u64 {
-            s.on_checkpoint(0, c, blob(0));
+            s.record(0, c, blob(0));
         }
         for c in 0..3u64 {
-            s.on_checkpoint(1, c, blob(1));
+            s.record(1, c, blob(1));
         }
         assert_eq!(s.frontier(), None, "rank 2 has recorded nothing");
         for c in 0..4u64 {
-            s.on_checkpoint(2, c, blob(2));
+            s.record(2, c, blob(2));
         }
         assert_eq!(s.frontier(), Some(2), "rank 1 stops at cycle 2");
         let ckpt = s.take(2).unwrap();
@@ -567,20 +437,20 @@ mod tests {
     fn interval_and_base_offset_apply() {
         let s = CheckpointStore::new(1, 3, 0);
         // Global cycles 2, 5, 8, ... are checkpoint cycles ((c+1) % 3 == 0).
-        assert!(!s.wants_checkpoint(0, 0));
-        assert!(s.wants_checkpoint(0, 2));
-        assert!(!s.wants_checkpoint(0, 3));
-        assert!(s.wants_checkpoint(0, 5));
+        assert!(!s.wants(0));
+        assert!(s.wants(2));
+        assert!(!s.wants(3));
+        assert!(s.wants(5));
 
         // A resumed segment starting at global cycle 4: local cycle 1 is
         // global 5 — still a checkpoint cycle.
         let mut r = CheckpointStore::new(1, 3, 4);
-        assert!(r.wants_checkpoint(0, 1));
-        assert!(!r.wants_checkpoint(0, 2));
-        r.on_checkpoint(0, 1, blob(9));
+        assert!(r.wants(1));
+        assert!(!r.wants(2));
+        r.record(0, 1, blob(9));
         assert_eq!(s.base(), 0);
         assert_eq!(r.frontier(), Some(5), "recorded under its global number");
-        r.on_cycle(0, 2, SimTime::ZERO);
+        r.saw_cycle(2);
         assert_eq!(r.max_cycle_seen(), Some(6));
     }
 
@@ -622,8 +492,8 @@ mod tests {
         for (byte, bit) in [(0, 0), (7, 7), (8, 3), (512, 5), (1026, 1)] {
             let mut s = CheckpointStore::replicated(2, 1, 0, &nodes, &[0, 1]);
             for rank in 0..2usize {
-                s.on_checkpoint(rank, 0, Bytes::from(data.clone()));
-                s.on_replica(rank, 0, Bytes::from(data.clone()));
+                s.record(rank, 0, Bytes::from(data.clone()));
+                s.record_replica(rank, 0, Bytes::from(data.clone()));
             }
             assert!(s.corrupt_primary(0, 0, (byte, bit)));
             let a = s.assemble(&[]).unwrap();
@@ -661,8 +531,8 @@ mod tests {
         // Two generations recorded on both ranks, mirrored to buddies.
         for cycle in [1u64, 3] {
             for rank in 0..2usize {
-                s.on_checkpoint(rank, cycle, blob(10 * rank as u8 + cycle as u8));
-                s.on_replica(rank, cycle, blob(10 * rank as u8 + cycle as u8));
+                s.record(rank, cycle, blob(10 * rank as u8 + cycle as u8));
+                s.record_replica(rank, cycle, blob(10 * rank as u8 + cycle as u8));
             }
         }
         // Clean store: newest generation, all primaries.
@@ -694,8 +564,8 @@ mod tests {
         let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
         let mut s = CheckpointStore::replicated(2, 2, 0, &nodes, &[0, 1]);
         for rank in 0..2usize {
-            s.on_checkpoint(rank, 1, blob(rank as u8 + 1));
-            s.on_replica(rank, 1, blob(rank as u8 + 1));
+            s.record(rank, 1, blob(rank as u8 + 1));
+            s.record_replica(rank, 1, blob(rank as u8 + 1));
         }
         // Node 0 dead: rank 0's primary is unreachable, but its replica
         // lives on rank 1 (node 1). Rank 1's own primary is fine.

@@ -3,8 +3,9 @@
 //! The partition vector is computed once from calibrated cost functions,
 //! and the paper explicitly assumes dedicated processors and networks —
 //! dynamically-changing load is named as the open problem. A
-//! [`DriftMonitor`] closes part of that gap: attached as a [`Probe`], it
-//! compares each rank's *observed* phase times against the plan's
+//! [`DriftMonitor`] closes part of that gap: carried into the run by a
+//! [`Segment`](crate::Segment) and fed phases and cycles as a [`Probe`]
+//! is, it compares each rank's *observed* phase times against the plan's
 //! *predicted* per-cycle `T_comp` / `T_comm` and flags a rank whose
 //! EWMA-smoothed observation stays past a degradation threshold for a
 //! hysteresis window of consecutive cycles.
@@ -37,7 +38,7 @@ use std::collections::HashMap;
 
 use netpart_sim::SimTime;
 
-use crate::engine::{DriftAbort, Phase, Probe};
+use crate::engine::{Phase, Probe};
 use crate::task::Rank;
 
 /// Tuning knobs for a [`DriftMonitor`].
@@ -101,6 +102,17 @@ pub struct DriftReport {
     pub segment: Option<usize>,
 }
 
+impl DriftReport {
+    /// The larger of the two ratios at confirmation, in permille — the
+    /// severity [`NetpartError::DriftDegraded`](netpart_model::NetpartError::DriftDegraded)
+    /// carries.
+    pub fn severity_permille(&self) -> u32 {
+        (self.comp_ratio.max(self.comm_ratio) * 1000.0)
+            .round()
+            .clamp(0.0, f64::from(u32::MAX)) as u32
+    }
+}
+
 /// A [`Probe`] that watches per-rank phase times against the plan's
 /// predictions and confirms sustained degradation.
 ///
@@ -132,9 +144,8 @@ pub struct DriftMonitor {
     /// after a declined repartition).
     cooldown_until: u64,
     confirmed: Option<DriftReport>,
-    cycles_observed: u64,
     /// Latest cumulative per-segment congestion-mark snapshot from the
-    /// engine's cycle-boundary seam (empty when the network never marks).
+    /// engine's cycle boundary (empty when the network never marks).
     marks_latest: Vec<(u16, u64)>,
     /// Per-rank snapshot of `marks_latest` taken when the rank's degraded
     /// streak began, so attribution counts only marks accumulated
@@ -161,7 +172,6 @@ impl DriftMonitor {
             streak_start: vec![0; n],
             cooldown_until: 0,
             confirmed: None,
-            cycles_observed: 0,
             marks_latest: Vec::new(),
             marks_at_streak: vec![Vec::new(); n],
         }
@@ -184,9 +194,12 @@ impl DriftMonitor {
         self.confirmed.as_ref()
     }
 
-    /// Cycles (global, per-rank completions aggregated) observed so far.
-    pub fn cycles_observed(&self) -> u64 {
-        self.cycles_observed
+    /// The message layer's cumulative per-segment congestion-mark counts
+    /// `(segment, marks)`, snapshotted at a cycle boundary after the
+    /// cycle was folded in. Only marks accumulated during a degraded
+    /// streak can name a segment.
+    pub(crate) fn observe_marks(&mut self, marks: Vec<(u16, u64)>) {
+        self.marks_latest = marks;
     }
 
     /// The smoothed observed/predicted compute ratio for `rank`, if any
@@ -311,7 +324,6 @@ impl Probe for DriftMonitor {
     }
 
     fn on_cycle(&mut self, rank: Rank, cycle: u64, _at: SimTime) {
-        self.cycles_observed += 1;
         self.ewma_comp[rank] = Some(Self::smooth(
             self.ewma_comp[rank],
             self.acc_comp[rank],
@@ -366,24 +378,6 @@ impl Probe for DriftMonitor {
             self.streak[rank] = 0;
         }
     }
-
-    fn wants_segment_marks(&self) -> bool {
-        true
-    }
-
-    fn on_segment_marks(&mut self, _rank: Rank, _cycle: u64, marks: &[(u16, u64)]) {
-        self.marks_latest = marks.to_vec();
-    }
-
-    fn drift_abort(&self) -> Option<DriftAbort> {
-        self.confirmed.as_ref().map(|r| DriftAbort {
-            rank: r.rank,
-            cycle: r.cycle,
-            severity_permille: (r.comp_ratio.max(r.comm_ratio) * 1000.0)
-                .round()
-                .clamp(0.0, f64::from(u32::MAX)) as u32,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -408,8 +402,6 @@ mod tests {
             feed_cycle(&mut m, 1, c, 11); // 10% off is not drift
         }
         assert!(m.confirmed().is_none());
-        assert!(m.drift_abort().is_none());
-        assert_eq!(m.cycles_observed(), 100);
     }
 
     #[test]
@@ -436,9 +428,7 @@ mod tests {
         assert_eq!(r.cycle, 3, "third consecutive degraded cycle confirms");
         assert_eq!(r.first_degraded_cycle, 1);
         assert!(r.comp_ratio > 3.0);
-        let abort = m.drift_abort().expect("abort");
-        assert_eq!(abort.rank, 1);
-        assert!(abort.severity_permille > 3000);
+        assert!(r.severity_permille() > 3000);
     }
 
     #[test]
@@ -532,7 +522,7 @@ mod tests {
             m.on_phase(0, c, Phase::Compute, t(0), t(10));
             m.on_phase(0, c, Phase::Recv, t(10), t(80));
             m.on_cycle(0, c, t(80));
-            m.on_segment_marks(0, c, &[(0, 2 + c), (2, 50 * (c + 1))]);
+            m.observe_marks(vec![(0, 2 + c), (2, 50 * (c + 1))]);
         }
         let r = m.confirmed().expect("confirmed");
         assert_eq!(r.segment, Some(2), "most-marked segment is named");
@@ -555,13 +545,13 @@ mod tests {
             m.on_phase(0, c, Phase::Compute, t(0), t(10));
             m.on_phase(0, c, Phase::Recv, t(10), t(11));
             m.on_cycle(0, c, t(11));
-            m.on_segment_marks(0, c, &[(1, 7)]);
+            m.observe_marks(vec![(1, 7)]);
         }
         for c in 2..5 {
             m.on_phase(0, c, Phase::Compute, t(0), t(10));
             m.on_phase(0, c, Phase::Recv, t(10), t(80));
             m.on_cycle(0, c, t(80));
-            m.on_segment_marks(0, c, &[(1, 7)]);
+            m.observe_marks(vec![(1, 7)]);
         }
         let r = m.confirmed().expect("confirmed");
         assert_eq!(r.rank, 0);
@@ -595,7 +585,7 @@ mod tests {
             m.on_phase(1, c, Phase::Compute, t(0), t(40));
             m.on_cycle(1, c, t(40));
             // Background congestion marks keep accumulating throughout.
-            m.on_segment_marks(1, c, &[(0, 100 * (c + 1))]);
+            m.observe_marks(vec![(0, 100 * (c + 1))]);
         }
         let r = m.confirmed().expect("slow rank confirms");
         assert_eq!(r.rank, 1, "the slow computer is named, not the waiter");

@@ -9,10 +9,12 @@
 //! the dynamic-rebalancing baseline — drives cycles through it.
 //!
 //! Instrumentation attaches through the [`Probe`] trait: per-cycle,
-//! per-phase and per-message hooks with empty inlined defaults, so a run
-//! through [`NoProbe`] monomorphizes to exactly the un-instrumented
-//! engine. This is the observation seam adaptive policies (chunked
-//! rebalancing, tracing, metrics) build on without touching the engine.
+//! per-phase and per-message observation hooks with empty inlined
+//! defaults, so a run through [`NoProbe`] monomorphizes to exactly the
+//! un-instrumented engine. A probe only watches. What can change a run —
+//! checkpoint capture, replica traffic, a drift abort, the error a crash
+//! becomes — arrives as an explicit [`Segment`] the engine consults at
+//! each cycle boundary.
 
 use std::collections::HashMap;
 
@@ -24,6 +26,8 @@ use netpart_mmps::{
 use netpart_model::{NetpartError, PartitionVector};
 use netpart_sim::{NodeId, SimDur, SimTime};
 
+use crate::checkpoint::CheckpointStore;
+use crate::drift::DriftMonitor;
 use crate::report::SpmdReport;
 use crate::task::{Rank, SpmdApp, Step};
 
@@ -51,29 +55,12 @@ pub enum Phase {
     Recv,
 }
 
-/// A probe's verdict that the run should be abandoned for adaptive
-/// reasons: some rank's observed performance has drifted past its
-/// tolerance. Surfaced by the engine as
-/// [`NetpartError::DriftDegraded`] with the probe's last consistent
-/// checkpoint attached, so an adaptive recovery policy can decide whether
-/// to repartition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DriftAbort {
-    /// The degraded rank.
-    pub rank: Rank,
-    /// The cycle at which drift was confirmed, in the probe's own
-    /// coordinate system (global when the probe tracks a base offset).
-    pub cycle: u64,
-    /// Observed/predicted ratio at confirmation, in permille.
-    pub severity_permille: u32,
-}
-
 /// Observation hooks into the cycle engine.
 ///
 /// Every method has an empty `#[inline]` default, so probes implement
 /// only what they need and [`NoProbe`] costs nothing after
 /// monomorphization. Hooks fire with *simulated* times; `started == ended`
-/// for phases that complete without blocking.
+/// for phases that complete without blocking. No hook can change the run.
 pub trait Probe {
     /// `rank` completed one phase step of `cycle`'s script. For
     /// [`Phase::Compute`] the span is the processor-busy time; for
@@ -94,89 +81,6 @@ pub trait Probe {
     fn on_message(&mut self, from: Rank, to: Rank, cycle: u64, bytes: usize, at: SimTime) {
         let _ = (from, to, cycle, bytes, at);
     }
-
-    /// Should the engine capture `rank`'s state at the completion of
-    /// `cycle`? The default `false` means `SpmdApp::checkpoint` is never
-    /// called, so un-instrumented runs do no serialization work at all.
-    #[inline]
-    fn wants_checkpoint(&self, rank: Rank, cycle: u64) -> bool {
-        let _ = (rank, cycle);
-        false
-    }
-
-    /// `rank`'s serialized state at the completion of `cycle` (only fires
-    /// when [`wants_checkpoint`](Probe::wants_checkpoint) returned true
-    /// and the app produced a blob).
-    #[inline]
-    fn on_checkpoint(&mut self, rank: Rank, cycle: u64, blob: Bytes) {
-        let _ = (rank, cycle, blob);
-    }
-
-    /// The rank that should hold a mirror copy of `rank`'s checkpoint
-    /// blobs, if any. When `Some(buddy)` (and `buddy != rank`), the
-    /// engine ships every captured blob to the buddy's node over the
-    /// ordinary message layer, tagged [`CKPT_TAG`], and the delivery
-    /// surfaces as [`on_replica`](Probe::on_replica). The default `None`
-    /// keeps un-replicated runs byte-identical — no extra traffic at all.
-    #[inline]
-    fn replica_target(&self, rank: Rank) -> Option<Rank> {
-        let _ = rank;
-        None
-    }
-
-    /// A mirror copy of `owner`'s checkpoint blob for `cycle` arrived at
-    /// its buddy's node (only fires for probes that return a
-    /// [`replica_target`](Probe::replica_target)).
-    #[inline]
-    fn on_replica(&mut self, owner: Rank, cycle: u64, blob: Bytes) {
-        let _ = (owner, cycle, blob);
-    }
-
-    /// Whether this probe records checkpoints at all. When true, a rank
-    /// failure surfaces as [`NetpartError::RankFailed`] (carrying
-    /// [`last_consistent`](Probe::last_consistent)); when false, as the
-    /// plain [`NetpartError::PeerUnreachable`].
-    #[inline]
-    fn tracks_checkpoints(&self) -> bool {
-        false
-    }
-
-    /// The last globally consistent checkpoint cycle, if tracking.
-    #[inline]
-    fn last_consistent(&self) -> Option<u64> {
-        None
-    }
-
-    /// Polled by the engine after every completed cycle (after the
-    /// checkpoint seam): a probe that has confirmed sustained drift
-    /// returns `Some` to abandon the run with
-    /// [`NetpartError::DriftDegraded`]. The default `None` keeps
-    /// un-instrumented runs byte-identical — the poll is a pure read with
-    /// no observable side effects.
-    #[inline]
-    fn drift_abort(&self) -> Option<DriftAbort> {
-        None
-    }
-
-    /// Whether this probe wants the message layer's per-segment
-    /// congestion-mark counters. The default `false` means the engine
-    /// never touches the mark accounting, so un-instrumented runs stay
-    /// byte-identical.
-    #[inline]
-    fn wants_segment_marks(&self) -> bool {
-        false
-    }
-
-    /// Cumulative per-segment congestion-mark counts `(segment, marks)`
-    /// observed by the message layer, snapshotted when `rank` completed
-    /// `cycle` (only fires when
-    /// [`wants_segment_marks`](Probe::wants_segment_marks) returned
-    /// true). Counters are cumulative over the message layer's lifetime;
-    /// probes difference consecutive snapshots themselves.
-    #[inline]
-    fn on_segment_marks(&mut self, rank: Rank, cycle: u64, marks: &[(u16, u64)]) {
-        let _ = (rank, cycle, marks);
-    }
 }
 
 /// The no-op probe: an un-instrumented run.
@@ -184,6 +88,31 @@ pub trait Probe {
 pub struct NoProbe;
 
 impl Probe for NoProbe {}
+
+/// One segment of a recoverable run: everything beside the probe that the
+/// engine consults at a cycle boundary, and the only way anything but the
+/// application changes a run.
+///
+/// A run without a segment runs in epoch 0, serializes nothing, sends no
+/// replica traffic and reports a silent peer as
+/// [`NetpartError::PeerUnreachable`]. With one, a silent peer is
+/// [`NetpartError::RankFailed`] carrying the store's consistent frontier.
+#[derive(Debug)]
+pub struct Segment<'s> {
+    /// Stamped on every message tag and compute token; events stamped
+    /// with any other epoch are ignored, so traffic from an abandoned
+    /// (crashed) segment still in flight on the shared network is
+    /// discarded by value instead of corrupting mailboxes.
+    pub epoch: u16,
+    /// Records each rank's checkpoint blobs and, in replicated mode,
+    /// names the buddy rank the engine mirrors every blob to over the
+    /// ordinary message layer.
+    pub store: &'s mut CheckpointStore,
+    /// Under an adaptive policy: fed phases, cycles and congestion marks,
+    /// and a confirmed drift ends the run with
+    /// [`NetpartError::DriftDegraded`].
+    pub monitor: Option<&'s mut DriftMonitor>,
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Waiting {
@@ -208,15 +137,16 @@ struct TaskState {
 
 /// The single cycle-execution implementation.
 ///
-/// Borrows the message layer, the placement, the application and a probe
-/// for the duration of one run; construct-and-run through
-/// [`CycleEngine::run`]. The [`Executor`](crate::Executor) facade wraps
-/// this for the common own-the-network case.
+/// Borrows the message layer, the placement, the application, a probe and
+/// optionally a [`Segment`] for the duration of one run; construct-and-run
+/// through [`CycleEngine::run`]. The [`Executor`](crate::Executor) facade
+/// wraps this for the common own-the-network case.
 pub struct CycleEngine<'a, A: SpmdApp, P: Probe> {
     mmps: &'a mut Mmps,
     nodes: &'a [NodeId],
     app: &'a mut A,
     probe: &'a mut P,
+    segment: Option<Segment<'a>>,
     states: Vec<TaskState>,
     mailbox: Vec<HashMap<(u64, Rank, u8), Bytes>>,
     /// Per rank, the next message sequence number to stamp on a send to
@@ -241,8 +171,9 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
     /// Run `app` to completion over `nodes` with the given partition
     /// vector, reporting observations to `probe`. `distribute` enables
     /// the startup data distribution from rank 0 (measured separately,
-    /// excluded from `elapsed` as in the paper). Runs in epoch 0, the
-    /// standalone-run default.
+    /// excluded from `elapsed` as in the paper). `segment` carries a
+    /// recoverable run's epoch, checkpoint store and drift monitor;
+    /// `None` is a standalone run in epoch 0.
     pub fn run(
         mmps: &'a mut Mmps,
         nodes: &'a [NodeId],
@@ -250,25 +181,7 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
         vector: &PartitionVector,
         distribute: bool,
         probe: &'a mut P,
-    ) -> Result<SpmdReport, NetpartError> {
-        Self::run_in_epoch(mmps, nodes, app, vector, distribute, probe, 0)
-    }
-
-    /// Like [`run`](CycleEngine::run), but stamping every message tag and
-    /// compute token with `epoch`, and *ignoring* events stamped with any
-    /// other epoch. Recovery pipelines use this to run consecutive
-    /// computations on one continuous network timeline: traffic from an
-    /// abandoned (crashed) run still in flight when the next run starts is
-    /// discarded by value instead of corrupting mailboxes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_in_epoch(
-        mmps: &'a mut Mmps,
-        nodes: &'a [NodeId],
-        app: &'a mut A,
-        vector: &PartitionVector,
-        distribute: bool,
-        probe: &'a mut P,
-        epoch: u16,
+        segment: Option<Segment<'a>>,
     ) -> Result<SpmdReport, NetpartError> {
         if vector.num_ranks() != nodes.len() {
             return Err(NetpartError::RankMismatch {
@@ -287,11 +200,13 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
         }
 
         let node_to_rank = nodes.iter().enumerate().map(|(r, &nid)| (nid, r)).collect();
+        let epoch = segment.as_ref().map_or(0, |s| s.epoch);
         let mut engine = CycleEngine {
             mmps,
             nodes,
             app,
             probe,
+            segment,
             states: (0..n)
                 .map(|rank| TaskState {
                     cycle: 0,
@@ -386,17 +301,7 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                     .iter()
                     .position(|s| s.waiting == Waiting::Compute)
                 {
-                    let cycle = engine.states[rank].cycle;
-                    return Err(if engine.probe.tracks_checkpoints() {
-                        NetpartError::RankFailed {
-                            rank,
-                            cycle,
-                            checkpoint: engine.probe.last_consistent(),
-                            attempts: 0,
-                        }
-                    } else {
-                        NetpartError::PeerUnreachable { rank, attempts: 0 }
-                    });
+                    return Err(engine.silent(rank, 0));
                 }
                 let blocked = engine
                     .states
@@ -435,10 +340,13 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                         continue;
                     }
                     if strip_epoch(tag) & CKPT_TAG != 0 {
-                        // A checkpoint replica reached its buddy: hand it
-                        // to the probe, never to the app's mailbox.
-                        let (cyc1, owner, _) = untag(strip_epoch(tag) & !CKPT_TAG);
-                        engine.probe.on_replica(owner, cyc1 - 1, payload);
+                        // A checkpoint replica reached its buddy: it goes
+                        // to the segment's store, never to the app's
+                        // mailbox (only a segment sends replicas).
+                        if let Some(seg) = &mut engine.segment {
+                            let (cyc1, owner, _) = untag(strip_epoch(tag) & !CKPT_TAG);
+                            seg.store.record_replica(owner, cyc1 - 1, payload);
+                        }
                         continue;
                     }
                     let Some(&rank) = engine.node_to_rank.get(&dst) else {
@@ -479,9 +387,7 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                     let started = engine.compute_started[rank];
                     engine.compute_busy[rank] += at.since(started);
                     let cycle = engine.states[rank].cycle;
-                    engine
-                        .probe
-                        .on_phase(rank, cycle, Phase::Compute, started, at);
+                    engine.phase_done(rank, cycle, Phase::Compute, started, at);
                     engine.states[rank].phase_active = false;
                     engine.advance(rank)?;
                 }
@@ -512,19 +418,7 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                     // retransmissions die silently with its stack), so the
                     // *destination* names the unreachable suspect.
                     match engine.node_to_rank.get(&dst).copied() {
-                        Some(to) => {
-                            let cycle = engine.states[to].cycle;
-                            return Err(if engine.probe.tracks_checkpoints() {
-                                NetpartError::RankFailed {
-                                    rank: to,
-                                    cycle,
-                                    checkpoint: engine.probe.last_consistent(),
-                                    attempts,
-                                }
-                            } else {
-                                NetpartError::PeerUnreachable { rank: to, attempts }
-                            });
-                        }
+                        Some(to) => return Err(engine.silent(to, attempts)),
                         None => {
                             let from = engine.node_to_rank.get(&src).copied().unwrap_or(usize::MAX);
                             return Err(NetpartError::MessageLost {
@@ -635,6 +529,83 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
         s.recv_progress = 0;
     }
 
+    /// The typed error for `rank` gone silent: [`NetpartError::RankFailed`]
+    /// carrying the consistent frontier when a segment is checkpointing,
+    /// [`NetpartError::PeerUnreachable`] otherwise.
+    fn silent(&self, rank: Rank, attempts: u32) -> NetpartError {
+        match &self.segment {
+            Some(seg) => NetpartError::RankFailed {
+                rank,
+                cycle: self.states[rank].cycle,
+                checkpoint: seg.store.frontier(),
+                attempts,
+            },
+            None => NetpartError::PeerUnreachable { rank, attempts },
+        }
+    }
+
+    /// A finished phase step, reported to the probe and to the segment's
+    /// drift monitor.
+    fn phase_done(
+        &mut self,
+        rank: Rank,
+        cycle: u64,
+        phase: Phase,
+        started: SimTime,
+        ended: SimTime,
+    ) {
+        self.probe.on_phase(rank, cycle, phase, started, ended);
+        if let Some(m) = self.segment.as_mut().and_then(|s| s.monitor.as_deref_mut()) {
+            m.on_phase(rank, cycle, phase, started, ended);
+        }
+    }
+
+    /// The segment's work when `rank` completes `cycle`, in this order:
+    /// the monitor folds in the cycle; the store captures the checkpoint
+    /// and, replicated, the blob rides the wire to the buddy's node as a
+    /// normal reliable message (a dead buddy enters ordinary failure
+    /// detection as the suspect); the monitor reads the congestion marks,
+    /// so segment attribution and confirmation work from one snapshot;
+    /// a confirmed drift ends the run — after the checkpoint, so recovery
+    /// resumes from the freshest consistent state.
+    fn segment_boundary(
+        &mut self,
+        rank: Rank,
+        cycle: u64,
+        now: SimTime,
+    ) -> Result<(), NetpartError> {
+        let Some(seg) = &mut self.segment else {
+            return Ok(());
+        };
+        if let Some(m) = seg.monitor.as_deref_mut() {
+            m.on_cycle(rank, cycle, now);
+        }
+        seg.store.saw_cycle(cycle);
+        if seg.store.wants(cycle) {
+            if let Some(blob) = self.app.checkpoint(rank, cycle) {
+                seg.store.record(rank, cycle, blob.clone());
+                if let Some(buddy) = seg.store.buddy_of(rank) {
+                    let tag = with_epoch(self.epoch, CKPT_TAG | tag_of(cycle + 1, rank, 0));
+                    self.mmps
+                        .send_message(self.nodes[rank], self.nodes[buddy], tag, blob)
+                        .map_err(send_err(buddy))?;
+                }
+            }
+        }
+        if let Some(m) = seg.monitor.as_deref_mut() {
+            m.observe_marks(self.mmps.segment_marks());
+            if let Some(d) = m.confirmed() {
+                return Err(NetpartError::DriftDegraded {
+                    rank: d.rank,
+                    cycle: d.cycle,
+                    checkpoint: seg.store.frontier(),
+                    severity_permille: d.severity_permille(),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Begin (or resume) the current phase step, returning when it was
     /// first entered.
     fn phase_enter(&mut self, rank: Rank) -> SimTime {
@@ -658,55 +629,7 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                 let cycle = self.states[rank].cycle;
                 self.cycle_max[cycle as usize] = self.cycle_max[cycle as usize].max(now);
                 self.probe.on_cycle(rank, cycle, now);
-                // Checkpoint seam: capture this rank's state at the cycle
-                // boundary — gated on the probe so un-instrumented runs
-                // never serialize anything.
-                if self.probe.wants_checkpoint(rank, cycle) {
-                    if let Some(blob) = self.app.checkpoint(rank, cycle) {
-                        match self.probe.replica_target(rank) {
-                            // Replicated durability: the blob also rides
-                            // the wire to the buddy's node. The send is a
-                            // normal reliable message — if the buddy is
-                            // dead it enters ordinary failure detection
-                            // and names the buddy as the suspect.
-                            Some(buddy) if buddy != rank => {
-                                self.probe.on_checkpoint(rank, cycle, blob.clone());
-                                self.mmps
-                                    .send_message(
-                                        self.nodes[rank],
-                                        self.nodes[buddy],
-                                        with_epoch(
-                                            self.epoch,
-                                            CKPT_TAG | tag_of(cycle + 1, rank, 0),
-                                        ),
-                                        blob,
-                                    )
-                                    .map_err(send_err(buddy))?;
-                            }
-                            _ => self.probe.on_checkpoint(rank, cycle, blob),
-                        }
-                    }
-                }
-                // Congestion seam: monitoring probes see the message
-                // layer's per-segment mark counters at the same cycle
-                // boundary the drift poll reads, so segment attribution
-                // and drift confirmation work from one snapshot.
-                if self.probe.wants_segment_marks() {
-                    let marks = self.mmps.segment_marks();
-                    self.probe.on_segment_marks(rank, cycle, &marks);
-                }
-                // Drift seam: a monitoring probe that has just confirmed
-                // sustained degradation aborts the run here, *after* the
-                // cycle's checkpoint was captured, so recovery resumes
-                // from the freshest consistent state.
-                if let Some(d) = self.probe.drift_abort() {
-                    return Err(NetpartError::DriftDegraded {
-                        rank: d.rank,
-                        cycle: d.cycle,
-                        checkpoint: self.probe.last_consistent(),
-                        severity_permille: d.severity_permille,
-                    });
-                }
+                self.segment_boundary(rank, cycle, now)?;
                 let next = cycle + 1;
                 if next >= self.num_cycles {
                     self.states[rank].waiting = Waiting::Done;
@@ -745,8 +668,7 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                     }
                     self.states[rank].step += 1;
                     self.states[rank].phase_active = false;
-                    self.probe
-                        .on_phase(rank, cycle, Phase::Send, started, self.mmps.now());
+                    self.phase_done(rank, cycle, Phase::Send, started, self.mmps.now());
                 }
                 Step::Compute { part } => {
                     let started = self.phase_enter(rank);
@@ -789,8 +711,7 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                     self.states[rank].recv_progress = 0;
                     self.states[rank].step += 1;
                     self.states[rank].phase_active = false;
-                    self.probe
-                        .on_phase(rank, cycle, Phase::Recv, started, self.mmps.now());
+                    self.phase_done(rank, cycle, Phase::Recv, started, self.mmps.now());
                 }
             }
         }
@@ -857,8 +778,16 @@ mod tests {
         let mut mmps = Mmps::with_defaults(b.build().expect("network"));
         let mut app = Ring { p, cycles: 1000 };
         let vector = PartitionVector::equal(p as u64, p);
-        let report = CycleEngine::run(&mut mmps, &nodes, &mut app, &vector, false, &mut NoProbe)
-            .expect("ring run");
+        let report = CycleEngine::run(
+            &mut mmps,
+            &nodes,
+            &mut app,
+            &vector,
+            false,
+            &mut NoProbe,
+            None,
+        )
+        .expect("ring run");
         assert_eq!(report.per_cycle.len(), 1000);
         let neighbors = 2;
         assert_eq!(SEQ_ENTRIES_HIGH_WATER.with(Cell::get), 2 * neighbors);

@@ -27,9 +27,9 @@ pub mod report;
 pub mod runtime;
 pub mod task;
 
-pub use checkpoint::{crc32, AssembledCheckpoint, Checkpoint, CheckpointStore, Tee};
+pub use checkpoint::{AssembledCheckpoint, Checkpoint, CheckpointStore};
 pub use drift::{DriftConfig, DriftMonitor, DriftReport};
-pub use engine::{CycleEngine, DriftAbort, NoProbe, Phase, Probe};
-pub use report::{SpmdError, SpmdReport};
+pub use engine::{CycleEngine, NoProbe, Phase, Probe, Segment};
+pub use report::SpmdReport;
 pub use runtime::Executor;
 pub use task::{Rank, SpmdApp, Step};

@@ -47,17 +47,10 @@ impl SpmdReport {
     }
 }
 
-/// Errors from an SPMD run.
-///
-/// Since the engine/pipeline unification this is the workspace-wide
-/// [`NetpartError`](netpart_model::NetpartError); the alias keeps
-/// existing `SpmdError::…` match arms compiling. Runs produce the
-/// `MessageLost`, `Deadlock`, `RankMismatch` and `Network` variants.
-pub type SpmdError = netpart_model::NetpartError;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netpart_model::NetpartError;
 
     #[test]
     fn mean_cycle_averages() {
@@ -94,7 +87,7 @@ mod tests {
 
     #[test]
     fn error_display() {
-        let e = SpmdError::MessageLost { from: 1, to: 2 };
+        let e = NetpartError::MessageLost { from: 1, to: 2 };
         assert!(e.to_string().contains("rank 1"));
     }
 }

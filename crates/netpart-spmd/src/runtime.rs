@@ -1,18 +1,22 @@
 //! The [`Executor`] facade over the cycle engine.
 //!
 //! Owns the message layer (and through it the network) between runs, and
-//! delegates every execution to [`CycleEngine`](crate::CycleEngine) — the
-//! workspace's single cycle-execution implementation. There is no global
-//! barrier — ranks drift exactly as far as their message dependencies
-//! allow, which is how STEN-2's communication/computation overlap earns
-//! its speedup.
+//! delegates every execution to [`CycleEngine`] — the workspace's single
+//! cycle-execution implementation. There is no global barrier — ranks
+//! drift exactly as far as their message dependencies allow, which is how
+//! STEN-2's communication/computation overlap earns its speedup.
+//!
+//! A run takes a [`Probe`], which only watches, and — for one segment of a
+//! recoverable run — a [`Segment`], which carries the epoch, the
+//! checkpoint store and the drift monitor: everything that can change how
+//! the run unfolds besides the application itself.
 
 use netpart_mmps::Mmps;
-use netpart_model::PartitionVector;
+use netpart_model::{NetpartError, PartitionVector};
 use netpart_sim::NodeId;
 
-use crate::engine::{CycleEngine, NoProbe, Probe};
-use crate::report::{SpmdError, SpmdReport};
+use crate::engine::{CycleEngine, NoProbe, Probe, Segment};
+use crate::report::SpmdReport;
 use crate::task::SpmdApp;
 
 /// Executes SPMD applications on a set of processors.
@@ -56,7 +60,7 @@ impl Executor {
         app: &mut A,
         vector: &PartitionVector,
         distribute: bool,
-    ) -> Result<SpmdReport, SpmdError> {
+    ) -> Result<SpmdReport, NetpartError> {
         self.run_probed(app, vector, distribute, &mut NoProbe)
     }
 
@@ -69,31 +73,41 @@ impl Executor {
         vector: &PartitionVector,
         distribute: bool,
         probe: &mut P,
-    ) -> Result<SpmdReport, SpmdError> {
-        CycleEngine::run(&mut self.mmps, &self.nodes, app, vector, distribute, probe)
-    }
-
-    /// [`Executor::run_probed`] in a non-zero execution epoch: every tag
-    /// and compute token this run emits is stamped with `epoch`, and
-    /// traffic from other epochs still in flight on the shared network is
-    /// ignored. The recovery pipeline runs each replanned segment in a
-    /// fresh epoch so abandoned runs cannot contaminate the next one.
-    pub fn run_epoch<A: SpmdApp, P: Probe>(
-        &mut self,
-        app: &mut A,
-        vector: &PartitionVector,
-        distribute: bool,
-        probe: &mut P,
-        epoch: u16,
-    ) -> Result<SpmdReport, SpmdError> {
-        CycleEngine::run_in_epoch(
+    ) -> Result<SpmdReport, NetpartError> {
+        CycleEngine::run(
             &mut self.mmps,
             &self.nodes,
             app,
             vector,
             distribute,
             probe,
-            epoch,
+            None,
+        )
+    }
+
+    /// [`Executor::run_probed`] as one segment of a recoverable run: the
+    /// run is stamped with `segment.epoch` (traffic from other epochs
+    /// still in flight on the shared network is ignored), records its
+    /// checkpoints into `segment.store`, and ends with
+    /// [`NetpartError::DriftDegraded`] when `segment.monitor` confirms
+    /// drift.
+    pub fn run_segment<A: SpmdApp, P: Probe>(
+        &mut self,
+        app: &mut A,
+        vector: &PartitionVector,
+        distribute: bool,
+        probe: &mut P,
+        segment: Segment<'_>,
+    ) -> Result<SpmdReport, NetpartError> {
+        let segment = Some(segment);
+        CycleEngine::run(
+            &mut self.mmps,
+            &self.nodes,
+            app,
+            vector,
+            distribute,
+            probe,
+            segment,
         )
     }
 }

@@ -89,9 +89,10 @@ pub trait SpmdApp {
     /// Serialize `rank`'s durable state as of the *completion* of `cycle`
     /// (the blob format is the app's own; a matching resume constructor
     /// must be able to rebuild global state from one blob per rank). The
-    /// engine calls this only at cycle boundaries and only when the
-    /// attached probe asks for a checkpoint. The default `None` means the
-    /// app is not checkpointable — failures then lose all progress.
+    /// engine calls this only at cycle boundaries and only when the store
+    /// of the run's [`Segment`](crate::Segment) asks for a checkpoint. The
+    /// default `None` means the app is not checkpointable — failures then
+    /// lose all progress.
     fn checkpoint(&self, rank: Rank, cycle: u64) -> Option<Bytes> {
         let _ = (rank, cycle);
         None

@@ -1,12 +1,15 @@
 //! Engine tests with a toy halo-exchange application: data integrity,
-//! overlap benefit, load-balance behaviour, distribution accounting, and
-//! failure paths.
+//! overlap benefit, load-balance behaviour, distribution accounting,
+//! failure paths, and what a [`Segment`] adds to a run.
 
 use bytes::Bytes;
 use netpart_mmps::Mmps;
-use netpart_model::{OpKind, PartitionVector};
+use netpart_model::{NetpartError, OpKind, PartitionVector};
 use netpart_sim::{NetworkBuilder, NodeId, ProcType, SegmentSpec};
-use netpart_spmd::{Executor, SpmdApp, SpmdError, Step};
+use netpart_spmd::{
+    CheckpointStore, DriftConfig, DriftMonitor, Executor, NoProbe, Segment, SpmdApp, SpmdReport,
+    Step,
+};
 use netpart_topology::Topology;
 
 /// A toy 1-D app: each rank holds a vector of f64 "rows"; every cycle it
@@ -95,6 +98,14 @@ impl SpmdApp for HaloApp {
 
     fn distribution_bytes(&self, _rank: usize) -> u64 {
         self.dist_bytes
+    }
+
+    fn checkpoint(&self, rank: usize, _cycle: u64) -> Option<Bytes> {
+        let bytes: Vec<u8> = self.data[rank]
+            .iter()
+            .flat_map(|x| x.to_le_bytes())
+            .collect();
+        Some(Bytes::from(bytes))
     }
 }
 
@@ -228,7 +239,7 @@ fn rank_mismatch_is_rejected() {
         .unwrap_err();
     assert!(matches!(
         err,
-        SpmdError::RankMismatch {
+        NetpartError::RankMismatch {
             vector: 3,
             nodes: 4
         }
@@ -287,7 +298,7 @@ fn script_bug_surfaces_as_deadlock() {
         .run(&mut DeadlockApp, &PartitionVector::equal(2, 2), false)
         .unwrap_err();
     match err {
-        SpmdError::Deadlock { blocked } => assert_eq!(blocked.len(), 2),
+        NetpartError::Deadlock { blocked } => assert_eq!(blocked.len(), 2),
         other => panic!("expected deadlock, got {other}"),
     }
 }
@@ -340,5 +351,116 @@ fn wait_time_is_tracked_per_rank() {
     assert!(
         (c1 + w1) > elapsed * 0.8,
         "breakdown should cover the run: {c1} + {w1} vs {elapsed}"
+    );
+}
+
+/// Seven cycles checkpointed every third: blobs at cycles 2 and 5, and a
+/// final cycle after the last one, so every replica is delivered before
+/// the run ends.
+const SEG_CYCLES: u64 = 7;
+const SEG_EVERY: u64 = 3;
+const SEG_CHECKPOINTS: u64 = 2;
+
+/// A halo run on a fresh 4-node cluster, in epoch 1 under `store` when one
+/// is given, plainly otherwise.
+fn halo_run(store: Option<&mut CheckpointStore>) -> (SpmdReport, HaloApp, Vec<NodeId>) {
+    let (mmps, nodes) = homogeneous_cluster(4);
+    let mut app = HaloApp::new(4, SEG_CYCLES, 1000.0, false);
+    let mut exec = Executor::new(mmps, nodes.clone());
+    let vector = PartitionVector::equal(40, 4);
+    let report = match store {
+        None => exec.run(&mut app, &vector, false),
+        Some(store) => {
+            let segment = Segment {
+                epoch: 1,
+                store,
+                monitor: None,
+            };
+            exec.run_segment(&mut app, &vector, false, &mut NoProbe, segment)
+        }
+    };
+    (report.expect("run"), app, nodes)
+}
+
+#[test]
+fn a_local_store_records_without_changing_the_run() {
+    let (plain, plain_app, _) = halo_run(None);
+    let mut store = CheckpointStore::new(4, SEG_EVERY, 0);
+    let (seg, seg_app, _) = halo_run(Some(&mut store));
+    assert_eq!(seg.elapsed, plain.elapsed);
+    assert_eq!(seg.startup, plain.startup);
+    assert_eq!(seg.per_cycle, plain.per_cycle);
+    assert_eq!(seg.rank_finish, plain.rank_finish);
+    assert_eq!(seg.compute_time, plain.compute_time);
+    assert_eq!(seg.wait_time, plain.wait_time);
+    assert_eq!(seg.mmps, plain.mmps);
+    assert_eq!(seg_app.consumed, plain_app.consumed);
+    assert_eq!(store.frontier(), Some(5), "the last checkpoint cycle");
+    assert_eq!(store.max_cycle_seen(), Some(SEG_CYCLES - 1));
+}
+
+#[test]
+fn a_replicated_store_mirrors_every_blob_beside_the_app() {
+    let (plain, plain_app, _) = halo_run(None);
+    let (_, nodes) = homogeneous_cluster(4);
+    let mut store = CheckpointStore::replicated(4, SEG_EVERY, 0, &nodes, &[0; 4]);
+    let (seg, seg_app, nodes) = halo_run(Some(&mut store));
+    assert_eq!(
+        seg_app.consumed, plain_app.consumed,
+        "replicas never reach the app"
+    );
+    assert_eq!(
+        seg.mmps.messages_sent,
+        plain.mmps.messages_sent + 4 * SEG_CHECKPOINTS,
+        "one replica per rank per checkpoint"
+    );
+    let frontier = store.frontier().expect("checkpointed");
+    let primaries = store.take(frontier).expect("consistent");
+    for (rank, &dead) in nodes.iter().enumerate() {
+        let a = store.assemble(&[dead]).expect("the buddy holds a copy");
+        assert_eq!(a.checkpoint.cycle, frontier, "rank {rank}");
+        assert_eq!(a.replica_restores, 1, "rank {rank}");
+        assert_eq!(a.checkpoint.ranks, primaries.ranks, "rank {rank}");
+    }
+}
+
+#[test]
+fn a_loaded_node_under_a_monitor_ends_the_run_as_drift() {
+    let (plain, _, _) = halo_run(None);
+    let cycles = 12;
+    let pred_comp = plain
+        .compute_time
+        .iter()
+        .map(|d| d.as_millis_f64() / SEG_CYCLES as f64)
+        .collect();
+    let mut monitor = DriftMonitor::new(DriftConfig::default(), 0, pred_comp, 1.0);
+    let mut store = CheckpointStore::new(4, 1, 0);
+    let (mut mmps, nodes) = homogeneous_cluster(4);
+    mmps.net().set_external_load(nodes[1], 0.75);
+    let mut exec = Executor::new(mmps, nodes);
+    let mut app = HaloApp::new(4, cycles, 1000.0, false);
+    let segment = Segment {
+        epoch: 1,
+        store: &mut store,
+        monitor: Some(&mut monitor),
+    };
+    let vector = PartitionVector::equal(40, 4);
+    let err = exec
+        .run_segment(&mut app, &vector, false, &mut NoProbe, segment)
+        .unwrap_err();
+    let report = *monitor.confirmed().expect("drift confirmed");
+    assert_eq!(report.rank, 1, "the loaded node is named");
+    assert!(report.cycle < cycles - 1, "the run ends early");
+    // The loaded rank is the slowest, so its checkpoint of the confirming
+    // cycle completes the frontier: recorded before the abort, not after.
+    assert_eq!(store.frontier(), Some(report.cycle));
+    assert_eq!(
+        err,
+        NetpartError::DriftDegraded {
+            rank: report.rank,
+            cycle: report.cycle,
+            checkpoint: store.frontier(),
+            severity_permille: report.severity_permille(),
+        }
     );
 }

@@ -10,7 +10,7 @@ use netpart_core::{determine_available, AvailabilityPolicy};
 use netpart_mmps::{Mmps, MmpsEvent};
 use netpart_model::{Budget, NetpartError};
 use netpart_sim::{Network, NodeId, SegmentId, SimDur, SimError};
-use netpart_spmd::{Executor, NoProbe, Probe, SpmdApp, Tee};
+use netpart_spmd::{Executor, Segment, SpmdApp};
 
 use super::super::fault::FaultSchedule;
 use super::super::run::{PhaseTotalsProbe, Run};
@@ -107,25 +107,21 @@ impl Scenario {
         let scheduled = !faults.is_empty();
         let mut machine = RecoveryMachine::new(self, model, policy, ckpt, part, nodes, scheduled);
         loop {
-            // Running: one epoch under the one probe stack — phase totals,
-            // the drift monitor's slot (a no-op without one), checkpoints.
+            // Running: one segment — phase totals watch it, the segment
+            // carries its epoch, checkpoints and (under Adapt) drift monitor.
             let start = machine.state.best.as_ref();
             let start = start.map_or(AppStart::Fresh, AppStart::Resume);
             let mut app = factory(exec.nodes().len(), start)?;
             // Resumed apps run the *remaining* cycles of the job.
             let cycles = app.num_cycles();
             let (mut store, mut monitor) = machine.observers();
-            let result = {
-                let mut off = NoProbe;
-                let drift: &mut dyn Probe = match monitor.as_mut() {
-                    Some(m) => m,
-                    None => &mut off,
-                };
-                let mut inner = Tee::new(&mut phase_probe, drift);
-                let mut tee = Tee::new(&mut inner, &mut store);
-                let (distribute, epoch) = (machine.state.distribute, machine.state.epoch);
-                exec.run_epoch(&mut app, &vector, distribute, &mut tee, epoch)
+            let segment = Segment {
+                epoch: machine.state.epoch,
+                store: &mut store,
+                monitor: monitor.as_mut(),
             };
+            let distribute = machine.state.distribute;
+            let result = exec.run_segment(&mut app, &vector, distribute, &mut phase_probe, segment);
             let at = exec.mmps().now();
             let outcome = match result {
                 Ok(report) => {
@@ -390,10 +386,10 @@ mod tests {
     /// End-to-end pin for segment attribution: a cross-traffic flood on
     /// the congestion-enabled testbed must surface as a *congestion*
     /// confirmation (marks name the segment), not as a slow rank. This
-    /// exercises the whole seam — Mark-policy queues, MMPS mark
-    /// bookkeeping, the engine's cycle-boundary forwarding, and the
-    /// probe tee in front of the drift monitor; a break anywhere
-    /// downgrades the confirmation to a rank attribution and fails here.
+    /// exercises the whole path — Mark-policy queues, MMPS mark
+    /// bookkeeping, and the engine handing the segment's drift monitor
+    /// the marks at each cycle boundary; a break anywhere downgrades the
+    /// confirmation to a rank attribution and fails here.
     #[test]
     fn flood_confirms_the_segment_not_the_rank() {
         use netpart_apps::stencil::sequential_reference;

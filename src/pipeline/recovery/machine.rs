@@ -752,8 +752,8 @@ mod tests {
         let base = store.base();
         for rank in 0..m.state.nodes.len() {
             for global in base..frontier.map_or(base, |f| f + 1) {
-                store.on_checkpoint(rank, global - base, vec![7u8; 16].into());
-                store.on_cycle(rank, global - base, t(at_ms));
+                store.record(rank, global - base, vec![7u8; 16].into());
+                store.saw_cycle(global - base);
             }
         }
         Event::Failed(Failure {
