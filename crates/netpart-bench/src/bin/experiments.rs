@@ -1,6 +1,5 @@
 //! Regenerate the paper's tables and figures (plus ablations) on the
-//! simulated testbed, and run the recovery and serving correctness
-//! harnesses.
+//! simulated testbed, and run the recovery correctness harnesses.
 //!
 //! ```text
 //! cargo run --release -p netpart-bench --bin experiments -- all
@@ -425,23 +424,14 @@ fn cmd_chaos_fabric_smoke() -> Violations {
     report_chaos_fabric(&ok(chaos_fabric_smoke()))
 }
 
-fn cmd_serve() -> Violations {
-    let distinct = 1000;
-    println!("Plan server — {distinct} distinct scenarios + flood + deadlines + chaos:");
-    let report = run_serve_bench(distinct);
-    print!("{}", render_serve(&report));
-    report.violations()
-}
-
 /// A subcommand: its name, whether `all` includes it, and the function
 /// that runs it.
 type Command = (&'static str, bool, fn() -> Violations);
 
 /// Every subcommand but `all` and `export <dir>`. `all` runs them in this
 /// order and leaves out `chaos-fabric` (its 1024-node cells take
-/// minutes), its CI subset `chaos-fabric-smoke`, and `serve` (its shed
-/// counts depend on thread scheduling).
-const COMMANDS: [Command; 24] = [
+/// minutes) and its CI subset `chaos-fabric-smoke`.
+const COMMANDS: [Command; 23] = [
     ("calibrate", true, cmd_calibrate),
     ("table1", true, cmd_table1),
     ("table2", true, cmd_table2),
@@ -465,7 +455,6 @@ const COMMANDS: [Command; 24] = [
     ("chaos-fuzz", true, cmd_chaos_fuzz),
     ("chaos-fabric", false, cmd_chaos_fabric),
     ("chaos-fabric-smoke", false, cmd_chaos_fabric_smoke),
-    ("serve", false, cmd_serve),
 ];
 
 fn usage() -> String {

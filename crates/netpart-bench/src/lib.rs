@@ -28,7 +28,6 @@ pub mod experiments;
 pub mod faults;
 pub mod report;
 pub mod scale;
-pub mod serve;
 pub mod sweep;
 mod target;
 
@@ -41,5 +40,4 @@ pub use experiments::*;
 pub use faults::*;
 pub use report::*;
 pub use scale::*;
-pub use serve::*;
 pub use target::{Checked, Target, Verdict};

@@ -125,21 +125,6 @@ impl LinearCost {
     }
 }
 
-/// How cross-cluster communication is charged on top of the per-cluster
-/// Eq. 1 costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CrossClusterMode {
-    /// The form the paper actually uses in §6:
-    /// `max_i T_comm[C_i](b, P_i) + T_router(b) [+ T_coerce(b)]`.
-    /// Reproduces Table 1.
-    #[default]
-    Plain,
-    /// The form sketched in §3, where the router counts as an extra
-    /// station: each cluster is evaluated at `P_i + 1` when traffic
-    /// crosses. Available for the sensitivity ablation.
-    AddStation,
-}
-
 /// Interface the partitioner uses to estimate `T_comm` (Eq. 5) for any
 /// processor configuration. Implementations provide per-cluster intra
 /// costs and crossing penalties; the provided [`total_ms`] combines them
@@ -157,11 +142,6 @@ pub trait CommCostModel {
     /// Data-format coercion penalty between two clusters.
     fn coerce_ms(&self, a: usize, b: usize, bytes: f64) -> f64;
 
-    /// Cross-cluster combination mode.
-    fn cross_mode(&self) -> CrossClusterMode {
-        CrossClusterMode::Plain
-    }
-
     /// Whether this model can price `cluster` under `topo`. The planner
     /// checks this for every (cluster, topology) pair it is about to
     /// evaluate, turning a missing table entry into a typed error instead
@@ -175,9 +155,9 @@ pub trait CommCostModel {
     ///
     /// * one processor total → no neighbors, zero cost;
     /// * one active cluster → its intra cost;
-    /// * several active clusters → max of per-cluster costs (evaluated at
-    ///   `P_i` or `P_i + 1` depending on [`CrossClusterMode`]) plus the
-    ///   worst pairwise router + coercion penalty. For bandwidth-limited
+    /// * several active clusters → max of per-cluster costs (each at
+    ///   `P_i`, the form the paper uses in §6) plus the worst pairwise
+    ///   router + coercion penalty. For bandwidth-limited
     ///   topologies every cluster is evaluated at the *total* processor
     ///   count, since those patterns cannot exploit per-segment bandwidth.
     fn total_ms(&self, config: &[u32], topo: Topology, bytes: f64) -> f64 {
@@ -190,10 +170,6 @@ pub trait CommCostModel {
             let k = active[0];
             return self.intra_ms(k, topo, bytes, config[k]);
         }
-        let extra = match self.cross_mode() {
-            CrossClusterMode::Plain => 0,
-            CrossClusterMode::AddStation => 1,
-        };
         let mut worst_intra = 0.0f64;
         for &k in &active {
             let p = if topo.is_bandwidth_limited() {
@@ -202,7 +178,7 @@ pub trait CommCostModel {
                 // A lone processor in a cluster still exchanges full-size
                 // messages with its cross-router neighbor, so its segment
                 // behaves like a two-station channel at minimum.
-                (config[k] + extra).max(2)
+                config[k].max(2)
             };
             worst_intra = worst_intra.max(self.intra_ms(k, topo, bytes, p));
         }

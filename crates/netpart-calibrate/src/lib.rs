@@ -36,8 +36,8 @@ pub use cache::{
     calibration_fingerprint, CacheStatus,
 };
 pub use costmodel::{
-    CalibratedCostModel, CommCostModel, CostModel, CrossClusterMode, FittedCost, LinearCost,
-    PaperCostModel, PiecewiseCost,
+    CalibratedCostModel, CommCostModel, CostModel, FittedCost, LinearCost, PaperCostModel,
+    PiecewiseCost,
 };
 pub use fit::{
     calibrate_cluster_gated, calibrate_testbed, measure_cycle_ms, CalibrationConfig, LackOfFit,

@@ -26,7 +26,7 @@
 
 use netpart_topology::Topology;
 
-use crate::costmodel::{CommCostModel, CrossClusterMode};
+use crate::costmodel::CommCostModel;
 
 /// The speed scale implied by a drift observation: `observed / predicted`
 /// compute time, clamped to be ≥ 1 (online recalibration only ever
@@ -84,10 +84,6 @@ impl CommCostModel for InflatedCostModel<'_> {
 
     fn coerce_ms(&self, a: usize, b: usize, bytes: f64) -> f64 {
         self.inner.coerce_ms(a, b, bytes)
-    }
-
-    fn cross_mode(&self) -> CrossClusterMode {
-        self.inner.cross_mode()
     }
 
     fn covers(&self, cluster: usize, topo: Topology) -> bool {

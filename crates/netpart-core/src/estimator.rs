@@ -28,7 +28,7 @@
 
 use std::cell::Cell;
 
-use netpart_calibrate::{CommCostModel, CrossClusterMode};
+use netpart_calibrate::CommCostModel;
 use netpart_model::{AppModel, OpKind, PartitionVector};
 use netpart_topology::Topology;
 
@@ -314,10 +314,6 @@ impl<'a> Estimator<'a> {
                 comp_numer_ms: 1.0e3 * comp.ops(1.0) * self.app.num_pdus() as f64,
                 bytes: comm.bytes(0.0).max(0.0),
                 topo: comm.topology,
-                extra: match self.cost.cross_mode() {
-                    CrossClusterMode::Plain => 0,
-                    CrossClusterMode::AddStation => 1,
-                },
                 overlap: self.app.dominant_phases_overlap(),
                 total: 0,
                 worst_intra: 0.0,
@@ -345,7 +341,6 @@ struct Pinned<'a, 'b> {
     comp_numer_ms: f64,
     bytes: f64,
     topo: Topology,
-    extra: u32,
     overlap: bool,
     /// Processors pinned in all; nonzero exactly when a cluster is active.
     total: u32,
@@ -394,7 +389,7 @@ impl<'a, 'b> FillState<'a, 'b> {
         let own = pin
             .est
             .cost
-            .intra_ms(cluster, pin.topo, pin.bytes, (p + pin.extra).max(2));
+            .intra_ms(cluster, pin.topo, pin.bytes, p.max(2));
         pin.worst_intra = pin.worst_intra.max(own);
         pin.worst_cross = pin.worst_cross.max(cross_with_c);
         pin.total += p;
@@ -486,7 +481,7 @@ impl FillContext<'_, '_> {
         } else {
             let own = est
                 .cost
-                .intra_ms(self.cluster, pin.topo, pin.bytes, (p + pin.extra).max(2));
+                .intra_ms(self.cluster, pin.topo, pin.bytes, p.max(2));
             pin.worst_intra.max(own) + pin.worst_cross.max(self.cross_with_c)
         };
 
@@ -527,10 +522,6 @@ mod tests {
 
             let bytes = comm.bytes(0.0).max(0.0);
             let topo = comm.topology;
-            let extra = match self.cost.cross_mode() {
-                CrossClusterMode::Plain => 0,
-                CrossClusterMode::AddStation => 1,
-            };
 
             // Eq. 3/4 for linear complexity: every active cluster's compute
             // time collapses to num_PDUs·ops_per_pdu·1e3 / Σ_j P_j/S_j, so the
@@ -554,7 +545,7 @@ mod tests {
             let mut fixed_worst_intra = 0.0f64;
             let mut cross_with_c = 0.0f64;
             for &j in &fixed_active {
-                let p = (fixed[j] + extra).max(2);
+                let p = fixed[j].max(2);
                 fixed_worst_intra = fixed_worst_intra.max(self.cost.intra_ms(j, topo, bytes, p));
                 cross_with_c = cross_with_c.max(
                     self.cost.router_ms(cluster, j, bytes) + self.cost.coerce_ms(cluster, j, bytes),
@@ -581,7 +572,6 @@ mod tests {
                     comp_numer_ms,
                     bytes,
                     topo,
-                    extra,
                     overlap: self.app.dominant_phases_overlap(),
                     total: fixed_total,
                     worst_intra: fixed_worst_intra,

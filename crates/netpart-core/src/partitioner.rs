@@ -376,7 +376,7 @@ pub fn partition_exhaustive(est: &Estimator<'_>) -> Result<Partition, NetpartErr
 mod tests {
     use super::*;
     use crate::system::SystemModel;
-    use netpart_calibrate::{CommCostModel, CrossClusterMode, PaperCostModel, Testbed, Wiring};
+    use netpart_calibrate::{CommCostModel, PaperCostModel, Testbed, Wiring};
     use netpart_model::{AppModel, CommPhase, CompPhase, OpKind};
     use netpart_topology::Topology;
     use std::cell::Cell;
@@ -596,20 +596,17 @@ mod tests {
         (sys, cost)
     }
 
-    /// Forwards to a calibrated model, counting table reads, with a
-    /// selectable crossing mode.
+    /// Forwards to a calibrated model, counting table reads.
     struct Counting<'m> {
         inner: &'m netpart_calibrate::CalibratedCostModel,
-        mode: CrossClusterMode,
         intra: Cell<u64>,
         router: Cell<u64>,
     }
 
     impl<'m> Counting<'m> {
-        fn new(inner: &'m netpart_calibrate::CalibratedCostModel, mode: CrossClusterMode) -> Self {
+        fn new(inner: &'m netpart_calibrate::CalibratedCostModel) -> Self {
             Counting {
                 inner,
-                mode,
                 intra: Cell::new(0),
                 router: Cell::new(0),
             }
@@ -628,9 +625,6 @@ mod tests {
         fn coerce_ms(&self, a: usize, b: usize, bytes: f64) -> f64 {
             self.inner.coerce_ms(a, b, bytes)
         }
-        fn cross_mode(&self) -> CrossClusterMode {
-            self.mode
-        }
     }
 
     /// The complexity guard: a default plan reads the router table
@@ -644,7 +638,7 @@ mod tests {
             // Equal speeds and a large problem: the fill runs through
             // every cluster, the worst case for pair walks.
             let sys = SystemModel::from_testbed(&Testbed::synthetic(k, 8, 1.0));
-            let counting = Counting::new(&cost, CrossClusterMode::Plain);
+            let counting = Counting::new(&cost);
             let app = stencil(8 * 8 * k as u64, false);
             let est = Estimator::new(&sys, &counting, &app);
             let p = partition(&est, &PartitionOptions::default()).unwrap();
@@ -744,20 +738,12 @@ mod tests {
         (sys, hop_model(&testbed))
     }
 
-    fn cross_mode(flags: u32) -> CrossClusterMode {
-        if flags & 1 == 0 {
-            CrossClusterMode::Plain
-        } else {
-            CrossClusterMode::AddStation
-        }
-    }
-
     proptest::proptest! {
         /// The running fill state changes what a plan costs and nothing
         /// about the plan: configuration, `T_c` bits, both work counters
         /// and the vector equal the from-scratch loop's on random
-        /// systems of every wiring, with idle clusters, explicit orders,
-        /// both crossing modes and refinement.
+        /// systems of every wiring, with idle clusters, explicit orders
+        /// and refinement.
         #[test]
         fn running_fill_state_equals_the_from_scratch_loop(
             k in 1usize..49,
@@ -766,16 +752,16 @@ mod tests {
             n in 50u64..200_000,
             busy in proptest::prop::collection::vec(0u32..5, 48..49),
             keys in proptest::prop::collection::vec(proptest::any::<u32>(), 48..49),
-            flags in 0u32..32,
+            flags in 0u32..16,
         ) {
             let (sys, cost) = random_system(k, nodes_per, picks, &busy);
             proptest::prop_assume!(sys.total_available() > 0);
-            let counting = Counting::new(&cost, cross_mode(flags));
-            let app = stencil(n, flags & 2 != 0);
+            let counting = Counting::new(&cost);
+            let app = stencil(n, flags & 1 != 0);
             let est = Estimator::new(&sys, &counting, &app);
             let opts = PartitionOptions {
-                refine_passes: if flags & 4 == 0 { 0 } else { 2 },
-                order: match flags >> 3 {
+                refine_passes: if flags & 2 == 0 { 0 } else { 2 },
+                order: match flags >> 2 {
                     0 => ClusterOrder::FastestFirst,
                     1 => ClusterOrder::SlowestFirst,
                     _ => {
@@ -811,11 +797,11 @@ mod tests {
             picks in (0usize..6, 0usize..3),
             busy in proptest::prop::collection::vec(0u32..5, 32..33),
             keys in proptest::prop::collection::vec(proptest::any::<u32>(), 32..33),
-            flags in 0u32..4,
+            sten1 in proptest::any::<bool>(),
         ) {
             let (sys, cost) = random_system(k, nodes_per, picks, &busy);
-            let counting = Counting::new(&cost, cross_mode(flags));
-            let app = stencil(20_000, flags & 2 != 0);
+            let counting = Counting::new(&cost);
+            let app = stencil(20_000, sten1);
             let est = Estimator::new(&sys, &counting, &app);
             let mut order: Vec<usize> = (0..k).collect();
             order.sort_by_key(|&c| keys[c]);

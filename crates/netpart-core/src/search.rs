@@ -40,14 +40,6 @@ pub enum SearchStrategy {
     /// Golden-section search on the discrete range; `O(log P)` with a
     /// larger constant, robust to shallow plateaus.
     GoldenSection,
-    /// Coarse grid scan at stride `⌈√range⌉` followed by exhaustive
-    /// refinement of the best coarse bracket. Finds the global minimum of
-    /// *multimodal* curves whose basins are wider than the stride, in
-    /// `O(√P)` evaluations — the paper's §5 "several minima may be
-    /// possible due to architecture or message-system protocol
-    /// characteristics; an algorithm to deal with this more general case
-    /// is being developed", realized.
-    Robust,
 }
 
 impl SearchStrategy {
@@ -92,37 +84,6 @@ impl SearchStrategy {
                     let v = eval(p, &mut cache, &mut evals);
                     if v < best.1 {
                         best = (p, v);
-                    }
-                }
-                SearchResult {
-                    argmin: best.0,
-                    min: best.1,
-                    evaluations: evals,
-                }
-            }
-            SearchStrategy::Robust => {
-                let range = hi - lo;
-                let stride = ((range as f64).sqrt().ceil() as u32).max(1);
-                // Coarse pass, endpoints included.
-                let mut best = (lo, eval(lo, &mut cache, &mut evals));
-                let mut p = lo;
-                loop {
-                    let v = eval(p, &mut cache, &mut evals);
-                    if v < best.1 {
-                        best = (p, v);
-                    }
-                    if p >= hi {
-                        break;
-                    }
-                    p = (p + stride).min(hi);
-                }
-                // Refine the bracket around the coarse winner.
-                let from = best.0.saturating_sub(stride).max(lo);
-                let to = (best.0 + stride).min(hi);
-                for q in from..=to {
-                    let v = eval(q, &mut cache, &mut evals);
-                    if v < best.1 {
-                        best = (q, v);
                     }
                 }
                 SearchResult {
@@ -183,7 +144,6 @@ mod tests {
             SearchStrategy::Binary,
             SearchStrategy::Exhaustive,
             SearchStrategy::GoldenSection,
-            SearchStrategy::Robust,
         ] {
             let r = s.minimize(1, 20, u_shape);
             assert_eq!(r.argmin, 7, "{s:?}");
@@ -237,7 +197,6 @@ mod tests {
             SearchStrategy::Binary,
             SearchStrategy::Exhaustive,
             SearchStrategy::GoldenSection,
-            SearchStrategy::Robust,
         ] {
             let r = s.minimize(4, 4, |_| 9.0);
             assert_eq!(r.argmin, 4);
@@ -250,48 +209,6 @@ mod tests {
     #[should_panic(expected = "empty search range")]
     fn inverted_range_panics() {
         let _ = SearchStrategy::Binary.minimize(5, 4, |_| 0.0);
-    }
-
-    #[test]
-    fn robust_finds_global_minimum_of_bimodal() {
-        // Two valleys: a shallow one at p=10 and the true minimum at
-        // p=90. Binary search (assuming one minimum) can be captured by
-        // the wrong basin; the robust strategy may not.
-        let f = |p: u32| -> f64 {
-            let a = (p as f64 - 10.0).powi(2) + 50.0; // local min 50 at 10
-            let b = (p as f64 - 90.0).powi(2); // global min 0 at 90
-            a.min(b)
-        };
-        let r = SearchStrategy::Robust.minimize(0, 100, f);
-        assert_eq!(r.argmin, 90, "robust must find the global minimum");
-        assert_eq!(r.min, 0.0);
-        // Cost stays ~O(√P): coarse ≈ 11 + refine ≤ 2·stride+1 ≈ 23.
-        assert!(r.evaluations <= 40, "{} evaluations", r.evaluations);
-        // Binary lands in *a* valley but is not guaranteed the global one;
-        // exhaustive confirms the robust answer.
-        let e = SearchStrategy::Exhaustive.minimize(0, 100, f);
-        assert_eq!(e.argmin, r.argmin);
-    }
-
-    #[test]
-    fn robust_on_sawtooth_protocol_artifacts() {
-        // The §5 scenario: message-system artifacts (e.g. fragmentation
-        // boundaries) superimpose jumps on the smooth curve. The global
-        // minimum hides behind a local rise.
-        let f = |p: u32| -> f64 {
-            let smooth = 1000.0 / p.max(1) as f64 + 3.0 * p as f64;
-            let artifact = if p.is_multiple_of(7) { -40.0 } else { 0.0 };
-            smooth + artifact
-        };
-        let e = SearchStrategy::Exhaustive.minimize(1, 64, f);
-        let r = SearchStrategy::Robust.minimize(1, 64, f);
-        // Robust lands within the artifact amplitude of the optimum.
-        assert!(
-            r.min <= e.min + 40.0,
-            "robust {} vs exhaustive {}",
-            r.min,
-            e.min
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Cooperative deadlines and retry backoff.
+//! Cooperative deadlines.
 //!
 //! Long-running planning work (a calibration sweep, the partitioner's
 //! fill loop) cannot be preempted — Rust threads have no safe kill — so
@@ -6,12 +6,6 @@
 //! and the work polls [`Budget::check`] at natural checkpoints. An
 //! expired or revoked budget surfaces as the typed
 //! [`NetpartError::PlanDeadlineExceeded`] instead of burning the worker.
-//!
-//! [`Backoff`] is the one retry-delay schedule shared by the recovery
-//! engine (`run_recoverable`) and the plan server: a deterministic,
-//! seedable, jittered exponential. `Backoff::fixed(ms)` reproduces the
-//! historical flat pause bit-for-bit (multiplier 1, no jitter, no cap),
-//! so existing golden runs are unchanged.
 
 use crate::error::NetpartError;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -114,81 +108,6 @@ impl Budget {
     }
 }
 
-/// A deterministic retry-delay schedule: jittered exponential backoff.
-///
-/// `delay_ms(attempt)` is `base_ms * multiplier^attempt`, capped at
-/// `cap_ms`, then shrunk by up to `jitter` (a fraction in `0.0..=1.0`)
-/// using a hash of `(seed, attempt)` — the same `(seed, attempt)` pair
-/// always yields the same delay, so retry traces are reproducible.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Backoff {
-    /// First-attempt delay, milliseconds.
-    pub base_ms: f64,
-    /// Upper bound applied before jitter; `INFINITY` = uncapped.
-    pub cap_ms: f64,
-    /// Growth factor per attempt (`1.0` = flat).
-    pub multiplier: f64,
-    /// Downward jitter fraction: the delay is drawn uniformly from
-    /// `[(1 - jitter) * d, d]`. `0.0` disables jitter entirely.
-    pub jitter: f64,
-    /// Seed for the jitter hash.
-    pub seed: u64,
-}
-
-impl Backoff {
-    /// A flat pause of exactly `ms` on every attempt — bit-identical to
-    /// the historical hard-coded recovery pause (no growth, no jitter).
-    pub fn fixed(ms: f64) -> Backoff {
-        Backoff {
-            base_ms: ms,
-            cap_ms: f64::INFINITY,
-            multiplier: 1.0,
-            jitter: 0.0,
-            seed: 0,
-        }
-    }
-
-    /// Doubling backoff from `base_ms` capped at `cap_ms`, with 50%
-    /// downward jitter seeded by `seed`.
-    pub fn exponential(base_ms: f64, cap_ms: f64, seed: u64) -> Backoff {
-        Backoff {
-            base_ms,
-            cap_ms,
-            multiplier: 2.0,
-            jitter: 0.5,
-            seed,
-        }
-    }
-
-    /// The delay before retry number `attempt` (0-based), milliseconds.
-    pub fn delay_ms(&self, attempt: u32) -> f64 {
-        let mut d = self.base_ms * self.multiplier.powi(attempt as i32);
-        if d > self.cap_ms {
-            d = self.cap_ms;
-        }
-        if self.jitter > 0.0 {
-            let u = unit_f64(splitmix64(
-                self.seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ));
-            d *= 1.0 - self.jitter * u;
-        }
-        d
-    }
-}
-
-/// SplitMix64 — a tiny, dependency-free bit mixer; plenty for jitter.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Map a u64 to `[0, 1)` using the top 53 bits.
-fn unit_f64(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,49 +149,8 @@ mod tests {
     }
 
     #[test]
-    fn fixed_backoff_is_bit_exact_flat() {
-        let b = Backoff::fixed(5.0);
-        for attempt in 0..10 {
-            assert_eq!(b.delay_ms(attempt).to_bits(), 5.0f64.to_bits());
-        }
-    }
-
-    #[test]
-    fn exponential_backoff_grows_and_caps() {
-        let b = Backoff {
-            jitter: 0.0,
-            ..Backoff::exponential(10.0, 80.0, 42)
-        };
-        assert_eq!(b.delay_ms(0), 10.0);
-        assert_eq!(b.delay_ms(1), 20.0);
-        assert_eq!(b.delay_ms(2), 40.0);
-        assert_eq!(b.delay_ms(3), 80.0);
-        assert_eq!(b.delay_ms(7), 80.0, "capped");
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let b = Backoff::exponential(10.0, 1000.0, 7);
-        for attempt in 0..20 {
-            let d1 = b.delay_ms(attempt);
-            let d2 = b.delay_ms(attempt);
-            assert_eq!(d1.to_bits(), d2.to_bits(), "deterministic");
-            let raw = 10.0 * 2.0f64.powi(attempt as i32).min(100.0);
-            let raw = raw.min(1000.0);
-            assert!(d1 <= raw && d1 >= raw * 0.5, "jitter range: {d1} vs {raw}");
-        }
-        let other = Backoff::exponential(10.0, 1000.0, 8);
-        assert_ne!(
-            b.delay_ms(3).to_bits(),
-            other.delay_ms(3).to_bits(),
-            "different seeds give different jitter"
-        );
-    }
-
-    #[test]
-    fn budget_and_backoff_are_send_sync() {
+    fn budget_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Budget>();
-        assert_send_sync::<Backoff>();
     }
 }

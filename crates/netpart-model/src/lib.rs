@@ -48,7 +48,7 @@ pub mod model;
 pub mod partition_vector;
 pub mod phase;
 
-pub use budget::{Backoff, Budget};
+pub use budget::Budget;
 pub use derive::{derive_model, BytesExpr, KernelSpec, Stmt};
 pub use error::NetpartError;
 pub use model::AppModel;

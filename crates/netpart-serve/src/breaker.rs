@@ -13,7 +13,13 @@
 //!     │ probe succeeds                            ▼ arrival is admitted
 //!     └──────────────────────────────────────  HalfOpen (probe in flight)
 //!                    probe fails: back to Open, counter reset
+//!          probe ends uncounted: back to Open, counter reset
 //! ```
+//!
+//! "Uncounted" is any other end of the probe — its own deadline, an
+//! error the breaker does not count, a coalesced leader's uncounted
+//! error — reported by [`Breaker::release_probe`]; without it the class
+//! would stay half-open, and degraded, for good.
 //!
 //! While Open, non-probe arrivals are served in degraded mode (stale
 //! cache or fallback) without touching the failing path.
@@ -140,6 +146,15 @@ impl Breaker {
             State::Open { .. } => false,
         }
     }
+
+    /// Report that the half-open probe ended without a success or a
+    /// countable failure: re-open with the arrival counter reset, so the
+    /// `probe_every`-th next arrival probes again. No-op unless half-open.
+    pub fn release_probe(&mut self) {
+        if self.state == State::HalfOpen {
+            self.state = State::Open { arrivals: 0 };
+        }
+    }
 }
 
 #[cfg(test)]
@@ -198,5 +213,24 @@ mod tests {
             assert_eq!(b.admit(), Admission::Degraded);
         }
         assert_eq!(b.admit(), Admission::Probe);
+    }
+
+    #[test]
+    fn released_probe_reopens_and_recounts() {
+        let mut b = breaker();
+        b.release_probe();
+        assert_eq!(b.admit(), Admission::Normal, "no-op while closed");
+        for _ in 0..3 {
+            b.record_failure();
+        }
+        for _ in 0..3 {
+            assert_eq!(b.admit(), Admission::Degraded);
+        }
+        assert_eq!(b.admit(), Admission::Probe);
+        b.release_probe();
+        for _ in 0..3 {
+            assert_eq!(b.admit(), Admission::Degraded);
+        }
+        assert_eq!(b.admit(), Admission::Probe, "a later arrival probes again");
     }
 }

@@ -7,8 +7,8 @@
 //!   requests, submissions are shed synchronously with the typed
 //!   `NetpartError::ServerOverloaded`;
 //! - **cooperative deadlines** — each request carries a
-//!   [`Budget`](netpart_model::Budget) checked after the queue wait, at
-//!   retry boundaries, and inside the computation itself, terminating
+//!   [`Budget`](netpart_model::Budget) checked after the queue wait,
+//!   before execution, and inside the computation itself, terminating
 //!   with `NetpartError::PlanDeadlineExceeded`;
 //! - **a fingerprinted response cache** with single-flight coalescing of
 //!   duplicate in-flight requests;
@@ -16,10 +16,9 @@
 //!   failing class to degraded serving (stale cache, then fallback, then
 //!   the class's last typed error) and recover via counted half-open
 //!   probes;
-//! - **deterministic retry backoff** reusing the recovery engine's
-//!   [`Backoff`](netpart_model::Backoff) schedule;
-//! - **[`ServerStats`]** — typed outcome counters, queue high-water
-//!   mark, and per-outcome latency histograms.
+//! - **[`ServerStats`]** — typed outcome counters and the queue
+//!   high-water mark; every [`Served`] response carries its own
+//!   [`PlanSource`], queue wait and total latency.
 //!
 //! The invariant the whole crate exists to uphold: *every submitted
 //! request terminates with a correct response or a typed error — never a
@@ -30,5 +29,5 @@ pub mod server;
 pub mod stats;
 
 pub use breaker::{Admission, Breaker, BreakerConfig};
-pub use server::{PlanService, ServeConfig, ServeSource, Served, Server, Ticket};
-pub use stats::{LatencyHistogram, ServerStats};
+pub use server::{PlanService, PlanSource, ServeConfig, Served, Server, Ticket};
+pub use stats::ServerStats;

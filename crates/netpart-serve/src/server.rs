@@ -1,7 +1,6 @@
 //! The generic overload-control engine: bounded admission, worker pool,
 //! cooperative deadlines, a fingerprinted response cache with
-//! single-flight coalescing, per-class circuit breakers, and seeded
-//! retry backoff.
+//! single-flight coalescing, and per-class circuit breakers.
 //!
 //! The engine is generic over a [`PlanService`] — the netpart facade
 //! binds it to `Scenario → plan()`; tests bind it to tiny controllable
@@ -14,13 +13,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use netpart_model::{Backoff, Budget, NetpartError};
+use netpart_model::{Budget, NetpartError};
 
 use crate::breaker::{Admission, Breaker, BreakerConfig};
 use crate::stats::ServerStats;
 
-/// What a [`Server`] serves: how to fingerprint, execute, retry, break,
-/// and degrade one kind of request.
+/// What a [`Server`] serves: how to fingerprint, execute, break, and
+/// degrade one kind of request. Execution is deterministic — a failed
+/// request re-run would fail the same way — so there is no retry hook.
 pub trait PlanService: Send + Sync + 'static {
     /// The request type (moved into the queue).
     type Request: Send + 'static;
@@ -56,12 +56,6 @@ pub trait PlanService: Send + Sync + 'static {
         false
     }
 
-    /// Is this failure transient — worth a backoff-and-retry?
-    fn retryable(&self, err: &NetpartError) -> bool {
-        let _ = err;
-        false
-    }
-
     /// Degraded-mode computation while the class's circuit is open and
     /// no cached response exists: `None` = no fallback (the class's last
     /// error is served), `Some(result)` = the fallback's outcome.
@@ -77,20 +71,23 @@ pub trait PlanService: Send + Sync + 'static {
 
 /// Which path produced a [`Served`] response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeSource {
+pub enum PlanSource {
     /// Computed by [`PlanService::execute`] for this request.
     Fresh,
-    /// Served from the fingerprint cache while the class is healthy.
+    /// The fingerprint's cached response, served while the class is
+    /// healthy — or, to a duplicate request that arrived while the
+    /// response was being computed, the same response handed over on
+    /// completion ([`ServerStats::coalesced`] counts those apart).
     Cache,
-    /// Served from the cache while the class's circuit is open.
+    /// The last-known-good cached response, served while the class's
+    /// circuit is open (degraded mode); the stamp carries its age so
+    /// callers can judge staleness.
     StaleCache {
         /// Milliseconds since the cached response was computed.
         age_ms: u64,
     },
-    /// A duplicate in-flight request that coalesced onto another
-    /// request's computation (single-flight follower).
-    Coalesced,
-    /// Computed by [`PlanService::fallback`] under an open circuit.
+    /// Computed by [`PlanService::fallback`] under an open circuit with
+    /// no cached response.
     Fallback,
 }
 
@@ -98,11 +95,9 @@ pub enum ServeSource {
 #[derive(Debug, Clone)]
 pub struct Served<R> {
     /// The response.
-    pub value: R,
+    pub plan: R,
     /// Which path produced it.
-    pub source: ServeSource,
-    /// Transient-failure retries spent.
-    pub retries: u32,
+    pub source: PlanSource,
     /// Wall-clock ms spent in the admission queue.
     pub queue_ms: f64,
     /// Wall-clock ms from submission to completion.
@@ -118,11 +113,6 @@ pub struct ServeConfig {
     /// already queued is shed with `ServerOverloaded`. `usize::MAX`
     /// disables shedding.
     pub queue_depth: usize,
-    /// Transient-failure retries per request.
-    pub max_retries: u32,
-    /// Delay schedule between retries — deterministic from its seed,
-    /// shared with the recovery engine's pause machinery.
-    pub retry_backoff: Backoff,
     /// Per-class circuit-breaker tuning.
     pub breaker: BreakerConfig,
 }
@@ -132,22 +122,18 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             queue_depth: 64,
-            max_retries: 2,
-            retry_backoff: Backoff::exponential(5.0, 100.0, 0),
             breaker: BreakerConfig::default(),
         }
     }
 }
 
 impl ServeConfig {
-    /// The trivial configuration: one worker, no shedding, no retries —
-    /// the server is then byte-transparent to calling the service
-    /// directly.
+    /// The trivial configuration: one worker, no shedding — the server
+    /// is then byte-transparent to calling the service directly.
     pub fn transparent() -> ServeConfig {
         ServeConfig {
             workers: 1,
             queue_depth: usize::MAX,
-            max_retries: 0,
             ..ServeConfig::default()
         }
     }
@@ -252,6 +238,9 @@ impl<R: Clone> Flight<R> {
     }
 }
 
+/// A response and the path that produced it, before latency stamping.
+type Outcome<R> = Result<(R, PlanSource), NetpartError>;
+
 struct Inner<S: PlanService> {
     service: S,
     cfg: ServeConfig,
@@ -267,19 +256,26 @@ struct Inner<S: PlanService> {
 
 /// A multi-threaded server over a [`PlanService`]: bounded admission
 /// with typed shedding, per-request cooperative deadlines, a
-/// fingerprinted response cache with single-flight coalescing, per-class
-/// circuit breakers with degraded-mode serving, and deterministic retry
-/// backoff. The invariant: **every submitted request terminates with a
-/// response or a typed error** — shed at the door, expired by its own
-/// budget, drained at shutdown, or completed.
+/// fingerprinted response cache with single-flight coalescing, and
+/// per-class circuit breakers with degraded-mode serving. The invariant:
+/// **every submitted request terminates with a response or a typed
+/// error** — shed at the door, expired by its own budget, drained at
+/// shutdown, or completed.
 pub struct Server<S: PlanService> {
     inner: Arc<Inner<S>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
+impl<S: PlanService + Default> Server<S> {
+    /// Start the worker pool over the service's default instance.
+    pub fn start(cfg: ServeConfig) -> Server<S> {
+        Server::with_service(S::default(), cfg)
+    }
+}
+
 impl<S: PlanService> Server<S> {
-    /// Start the worker pool.
-    pub fn start(service: S, cfg: ServeConfig) -> Server<S> {
+    /// Start the worker pool over `service`.
+    pub fn with_service(service: S, cfg: ServeConfig) -> Server<S> {
         let inner = Arc::new(Inner {
             service,
             cfg,
@@ -347,7 +343,7 @@ impl<S: PlanService> Server<S> {
         Ok(Ticket { state })
     }
 
-    /// A snapshot of the server's counters and histograms.
+    /// A snapshot of the server's counters.
     pub fn stats(&self) -> ServerStats {
         self.inner.stats.lock().expect("stats poisoned").clone()
     }
@@ -364,7 +360,7 @@ impl<S: PlanService> Server<S> {
         self.inner.queue_cv.notify_all();
         for job in drained {
             self.inner
-                .complete_err(&job, NetpartError::ServerStopped, 0.0);
+                .complete(&job, Err(NetpartError::ServerStopped), 0.0);
         }
         let handles: Vec<JoinHandle<()>> = {
             let mut w = self.workers.lock().expect("workers poisoned");
@@ -403,23 +399,35 @@ fn worker_loop<S: PlanService>(inner: Arc<Inner<S>>) {
 impl<S: PlanService> Inner<S> {
     fn process(&self, job: Job<S>) {
         let queue_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-        self.stats
-            .lock()
-            .expect("stats poisoned")
-            .queue_wait
-            .record(queue_ms);
         // Deadline re-check after the queue wait: an already-expired
         // request must not burn the worker.
-        if let Err(e) = job.budget.check() {
-            self.complete_err(&job, e, queue_ms);
-            return;
-        }
+        let outcome = job.budget.check().and_then(|()| {
+            let class = self.service.class(&job.req);
+            let mut probing = false;
+            let outcome = self.serve(&job, class, &mut probing);
+            if probing {
+                // A probe's success or counted failure has already moved
+                // the breaker on; one that ended any other way must not
+                // leave the class half-open for good.
+                let mut map = self.breakers.lock().expect("breakers poisoned");
+                if let Some(b) = map.get_mut(&class) {
+                    b.release_probe();
+                }
+            }
+            outcome
+        });
+        self.complete(&job, outcome, queue_ms);
+    }
+
+    /// One request's way through the cache, the class's breaker, single
+    /// flight and the service. Sets `probing` once the breaker admits the
+    /// request as its half-open probe.
+    fn serve(&self, job: &Job<S>, class: u64, probing: &mut bool) -> Outcome<S::Response> {
         let fp = self.service.fingerprint(&job.req);
-        let class = self.service.class(&job.req);
-        let mut retries_total: u32 = 0;
         // The loop re-enters when a single-flight follower inherits a
         // leader's *deadline* error while its own budget still holds: it
-        // retries the round and becomes the new leader.
+        // retries the round and becomes the new leader (a probe stays
+        // the probe).
         loop {
             let open = {
                 let map = self.breakers.lock().expect("breakers poisoned");
@@ -432,46 +440,27 @@ impl<S: PlanService> Inner<S> {
                     .map(|e| (e.value.clone(), e.created.elapsed()))
             };
             if let Some((value, age)) = hit {
-                let source = if open {
-                    ServeSource::StaleCache {
-                        age_ms: age.as_millis() as u64,
-                    }
-                } else {
-                    ServeSource::Cache
-                };
-                self.complete_ok(&job, value, source, retries_total, queue_ms);
-                return;
-            }
-            let admission = if open {
-                let mut map = self.breakers.lock().expect("breakers poisoned");
-                map.get_mut(&class).map_or(Admission::Normal, |b| b.admit())
-            } else {
-                Admission::Normal
-            };
-            if admission == Admission::Degraded {
-                match self.service.fallback(&job.req, &job.budget) {
-                    Some(Ok(v)) => {
-                        self.complete_ok(&job, v, ServeSource::Fallback, retries_total, queue_ms)
-                    }
-                    Some(Err(e)) => self.complete_err(&job, e, queue_ms),
-                    None => {
-                        let e = self
-                            .last_class_error
-                            .lock()
-                            .expect("class errors poisoned")
-                            .get(&class)
-                            .cloned()
-                            .unwrap_or_else(|| {
-                                NetpartError::Calibration(
-                                    "circuit open: no cached response and no fallback".into(),
-                                )
-                            });
-                        self.complete_err(&job, e, queue_ms);
-                    }
+                let mut st = self.stats.lock().expect("stats poisoned");
+                st.cache_hits += 1;
+                if !open {
+                    return Ok((value, PlanSource::Cache));
                 }
-                return;
+                st.degraded += 1;
+                let age_ms = age.as_millis() as u64;
+                return Ok((value, PlanSource::StaleCache { age_ms }));
             }
-            let probing = admission == Admission::Probe;
+            if open && !*probing {
+                let admission = {
+                    let mut map = self.breakers.lock().expect("breakers poisoned");
+                    map.get_mut(&class)
+                        .map_or(Admission::Normal, Breaker::admit)
+                };
+                match admission {
+                    Admission::Normal => {}
+                    Admission::Probe => *probing = true,
+                    Admission::Degraded => return self.degrade(job, class),
+                }
+            }
 
             // Single-flight: first request for a fingerprint leads, the
             // rest follow its published result.
@@ -487,13 +476,10 @@ impl<S: PlanService> Inner<S> {
             };
             if let Some(flight) = flight {
                 match flight.wait(&job.budget) {
-                    FollowerOutcome::Expired(e) => {
-                        self.complete_err(&job, e, queue_ms);
-                        return;
-                    }
+                    FollowerOutcome::Expired(e) => return Err(e),
                     FollowerOutcome::Ready(Ok(v)) => {
-                        self.complete_ok(&job, v, ServeSource::Coalesced, retries_total, queue_ms);
-                        return;
+                        self.stats.lock().expect("stats poisoned").coalesced += 1;
+                        return Ok((v, PlanSource::Cache));
                     }
                     FollowerOutcome::Ready(Err(e)) => {
                         // The leader died of *its* deadline; ours may
@@ -503,155 +489,113 @@ impl<S: PlanService> Inner<S> {
                         if leader_deadline && job.budget.check().is_ok() {
                             continue;
                         }
-                        self.complete_err(&job, e, queue_ms);
-                        return;
+                        return Err(e);
                     }
                 }
             }
-
-            // Leader: execute with deterministic retry backoff.
-            let mut attempt: u32 = 0;
-            let result = loop {
-                if let Err(e) = job.budget.check() {
-                    break Err(e);
-                }
-                match self.service.execute(&job.req, &job.budget) {
-                    Ok(v) => break Ok(v),
-                    Err(e) => {
-                        if self.service.retryable(&e) && attempt < self.cfg.max_retries {
-                            let delay = self.cfg.retry_backoff.delay_ms(attempt);
-                            attempt += 1;
-                            let pause = delay.min(job.budget.remaining_ms());
-                            if pause > 0.0 && pause.is_finite() {
-                                std::thread::sleep(Duration::from_micros((pause * 1e3) as u64));
-                            }
-                            continue;
-                        }
-                        break Err(e);
-                    }
-                }
-            };
-            retries_total += attempt;
-            if attempt > 0 {
-                self.stats.lock().expect("stats poisoned").retries += attempt as u64;
-            }
-
-            // Breaker bookkeeping before publication, so followers and
-            // later arrivals observe the transition.
-            match &result {
-                Ok(_) => {
-                    let closed = {
-                        let mut map = self.breakers.lock().expect("breakers poisoned");
-                        map.get_mut(&class).is_some_and(|b| b.record_success())
-                    };
-                    if closed {
-                        self.stats.lock().expect("stats poisoned").breaker_closes += 1;
-                    }
-                }
-                Err(e) if self.service.breaker_counts(e) => {
-                    let opened = {
-                        let mut map = self.breakers.lock().expect("breakers poisoned");
-                        map.entry(class)
-                            .or_insert_with(|| Breaker::new(self.cfg.breaker))
-                            .record_failure()
-                    };
-                    self.last_class_error
-                        .lock()
-                        .expect("class errors poisoned")
-                        .insert(class, e.clone());
-                    if opened {
-                        self.stats.lock().expect("stats poisoned").breaker_opens += 1;
-                    }
-                }
-                Err(_) => {}
-            }
-            if let Ok(v) = &result {
-                self.cache.lock().expect("cache poisoned").insert(
-                    fp,
-                    CacheEntry {
-                        value: v.clone(),
-                        created: Instant::now(),
-                    },
-                );
-            }
-            // Publish to followers and release the flight.
-            let flight = self.inflight.lock().expect("inflight poisoned").remove(&fp);
-            if let Some(flight) = flight {
-                flight.publish(result.clone());
-            }
-            let _ = probing; // a probe's outcome is just the breaker update above
-            match result {
-                Ok(v) => self.complete_ok(&job, v, ServeSource::Fresh, retries_total, queue_ms),
-                Err(e) => self.complete_err(&job, e, queue_ms),
-            }
-            return;
+            return self.lead(job, fp, class);
         }
     }
 
-    fn complete_ok(
-        &self,
-        job: &Job<S>,
-        value: S::Response,
-        source: ServeSource,
-        retries: u32,
-        queue_ms: f64,
-    ) {
-        let total_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-        {
-            let mut st = self.stats.lock().expect("stats poisoned");
-            match source {
-                ServeSource::Fresh => {
-                    st.fresh += 1;
-                    st.latency_fresh.record(total_ms);
-                }
-                ServeSource::Cache => {
-                    st.cache_hits += 1;
-                    st.latency_cache.record(total_ms);
-                }
-                ServeSource::StaleCache { .. } => {
-                    st.cache_hits += 1;
-                    st.degraded += 1;
-                    st.latency_degraded.record(total_ms);
-                }
-                ServeSource::Coalesced => {
-                    st.coalesced += 1;
-                    st.latency_cache.record(total_ms);
-                }
-                ServeSource::Fallback => {
-                    st.fallbacks += 1;
-                    st.degraded += 1;
-                    st.latency_degraded.record(total_ms);
+    /// Compute as the fingerprint's single-flight leader: record the
+    /// outcome with the breaker, cache a success, publish to followers.
+    fn lead(&self, job: &Job<S>, fp: u64, class: u64) -> Outcome<S::Response> {
+        let result = job
+            .budget
+            .check()
+            .and_then(|()| self.service.execute(&job.req, &job.budget));
+        // Breaker bookkeeping before publication, so followers and later
+        // arrivals observe the transition.
+        match &result {
+            Ok(_) => {
+                let closed = {
+                    let mut map = self.breakers.lock().expect("breakers poisoned");
+                    map.get_mut(&class).is_some_and(|b| b.record_success())
+                };
+                if closed {
+                    self.stats.lock().expect("stats poisoned").breaker_closes += 1;
                 }
             }
+            Err(e) if self.service.breaker_counts(e) => {
+                let opened = {
+                    let mut map = self.breakers.lock().expect("breakers poisoned");
+                    map.entry(class)
+                        .or_insert_with(|| Breaker::new(self.cfg.breaker))
+                        .record_failure()
+                };
+                self.last_class_error
+                    .lock()
+                    .expect("class errors poisoned")
+                    .insert(class, e.clone());
+                if opened {
+                    self.stats.lock().expect("stats poisoned").breaker_opens += 1;
+                }
+            }
+            Err(_) => {}
         }
-        self.finish(
-            job,
-            Ok(Served {
-                value,
-                source,
-                retries,
-                queue_ms,
-                total_ms,
-            }),
-        );
+        if let Ok(v) = &result {
+            self.cache.lock().expect("cache poisoned").insert(
+                fp,
+                CacheEntry {
+                    value: v.clone(),
+                    created: Instant::now(),
+                },
+            );
+        }
+        // Publish to followers and release the flight.
+        let flight = self.inflight.lock().expect("inflight poisoned").remove(&fp);
+        if let Some(flight) = flight {
+            flight.publish(result.clone());
+        }
+        if result.is_ok() {
+            self.stats.lock().expect("stats poisoned").fresh += 1;
+        }
+        result.map(|v| (v, PlanSource::Fresh))
     }
 
-    fn complete_err(&self, job: &Job<S>, err: NetpartError, queue_ms: f64) {
-        let _ = queue_ms;
-        let total_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-        {
+    /// Serve a request the open circuit turned away from the failing
+    /// path: the fallback's outcome, else the class's last error.
+    fn degrade(&self, job: &Job<S>, class: u64) -> Outcome<S::Response> {
+        match self.service.fallback(&job.req, &job.budget) {
+            Some(Ok(v)) => {
+                let mut st = self.stats.lock().expect("stats poisoned");
+                st.fallbacks += 1;
+                st.degraded += 1;
+                Ok((v, PlanSource::Fallback))
+            }
+            Some(Err(e)) => Err(e),
+            None => Err(self
+                .last_class_error
+                .lock()
+                .expect("class errors poisoned")
+                .get(&class)
+                .cloned()
+                .unwrap_or_else(|| {
+                    NetpartError::Calibration(
+                        "circuit open: no cached response and no fallback".into(),
+                    )
+                })),
+        }
+    }
+
+    /// Count an error outcome (successes were counted where they were
+    /// produced), stamp the latencies and wake the ticket.
+    fn complete(&self, job: &Job<S>, outcome: Outcome<S::Response>, queue_ms: f64) {
+        if let Err(e) = &outcome {
             let mut st = self.stats.lock().expect("stats poisoned");
-            match &err {
+            match e {
                 NetpartError::PlanDeadlineExceeded { .. } => st.expired += 1,
                 NetpartError::ServerStopped => st.stopped += 1,
                 _ => st.failed += 1,
             }
-            st.latency_error.record(total_ms);
         }
-        self.finish(job, Err(err));
-    }
-
-    fn finish(&self, job: &Job<S>, outcome: Result<Served<S::Response>, NetpartError>) {
+        let total_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
+        let outcome = outcome.map(|(plan, source)| Served {
+            plan,
+            source,
+            queue_ms,
+            total_ms,
+        });
         let mut slot = job.ticket.slot.lock().expect("ticket poisoned");
         *slot = Some(outcome);
         job.ticket.cv.notify_all();
@@ -668,7 +612,7 @@ mod tests {
     /// gate executions on a latch so tests control concurrency.
     struct TestService {
         executions: AtomicU64,
-        fail: Mutex<HashMap<u64, u32>>, // request → remaining failures
+        fail: Mutex<HashMap<u64, (u32, NetpartError)>>, // request → remaining failures
         gate: Option<Arc<(Mutex<bool>, Condvar)>>,
         deadline_ms: Mutex<HashMap<u64, f64>>,
     }
@@ -691,7 +635,12 @@ mod tests {
         }
 
         fn fail_times(&self, req: u64, times: u32) {
-            self.fail.lock().expect("fail").insert(req, times);
+            let err = NetpartError::Calibration(format!("injected for {req}"));
+            self.fail.lock().expect("fail").insert(req, (times, err));
+        }
+
+        fn fail_once_with(&self, req: u64, err: NetpartError) {
+            self.fail.lock().expect("fail").insert(req, (1, err));
         }
 
         fn set_deadline(&self, req: u64, ms: f64) {
@@ -735,10 +684,10 @@ mod tests {
             budget.check()?;
             self.executions.fetch_add(1, Ordering::SeqCst);
             let mut fail = self.fail.lock().expect("fail");
-            if let Some(n) = fail.get_mut(req) {
+            if let Some((n, err)) = fail.get_mut(req) {
                 if *n > 0 {
                     *n -= 1;
-                    return Err(NetpartError::Calibration(format!("injected for {req}")));
+                    return Err(err.clone());
                 }
             }
             Ok(req * 10)
@@ -757,20 +706,19 @@ mod tests {
         ServeConfig {
             workers: 2,
             queue_depth: 8,
-            max_retries: 0,
             ..ServeConfig::default()
         }
     }
 
     #[test]
     fn serves_and_caches() {
-        let server = Server::start(TestService::new(), quick_cfg());
+        let server = Server::with_service(TestService::new(), quick_cfg());
         let a = server.submit(7).expect("admitted").wait().expect("served");
-        assert_eq!(a.value, 70);
-        assert_eq!(a.source, ServeSource::Fresh);
+        assert_eq!(a.plan, 70);
+        assert_eq!(a.source, PlanSource::Fresh);
         let b = server.submit(7).expect("admitted").wait().expect("served");
-        assert_eq!(b.value, 70);
-        assert_eq!(b.source, ServeSource::Cache);
+        assert_eq!(b.plan, 70);
+        assert_eq!(b.source, PlanSource::Cache);
         let st = server.stats();
         assert_eq!(st.fresh, 1);
         assert_eq!(st.cache_hits, 1);
@@ -781,7 +729,7 @@ mod tests {
     #[test]
     fn sheds_beyond_queue_depth_with_typed_error() {
         let (svc, gate) = TestService::gated();
-        let server = Server::start(
+        let server = Server::with_service(
             svc,
             ServeConfig {
                 workers: 1,
@@ -816,7 +764,7 @@ mod tests {
     fn expired_deadline_is_typed_not_hung() {
         let (svc, gate) = TestService::gated();
         svc.set_deadline(201, 5.0);
-        let server = Server::start(
+        let server = Server::with_service(
             svc,
             ServeConfig {
                 workers: 1,
@@ -842,7 +790,7 @@ mod tests {
     #[test]
     fn duplicate_in_flight_requests_coalesce_to_one_execution() {
         let (svc, gate) = TestService::gated();
-        let server = Server::start(
+        let server = Server::with_service(
             svc,
             ServeConfig {
                 workers: 4,
@@ -857,7 +805,7 @@ mod tests {
         open_gate(&gate);
         let mut values = Vec::new();
         for t in tickets {
-            values.push(t.wait().expect("served").value);
+            values.push(t.wait().expect("served").plan);
         }
         assert_eq!(values, vec![420; 4], "identical results");
         let st = server.stats();
@@ -877,7 +825,7 @@ mod tests {
         for req in [2u64, 4, 6] {
             svc.fail_times(req, 1);
         }
-        let server = Server::start(
+        let server = Server::with_service(
             svc,
             ServeConfig {
                 workers: 1,
@@ -897,19 +845,19 @@ mod tests {
         // Circuit open: the next even request is served degraded by the
         // fallback (odd requests — class 1 — stay normal).
         let d = server.submit(8).expect("admitted").wait().expect("served");
-        assert_eq!(d.source, ServeSource::Fallback);
-        assert_eq!(d.value, 81);
+        assert_eq!(d.source, PlanSource::Fallback);
+        assert_eq!(d.plan, 81);
         let n = server.submit(9).expect("admitted").wait().expect("served");
-        assert_eq!(n.source, ServeSource::Fresh);
+        assert_eq!(n.source, PlanSource::Fresh);
         // Second arrival since opening is the probe (probe_every = 2);
         // the service is healthy again, so it closes the circuit.
         let p = server.submit(10).expect("admitted").wait().expect("served");
-        assert_eq!(p.source, ServeSource::Fresh, "probe took the normal path");
+        assert_eq!(p.source, PlanSource::Fresh, "probe took the normal path");
         let st = server.stats();
         assert_eq!(st.breaker_closes, 1);
         assert_eq!(st.degraded, 1);
         let h = server.submit(12).expect("admitted").wait().expect("served");
-        assert_eq!(h.source, ServeSource::Fresh, "circuit closed again");
+        assert_eq!(h.source, PlanSource::Fresh, "circuit closed again");
         server.stop();
     }
 
@@ -919,7 +867,7 @@ mod tests {
         for req in [2u64, 4, 6] {
             svc.fail_times(req, 1);
         }
-        let server = Server::start(
+        let server = Server::with_service(
             svc,
             ServeConfig {
                 workers: 1,
@@ -938,53 +886,63 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         let s = server.submit(20).expect("admitted").wait().expect("served");
         match s.source {
-            ServeSource::StaleCache { age_ms } => assert!(age_ms >= 5, "age {age_ms}"),
+            PlanSource::StaleCache { age_ms } => assert!(age_ms >= 5, "age {age_ms}"),
             other => panic!("expected StaleCache, got {other:?}"),
         }
-        assert_eq!(s.value, 200, "stale plan is still the right plan");
+        assert_eq!(s.plan, 200, "stale plan is still the right plan");
         server.stop();
     }
 
+    /// Regression: a half-open probe whose error the breaker does not
+    /// count (here a validation error) left the class half-open, and every
+    /// later arrival of the class was served degraded for the server's
+    /// whole lifetime.
     #[test]
-    fn retries_transient_failures_with_backoff() {
-        struct Flaky(AtomicU64);
-        impl PlanService for Flaky {
-            type Request = u64;
-            type Response = u64;
-            fn fingerprint(&self, req: &u64) -> u64 {
-                *req
-            }
-            fn execute(&self, req: &u64, _b: &Budget) -> Result<u64, NetpartError> {
-                if self.0.fetch_add(1, Ordering::SeqCst) < 2 {
-                    Err(NetpartError::Network("transient".into()))
-                } else {
-                    Ok(*req)
-                }
-            }
-            fn retryable(&self, err: &NetpartError) -> bool {
-                matches!(err, NetpartError::Network(_))
-            }
+    fn uncounted_probe_reopens_so_a_later_probe_can_close() {
+        let svc = TestService::new();
+        for req in [2u64, 4, 6] {
+            svc.fail_times(req, 1);
         }
-        let server = Server::start(
-            Flaky(AtomicU64::new(0)),
+        svc.fail_once_with(10, NetpartError::ZeroPdus);
+        let server = Server::with_service(
+            svc,
             ServeConfig {
                 workers: 1,
-                max_retries: 3,
-                retry_backoff: Backoff::fixed(1.0),
-                ..ServeConfig::default()
+                breaker: BreakerConfig {
+                    failure_threshold: 3,
+                    probe_every: 2,
+                },
+                ..quick_cfg()
             },
         );
-        let r = server.submit(5).expect("admitted").wait().expect("served");
-        assert_eq!(r.value, 5);
-        assert_eq!(r.retries, 2);
-        assert_eq!(server.stats().retries, 2);
+        for req in [2u64, 4, 6] {
+            let _ = server.submit(req).expect("admitted").wait();
+        }
+        let source = |req: u64| {
+            server
+                .submit(req)
+                .expect("admitted")
+                .wait()
+                .map(|r| r.source)
+        };
+        assert_eq!(source(8), Ok(PlanSource::Fallback));
+        assert_eq!(source(10), Err(NetpartError::ZeroPdus), "the probe");
+        assert_eq!(
+            source(12),
+            Ok(PlanSource::Fallback),
+            "re-opened, recounting"
+        );
+        assert_eq!(source(14), Ok(PlanSource::Fresh), "the next probe closes");
+        assert_eq!(source(16), Ok(PlanSource::Fresh));
+        let st = server.stats();
+        assert_eq!((st.breaker_opens, st.breaker_closes), (1, 1));
         server.stop();
     }
 
     #[test]
     fn stop_drains_queue_with_typed_error_and_terminates_everything() {
         let (svc, gate) = TestService::gated();
-        let server = Server::start(
+        let server = Server::with_service(
             svc,
             ServeConfig {
                 workers: 1,
@@ -1001,7 +959,7 @@ mod tests {
         server.stop();
         // The in-flight request finished normally; the queued ones were
         // drained with the typed shutdown error.
-        assert_eq!(in_flight.wait().expect("finished").value, 3000);
+        assert_eq!(in_flight.wait().expect("finished").plan, 3000);
         for t in queued {
             match t.wait() {
                 Err(NetpartError::ServerStopped) | Ok(_) => {}

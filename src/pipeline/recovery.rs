@@ -5,7 +5,7 @@
 //! the simulator (`driver`, home of
 //! [`Scenario::run_recoverable`](super::Scenario::run_recoverable)).
 
-use netpart_model::{Backoff, NetpartError};
+use netpart_model::NetpartError;
 use netpart_spmd::{Checkpoint, Rank};
 
 mod driver;
@@ -60,22 +60,22 @@ pub enum RecoveryPolicy {
 /// Fail-stop replan budget used by [`RecoveryPolicy::Adapt`], which
 /// fixes the [`RecoveryPolicy::Replan`] knobs so its own surface stays
 /// the three drift parameters the cost/benefit gate actually needs. Its
-/// decision pause is the same flat 5 ms [`Backoff::fixed`] schedule a
-/// `Replan { backoff_ms: 5.0 }` policy gets — one backoff implementation
-/// serves recovery and the plan server's retries alike.
+/// decision pause is the flat 5 ms a `Replan { backoff_ms: 5.0 }` policy
+/// gets.
 const ADAPT_MAX_REPLANS: u32 = 4;
 
 impl RecoveryPolicy {
-    /// The fail-stop half of the policy — `(max_replans, decision pause)`
-    /// — or `None` when nothing recovers.
-    fn budget(self) -> Option<(u32, Backoff)> {
+    /// The fail-stop half of the policy — `(max_replans, decision pause
+    /// in simulated ms)`, the same pause before every round — or `None`
+    /// when nothing recovers.
+    fn budget(self) -> Option<(u32, f64)> {
         match self {
             RecoveryPolicy::FailFast => None,
             RecoveryPolicy::Replan {
                 max_replans,
                 backoff_ms,
-            } => Some((max_replans, Backoff::fixed(backoff_ms))),
-            RecoveryPolicy::Adapt { .. } => Some((ADAPT_MAX_REPLANS, Backoff::fixed(5.0))),
+            } => Some((max_replans, backoff_ms)),
+            RecoveryPolicy::Adapt { .. } => Some((ADAPT_MAX_REPLANS, 5.0)),
         }
     }
 }

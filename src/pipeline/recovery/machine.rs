@@ -390,7 +390,7 @@ impl<'s> RecoveryMachine<'s> {
     /// Running → Failed(class) → Draining → Probing, or → Fatal.
     fn on_failure(&mut self, f: Failure) -> Vec<Action> {
         // FailFast: nothing recovers.
-        let Some((max_replans, backoff)) = self.policy.budget() else {
+        let Some((max_replans, backoff_ms)) = self.policy.budget() else {
             return self.fatal(f.err);
         };
         // A drift abort carries the monitor's confirmed report (only
@@ -428,7 +428,6 @@ impl<'s> RecoveryMachine<'s> {
         let s = &mut self.state;
         s.phase = Phase::Draining;
         actions.extend(s.known_dead.iter().copied().map(Action::AbortPeer));
-        let backoff_ms = backoff.delay_ms(s.stats.replans);
         if backoff_ms > 0.0 {
             actions.push(Action::Pause(backoff_ms));
         }

@@ -49,45 +49,16 @@ impl PlanRequest {
     }
 }
 
-/// Where a served plan came from — stamped on every
-/// [`PlanResponse`] so callers can tell a fresh computation from a cache
-/// hit from degraded-mode service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanSource {
-    /// Computed by the full planning pipeline for this request.
-    Fresh,
-    /// Byte-identical cached plan for the same scenario fingerprint,
-    /// served while the scenario's calibration class is healthy.
-    Cache,
-    /// The last-known-good cached plan, served while the calibration
-    /// circuit for this scenario's fingerprint class is **open**
-    /// (degraded mode). The plan is still byte-identical to a cold
-    /// computation of the same scenario; the stamp carries its age so
-    /// callers can judge staleness.
-    StaleCache {
-        /// Milliseconds since the cached plan was computed.
-        age_ms: u64,
-    },
-    /// Planned fresh under the [`CostSource::Paper`] fallback model
-    /// because the calibration circuit is open and no cached plan exists
-    /// for this fingerprint.
-    PaperFallback,
-}
+/// Where a served plan came from: `Fresh` from the pipeline, `Cache` a
+/// byte-identical plan for the same fingerprint, `StaleCache { age_ms }`
+/// the last-known-good plan while the class's calibration circuit is
+/// open, `Fallback` a plan under [`CostSource::Paper`] when no cached
+/// plan exists under an open circuit.
+pub use netpart_serve::PlanSource;
 
-/// A served plan plus its provenance and latency accounting.
-#[derive(Debug, Clone)]
-pub struct PlanResponse {
-    /// The partitioning decision.
-    pub plan: Plan,
-    /// Where the plan came from.
-    pub source: PlanSource,
-    /// Transient-failure retries spent before this response.
-    pub retries: u32,
-    /// Wall-clock ms the request waited in the admission queue.
-    pub queue_ms: f64,
-    /// Wall-clock ms from submission to response.
-    pub total_ms: f64,
-}
+/// A served plan (`plan`) plus its [`PlanSource`] and its wall-clock
+/// `queue_ms` and `total_ms`.
+pub type PlanResponse = netpart_serve::Served<Plan>;
 
 /// FNV-1a state that `Debug` output is written *into*: the rendering is
 /// hashed as it is produced instead of being collected in a `String`.

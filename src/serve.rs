@@ -4,7 +4,7 @@
 //! [`PlanServer`] binds the generic engine in [`netpart_serve`] to the
 //! planning pipeline: submissions are [`PlanRequest`]s (a [`Scenario`]
 //! plus an optional deadline), responses are [`PlanResponse`]s (a
-//! [`Plan`](crate::pipeline::Plan) stamped with its [`PlanSource`]).
+//! [`Plan`] stamped with its [`PlanSource`]).
 //! The server layers a fingerprinted **plan cache** over the calibration
 //! cache: two requests with equal [`scenario_fingerprint`]s get
 //! byte-identical plans, computed once.
@@ -18,48 +18,44 @@
 //!   expiry terminates with [`NetpartError::PlanDeadlineExceeded`];
 //! - consecutive calibration failures for one fingerprint *class* open a
 //!   circuit breaker: further requests of the class are served degraded
-//!   — the last-known-good cached plan (stamped
-//!   [`PlanSource::StaleCache`]) or a fresh plan under the
-//!   [`CostSource::Paper`] fallback model ([`PlanSource::PaperFallback`])
+//!   — the last-known-good cached plan (stamped `StaleCache`) or a fresh
+//!   plan under the [`CostSource::Paper`] fallback model (`Fallback`)
 //!   when the paper's constants cover the scenario — while counted
-//!   half-open probes test for recovery;
-//! - transient (chaos-injected) failures are retried on a deterministic
-//!   jittered exponential [`Backoff`](crate::model::Backoff).
+//!   half-open probes test for recovery.
 //!
+//! Planning is a deterministic function of the scenario, so a failed
+//! plan is never retried: re-running it could only reproduce the error.
 //! With the [`ServeConfig::transparent`] configuration (one worker, no
-//! queue bound, no deadline, no retries) the server is byte-transparent
-//! to calling [`Scenario::plan`] directly — property-tested in
-//! `tests/serve.rs`.
+//! queue bound, no deadline) the server is byte-transparent to calling
+//! [`Scenario::plan`] directly — property-tested in `tests/serve.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use netpart_model::{Budget, NetpartError};
-use netpart_serve::{PlanService, ServeSource, Served, Server, Ticket};
+use netpart_serve::{PlanService, Server, Ticket};
 
-use crate::pipeline::{
-    scenario_class, scenario_fingerprint, CostSource, Plan, PlanRequest, PlanResponse, PlanSource,
-    Scenario,
-};
+use crate::pipeline::{scenario_class, scenario_fingerprint, CostSource, Plan, PlanRequest};
+#[cfg(doc)]
+use crate::pipeline::{PlanResponse, PlanSource, Scenario};
 
-pub use netpart_serve::{BreakerConfig, LatencyHistogram, ServeConfig, ServerStats};
+pub use netpart_serve::{BreakerConfig, ServeConfig, ServerStats};
 
 /// Deterministic fault injection for chaos testing: each execution
-/// attempt is independently replaced by an injected calibration failure
-/// with probability `fault_rate`, decided by a hash of `seed` and the
-/// attempt index — reproducible across runs, no RNG state.
+/// is independently replaced by an injected calibration failure with
+/// probability `fault_rate`, decided by a hash of `seed` and the
+/// execution index — reproducible across runs, no RNG state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosSpec {
-    /// Seed for the per-attempt fault decision.
+    /// Seed for the per-execution fault decision.
     pub seed: u64,
-    /// Probability in [0, 1] that an execution attempt fails.
+    /// Probability in [0, 1] that an execution fails.
     pub fault_rate: f64,
 }
 
 impl ChaosSpec {
-    /// Does attempt `n` get an injected fault?
+    /// Does execution `n` get an injected fault?
     pub fn injects(&self, n: u64) -> bool {
-        // splitmix64 of (seed, n) → unit interval, same construction as
-        // `Backoff`'s jitter.
+        // splitmix64 of (seed, n) → unit interval.
         let mut z = self
             .seed
             .wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -73,10 +69,24 @@ impl ChaosSpec {
 /// The [`PlanService`] binding: fingerprints via [`scenario_fingerprint`],
 /// breaker classes via [`scenario_class`], execution via
 /// [`Scenario::plan_budgeted`], degraded fallback via
-/// [`CostSource::Paper`] when it covers the scenario.
-struct ScenarioService {
+/// [`CostSource::Paper`] when it covers the scenario. The default
+/// instance injects no faults.
+#[derive(Debug, Default)]
+pub struct ScenarioService {
     chaos: Option<ChaosSpec>,
-    attempts: AtomicU64,
+    executions: AtomicU64,
+}
+
+impl ScenarioService {
+    /// A service whose executions fail with an injected calibration
+    /// error as `chaos` decides — the chaos tests' way to break
+    /// calibration on demand.
+    pub fn with_chaos(chaos: ChaosSpec) -> ScenarioService {
+        ScenarioService {
+            chaos: Some(chaos),
+            ..ScenarioService::default()
+        }
+    }
 }
 
 impl PlanService for ScenarioService {
@@ -97,10 +107,10 @@ impl PlanService for ScenarioService {
 
     fn execute(&self, req: &PlanRequest, budget: &Budget) -> Result<Plan, NetpartError> {
         if let Some(chaos) = &self.chaos {
-            let n = self.attempts.fetch_add(1, Ordering::Relaxed);
+            let n = self.executions.fetch_add(1, Ordering::Relaxed);
             if chaos.injects(n) {
                 return Err(NetpartError::Calibration(format!(
-                    "injected chaos fault on attempt {n}"
+                    "injected chaos fault on execution {n}"
                 )));
             }
         }
@@ -112,12 +122,6 @@ impl PlanService for ScenarioService {
             err,
             NetpartError::Calibration(_) | NetpartError::MissingFit { .. }
         )
-    }
-
-    fn retryable(&self, err: &NetpartError) -> bool {
-        // Real calibration failures are deterministic (a missing fit
-        // stays missing); only chaos-injected faults are transient.
-        matches!(err, NetpartError::Calibration(msg) if msg.starts_with("injected chaos"))
     }
 
     fn fallback(&self, req: &PlanRequest, budget: &Budget) -> Option<Result<Plan, NetpartError>> {
@@ -136,41 +140,9 @@ impl PlanService for ScenarioService {
     }
 }
 
-/// Completion handle for a submitted [`PlanRequest`].
-#[derive(Debug)]
-pub struct PlanTicket {
-    inner: Ticket<Plan>,
-}
-
-fn to_response(served: Served<Plan>) -> PlanResponse {
-    let source = match served.source {
-        ServeSource::Fresh => PlanSource::Fresh,
-        // A coalesced duplicate got the leader's plan — to the caller
-        // that is a cache hit that happened to be in flight.
-        ServeSource::Cache | ServeSource::Coalesced => PlanSource::Cache,
-        ServeSource::StaleCache { age_ms } => PlanSource::StaleCache { age_ms },
-        ServeSource::Fallback => PlanSource::PaperFallback,
-    };
-    PlanResponse {
-        plan: served.value,
-        source,
-        retries: served.retries,
-        queue_ms: served.queue_ms,
-        total_ms: served.total_ms,
-    }
-}
-
-impl PlanTicket {
-    /// Block until the request terminates with a plan or a typed error.
-    pub fn wait(&self) -> Result<PlanResponse, NetpartError> {
-        self.inner.wait().map(to_response)
-    }
-
-    /// Non-blocking peek: `Some` once the request has terminated.
-    pub fn try_wait(&self) -> Option<Result<PlanResponse, NetpartError>> {
-        self.inner.try_wait().map(|r| r.map(to_response))
-    }
-}
+/// Completion handle for a submitted [`PlanRequest`]: `wait` blocks for
+/// the [`PlanResponse`] or a typed error, `try_wait` peeks.
+pub type PlanTicket = Ticket<Plan>;
 
 /// A multi-threaded planning server with bounded admission, deadlines,
 /// load shedding, and degraded-mode serving. See the module docs for the
@@ -189,73 +161,23 @@ impl PlanTicket {
 /// println!("{:?} plan: {:?}", response.source, response.plan.config);
 /// # Ok::<(), netpart::NetpartError>(())
 /// ```
-pub struct PlanServer {
-    inner: Server<ScenarioService>,
-}
-
-impl PlanServer {
-    /// Start a server with `cfg.workers` planning threads.
-    pub fn start(cfg: ServeConfig) -> PlanServer {
-        PlanServer {
-            inner: Server::start(
-                ScenarioService {
-                    chaos: None,
-                    attempts: AtomicU64::new(0),
-                },
-                cfg,
-            ),
-        }
-    }
-
-    /// Start a server whose execution path injects deterministic faults
-    /// — the harness behind `experiments -- serve`'s chaos mode.
-    pub fn start_with_chaos(cfg: ServeConfig, chaos: ChaosSpec) -> PlanServer {
-        PlanServer {
-            inner: Server::start(
-                ScenarioService {
-                    chaos: Some(chaos),
-                    attempts: AtomicU64::new(0),
-                },
-                cfg,
-            ),
-        }
-    }
-
-    /// Submit a planning request. Sheds synchronously with
-    /// [`NetpartError::ServerOverloaded`] when the admission queue is
-    /// full; an admitted request's [`PlanTicket`] always terminates.
-    pub fn submit(&self, req: PlanRequest) -> Result<PlanTicket, NetpartError> {
-        self.inner.submit(req).map(|inner| PlanTicket { inner })
-    }
-
-    /// Plan one scenario through the server, synchronously — submit,
-    /// wait, unwrap the provenance stamp.
-    pub fn plan(&self, scenario: Scenario) -> Result<PlanResponse, NetpartError> {
-        self.submit(PlanRequest::new(scenario))?.wait()
-    }
-
-    /// A snapshot of the server's counters and latency histograms.
-    pub fn stats(&self) -> ServerStats {
-        self.inner.stats()
-    }
-
-    /// Stop accepting work, drain the queue with
-    /// [`NetpartError::ServerStopped`], finish in-flight requests, and
-    /// join the workers. Idempotent; also runs on drop.
-    pub fn stop(&self) {
-        self.inner.stop()
-    }
-}
+pub type PlanServer = Server<ScenarioService>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apps::stencil::{stencil_model, StencilVariant};
     use crate::calibrate::Testbed;
+    use crate::pipeline::{PlanResponse, PlanSource, Scenario};
 
     fn paper_scenario(n: u64) -> Scenario {
         Scenario::new(Testbed::paper(), stencil_model(n, StencilVariant::Sten2))
             .with_cost(CostSource::Paper)
+    }
+
+    fn plan(server: &PlanServer, scenario: Scenario) -> PlanResponse {
+        let ticket = server.submit(PlanRequest::new(scenario)).expect("admitted");
+        ticket.wait().expect("served")
     }
 
     #[test]
@@ -278,10 +200,7 @@ mod tests {
 
     #[test]
     fn paper_covers_matches_the_model_predicate() {
-        let service = ScenarioService {
-            chaos: None,
-            attempts: AtomicU64::new(0),
-        };
+        let service = ScenarioService::default();
         let fallback = |s: Scenario| service.fallback(&PlanRequest::new(s), &Budget::unlimited());
         // `Scenario::new` prices by calibration, the one source that
         // degrades to the paper's constants.
@@ -306,7 +225,7 @@ mod tests {
         let server = PlanServer::start(ServeConfig::transparent());
         let scenario = paper_scenario(300);
         let direct = scenario.plan().expect("direct plan");
-        let served = server.plan(scenario).expect("served plan");
+        let served = plan(&server, scenario);
         assert_eq!(served.source, PlanSource::Fresh);
         assert_eq!(served.plan.config, direct.config);
         assert_eq!(served.plan.vector, direct.vector);
@@ -315,7 +234,7 @@ mod tests {
             direct.predicted_tc_ms.map(f64::to_bits),
             "bit-identical prediction"
         );
-        let again = server.plan(paper_scenario(300)).expect("cache hit");
+        let again = plan(&server, paper_scenario(300));
         assert_eq!(again.source, PlanSource::Cache);
         assert_eq!(
             again.plan.predicted_tc_ms.map(f64::to_bits),
@@ -328,8 +247,8 @@ mod tests {
     #[test]
     fn distinct_scenarios_get_distinct_cache_entries() {
         let server = PlanServer::start(ServeConfig::default());
-        let a = server.plan(paper_scenario(200)).expect("a");
-        let b = server.plan(paper_scenario(400)).expect("b");
+        let a = plan(&server, paper_scenario(200));
+        let b = plan(&server, paper_scenario(400));
         assert_eq!(a.source, PlanSource::Fresh);
         assert_eq!(
             b.source,

@@ -1,16 +1,24 @@
 //! Integration and property tests for the plan server: byte-transparency
 //! of the trivial configuration, cache-hit ≡ cold-plan byte identity,
-//! single-flight coalescing, typed overload errors, and degraded-mode
-//! serving under injected calibration faults.
+//! single-flight coalescing, typed overload and deadline errors, and
+//! degraded-mode serving under injected calibration faults. Every ticket
+//! is drained against a wall-clock cap, so a hang fails a test instead of
+//! wedging the suite.
+
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use netpart::apps::stencil::{stencil_model, StencilVariant};
 use netpart::calibrate::Testbed;
 use netpart::model::NetpartError;
-use netpart::pipeline::{PlanRequest, PlanSource, Scenario};
-use netpart::serve::{ChaosSpec, PlanServer, ServeConfig};
+use netpart::pipeline::{PlanRequest, PlanResponse, PlanSource, Scenario};
+use netpart::serve::{ChaosSpec, PlanServer, PlanTicket, ScenarioService, ServeConfig};
 use netpart::CostSource;
+
+/// Far beyond any sane completion time: a ticket still unresolved past
+/// it is a hang, the one thing the server exists to rule out.
+const DRAIN_CAP: Duration = Duration::from_secs(60);
 
 fn paper_scenario(n: u64, variant: StencilVariant) -> Scenario {
     Scenario::new(Testbed::paper(), stencil_model(n, variant)).with_cost(CostSource::Paper)
@@ -26,9 +34,32 @@ fn plan_bits(plan: &netpart::Plan) -> PlanBits {
     )
 }
 
+/// Poll every ticket to termination, in order, panicking on one still
+/// unresolved at [`DRAIN_CAP`].
+fn drain(tickets: Vec<PlanTicket>) -> Vec<Result<PlanResponse, NetpartError>> {
+    let deadline = Instant::now() + DRAIN_CAP;
+    tickets
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| loop {
+            if let Some(r) = t.try_wait() {
+                break r;
+            }
+            assert!(Instant::now() < deadline, "ticket {i} hung");
+            std::thread::sleep(Duration::from_micros(200));
+        })
+        .collect()
+}
+
+/// Submit one request and drain its ticket.
+fn plan(server: &PlanServer, scenario: Scenario) -> Result<PlanResponse, NetpartError> {
+    let ticket = server.submit(PlanRequest::new(scenario)).expect("admitted");
+    drain(vec![ticket]).remove(0)
+}
+
 proptest! {
     /// A trivially-configured server (one worker, unbounded queue, no
-    /// deadline, no retries) is byte-transparent to calling `plan()`
+    /// deadline) is byte-transparent to calling `plan()`
     /// directly, for arbitrary scenario streams.
     #[test]
     fn trivial_server_is_byte_transparent_to_plan(
@@ -40,7 +71,7 @@ proptest! {
         for n in sizes {
             let scenario = paper_scenario(n, variant);
             let direct = scenario.plan().expect("direct plan");
-            let served = server.plan(scenario).expect("served plan");
+            let served = plan(&server, scenario).expect("served plan");
             prop_assert_eq!(plan_bits(&served.plan), plan_bits(&direct));
         }
         server.stop();
@@ -57,11 +88,11 @@ proptest! {
         // First pass: cold plans. Second pass: every plan must be a cache
         // hit and byte-identical.
         for &n in &sizes {
-            let r = server.plan(paper_scenario(n, StencilVariant::Sten2)).expect("cold");
+            let r = plan(&server, paper_scenario(n, StencilVariant::Sten2)).expect("cold");
             cold.push((n, plan_bits(&r.plan)));
         }
         for (n, bits) in cold {
-            let r = server.plan(paper_scenario(n, StencilVariant::Sten2)).expect("warm");
+            let r = plan(&server, paper_scenario(n, StencilVariant::Sten2)).expect("warm");
             prop_assert_eq!(r.source, PlanSource::Cache);
             prop_assert_eq!(plan_bits(&r.plan), bits);
         }
@@ -85,13 +116,14 @@ fn duplicate_in_flight_requests_coalesce_with_identical_results() {
                 .expect("admitted")
         })
         .collect();
-    let responses: Vec<_> = tickets
+    let responses: Vec<_> = drain(tickets)
         .into_iter()
-        .map(|t| t.wait().expect("served"))
+        .map(|r| r.expect("served"))
         .collect();
     let first = plan_bits(&responses[0].plan);
     for r in &responses {
         assert_eq!(plan_bits(&r.plan), first, "all duplicates agree");
+        assert!(matches!(r.source, PlanSource::Fresh | PlanSource::Cache));
     }
     let st = server.stats();
     assert_eq!(st.fresh, 1, "one computation for eight requests: {st:?}");
@@ -105,8 +137,9 @@ fn duplicate_in_flight_requests_coalesce_with_identical_results() {
 fn expired_deadline_is_typed() {
     let server = PlanServer::start(ServeConfig::transparent());
     let req = PlanRequest::new(paper_scenario(500, StencilVariant::Sten2)).with_deadline_ms(0.0);
-    std::thread::sleep(std::time::Duration::from_millis(2));
-    match server.submit(req).expect("admitted").wait() {
+    std::thread::sleep(Duration::from_millis(2));
+    let ticket = server.submit(req).expect("admitted");
+    match drain(vec![ticket]).remove(0) {
         Err(NetpartError::PlanDeadlineExceeded { budget_ms, .. }) => assert_eq!(budget_ms, 0),
         other => panic!("expected PlanDeadlineExceeded, got {other:?}"),
     }
@@ -114,8 +147,40 @@ fn expired_deadline_is_typed() {
     server.stop();
 }
 
+/// A batch where every other request arrives with an already-spent
+/// budget: exactly those end `PlanDeadlineExceeded`, the rest are served.
+#[test]
+fn mixed_deadline_batch_expires_exactly_the_doomed_half() {
+    let server = PlanServer::start(ServeConfig {
+        workers: 1,
+        queue_depth: usize::MAX,
+        ..ServeConfig::default()
+    });
+    let tickets = (0..64u64)
+        .map(|i| {
+            let req = PlanRequest::new(paper_scenario(2_000 + i, StencilVariant::Sten2));
+            let req = if i % 2 == 0 {
+                req.with_deadline_ms(0.0)
+            } else {
+                req
+            };
+            server.submit(req).expect("admitted")
+        })
+        .collect();
+    for (i, r) in drain(tickets).into_iter().enumerate() {
+        match r {
+            Err(NetpartError::PlanDeadlineExceeded { .. }) if i % 2 == 0 => {}
+            Ok(_) if i % 2 == 1 => {}
+            other => panic!("request {i}: {other:?}"),
+        }
+    }
+    let st = server.stats();
+    assert_eq!((st.expired, st.fresh), (32, 32), "{st:?}");
+    server.stop();
+}
+
 /// Submissions beyond the queue bound shed with the typed overload error
-/// while everything admitted still terminates.
+/// while everything admitted still terminates with a plan.
 #[test]
 fn flood_sheds_typed_and_everything_admitted_terminates() {
     let server = PlanServer::start(ServeConfig {
@@ -136,14 +201,16 @@ fn flood_sheds_typed_and_everything_admitted_terminates() {
                 assert_eq!(capacity, 4);
                 shed += 1;
             }
-            Err(other) => panic!("unexpected submit error {other:?}"),
+            Err(other) => panic!("rejected without the typed overload error: {other:?}"),
         }
     }
-    for t in tickets {
-        t.wait().expect("admitted requests complete with a plan");
+    for r in drain(tickets) {
+        r.expect("admitted requests complete with a plan");
     }
     let st = server.stats();
+    assert!(shed > 0, "the flood must overflow the queue");
     assert_eq!(st.shed as usize, shed);
+    assert_eq!(st.queue_high_water, 4, "the queue filled to its bound");
     assert_eq!(st.completed(), st.admitted, "no admitted request hangs");
     server.stop();
 }
@@ -154,19 +221,19 @@ fn flood_sheds_typed_and_everything_admitted_terminates() {
 /// plan.
 #[test]
 fn chaos_opens_breaker_and_serves_paper_fallback() {
-    let server = PlanServer::start_with_chaos(
+    let chaos = ScenarioService::with_chaos(ChaosSpec {
+        seed: 7,
+        fault_rate: 1.0,
+    });
+    let server = PlanServer::with_service(
+        chaos,
         ServeConfig {
             workers: 1,
-            max_retries: 0,
             ..ServeConfig::default()
-        },
-        ChaosSpec {
-            seed: 7,
-            fault_rate: 1.0,
         },
     );
     // Calibrated scenarios (distinct N ⇒ distinct fingerprints, same
-    // calibration class). Every execution attempt fails by injection.
+    // calibration class). Every execution fails by injection.
     let mut failures = 0;
     let mut degraded = Vec::new();
     for n in 0..8u64 {
@@ -174,10 +241,10 @@ fn chaos_opens_breaker_and_serves_paper_fallback() {
             Testbed::paper(),
             stencil_model(100 + n * 50, StencilVariant::Sten2),
         );
-        match server.plan(scenario.clone()) {
+        match plan(&server, scenario.clone()) {
             Err(NetpartError::Calibration(_)) => failures += 1,
             Ok(r) => {
-                assert_eq!(r.source, PlanSource::PaperFallback);
+                assert_eq!(r.source, PlanSource::Fallback);
                 let direct = scenario
                     .with_cost(CostSource::Paper)
                     .plan()
