@@ -21,8 +21,7 @@
 //!   used to reproduce Table 1's partitioning decisions independently of
 //!   simulator tuning.
 
-use std::collections::HashMap;
-
+use netpart_sim::FastMap;
 use netpart_topology::Topology;
 
 /// A fitted Eq. 1 instance: `ms(b, p) = c1 + c2·p + b·(c3 + c4·p)`,
@@ -193,20 +192,49 @@ pub trait CommCostModel {
     }
 }
 
+/// A borrowed model prices exactly as the model it borrows, so a planner
+/// can hold a caller's tables without copying them.
+impl<T: CommCostModel + ?Sized> CommCostModel for &T {
+    fn intra_ms(&self, cluster: usize, topo: Topology, bytes: f64, p: u32) -> f64 {
+        (**self).intra_ms(cluster, topo, bytes, p)
+    }
+
+    fn router_ms(&self, a: usize, b: usize, bytes: f64) -> f64 {
+        (**self).router_ms(a, b, bytes)
+    }
+
+    fn coerce_ms(&self, a: usize, b: usize, bytes: f64) -> f64 {
+        (**self).coerce_ms(a, b, bytes)
+    }
+
+    fn covers(&self, cluster: usize, topo: Topology) -> bool {
+        (**self).covers(cluster, topo)
+    }
+
+    fn total_ms(&self, config: &[u32], topo: Topology, bytes: f64) -> f64 {
+        (**self).total_ms(config, topo, bytes)
+    }
+}
+
 /// Cost tables produced by calibration against the simulated testbed.
+///
+/// The tables are read on every probe of a plan's search, so they hash
+/// with the simulator's [`FastMap`] rather than SipHash. Nothing depends
+/// on their iteration order: the plan fingerprint and the disk cache sort
+/// the entries first.
 #[derive(Debug, Clone, Default)]
 pub struct CalibratedCostModel {
     /// Eq. 1 constants per (cluster, topology).
-    pub intra: HashMap<(usize, Topology), FittedCost>,
+    pub intra: FastMap<(usize, Topology), FittedCost>,
     /// Two-piece overrides per (cluster, topology), for a caller that
     /// carries a [`calibrate_cluster_gated`](crate::fit::calibrate_cluster_gated)
     /// fallback in a fixed model. Consulted before `intra`; no calibration
     /// entry point fills it, and the disk cache does not store it.
-    pub piecewise: HashMap<(usize, Topology), PiecewiseCost>,
+    pub piecewise: FastMap<(usize, Topology), PiecewiseCost>,
     /// Router penalty per unordered cluster pair (stored with a ≤ b).
-    pub router: HashMap<(usize, usize), LinearCost>,
+    pub router: FastMap<(usize, usize), LinearCost>,
     /// Coercion penalty per unordered cluster pair.
-    pub coerce: HashMap<(usize, usize), LinearCost>,
+    pub coerce: FastMap<(usize, usize), LinearCost>,
 }
 
 fn key(a: usize, b: usize) -> (usize, usize) {

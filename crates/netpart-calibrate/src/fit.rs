@@ -348,6 +348,8 @@ pub(crate) fn calibrate_testbed_budgeted(
     if testbed.num_clusters() == 0 {
         return Err(NetpartError::EmptyTestbed);
     }
+    // A partitioned wiring fails here, before any sweep is paid for.
+    let hops = testbed.cluster_hops()?;
     let mut model = CalibratedCostModel::default();
     for cluster in 0..testbed.num_clusters() {
         for &topo in topologies {
@@ -358,7 +360,6 @@ pub(crate) fn calibrate_testbed_budgeted(
             );
         }
     }
-    let hops = testbed.cluster_hops()?;
     let mut by_distance: std::collections::BTreeMap<u32, Vec<(usize, usize)>> =
         std::collections::BTreeMap::new();
     for (a, row) in hops.iter().enumerate() {
@@ -544,6 +545,23 @@ mod tests {
         assert!(
             model.router_ms(0, 2, 4096.0) > model.router_ms(0, 1, 4096.0),
             "deeper pairs must be charged more"
+        );
+    }
+
+    /// Regression: the hop matrix was computed after every intra sweep, so
+    /// a partitioned wiring under an expired budget reported the deadline,
+    /// not the wiring it could have reported before sweeping anything.
+    #[test]
+    fn a_partitioned_wiring_fails_before_any_sweep() {
+        use crate::Wiring;
+        let tb = Testbed::synthetic(3, 2, 1.2).with_wiring(Wiring::Custom(vec![vec![0, 1]]));
+        let budget = Budget::deadline_ms(0.0);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let err =
+            calibrate_testbed_budgeted(&tb, &[Topology::OneD], &quick_cfg(), &budget).unwrap_err();
+        assert!(
+            matches!(err, NetpartError::InvalidFabric(_)),
+            "expected InvalidFabric, got {err:?}"
         );
     }
 

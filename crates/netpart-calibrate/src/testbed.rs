@@ -171,14 +171,35 @@ impl Testbed {
     /// [`NetpartError::InvalidFabric`], the same error `try_build` and
     /// `Scenario::plan()` report.
     pub fn cluster_hops(&self) -> Result<Vec<Vec<u32>>, NetpartError> {
+        self.searched(|fabric, k| fabric.leaf_hop_matrix(k))
+    }
+
+    /// [`cluster_hops`](Self::cluster_hops)' verdict — `Ok`, or exactly
+    /// the error it returns — for one breadth-first search instead of
+    /// `K`. Router paths run both ways, so some pair is unreachable
+    /// exactly when some cluster is unreachable from cluster 0, and the
+    /// matrix meets row 0 first: its first error is `(0, b)` for the first
+    /// such `b`. The search also catches a cluster with no nodes and no
+    /// router port, which fabric validation does not look at.
+    pub fn check_fabric(&self) -> Result<(), NetpartError> {
+        self.searched(|fabric, k| vec![fabric.leaf_hops_from(0, k)])
+            .map(|_| ())
+    }
+
+    /// Validate the fabric, run `search` over it for rows of hop
+    /// distances between the `K` clusters, and report the first
+    /// unreachable pair as [`NetpartError::InvalidFabric`].
+    fn searched(
+        &self,
+        search: impl FnOnce(&Fabric, usize) -> Vec<Vec<Option<u32>>>,
+    ) -> Result<Vec<Vec<u32>>, NetpartError> {
         let fabric = self.fabric();
         fabric.validate().map_err(map_sim_err)?;
-        let k = self.clusters.len();
-        let m = fabric.leaf_hop_matrix(k);
-        m.iter()
+        search(&fabric, self.clusters.len())
+            .into_iter()
             .enumerate()
             .map(|(a, row)| {
-                row.iter()
+                row.into_iter()
                     .enumerate()
                     .map(|(b, d)| {
                         d.ok_or_else(|| {

@@ -256,16 +256,16 @@ impl<'a> Estimator<'a> {
 
     /// The integral partition vector for a configuration: ranks laid out
     /// cluster-contiguously in `order` (the cluster consideration order),
-    /// shares rounded by largest remainder so `Σ A_i = num_PDUs`.
+    /// shares rounded by largest remainder so `Σ A_i = num_PDUs`. Each
+    /// cluster is one run of equal shares, so rounding sorts `K` values,
+    /// not `P`.
     pub fn partition_vector(&self, config: &[u32], order: &[usize]) -> PartitionVector {
         let shares = self.shares(config);
-        let mut per_rank = Vec::new();
-        for &k in order {
-            for _ in 0..config[k] {
-                per_rank.push(shares[k]);
-            }
-        }
-        PartitionVector::from_real_shares(&per_rank, self.app.num_pdus())
+        let runs: Vec<(f64, usize)> = order
+            .iter()
+            .map(|&k| (shares[k], config[k] as usize))
+            .collect();
+        PartitionVector::from_share_runs(&runs, self.app.num_pdus())
     }
 
     /// Precompute a [`FillContext`] for the fill-in-order inner loop:

@@ -37,46 +37,77 @@ impl PartitionVector {
     /// break `Σ A_i = num_PDUs` (see EXPERIMENTS.md); largest-remainder
     /// preserves the invariant.
     pub fn from_real_shares(shares: &[f64], num_pdus: u64) -> PartitionVector {
-        if shares.is_empty() {
+        let runs: Vec<(f64, usize)> = shares.iter().map(|&s| (s, 1)).collect();
+        PartitionVector::from_share_runs(&runs, num_pdus)
+    }
+
+    /// [`from_real_shares`](Self::from_real_shares) over runs of equal
+    /// shares: `(share, len)` stands for `len` consecutive ranks holding
+    /// `share` each, so a cluster-contiguous layout of `K` clusters is `K`
+    /// runs however many ranks it has. The counts are those of the
+    /// expanded per-rank list, bit for bit: the normalising total is
+    /// still added rank by rank, leftover PDUs go to runs by largest
+    /// fractional remainder (a stable sort, so tied runs keep rank order)
+    /// and to a run's ranks in rank order, and a leftover of a whole
+    /// round or more hands every rank the whole rounds first. Sorting
+    /// costs O(runs · log runs); the rest is O(ranks).
+    pub fn from_share_runs(runs: &[(f64, usize)], num_pdus: u64) -> PartitionVector {
+        let ranks: usize = runs.iter().map(|&(_, len)| len).sum();
+        if ranks == 0 {
             return PartitionVector::default();
         }
-        let total: f64 = shares
+        let usable = |s: f64| s.is_finite() && s > 0.0;
+        let total: f64 = runs
             .iter()
-            .copied()
-            .filter(|s| s.is_finite() && *s > 0.0)
+            .filter(|&&(s, _)| usable(s))
+            .flat_map(|&(s, len)| std::iter::repeat_n(s, len))
             .sum();
+        let mut counts = vec![0u64; ranks];
         if total <= 0.0 {
             // Degenerate: give everything to rank 0.
-            let mut counts = vec![0u64; shares.len()];
             counts[0] = num_pdus;
             return PartitionVector::from_counts(counts);
         }
-        let scaled: Vec<f64> = shares
+        let scaled: Vec<f64> = runs
             .iter()
-            .map(|&s| {
-                if s.is_finite() && s > 0.0 {
+            .map(|&(s, _)| {
+                if usable(s) {
                     s / total * num_pdus as f64
                 } else {
                     0.0
                 }
             })
             .collect();
-        let mut counts: Vec<u64> = scaled.iter().map(|&x| x.floor() as u64).collect();
-        let assigned: u64 = counts.iter().sum();
-        let mut leftover = num_pdus - assigned.min(num_pdus);
-        // Hand remaining PDUs to the largest fractional remainders.
-        let mut order: Vec<usize> = (0..shares.len()).collect();
+        let assigned: u64 = runs
+            .iter()
+            .zip(&scaled)
+            .map(|(&(_, len), &x)| x.floor() as u64 * len as u64)
+            .sum();
+        let leftover = num_pdus - assigned.min(num_pdus);
+        // Hand remaining PDUs to the largest fractional remainders: whole
+        // rounds to every rank, then one each down the sorted runs.
+        let (rounds, mut rest) = (leftover / ranks as u64, leftover % ranks as u64);
+        let mut starts = Vec::with_capacity(runs.len());
+        let mut start = 0;
+        for (&(_, len), &x) in runs.iter().zip(&scaled) {
+            starts.push(start);
+            counts[start..start + len].fill(x.floor() as u64 + rounds);
+            start += len;
+        }
+        // An empty run holds no rank, and its share took no part in the
+        // total: it may scale past it, to a remainder that is NaN.
+        let mut order: Vec<usize> = (0..runs.len()).filter(|&i| runs[i].1 > 0).collect();
         order.sort_by(|&i, &j| {
             let fi = scaled[i] - scaled[i].floor();
             let fj = scaled[j] - scaled[j].floor();
             fj.partial_cmp(&fi).unwrap_or(std::cmp::Ordering::Equal)
         });
-        for &i in order.iter().cycle() {
-            if leftover == 0 {
-                break;
+        for i in order {
+            let take = rest.min(runs[i].1 as u64);
+            for c in &mut counts[starts[i]..starts[i] + take as usize] {
+                *c += 1;
             }
-            counts[i] += 1;
-            leftover -= 1;
+            rest -= take;
         }
         PartitionVector::from_counts(counts)
     }
@@ -153,6 +184,107 @@ impl fmt::Debug for PartitionVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Largest-remainder rounding as it ran before the run form: one share
+    /// per rank, every rank sorted. The reference the run form must equal
+    /// count for count.
+    fn from_real_shares_per_rank(shares: &[f64], num_pdus: u64) -> PartitionVector {
+        if shares.is_empty() {
+            return PartitionVector::default();
+        }
+        let total: f64 = shares
+            .iter()
+            .copied()
+            .filter(|s| s.is_finite() && *s > 0.0)
+            .sum();
+        if total <= 0.0 {
+            let mut counts = vec![0u64; shares.len()];
+            counts[0] = num_pdus;
+            return PartitionVector::from_counts(counts);
+        }
+        let scaled: Vec<f64> = shares
+            .iter()
+            .map(|&s| {
+                if s.is_finite() && s > 0.0 {
+                    s / total * num_pdus as f64
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let mut counts: Vec<u64> = scaled.iter().map(|&x| x.floor() as u64).collect();
+        let assigned: u64 = counts.iter().sum();
+        let mut leftover = num_pdus - assigned.min(num_pdus);
+        let mut order: Vec<usize> = (0..shares.len()).collect();
+        order.sort_by(|&i, &j| {
+            let fi = scaled[i] - scaled[i].floor();
+            let fj = scaled[j] - scaled[j].floor();
+            fj.partial_cmp(&fi).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        for &i in order.iter().cycle() {
+            if leftover == 0 {
+                break;
+            }
+            counts[i] += 1;
+            leftover -= 1;
+        }
+        PartitionVector::from_counts(counts)
+    }
+
+    fn expand(runs: &[(f64, usize)]) -> Vec<f64> {
+        runs.iter()
+            .flat_map(|&(s, len)| std::iter::repeat_n(s, len))
+            .collect()
+    }
+
+    /// Added as `len · share`, the total of `[(0.3, 2), (0.7, 2)]` is 2.0;
+    /// added rank by rank it is 1.9999999999999998, and over 230 PDUs the
+    /// two round to different vectors. The run form must add rank by rank.
+    #[test]
+    fn runs_round_as_their_ranks_do() {
+        let runs = [(0.3, 2), (0.7, 2)];
+        let v = PartitionVector::from_share_runs(&runs, 230);
+        assert_eq!(v.counts(), &[34, 34, 81, 81]);
+        assert_eq!(v, from_real_shares_per_rank(&expand(&runs), 230));
+        // A total that overflows scales every rank to 0: the leftover is
+        // two whole rounds over three ranks, then one more for rank 0.
+        let runs = [(0.5, 0), (f64::MAX, 2), (1.0, 1)];
+        let v = PartitionVector::from_share_runs(&runs, 7);
+        assert_eq!(v.counts(), &[3, 2, 2]);
+        assert_eq!(v, from_real_shares_per_rank(&expand(&runs), 7));
+    }
+
+    proptest::proptest! {
+        /// The run form equals the per-rank reference on random runs:
+        /// zero-length runs; zero, negative, NaN and infinite shares; a
+        /// total that overflows (every rank scaled to 0, so the leftover
+        /// is whole rounds); fractional parts tied across runs; and
+        /// `num_pdus` from 0 up.
+        #[test]
+        fn share_runs_equal_the_per_rank_reference(
+            runs in proptest::prop::collection::vec((0usize..12, 0usize..5, 0.0f64..10.0), 0..12),
+            pdus in (0usize..4, 0u64..100_000),
+        ) {
+            let runs: Vec<(f64, usize)> = runs
+                .iter()
+                .map(|&(pick, len, x)| {
+                    let share = [0.0, f64::NAN, f64::INFINITY, -1.0, f64::MAX, 0.3, 0.7, 1.0 / 3.0]
+                        .get(pick)
+                        .copied()
+                        .unwrap_or(x);
+                    (share, len)
+                })
+                .collect();
+            let num_pdus = match pdus.0 {
+                0 => 0,
+                1 => 230,
+                2 => pdus.1 % 10,
+                _ => pdus.1,
+            };
+            let expect = from_real_shares_per_rank(&expand(&runs), num_pdus);
+            proptest::prop_assert_eq!(PartitionVector::from_share_runs(&runs, num_pdus), expect);
+        }
+    }
 
     #[test]
     fn fig2_example_partition() {

@@ -336,8 +336,8 @@ impl Fabric {
     }
 
     /// Hop distances from segment `src` to the first `leaves` segments:
-    /// one breadth-first search.
-    fn leaf_hops_from(&self, src: usize, leaves: usize) -> Vec<Option<u32>> {
+    /// one breadth-first search, `None` where no router path leads.
+    pub fn leaf_hops_from(&self, src: usize, leaves: usize) -> Vec<Option<u32>> {
         let attached = attachment_lists(self.segments.len(), &self.routers);
         self.hops_row(src, leaves, &attached)
     }

@@ -276,8 +276,8 @@ impl RecoveryState {
 pub(super) struct RecoveryMachine<'s> {
     scenario: &'s Scenario,
     /// The planning model, resolved once per run and reused across
-    /// nested replans.
-    model: Box<dyn CommCostModel>,
+    /// nested replans (a fixed model is borrowed from the scenario).
+    model: Box<dyn CommCostModel + 's>,
     policy: RecoveryPolicy,
     ckpt: CheckpointPolicy,
     scheduled_faults: bool,
@@ -289,7 +289,7 @@ impl<'s> RecoveryMachine<'s> {
     /// A machine in `Running`, about to launch `part` on `nodes`.
     pub(super) fn new(
         scenario: &'s Scenario,
-        model: Box<dyn CommCostModel>,
+        model: Box<dyn CommCostModel + 's>,
         policy: RecoveryPolicy,
         ckpt: CheckpointPolicy,
         part: Partition,

@@ -66,15 +66,15 @@ impl Scenario {
     }
 
     /// The topologies a [`CostSource::Calibrated`] scenario calibrates:
-    /// every one the model's communication phases mention.
+    /// every one the model's communication phases mention, once each, in
+    /// order of first mention.
     pub(super) fn topologies(&self) -> Vec<Topology> {
-        let mut topologies: Vec<Topology> = self
-            .app
-            .comm_phases()
-            .iter()
-            .map(|ph| ph.topology)
-            .collect();
-        topologies.dedup();
+        let mut topologies: Vec<Topology> = Vec::new();
+        for phase in self.app.comm_phases() {
+            if !topologies.contains(&phase.topology) {
+                topologies.push(phase.topology);
+            }
+        }
         topologies
     }
 
@@ -108,13 +108,13 @@ impl Scenario {
         // dangling router ports or a partitioned custom wiring surface as
         // [`NetpartError::InvalidFabric`] here, before calibration runs or
         // any traffic is silently dropped.
-        self.testbed.cluster_hops()?;
-        Ok(())
+        self.testbed.check_fabric()
     }
 
     /// Resolve [`CostSource`] into a priced model, verifying it covers
-    /// every (cluster, topology) pair the application can exercise.
-    pub(super) fn resolve_model(&self) -> Result<Box<dyn CommCostModel>, NetpartError> {
+    /// every (cluster, topology) pair the application can exercise. A
+    /// [`CostSource::Fixed`] model is borrowed, not copied.
+    pub(super) fn resolve_model(&self) -> Result<Box<dyn CommCostModel + '_>, NetpartError> {
         self.resolve_model_budgeted(&Budget::unlimited())
     }
 
@@ -124,8 +124,8 @@ impl Scenario {
     fn resolve_model_budgeted(
         &self,
         budget: &Budget,
-    ) -> Result<Box<dyn CommCostModel>, NetpartError> {
-        let model: Box<dyn CommCostModel> = match &self.cost {
+    ) -> Result<Box<dyn CommCostModel + '_>, NetpartError> {
+        let model: Box<dyn CommCostModel + '_> = match &self.cost {
             CostSource::Measured => {
                 return Err(NetpartError::InvalidScenario(
                     "scenario has no cost model; plan() needs one (use plan_pinned for \
@@ -140,7 +140,7 @@ impl Scenario {
                 cfg,
                 budget,
             )?),
-            CostSource::Fixed(m) => Box::new(m.clone()),
+            CostSource::Fixed(m) => Box::new(m),
         };
         for cluster in 0..self.testbed.num_clusters() {
             if self.testbed.clusters[cluster].nodes == 0 {
@@ -388,6 +388,87 @@ mod tests {
             assert_eq!(err.to_string(), expected.to_string());
             assert_eq!(err, expected);
         }
+    }
+
+    proptest::proptest! {
+        /// One search from cluster 0 reaches the hop matrix's verdict —
+        /// the same error, the same text — on random custom wirings with
+        /// dangling and duplicate ports, one-port routers, and clusters
+        /// that have no nodes. About a sixth of the cases are the shape
+        /// only the search catches: a cluster with no nodes and no port
+        /// (`cut`), every populated cluster connected.
+        #[test]
+        fn validate_reaches_the_hop_matrix_verdict(
+            k in 2usize..9,
+            nodes in proptest::prop::collection::vec(0u32..4, 8..9),
+            routers in proptest::prop::collection::vec((proptest::any::<u32>(), 0u32..30), 0..6),
+            cut in 0usize..12,
+        ) {
+            use netpart_calibrate::Wiring;
+            let wiring = routers
+                .iter()
+                .map(|&(pick, flaw)| {
+                    // An arc of 2..=k clusters around the ring, less `cut`.
+                    let (start, len) = (pick as usize % k, 2 + (pick as usize >> 8) % (k - 1));
+                    let arc = (start..start + len).map(|c| c % k);
+                    let mut ports: Vec<usize> = arc.filter(|&c| c != cut).collect();
+                    match flaw {
+                        0 => ports.push(k), // dangling
+                        1 => ports.extend(ports.first().copied()), // duplicate
+                        2 => ports.truncate(1),
+                        _ => {}
+                    }
+                    ports
+                })
+                .collect();
+            let mut testbed = Testbed::synthetic(k, 1, 1.2).with_wiring(Wiring::Custom(wiring));
+            for (cluster, &n) in testbed.clusters.iter_mut().zip(&nodes) {
+                // A quarter of the clusters empty.
+                cluster.nodes = n.min(2);
+            }
+            if let Some(cluster) = testbed.clusters.get_mut(cut) {
+                cluster.nodes = 0;
+            }
+            proptest::prop_assume!(testbed.clusters.iter().any(|c| c.nodes > 0));
+            let expected = testbed.cluster_hops().map(|_| ());
+            let s = Scenario::new(testbed, stencil_model(40, StencilVariant::Sten1));
+            let got = s.validate();
+            proptest::prop_assert_eq!(
+                got.as_ref().map_err(ToString::to_string),
+                expected.as_ref().map_err(ToString::to_string)
+            );
+            proptest::prop_assert_eq!(got, expected);
+        }
+    }
+
+    /// Regression: `topologies()` only dropped *adjacent* repeats, so
+    /// phases [1-D, Tree, 1-D] calibrated 1-D twice and keyed a different
+    /// calibration (and breaker class) than the same app declared
+    /// [1-D, Tree].
+    #[test]
+    fn topologies_name_each_topology_once() {
+        use netpart_model::{CommPhase, CompPhase, OpKind};
+        let app = |topologies: &[Topology]| {
+            let mut app = AppModel::new("phases", "row", 64).with_comp(CompPhase::linear(
+                "update",
+                10.0,
+                OpKind::Flop,
+            ));
+            for &t in topologies {
+                app = app.with_comm(CommPhase::constant("exchange", t, 256.0));
+            }
+            app
+        };
+        let repeated = Scenario::new(
+            Testbed::paper(),
+            app(&[Topology::OneD, Topology::Tree, Topology::OneD]),
+        );
+        let once = Scenario::new(Testbed::paper(), app(&[Topology::OneD, Topology::Tree]));
+        assert_eq!(repeated.topologies(), vec![Topology::OneD, Topology::Tree]);
+        assert_eq!(
+            super::super::scenario_class(&repeated),
+            super::super::scenario_class(&once)
+        );
     }
 
     #[test]
