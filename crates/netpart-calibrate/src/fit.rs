@@ -81,41 +81,81 @@ pub fn measure_cycle_ms(
     Ok(usable.iter().sum::<f64>() / usable.len() as f64)
 }
 
-/// Run one cluster's `(p, b)` benchmark grid and return the grid points
-/// with their measured cycle times. Each grid point is an independent
-/// simulation; the sweep returns them in grid order, so downstream
-/// least-squares systems are built exactly as a sequential loop would
-/// build them.
 /// A swept `(p, b)` grid paired with the measured cycle time per point.
 type SweptGrid = (Vec<(u32, u32)>, Vec<f64>);
 
-fn sweep_cluster_grid(
+/// Run the `(p, b)` benchmark grid of every `(cluster, topology)` job —
+/// `p ∈ 2..=capacity` × the configured message sizes, p-major — as one
+/// sweep, and return each job's grid with its measured cycle times, in
+/// job order.
+///
+/// A grid point's cost grows with `p·b` (on a 16-node cluster the
+/// `b = 8192`, `p ≥ 14` points cost ten times any other), so the sweep
+/// hands points out heaviest first: the cheap ones fill in behind the
+/// expensive ones instead of each job ending on its heaviest points with
+/// a worker idle. Results come back by index, so every grid is exactly
+/// what a job-by-job loop builds. Each point checks `budget` first.
+///
+/// Errors come in the order a job-by-job loop meets them: each job's
+/// entry is its grid or its first failed point in `(p, b)` order, and the
+/// first job on a cluster too small to communicate ends the list with
+/// that error — capacities are checked before anything runs, and no job
+/// after it is swept.
+fn sweep_cluster_grids(
     testbed: &Testbed,
-    cluster: usize,
-    topo: Topology,
+    jobs: &[(usize, Topology)],
     cfg: &CalibrationConfig,
     budget: &Budget,
-) -> Result<SweptGrid, NetpartError> {
-    let capacity = testbed.clusters[cluster].nodes;
-    if capacity < 2 {
-        return Err(NetpartError::Calibration(format!(
-            "cluster {cluster} has {capacity} node(s); need at least two to communicate"
-        )));
-    }
-    let grid: Vec<(u32, u32)> = (2..=capacity)
-        .flat_map(|p| cfg.b_values.iter().map(move |&b| (p, b)))
+) -> Vec<Result<SweptGrid, NetpartError>> {
+    let too_small = jobs
+        .iter()
+        .position(|&(cluster, _)| testbed.clusters[cluster].nodes < 2);
+    let runnable = &jobs[..too_small.unwrap_or(jobs.len())];
+    let grids: Vec<Vec<(u32, u32)>> = runnable
+        .iter()
+        .map(|&(cluster, _)| {
+            (2..=testbed.clusters[cluster].nodes)
+                .flat_map(|p| cfg.b_values.iter().map(move |&b| (p, b)))
+                .collect()
+        })
         .collect();
-    let times = netpart_sweep::sweep(grid.clone(), |(p, b)| {
+    let cells: Vec<(usize, Topology, u32, u32)> = runnable
+        .iter()
+        .zip(&grids)
+        .flat_map(|(&(cluster, topo), grid)| grid.iter().map(move |&(p, b)| (cluster, topo, p, b)))
+        .collect();
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(u64::from(cells[i].2) * u64::from(cells[i].3)));
+    let mut measured = netpart_sweep::sweep(order, |i| {
+        let (cluster, topo, p, b) = cells[i];
+        let mut config = vec![0u32; testbed.num_clusters()];
+        config[cluster] = p;
         // Cooperative deadline checkpoint: each grid point is a full
         // simulation, so an expired request stops here instead of
         // finishing the sweep.
-        budget.check()?;
-        let mut config = vec![0u32; testbed.num_clusters()];
-        config[cluster] = p;
-        measure_cycle_ms(testbed, &config, topo, b, cfg)
+        let time = budget
+            .check()
+            .and_then(|()| measure_cycle_ms(testbed, &config, topo, b, cfg));
+        (i, time)
     });
-    let y = times.into_iter().collect::<Result<Vec<f64>, _>>()?;
-    Ok((grid, y))
+    measured.sort_unstable_by_key(|&(i, _)| i);
+    let mut times = measured.into_iter().map(|(_, time)| time);
+    let mut swept: Vec<Result<SweptGrid, NetpartError>> = grids
+        .into_iter()
+        .map(|grid| {
+            // Take the job's whole run before checking it, so a failed
+            // point cannot leave the next job's results misaligned.
+            let y: Vec<_> = times.by_ref().take(grid.len()).collect();
+            Ok((grid, y.into_iter().collect::<Result<_, _>>()?))
+        })
+        .collect();
+    if let Some(j) = too_small {
+        let (cluster, capacity) = (jobs[j].0, testbed.clusters[jobs[j].0].nodes);
+        swept.push(Err(NetpartError::Calibration(format!(
+            "cluster {cluster} has {capacity} node(s); need at least two to communicate"
+        ))));
+    }
+    swept
 }
 
 /// Fit Eq. 1 to measured `(p, b)` points: `T = c1 + c2·p + b·(c3 + c4·p)`.
@@ -138,21 +178,6 @@ fn fit_eq1(points: &[(u32, u32)], y: &[f64]) -> Option<FittedCost> {
 
 const SINGULAR: &str = "calibration sweep produced a singular system";
 
-/// Benchmark one cluster's Eq. 1 constants for `topo`: sweep
-/// `p ∈ 2..=capacity` × configured message sizes, fit
-/// `T = c1 + c2·p + b·(c3 + c4·p)`. The sweep checks `budget` before each
-/// grid point.
-fn calibrate_cluster(
-    testbed: &Testbed,
-    cluster: usize,
-    topo: Topology,
-    cfg: &CalibrationConfig,
-    budget: &Budget,
-) -> Result<FittedCost, NetpartError> {
-    let (grid, y) = sweep_cluster_grid(testbed, cluster, topo, cfg, budget)?;
-    fit_eq1(&grid, &y).ok_or_else(|| NetpartError::Calibration(SINGULAR.into()))
-}
-
 /// The cluster fit with a lack-of-fit gate on it: when the linear fit's
 /// R² falls below `gate` (the measured curve bends — a congestion knee
 /// inside the swept `p` range the linear shape cannot express), fall back
@@ -167,7 +192,8 @@ pub fn calibrate_cluster_gated(
     cfg: &CalibrationConfig,
     gate: f64,
 ) -> Result<(CostModel, Option<LackOfFit>), NetpartError> {
-    let (grid, y) = sweep_cluster_grid(testbed, cluster, topo, cfg, &Budget::unlimited())?;
+    let swept = sweep_cluster_grids(testbed, &[(cluster, topo)], cfg, &Budget::unlimited());
+    let (grid, y) = swept.into_iter().next().expect("one job, one entry")?;
     let linear = fit_eq1(&grid, &y);
     if let Some(f) = linear {
         if f.r_squared >= gate {
@@ -351,14 +377,18 @@ pub(crate) fn calibrate_testbed_budgeted(
     // A partitioned wiring fails here, before any sweep is paid for.
     let hops = testbed.cluster_hops()?;
     let mut model = CalibratedCostModel::default();
-    for cluster in 0..testbed.num_clusters() {
-        for &topo in topologies {
-            model.set_intra(
-                cluster,
-                topo,
-                calibrate_cluster(testbed, cluster, topo, cfg, budget)?,
-            );
-        }
+    // Every cluster × topology Eq. 1 fit, `T = c1 + c2·p + b·(c3 + c4·p)`,
+    // over one sweep of all their grid points.
+    let jobs: Vec<(usize, Topology)> = (0..testbed.num_clusters())
+        .flat_map(|cluster| topologies.iter().map(move |&topo| (cluster, topo)))
+        .collect();
+    for (&(cluster, topo), swept) in jobs
+        .iter()
+        .zip(sweep_cluster_grids(testbed, &jobs, cfg, budget))
+    {
+        let (grid, y) = swept?;
+        let fit = fit_eq1(&grid, &y).ok_or_else(|| NetpartError::Calibration(SINGULAR.into()))?;
+        model.set_intra(cluster, topo, fit);
     }
     let mut by_distance: std::collections::BTreeMap<u32, Vec<(usize, usize)>> =
         std::collections::BTreeMap::new();
@@ -477,7 +507,9 @@ mod tests {
     fn fitted_constants_predict_measurements() {
         let tb = Testbed::paper();
         let cfg = quick_cfg();
-        let fit = calibrate_cluster(&tb, 0, Topology::OneD, &cfg, &Budget::unlimited()).unwrap();
+        let swept = sweep_cluster_grids(&tb, &[(0, Topology::OneD)], &cfg, &Budget::unlimited());
+        let (grid, y) = swept.into_iter().next().unwrap().unwrap();
+        let fit = fit_eq1(&grid, &y).unwrap();
         assert!(fit.r_squared > 0.95, "fit quality {}", fit.r_squared);
         // Out-of-sample check: predict p=5, b=2048 within 25%.
         let measured = measure_cycle_ms(&tb, &[5, 0], Topology::OneD, 2048, &cfg).unwrap();
@@ -563,6 +595,126 @@ mod tests {
             matches!(err, NetpartError::InvalidFabric(_)),
             "expected InvalidFabric, got {err:?}"
         );
+    }
+
+    /// The per-(cluster, topology) loop the intra fits ran as before they
+    /// became one heaviest-first sweep, kept as the oracle: each job's
+    /// grid swept on its own in grid order and fitted before the next job
+    /// starts, stopping at the first error.
+    fn per_job_oracle(
+        testbed: &Testbed,
+        topologies: &[Topology],
+        cfg: &CalibrationConfig,
+    ) -> Result<CalibratedCostModel, NetpartError> {
+        let mut model = CalibratedCostModel::default();
+        for cluster in 0..testbed.num_clusters() {
+            for &topo in topologies {
+                let capacity = testbed.clusters[cluster].nodes;
+                if capacity < 2 {
+                    return Err(NetpartError::Calibration(format!(
+                        "cluster {cluster} has {capacity} node(s); need at least two to communicate"
+                    )));
+                }
+                let grid: Vec<(u32, u32)> = (2..=capacity)
+                    .flat_map(|p| cfg.b_values.iter().map(move |&b| (p, b)))
+                    .collect();
+                let times = netpart_sweep::sweep(grid.clone(), |(p, b)| {
+                    let mut config = vec![0u32; testbed.num_clusters()];
+                    config[cluster] = p;
+                    measure_cycle_ms(testbed, &config, topo, b, cfg)
+                });
+                let y = times.into_iter().collect::<Result<Vec<f64>, _>>()?;
+                let fit =
+                    fit_eq1(&grid, &y).ok_or_else(|| NetpartError::Calibration(SINGULAR.into()))?;
+                model.set_intra(cluster, topo, fit);
+            }
+        }
+        Ok(model)
+    }
+
+    /// A tree testbed whose clusters hold `nodes[k]` machines each.
+    fn uneven_tree(nodes: &[u32]) -> Testbed {
+        let mut tb =
+            Testbed::synthetic(nodes.len(), 2, 1.15).with_wiring(crate::Wiring::Tree { arity: 2 });
+        for (spec, &n) in tb.clusters.iter_mut().zip(nodes) {
+            spec.nodes = n;
+        }
+        tb
+    }
+
+    fn bits(f: &FittedCost) -> [u64; 5] {
+        [f.c1, f.c2, f.c3, f.c4, f.r_squared].map(f64::to_bits)
+    }
+
+    #[test]
+    fn one_sweep_fits_what_the_per_job_loop_fits() {
+        let tb = uneven_tree(&[5, 3, 6, 4]);
+        let topologies = [Topology::OneD, Topology::Ring];
+        let cfg = quick_cfg();
+        let oracle = per_job_oracle(&tb, &topologies, &cfg).unwrap();
+        assert_eq!(oracle.intra.len(), 8);
+        for threads in [1, 4] {
+            netpart_sweep::set_threads(threads);
+            let model = calibrate_testbed(&tb, &topologies, &cfg);
+            netpart_sweep::set_threads(0);
+            let model = model.unwrap();
+            assert_eq!(model.intra.len(), oracle.intra.len());
+            for (key, fit) in &oracle.intra {
+                assert_eq!(
+                    bits(&model.intra[key]),
+                    bits(fit),
+                    "{key:?} at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_sweep_reports_the_per_job_loops_first_error() {
+        // Cluster 2 has one node: the capacity error, after clusters 0
+        // and 1 were fitted. With cluster 1 down to two nodes its grid
+        // has one `p` and its fit is singular — that error comes first.
+        for nodes in [[3, 4, 1, 5], [3, 2, 1, 5]] {
+            let tb = uneven_tree(&nodes);
+            let want = per_job_oracle(&tb, &[Topology::OneD], &quick_cfg()).unwrap_err();
+            let got = calibrate_testbed(&tb, &[Topology::OneD], &quick_cfg()).unwrap_err();
+            assert!(matches!(got, NetpartError::Calibration(_)), "{got:?}");
+            assert_eq!(got.to_string(), want.to_string(), "{nodes:?}");
+        }
+    }
+
+    /// Calibration's prediction gap, pinned: on one 10 Mb/s segment the
+    /// 14-rank 8 KB exchange queues longer than MMPS's static RTO ceiling
+    /// (100 ms + 60 µs/B ≈ 592 ms), so it retransmits with nothing lost,
+    /// and its cycle time — and the cluster's Eq. 1 fit — fold that in;
+    /// 13 ranks stay clean. A change to the transport that removes the
+    /// spurious retransmissions should flip this test on purpose.
+    #[test]
+    fn fourteen_ranks_of_8kb_retransmit_on_one_segment() {
+        let tb = Testbed::synthetic(16, 16, 1.15).with_wiring(crate::Wiring::Tree { arity: 4 });
+        let cfg = CalibrationConfig::default();
+        let run = |p: u32| {
+            let mut config = vec![0u32; tb.num_clusters()];
+            config[0] = p;
+            let (mmps, nodes) = tb
+                .try_build(&config, PlacementStrategy::ClusterContiguous)
+                .unwrap();
+            let mut exec = Executor::new(mmps, nodes);
+            let mut app = CommBench::new(Topology::OneD, p, 8192, cfg.cycles);
+            exec.run(
+                &mut app,
+                &PartitionVector::equal(p as u64, p as usize),
+                false,
+            )
+            .unwrap();
+            let stats = exec.mmps().stats();
+            (stats.retransmissions, stats.datagrams_dropped)
+        };
+        let (clean, lost_13) = run(13);
+        let (retx, lost_14) = run(14);
+        println!("p=13: {clean} retransmissions; p=14: {retx}");
+        assert_eq!((clean, lost_13, lost_14), (0, 0, 0));
+        assert!(retx > 0, "p=14 retransmits with nothing dropped");
     }
 
     #[test]

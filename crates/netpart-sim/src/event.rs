@@ -2,10 +2,11 @@
 //!
 //! The queue is a hierarchical time-wheel (a calendar queue): near-future
 //! items land in one of three wheel tiers with O(1) push, far-future items
-//! (windowed fault ends, `give_up_after` deadlines) wait in a sorted
-//! overflow bucket until the wheel advances into their range. Pops drain
-//! one tier-0 slot at a time into a sorted batch, so the steady-state cost
-//! per event is O(1) plus a tiny amortized slot sort.
+//! (windowed fault ends, `give_up_after` deadlines, a router backlog longer
+//! than the horizon) wait in an overflow heap until the wheel advances
+//! into their range. Pops drain the earliest occupied slot into a sorted
+//! batch, so the steady-state cost per event is O(1) plus a tiny amortized
+//! slot sort.
 //!
 //! The ordering contract is exactly the old binary heap's: items pop in
 //! `(time, class, seq)` order, where `seq` is a monotonically increasing
@@ -16,6 +17,9 @@
 //! chaos, and drift suites rely on byte-for-byte; a property test pits the
 //! wheel against the retired heap (kept below as a test-only shim) on
 //! arbitrary push sequences to pin the parity.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::datagram::Datagram;
 use crate::fault::FaultKind;
@@ -195,11 +199,23 @@ impl Entry {
     }
 }
 
-/// Binary-insert into a vector kept sorted *descending* by key, so the
-/// minimum pops O(1) from the back.
-fn sorted_desc_insert(v: &mut Vec<Entry>, e: Entry) {
-    let i = v.partition_point(|x| x.key() > e.key());
-    v.insert(i, e);
+// Entries compare by `key` alone (`seq` is unique, so no two are equal);
+// the overflow and overdue heaps hold them as `Reverse<Entry>`.
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl Eq for Entry {}
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 // ---- wheel geometry --------------------------------------------------------
@@ -209,7 +225,7 @@ fn sorted_desc_insert(v: &mut Vec<Entry>, e: Entry) {
 // the paper's µs-scale protocol costs land one or two tiers up at most.
 // Each tier has 2^SLOT_BITS slots; tier t's slot spans 2^(t·SLOT_BITS)
 // ticks. With three tiers the wheel covers 2^24 ticks ≈ 17 simulated
-// seconds past the cursor; anything beyond waits in the overflow bucket.
+// seconds past the cursor; anything beyond waits in the overflow heap.
 //
 // Placement is the classic XOR scheme: an item's tier is the highest bit
 // in which its tick differs from the cursor's tick, so tier-0 holds the
@@ -226,6 +242,12 @@ const TIERS: usize = 3;
 const BITMAP_WORDS: usize = SLOTS / 64;
 /// Ticks covered by the wheel relative to the cursor's top-tier block.
 const WHEEL_TICK_BITS: u32 = SLOT_BITS * TIERS as u32;
+/// Largest capacity a drained slot keeps for reuse. In steady state a
+/// slot holds a handful of items and reusing its buffer saves an
+/// allocation per cascade (freeing every drained slot made a two-thread
+/// calibration run 2–3 % slower); a burst that parked thousands of items
+/// in one slot must not keep that peak allocated for the network's life.
+const SLOT_KEEP: usize = 1024;
 
 #[inline]
 fn tick_of(at: SimTime) -> u64 {
@@ -246,23 +268,25 @@ fn first_occupied(words: &[u64; BITMAP_WORDS]) -> Option<usize> {
 /// Time-ordered queue of internal work items (see the module docs for the
 /// wheel layout and the ordering contract).
 pub(crate) struct EventQueue {
-    /// `TIERS × SLOTS` unsorted buckets; capacity is recycled, never shrunk.
+    /// `TIERS × SLOTS` unsorted buckets; a drained slot keeps its buffer
+    /// only up to [`SLOT_KEEP`] entries.
     slots: Vec<Vec<Entry>>,
     /// Per-tier occupancy bitmaps so the next non-empty slot is a few
     /// `trailing_zeros` away instead of a 256-slot scan.
     occ: [[u64; BITMAP_WORDS]; TIERS],
-    /// Tick of the slot currently being drained; advances monotonically.
+    /// Tick of the earliest pending item outside `overdue` once `prepare`
+    /// ran; advances monotonically.
     cur_tick: u64,
     /// The current tick's items, sorted ascending by `(time, class, seq)`.
     /// Same-instant pushes during the drain binary-insert here.
-    batch: std::collections::VecDeque<Entry>,
-    /// Items beyond the wheel horizon, sorted descending (min at the back).
-    overflow: Vec<Entry>,
+    batch: VecDeque<Entry>,
+    /// Items beyond the wheel horizon, earliest on top.
+    overflow: BinaryHeap<Reverse<Entry>>,
     /// Items pushed before the cursor (never happens in the simulator,
     /// which only schedules at or after `now`, but the queue preserves
     /// exact heap semantics for arbitrary inputs — the parity proptest
-    /// exercises this). Sorted descending; always earlier than the batch.
-    overdue: Vec<Entry>,
+    /// exercises this). Always earlier than the batch.
+    overdue: BinaryHeap<Reverse<Entry>>,
     len: usize,
     seq: u64,
 }
@@ -273,9 +297,9 @@ impl EventQueue {
             slots: (0..TIERS * SLOTS).map(|_| Vec::new()).collect(),
             occ: [[0; BITMAP_WORDS]; TIERS],
             cur_tick: 0,
-            batch: std::collections::VecDeque::with_capacity(64),
-            overflow: Vec::new(),
-            overdue: Vec::new(),
+            batch: VecDeque::with_capacity(64),
+            overflow: BinaryHeap::new(),
+            overdue: BinaryHeap::new(),
             len: 0,
             seq: 0,
         }
@@ -297,7 +321,7 @@ impl EventQueue {
         self.len += 1;
         let tick = tick_of(at);
         if tick < self.cur_tick {
-            sorted_desc_insert(&mut self.overdue, e);
+            self.overdue.push(Reverse(e));
         } else if tick == self.cur_tick {
             // The batch stays sorted so same-instant pushes made while the
             // slot drains (zero-delay timers, fault-plan installs at `now`)
@@ -305,17 +329,23 @@ impl EventQueue {
             let i = self.batch.partition_point(|x| x.key() < e.key());
             self.batch.insert(i, e);
         } else {
-            self.wheel_insert(e, tick);
+            self.place(e);
         }
     }
 
-    /// Place an entry with `tick > cur_tick` into its tier slot, or the
-    /// overflow bucket when it lies beyond the wheel horizon.
-    fn wheel_insert(&mut self, e: Entry, tick: u64) {
+    /// Place an entry at or after the cursor's tick: at the back of the
+    /// batch when it is the cursor's tick (the caller sorts the batch),
+    /// else in its tier slot, or the overflow heap beyond the horizon.
+    fn place(&mut self, e: Entry) {
+        let tick = tick_of(e.at);
         let masked = tick ^ self.cur_tick;
+        if masked == 0 {
+            self.batch.push_back(e);
+            return;
+        }
         let tier = ((63 - masked.leading_zeros()) / SLOT_BITS) as usize;
         if tier >= TIERS {
-            sorted_desc_insert(&mut self.overflow, e);
+            self.overflow.push(Reverse(e));
         } else {
             let slot = ((tick >> (tier as u32 * SLOT_BITS)) & (SLOTS as u64 - 1)) as usize;
             self.slots[tier * SLOTS + slot].push(e);
@@ -323,92 +353,58 @@ impl EventQueue {
         }
     }
 
-    /// Move every overflow item that entered the wheel's range (same
-    /// top-tier block as the cursor) into its tier slot. O(1) when none
-    /// did: overflow is sorted, so eligible items form a suffix.
-    fn migrate_overflow(&mut self) {
-        let block = self.cur_tick >> WHEEL_TICK_BITS;
-        while let Some(e) = self.overflow.last() {
-            let tick = tick_of(e.at);
-            if tick >> WHEEL_TICK_BITS != block {
-                break;
-            }
-            let e = self.overflow.pop().expect("just peeked");
-            if tick == self.cur_tick {
-                // Same tick as the cursor (prepare sorts the batch next).
-                self.batch.push_back(e);
-            } else {
-                debug_assert!(tick > self.cur_tick);
-                self.wheel_insert(e, tick);
-            }
-        }
-    }
-
     /// Ensure the batch holds the earliest pending items (when any exist
-    /// outside `overdue`): advance the cursor to the next occupied tier-0
-    /// slot, cascading higher tiers and pulling overflow as needed.
+    /// outside `overdue`): drain the earliest occupied slot, or pull the
+    /// next top-tier block out of the overflow heap when the wheel is
+    /// empty.
     fn prepare(&mut self) {
         if !self.batch.is_empty() {
             return;
         }
-        loop {
-            // Cascaded entries whose tick equals the new cursor land in
-            // the batch below; they are the earliest pending, so stop as
-            // soon as any appear.
-            if !self.batch.is_empty() {
-                if self.batch.len() > 1 {
-                    self.batch
-                        .make_contiguous()
-                        .sort_unstable_by_key(Entry::key);
+        match (0..TIERS).find_map(|t| first_occupied(&self.occ[t]).map(|s| (t, s))) {
+            Some((tier, slot)) => {
+                // Every lower tier is empty, so this slot holds the
+                // earliest pending items: move the cursor to their tick
+                // (not the slot's base tick) so they go straight to the
+                // batch and only later ticks re-enter a lower tier. The
+                // XOR invariants hold, since every item here shares the
+                // slot's bits from `tier`'s field up.
+                let idx = tier * SLOTS + slot;
+                let mut moved = std::mem::take(&mut self.slots[idx]);
+                self.occ[tier][slot >> 6] &= !(1u64 << (slot & 63));
+                let first = moved.iter().map(|e| tick_of(e.at)).min();
+                self.cur_tick = first.expect("an occupied slot holds an item");
+                for e in moved.drain(..) {
+                    self.place(e);
                 }
-                return;
-            }
-            let found = (0..TIERS).find_map(|t| first_occupied(&self.occ[t]).map(|s| (t, s)));
-            match found {
-                Some((0, slot)) => {
-                    // One tier-0 slot is exactly one tick: drain it whole.
-                    let mut moved = std::mem::take(&mut self.slots[slot]);
-                    self.occ[0][slot >> 6] &= !(1u64 << (slot & 63));
-                    self.cur_tick = (self.cur_tick & !(SLOTS as u64 - 1)) | slot as u64;
-                    self.batch.extend(moved.drain(..));
-                    self.slots[slot] = moved;
-                    if self.batch.len() > 1 {
-                        self.batch
-                            .make_contiguous()
-                            .sort_unstable_by_key(Entry::key);
-                    }
-                    return;
-                }
-                Some((tier, slot)) => {
-                    // Advance the cursor to the slot's base tick and
-                    // redistribute its items into lower tiers (or the
-                    // batch, for items at the base tick itself).
-                    let field = tier as u32 * SLOT_BITS;
-                    let above = field + SLOT_BITS;
-                    let base = (self.cur_tick & !((1u64 << above) - 1)) | ((slot as u64) << field);
-                    self.cur_tick = base;
-                    let idx = tier * SLOTS + slot;
-                    let mut moved = std::mem::take(&mut self.slots[idx]);
-                    self.occ[tier][slot >> 6] &= !(1u64 << (slot & 63));
-                    for e in moved.drain(..) {
-                        let tick = tick_of(e.at);
-                        if tick == self.cur_tick {
-                            self.batch.push_back(e);
-                        } else {
-                            self.wheel_insert(e, tick);
-                        }
-                    }
+                if moved.capacity() <= SLOT_KEEP {
                     self.slots[idx] = moved;
                 }
-                None => {
-                    // Wheel empty: jump the cursor to the earliest
-                    // overflow item and pull its whole block in.
-                    let Some(e) = self.overflow.pop() else { return };
-                    self.cur_tick = tick_of(e.at);
-                    self.batch.push_back(e);
-                    self.migrate_overflow();
+            }
+            None => {
+                // Wheel empty: jump the cursor to the earliest overflow
+                // item and pull its whole top-tier block in.
+                let Some(Reverse(first)) = self.overflow.peek() else {
+                    return;
+                };
+                self.cur_tick = tick_of(first.at);
+                let block = self.cur_tick >> WHEEL_TICK_BITS;
+                while self
+                    .overflow
+                    .peek()
+                    .is_some_and(|top| tick_of(top.0.at) >> WHEEL_TICK_BITS == block)
+                {
+                    let Some(Reverse(e)) = self.overflow.pop() else {
+                        break;
+                    };
+                    self.place(e);
                 }
             }
+        }
+        if self.batch.len() > 1 {
+            self.batch
+                .make_contiguous()
+                .sort_unstable_by_key(Entry::key);
         }
     }
 
@@ -416,15 +412,15 @@ impl EventQueue {
     pub(crate) fn pop(&mut self) -> Option<(SimTime, Work)> {
         // Overdue items are always strictly earlier than the batch (their
         // tick precedes the cursor's), so they win unconditionally.
-        if let Some(e) = self.overdue.pop() {
-            self.len -= 1;
-            return Some((e.at, e.work));
-        }
-        self.prepare();
-        self.batch.pop_front().map(|e| {
-            self.len -= 1;
-            (e.at, e.work)
-        })
+        let e = match self.overdue.pop() {
+            Some(Reverse(e)) => e,
+            None => {
+                self.prepare();
+                self.batch.pop_front()?
+            }
+        };
+        self.len -= 1;
+        Some((e.at, e.work))
     }
 
     /// Remove and return the earliest item only if it is scheduled at
@@ -432,19 +428,17 @@ impl EventQueue {
     /// [`Network::next_event`](crate::network::Network::next_event),
     /// without a separate peek.
     pub(crate) fn pop_if_at(&mut self, at: SimTime) -> Option<Work> {
-        if let Some(e) = self.overdue.last() {
-            if e.at != at {
-                return None;
+        let e = match self.overdue.peek() {
+            Some(Reverse(top)) if top.at != at => return None,
+            Some(_) => self.overdue.pop()?.0,
+            None => {
+                self.prepare();
+                if self.batch.front()?.at != at {
+                    return None;
+                }
+                self.batch.pop_front()?
             }
-            let e = self.overdue.pop().expect("just peeked");
-            self.len -= 1;
-            return Some(e.work);
-        }
-        self.prepare();
-        if self.batch.front()?.at != at {
-            return None;
-        }
-        let e = self.batch.pop_front().expect("just peeked");
+        };
         self.len -= 1;
         Some(e.work)
     }
@@ -454,7 +448,7 @@ impl EventQueue {
     /// this remains for tests and diagnostics.
     #[cfg(test)]
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        if let Some(e) = self.overdue.last() {
+        if let Some(Reverse(e)) = self.overdue.peek() {
             return Some(e.at);
         }
         self.prepare();
@@ -670,7 +664,7 @@ mod tests {
         let (at, w) = q.pop().unwrap();
         assert_eq!((at, token_of(&w)), (SimTime(1000), 0));
         q.push(SimTime(1000), timer(2)); // scheduled mid-drain
-        q.push(SimTime(999), timer(3)); // never happens in the sim; still exact
+        q.push(SimTime(999), timer(3)); // before `now` itself; still exact
         assert!(q.pop_if_at(SimTime(1000)).is_none(), "999 is earlier");
         assert_eq!(fingerprint(q.pop().unwrap().0, &timer(3)).0, 999);
         assert_eq!(token_of(&q.pop_if_at(SimTime(1000)).unwrap()), 1);
@@ -680,7 +674,7 @@ mod tests {
     #[test]
     fn overflow_bucket_migrates_at_horizon_boundaries() {
         // Horizon: 2^(TICK_SHIFT + 24) ns ≈ 17.2 s. Items beyond it sit in
-        // the overflow bucket and must migrate into the wheel — in exact
+        // the overflow heap and must migrate into the wheel — in exact
         // order — once the cursor crosses into their block.
         let horizon = 1u64 << (TICK_SHIFT + WHEEL_TICK_BITS);
         let mut q = EventQueue::new();
@@ -709,7 +703,7 @@ mod tests {
     #[test]
     fn times_beyond_the_top_tier_still_order_exactly() {
         // SimTime values near u64::MAX: every tier saturates, everything
-        // rides the overflow bucket, ordering still holds.
+        // rides the overflow heap, ordering still holds.
         let mut q = EventQueue::new();
         q.push(SimTime(u64::MAX), timer(3));
         q.push(SimTime(u64::MAX - (1 << 40)), timer(1));
@@ -721,6 +715,111 @@ mod tests {
         q.push(SimTime(u64::MAX), timer(9));
         assert_eq!(q.peek_time(), Some(SimTime(u64::MAX)));
         assert_eq!(token_of(&q.pop().unwrap().1), 9);
+    }
+
+    /// Drain the queue, returning `(time, token)` in pop order.
+    fn drain(q: &mut EventQueue) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| q.pop().map(|(at, w)| (at.0, token_of(&w)))).collect()
+    }
+
+    #[test]
+    fn a_cascaded_slot_sends_its_earliest_tick_straight_to_the_batch() {
+        // Ticks 300, 301 and 400 all sit in tier-1 slot 1 (ticks
+        // 256..512) while the cursor is at tick 0.
+        let ns = |tick: u64, off: u64| (tick << TICK_SHIFT) + off;
+        let mut q = EventQueue::new();
+        q.push(SimTime(ns(400, 0)), timer(4));
+        q.push(SimTime(ns(301, 9)), timer(3));
+        q.push(SimTime(ns(300, 700)), timer(2));
+        q.push(SimTime(ns(300, 5)), timer(0));
+        q.push(SimTime(ns(300, 700)), timer(1)); // same instant, later seq
+        assert_eq!(first_occupied(&q.occ[0]), None);
+        assert_eq!(first_occupied(&q.occ[1]), Some(1));
+        q.prepare();
+        // One cascade: the cursor lands on tick 300 itself, whose three
+        // items are the sorted batch; only the later ticks went to tier 0.
+        assert_eq!(q.cur_tick, 300);
+        let batch: Vec<u64> = q.batch.iter().map(|e| token_of(&e.work)).collect();
+        assert_eq!(batch, vec![0, 2, 1]);
+        assert_eq!(first_occupied(&q.occ[1]), None);
+        assert_eq!(first_occupied(&q.occ[0]), Some(301 % SLOTS));
+        assert_eq!(
+            q.slots[300 % SLOTS].capacity(),
+            0,
+            "tick 300 skipped tier 0"
+        );
+        assert_eq!(
+            drain(&mut q),
+            vec![
+                (ns(300, 5), 0),
+                (ns(300, 700), 2),
+                (ns(300, 700), 1),
+                (ns(301, 9), 3),
+                (ns(400, 0), 4),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_push_behind_an_advanced_cursor_still_pops_first() {
+        // A `pop_if_at` that finds nothing more at `now` has already moved
+        // the cursor to the next pending tick. The network pops next and
+        // never pushes into that gap, but the queue is exact for any
+        // input: work scheduled between `now` and the cursor pops first.
+        let mut q = EventQueue::new();
+        q.push(SimTime(1_000), timer(0));
+        q.push(SimTime(900_000), timer(1));
+        assert_eq!(
+            q.pop().map(|(at, w)| (at.0, token_of(&w))),
+            Some((1_000, 0))
+        );
+        assert!(q.pop_if_at(SimTime(1_000)).is_none());
+        assert_eq!(q.cur_tick, tick_of(SimTime(900_000)));
+        q.push(SimTime(5_000), timer(2));
+        q.push(SimTime(3_000), timer(3));
+        assert_eq!(q.overdue.len(), 2, "both land behind the cursor");
+        assert!(q.pop_if_at(SimTime(5_000)).is_none(), "3 µs is earlier");
+        assert_eq!(q.peek_time(), Some(SimTime(3_000)));
+        assert_eq!(token_of(&q.pop_if_at(SimTime(3_000)).unwrap()), 3);
+        assert_eq!(drain(&mut q), vec![(5_000, 2), (900_000, 1)]);
+    }
+
+    #[test]
+    fn monotone_far_future_pushes_pop_in_order() {
+        // A router backlog: each frame leaves ~1.1 ms after the previous
+        // one, so the stream's tail runs several horizons past the cursor
+        // and every push lands behind the overflow heap's earlier items.
+        let horizon = 1u64 << (TICK_SHIFT + WHEEL_TICK_BITS);
+        let n = 60_000u64;
+        let gap = 4 * horizon / n; // the stream spans four horizons
+        let mut q = EventQueue::new();
+        for k in 0..n {
+            q.push(SimTime(horizon / 2 + k * gap - k % 3), timer(k));
+        }
+        let order = drain(&mut q);
+        assert_eq!(order.len(), n as usize);
+        let mut expect: Vec<(u64, u64)> =
+            (0..n).map(|k| (horizon / 2 + k * gap - k % 3, k)).collect();
+        expect.sort_unstable();
+        assert_eq!(order, expect);
+        assert!(q.overflow.is_empty() && q.is_empty());
+    }
+
+    #[test]
+    fn drained_slots_do_not_hoard_capacity() {
+        // 100k items parked in a handful of slots: each of those grows far
+        // past SLOT_KEEP, and none keeps that allocation once drained.
+        let horizon = 1u64 << (TICK_SHIFT + WHEEL_TICK_BITS);
+        let n = 100_000u64;
+        let mut q = EventQueue::new();
+        for k in 0..n {
+            q.push(SimTime(horizon + k * 20), timer(k));
+        }
+        assert_eq!(drain(&mut q).len(), n as usize);
+        let worst = q.slots.iter().map(Vec::capacity).max().unwrap();
+        let kept: usize = q.slots.iter().map(Vec::capacity).sum();
+        assert!(worst <= SLOT_KEEP, "a slot kept {worst} entries");
+        assert!(kept < n as usize / 4, "slots kept {kept} entries");
     }
 
     #[test]
@@ -773,54 +872,107 @@ mod tests {
         }
     }
 
-    /// Queue-level throughput probe, heap oracle vs wheel, on the
-    /// simulator's characteristic pattern: a small standing set with
-    /// monotone time advance and deltas spanning all tiers. Not a CI
-    /// assertion — run manually in release mode to attribute end-to-end
-    /// deltas to the queue itself:
+    /// The two queues the microbenchmark times, behind one interface.
+    trait Queue {
+        fn new() -> Self;
+        fn push(&mut self, at: SimTime, work: Work);
+        fn pop(&mut self) -> Option<(SimTime, Work)>;
+    }
+    impl Queue for EventQueue {
+        fn new() -> Self {
+            EventQueue::new()
+        }
+        fn push(&mut self, at: SimTime, work: Work) {
+            EventQueue::push(self, at, work);
+        }
+        fn pop(&mut self) -> Option<(SimTime, Work)> {
+            EventQueue::pop(self)
+        }
+    }
+    impl Queue for heap_shim::HeapQueue {
+        fn new() -> Self {
+            heap_shim::HeapQueue::new()
+        }
+        fn push(&mut self, at: SimTime, work: Work) {
+            heap_shim::HeapQueue::push(self, at, work);
+        }
+        fn pop(&mut self) -> Option<(SimTime, Work)> {
+            heap_shim::HeapQueue::pop(self)
+        }
+    }
+
+    /// Hold model: `standing` items, then `ops` pops that each push the
+    /// popped item back `delta(k)` ns later. Best of three, ns per op.
+    fn hold<Q: Queue>(standing: u64, ops: u64, delta: impl Fn(u64) -> u64) -> f64 {
+        let run = || {
+            let mut q = Q::new();
+            for k in 0..standing {
+                q.push(SimTime(delta(k)), timer(k));
+            }
+            let t = std::time::Instant::now();
+            for k in 0..ops {
+                let (at, _) = q.pop().expect("standing set never empties");
+                q.push(SimTime(at.0 + delta(k)), timer(k));
+            }
+            t.elapsed().as_secs_f64()
+        };
+        (0..3).map(|_| run()).fold(f64::INFINITY, f64::min) * 1e9 / ops as f64
+    }
+
+    /// Backlog: `n` pushes 1.1 ms apart (a router draining a standing
+    /// queue), most of them beyond the horizon, then a full drain. Best of
+    /// three, ns per item pushed and popped.
+    fn backlog<Q: Queue>(n: u64) -> f64 {
+        let run = || {
+            let t = std::time::Instant::now();
+            let mut q = Q::new();
+            for k in 0..n {
+                q.push(SimTime(k * 1_100_000), timer(k));
+            }
+            while q.pop().is_some() {}
+            t.elapsed().as_secs_f64()
+        };
+        (0..3).map(|_| run()).fold(f64::INFINITY, f64::min) * 1e9 / n as f64
+    }
+
+    fn report(pattern: &str, wheel_ns: f64, heap_ns: f64) {
+        println!(
+            "{pattern:<36} wheel {wheel_ns:>6.1} ns/op  heap {heap_ns:>6.1} ns/op  heap/wheel {:.2}x",
+            heap_ns / wheel_ns,
+        );
+    }
+
+    /// Queue-level throughput probe, heap oracle vs wheel, on three
+    /// patterns: cycled 2 µs–10 ms deltas at three standing-set sizes; the
+    /// simulator's own (about 50 standing items 13 ms ahead, one per
+    /// tier-1 slot, the shape of a calibration run); and a far-horizon
+    /// backlog. Not a CI assertion — run in release mode to attribute
+    /// end-to-end deltas to the queue itself:
     /// `cargo test --release -p netpart-sim queue_microbench -- --ignored --nocapture`
     #[test]
     #[ignore = "manual profiling aid, run with --release --nocapture"]
     fn queue_microbench() {
-        use std::time::Instant;
+        let ops = 2_000_000u64;
         let deltas = [2_000u64, 10_000, 100_000, 1_000_000, 10_000_000];
-        for standing in [64usize, 1024, 65_536] {
-            let ops = 2_000_000u64;
-            let run_wheel = |mut q: EventQueue| {
-                for k in 0..standing as u64 {
-                    q.push(SimTime(deltas[(k % 5) as usize]), timer(k));
-                }
-                let t = Instant::now();
-                for k in 0..ops {
-                    let (at, _) = q.pop().expect("standing set never empties");
-                    q.push(SimTime(at.0 + deltas[(k % 5) as usize]), timer(k));
-                }
-                t.elapsed().as_secs_f64()
-            };
-            let run_heap = |mut q: heap_shim::HeapQueue| {
-                for k in 0..standing as u64 {
-                    q.push(SimTime(deltas[(k % 5) as usize]), timer(k));
-                }
-                let t = Instant::now();
-                for k in 0..ops {
-                    let (at, _) = q.pop().expect("standing set never empties");
-                    q.push(SimTime(at.0 + deltas[(k % 5) as usize]), timer(k));
-                }
-                t.elapsed().as_secs_f64()
-            };
-            let wheel_s = (0..3)
-                .map(|_| run_wheel(EventQueue::new()))
-                .fold(f64::INFINITY, f64::min);
-            let heap_s = (0..3)
-                .map(|_| run_heap(heap_shim::HeapQueue::new()))
-                .fold(f64::INFINITY, f64::min);
-            println!(
-                "standing={standing:>6}  wheel {:>6.1} ns/op  heap {:>6.1} ns/op  ratio {:.2}x",
-                wheel_s * 1e9 / ops as f64,
-                heap_s * 1e9 / ops as f64,
-                heap_s / wheel_s,
+        let cycled = |k: u64| deltas[(k % 5) as usize];
+        for standing in [64u64, 1024, 65_536] {
+            report(
+                &format!("cycled deltas, standing={standing}"),
+                hold::<EventQueue>(standing, ops, cycled),
+                hold::<heap_shim::HeapQueue>(standing, ops, cycled),
             );
         }
+        let sim = |k: u64| 13_100_000 + (k * 7_919) % 1_000;
+        report(
+            "simulator, 50 standing in tier 1",
+            hold::<EventQueue>(50, ops, sim),
+            hold::<heap_shim::HeapQueue>(50, ops, sim),
+        );
+        report(
+            "backlog of 400k, 1.1 ms apart",
+            backlog::<EventQueue>(400_000),
+            backlog::<heap_shim::HeapQueue>(400_000),
+        );
     }
 
     proptest! {
@@ -832,7 +984,19 @@ mod tests {
             items in prop::collection::vec(
                 (0u64..1u64 << 40, any::<bool>()), 1..300),
             interleave in prop::collection::vec(any::<bool>(), 0..300),
+            monotone in any::<bool>(),
         ) {
+            // Monotone mode: non-decreasing push times whose gaps spread
+            // log-uniformly from 0 (ties) to 2^36 ns (four horizons) — the
+            // far-future stream a router backlog pushes.
+            let mut items = items;
+            if monotone {
+                let mut t = 0u64;
+                for item in &mut items {
+                    t += (item.0 >> 4) >> (item.0 % 37);
+                    item.0 = t;
+                }
+            }
             let mut wheel = EventQueue::new();
             let mut heap = heap_shim::HeapQueue::new();
             let make = |k: u64, fault: bool| -> Work {
