@@ -150,7 +150,8 @@ impl SpmdApp for Stencil2DApp {
         let (tr, tc) = self.mesh_pos(to);
         let b = &self.blocks[rank];
         let (w, h) = (b.width(), b.r1 - b.r0);
-        let mut buf = Vec::with_capacity(4 * w.max(h));
+        // Sized exactly: the `Bytes` keeps the allocation as it is.
+        let mut buf = Vec::with_capacity(4 * if tr != mr { w } else { h });
         if tr != mr {
             let first = if tr < mr { 0 } else { (h - 1) * w };
             wire::put_f32s(&mut buf, &b.cur[first..first + w]); // my north or south row

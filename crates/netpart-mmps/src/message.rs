@@ -56,7 +56,7 @@ const CYCLE_SEQ_MASK: u64 = (1 << CYCLE_SEQ_BITS) - 1;
 /// This is the *message*-level tag the cycle engine hands to
 /// [`Mmps::send_message`](crate::Mmps::send_message) so a receiver can
 /// demultiplex deliveries by (cycle, sender, sequence) — distinct from the
-/// datagram-level [`pack_tag`] wire encoding. The cycle component `0` is
+/// datagram-level `pack_tag` wire encoding. The cycle component `0` is
 /// reserved for the startup data distribution, which is why the cycle
 /// number is stored off by one.
 ///

@@ -100,7 +100,7 @@ pub enum MmpsEvent {
     /// The congestion window for a (sender, destination) pair collapsed:
     /// sustained marks/drop-timeouts pinned it at its floor while senders
     /// kept offering load. Only ever fires with
-    /// [`WindowConfig`](crate::WindowConfig) configured. Layers above turn
+    /// [`WindowConfig`] configured. Layers above turn
     /// this into `NetpartError::SegmentSaturated`.
     WindowCollapsed {
         /// Collapse time.

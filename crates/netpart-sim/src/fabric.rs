@@ -22,7 +22,7 @@
 //!
 //! # Routing
 //!
-//! [`compute_routes`] lowers the graph to a dense next-hop table: for
+//! `compute_routes` lowers the graph to a dense next-hop table: for
 //! every (current segment, destination segment) pair, the router to hand
 //! the frame to and the segment it forwards onto. Routes are shortest
 //! paths found by breadth-first search that visits routers in index order

@@ -23,7 +23,7 @@
 //! ```
 //!
 //! Cross-segment frames follow the next-hop routing table precomputed at
-//! build time ([`crate::fabric::compute_routes`]): each wire hop ends with
+//! build time (`fabric::compute_routes`): each wire hop ends with
 //! a table lookup that hands the frame to the next router on the shortest
 //! path, so a frame crossing a hierarchical fabric pays host processing
 //! once per endpoint but channel access, transmission, loss, corruption,

@@ -25,11 +25,15 @@
 //! ([`CheckpointStore::new`]) keeps each rank's blobs in host memory
 //! beside the simulation ("stable storage" in the modeled world): a
 //! crashed rank's already-recorded blobs remain usable, which is what
-//! lets recovery resume a computation whose master rank died.
-//! **Replicated** ([`CheckpointStore::replicated`]) additionally mirrors
-//! each rank's blob to a *buddy* rank — preferentially in another cluster
-//! — over the ordinary message layer, and guards every blob with a CRC so
-//! a corrupted copy is detected rather than restored. Recovery then
+//! lets recovery resume a computation whose master rank died. It keeps no
+//! checksums: its restore path, [`take`](CheckpointStore::take), reads
+//! none. **Replicated** ([`CheckpointStore::replicated`]) additionally
+//! mirrors each rank's blob to a *buddy* rank — preferentially in another
+//! cluster — over the ordinary message layer, and guards every blob with
+//! a CRC so a corrupted copy is detected rather than restored. Each blob
+//! is hashed once, when its owner records it; the replica carries that
+//! same checksum, so checking it compares the buddy's bytes with what the
+//! owner wrote. Recovery then
 //! [`assemble`](CheckpointStore::assemble)s the newest generation whose
 //! every rank has an intact copy on a live node, falling back to the
 //! buddy replica when the primary holder is dead or its blob fails the
@@ -81,9 +85,12 @@ static CRC_TABLES: [[u32; 256]; 8] = {
 /// slice. Slicing-by-8 (Kounavis & Berry, ISCC 2005): eight bytes per step
 /// through eight 256-entry tables, then the one-table loop over the 0–7
 /// byte tail. Measured at ~1.5 GB/s in a release build, 8× the bitwise
-/// loop it replaced — which matters because every blob is hashed at
-/// record, at replica receipt and on every restore check.
+/// loop it replaced. Only replicated stores call it: once per blob at
+/// record, and once per copy [`assemble`](CheckpointStore::assemble)
+/// inspects.
 fn crc32(data: &[u8]) -> u32 {
+    #[cfg(test)]
+    tests::note_hashed(data.len());
     let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
     let mut words = data.chunks_exact(8);
@@ -105,23 +112,20 @@ fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// A stored blob plus the checksum computed at record time. `intact`
-/// re-hashes on read, so any later bit-flip (injected or modeled) is
-/// caught before the copy can be restored from.
+/// A stored blob plus, in a replicated store, the checksum its owner
+/// computed at record time. `intact` re-hashes on read, so any later
+/// bit-flip (injected or modeled) is caught before the copy can be
+/// restored from; a blob without a checksum (local store) verifies
+/// nothing and always reads as intact.
 #[derive(Debug, Clone)]
 struct Held {
     data: Bytes,
-    crc: u32,
+    crc: Option<u32>,
 }
 
 impl Held {
-    fn of(data: Bytes) -> Held {
-        let crc = crc32(&data);
-        Held { data, crc }
-    }
-
     fn intact(&self) -> bool {
-        crc32(&self.data) == self.crc
+        self.crc.is_none_or(|crc| crc32(&self.data) == crc)
     }
 }
 
@@ -252,9 +256,9 @@ impl CheckpointStore {
 
     /// Assemble the consistent snapshot at global `cycle` (normally the
     /// [`frontier`](CheckpointStore::frontier)). `None` if any rank lacks
-    /// a blob for that cycle. Reads primary copies only and ignores
-    /// checksums — the local-durability restore path, unchanged from
-    /// before replication existed.
+    /// a blob for that cycle. Reads primary copies only and verifies
+    /// nothing, so it hashes no byte — the local-durability restore path,
+    /// unchanged from before replication existed.
     pub fn take(&self, cycle: u64) -> Option<Checkpoint> {
         let ranks: Vec<Bytes> = self
             .per_rank
@@ -269,7 +273,15 @@ impl CheckpointStore {
     /// on a live node, fall back to an intact replica on a live buddy
     /// node, and when neither exists for some rank, fall back a whole
     /// generation (the resumed run replays the extra cycles). `None` when
-    /// no generation is fully restorable.
+    /// no generation is fully restorable. Only the live copies the search
+    /// reaches are hashed: the newest generation's primaries in the
+    /// common case.
+    ///
+    /// A local store has no checksums, no placement and no replicas, so
+    /// here `assemble` verifies nothing and ignores `dead`: it returns the
+    /// same snapshot as [`take`](Self::take) at the
+    /// [`frontier`](Self::frontier), counting the newer, partly recorded
+    /// generations as fallbacks.
     pub fn assemble(&self, dead: &[NodeId]) -> Option<AssembledCheckpoint> {
         let mut cycles: Vec<u64> = self
             .per_rank
@@ -305,7 +317,7 @@ impl CheckpointStore {
         for rank in 0..self.per_rank.len() {
             let primary = self.per_rank[rank]
                 .get(&cycle)
-                .filter(|h| h.intact() && self.node_alive(rank, dead));
+                .filter(|h| self.node_alive(rank, dead) && h.intact());
             if let Some(h) = primary {
                 out.push(h.data.clone());
                 continue;
@@ -313,7 +325,7 @@ impl CheckpointStore {
             let replica = self.buddy_of(rank).and_then(|b| {
                 self.replicas[rank]
                     .get(&cycle)
-                    .filter(|h| h.intact() && self.node_alive(b, dead))
+                    .filter(|h| self.node_alive(b, dead) && h.intact())
             });
             match replica {
                 Some(h) => {
@@ -348,23 +360,49 @@ impl CheckpointStore {
     }
 
     /// `rank`'s serialized state at the completion of engine-local `cycle`.
+    /// A replicated store hashes the blob here, the only time before a
+    /// restore check; a local store keeps it unhashed.
     pub fn record(&mut self, rank: Rank, cycle: u64, blob: Bytes) {
-        self.per_rank[rank].insert(self.base + cycle, Held::of(blob));
+        let crc = self.buddies.is_some().then(|| crc32(&blob));
+        self.per_rank[rank].insert(self.base + cycle, Held { data: blob, crc });
     }
 
     /// The mirror copy of `owner`'s blob for engine-local `cycle`, arrived
-    /// at its buddy's node. The checksum is computed at receipt: the wire
-    /// already guarantees content (corrupted frames never deliver), so the
-    /// CRC guards against at-rest rot from here on.
+    /// at its buddy's node. It takes the checksum its owner recorded for
+    /// that cycle rather than hashing again — the message layer hands
+    /// over the sender's buffer, and corrupted frames never deliver — so
+    /// `intact` checks the replica against what its owner wrote. Only a
+    /// replica without an owner entry is hashed here.
     pub(crate) fn record_replica(&mut self, owner: Rank, cycle: u64, blob: Bytes) {
-        self.replicas[owner].insert(self.base + cycle, Held::of(blob));
+        let global = self.base + cycle;
+        let owners = self.per_rank[owner].get(&global).and_then(|h| h.crc);
+        let crc = Some(owners.unwrap_or_else(|| crc32(&blob)));
+        self.replicas[owner].insert(global, Held { data: blob, crc });
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use proptest::prelude::*;
+
+    thread_local! {
+        /// Bytes `crc32` has hashed on this test thread.
+        static HASHED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn note_hashed(bytes: usize) {
+        HASHED.with(|h| h.set(h.get() + bytes));
+    }
+
+    /// Bytes hashed on this thread while `f` ran.
+    fn hashed_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = HASHED.with(Cell::get);
+        let out = f();
+        (out, HASHED.with(Cell::get) - before)
+    }
 
     /// The bitwise CRC-32 the sliced one replaced: the parity oracle.
     fn crc32_bitwise(data: &[u8]) -> u32 {
@@ -500,6 +538,125 @@ mod tests {
             assert_eq!(a.replica_restores, 1, "flip at byte {byte} bit {bit}");
             assert_eq!(&a.checkpoint.ranks[0][..], &data[..]);
         }
+    }
+
+    /// A blob of `len` bytes whose content depends on `seed`.
+    fn sized(len: usize, seed: u8) -> Bytes {
+        Bytes::from(
+            (0..len)
+                .map(|i| (i as u8).wrapping_mul(13) ^ seed)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn a_local_store_hashes_nothing() {
+        let mut s = CheckpointStore::new(2, 1, 0);
+        let ((), hashed) = hashed_by(|| {
+            for c in 0..3u64 {
+                for rank in 0..2 {
+                    s.record(rank, c, sized(500, rank as u8));
+                }
+            }
+        });
+        assert_eq!(hashed, 0, "record");
+        let (ckpt, hashed) = hashed_by(|| s.take(2));
+        assert_eq!((ckpt.unwrap().cycle, hashed), (2, 0), "take");
+    }
+
+    /// `assemble` on a local store is `take` at the frontier: nothing is
+    /// hashed, so a flipped bit goes undetected, and dead nodes are
+    /// ignored because the store records no placement.
+    #[test]
+    fn assemble_on_a_local_store_is_take_at_the_frontier() {
+        let mut s = CheckpointStore::new(2, 1, 0);
+        for c in 0..3u64 {
+            s.record(0, c, sized(64, c as u8));
+        }
+        for c in 0..2u64 {
+            s.record(1, c, sized(64, 10 + c as u8));
+        }
+        assert!(s.corrupt_primary(0, 1, (5, 2)));
+        let (a, hashed) = hashed_by(|| s.assemble(&[NodeId(0), NodeId(1)]).unwrap());
+        assert_eq!(hashed, 0);
+        let took = s.take(s.frontier().unwrap()).unwrap();
+        assert_eq!(a.checkpoint.cycle, took.cycle);
+        assert_eq!(a.checkpoint.ranks, took.ranks);
+        assert_ne!(
+            &a.checkpoint.ranks[0][..],
+            &sized(64, 1)[..],
+            "the flip is kept"
+        );
+        assert_eq!((a.replica_restores, a.generation_fallbacks), (0, 1));
+    }
+
+    #[test]
+    fn record_and_record_replica_hash_each_blob_once() {
+        let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
+        let mut s = CheckpointStore::replicated(2, 1, 0, &nodes, &[0, 1]);
+        let ((), hashed) = hashed_by(|| {
+            for rank in 0..2usize {
+                s.record(rank, 0, sized(300 + rank, rank as u8));
+                s.record_replica(rank, 0, sized(300 + rank, rank as u8));
+            }
+        });
+        assert_eq!(hashed, 300 + 301, "each blob once, at record");
+        // With no owner entry to copy from, the replica hashes itself.
+        let ((), hashed) = hashed_by(|| s.record_replica(0, 7, sized(40, 0)));
+        assert_eq!(hashed, 40);
+        assert!(s.replicas[0][&7].intact());
+    }
+
+    #[test]
+    fn assemble_hashes_only_the_generations_it_inspects() {
+        let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
+        let mut s = CheckpointStore::replicated(2, 2, 0, &nodes, &[0, 1]);
+        let len = |cycle: u64| 100 * cycle as usize;
+        for cycle in [1u64, 3] {
+            for rank in 0..2usize {
+                s.record(rank, cycle, sized(len(cycle), rank as u8));
+                s.record_replica(rank, cycle, sized(len(cycle), rank as u8));
+            }
+        }
+        // Clean: the newest generation's two primaries only.
+        let (a, hashed) = hashed_by(|| s.assemble(&[]).unwrap());
+        assert_eq!((a.checkpoint.cycle, hashed), (3, 2 * len(3)));
+        // A copy on a dead node is skipped unhashed.
+        let (a, hashed) = hashed_by(|| s.assemble(&[NodeId(0)]).unwrap());
+        assert_eq!((a.replica_restores, hashed), (1, 2 * len(3)));
+        // A bad primary adds its replica.
+        assert!(s.corrupt_primary(0, 3, (0, 0)));
+        let (a, hashed) = hashed_by(|| s.assemble(&[]).unwrap());
+        assert_eq!((a.replica_restores, hashed), (1, 3 * len(3)));
+        // Both copies of rank 0 bad: rank 1 at cycle 3 is never looked
+        // at, then the older generation's two primaries.
+        assert!(s.corrupt_replica(0, 3, (0, 0)));
+        let (a, hashed) = hashed_by(|| s.assemble(&[]).unwrap());
+        assert_eq!(a.checkpoint.cycle, 1);
+        assert_eq!(hashed, 2 * len(3) + 2 * len(1));
+    }
+
+    /// The replica carries its owner's checksum, so a buddy copy whose
+    /// bytes differ from what the owner wrote is caught end to end.
+    #[test]
+    fn a_replica_unlike_its_owners_blob_fails_intact() {
+        let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
+        let mut s = CheckpointStore::replicated(2, 2, 0, &nodes, &[0, 1]);
+        for cycle in [1u64, 3] {
+            for rank in 0..2usize {
+                s.record(rank, cycle, sized(80, rank as u8));
+                s.record_replica(rank, cycle, sized(80, rank as u8));
+            }
+        }
+        s.record_replica(0, 3, sized(80, 99));
+        assert!(!s.replicas[0][&3].intact());
+        assert!(s.replicas[0][&1].intact() && s.replicas[1][&3].intact());
+        // With the primary good the replica is never read.
+        assert_eq!(s.assemble(&[]).unwrap().checkpoint.cycle, 3);
+        // Primary lost too: generation 3 has no intact copy of rank 0.
+        let a = s.assemble(&[NodeId(0)]).unwrap();
+        assert_eq!((a.checkpoint.cycle, a.generation_fallbacks), (1, 1));
+        assert_eq!(&a.checkpoint.ranks[0][..], &sized(80, 0)[..]);
     }
 
     #[test]
