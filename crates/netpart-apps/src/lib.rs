@@ -10,11 +10,6 @@
 //! * [`gauss`] — Gaussian elimination with partial pivoting, the paper's
 //!   *non-uniform* complexity example, with tree-reduction pivot selection
 //!   and pivot-row broadcast;
-//! * [`particles`] — a 1-D particle simulation with an irregular PDU
-//!   (a cell's worth of particles), exercising the unstructured-domain
-//!   generality the PDU abstraction claims;
-//! * [`matmul`] — ring-rotation dense matrix multiply: heavy rotating
-//!   block transfers exercising the bandwidth and fragmentation paths;
 //! * [`stencil2d`] — the same stencil under a 2-D block decomposition,
 //!   enabling the 1-D vs 2-D decomposition ablation (and exposing a
 //!   limitation of the paper's annotation interface — see the module
@@ -26,14 +21,14 @@
 //! ## The data path: bit-identity is the contract
 //!
 //! Answers are compared bit for bit with the naive oracles
-//! ([`sequential_reference`], [`sequential_solve`], [`reference_product`]).
-//! So the kernels are slice-shaped — row slices taken once per row, a
-//! branch-free pass the compiler vectorizes — but **never reassociate**:
-//! each point is still `(above + below + left + right) / 4.0` left to
-//! right, `x -= f * p` and `c += a * b` a multiply then an add, no fused
-//! multiply-add, no blocked sums; the scalar loops they replaced are the
-//! `#[cfg(test)]` oracles. Flop counts are the §4 annotations, not machine
-//! operations, so simulated time never depends on how a kernel is written.
+//! ([`sequential_reference`], [`sequential_solve`]). So the kernels are
+//! slice-shaped — row slices taken once per row, a branch-free pass the
+//! compiler vectorizes — but **never reassociate**: each point is still
+//! `(above + below + left + right) / 4.0` left to right, `x -= f * p` a
+//! multiply then a subtract, no fused multiply-add, no blocked sums; the
+//! scalar loops they replaced are the `#[cfg(test)]` oracles. Flop counts
+//! are the §4 annotations, not machine operations, so simulated time never
+//! depends on how a kernel is written.
 //!
 //! Every payload and checkpoint goes through one private `wire` codec:
 //! little-endian `u64` header words and runs of `f32`/`f64` bit patterns,
@@ -44,14 +39,10 @@
 #![forbid(unsafe_code)]
 
 pub mod gauss;
-pub mod matmul;
-pub mod particles;
 pub mod stencil;
 pub mod stencil2d;
 mod wire;
 
 pub use gauss::{gauss_model, make_system, sequential_solve, GaussApp};
-pub use matmul::{make_matrices, matmul_model, reference_product, MatmulApp};
-pub use particles::{particle_model, seed_particles, Particle, ParticleApp};
 pub use stencil::{sequential_reference, stencil_model, StencilApp, StencilVariant};
 pub use stencil2d::{stencil2d_model, Stencil2DApp};

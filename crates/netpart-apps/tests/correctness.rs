@@ -3,7 +3,6 @@
 //! same answers as their sequential references.
 
 use netpart_apps::gauss::{back_substitute, make_system, GaussApp};
-use netpart_apps::particles::{seed_particles, ParticleApp};
 use netpart_apps::stencil::{sequential_reference, StencilApp, StencilVariant};
 use netpart_calibrate::Testbed;
 use netpart_model::PartitionVector;
@@ -200,32 +199,6 @@ fn gauss_distributed_pivot_sequence_matches_sequential() {
 }
 
 #[test]
-fn particles_conserve_and_stay_owned() {
-    let cells = 60;
-    let initial = seed_particles(cells, 6.0, 9);
-    let total_before: usize = initial.iter().map(Vec::len).sum();
-    let tb = Testbed::paper();
-    for per_cluster in [vec![2u32, 0u32], vec![4, 2], vec![6, 6]] {
-        let p: u32 = per_cluster.iter().sum();
-        let (mmps, nodes) = tb.build(&per_cluster, PlacementStrategy::ClusterContiguous);
-        let mut app = ParticleApp::new(initial.clone(), 8, p as usize);
-        let mut exec = Executor::new(mmps, nodes);
-        exec.run(
-            &mut app,
-            &PartitionVector::equal(cells as u64, p as usize),
-            false,
-        )
-        .expect("particle run");
-        assert_eq!(
-            app.total_particles(),
-            total_before,
-            "particles lost or duplicated with {per_cluster:?}"
-        );
-        assert!(app.ownership_consistent(), "misplaced particles");
-    }
-}
-
-#[test]
 fn stencil_survives_lossy_network_exactly() {
     // Loss delays but must never corrupt: the grid still matches the
     // reference bit for bit.
@@ -294,54 +267,6 @@ fn stencil2d_ships_fewer_border_bytes_than_1d() {
         two_d < one_d,
         "2-D should move fewer border bytes: {two_d} vs {one_d}"
     );
-}
-
-#[test]
-fn matmul_ring_matches_reference_across_configs() {
-    use netpart_apps::matmul::{make_matrices, reference_product, MatmulApp};
-    let n = 24;
-    let (a, b) = make_matrices(n, 77);
-    let want = reference_product(n, &a, &b);
-    let tb = Testbed::paper();
-    for per_cluster in [vec![1u32, 0u32], vec![3, 0], vec![4, 2], vec![6, 6]] {
-        let p: u32 = per_cluster.iter().sum();
-        let (mmps, nodes) = tb.build(&per_cluster, PlacementStrategy::ClusterContiguous);
-        let mut app = MatmulApp::new(n, a.clone(), b.clone(), p as usize);
-        let mut exec = Executor::new(mmps, nodes);
-        // Speed-weighted rows for the heterogeneous configs.
-        let shares: Vec<f64> = std::iter::repeat_n(2.0, per_cluster[0] as usize)
-            .chain(std::iter::repeat_n(1.0, per_cluster[1] as usize))
-            .collect();
-        let vector = PartitionVector::from_real_shares(&shares, n as u64);
-        exec.run(&mut app, &vector, false).expect("matmul run");
-        let got = app.gather();
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert!(
-                (g - w).abs() < 1e-9,
-                "config {per_cluster:?} entry {i}: {g} vs {w}"
-            );
-        }
-    }
-}
-
-#[test]
-fn matmul_moves_heavy_blocks() {
-    use netpart_apps::matmul::{make_matrices, MatmulApp};
-    let n = 32;
-    let (a, b) = make_matrices(n, 1);
-    let tb = Testbed::paper();
-    let (mmps, nodes) = tb.build(&[4, 0], PlacementStrategy::ClusterContiguous);
-    let mut app = MatmulApp::new(n, a, b, 4);
-    let mut exec = Executor::new(mmps, nodes);
-    exec.run(&mut app, &PartitionVector::equal(n as u64, 4), false)
-        .expect("run");
-    // 3 rotations × 4 ranks × 8-row blocks of 32 f64s ≈ 24 kB minimum.
-    let moved = exec
-        .mmps()
-        .net_ref()
-        .segment_stats(netpart_sim::SegmentId(0))
-        .bytes_sent;
-    assert!(moved > 24_000, "only {moved} bytes moved");
 }
 
 #[test]

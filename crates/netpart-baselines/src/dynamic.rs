@@ -76,46 +76,30 @@ pub struct DynamicReport {
     pub rebalances: u32,
 }
 
-/// Configuration of the dynamic balancer.
-#[derive(Debug, Clone)]
-pub struct DynamicConfig {
-    /// Iterations per chunk between rebalance points.
-    pub chunk: u64,
-    /// Minimum relative rate imbalance before a rebalance triggers.
-    pub trigger: f64,
-}
+/// Minimum relative rate imbalance before a rebalance triggers.
+const TRIGGER: f64 = 0.10;
 
-impl Default for DynamicConfig {
-    fn default() -> Self {
-        DynamicConfig {
-            chunk: 5,
-            trigger: 0.10,
-        }
-    }
-}
-
-/// Run `iters` stencil iterations with chunked dynamic rebalancing on the
-/// given testbed configuration. `loads[rank]` is an external load applied
-/// to each task's node before the run (the imbalance to be absorbed).
-#[allow(clippy::too_many_arguments)]
+/// Run `iters` STEN-1 iterations of an `n`×`n` grid on `loads.len()`
+/// Sparc2s of the paper's testbed, starting from an equal partition and
+/// rebalancing after every `chunk` iterations. `loads[rank]` is an
+/// external load applied to each task's node before the run (the
+/// imbalance to be absorbed). `chunk >= iters` is the static baseline: one
+/// chunk, never rebalanced.
 pub fn run_dynamic_stencil(
-    testbed: &Testbed,
-    per_cluster: &[u32],
     n: usize,
     iters: u64,
-    variant: StencilVariant,
-    initial_vector: PartitionVector,
     loads: &[f64],
-    cfg: &DynamicConfig,
+    chunk: u64,
 ) -> Result<DynamicReport, NetpartError> {
-    let p: u32 = per_cluster.iter().sum();
-    let (mut mmps, nodes) = testbed.build(per_cluster, PlacementStrategy::ClusterContiguous);
+    let p = loads.len();
+    let (mut mmps, nodes) =
+        Testbed::paper().build(&[p as u32, 0], PlacementStrategy::ClusterContiguous);
     for (rank, &load) in loads.iter().enumerate() {
         mmps.net().set_external_load(nodes[rank], load);
     }
     let mut exec = Executor::new(mmps, nodes);
 
-    let mut vector = initial_vector;
+    let mut vector = PartitionVector::equal(n as u64, p);
     let mut grid = netpart_apps::stencil::initial_grid(n);
     let mut elapsed = SimDur::ZERO;
     let mut rebalance_time = SimDur::ZERO;
@@ -123,8 +107,8 @@ pub fn run_dynamic_stencil(
     let mut remaining = iters;
 
     while remaining > 0 {
-        let chunk = cfg.chunk.min(remaining);
-        let mut app = StencilApp::from_grid(grid, n, chunk, variant, p as usize);
+        let chunk = chunk.min(remaining);
+        let mut app = StencilApp::from_grid(grid, n, chunk, StencilVariant::Sten1, p);
         let report = exec.run(&mut app, &vector, false)?;
         elapsed += report.elapsed;
         grid = app.gather();
@@ -136,7 +120,7 @@ pub fn run_dynamic_stencil(
         // Observed per-rank computation rates: rows per second of busy
         // compute time (the engine's per-rank total over this chunk). A
         // loaded node shows a depressed rate.
-        let rates: Vec<f64> = (0..p as usize)
+        let rates: Vec<f64> = (0..p)
             .map(|r| {
                 let rows = vector.count(r) as f64;
                 let busy = report.compute_time[r].as_secs_f64();
@@ -152,7 +136,7 @@ pub fn run_dynamic_stencil(
             .iter()
             .map(|r| (r - mean).abs() / mean)
             .fold(0.0f64, f64::max);
-        if imbalance < cfg.trigger {
+        if imbalance < TRIGGER {
             continue;
         }
 
@@ -173,7 +157,7 @@ pub fn run_dynamic_stencil(
         let before = exec.mmps().now();
         if moved_rows > 0 {
             let bytes_per_row = 4 * n as u32;
-            let mut inbound = vec![0u32; p as usize];
+            let mut inbound = vec![0u32; p];
             for (r, slot) in inbound.iter_mut().enumerate().skip(1) {
                 let delta = new_vector.count(r).abs_diff(vector.count(r)) as u32;
                 if delta > 0 {
@@ -182,11 +166,7 @@ pub fn run_dynamic_stencil(
                 }
             }
             let mut shuffle = RedistributeApp { inbound };
-            exec.run(
-                &mut shuffle,
-                &PartitionVector::equal(p as u64, p as usize),
-                false,
-            )?;
+            exec.run(&mut shuffle, &PartitionVector::equal(p as u64, p), false)?;
             rebalances += 1;
         }
         let cost = exec.mmps().now().since(before);
@@ -211,18 +191,7 @@ mod tests {
 
     #[test]
     fn no_imbalance_means_no_rebalances() {
-        let tb = Testbed::paper();
-        let r = run_dynamic_stencil(
-            &tb,
-            &[4, 0],
-            40,
-            12,
-            StencilVariant::Sten1,
-            PartitionVector::equal(40, 4),
-            &[0.0; 4],
-            &DynamicConfig::default(),
-        )
-        .unwrap();
+        let r = run_dynamic_stencil(40, 12, &[0.0; 4], 5).unwrap();
         assert_eq!(r.rebalances, 0);
         assert_eq!(r.rebalance_time, SimDur::ZERO);
         assert_eq!(r.grid, sequential_reference(40, 12));
@@ -230,18 +199,8 @@ mod tests {
 
     #[test]
     fn imbalance_triggers_rebalance_and_preserves_correctness() {
-        let tb = Testbed::paper();
-        let r = run_dynamic_stencil(
-            &tb,
-            &[4, 0],
-            40,
-            12,
-            StencilVariant::Sten1,
-            PartitionVector::equal(40, 4),
-            &[0.0, 0.6, 0.0, 0.0], // rank 1's node is 60% stolen
-            &DynamicConfig::default(),
-        )
-        .unwrap();
+        // Rank 1's node is 60% stolen.
+        let r = run_dynamic_stencil(40, 12, &[0.0, 0.6, 0.0, 0.0], 5).unwrap();
         assert!(r.rebalances >= 1);
         // The loaded rank ends with fewer rows than its unloaded peers.
         let loaded = r.final_vector.count(1);
@@ -253,33 +212,10 @@ mod tests {
 
     #[test]
     fn rebalancing_beats_static_under_load() {
-        let tb = Testbed::paper();
         let loads = [0.0, 0.7, 0.0, 0.0];
-        let static_run = run_dynamic_stencil(
-            &tb,
-            &[4, 0],
-            160,
-            24,
-            StencilVariant::Sten1,
-            PartitionVector::equal(160, 4),
-            &loads,
-            &DynamicConfig {
-                chunk: 24, // one chunk = never rebalances
-                trigger: 0.1,
-            },
-        )
-        .unwrap();
-        let dynamic_run = run_dynamic_stencil(
-            &tb,
-            &[4, 0],
-            160,
-            24,
-            StencilVariant::Sten1,
-            PartitionVector::equal(160, 4),
-            &loads,
-            &DynamicConfig::default(),
-        )
-        .unwrap();
+        // One chunk of all 24 iterations never rebalances.
+        let static_run = run_dynamic_stencil(160, 24, &loads, 24).unwrap();
+        let dynamic_run = run_dynamic_stencil(160, 24, &loads, 5).unwrap();
         assert!(
             dynamic_run.elapsed.as_millis_f64() < static_run.elapsed.as_millis_f64() * 0.8,
             "dynamic {} vs static {}",

@@ -1,26 +1,15 @@
 //! # netpart-baselines — comparator partitioning strategies
 //!
-//! The strategies the paper positions itself against (§2) plus its own
-//! future-work extension, so every experimental comparison in the
-//! benchmark harness has a real implementation behind it:
+//! The strategy the paper positions its static partitioning against:
 //!
-//! * [`equal_partition`] — equal data decomposition over a fixed
-//!   processor set (the paper's N=1200 counter-example);
-//! * [`all_processors`] — use everything available, speed-weighted but
-//!   with no granularity reasoning (Fig. 3 region B behaviour);
 //! * [`dynamic`] — chunked dynamic load rebalancing in the style of the
 //!   dataparallel-C runtime \[9\], also realizing the paper's §7 plan to
-//!   "dynamically recompute the partition vector";
-//! * [`probing`] — benchmark-based configuration selection over an
-//!   explicit candidate list, in the style of Cheung & Reeves \[1\].
+//!   "dynamically recompute the partition vector". Ablation A4 compares it
+//!   with the static partition under an induced load imbalance.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod dynamic;
-pub mod equal;
-pub mod probing;
 
-pub use dynamic::{run_dynamic_stencil, DynamicConfig, DynamicReport};
-pub use equal::{all_processors, equal_partition};
-pub use probing::{select_by_probing, ProbeSelection};
+pub use dynamic::{run_dynamic_stencil, DynamicReport};

@@ -1,7 +1,7 @@
 //! Ablations of the design choices DESIGN.md calls out (A1–A6).
 
 use netpart_apps::stencil::{stencil_model, StencilApp, StencilVariant};
-use netpart_baselines::{run_dynamic_stencil, DynamicConfig};
+use netpart_baselines::run_dynamic_stencil;
 use netpart_calibrate::{
     calibrate_testbed_cached, CalibratedCostModel, CalibrationConfig, FittedCost, Testbed,
 };
@@ -320,34 +320,13 @@ pub fn ablation_dynamic(
     iters: u64,
     loads: &[f64],
 ) -> Result<Vec<DynamicAblation>, NetpartError> {
-    let tb = Testbed::paper();
-    // Each load level is an independent pair of simulations.
+    // Each load level is an independent pair of simulations; one chunk of
+    // all `iters` iterations is the static baseline.
     crate::sweep::sweep(loads.to_vec(), |load| {
         let mut node_loads = vec![0.0; 6];
         node_loads[2] = load;
-        let static_run = run_dynamic_stencil(
-            &tb,
-            &[6, 0],
-            n as usize,
-            iters,
-            StencilVariant::Sten1,
-            PartitionVector::equal(n, 6),
-            &node_loads,
-            &DynamicConfig {
-                chunk: iters,
-                trigger: 0.05,
-            },
-        )?;
-        let dynamic_run = run_dynamic_stencil(
-            &tb,
-            &[6, 0],
-            n as usize,
-            iters,
-            StencilVariant::Sten1,
-            PartitionVector::equal(n, 6),
-            &node_loads,
-            &DynamicConfig::default(),
-        )?;
+        let static_run = run_dynamic_stencil(n as usize, iters, &node_loads, iters)?;
+        let dynamic_run = run_dynamic_stencil(n as usize, iters, &node_loads, 5)?;
         Ok(DynamicAblation {
             load,
             static_ms: static_run.elapsed.as_millis_f64(),

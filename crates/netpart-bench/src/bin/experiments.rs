@@ -39,7 +39,7 @@ type Violations = Vec<String>;
 fn model() -> &'static CalibratedCostModel {
     static MODEL: OnceLock<CalibratedCostModel> = OnceLock::new();
     MODEL.get_or_init(|| {
-        eprintln!("[calibration — offline §3 step, cached under target/netpart-calib]");
+        eprintln!("[calibration — offline §3 step, once per process]");
         ok(paper_calibration())
     })
 }

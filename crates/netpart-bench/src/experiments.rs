@@ -47,9 +47,8 @@ pub const PAPER_TOPOLOGIES: [Topology; 4] = [
 
 /// Calibrate the paper testbed for every topology the applications use.
 /// This is the offline step of §3 run against the simulator; the result is
-/// memoized in-process and persisted under `target/netpart-calib/`, so it
-/// is computed at most once per machine and every bench, test, and example
-/// afterwards starts from the cached constants.
+/// memoized in-process, so it is computed at most once per process and
+/// every later caller in that process starts from the cached constants.
 pub fn paper_calibration() -> Result<CalibratedCostModel, NetpartError> {
     let tb = Testbed::paper();
     calibrate_testbed_cached(&tb, &PAPER_TOPOLOGIES, &CalibrationConfig::default())

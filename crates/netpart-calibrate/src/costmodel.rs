@@ -220,8 +220,7 @@ impl<T: CommCostModel + ?Sized> CommCostModel for &T {
 ///
 /// The tables are read on every probe of a plan's search, so they hash
 /// with the simulator's [`FastMap`] rather than SipHash. Nothing depends
-/// on their iteration order: the plan fingerprint and the disk cache sort
-/// the entries first.
+/// on their iteration order: the plan fingerprint sorts the entries first.
 #[derive(Debug, Clone, Default)]
 pub struct CalibratedCostModel {
     /// Eq. 1 constants per (cluster, topology).
@@ -229,7 +228,7 @@ pub struct CalibratedCostModel {
     /// Two-piece overrides per (cluster, topology), for a caller that
     /// carries a [`calibrate_cluster_gated`](crate::fit::calibrate_cluster_gated)
     /// fallback in a fixed model. Consulted before `intra`; no calibration
-    /// entry point fills it, and the disk cache does not store it.
+    /// entry point fills it.
     pub piecewise: FastMap<(usize, Topology), PiecewiseCost>,
     /// Router penalty per unordered cluster pair (stored with a ≤ b).
     pub router: FastMap<(usize, usize), LinearCost>,

@@ -137,14 +137,6 @@ impl Testbed {
         self.clusters.iter().map(|c| c.nodes).collect()
     }
 
-    /// Seconds-per-flop of each cluster's machine class (`S_i`).
-    pub fn flop_secs(&self) -> Vec<f64> {
-        self.clusters
-            .iter()
-            .map(|c| c.proc_type.sec_per_flop)
-            .collect()
-    }
-
     /// Replace the wiring (builder style).
     pub fn with_wiring(mut self, wiring: Wiring) -> Testbed {
         self.wiring = wiring;
@@ -306,8 +298,8 @@ mod tests {
         let t = Testbed::paper();
         assert_eq!(t.num_clusters(), 2);
         assert_eq!(t.capacities(), vec![6, 6]);
-        let s = t.flop_secs();
-        assert!((s[1] / s[0] - 2.0).abs() < 1e-9);
+        let s = |i: usize| t.clusters[i].proc_type.sec_per_flop;
+        assert!((s(1) / s(0) - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -471,9 +463,9 @@ mod synthetic_tests {
         let t = Testbed::synthetic(4, 8, 1.5);
         assert_eq!(t.num_clusters(), 4);
         assert_eq!(t.capacities(), vec![8, 8, 8, 8]);
-        let s = t.flop_secs();
+        let s = |i: usize| t.clusters[i].proc_type.sec_per_flop;
         for i in 1..4 {
-            assert!((s[i] / s[i - 1] - 1.5).abs() < 1e-9);
+            assert!((s(i) / s(i - 1) - 1.5).abs() < 1e-9);
         }
     }
 

@@ -89,24 +89,6 @@ impl Partition {
         self.config.iter().sum()
     }
 
-    /// Largest per-rank PDU count over the mean — 1.0 is a perfectly even
-    /// decomposition. On a heterogeneous system this is *expected* to
-    /// exceed 1 (Eq. 3 deliberately gives fast ranks more PDUs so their
-    /// times equalize); on a homogeneous one it reports how far the
-    /// largest-remainder rounding stretched the heaviest rank.
-    pub fn load_imbalance(&self) -> f64 {
-        let n = self.vector.num_ranks();
-        if n == 0 {
-            return 1.0;
-        }
-        let mean = self.vector.total() as f64 / n as f64;
-        if mean <= 0.0 {
-            return 1.0;
-        }
-        let max = (0..n).map(|r| self.vector.count(r)).max().unwrap_or(0);
-        max as f64 / mean
-    }
-
     /// Each rank's cluster id, in rank order — the task placement.
     pub fn rank_clusters(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.total_processors() as usize);
@@ -958,18 +940,6 @@ mod tests {
         .unwrap();
         assert_eq!(refined.config, vec![6, 6]);
         assert_eq!(refined.refinement_moves, 0);
-    }
-
-    #[test]
-    fn load_imbalance_reports_decomposition_skew() {
-        let sys = paper_system();
-        let cost = PaperCostModel;
-        let app = stencil(1200, true);
-        let est = Estimator::new(&sys, &cost, &app);
-        let p = partition(&est, &PartitionOptions::default()).unwrap();
-        // (6,6) on a 2:1 speed spread: mean 100 PDUs, Sparc2 ranks ~133.
-        let li = p.load_imbalance();
-        assert!((1.30..1.37).contains(&li), "imbalance {li}");
     }
 
     #[test]

@@ -42,14 +42,12 @@
 #![forbid(unsafe_code)]
 
 pub mod budget;
-pub mod derive;
 pub mod error;
 pub mod model;
 pub mod partition_vector;
 pub mod phase;
 
 pub use budget::Budget;
-pub use derive::{derive_model, BytesExpr, KernelSpec, Stmt};
 pub use error::NetpartError;
 pub use model::AppModel;
 pub use partition_vector::PartitionVector;

@@ -168,11 +168,6 @@ impl PartitionVector {
         }
         None
     }
-
-    /// Ranks with a nonzero assignment.
-    pub fn active_ranks(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
 }
 
 impl fmt::Debug for PartitionVector {
@@ -358,6 +353,5 @@ mod tests {
         assert_eq!(v.owner_of(5), Some(2));
         assert_eq!(v.owner_of(7), Some(2));
         assert_eq!(v.owner_of(8), None);
-        assert_eq!(v.active_ranks(), 2);
     }
 }

@@ -14,7 +14,6 @@ use crate::topology::{Rank, Topology};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CycleSchedule {
     topology: Topology,
-    p: u32,
     /// `sends[rank]` = peers this rank sends one message to per cycle.
     sends: Vec<Vec<Rank>>,
 }
@@ -23,7 +22,7 @@ impl CycleSchedule {
     /// Expand `topology` for `p` tasks.
     pub fn new(topology: Topology, p: u32) -> CycleSchedule {
         let sends = (0..p).map(|r| topology.neighbors(r, p)).collect();
-        CycleSchedule { topology, p, sends }
+        CycleSchedule { topology, sends }
     }
 
     /// The topology this schedule was built from.
@@ -31,25 +30,9 @@ impl CycleSchedule {
         self.topology
     }
 
-    /// Number of participating tasks.
-    pub fn num_tasks(&self) -> u32 {
-        self.p
-    }
-
     /// Peers `rank` sends to each cycle.
     pub fn sends_of(&self, rank: Rank) -> &[Rank] {
         &self.sends[rank as usize]
-    }
-
-    /// Peers `rank` receives from each cycle (symmetric patterns: same as
-    /// the send set).
-    pub fn recvs_of(&self, rank: Rank) -> &[Rank] {
-        &self.sends[rank as usize]
-    }
-
-    /// Total directed messages per cycle.
-    pub fn total_messages(&self) -> usize {
-        self.sends.iter().map(Vec::len).sum()
     }
 
     /// Iterate `(sender, receiver)` over all directed messages of a cycle.
@@ -70,9 +53,6 @@ mod tests {
         let s = CycleSchedule::new(Topology::OneD, 4);
         assert_eq!(s.sends_of(0), &[1]);
         assert_eq!(s.sends_of(1), &[0, 2]);
-        assert_eq!(s.recvs_of(2), &[1, 3]);
-        assert_eq!(s.total_messages(), 6);
-        assert_eq!(s.num_tasks(), 4);
         assert_eq!(s.topology(), Topology::OneD);
     }
 
@@ -88,6 +68,5 @@ mod tests {
     fn degenerate_single_task() {
         let s = CycleSchedule::new(Topology::OneD, 1);
         assert!(s.sends_of(0).is_empty());
-        assert_eq!(s.total_messages(), 0);
     }
 }

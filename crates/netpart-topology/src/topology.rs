@@ -120,24 +120,6 @@ impl Topology {
         }
     }
 
-    /// The maximum number of messages any single task sends in one cycle.
-    /// This scales the per-cycle cost: a 1-D interior task sends 2, a 2-D
-    /// interior task 4, the broadcast root `p - 1`.
-    pub fn max_degree(self, p: u32) -> u32 {
-        if p <= 1 {
-            return 0;
-        }
-        (0..p)
-            .map(|r| self.neighbors(r, p).len() as u32)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total directed messages exchanged per cycle across all tasks.
-    pub fn messages_per_cycle(self, p: u32) -> u32 {
-        (0..p).map(|r| self.neighbors(r, p).len() as u32).sum()
-    }
-
     /// Bandwidth-limited topologies cannot exploit the private bandwidth of
     /// additional segments: in a broadcast every byte traverses the root's
     /// segment (and every router on the way), so "the available bandwidth
@@ -196,7 +178,6 @@ mod tests {
         let mut n = Topology::TwoD.neighbors(5, 12);
         n.sort();
         assert_eq!(n, vec![1, 4, 6, 9]);
-        assert_eq!(Topology::TwoD.max_degree(12), 4);
     }
 
     #[test]
@@ -210,7 +191,6 @@ mod tests {
     fn broadcast_star() {
         assert_eq!(Topology::Broadcast.neighbors(0, 5), vec![1, 2, 3, 4]);
         assert_eq!(Topology::Broadcast.neighbors(3, 5), vec![0]);
-        assert_eq!(Topology::Broadcast.max_degree(5), 4);
         assert!(Topology::Broadcast.is_bandwidth_limited());
         assert!(!Topology::OneD.is_bandwidth_limited());
     }
@@ -229,12 +209,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn messages_per_cycle_counts_directed_edges() {
-        // 1-D chain of 4: edges (0,1),(1,2),(2,3) → 6 directed messages.
-        assert_eq!(Topology::OneD.messages_per_cycle(4), 6);
-        assert_eq!(Topology::Broadcast.messages_per_cycle(5), 8);
     }
 }

@@ -6,13 +6,9 @@
 //! cargo run --release --example dynamic_rebalance
 //! ```
 
-use netpart::apps::stencil::StencilVariant;
-use netpart::baselines::{run_dynamic_stencil, DynamicConfig};
-use netpart::calibrate::Testbed;
-use netpart::model::PartitionVector;
+use netpart::baselines::run_dynamic_stencil;
 
 fn main() {
-    let testbed = Testbed::paper();
     let n = 300usize;
     let iters = 30;
 
@@ -25,32 +21,9 @@ fn main() {
         let mut loads = vec![0.0; 6];
         loads[2] = load;
 
-        let static_run = run_dynamic_stencil(
-            &testbed,
-            &[6, 0],
-            n,
-            iters,
-            StencilVariant::Sten1,
-            PartitionVector::equal(n as u64, 6),
-            &loads,
-            &DynamicConfig {
-                chunk: iters, // a single chunk never rebalances
-                trigger: 0.05,
-            },
-        )
-        .expect("static run");
-
-        let dynamic_run = run_dynamic_stencil(
-            &testbed,
-            &[6, 0],
-            n,
-            iters,
-            StencilVariant::Sten1,
-            PartitionVector::equal(n as u64, 6),
-            &loads,
-            &DynamicConfig::default(),
-        )
-        .expect("dynamic run");
+        // A single chunk of all iterations never rebalances.
+        let static_run = run_dynamic_stencil(n, iters, &loads, iters).expect("static run");
+        let dynamic_run = run_dynamic_stencil(n, iters, &loads, 5).expect("dynamic run");
 
         // Both strategies must still compute the correct grid.
         assert_eq!(static_run.grid, dynamic_run.grid);

@@ -31,7 +31,7 @@ fn main() -> Result<(), NetpartError> {
         );
     }
 
-    eprintln!("calibrating (router + coercion fits included; cached after the first run)...");
+    eprintln!("calibrating (router + coercion fits included)...");
     let cost_model =
         calibrate_testbed_cached(&testbed, &[Topology::OneD], &CalibrationConfig::default())?;
     for a in 0..testbed.num_clusters() {

@@ -36,9 +36,8 @@ fn main() -> Result<(), NetpartError> {
 
     // 3. Scenario → plan. The default cost source calibrates
     //    T_comm[C, τ](b, p) = c1 + c2·p + b(c3 + c4·p) against the
-    //    simulator, cached under target/netpart-calib/ — only the first
-    //    run on a machine pays for the benchmark sweeps.
-    eprintln!("calibrating 1-D communication cost functions (cached after the first run)...");
+    //    simulator, memoized for the rest of the process.
+    eprintln!("calibrating 1-D communication cost functions...");
     let scenario = Scenario::new(testbed, app_model);
     let plan = scenario.plan()?;
     let predicted = plan.predicted_tc_ms.expect("planned with a cost model");

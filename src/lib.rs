@@ -21,8 +21,8 @@
 //! | [`calibrate`] | offline benchmarking + least-squares cost-function fitting |
 //! | [`core`] | the partitioning method itself (cluster ordering, `T_c` estimator, configuration search) |
 //! | [`spmd`] | SPMD cycle runtime executing tasks over the simulated network |
-//! | [`apps`] | stencil (STEN-1/STEN-2), Gaussian elimination, particle simulation |
-//! | [`baselines`] | equal decomposition, all-processors, dynamic balancing comparators |
+//! | [`apps`] | stencil (STEN-1/STEN-2 and a 2-D block variant), Gaussian elimination |
+//! | [`baselines`] | the dynamic load-balancing comparator |
 //!
 //! On top sits [`pipeline`], the typed **Scenario → plan → run** flow
 //! every experiment, example, and benchmark drives:

@@ -24,7 +24,7 @@ pub enum CostSource {
     /// clusters). Reproduces Table 1 independently of simulator tuning.
     Paper,
     /// Calibrate the scenario's testbed against the simulator (or reuse
-    /// the memoized/persisted calibration) with this configuration — the
+    /// this process's memoized calibration) with this configuration — the
     /// paper's offline benchmarking step.
     Calibrated(CalibrationConfig),
     /// A caller-supplied, already-fitted model.
@@ -81,12 +81,6 @@ impl Scenario {
     /// Replace the cost-model source.
     pub fn with_cost(mut self, cost: CostSource) -> Scenario {
         self.cost = cost;
-        self
-    }
-
-    /// Replace the partitioner options.
-    pub fn with_options(mut self, options: PartitionOptions) -> Scenario {
-        self.options = options;
         self
     }
 
