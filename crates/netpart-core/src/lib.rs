@@ -55,7 +55,6 @@ pub use manager::{determine_available, AvailabilityPolicy, AvailabilityReport};
 pub use overhead::{measure_overhead, OverheadReport};
 pub use partitioner::{
     partition, partition_budgeted, partition_exhaustive, ClusterOrder, Partition, PartitionOptions,
-    AUTO_INCREMENTAL_MIN_K,
 };
 pub use search::{SearchResult, SearchStrategy};
 pub use system::{ClusterInfo, SystemModel};

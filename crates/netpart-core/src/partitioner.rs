@@ -18,7 +18,7 @@
 use netpart_model::{Budget, NetpartError, PartitionVector};
 
 use crate::estimator::{Estimator, TcBreakdown};
-use crate::search::{SearchResult, SearchStrategy};
+use crate::search::SearchStrategy;
 
 /// Cluster consideration order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -31,18 +31,6 @@ pub enum ClusterOrder {
     /// An explicit order (must be a permutation of cluster indices).
     Given(Vec<usize>),
 }
-
-/// From how many clusters the fill loop prices candidates through
-/// [`FillContext`](crate::FillContext) delta-evals (O(1) per probe after
-/// an O(K) setup per cluster) instead of a full Eq. 3–6 breakdown walking
-/// all `K` clusters. Small systems — including the paper's K=2 testbed,
-/// whose outputs are pinned byte-for-byte by the golden tests — keep the
-/// exact original floating-point path; large ones get the O(1) probes,
-/// which agree to ~1e-12 relative but may differ in the last bits. The
-/// delta path itself falls back to full breakdowns when its algebra does
-/// not apply (non-linear complexity, share-dependent bytes,
-/// bandwidth-limited topology).
-pub const AUTO_INCREMENTAL_MIN_K: usize = 8;
 
 /// Partitioner knobs.
 #[derive(Debug, Clone, Default)]
@@ -74,9 +62,9 @@ pub struct Partition {
     /// `T_c` evaluations spent (the §5 overhead metric).
     pub evaluations: u64,
     /// Per-cluster units of estimation work spent
-    /// ([`Estimator::cluster_evals`]): `K` per full breakdown, `1` per
-    /// incremental delta-eval — what the delta path saves from
-    /// [`AUTO_INCREMENTAL_MIN_K`] clusters up.
+    /// ([`Estimator::cluster_evals`]): `K` per context and `1` per
+    /// [`FillContext`](crate::FillContext) probe, `K` per full breakdown
+    /// where the model falls back to those (and in refinement).
     pub cluster_evals: u64,
     /// Single-processor refinement moves applied (0 unless
     /// [`PartitionOptions::refine_passes`] > 0 found improvements).
@@ -120,18 +108,6 @@ pub fn partition_budgeted(
     opts: &PartitionOptions,
     budget: &Budget,
 ) -> Result<Partition, NetpartError> {
-    let incremental = est.system().num_clusters() >= AUTO_INCREMENTAL_MIN_K;
-    partition_priced(est, opts, budget, incremental)
-}
-
-/// The fill loop under either pricing path; [`partition_budgeted`] picks
-/// `incremental` from the cluster count, the tests compare the two.
-fn partition_priced(
-    est: &Estimator<'_>,
-    opts: &PartitionOptions,
-    budget: &Budget,
-    incremental: bool,
-) -> Result<Partition, NetpartError> {
     budget.check()?;
     let sys = est.system();
     let k = sys.num_clusters();
@@ -144,11 +120,9 @@ fn partition_priced(
     let mut config = vec![0u32; k];
     // The filled clusters, summarized: each cluster's context reads one
     // row of crossing penalties instead of re-walking every filled pair.
-    let mut filled = if incremental {
-        est.fill_state(&config)
-    } else {
-        None
-    };
+    // `None` where the delta-eval algebra does not apply; every probe is
+    // then a full breakdown.
+    let mut filled = est.fill_state(&config);
     let mut first = true;
     for &cluster in &order {
         budget.check()?;
@@ -159,16 +133,16 @@ fn partition_priced(
             }
             break;
         }
-        let lo = if first { 1 } else { 0 };
         let ctx = filled.as_ref().map(|f| f.context(cluster));
-        let result: SearchResult = match &ctx {
-            Some(ctx) => opts.strategy.minimize(lo, avail, |p| ctx.t_c_ms(p)),
-            None => opts.strategy.minimize(lo, avail, |p| {
-                let mut candidate = config.clone();
-                candidate[cluster] = p;
-                est.t_c_ms(&candidate)
-            }),
-        };
+        let result = opts
+            .strategy
+            .minimize(u32::from(first), avail, |p| match &ctx {
+                Some(ctx) => ctx.t_c_ms(p),
+                None => {
+                    config[cluster] = p;
+                    est.t_c_ms(&config)
+                }
+            });
         config[cluster] = result.argmin;
         if let (Some(filled), Some(ctx)) = (&mut filled, &ctx) {
             filled.commit(ctx, result.argmin);
@@ -639,15 +613,17 @@ mod tests {
         }
     }
 
-    /// The fill loop as it ran before the running state: each cluster's
-    /// context summarized from scratch, and the vector rounded rank by
-    /// rank.
-    fn partition_from_scratch(est: &Estimator<'_>, opts: &PartitionOptions) -> Partition {
+    /// The fill loop with cluster `c`'s search run by `search(config, c,
+    /// lo, avail)`, then refinement: the configuration and the order.
+    fn reference_fill(
+        est: &Estimator<'_>,
+        opts: &PartitionOptions,
+        search: impl Fn(&[u32], usize, u32, u32) -> u32,
+    ) -> (Vec<u32>, Vec<usize>, u32) {
         let sys = est.system();
-        let k = sys.num_clusters();
         let order = consideration_order(est, &opts.order).unwrap();
         est.reset_evaluations();
-        let mut config = vec![0u32; k];
+        let mut config = vec![0u32; sys.num_clusters()];
         let mut first = true;
         for &cluster in &order {
             let avail = sys.clusters[cluster].available;
@@ -657,35 +633,57 @@ mod tests {
                 }
                 break;
             }
-            let ctx = est
-                .fill_context_from_scratch(&config, cluster)
-                .expect("stencil models take the fast path");
-            let result = opts
-                .strategy
-                .minimize(u32::from(first), avail, |p| ctx.t_c_ms(p));
-            config[cluster] = result.argmin;
+            config[cluster] = search(&config, cluster, u32::from(first), avail);
             first = false;
-            if result.argmin < avail {
+            if config[cluster] < avail {
                 break;
             }
         }
         let refinement_moves =
             refine(est, &mut config, opts.refine_passes, &Budget::unlimited()).unwrap();
+        (config, order, refinement_moves)
+    }
+
+    /// The fill loop as it ran before the running state: each cluster's
+    /// context summarized from scratch, and the vector rounded rank by
+    /// rank.
+    fn partition_from_scratch(est: &Estimator<'_>, opts: &PartitionOptions) -> Partition {
+        let (config, order, refinement_moves) = reference_fill(est, opts, |config, c, lo, hi| {
+            let ctx = est
+                .fill_context_from_scratch(config, c)
+                .expect("stencil models take the fast path");
+            opts.strategy.minimize(lo, hi, |p| ctx.t_c_ms(p)).argmin
+        });
         let breakdown = est.breakdown(&config);
         let shares = est.shares(&config);
-        let per_rank: Vec<f64> = order
+        let per_rank: Vec<(f64, usize)> = order
             .iter()
-            .flat_map(|&c| std::iter::repeat_n(shares[c], config[c] as usize))
+            .flat_map(|&c| std::iter::repeat_n((shares[c], 1), config[c] as usize))
             .collect();
         Partition {
-            vector: PartitionVector::from_real_shares(&per_rank, est.app().num_pdus()),
+            vector: PartitionVector::from_share_runs(&per_rank, est.app().num_pdus()),
             evaluations: est.evaluations() - 1,
-            cluster_evals: est.cluster_evals() - k as u64,
+            cluster_evals: est.cluster_evals() - config.len() as u64,
             config,
             order,
             breakdown,
             refinement_moves,
         }
+    }
+
+    /// The fill loop with every probe priced by a full
+    /// [`Estimator::t_c_ms`] — the reference the delta-eval must equal.
+    fn partition_by_breakdowns(est: &Estimator<'_>, opts: &PartitionOptions) -> Partition {
+        let (config, order, refinement_moves) = reference_fill(est, opts, |config, c, lo, hi| {
+            let mut candidate = config.to_vec();
+            opts.strategy
+                .minimize(lo, hi, |p| {
+                    candidate[c] = p;
+                    est.t_c_ms(&candidate)
+                })
+                .argmin
+        });
+        finish(est, config, order, refinement_moves)
     }
 
     /// A random system for the running-state properties: any wiring, a
@@ -720,7 +718,59 @@ mod tests {
         (sys, hop_model(&testbed))
     }
 
+    /// Refinement on when `flags & 2`; the order from `flags >> 2`:
+    /// fastest first, slowest first, or shuffled by `keys`.
+    fn random_options(k: usize, keys: &[u32], flags: u32) -> PartitionOptions {
+        PartitionOptions {
+            refine_passes: if flags & 2 == 0 { 0 } else { 2 },
+            order: match flags >> 2 {
+                0 => ClusterOrder::FastestFirst,
+                1 => ClusterOrder::SlowestFirst,
+                _ => {
+                    let mut o: Vec<usize> = (0..k).collect();
+                    o.sort_by_key(|&c| keys[c]);
+                    ClusterOrder::Given(o)
+                }
+            },
+            ..Default::default()
+        }
+    }
+
     proptest::proptest! {
+        /// One pricing path at every K: the plan equals the fill loop
+        /// that prices every probe with a full breakdown — configuration,
+        /// `T_c` bits, evaluations, vector and refinement moves — on
+        /// random systems of every wiring, in all three orders, with
+        /// refinement on and off. Slowest-first and shuffled orders pin
+        /// clusters above the varied one, whose Eq. 3 terms a probe adds
+        /// after its own.
+        #[test]
+        fn delta_eval_plans_equal_full_breakdown_plans(
+            k in 1usize..49,
+            nodes_per in 1u32..9,
+            picks in (0usize..6, 0usize..3),
+            n in 50u64..200_000,
+            busy in proptest::prop::collection::vec(0u32..5, 48..49),
+            keys in proptest::prop::collection::vec(proptest::any::<u32>(), 48..49),
+            flags in 0u32..16,
+        ) {
+            let (sys, cost) = random_system(k, nodes_per, picks, &busy);
+            proptest::prop_assume!(sys.total_available() > 0);
+            let app = stencil(n, flags & 1 != 0);
+            let est = Estimator::new(&sys, &cost, &app);
+            let opts = random_options(k, &keys, flags);
+            let expect = partition_by_breakdowns(&est, &opts);
+            let got = partition(&est, &opts).unwrap();
+            proptest::prop_assert_eq!(&got.config, &expect.config);
+            proptest::prop_assert_eq!(
+                got.predicted_tc_ms().to_bits(),
+                expect.predicted_tc_ms().to_bits()
+            );
+            proptest::prop_assert_eq!(got.evaluations, expect.evaluations);
+            proptest::prop_assert_eq!(got.vector.counts(), expect.vector.counts());
+            proptest::prop_assert_eq!(got.refinement_moves, expect.refinement_moves);
+        }
+
         /// The running fill state changes what a plan costs and nothing
         /// about the plan: configuration, `T_c` bits, both work counters
         /// and the vector equal the from-scratch loop's on random
@@ -741,21 +791,9 @@ mod tests {
             let counting = Counting::new(&cost);
             let app = stencil(n, flags & 1 != 0);
             let est = Estimator::new(&sys, &counting, &app);
-            let opts = PartitionOptions {
-                refine_passes: if flags & 2 == 0 { 0 } else { 2 },
-                order: match flags >> 2 {
-                    0 => ClusterOrder::FastestFirst,
-                    1 => ClusterOrder::SlowestFirst,
-                    _ => {
-                        let mut o: Vec<usize> = (0..k).collect();
-                        o.sort_by_key(|&c| keys[c]);
-                        ClusterOrder::Given(o)
-                    }
-                },
-                ..Default::default()
-            };
+            let opts = random_options(k, &keys, flags);
             let expect = partition_from_scratch(&est, &opts);
-            let got = partition_priced(&est, &opts, &Budget::unlimited(), true).unwrap();
+            let got = partition(&est, &opts).unwrap();
             proptest::prop_assert_eq!(&got.config, &expect.config);
             proptest::prop_assert_eq!(
                 got.predicted_tc_ms().to_bits(),
@@ -850,44 +888,6 @@ mod tests {
             }
         }
         model
-    }
-
-    #[test]
-    fn incremental_mode_picks_the_same_config_for_less_work() {
-        let (sys, cost) = synthetic_setup(16);
-        let app = stencil(4000, false);
-        let est = Estimator::new(&sys, &cost, &app);
-        let opts = PartitionOptions::default();
-        let full = partition_priced(&est, &opts, &Budget::unlimited(), false).unwrap();
-        let inc = partition_priced(&est, &opts, &Budget::unlimited(), true).unwrap();
-        assert_eq!(inc.config, full.config);
-        assert!(
-            inc.cluster_evals < full.cluster_evals,
-            "incremental {} must beat full {}",
-            inc.cluster_evals,
-            full.cluster_evals
-        );
-        // The public entry point goes incremental at K = 16 ≥ AUTO_INCREMENTAL_MIN_K.
-        let auto = partition(&est, &opts).unwrap();
-        assert_eq!(auto.config, full.config);
-        assert_eq!(auto.cluster_evals, inc.cluster_evals);
-    }
-
-    #[test]
-    fn auto_mode_keeps_the_exact_path_on_small_systems() {
-        // K = 2 < AUTO_INCREMENTAL_MIN_K: the public entry point must
-        // spend exactly what the full path spends — the golden paper
-        // outputs ride on this path.
-        let sys = paper_system();
-        let cost = PaperCostModel;
-        let app = stencil(600, false);
-        let est = Estimator::new(&sys, &cost, &app);
-        let opts = PartitionOptions::default();
-        let auto = partition(&est, &opts).unwrap();
-        let full = partition_priced(&est, &opts, &Budget::unlimited(), false).unwrap();
-        assert_eq!(auto.config, full.config);
-        assert_eq!(auto.cluster_evals, full.cluster_evals);
-        assert!(auto.predicted_tc_ms() == full.predicted_tc_ms());
     }
 
     #[test]
