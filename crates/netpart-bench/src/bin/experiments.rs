@@ -76,6 +76,13 @@ fn cmd_calibrate() -> Violations {
     Violations::new()
 }
 
+fn cmd_transport() -> Violations {
+    println!("Transport — lossless runs, so every retransmission is spurious:");
+    let report = ok(transport_report(model()));
+    print!("{}", render_transport(&report));
+    report.violations()
+}
+
 fn cmd_table1() -> Violations {
     print!("{}", render_table1(&ok(table1())));
     Violations::new()
@@ -431,8 +438,9 @@ type Command = (&'static str, bool, fn() -> Violations);
 /// Every subcommand but `all` and `export <dir>`. `all` runs them in this
 /// order and leaves out `chaos-fabric` (its 1024-node cells take
 /// minutes) and its CI subset `chaos-fabric-smoke`.
-const COMMANDS: [Command; 23] = [
+const COMMANDS: [Command; 24] = [
     ("calibrate", true, cmd_calibrate),
+    ("transport", true, cmd_transport),
     ("table1", true, cmd_table1),
     ("table2", true, cmd_table2),
     ("fig2", true, cmd_fig2),

@@ -23,7 +23,11 @@ use netpart_topology::{PlacementStrategy, Topology};
 
 /// The scenario every stencil experiment starts from: the paper testbed,
 /// the given stencil model, and the supplied (already fitted) cost model.
-fn stencil_scenario(n: u64, variant: StencilVariant, model: &CalibratedCostModel) -> Scenario {
+pub(crate) fn stencil_scenario(
+    n: u64,
+    variant: StencilVariant,
+    model: &CalibratedCostModel,
+) -> Scenario {
     Scenario::new(Testbed::paper(), stencil_model(n, variant))
         .with_cost(CostSource::Fixed(model.clone()))
 }

@@ -30,6 +30,7 @@ pub mod report;
 pub mod scale;
 pub mod sweep;
 mod target;
+pub mod transport;
 
 pub use ablations::*;
 pub use chaos_fabric::*;
@@ -41,3 +42,4 @@ pub use faults::*;
 pub use report::*;
 pub use scale::*;
 pub use target::{Checked, Target, Verdict};
+pub use transport::*;

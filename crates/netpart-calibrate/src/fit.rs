@@ -6,6 +6,7 @@
 //! benchmarked using different p and b values to derive the appropriate
 //! constants", executed against the simulator instead of real Sun4s.
 
+use netpart_mmps::MmpsStats;
 use netpart_model::{Budget, NetpartError, PartitionVector};
 use netpart_spmd::Executor;
 use netpart_topology::{PlacementStrategy, Topology};
@@ -57,9 +58,21 @@ pub fn measure_cycle_ms(
     bytes: u32,
     cfg: &CalibrationConfig,
 ) -> Result<f64, NetpartError> {
+    measure_cycle(testbed, per_cluster, topo, bytes, cfg).map(|(ms, _)| ms)
+}
+
+/// [`measure_cycle_ms`] plus the run's message-layer counters, which say
+/// whether the time includes retransmissions.
+pub fn measure_cycle(
+    testbed: &Testbed,
+    per_cluster: &[u32],
+    topo: Topology,
+    bytes: u32,
+    cfg: &CalibrationConfig,
+) -> Result<(f64, MmpsStats), NetpartError> {
     let p: u32 = per_cluster.iter().sum();
     if p <= 1 {
-        return Ok(0.0);
+        return Ok((0.0, MmpsStats::default()));
     }
     let (mmps, nodes) = testbed.try_build(per_cluster, PlacementStrategy::ClusterContiguous)?;
     let mut app = CommBench::new(topo, p, bytes, cfg.cycles);
@@ -75,10 +88,12 @@ pub fn measure_cycle_ms(
         .skip(cfg.warmup)
         .map(|d| d.as_millis_f64())
         .collect();
-    if usable.is_empty() {
-        return Ok(report.mean_cycle().as_millis_f64());
-    }
-    Ok(usable.iter().sum::<f64>() / usable.len() as f64)
+    let ms = if usable.is_empty() {
+        report.mean_cycle().as_millis_f64()
+    } else {
+        usable.iter().sum::<f64>() / usable.len() as f64
+    };
+    Ok((ms, report.mmps))
 }
 
 /// A swept `(p, b)` grid paired with the measured cycle time per point.
@@ -160,7 +175,7 @@ fn sweep_cluster_grids(
 
 /// Fit Eq. 1 to measured `(p, b)` points: `T = c1 + c2·p + b·(c3 + c4·p)`.
 /// `None` when the system is singular.
-fn fit_eq1(points: &[(u32, u32)], y: &[f64]) -> Option<FittedCost> {
+pub fn fit_eq1(points: &[(u32, u32)], y: &[f64]) -> Option<FittedCost> {
     let rows: Vec<Vec<f64>> = points
         .iter()
         .map(|&(p, b)| vec![1.0, p as f64, b as f64, p as f64 * b as f64])
@@ -683,38 +698,26 @@ mod tests {
         }
     }
 
-    /// Calibration's prediction gap, pinned: on one 10 Mb/s segment the
-    /// 14-rank 8 KB exchange queues longer than MMPS's static RTO ceiling
-    /// (100 ms + 60 µs/B ≈ 592 ms), so it retransmits with nothing lost,
-    /// and its cycle time — and the cluster's Eq. 1 fit — fold that in;
-    /// 13 ranks stay clean. A change to the transport that removes the
-    /// spurious retransmissions should flip this test on purpose.
+    /// The 8 KB one-segment exchange at 13–16 ranks, characterized. From
+    /// 14 ranks a round trip queues longer than MMPS's size-scaled first
+    /// timeout (100 ms + 60 µs/B ≈ 592 ms). Once a pair has a round-trip
+    /// sample its timeout follows the queue, so what still retransmits is
+    /// first contact: messages that leave before their pair has a sample
+    /// — 139 re-sends at p = 16, with nothing lost. The exact counts are
+    /// pinned so a transport change that moves them shows here.
     #[test]
-    fn fourteen_ranks_of_8kb_retransmit_on_one_segment() {
+    fn eight_kb_one_segment_retransmissions_by_rank_count() {
         let tb = Testbed::synthetic(16, 16, 1.15).with_wiring(crate::Wiring::Tree { arity: 4 });
         let cfg = CalibrationConfig::default();
-        let run = |p: u32| {
-            let mut config = vec![0u32; tb.num_clusters()];
-            config[0] = p;
-            let (mmps, nodes) = tb
-                .try_build(&config, PlacementStrategy::ClusterContiguous)
-                .unwrap();
-            let mut exec = Executor::new(mmps, nodes);
-            let mut app = CommBench::new(Topology::OneD, p, 8192, cfg.cycles);
-            exec.run(
-                &mut app,
-                &PartitionVector::equal(p as u64, p as usize),
-                false,
-            )
-            .unwrap();
-            let stats = exec.mmps().stats();
-            (stats.retransmissions, stats.datagrams_dropped)
-        };
-        let (clean, lost_13) = run(13);
-        let (retx, lost_14) = run(14);
-        println!("p=13: {clean} retransmissions; p=14: {retx}");
-        assert_eq!((clean, lost_13, lost_14), (0, 0, 0));
-        assert!(retx > 0, "p=14 retransmits with nothing dropped");
+        let got: Vec<_> = (13..=16)
+            .map(|p| {
+                let mut config = vec![0u32; tb.num_clusters()];
+                config[0] = p;
+                let (_, stats) = measure_cycle(&tb, &config, Topology::OneD, 8192, &cfg).unwrap();
+                (stats.retransmissions, stats.datagrams_dropped)
+            })
+            .collect();
+        assert_eq!(got, [(0, 0), (2, 0), (6, 0), (139, 0)]);
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub use costmodel::{
     PiecewiseCost,
 };
 pub use fit::{
-    calibrate_cluster_gated, calibrate_testbed, measure_cycle_ms, CalibrationConfig, LackOfFit,
+    calibrate_cluster_gated, calibrate_testbed, fit_eq1, measure_cycle, measure_cycle_ms,
+    CalibrationConfig, LackOfFit,
 };
 pub use linreg::{least_squares, FitResult};
 pub use netpart_sim::{Fabric, Wiring};

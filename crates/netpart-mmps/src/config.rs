@@ -44,10 +44,13 @@ pub struct MmpsConfig {
     pub header_bytes: u32,
     /// Wire size of an acknowledgement datagram.
     pub ack_bytes: u32,
-    /// Base retransmission timeout.
+    /// Base of a pair's first retransmission timeout, used until the
+    /// pair has a round-trip sample (then the adaptive estimate takes
+    /// over, with no ceiling; see [`MmpsConfig::rto_for`]).
     pub base_rto: SimDur,
-    /// Additional RTO per message byte (large messages take longer to
-    /// drain through a contended channel, so their timeout scales).
+    /// Additional first-timeout per message byte (large messages take
+    /// longer to drain through a contended channel, so their first
+    /// timeout scales).
     pub rto_per_byte: SimDur,
     /// Give up after this many retransmissions and surface
     /// [`MmpsEvent::MessageFailed`](crate::MmpsEvent::MessageFailed).
@@ -58,8 +61,10 @@ pub struct MmpsConfig {
     pub coerce_per_byte: SimDur,
     /// Fixed per-message coercion cost when formats differ.
     pub coerce_per_msg: SimDur,
-    /// Floor for the adaptive RTO (the timeout follows observed round-trip
-    /// times, Jacobson/Karels; the static size-scaled RTO is its ceiling).
+    /// Floor of the adaptive RTO's variance term: once a pair has a
+    /// round-trip sample its timeout is `srtt + max(4·rttvar, min_rto)`
+    /// (Jacobson/Karels with RFC 6298's granularity term), so a steady
+    /// pair still waits `min_rto` past its smoothed round trip.
     pub min_rto: SimDur,
     /// Per-message delivery deadline: if set, a message still unacked this
     /// long after submission fails at the next retransmission check even
@@ -98,7 +103,10 @@ impl Default for MmpsConfig {
 }
 
 impl MmpsConfig {
-    /// Retransmission timeout for a message of `bytes` payload bytes.
+    /// First retransmission timeout for a message of `bytes` payload
+    /// bytes: what a pair waits before it has a round-trip sample. Once
+    /// it has one, the adaptive estimate replaces this value, above or
+    /// below it.
     pub fn rto_for(&self, bytes: u32) -> SimDur {
         self.base_rto + SimDur::from_nanos(self.rto_per_byte.as_nanos() * bytes as u64)
     }

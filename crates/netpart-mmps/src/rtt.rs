@@ -1,12 +1,17 @@
-//! Adaptive retransmission timeout (Jacobson/Karels).
+//! Adaptive retransmission timeout (Jacobson/Karels, RFC 6298).
+//!
+//! This estimator tracks the smoothed round-trip time and its variation
+//! per (sender, destination) pair and yields `srtt + max(4·rttvar,
+//! min_rto)`: RFC 6298's `srtt + max(G, K·rttvar)` with the configured
+//! floor as `G`. The floor matters on a bulk-synchronous channel, where
+//! every cycle's round trip is nearly the same: `rttvar` decays until the
+//! timeout sits a millisecond above `srtt`, and the first queueing
+//! excursion would fire it for a message that was never lost.
 //!
 //! The static size-scaled RTO in [`MmpsConfig`](crate::MmpsConfig) is a
-//! safe ceiling, but under sustained contention the queueing delay can be
-//! far below (or occasionally above) it. This estimator tracks the
-//! smoothed round-trip time and its variation per destination and yields
-//! `srtt + 4·rttvar`, clamped between the configured floor and ceiling —
-//! the classic TCP formula, which both cuts recovery latency after real
-//! loss and avoids the spurious-retransmission spiral on a loaded channel.
+//! pair's *first* timeout, used until the pair has a sample. It is not a
+//! ceiling: many stations with large messages on one segment can need a
+//! round trip above it, and clamping there re-sends what is still queued.
 //!
 //! Karn's rule applies: samples from retransmitted messages are discarded
 //! (the ack cannot be attributed to a specific transmission).
@@ -51,14 +56,12 @@ impl RttEstimator {
         (self.samples > 0).then(|| SimDur::from_secs_f64(self.srtt))
     }
 
-    /// The adaptive timeout `srtt + 4·rttvar`, clamped to
-    /// `[floor, ceiling]`; `ceiling` when no samples exist yet.
-    pub fn rto(&self, floor: SimDur, ceiling: SimDur) -> SimDur {
-        if self.samples == 0 {
-            return ceiling;
-        }
-        let raw = SimDur::from_secs_f64(self.srtt + 4.0 * self.rttvar);
-        raw.max(floor).min(ceiling)
+    /// The adaptive timeout `srtt + max(4·rttvar, floor)`, once a sample
+    /// exists.
+    pub fn rto(&self, floor: SimDur) -> Option<SimDur> {
+        (self.samples > 0).then(|| {
+            SimDur::from_secs_f64(self.srtt + (4.0 * self.rttvar).max(floor.as_secs_f64()))
+        })
     }
 }
 
@@ -75,8 +78,7 @@ mod tests {
         let srtt = e.srtt().unwrap();
         assert_eq!(srtt, SimDur::from_millis(10));
         // rto = 10 + 4·5 = 30 ms
-        let rto = e.rto(SimDur::from_millis(1), SimDur::from_millis(1000));
-        assert_eq!(rto, SimDur::from_millis(30));
+        assert_eq!(e.rto(SimDur::from_millis(1)), Some(SimDur::from_millis(30)));
     }
 
     #[test]
@@ -88,8 +90,9 @@ mod tests {
         let srtt = e.srtt().unwrap().as_millis_f64();
         assert!((srtt - 20.0).abs() < 0.01);
         // Variation decays toward zero, so rto approaches srtt + floor.
-        let rto = e.rto(SimDur::from_millis(1), SimDur::from_millis(1000));
+        let rto = e.rto(SimDur::from_millis(1)).unwrap();
         assert!(rto.as_millis_f64() < 25.0, "{rto}");
+        assert!(rto >= SimDur::from_millis(21), "{rto}");
     }
 
     #[test]
@@ -98,31 +101,42 @@ mod tests {
         for _ in 0..20 {
             e.observe(SimDur::from_millis(10));
         }
-        let calm = e.rto(SimDur::from_millis(1), SimDur::from_millis(10_000));
+        let calm = e.rto(SimDur::from_millis(1));
         e.observe(SimDur::from_millis(200));
-        let spiked = e.rto(SimDur::from_millis(1), SimDur::from_millis(10_000));
-        assert!(spiked > calm, "{spiked} vs {calm}");
+        let spiked = e.rto(SimDur::from_millis(1));
+        assert!(spiked > calm, "{spiked:?} vs {calm:?}");
     }
 
     #[test]
-    fn clamps_to_bounds() {
+    fn no_timeout_before_the_first_sample_and_no_ceiling_after() {
+        // No samples → no adaptive value: MMPS falls back to the
+        // size-scaled first timeout.
+        assert_eq!(RttEstimator::default().rto(SimDur::from_millis(5)), None);
+        // A tiny round trip: the variance term (4 · 0.5 µs) is floored.
         let mut e = RttEstimator::default();
         e.observe(SimDur::from_micros(1));
         assert_eq!(
-            e.rto(SimDur::from_millis(5), SimDur::from_millis(100)),
-            SimDur::from_millis(5)
+            e.rto(SimDur::from_millis(5)),
+            Some(SimDur::from_micros(5_001))
         );
+        // A long round trip is not clamped to anything: 5 s + 4 · 2.5 s.
         let mut e = RttEstimator::default();
         e.observe(SimDur::from_millis(5_000));
         assert_eq!(
-            e.rto(SimDur::from_millis(5), SimDur::from_millis(100)),
-            SimDur::from_millis(100)
+            e.rto(SimDur::from_millis(5)),
+            Some(SimDur::from_millis(15_000))
         );
-        // No samples → ceiling.
-        let e = RttEstimator::default();
-        assert_eq!(
-            e.rto(SimDur::from_millis(5), SimDur::from_millis(100)),
-            SimDur::from_millis(100)
-        );
+    }
+
+    #[test]
+    fn steady_samples_give_srtt_plus_floor() {
+        // 100 equal samples decay rttvar to ~0, far below the floor, so
+        // the timeout is exactly srtt + min_rto.
+        let mut e = RttEstimator::default();
+        for _ in 0..100 {
+            e.observe(SimDur::from_millis(12));
+        }
+        assert_eq!(e.srtt(), Some(SimDur::from_millis(12)));
+        assert_eq!(e.rto(SimDur::from_millis(5)), Some(SimDur::from_millis(17)));
     }
 }

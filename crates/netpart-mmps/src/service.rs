@@ -861,15 +861,13 @@ impl Mmps {
     }
 
     /// The retransmission timeout for a `len`-byte message from `src` to
-    /// `dst`: the adaptive Jacobson/Karels estimate once the pair has RTT
-    /// samples (floored at `min_rto`, ceilinged at the static size-scaled
-    /// RTO), the static value until then.
+    /// `dst`: the adaptive estimate `srtt + max(4·rttvar, min_rto)` once
+    /// the pair has an RTT sample, the static size-scaled RTO until then.
     fn effective_rto(&self, src: NodeId, dst: NodeId, len: u32) -> netpart_sim::SimDur {
-        let ceiling = self.cfg.rto_for(len);
-        match self.rtt.get(&(src, dst)) {
-            Some(est) => est.rto(self.cfg.min_rto, ceiling),
-            None => ceiling,
-        }
+        self.rtt
+            .get(&(src, dst))
+            .and_then(|est| est.rto(self.cfg.min_rto))
+            .unwrap_or_else(|| self.cfg.rto_for(len))
     }
 
     /// Drop all protocol state involving `node`: pending outgoing messages

@@ -226,7 +226,7 @@ fn interleaved_messages_do_not_cross_payloads() {
 fn adaptive_rto_learns_the_round_trip() {
     // After a few exchanges the sender's smoothed RTT reflects the actual
     // delivery+ack latency, and recovery from a loss is much faster than
-    // the static ceiling would allow.
+    // the static first timeout would allow.
     let (mut mmps, a, c) = pair_net(0.0, 3);
     for k in 0..5u64 {
         mmps.send_message(a, c, k, Bytes::from(vec![0u8; 2000]))
@@ -245,7 +245,8 @@ fn adaptive_rto_learns_the_round_trip() {
     );
 
     // Now lose everything once: with the learned RTO the retransmission
-    // fires well before the static ceiling (100 ms + 60 µs/B ≈ 220 ms).
+    // fires well before the static first timeout (100 ms + 60 µs/B ≈
+    // 220 ms).
     mmps.net()
         .set_loss_probability(netpart_sim::SegmentId(0), 0.999);
     let sent_at = mmps.now();

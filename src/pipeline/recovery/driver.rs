@@ -750,10 +750,13 @@ mod tests {
     fn crash_of_a_checkpoint_holder_recovers_from_the_buddy_replica() {
         use netpart_apps::stencil::sequential_reference;
         // Two ranks in one cluster, ring buddies: each rank's blob is
-        // mirrored to the other's node. Sizes are deliberately modest —
-        // a rank's blob costs ~6 ms of 10 Mb wire time, so the mirror
-        // drains well within one checkpoint interval and a later crash
-        // finds the replica already delivered.
+        // mirrored to the other's node. Sizes are deliberately modest: a
+        // rank's 7.2 KB blob and then its cycle-6 halo leave its host
+        // within ~6.5 ms of the cycle-5 checkpoint (22.2 ms). Frames a
+        // host has handed to the wire still arrive after it dies, so the
+        // replica reaches the buddy even when the crash comes later in
+        // cycle 6 (it lands at ~38.5 ms, behind the buddy's own blob on
+        // the shared segment).
         let s = Scenario::new(Testbed::paper(), stencil_model(60, StencilVariant::Sten1))
             .with_cost(CostSource::Paper);
         let plan = s.plan().unwrap();
@@ -769,10 +772,12 @@ mod tests {
             max_replans: 4,
             backoff_ms: 5.0,
         };
-        // Stage 1: the crash takes rank 0's node — and the primary copy
-        // of its cycle-5 blob — down. Assembly must serve the blob from
-        // the buddy replica on rank 1's node and resume past it, losing
-        // no checkpointed cycle.
+        // Stage 1: the crash (33.5 ms) takes rank 0's node — and the
+        // primary copy of its cycle-5 blob — down. Assembly must serve
+        // the blob from the buddy replica on rank 1's node and resume
+        // past it, with no generation fallback. Rank 0's cycle-6 halo
+        // rode the wire behind that replica, so rank 1 completes cycle 6
+        // before detection and the resume discards exactly that cycle.
         let (r1, a1) = s
             .run_recoverable_with(
                 &FaultSchedule::new().with(crash1.clone()),
@@ -783,8 +788,13 @@ mod tests {
             .unwrap();
         let st = r1.recovery.expect("stats");
         assert_eq!(
-            (st.replans, st.replica_restores, st.cycles_lost),
-            (1, 1, 0),
+            (
+                st.replans,
+                st.replica_restores,
+                st.generation_fallbacks,
+                st.cycles_lost
+            ),
+            (1, 1, 0, 1),
             "the dead holder's blob must come from its buddy: {st:?}"
         );
         assert_eq!(a1.gather(), sequential_reference(60, iters));
