@@ -6,9 +6,9 @@
 //! benchmarked using different p and b values to derive the appropriate
 //! constants", executed against the simulator instead of real Sun4s.
 
-use netpart_mmps::MmpsStats;
+use netpart_mmps::{Mmps, MmpsStats};
 use netpart_model::{Budget, NetpartError, PartitionVector};
-use netpart_spmd::Executor;
+use netpart_spmd::{CycleEngine, NoProbe};
 use netpart_topology::{PlacementStrategy, Topology};
 
 use crate::bench_app::CommBench;
@@ -63,6 +63,12 @@ pub fn measure_cycle_ms(
 
 /// [`measure_cycle_ms`] plus the run's message-layer counters, which say
 /// whether the time includes retransmissions.
+///
+/// Builds the testbed's network, then runs the benchmark on it. The
+/// calibration sweeps run the same benchmark on a reset simulator each
+/// sweep worker keeps instead of building one per point; a reset
+/// simulator is a fresh build event for event, so either way gives the
+/// same time and counters to the bit.
 pub fn measure_cycle(
     testbed: &Testbed,
     per_cluster: &[u32],
@@ -70,30 +76,83 @@ pub fn measure_cycle(
     bytes: u32,
     cfg: &CalibrationConfig,
 ) -> Result<(f64, MmpsStats), NetpartError> {
-    let p: u32 = per_cluster.iter().sum();
-    if p <= 1 {
-        return Ok((0.0, MmpsStats::default()));
+    Rig::new(testbed).measure(per_cluster, topo, bytes, cfg)
+}
+
+/// One simulator of a testbed, kept warm across measurements: built by
+/// the first, [reset](netpart_mmps::Mmps::reset) by each later one. A
+/// calibration sweep worker keeps one per testbed it measures on.
+struct Rig<'t> {
+    testbed: &'t Testbed,
+    mmps: Option<Mmps>,
+}
+
+impl<'t> Rig<'t> {
+    fn new(testbed: &'t Testbed) -> Rig<'t> {
+        Rig {
+            testbed,
+            mmps: None,
+        }
     }
-    let (mmps, nodes) = testbed.try_build(per_cluster, PlacementStrategy::ClusterContiguous)?;
-    let mut app = CommBench::new(topo, p, bytes, cfg.cycles);
-    let mut exec = Executor::new(mmps, nodes);
-    let report = exec.run(
-        &mut app,
-        &PartitionVector::equal(p as u64, p as usize),
-        false,
-    )?;
-    let usable: Vec<f64> = report
-        .per_cycle
-        .iter()
-        .skip(cfg.warmup)
-        .map(|d| d.as_millis_f64())
-        .collect();
-    let ms = if usable.is_empty() {
-        report.mean_cycle().as_millis_f64()
-    } else {
-        usable.iter().sum::<f64>() / usable.len() as f64
-    };
-    Ok((ms, report.mmps))
+
+    /// [`measure_cycle`] on this rig's simulator.
+    fn measure(
+        &mut self,
+        per_cluster: &[u32],
+        topo: Topology,
+        bytes: u32,
+        cfg: &CalibrationConfig,
+    ) -> Result<(f64, MmpsStats), NetpartError> {
+        let p: u32 = per_cluster.iter().sum();
+        if p <= 1 {
+            return Ok((0.0, MmpsStats::default()));
+        }
+        let nodes = self
+            .testbed
+            .place(per_cluster, PlacementStrategy::ClusterContiguous)?;
+        let mmps = match self.mmps.take() {
+            Some(mut kept) => {
+                kept.reset();
+                kept
+            }
+            None => self.testbed.simulator()?,
+        };
+        let mmps = self.mmps.insert(mmps);
+        let mut app = CommBench::new(topo, p, bytes, cfg.cycles);
+        let report = CycleEngine::run(
+            mmps,
+            &nodes,
+            &mut app,
+            &PartitionVector::equal(p as u64, p as usize),
+            false,
+            &mut NoProbe,
+            None,
+        )?;
+        let usable: Vec<f64> = report
+            .per_cycle
+            .iter()
+            .skip(cfg.warmup)
+            .map(|d| d.as_millis_f64())
+            .collect();
+        let ms = if usable.is_empty() {
+            report.mean_cycle().as_millis_f64()
+        } else {
+            usable.iter().sum::<f64>() / usable.len() as f64
+        };
+        Ok((ms, report.mmps))
+    }
+
+    /// [`measure_cycle_ms`] on this rig's simulator.
+    fn cycle_ms(
+        &mut self,
+        per_cluster: &[u32],
+        topo: Topology,
+        bytes: u32,
+        cfg: &CalibrationConfig,
+    ) -> Result<f64, NetpartError> {
+        self.measure(per_cluster, topo, bytes, cfg)
+            .map(|(ms, _)| ms)
+    }
 }
 
 /// A swept `(p, b)` grid paired with the measured cycle time per point.
@@ -141,18 +200,22 @@ fn sweep_cluster_grids(
         .collect();
     let mut order: Vec<usize> = (0..cells.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(u64::from(cells[i].2) * u64::from(cells[i].3)));
-    let mut measured = netpart_sweep::sweep(order, |i| {
-        let (cluster, topo, p, b) = cells[i];
-        let mut config = vec![0u32; testbed.num_clusters()];
-        config[cluster] = p;
-        // Cooperative deadline checkpoint: each grid point is a full
-        // simulation, so an expired request stops here instead of
-        // finishing the sweep.
-        let time = budget
-            .check()
-            .and_then(|()| measure_cycle_ms(testbed, &config, topo, b, cfg));
-        (i, time)
-    });
+    let mut measured = netpart_sweep::sweep_with(
+        order,
+        || Rig::new(testbed),
+        |rig, i| {
+            let (cluster, topo, p, b) = cells[i];
+            let mut config = vec![0u32; testbed.num_clusters()];
+            config[cluster] = p;
+            // Cooperative deadline checkpoint: each grid point is a full
+            // simulation, so an expired request stops here instead of
+            // finishing the sweep.
+            let time = budget
+                .check()
+                .and_then(|()| rig.cycle_ms(&config, topo, b, cfg));
+            (i, time)
+        },
+    );
     measured.sort_unstable_by_key(|&(i, _)| i);
     let mut times = measured.into_iter().map(|(_, time)| time);
     let mut swept: Vec<Result<SweptGrid, NetpartError>> = grids
@@ -274,16 +337,19 @@ pub fn calibrate_cluster_gated(
 
 /// Sweep `excess_ms` over the configured message sizes (checking `budget`
 /// before each), fit the excesses as `a + k·b`, and clamp both constants at
-/// 0: the shape of the router and the coercion penalty alike.
-fn fit_excess(
+/// 0: the shape of the router and the coercion penalty alike. Each sweep
+/// worker makes its simulators with `rigs` and measures every size it
+/// claims on them.
+fn fit_excess<S>(
     cfg: &CalibrationConfig,
     budget: &Budget,
     what: &str,
-    excess_ms: impl Fn(u32) -> Result<f64, NetpartError> + Sync,
+    rigs: impl Fn() -> S + Sync,
+    excess_ms: impl Fn(&mut S, u32) -> Result<f64, NetpartError> + Sync,
 ) -> Result<LinearCost, NetpartError> {
-    let excesses = netpart_sweep::sweep(cfg.b_values.clone(), |b| {
+    let excesses = netpart_sweep::sweep_with(cfg.b_values.clone(), rigs, |rigs, b| {
         budget.check()?;
-        Ok::<f64, NetpartError>(excess_ms(b)?.max(0.0))
+        Ok::<f64, NetpartError>(excess_ms(rigs, b)?.max(0.0))
     });
     let excesses = excesses.into_iter().collect::<Result<Vec<f64>, _>>()?;
     let rows: Vec<Vec<f64>> = cfg.b_values.iter().map(|&b| vec![1.0, b as f64]).collect();
@@ -325,10 +391,17 @@ fn calibrate_router(
     let cross_cfg = one_pair(&tb, ca, cb);
     let mut intra_cfg = vec![0u32; tb.num_clusters()];
     intra_cfg[ca] = 2;
-    fit_excess(cfg, budget, "router", |b| {
-        let cross = measure_cycle_ms(&tb, &cross_cfg, Topology::OneD, b, cfg)?;
-        Ok(cross - measure_cycle_ms(&tb, &intra_cfg, Topology::OneD, b, cfg)?)
-    })
+    // Both configurations run on the one network of `tb`.
+    fit_excess(
+        cfg,
+        budget,
+        "router",
+        || Rig::new(&tb),
+        |rig, b| {
+            let cross = rig.cycle_ms(&cross_cfg, Topology::OneD, b, cfg)?;
+            Ok(cross - rig.cycle_ms(&intra_cfg, Topology::OneD, b, cfg)?)
+        },
+    )
 }
 
 /// Benchmark the coercion penalty between two clusters: the per-byte
@@ -347,10 +420,16 @@ fn calibrate_coerce(
     let mut unified = testbed.clone();
     unified.clusters[cb].proc_type.data_format = unified.clusters[ca].proc_type.data_format;
     let cc = one_pair(testbed, ca, cb);
-    fit_excess(cfg, budget, "coercion", |b| {
-        let with = measure_cycle_ms(testbed, &cc, Topology::OneD, b, cfg)?;
-        Ok(with - measure_cycle_ms(&unified, &cc, Topology::OneD, b, cfg)?)
-    })
+    fit_excess(
+        cfg,
+        budget,
+        "coercion",
+        || (Rig::new(testbed), Rig::new(&unified)),
+        |(with, without), b| {
+            let with = with.cycle_ms(&cc, Topology::OneD, b, cfg)?;
+            Ok(with - without.cycle_ms(&cc, Topology::OneD, b, cfg)?)
+        },
+    )
 }
 
 /// Run the full offline procedure: every cluster × every requested
@@ -684,6 +763,150 @@ mod tests {
         }
     }
 
+    /// The whole procedure with a freshly built network per measurement
+    /// (`measure_cycle_ms`): what `calibrate_testbed` computed before each
+    /// sweep worker kept one simulator per testbed and reset it per point,
+    /// kept as the oracle for that reuse.
+    fn fresh_build_oracle(
+        testbed: &Testbed,
+        topologies: &[Topology],
+        cfg: &CalibrationConfig,
+    ) -> CalibratedCostModel {
+        let ms = |tb: &Testbed, config: &[u32], topo, b| {
+            measure_cycle_ms(tb, config, topo, b, cfg).expect("measure")
+        };
+        let k = testbed.num_clusters();
+        let mut model = CalibratedCostModel::default();
+        for cluster in 0..k {
+            for &topo in topologies {
+                let grid: Vec<(u32, u32)> = (2..=testbed.clusters[cluster].nodes)
+                    .flat_map(|p| cfg.b_values.iter().map(move |&b| (p, b)))
+                    .collect();
+                let y: Vec<f64> = grid
+                    .iter()
+                    .map(|&(p, b)| {
+                        let mut config = vec![0u32; k];
+                        config[cluster] = p;
+                        ms(testbed, &config, topo, b)
+                    })
+                    .collect();
+                model.set_intra(cluster, topo, fit_eq1(&grid, &y).expect("fit"));
+            }
+        }
+        let hops = testbed.cluster_hops().expect("hops");
+        let mut by_distance = std::collections::BTreeMap::<u32, Vec<(usize, usize)>>::new();
+        for (a, row) in hops.iter().enumerate() {
+            for (b, &d) in row.iter().enumerate().skip(a + 1) {
+                by_distance.entry(d).or_default().push((a, b));
+            }
+        }
+        let excess = |what, f: &(dyn Fn(u32) -> f64 + Sync)| {
+            let unlimited = Budget::unlimited();
+            fit_excess(cfg, &unlimited, what, || (), |(), b| Ok(f(b))).expect("excess fit")
+        };
+        for pairs in by_distance.values() {
+            let (ca, cb) = pairs[0];
+            let mut tb = testbed.clone();
+            tb.clusters[cb].proc_type = tb.clusters[ca].proc_type.clone();
+            let mut intra = vec![0u32; k];
+            intra[ca] = 2;
+            let cross = one_pair(&tb, ca, cb);
+            let fit = excess("router", &|b| {
+                ms(&tb, &cross, Topology::OneD, b) - ms(&tb, &intra, Topology::OneD, b)
+            });
+            for &(a, b) in pairs {
+                model.set_router(a, b, fit);
+            }
+        }
+        for a in 0..k {
+            for b in a + 1..k {
+                let format = |c: usize| testbed.clusters[c].proc_type.data_format;
+                let fit = if format(a) == format(b) {
+                    LinearCost::default()
+                } else {
+                    let mut unified = testbed.clone();
+                    unified.clusters[b].proc_type.data_format = format(a);
+                    let cc = one_pair(testbed, a, b);
+                    excess("coercion", &|bytes| {
+                        ms(testbed, &cc, Topology::OneD, bytes)
+                            - ms(&unified, &cc, Topology::OneD, bytes)
+                    })
+                };
+                model.set_coerce(a, b, fit);
+            }
+        }
+        model
+    }
+
+    fn linear_bits(c: &LinearCost) -> [u64; 2] {
+        [c.a, c.k].map(f64::to_bits)
+    }
+
+    /// Every constant the reused simulators fit is the fresh-build
+    /// oracle's to the bit: intra fits on the paper testbed under four
+    /// topologies, coercion on the metasystem's three data formats, and
+    /// router fits at two hop distances on a small tree, at one and two
+    /// sweep threads.
+    #[test]
+    fn reused_simulators_fit_what_fresh_builds_fit() {
+        let cfg = quick_cfg();
+        let four = [
+            Topology::OneD,
+            Topology::Ring,
+            Topology::Tree,
+            Topology::Broadcast,
+        ];
+        let cases = [
+            (Testbed::paper(), &four[..]),
+            (Testbed::metasystem(), &four[..1]),
+            (uneven_tree(&[3, 4, 3, 3]), &four[..1]),
+        ];
+        for (tb, topologies) in &cases {
+            let oracle = fresh_build_oracle(tb, topologies, &cfg);
+            for threads in [1, 2] {
+                netpart_sweep::set_threads(threads);
+                let model = calibrate_testbed(tb, topologies, &cfg);
+                netpart_sweep::set_threads(0);
+                let model = model.expect("calibrate");
+                let at = format!("{} clusters at {threads} threads", tb.num_clusters());
+                assert_eq!(model.intra.len(), oracle.intra.len(), "{at}");
+                for (key, fit) in &oracle.intra {
+                    assert_eq!(bits(&model.intra[key]), bits(fit), "intra {key:?}, {at}");
+                }
+                for (table, want, got) in [
+                    ("router", &oracle.router, &model.router),
+                    ("coerce", &oracle.coerce, &model.coerce),
+                ] {
+                    assert_eq!(got.len(), want.len(), "{table}, {at}");
+                    for (key, fit) in want {
+                        assert_eq!(
+                            linear_bits(&got[key]),
+                            linear_bits(fit),
+                            "{table} {key:?}, {at}"
+                        );
+                    }
+                }
+            }
+        }
+        // The cases cover what they claim to.
+        let distances: std::collections::BTreeSet<u32> = cases[2]
+            .0
+            .cluster_hops()
+            .expect("hops")
+            .concat()
+            .into_iter()
+            .collect();
+        assert_eq!(
+            distances.len(),
+            3,
+            "0 plus two router distances: {distances:?}"
+        );
+        assert!(fresh_build_oracle(&cases[1].0, &four[..1], &cfg)
+            .coerce
+            .values()
+            .any(|c| c.k > 0.0));
+    }
+
     #[test]
     fn one_sweep_reports_the_per_job_loops_first_error() {
         // Cluster 2 has one node: the capacity error, after clusters 0
@@ -718,6 +941,68 @@ mod tests {
             })
             .collect();
         assert_eq!(got, [(0, 0), (2, 0), (6, 0), (139, 0)]);
+    }
+
+    /// Host time of calibration grid points on a freshly built network
+    /// against the same points on one reset simulator: `calib256`'s tree
+    /// (16 clusters of 16 on a tree of arity 4), cluster 0's default grid,
+    /// each point run both ways in alternating order and checked equal.
+    /// Informational, no gate: prints both medians over the rounds and
+    /// their ratio. Run with
+    /// `cargo test --release -p netpart-calibrate calibration_reuse_microbench -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing, run by hand or by the CI timings step"]
+    fn calibration_reuse_microbench() {
+        use std::time::Instant;
+        let tb = Testbed::synthetic(16, 16, 1.15).with_wiring(crate::Wiring::Tree { arity: 4 });
+        let cfg = CalibrationConfig::default();
+        let grid: Vec<(u32, u32)> = (2..=16u32)
+            .flat_map(|p| cfg.b_values.iter().map(move |&b| (p, b)))
+            .collect();
+        let mut rig = Rig::new(&tb);
+        let (mut fresh_s, mut reset_s) = (Vec::new(), Vec::new());
+        for round in 0..7 {
+            let (mut fresh, mut reset) = (0.0, 0.0);
+            for (i, &(p, b)) in grid.iter().enumerate() {
+                let mut config = vec![0u32; tb.num_clusters()];
+                config[0] = p;
+                let mut timed = |reuse: bool| {
+                    let t0 = Instant::now();
+                    let out = if reuse {
+                        rig.measure(&config, Topology::OneD, b, &cfg)
+                    } else {
+                        measure_cycle(&tb, &config, Topology::OneD, b, &cfg)
+                    };
+                    let (ms, stats) = out.expect("grid point");
+                    (t0.elapsed().as_secs_f64(), (ms.to_bits(), stats))
+                };
+                let ((tf, f), (tr, r)) = if (round + i) % 2 == 0 {
+                    let f = timed(false);
+                    (f, timed(true))
+                } else {
+                    let r = timed(true);
+                    (timed(false), r)
+                };
+                assert_eq!(f, r, "p={p} b={b}: reset point differs from fresh build");
+                fresh += tf;
+                reset += tr;
+            }
+            fresh_s.push(fresh);
+            reset_s.push(reset);
+        }
+        let median = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let (fresh, reset) = (median(&mut fresh_s), median(&mut reset_s));
+        println!(
+            "calibration grid, {} points x 7 rounds: fresh build {:.1} ms, reset {:.1} ms, \
+             reset/fresh {:.3}",
+            grid.len(),
+            fresh * 1e3,
+            reset * 1e3,
+            reset / fresh
+        );
     }
 
     #[test]

@@ -237,6 +237,21 @@ impl Testbed {
         per_cluster: &[u32],
         placement: PlacementStrategy,
     ) -> Result<(Mmps, Vec<NodeId>), NetpartError> {
+        let nodes = self.place(per_cluster, placement)?;
+        Ok((self.simulator()?, nodes))
+    }
+
+    /// The placement half of [`Testbed::try_build`], which builds
+    /// nothing: the rank → node mapping for `per_cluster` under
+    /// `placement`, with `try_build`'s configuration errors. The network
+    /// does not depend on `per_cluster` — every cluster's full population
+    /// is instantiated — so one built (or reset) simulator serves every
+    /// configuration of its testbed.
+    pub(crate) fn place(
+        &self,
+        per_cluster: &[u32],
+        placement: PlacementStrategy,
+    ) -> Result<Vec<NodeId>, NetpartError> {
         if per_cluster.len() > self.clusters.len() {
             return Err(NetpartError::InvalidScenario(format!(
                 "configuration names {} clusters but the testbed has {}",
@@ -253,29 +268,38 @@ impl Testbed {
                 });
             }
         }
-        let net = self.fabric().build().map_err(map_sim_err)?;
         // Generator invariant: nodes are cluster-contiguous in cluster
-        // order, so cluster k's node ids are one dense run.
-        let mut cluster_nodes: Vec<Vec<NodeId>> = Vec::with_capacity(self.clusters.len());
-        let mut next_id = 0u32;
-        for spec in &self.clusters {
-            cluster_nodes.push((next_id..next_id + spec.nodes).map(NodeId).collect());
-            next_id += spec.nodes;
-        }
+        // order, so cluster k's node ids are one dense run from `first[k]`.
+        let first: Vec<u32> = self
+            .clusters
+            .iter()
+            .scan(0, |next, spec| {
+                let first = *next;
+                *next += spec.nodes;
+                Some(first)
+            })
+            .collect();
 
         // Rank → node mapping per the placement strategy. The per-cluster
-        // totals were bounds-checked above, so indexing is an invariant.
+        // totals were bounds-checked above, so every id is in its run.
         let assignment = placement.assign(per_cluster);
-        let mut next_in_cluster = vec![0usize; self.clusters.len()];
+        let mut next_in_cluster = vec![0u32; self.clusters.len()];
         let mut nodes = Vec::with_capacity(assignment.len());
         for &cluster in &assignment {
             let k = cluster as usize;
-            let idx = next_in_cluster[k];
-            debug_assert!(idx < cluster_nodes[k].len());
-            nodes.push(cluster_nodes[k][idx]);
-            next_in_cluster[k] = idx + 1;
+            debug_assert!(next_in_cluster[k] < self.clusters[k].nodes);
+            nodes.push(NodeId(first[k] + next_in_cluster[k]));
+            next_in_cluster[k] += 1;
         }
-        Ok((Mmps::new(net, self.mmps.clone()), nodes))
+        Ok(nodes)
+    }
+
+    /// The build half of [`Testbed::try_build`]: the whole testbed's
+    /// network under its message layer, with `try_build`'s fabric and
+    /// network errors.
+    pub(crate) fn simulator(&self) -> Result<Mmps, NetpartError> {
+        let net = self.fabric().build().map_err(map_sim_err)?;
+        Ok(Mmps::new(net, self.mmps.clone()))
     }
 }
 

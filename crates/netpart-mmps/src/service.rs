@@ -276,6 +276,43 @@ impl Mmps {
         }
     }
 
+    /// Return the service and its network to their just-built state:
+    /// [`Network::reset`], message ids from 0, every message, delivery,
+    /// RTT estimate, window, mark count and counter gone. The tables keep
+    /// their capacity and the fragment-bitmap pool its bitmaps; none of
+    /// them is read in an order that depends on capacity, so a run after
+    /// `reset` is the run on a fresh build.
+    pub fn reset(&mut self) {
+        // Destructured, so a field added to the service does not compile
+        // until it is reset here too.
+        let Mmps {
+            net,
+            cfg: _,
+            next_msg,
+            outgoing,
+            incoming,
+            completed,
+            pending_delivery,
+            rtt,
+            frag_pool: _,
+            windows,
+            segment_marks,
+            pending_events,
+            stats,
+        } = self;
+        net.reset();
+        *next_msg = 0;
+        outgoing.clear();
+        incoming.clear();
+        completed.clear();
+        pending_delivery.clear();
+        rtt.clear();
+        windows.clear();
+        segment_marks.clear();
+        pending_events.clear();
+        *stats = MmpsStats::default();
+    }
+
     /// Take an all-false fragment bitmap of length `n` from the pool, or
     /// allocate one.
     fn frag_bitmap(pool: &mut Vec<Vec<bool>>, n: usize) -> Vec<bool> {

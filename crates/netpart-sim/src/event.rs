@@ -271,11 +271,45 @@ pub(crate) struct EventQueue {
 
 impl EventQueue {
     pub(crate) fn new() -> Self {
+        EventQueue::initial(
+            (0..TIERS * SLOTS).map(|_| Vec::new()).collect(),
+            VecDeque::with_capacity(64),
+        )
+    }
+
+    /// Empty the queue and rewind it to its new state (cursor at tick 0,
+    /// `seq` at 0), keeping the slot and batch buffers a drained slot
+    /// would keep. Only occupied slots are visited.
+    pub(crate) fn clear(&mut self) {
+        for (tier, words) in self.occ.iter().enumerate() {
+            for (w, &bits) in words.iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    let slot =
+                        &mut self.slots[tier * SLOTS + w * 64 + bits.trailing_zeros() as usize];
+                    slot.clear();
+                    if slot.capacity() > SLOT_KEEP {
+                        *slot = Vec::new();
+                    }
+                    bits &= bits - 1;
+                }
+            }
+        }
+        let slots = std::mem::take(&mut self.slots);
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        *self = EventQueue::initial(slots, batch);
+    }
+
+    /// A new queue over empty `slots` and `batch` buffers: the one
+    /// definition [`new`](EventQueue::new) and
+    /// [`clear`](EventQueue::clear) share.
+    fn initial(slots: Vec<Vec<Entry>>, batch: VecDeque<Entry>) -> Self {
         EventQueue {
-            slots: (0..TIERS * SLOTS).map(|_| Vec::new()).collect(),
+            slots,
             occ: [[0; BITMAP_WORDS]; TIERS],
             cur_tick: 0,
-            batch: VecDeque::with_capacity(64),
+            batch,
             len: 0,
             seq: 0,
         }

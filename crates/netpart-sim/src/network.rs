@@ -182,8 +182,7 @@ impl NetworkBuilder {
         Ok(Network {
             proc_types: self.proc_types,
             routes,
-            live_routes: None,
-            route_recomputes: 0,
+            seed: self.seed,
             segments: self.segments.into_iter().map(Segment::new).collect(),
             nodes: self
                 .nodes
@@ -193,16 +192,9 @@ impl NetworkBuilder {
             routers: self.routers.into_iter().map(Router::new).collect(),
             queue: EventQueue::new(),
             slab: DgramSlab::new(),
-            now: SimTime::ZERO,
-            next_dgram: 0,
-            next_timer: 0,
             pending_timers: FastSet::default(),
-            cancelled_unpopped: 0,
-            rng: SmallRng::seed_from_u64(self.seed),
-            delivered: 0,
-            dropped: 0,
-            events_processed: 0,
             background: Vec::new(),
+            run: RunState::new(self.seed),
         })
     }
 }
@@ -225,6 +217,10 @@ pub struct BackgroundFlow {
 
 /// The runtime network. See the [module docs](self) for the transport
 /// pipeline and the crate docs for how the layers stack.
+///
+/// A network is the description it was built from plus what a run
+/// changes, and [`reset`](Network::reset) returns the second to its
+/// just-built state while keeping the allocations it has grown.
 pub struct Network {
     proc_types: Vec<ProcType>,
     /// Dense next-hop table, `src_seg × dst_seg` → (router, egress
@@ -232,6 +228,29 @@ pub struct Network {
     /// [`crate::fabric::compute_routes`]. This is the *static* table over
     /// the full fabric; it never changes after build.
     routes: Vec<Option<(RouterId, SegmentId)>>,
+    /// The build seed; every reset re-seeds the loss RNG from it.
+    seed: u64,
+    segments: Vec<Segment>,
+    nodes: Vec<Node>,
+    routers: Vec<Router>,
+    queue: EventQueue,
+    /// In-flight datagrams; work items carry slab handles, not payloads.
+    slab: DgramSlab,
+    /// Timers set but not yet fired or cancelled. A cancel removes the id
+    /// here; when the queued work item later pops it finds the id gone and
+    /// is swallowed. Bounded by the number of queued timers by
+    /// construction — unlike the old tombstone set, which grew forever if
+    /// callers cancelled already-fired timers.
+    pending_timers: FastSet<TimerId>,
+    background: Vec<(BackgroundFlow, bool)>,
+    /// Everything else a run changes.
+    run: RunState,
+}
+
+/// The network's clock, id counters, loss RNG, counters and live routing
+/// table. [`RunState::new`] is their just-built state, for `build` and
+/// [`Network::reset`] alike.
+struct RunState {
     /// The *live* next-hop table over the residual fabric (routers and
     /// links currently inside injected outage windows removed),
     /// recomputed by [`crate::fabric::compute_routes`] at every
@@ -242,21 +261,9 @@ pub struct Network {
     /// How many residual re-BFS passes have run (0 on any fault-free run;
     /// the byte-parity suites pin this).
     route_recomputes: u64,
-    segments: Vec<Segment>,
-    nodes: Vec<Node>,
-    routers: Vec<Router>,
-    queue: EventQueue,
-    /// In-flight datagrams; work items carry slab handles, not payloads.
-    slab: DgramSlab,
     now: SimTime,
     next_dgram: u64,
     next_timer: u64,
-    /// Timers set but not yet fired or cancelled. A cancel removes the id
-    /// here; when the queued work item later pops it finds the id gone and
-    /// is swallowed. Bounded by the number of queued timers by
-    /// construction — unlike the old tombstone set, which grew forever if
-    /// callers cancelled already-fired timers.
-    pending_timers: FastSet<TimerId>,
     /// Cancelled timers whose queue entries have not popped yet; keeps
     /// [`pending_work`](Network::pending_work) honest.
     cancelled_unpopped: usize,
@@ -264,16 +271,72 @@ pub struct Network {
     delivered: u64,
     dropped: u64,
     events_processed: u64,
-    background: Vec<(BackgroundFlow, bool)>,
+}
+
+impl RunState {
+    fn new(seed: u64) -> RunState {
+        RunState {
+            live_routes: None,
+            route_recomputes: 0,
+            now: SimTime::ZERO,
+            next_dgram: 0,
+            next_timer: 0,
+            cancelled_unpopped: 0,
+            rng: SmallRng::seed_from_u64(seed),
+            delivered: 0,
+            dropped: 0,
+            events_processed: 0,
+        }
+    }
 }
 
 impl Network {
+    /// Return the network to exactly the state [`NetworkBuilder::build`]
+    /// left it in: clock, id counters, event-queue sequence, the loss RNG
+    /// re-seeded from the build seed, every node, segment and router's
+    /// runtime state, the live routing table, timers, background flows and
+    /// in-flight datagrams. The allocations a run grew — wheel slot
+    /// buffers, the datagram slab, the timer set, segment queues — are
+    /// kept, and none of them can change what a later run does: a run
+    /// after `reset` is event for event the run on a fresh build.
+    pub fn reset(&mut self) {
+        // Destructured, so a field added to the network does not compile
+        // until it is reset here too.
+        let Network {
+            proc_types: _,
+            routes: _,
+            seed,
+            segments,
+            nodes,
+            routers,
+            queue,
+            slab,
+            pending_timers,
+            background,
+            run,
+        } = self;
+        for s in segments {
+            s.reset();
+        }
+        for n in nodes {
+            *n = Node::new(n.proc_type, n.segment);
+        }
+        for r in routers {
+            r.reset();
+        }
+        queue.clear();
+        slab.clear();
+        pending_timers.clear();
+        background.clear();
+        *run = RunState::new(*seed);
+    }
+
     // ---- introspection ---------------------------------------------------
 
     /// Current simulated time.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.run.now
     }
 
     /// Number of nodes.
@@ -318,7 +381,7 @@ impl Network {
 
     /// Change the loss probability of a segment mid-run (failure injection).
     pub fn set_loss_probability(&mut self, segment: SegmentId, p: f64) {
-        self.segments[segment.index()].spec.loss_probability = p.clamp(0.0, 0.999);
+        self.segments[segment.index()].loss = p.clamp(0.0, 0.999);
     }
 
     // ---- fault injection -------------------------------------------------
@@ -340,7 +403,8 @@ impl Network {
             .collect();
         plan.validate(self.nodes.len(), self.segments.len(), &ports)?;
         for ev in &plan.events {
-            self.queue.push(ev.at.max(self.now), Work::Fault(ev.kind));
+            self.queue
+                .push(ev.at.max(self.run.now), Work::Fault(ev.kind));
         }
         Ok(())
     }
@@ -356,7 +420,7 @@ impl Network {
 
     /// Utilization statistics for a segment.
     pub fn segment_stats(&self, segment: SegmentId) -> SegmentStats {
-        self.segments[segment.index()].stats(self.now)
+        self.segments[segment.index()].stats(self.run.now)
     }
 
     /// Statistics for a router.
@@ -370,12 +434,12 @@ impl Network {
 
     /// Total datagrams delivered since the start of the run.
     pub fn datagrams_delivered(&self) -> u64 {
-        self.delivered
+        self.run.delivered
     }
 
     /// Total datagrams dropped since the start of the run.
     pub fn datagrams_dropped(&self) -> u64 {
-        self.dropped
+        self.run.dropped
     }
 
     /// Lifetime count of scheduler work items processed by
@@ -384,7 +448,7 @@ impl Network {
     /// seconds for the events/s throughput of the simulator core (the
     /// repo benchmark's `sim.ns_per_event` is its reciprocal).
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.run.events_processed
     }
 
     /// Whether a route exists between two nodes (same segment, or a chain
@@ -432,7 +496,7 @@ impl Network {
     /// residual fabric has path diversity), the build-time one until then.
     #[inline]
     fn live_table(&self) -> &[Option<(RouterId, SegmentId)>] {
-        self.live_routes.as_deref().unwrap_or(&self.routes)
+        self.run.live_routes.as_deref().unwrap_or(&self.routes)
     }
 
     /// `table`'s next hop for a frame on `from` bound for a node on `to`
@@ -468,27 +532,27 @@ impl Network {
     /// the lifetime of any run without router or link faults — the
     /// byte-parity suites pin exactly that.
     pub fn route_recomputes(&self) -> u64 {
-        self.route_recomputes
+        self.run.route_recomputes
     }
 
     /// Whether any router or link is inside an injected outage window
     /// right now. Substrate-only.
     pub fn fabric_degraded(&self) -> bool {
-        self.routers
-            .iter()
-            .any(|r| r.is_down(self.now) || r.port_down_until.iter().any(|&until| self.now < until))
+        self.routers.iter().any(|r| {
+            r.is_down(self.run.now) || r.port_down_until.iter().any(|&until| self.run.now < until)
+        })
     }
 
     /// Recompute the live next-hop table over the residual fabric. Called
     /// only at liveness transitions (outage onset, window end), never
     /// from the steady-state frame path.
     fn recompute_live_routes(&mut self) {
-        self.live_routes = Some(crate::fabric::compute_routes(
+        self.run.live_routes = Some(crate::fabric::compute_routes(
             self.segments.len(),
             &self.routers,
-            self.now,
+            self.run.now,
         ));
-        self.route_recomputes += 1;
+        self.run.route_recomputes += 1;
     }
 
     /// A router or link outage window was applied: schedule the recompute
@@ -497,7 +561,7 @@ impl Network {
     /// restore recomputes against a still-down entity and changes
     /// nothing; the final restore brings the original routes back.
     fn fabric_fault_applied(&mut self, until: SimTime) {
-        if until > self.now {
+        if until > self.run.now {
             self.queue.push(until, Work::FabricRestore);
             self.recompute_live_routes();
         }
@@ -568,13 +632,13 @@ impl Network {
             });
         }
 
-        let id = DgramId(self.next_dgram);
-        self.next_dgram += 1;
+        let id = DgramId(self.run.next_dgram);
+        self.run.next_dgram += 1;
 
         // A crashed host's protocol stack is dead: the send is silently
         // swallowed (no frame, no error — fail-stop gives no feedback).
         if self.nodes[src.index()].crashed {
-            self.dropped += 1;
+            self.run.dropped += 1;
             return Ok(id);
         }
 
@@ -592,7 +656,7 @@ impl Network {
         // Sender host processing: serialized on the node's protocol stack.
         let pt = &self.proc_types[self.nodes[src.index()].proc_type.index()];
         let host = pt.send_overhead + SimDur::from_secs_f64(wire_len as f64 * pt.send_sec_per_byte);
-        let start = self.now.max(self.nodes[src.index()].net_free_at);
+        let start = self.run.now.max(self.nodes[src.index()].net_free_at);
         let done = start + host;
         self.nodes[src.index()].net_free_at = done;
         let dgram = self.slab.insert(dgram);
@@ -609,7 +673,7 @@ impl Network {
         let pt = &self.proc_types[n.proc_type.index()];
         let dur = SimDur::from_secs_f64(ops.max(0.0) * pt.sec_per_op(class) * n.slowdown());
         self.queue
-            .push(self.now + dur, Work::ComputeDone { node, token });
+            .push(self.run.now + dur, Work::ComputeDone { node, token });
     }
 
     /// Register a background cross-traffic flow and start it immediately.
@@ -627,7 +691,7 @@ impl Network {
         let idx = self.background.len();
         self.background.push((flow, true));
         self.queue
-            .push(self.now, Work::BackgroundSend { flow: idx });
+            .push(self.run.now, Work::BackgroundSend { flow: idx });
         idx
     }
 
@@ -641,11 +705,11 @@ impl Network {
     /// Set a timer that fires after `delay`. `owner` and `token` are
     /// returned in the [`SimEvent::TimerFired`] event.
     pub fn set_timer(&mut self, delay: SimDur, owner: u64, token: u64) -> TimerId {
-        let id = TimerId(self.next_timer);
-        self.next_timer += 1;
+        let id = TimerId(self.run.next_timer);
+        self.run.next_timer += 1;
         self.pending_timers.insert(id);
         self.queue
-            .push(self.now + delay, Work::Timer { id, owner, token });
+            .push(self.run.now + delay, Work::Timer { id, owner, token });
         id
     }
 
@@ -654,7 +718,7 @@ impl Network {
     /// retained for ids that are not actually pending.
     pub fn cancel_timer(&mut self, id: TimerId) {
         if self.pending_timers.remove(&id) {
-            self.cancelled_unpopped += 1;
+            self.run.cancelled_unpopped += 1;
         }
     }
 
@@ -666,9 +730,9 @@ impl Network {
     /// after that time, which is the event queue's one contract.
     pub fn next_event(&mut self) -> Option<SimEvent> {
         while let Some((at, work)) = self.queue.pop() {
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            self.events_processed += 1;
+            debug_assert!(at >= self.run.now, "time went backwards");
+            self.run.now = at;
+            self.run.events_processed += 1;
             if let Some(evt) = self.process(work) {
                 return Some(evt);
             }
@@ -685,7 +749,7 @@ impl Network {
     /// timers whose queue entries have not been reaped yet are *not*
     /// counted — they are dead weight, not pending work.
     pub fn pending_work(&self) -> usize {
-        self.queue.len() - self.cancelled_unpopped
+        self.queue.len() - self.run.cancelled_unpopped
     }
 
     fn process(&mut self, work: Work) -> Option<SimEvent> {
@@ -696,9 +760,9 @@ impl Network {
                 let src = self.slab.get(dgram).src;
                 if self.nodes[src.index()].crashed {
                     let d = self.slab.take(dgram);
-                    self.dropped += 1;
+                    self.run.dropped += 1;
                     return Some(SimEvent::DatagramDropped {
-                        at: self.now,
+                        at: self.run.now,
                         id: d.id,
                         src: d.src,
                         dst: d.dst,
@@ -714,7 +778,7 @@ impl Network {
                 dgram,
                 egress,
             } => {
-                let now = self.now;
+                let now = self.run.now;
                 let r = &mut self.routers[router.index()];
                 r.in_flight -= 1;
                 // The router (or the egress link) died while the frame
@@ -745,18 +809,18 @@ impl Network {
                 // Receiver crashed between final-hop arrival and the end of
                 // its host processing: the delivery never happens.
                 if self.nodes[dgram.dst.index()].crashed {
-                    self.dropped += 1;
+                    self.run.dropped += 1;
                     return Some(SimEvent::DatagramDropped {
-                        at: self.now,
+                        at: self.run.now,
                         id: dgram.id,
                         src: dgram.src,
                         dst: dgram.dst,
                         reason: DropReason::NodeDown,
                     });
                 }
-                self.delivered += 1;
+                self.run.delivered += 1;
                 Some(SimEvent::DatagramDelivered {
-                    at: self.now,
+                    at: self.run.now,
                     dgram,
                 })
             }
@@ -769,7 +833,7 @@ impl Network {
                     return None;
                 }
                 Some(SimEvent::ComputeDone {
-                    at: self.now,
+                    at: self.run.now,
                     node,
                     token,
                 })
@@ -777,14 +841,14 @@ impl Network {
             Work::Timer { id, owner, token } => {
                 if self.pending_timers.remove(&id) {
                     Some(SimEvent::TimerFired {
-                        at: self.now,
+                        at: self.run.now,
                         id,
                         owner,
                         token,
                     })
                 } else {
                     // Cancelled before firing; reap the tombstone count.
-                    self.cancelled_unpopped -= 1;
+                    self.run.cancelled_unpopped -= 1;
                     None
                 }
             }
@@ -801,7 +865,7 @@ impl Network {
                 // Best effort: background traffic never fails the run.
                 let _ = self.send_datagram_sized(src, dst, 0, Bytes::new(), bytes);
                 self.queue
-                    .push(self.now + period, Work::BackgroundSend { flow });
+                    .push(self.run.now + period, Work::BackgroundSend { flow });
                 None
             }
             Work::Fault(kind) => {
@@ -883,7 +947,7 @@ impl Network {
                         period: period.max(SimDur::from_nanos(1)),
                     });
                     self.queue
-                        .push(until.max(self.now), Work::FloodStop(handle));
+                        .push(until.max(self.run.now), Work::FloodStop(handle));
                 }
             }
         }
@@ -892,9 +956,9 @@ impl Network {
     /// Take an interned frame out of the slab and surface its drop.
     fn drop_frame(&mut self, dgram: DgramHandle, reason: DropReason) -> Option<SimEvent> {
         let d = self.slab.take(dgram);
-        self.dropped += 1;
+        self.run.dropped += 1;
         Some(SimEvent::DatagramDropped {
-            at: self.now,
+            at: self.run.now,
             id: d.id,
             src: d.src,
             dst: d.dst,
@@ -948,7 +1012,7 @@ impl Network {
         seg.busy_time += tx;
         seg.frames_sent += 1;
         seg.bytes_sent += frame_bytes as u64;
-        let end = self.now + access + tx;
+        let end = self.run.now + access + tx;
         // The frame rides inside the TxEnd item itself: a segment's wire
         // holds at most one frame at a time, so no side slot is needed and
         // the datagram moves straight from queue to work item to handler.
@@ -964,8 +1028,8 @@ impl Network {
         // draws from the same seeded RNG stream — and, like the spec path,
         // draws nothing when the effective probability is zero, so an
         // empty fault plan leaves the stream untouched.)
-        let loss_p = self.segments[segment.index()].effective_loss(self.now);
-        if loss_p > 0.0 && self.rng.random::<f64>() < loss_p {
+        let loss_p = self.segments[segment.index()].effective_loss(self.run.now);
+        if loss_p > 0.0 && self.run.rng.random::<f64>() < loss_p {
             return self.drop_frame(dgram, DropReason::ChannelLoss);
         }
 
@@ -974,8 +1038,8 @@ impl Network {
         // discard it. Like the loss draw, nothing is drawn when no
         // corruption burst is active, so corruption-free runs leave the
         // RNG stream untouched.
-        let corrupt_p = self.segments[segment.index()].effective_corrupt(self.now);
-        if corrupt_p > 0.0 && self.rng.random::<f64>() < corrupt_p {
+        let corrupt_p = self.segments[segment.index()].effective_corrupt(self.run.now);
+        if corrupt_p > 0.0 && self.run.rng.random::<f64>() < corrupt_p {
             self.slab.get_mut(dgram).corrupted = true;
         }
 
@@ -993,7 +1057,7 @@ impl Network {
             let pt = &self.proc_types[self.nodes[dst.index()].proc_type.index()];
             let host =
                 pt.recv_overhead + SimDur::from_secs_f64(wire_len as f64 * pt.recv_sec_per_byte);
-            let start = self.now.max(self.nodes[dst.index()].net_free_at);
+            let start = self.run.now.max(self.nodes[dst.index()].net_free_at);
             let done = start + host;
             self.nodes[dst.index()].net_free_at = done;
             self.queue.push(done, Work::Deliver { dgram });
@@ -1010,7 +1074,7 @@ impl Network {
                 return self.drop_frame(dgram, DropReason::LinkDown);
             };
             let r = &mut self.routers[router.index()];
-            if self.now < r.down_until {
+            if self.run.now < r.down_until {
                 r.frames_dropped += 1;
                 return self.drop_frame(dgram, DropReason::RouterDown);
             }
@@ -1019,7 +1083,7 @@ impl Network {
                 return self.drop_frame(dgram, DropReason::RouterOverflow);
             }
             let fwd = r.spec.forward_time(wire_len);
-            let start = self.now.max(r.free_at);
+            let start = self.run.now.max(r.free_at);
             let mut done = start + fwd;
             r.free_at = done;
             // Per-direction port bandwidth: after the forwarding engine,

@@ -100,7 +100,28 @@ pub(crate) struct Router {
 
 impl Router {
     pub(crate) fn new(spec: RouterSpec) -> Router {
-        let ports = spec.segments.len();
+        Router::initial(spec, Vec::new())
+    }
+
+    /// Return to the just-built state, keeping the port table's buffer.
+    pub(crate) fn reset(&mut self) {
+        let segments = std::mem::take(&mut self.spec.segments);
+        let port_free_at = std::mem::take(&mut self.port_free_at);
+        *self = Router::initial(
+            RouterSpec {
+                segments,
+                ..self.spec
+            },
+            port_free_at,
+        );
+    }
+
+    /// The just-built state of a router over `spec`, reusing
+    /// `port_free_at`'s buffer: the one definition [`new`](Router::new)
+    /// and [`reset`](Router::reset) share.
+    fn initial(spec: RouterSpec, mut port_free_at: Vec<SimTime>) -> Router {
+        port_free_at.clear();
+        port_free_at.resize(spec.segments.len(), SimTime::ZERO);
         Router {
             spec,
             free_at: SimTime::ZERO,
@@ -109,7 +130,7 @@ impl Router {
             frames_dropped: 0,
             down_until: SimTime::ZERO,
             port_down_until: Vec::new(),
-            port_free_at: vec![SimTime::ZERO; ports],
+            port_free_at,
         }
     }
 

@@ -140,7 +140,13 @@ impl SegmentSpec {
 /// Runtime state of one segment.
 #[derive(Debug)]
 pub(crate) struct Segment {
+    /// The segment as built; never changed by a run, so a reset can
+    /// return to it.
     pub(crate) spec: SegmentSpec,
+    /// The channel-loss probability outside loss bursts: the spec's,
+    /// until [`Network::set_loss_probability`](crate::Network::set_loss_probability)
+    /// moves it.
+    pub(crate) loss: f64,
     /// Frames waiting for the channel, FIFO. Slab handles, not packets:
     /// the payload lives in the network's datagram slab.
     pub(crate) queue: VecDeque<DgramHandle>,
@@ -153,7 +159,7 @@ pub(crate) struct Segment {
     pub(crate) frames_sent: u64,
     /// Payload+overhead bytes transmitted.
     pub(crate) bytes_sent: u64,
-    /// Injected loss burst: overrides `spec.loss_probability` until
+    /// Injected loss burst: overrides `loss` until
     /// `burst_until`. Overlapping bursts merge via `max` of the end time
     /// (the later burst's probability wins from its start).
     pub(crate) burst_loss: f64,
@@ -177,11 +183,26 @@ pub(crate) struct Segment {
 
 impl Segment {
     pub(crate) fn new(spec: SegmentSpec) -> Segment {
+        // Pre-size for a typical fragment train so steady-state traffic
+        // never grows the ring buffer (it is recycled, never shrunk).
+        Segment::initial(spec, VecDeque::with_capacity(32))
+    }
+
+    /// Return to the just-built state, keeping the queue's buffer.
+    pub(crate) fn reset(&mut self) {
+        let mut queue = std::mem::take(&mut self.queue);
+        queue.clear();
+        *self = Segment::initial(self.spec.clone(), queue);
+    }
+
+    /// The just-built state of a segment over `spec`, queueing into the
+    /// empty `queue`: the one definition [`new`](Segment::new) and
+    /// [`reset`](Segment::reset) share.
+    fn initial(spec: SegmentSpec, queue: VecDeque<DgramHandle>) -> Segment {
         Segment {
+            loss: spec.loss_probability,
             spec,
-            // Pre-size for a typical fragment train so steady-state traffic
-            // never grows the ring buffer (it is recycled, never shrunk).
-            queue: VecDeque::with_capacity(32),
+            queue,
             busy: false,
             busy_time: SimDur::ZERO,
             frames_sent: 0,
@@ -195,14 +216,14 @@ impl Segment {
         }
     }
 
-    /// The channel-loss probability in effect at `now`: the spec value,
+    /// The channel-loss probability in effect at `now`: `loss`,
     /// unless an injected loss burst is active.
     #[inline]
     pub(crate) fn effective_loss(&self, now: SimTime) -> f64 {
         if now < self.burst_until {
             self.burst_loss
         } else {
-            self.spec.loss_probability
+            self.loss
         }
     }
 

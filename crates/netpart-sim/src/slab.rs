@@ -68,6 +68,12 @@ impl DgramSlab {
         d
     }
 
+    /// Drop every interned datagram, keeping both buffers.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
+
     /// Number of live (in-flight) datagrams.
     #[cfg(test)]
     pub(crate) fn live(&self) -> usize {

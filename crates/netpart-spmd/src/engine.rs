@@ -16,15 +16,13 @@
 //! becomes — arrives as an explicit [`Segment`] the engine consults at
 //! each cycle boundary.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 
 use netpart_mmps::{
     epoch_of, strip_epoch, tag_of, untag, with_epoch, Mmps, MmpsEvent, CKPT_TAG, PING_TAG,
 };
 use netpart_model::{NetpartError, PartitionVector};
-use netpart_sim::{NodeId, SimDur, SimTime};
+use netpart_sim::{FastMap, NodeId, SimDur, SimTime};
 
 use crate::checkpoint::CheckpointStore;
 use crate::drift::DriftMonitor;
@@ -148,13 +146,13 @@ pub struct CycleEngine<'a, A: SpmdApp, P: Probe> {
     probe: &'a mut P,
     segment: Option<Segment<'a>>,
     states: Vec<TaskState>,
-    mailbox: Vec<HashMap<(u64, Rank, u8), Bytes>>,
+    mailbox: Vec<FastMap<(u64, Rank, u8), Bytes>>,
     /// Per rank, the next message sequence number to stamp on a send to
     /// each peer / expect from each peer *within the rank's current
     /// cycle*. A rank only sends and receives in its current cycle, so
     /// both maps are emptied when it advances and stay O(neighbors).
-    send_seq: Vec<HashMap<Rank, u8>>,
-    recv_next: Vec<HashMap<Rank, u8>>,
+    send_seq: Vec<FastMap<Rank, u8>>,
+    recv_next: Vec<FastMap<Rank, u8>>,
     cycle_max: Vec<SimTime>,
     rank_finish: Vec<SimTime>,
     compute_busy: Vec<SimDur>,
@@ -163,7 +161,7 @@ pub struct CycleEngine<'a, A: SpmdApp, P: Probe> {
     msg_wait_started: Vec<SimTime>,
     done: usize,
     num_cycles: u64,
-    node_to_rank: HashMap<NodeId, Rank>,
+    node_to_rank: FastMap<NodeId, Rank>,
     epoch: u16,
 }
 
@@ -219,9 +217,9 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                     phase_active: false,
                 })
                 .collect(),
-            mailbox: (0..n).map(|_| HashMap::new()).collect(),
-            send_seq: (0..n).map(|_| HashMap::new()).collect(),
-            recv_next: (0..n).map(|_| HashMap::new()).collect(),
+            mailbox: (0..n).map(|_| FastMap::default()).collect(),
+            send_seq: (0..n).map(|_| FastMap::default()).collect(),
+            recv_next: (0..n).map(|_| FastMap::default()).collect(),
             cycle_max: vec![SimTime::ZERO; num_cycles as usize],
             rank_finish: vec![SimTime::ZERO; n],
             compute_busy: vec![SimDur::ZERO; n],
@@ -645,74 +643,89 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                 self.load_script(rank);
                 continue;
             }
-            // Clone the step descriptor cheaply (small vectors) to end the
-            // immutable borrow before mutating app / mmps.
-            let step = self.states[rank].script[self.states[rank].step].clone();
-            match step {
-                Step::Send { to } => {
-                    let started = self.phase_enter(rank);
-                    let cycle = self.states[rank].cycle;
-                    for peer in to {
-                        let seq_entry = self.send_seq[rank].entry(peer).or_insert(0);
-                        let seq = *seq_entry;
-                        *seq_entry = seq_entry.wrapping_add(1);
-                        let payload = self.app.produce(rank, cycle, peer);
-                        self.mmps
-                            .send_message(
-                                self.nodes[rank],
-                                self.nodes[peer],
-                                with_epoch(self.epoch, tag_of(cycle + 1, rank, seq)),
-                                payload,
-                            )
-                            .map_err(send_err(peer))?;
-                    }
-                    self.states[rank].step += 1;
-                    self.states[rank].phase_active = false;
-                    self.phase_done(rank, cycle, Phase::Send, started, self.mmps.now());
+            // The script leaves its state while a step runs, so the step's
+            // peer list is read in place while the engine mutates app,
+            // message layer and state; it goes back before any error
+            // propagates.
+            let script = std::mem::take(&mut self.states[rank].script);
+            let blocked = self.run_step(rank, &script[self.states[rank].step]);
+            self.states[rank].script = script;
+            if blocked? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Run `rank`'s current step, `step`. `Ok(true)` when the rank
+    /// blocked on it (a compute block started, or a receive found its
+    /// mailbox short), `Ok(false)` when the step completed.
+    fn run_step(&mut self, rank: Rank, step: &Step) -> Result<bool, NetpartError> {
+        match step {
+            Step::Send { to } => {
+                let started = self.phase_enter(rank);
+                let cycle = self.states[rank].cycle;
+                for &peer in to {
+                    let seq_entry = self.send_seq[rank].entry(peer).or_insert(0);
+                    let seq = *seq_entry;
+                    *seq_entry = seq_entry.wrapping_add(1);
+                    let payload = self.app.produce(rank, cycle, peer);
+                    self.mmps
+                        .send_message(
+                            self.nodes[rank],
+                            self.nodes[peer],
+                            with_epoch(self.epoch, tag_of(cycle + 1, rank, seq)),
+                            payload,
+                        )
+                        .map_err(send_err(peer))?;
                 }
-                Step::Compute { part } => {
-                    let started = self.phase_enter(rank);
-                    let cycle = self.states[rank].cycle;
-                    let (ops, kind) = self.app.compute(rank, cycle, part);
-                    let class = match kind {
-                        netpart_model::OpKind::Flop => netpart_sim::OpClass::Flop,
-                        netpart_model::OpKind::IntOp => netpart_sim::OpClass::IntOp,
-                    };
-                    self.compute_started[rank] = started;
-                    let token = ((self.epoch as u64) << 32) | rank as u64;
-                    self.mmps.start_compute(self.nodes[rank], ops, class, token);
-                    self.states[rank].step += 1;
-                    self.states[rank].waiting = Waiting::Compute;
-                    // The Compute phase probe fires on ComputeDone, where
-                    // the span is known.
-                    return Ok(());
-                }
-                Step::Recv { from } => {
-                    let started = self.phase_enter(rank);
-                    let cycle = self.states[rank].cycle;
-                    let mut progress = self.states[rank].recv_progress;
-                    while progress < from.len() {
-                        let f = from[progress];
-                        let next_seq = self.recv_next[rank].entry(f).or_insert(0);
-                        match self.mailbox[rank].remove(&(cycle, f, *next_seq)) {
-                            Some(payload) => {
-                                *next_seq = next_seq.wrapping_add(1);
-                                self.app.consume(rank, cycle, f, &payload);
-                                progress += 1;
-                            }
-                            None => {
-                                self.states[rank].recv_progress = progress;
-                                self.states[rank].waiting = Waiting::Msg;
-                                self.msg_wait_started[rank] = self.mmps.now();
-                                return Ok(());
-                            }
+                self.states[rank].step += 1;
+                self.states[rank].phase_active = false;
+                self.phase_done(rank, cycle, Phase::Send, started, self.mmps.now());
+                Ok(false)
+            }
+            &Step::Compute { part } => {
+                let started = self.phase_enter(rank);
+                let cycle = self.states[rank].cycle;
+                let (ops, kind) = self.app.compute(rank, cycle, part);
+                let class = match kind {
+                    netpart_model::OpKind::Flop => netpart_sim::OpClass::Flop,
+                    netpart_model::OpKind::IntOp => netpart_sim::OpClass::IntOp,
+                };
+                self.compute_started[rank] = started;
+                let token = ((self.epoch as u64) << 32) | rank as u64;
+                self.mmps.start_compute(self.nodes[rank], ops, class, token);
+                self.states[rank].step += 1;
+                self.states[rank].waiting = Waiting::Compute;
+                // The Compute phase probe fires on ComputeDone, where
+                // the span is known.
+                Ok(true)
+            }
+            Step::Recv { from } => {
+                let started = self.phase_enter(rank);
+                let cycle = self.states[rank].cycle;
+                let mut progress = self.states[rank].recv_progress;
+                while progress < from.len() {
+                    let f = from[progress];
+                    let next_seq = self.recv_next[rank].entry(f).or_insert(0);
+                    match self.mailbox[rank].remove(&(cycle, f, *next_seq)) {
+                        Some(payload) => {
+                            *next_seq = next_seq.wrapping_add(1);
+                            self.app.consume(rank, cycle, f, &payload);
+                            progress += 1;
+                        }
+                        None => {
+                            self.states[rank].recv_progress = progress;
+                            self.states[rank].waiting = Waiting::Msg;
+                            self.msg_wait_started[rank] = self.mmps.now();
+                            return Ok(true);
                         }
                     }
-                    self.states[rank].recv_progress = 0;
-                    self.states[rank].step += 1;
-                    self.states[rank].phase_active = false;
-                    self.phase_done(rank, cycle, Phase::Recv, started, self.mmps.now());
                 }
+                self.states[rank].recv_progress = 0;
+                self.states[rank].step += 1;
+                self.states[rank].phase_active = false;
+                self.phase_done(rank, cycle, Phase::Recv, started, self.mmps.now());
+                Ok(false)
             }
         }
     }
