@@ -8,6 +8,14 @@
 //! process never calibrates the same inputs twice (not even from
 //! different threads). Nothing is persisted: every process calibrates
 //! from the code it runs.
+//!
+//! The memo holds the calibration's *outcome*, a failure as well as a
+//! fit. The simulation is seeded, so the outcome is a deterministic
+//! function of the inputs, and calibrating a broken testbed again could
+//! only reproduce its error. The one exception is
+//! [`NetpartError::PlanDeadlineExceeded`]: it comes from the caller's
+//! budget (expiry or cancel), not from the inputs, so it is never
+//! memoized and a later caller with budget to spare calibrates.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -59,8 +67,9 @@ pub fn calibrate_testbed_cached_status(
     cached(testbed, topologies, cfg, &Budget::unlimited())
 }
 
-/// The cached calibration under a cooperative [`Budget`]. Memo hits are
-/// served regardless of the budget (they are cheap); only a miss — the
+/// The cached calibration under a cooperative [`Budget`]. Memo hits —
+/// remembered fits and remembered failures alike — are served
+/// regardless of the budget (they are cheap); only a miss — the
 /// full simulated benchmarking procedure — polls the budget, so an
 /// expired plan-server request stops sweeping instead of burning a
 /// worker. The memo lock is held across the fill, so concurrent requests
@@ -72,20 +81,24 @@ fn cached(
     cfg: &CalibrationConfig,
     budget: &Budget,
 ) -> Result<(CalibratedCostModel, CacheStatus), NetpartError> {
-    static MEMO: OnceLock<Mutex<HashMap<u64, CalibratedCostModel>>> = OnceLock::new();
+    type Memo = HashMap<u64, Result<CalibratedCostModel, NetpartError>>;
+    static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
     let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
     let fp = calibration_fingerprint(testbed, topologies, cfg);
 
     // Hold the lock across the whole fill so concurrent callers with the
     // same fingerprint wait for one calibration instead of racing.
     let mut map = memo.lock().expect("calibration memo poisoned");
-    if let Some(model) = map.get(&fp) {
-        return Ok((model.clone(), CacheStatus::MemoHit));
+    if let Some(outcome) = map.get(&fp) {
+        return outcome.clone().map(|model| (model, CacheStatus::MemoHit));
     }
-    budget.check()?;
-    let model = calibrate_testbed_budgeted(testbed, topologies, cfg, budget)?;
-    map.insert(fp, model.clone());
-    Ok((model, CacheStatus::Miss))
+    let outcome = budget
+        .check()
+        .and_then(|()| calibrate_testbed_budgeted(testbed, topologies, cfg, budget));
+    if !matches!(outcome, Err(NetpartError::PlanDeadlineExceeded { .. })) {
+        map.insert(fp, outcome.clone());
+    }
+    outcome.map(|model| (model, CacheStatus::Miss))
 }
 
 /// Like [`calibrate_testbed`](crate::calibrate_testbed), but computed at
@@ -134,5 +147,55 @@ mod tests {
         let mut cfg2 = cfg.clone();
         cfg2.cycles += 1;
         assert_ne!(base, calibration_fingerprint(&tb, &[Topology::OneD], &cfg2));
+    }
+
+    fn quick_cfg() -> CalibrationConfig {
+        CalibrationConfig {
+            b_values: vec![256, 1024, 4096],
+            cycles: 6,
+            warmup: 1,
+        }
+    }
+
+    fn expired() -> Budget {
+        let budget = Budget::unlimited();
+        budget.cancel();
+        budget
+    }
+
+    /// A one-node cluster cannot communicate, so its calibration fails;
+    /// the failure is remembered, and a later caller gets it back even
+    /// with no budget left to calibrate.
+    #[test]
+    fn a_failed_calibration_is_remembered() {
+        let mut tb = Testbed::synthetic(1, 1, 1.0);
+        tb.seed = 0x0ae1_0001; // a fingerprint no other test uses
+        let topologies = [Topology::OneD];
+        let first =
+            calibrate_testbed_cached_budgeted(&tb, &topologies, &quick_cfg(), &Budget::unlimited())
+                .unwrap_err();
+        assert!(matches!(first, NetpartError::Calibration(_)), "{first:?}");
+        let again = calibrate_testbed_cached_budgeted(&tb, &topologies, &quick_cfg(), &expired())
+            .unwrap_err();
+        assert_eq!(again, first);
+    }
+
+    /// An expired budget is the caller's, not the inputs': the miss it
+    /// ends is not memoized, and a later unlimited caller calibrates.
+    #[test]
+    fn an_expired_budget_miss_is_not_remembered() {
+        let mut tb = Testbed::synthetic(1, 4, 1.0);
+        tb.seed = 0x0ae1_0002; // a fingerprint no other test uses
+        let topologies = [Topology::OneD];
+        let err = calibrate_testbed_cached_budgeted(&tb, &topologies, &quick_cfg(), &expired())
+            .unwrap_err();
+        assert!(
+            matches!(err, NetpartError::PlanDeadlineExceeded { .. }),
+            "{err:?}"
+        );
+        let (model, status) =
+            calibrate_testbed_cached_status(&tb, &topologies, &quick_cfg()).expect("calibrates");
+        assert_eq!(status, CacheStatus::Miss);
+        assert!(model.intra.contains_key(&(0, Topology::OneD)));
     }
 }

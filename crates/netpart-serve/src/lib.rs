@@ -12,22 +12,20 @@
 //!   with `NetpartError::PlanDeadlineExceeded`;
 //! - **a fingerprinted response cache** with single-flight coalescing of
 //!   duplicate in-flight requests;
-//! - **per-class circuit breakers** ([`BreakerConfig`]) that switch a
-//!   failing class to degraded serving (stale cache, then fallback, then
-//!   the class's last typed error) and recover via counted half-open
-//!   probes;
 //! - **[`ServerStats`]** — typed outcome counters and the queue
 //!   high-water mark; every [`Served`] response carries its own
 //!   [`PlanSource`], queue wait and total latency.
+//!
+//! Execution is deterministic: a failed request run again would fail the
+//! same way, so a failure goes straight back to its caller and is never
+//! retried.
 //!
 //! The invariant the whole crate exists to uphold: *every submitted
 //! request terminates with a correct response or a typed error — never a
 //! hang, never a wrong answer.*
 
-pub mod breaker;
 pub mod server;
 pub mod stats;
 
-pub use breaker::{Admission, Breaker, BreakerConfig};
 pub use server::{PlanService, PlanSource, ServeConfig, Served, Server, Ticket};
 pub use stats::ServerStats;

@@ -1,6 +1,6 @@
 //! The generic overload-control engine: bounded admission, worker pool,
-//! cooperative deadlines, a fingerprinted response cache with
-//! single-flight coalescing, and per-class circuit breakers.
+//! cooperative deadlines, and a fingerprinted response cache with
+//! single-flight coalescing.
 //!
 //! The engine is generic over a [`PlanService`] — the netpart facade
 //! binds it to `Scenario → plan()`; tests bind it to tiny controllable
@@ -15,12 +15,12 @@ use std::time::{Duration, Instant};
 
 use netpart_model::{Budget, NetpartError};
 
-use crate::breaker::{Admission, Breaker, BreakerConfig};
 use crate::stats::ServerStats;
 
-/// What a [`Server`] serves: how to fingerprint, execute, break, and
-/// degrade one kind of request. Execution is deterministic — a failed
-/// request re-run would fail the same way — so there is no retry hook.
+/// What a [`Server`] serves: how to fingerprint and execute one kind of
+/// request. Execution is deterministic — a failed request re-run would
+/// fail the same way — so a failure goes back to its caller (and to the
+/// callers coalesced onto it) and is not cached.
 pub trait PlanService: Send + Sync + 'static {
     /// The request type (moved into the queue).
     type Request: Send + 'static;
@@ -32,13 +32,6 @@ pub trait PlanService: Send + Sync + 'static {
     /// be interchangeable (same response).
     fn fingerprint(&self, req: &Self::Request) -> u64;
 
-    /// Circuit-breaker class: the unit that fails together (e.g. one
-    /// calibration fingerprint). Defaults to one global class.
-    fn class(&self, req: &Self::Request) -> u64 {
-        let _ = req;
-        0
-    }
-
     /// Start the request's cooperative budget clock (called once at
     /// submission). Defaults to unlimited.
     fn budget(&self, req: &Self::Request) -> Budget {
@@ -49,24 +42,6 @@ pub trait PlanService: Send + Sync + 'static {
     /// Compute a fresh response under the request's budget.
     fn execute(&self, req: &Self::Request, budget: &Budget)
         -> Result<Self::Response, NetpartError>;
-
-    /// Does this failure count toward the class's circuit breaker?
-    fn breaker_counts(&self, err: &NetpartError) -> bool {
-        let _ = err;
-        false
-    }
-
-    /// Degraded-mode computation while the class's circuit is open and
-    /// no cached response exists: `None` = no fallback (the class's last
-    /// error is served), `Some(result)` = the fallback's outcome.
-    fn fallback(
-        &self,
-        req: &Self::Request,
-        budget: &Budget,
-    ) -> Option<Result<Self::Response, NetpartError>> {
-        let _ = (req, budget);
-        None
-    }
 }
 
 /// Which path produced a [`Served`] response.
@@ -74,21 +49,11 @@ pub trait PlanService: Send + Sync + 'static {
 pub enum PlanSource {
     /// Computed by [`PlanService::execute`] for this request.
     Fresh,
-    /// The fingerprint's cached response, served while the class is
-    /// healthy — or, to a duplicate request that arrived while the
-    /// response was being computed, the same response handed over on
-    /// completion ([`ServerStats::coalesced`] counts those apart).
+    /// The fingerprint's cached response — or, to a duplicate request
+    /// that arrived while the response was being computed, the same
+    /// response handed over on completion ([`ServerStats::coalesced`]
+    /// counts those apart).
     Cache,
-    /// The last-known-good cached response, served while the class's
-    /// circuit is open (degraded mode); the stamp carries its age so
-    /// callers can judge staleness.
-    StaleCache {
-        /// Milliseconds since the cached response was computed.
-        age_ms: u64,
-    },
-    /// Computed by [`PlanService::fallback`] under an open circuit with
-    /// no cached response.
-    Fallback,
 }
 
 /// A successful response plus provenance and latency accounting.
@@ -113,8 +78,6 @@ pub struct ServeConfig {
     /// already queued is shed with `ServerOverloaded`. `usize::MAX`
     /// disables shedding.
     pub queue_depth: usize,
-    /// Per-class circuit-breaker tuning.
-    pub breaker: BreakerConfig,
 }
 
 impl Default for ServeConfig {
@@ -122,7 +85,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             queue_depth: 64,
-            breaker: BreakerConfig::default(),
         }
     }
 }
@@ -134,7 +96,6 @@ impl ServeConfig {
         ServeConfig {
             workers: 1,
             queue_depth: usize::MAX,
-            ..ServeConfig::default()
         }
     }
 }
@@ -182,11 +143,6 @@ struct Job<S: PlanService> {
     budget: Budget,
     submitted: Instant,
     ticket: Arc<TicketState<S::Response>>,
-}
-
-struct CacheEntry<R> {
-    value: R,
-    created: Instant,
 }
 
 /// A leader's published result that single-flight followers wait on.
@@ -247,20 +203,17 @@ struct Inner<S: PlanService> {
     queue: Mutex<VecDeque<Job<S>>>,
     queue_cv: Condvar,
     stopping: AtomicBool,
-    cache: Mutex<HashMap<u64, CacheEntry<S::Response>>>,
+    cache: Mutex<HashMap<u64, S::Response>>,
     inflight: Mutex<HashMap<u64, Arc<Flight<S::Response>>>>,
-    breakers: Mutex<HashMap<u64, Breaker>>,
-    last_class_error: Mutex<HashMap<u64, NetpartError>>,
     stats: Mutex<ServerStats>,
 }
 
 /// A multi-threaded server over a [`PlanService`]: bounded admission
-/// with typed shedding, per-request cooperative deadlines, a
-/// fingerprinted response cache with single-flight coalescing, and
-/// per-class circuit breakers with degraded-mode serving. The invariant:
-/// **every submitted request terminates with a response or a typed
-/// error** — shed at the door, expired by its own budget, drained at
-/// shutdown, or completed.
+/// with typed shedding, per-request cooperative deadlines, and a
+/// fingerprinted response cache with single-flight coalescing. The
+/// invariant: **every submitted request terminates with a response or a
+/// typed error** — shed at the door, expired by its own budget, drained
+/// at shutdown, or completed.
 pub struct Server<S: PlanService> {
     inner: Arc<Inner<S>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -284,8 +237,6 @@ impl<S: PlanService> Server<S> {
             stopping: AtomicBool::new(false),
             cache: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
-            breakers: Mutex::new(HashMap::new()),
-            last_class_error: Mutex::new(HashMap::new()),
             stats: Mutex::new(ServerStats::default()),
         });
         let workers = (0..cfg.workers.max(1))
@@ -300,14 +251,12 @@ impl<S: PlanService> Server<S> {
         }
     }
 
-    /// Submit a request. Sheds synchronously with
+    /// Submit a request. Fails with [`NetpartError::ServerStopped`] once
+    /// [`stop`](Server::stop) has begun, sheds synchronously with
     /// [`NetpartError::ServerOverloaded`] when the admission queue is
     /// full; otherwise returns a [`Ticket`] that is guaranteed to
     /// terminate.
     pub fn submit(&self, req: S::Request) -> Result<Ticket<S::Response>, NetpartError> {
-        if self.inner.stopping.load(Ordering::Acquire) {
-            return Err(NetpartError::ServerStopped);
-        }
         let budget = self.inner.service.budget(&req);
         let state = Arc::new(TicketState {
             slot: Mutex::new(None),
@@ -315,6 +264,12 @@ impl<S: PlanService> Server<S> {
         });
         {
             let mut q = self.inner.queue.lock().expect("queue poisoned");
+            // Under the queue lock: `stop` sets the flag before it takes
+            // this lock to drain, so a job pushed here is either drained
+            // or refused — never left behind after the workers are gone.
+            if self.inner.stopping.load(Ordering::Acquire) {
+                return Err(NetpartError::ServerStopped);
+            }
             if q.len() >= self.inner.cfg.queue_depth {
                 let depth = q.len();
                 drop(q);
@@ -401,65 +356,22 @@ impl<S: PlanService> Inner<S> {
         let queue_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
         // Deadline re-check after the queue wait: an already-expired
         // request must not burn the worker.
-        let outcome = job.budget.check().and_then(|()| {
-            let class = self.service.class(&job.req);
-            let mut probing = false;
-            let outcome = self.serve(&job, class, &mut probing);
-            if probing {
-                // A probe's success or counted failure has already moved
-                // the breaker on; one that ended any other way must not
-                // leave the class half-open for good.
-                let mut map = self.breakers.lock().expect("breakers poisoned");
-                if let Some(b) = map.get_mut(&class) {
-                    b.release_probe();
-                }
-            }
-            outcome
-        });
+        let outcome = job.budget.check().and_then(|()| self.serve(&job));
         self.complete(&job, outcome, queue_ms);
     }
 
-    /// One request's way through the cache, the class's breaker, single
-    /// flight and the service. Sets `probing` once the breaker admits the
-    /// request as its half-open probe.
-    fn serve(&self, job: &Job<S>, class: u64, probing: &mut bool) -> Outcome<S::Response> {
+    /// One request's way through the cache, single flight and the
+    /// service.
+    fn serve(&self, job: &Job<S>) -> Outcome<S::Response> {
         let fp = self.service.fingerprint(&job.req);
         // The loop re-enters when a single-flight follower inherits a
         // leader's *deadline* error while its own budget still holds: it
-        // retries the round and becomes the new leader (a probe stays
-        // the probe).
+        // retries the round and becomes the new leader.
         loop {
-            let open = {
-                let map = self.breakers.lock().expect("breakers poisoned");
-                map.get(&class).is_some_and(|b| b.is_open())
-            };
-            let hit = {
-                let cache = self.cache.lock().expect("cache poisoned");
-                cache
-                    .get(&fp)
-                    .map(|e| (e.value.clone(), e.created.elapsed()))
-            };
-            if let Some((value, age)) = hit {
-                let mut st = self.stats.lock().expect("stats poisoned");
-                st.cache_hits += 1;
-                if !open {
-                    return Ok((value, PlanSource::Cache));
-                }
-                st.degraded += 1;
-                let age_ms = age.as_millis() as u64;
-                return Ok((value, PlanSource::StaleCache { age_ms }));
-            }
-            if open && !*probing {
-                let admission = {
-                    let mut map = self.breakers.lock().expect("breakers poisoned");
-                    map.get_mut(&class)
-                        .map_or(Admission::Normal, Breaker::admit)
-                };
-                match admission {
-                    Admission::Normal => {}
-                    Admission::Probe => *probing = true,
-                    Admission::Degraded => return self.degrade(job, class),
-                }
+            let hit = self.cache.lock().expect("cache poisoned").get(&fp).cloned();
+            if let Some(value) = hit {
+                self.stats.lock().expect("stats poisoned").cache_hits += 1;
+                return Ok((value, PlanSource::Cache));
             }
 
             // Single-flight: first request for a fingerprint leads, the
@@ -493,54 +405,22 @@ impl<S: PlanService> Inner<S> {
                     }
                 }
             }
-            return self.lead(job, fp, class);
+            return self.lead(job, fp);
         }
     }
 
-    /// Compute as the fingerprint's single-flight leader: record the
-    /// outcome with the breaker, cache a success, publish to followers.
-    fn lead(&self, job: &Job<S>, fp: u64, class: u64) -> Outcome<S::Response> {
+    /// Compute as the fingerprint's single-flight leader: cache a
+    /// success, publish the outcome to followers.
+    fn lead(&self, job: &Job<S>, fp: u64) -> Outcome<S::Response> {
         let result = job
             .budget
             .check()
             .and_then(|()| self.service.execute(&job.req, &job.budget));
-        // Breaker bookkeeping before publication, so followers and later
-        // arrivals observe the transition.
-        match &result {
-            Ok(_) => {
-                let closed = {
-                    let mut map = self.breakers.lock().expect("breakers poisoned");
-                    map.get_mut(&class).is_some_and(|b| b.record_success())
-                };
-                if closed {
-                    self.stats.lock().expect("stats poisoned").breaker_closes += 1;
-                }
-            }
-            Err(e) if self.service.breaker_counts(e) => {
-                let opened = {
-                    let mut map = self.breakers.lock().expect("breakers poisoned");
-                    map.entry(class)
-                        .or_insert_with(|| Breaker::new(self.cfg.breaker))
-                        .record_failure()
-                };
-                self.last_class_error
-                    .lock()
-                    .expect("class errors poisoned")
-                    .insert(class, e.clone());
-                if opened {
-                    self.stats.lock().expect("stats poisoned").breaker_opens += 1;
-                }
-            }
-            Err(_) => {}
-        }
         if let Ok(v) = &result {
-            self.cache.lock().expect("cache poisoned").insert(
-                fp,
-                CacheEntry {
-                    value: v.clone(),
-                    created: Instant::now(),
-                },
-            );
+            self.cache
+                .lock()
+                .expect("cache poisoned")
+                .insert(fp, v.clone());
         }
         // Publish to followers and release the flight.
         let flight = self.inflight.lock().expect("inflight poisoned").remove(&fp);
@@ -551,31 +431,6 @@ impl<S: PlanService> Inner<S> {
             self.stats.lock().expect("stats poisoned").fresh += 1;
         }
         result.map(|v| (v, PlanSource::Fresh))
-    }
-
-    /// Serve a request the open circuit turned away from the failing
-    /// path: the fallback's outcome, else the class's last error.
-    fn degrade(&self, job: &Job<S>, class: u64) -> Outcome<S::Response> {
-        match self.service.fallback(&job.req, &job.budget) {
-            Some(Ok(v)) => {
-                let mut st = self.stats.lock().expect("stats poisoned");
-                st.fallbacks += 1;
-                st.degraded += 1;
-                Ok((v, PlanSource::Fallback))
-            }
-            Some(Err(e)) => Err(e),
-            None => Err(self
-                .last_class_error
-                .lock()
-                .expect("class errors poisoned")
-                .get(&class)
-                .cloned()
-                .unwrap_or_else(|| {
-                    NetpartError::Calibration(
-                        "circuit open: no cached response and no fallback".into(),
-                    )
-                })),
-        }
     }
 
     /// Count an error outcome (successes were counted where they were
@@ -606,13 +461,14 @@ impl<S: PlanService> Inner<S> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
 
     /// A controllable service: responds with `req * 10`, counts
-    /// executions, optionally fails requests in a poisoned set, and can
-    /// gate executions on a latch so tests control concurrency.
+    /// executions, fails every execution of a request in its `fail` map,
+    /// and can gate executions on a latch so tests control concurrency.
     struct TestService {
         executions: AtomicU64,
-        fail: Mutex<HashMap<u64, (u32, NetpartError)>>, // request → remaining failures
+        fail: Mutex<HashMap<u64, NetpartError>>,
         gate: Option<Arc<(Mutex<bool>, Condvar)>>,
         deadline_ms: Mutex<HashMap<u64, f64>>,
     }
@@ -634,13 +490,8 @@ mod tests {
             (s, gate)
         }
 
-        fn fail_times(&self, req: u64, times: u32) {
-            let err = NetpartError::Calibration(format!("injected for {req}"));
-            self.fail.lock().expect("fail").insert(req, (times, err));
-        }
-
-        fn fail_once_with(&self, req: u64, err: NetpartError) {
-            self.fail.lock().expect("fail").insert(req, (1, err));
+        fn fail_with(&self, req: u64, err: NetpartError) {
+            self.fail.lock().expect("fail").insert(req, err);
         }
 
         fn set_deadline(&self, req: u64, ms: f64) {
@@ -662,10 +513,6 @@ mod tests {
             *req
         }
 
-        fn class(&self, req: &u64) -> u64 {
-            req % 2
-        }
-
         fn budget(&self, req: &u64) -> Budget {
             match self.deadline_ms.lock().expect("deadline").get(req) {
                 Some(&ms) => Budget::deadline_ms(ms),
@@ -683,22 +530,10 @@ mod tests {
             }
             budget.check()?;
             self.executions.fetch_add(1, Ordering::SeqCst);
-            let mut fail = self.fail.lock().expect("fail");
-            if let Some((n, err)) = fail.get_mut(req) {
-                if *n > 0 {
-                    *n -= 1;
-                    return Err(err.clone());
-                }
+            match self.fail.lock().expect("fail").get(req) {
+                Some(err) => Err(err.clone()),
+                None => Ok(req * 10),
             }
-            Ok(req * 10)
-        }
-
-        fn breaker_counts(&self, err: &NetpartError) -> bool {
-            matches!(err, NetpartError::Calibration(_))
-        }
-
-        fn fallback(&self, req: &u64, _budget: &Budget) -> Option<Result<u64, NetpartError>> {
-            Some(Ok(req * 10 + 1)) // distinguishable degraded answer
         }
     }
 
@@ -706,7 +541,6 @@ mod tests {
         ServeConfig {
             workers: 2,
             queue_depth: 8,
-            ..ServeConfig::default()
         }
     }
 
@@ -734,7 +568,6 @@ mod tests {
             ServeConfig {
                 workers: 1,
                 queue_depth: 2,
-                ..quick_cfg()
             },
         );
         // Worker blocks on the gate with request 0; then 2 fit in the
@@ -795,7 +628,6 @@ mod tests {
             ServeConfig {
                 workers: 4,
                 queue_depth: usize::MAX,
-                ..quick_cfg()
             },
         );
         let tickets: Vec<_> = (0..4)
@@ -817,125 +649,52 @@ mod tests {
         server.stop();
     }
 
+    /// A failed execution reaches its leader and every follower coalesced
+    /// onto it as the same typed error, and is not cached: the next
+    /// submission of the fingerprint executes again.
     #[test]
-    fn breaker_opens_after_consecutive_failures_and_recovers() {
-        let svc = TestService::new();
-        // Class 0 (even requests): fail enough distinct requests to trip
-        // the default threshold of 3.
-        for req in [2u64, 4, 6] {
-            svc.fail_times(req, 1);
-        }
+    fn failure_reaches_every_coalesced_caller_and_is_not_cached() {
+        let (svc, gate) = TestService::gated();
+        let err = NetpartError::Calibration("broken testbed".into());
+        svc.fail_with(42, err.clone());
         let server = Server::with_service(
             svc,
             ServeConfig {
-                workers: 1,
-                breaker: BreakerConfig {
-                    failure_threshold: 3,
-                    probe_every: 2,
-                },
-                ..quick_cfg()
+                workers: 4,
+                queue_depth: usize::MAX,
             },
         );
-        for req in [2u64, 4, 6] {
-            let err = server.submit(req).expect("admitted").wait();
-            assert!(matches!(err, Err(NetpartError::Calibration(_))), "{err:?}");
+        let tickets: Vec<_> = (0..4)
+            .map(|_| server.submit(42).expect("admitted"))
+            .collect();
+        // The leader is held at the gate until its three followers hold
+        // its flight (the map's reference plus one each).
+        while server
+            .inner
+            .inflight
+            .lock()
+            .expect("inflight")
+            .get(&42)
+            .map_or(0, Arc::strong_count)
+            < 4
+        {
+            std::thread::yield_now();
         }
+        open_gate(&gate);
+        for t in tickets {
+            assert_eq!(t.wait().map(|r| r.plan), Err(err.clone()));
+        }
+        let executions = || server.inner.service.executions.load(Ordering::SeqCst);
+        assert_eq!(executions(), 1, "the followers coalesced onto the leader");
         let st = server.stats();
-        assert_eq!(st.breaker_opens, 1);
-        // Circuit open: the next even request is served degraded by the
-        // fallback (odd requests — class 1 — stay normal).
-        let d = server.submit(8).expect("admitted").wait().expect("served");
-        assert_eq!(d.source, PlanSource::Fallback);
-        assert_eq!(d.plan, 81);
-        let n = server.submit(9).expect("admitted").wait().expect("served");
-        assert_eq!(n.source, PlanSource::Fresh);
-        // Second arrival since opening is the probe (probe_every = 2);
-        // the service is healthy again, so it closes the circuit.
-        let p = server.submit(10).expect("admitted").wait().expect("served");
-        assert_eq!(p.source, PlanSource::Fresh, "probe took the normal path");
-        let st = server.stats();
-        assert_eq!(st.breaker_closes, 1);
-        assert_eq!(st.degraded, 1);
-        let h = server.submit(12).expect("admitted").wait().expect("served");
-        assert_eq!(h.source, PlanSource::Fresh, "circuit closed again");
-        server.stop();
-    }
-
-    #[test]
-    fn open_breaker_serves_stale_cache_with_age() {
-        let svc = TestService::new();
-        for req in [2u64, 4, 6] {
-            svc.fail_times(req, 1);
-        }
-        let server = Server::with_service(
-            svc,
-            ServeConfig {
-                workers: 1,
-                breaker: BreakerConfig {
-                    failure_threshold: 3,
-                    probe_every: 100,
-                },
-                ..quick_cfg()
-            },
-        );
-        // Cache request 20 while healthy.
-        server.submit(20).expect("admitted").wait().expect("served");
-        for req in [2u64, 4, 6] {
-            let _ = server.submit(req).expect("admitted").wait();
-        }
-        std::thread::sleep(Duration::from_millis(5));
-        let s = server.submit(20).expect("admitted").wait().expect("served");
-        match s.source {
-            PlanSource::StaleCache { age_ms } => assert!(age_ms >= 5, "age {age_ms}"),
-            other => panic!("expected StaleCache, got {other:?}"),
-        }
-        assert_eq!(s.plan, 200, "stale plan is still the right plan");
-        server.stop();
-    }
-
-    /// Regression: a half-open probe whose error the breaker does not
-    /// count (here a validation error) left the class half-open, and every
-    /// later arrival of the class was served degraded for the server's
-    /// whole lifetime.
-    #[test]
-    fn uncounted_probe_reopens_so_a_later_probe_can_close() {
-        let svc = TestService::new();
-        for req in [2u64, 4, 6] {
-            svc.fail_times(req, 1);
-        }
-        svc.fail_once_with(10, NetpartError::ZeroPdus);
-        let server = Server::with_service(
-            svc,
-            ServeConfig {
-                workers: 1,
-                breaker: BreakerConfig {
-                    failure_threshold: 3,
-                    probe_every: 2,
-                },
-                ..quick_cfg()
-            },
-        );
-        for req in [2u64, 4, 6] {
-            let _ = server.submit(req).expect("admitted").wait();
-        }
-        let source = |req: u64| {
-            server
-                .submit(req)
-                .expect("admitted")
-                .wait()
-                .map(|r| r.source)
-        };
-        assert_eq!(source(8), Ok(PlanSource::Fallback));
-        assert_eq!(source(10), Err(NetpartError::ZeroPdus), "the probe");
         assert_eq!(
-            source(12),
-            Ok(PlanSource::Fallback),
-            "re-opened, recounting"
+            (st.failed, st.coalesced, st.cache_hits),
+            (4, 0, 0),
+            "{st:?}"
         );
-        assert_eq!(source(14), Ok(PlanSource::Fresh), "the next probe closes");
-        assert_eq!(source(16), Ok(PlanSource::Fresh));
-        let st = server.stats();
-        assert_eq!((st.breaker_opens, st.breaker_closes), (1, 1));
+        let again = server.submit(42).expect("admitted").wait();
+        assert_eq!(again.map(|r| r.plan), Err(err));
+        assert_eq!(executions(), 2, "nothing was cached");
         server.stop();
     }
 
@@ -947,7 +706,6 @@ mod tests {
             ServeConfig {
                 workers: 1,
                 queue_depth: usize::MAX,
-                ..quick_cfg()
             },
         );
         let in_flight = server.submit(300).expect("picked up");
@@ -970,5 +728,51 @@ mod tests {
             server.submit(999),
             Err(NetpartError::ServerStopped)
         ));
+    }
+
+    /// Regression: `submit` read the stopping flag before it took the
+    /// queue lock, so a job pushed after `stop` had drained the queue and
+    /// joined the workers was never completed. The race is narrow; many
+    /// short server lifetimes, each with one submitter racing `stop`,
+    /// catch it.
+    #[test]
+    fn submit_racing_stop_never_strands_a_ticket() {
+        const CAP: Duration = Duration::from_secs(5);
+        for round in 0..1_000 {
+            let server = Arc::new(Server::with_service(
+                TestService::new(),
+                ServeConfig::transparent(),
+            ));
+            let start = Arc::new(Barrier::new(2));
+            let submitter = {
+                let server = Arc::clone(&server);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut tickets = Vec::new();
+                    for req in 0.. {
+                        match server.submit(req) {
+                            Ok(t) => tickets.push(t),
+                            Err(NetpartError::ServerStopped) => break,
+                            Err(e) => panic!("round {round}: {e:?}"),
+                        }
+                    }
+                    tickets
+                })
+            };
+            start.wait();
+            server.stop();
+            let tickets = submitter.join().expect("submitter");
+            let deadline = Instant::now() + CAP;
+            for (i, t) in tickets.iter().enumerate() {
+                while t.try_wait().is_none() {
+                    assert!(
+                        Instant::now() < deadline,
+                        "round {round}: ticket {i} stranded"
+                    );
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            }
+        }
     }
 }

@@ -13,28 +13,18 @@ pub struct ServerStats {
     /// Requests that terminated with `PlanDeadlineExceeded` — queued,
     /// waiting on a coalesced computation, or mid-compute.
     pub expired: u64,
-    /// Responses served in degraded mode: a stale cached response under
-    /// an open breaker, or the fallback path.
-    pub degraded: u64,
-    /// Responses served from the fingerprint cache (healthy or stale).
+    /// Responses served from the fingerprint cache.
     pub cache_hits: u64,
     /// Duplicate in-flight requests that coalesced onto another
     /// request's computation (single-flight followers).
     pub coalesced: u64,
     /// Responses computed fresh by the full pipeline.
     pub fresh: u64,
-    /// Responses computed by the degraded fallback path under an open
-    /// breaker (a subset of `degraded`; the rest are stale cache hits).
-    pub fallbacks: u64,
     /// Requests that terminated with a typed error other than shed /
     /// expired / stopped.
     pub failed: u64,
     /// Requests completed with `ServerStopped` at shutdown.
     pub stopped: u64,
-    /// Circuit-breaker transitions to open.
-    pub breaker_opens: u64,
-    /// Circuit-breaker recoveries (half-open probe succeeded).
-    pub breaker_closes: u64,
     /// Deepest the admission queue ever got.
     pub queue_high_water: usize,
 }
@@ -43,18 +33,12 @@ impl ServerStats {
     /// Requests that terminated, successfully or not (shed excluded —
     /// they never entered the queue).
     pub fn completed(&self) -> u64 {
-        self.fresh
-            + self.cache_hits
-            + self.coalesced
-            + self.fallbacks
-            + self.expired
-            + self.failed
-            + self.stopped
+        self.fresh + self.cache_hits + self.coalesced + self.expired + self.failed + self.stopped
     }
 
     /// Cache hits over all successful responses, in [0, 1].
     pub fn cache_hit_ratio(&self) -> f64 {
-        let ok = self.fresh + self.cache_hits + self.coalesced + self.fallbacks;
+        let ok = self.fresh + self.cache_hits + self.coalesced;
         if ok == 0 {
             0.0
         } else {

@@ -41,7 +41,7 @@ mod scenario;
 
 pub use fault::{Fault, FaultSchedule};
 pub use recovery::{AppStart, CheckpointPolicy, Durability, RecoveryPolicy, RecoveryStats};
-pub use request::{scenario_class, scenario_fingerprint, PlanRequest, PlanResponse, PlanSource};
+pub use request::{scenario_fingerprint, PlanRequest, PlanResponse, PlanSource};
 pub use run::{PhaseTotals, Run};
 pub use scenario::{CostSource, Plan, Scenario};
 

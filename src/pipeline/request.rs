@@ -1,10 +1,10 @@
 //! Plan serving: the request/response vocabulary of `netpart::serve` and
-//! the fingerprints its cache and breaker key on.
+//! the fingerprint its cache and single flight key on.
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
-use netpart_calibrate::{calibration_fingerprint, FittedCost, LinearCost};
+use netpart_calibrate::{FittedCost, LinearCost};
 use netpart_model::Budget;
 use netpart_topology::Topology;
 
@@ -50,10 +50,8 @@ impl PlanRequest {
 }
 
 /// Where a served plan came from: `Fresh` from the pipeline, `Cache` a
-/// byte-identical plan for the same fingerprint, `StaleCache { age_ms }`
-/// the last-known-good plan while the class's calibration circuit is
-/// open, `Fallback` a plan under [`CostSource::Paper`] when no cached
-/// plan exists under an open circuit.
+/// byte-identical plan for the same fingerprint (a cache hit, or the
+/// plan of the in-flight duplicate it coalesced onto).
 pub use netpart_serve::PlanSource;
 
 /// A served plan (`plan`) plus its [`PlanSource`] and its wall-clock
@@ -126,7 +124,8 @@ impl fmt::Write for Fnv {
 /// placement, and distribution.
 ///
 /// FNV-1a over the `Debug` rendering — the same technique as
-/// [`calibration_fingerprint`] — with two departures. A
+/// [`calibration_fingerprint`](netpart_calibrate::calibration_fingerprint)
+/// — with two departures. A
 /// [`CostSource::Fixed`] model is hashed table by table in sorted key
 /// order, by the bits of its values, so the fingerprint is a function of
 /// the scenario's *content*: two equal scenarios built independently
@@ -169,22 +168,6 @@ pub fn scenario_fingerprint(s: &Scenario) -> u64 {
         }
     }
     h.0
-}
-
-/// The breaker *class* of a scenario: what groups requests for circuit-
-/// breaking purposes. Calibrated scenarios share a class when they share
-/// a calibration fingerprint (same testbed, topologies, and sweep
-/// configuration — the unit that fails together when calibration
-/// breaks); other cost sources never touch the calibration path, so they
-/// map to per-source sentinel classes that the breaker counts but which
-/// in practice never trip.
-pub fn scenario_class(s: &Scenario) -> u64 {
-    match &s.cost {
-        CostSource::Calibrated(cfg) => calibration_fingerprint(&s.testbed, &s.topologies(), cfg),
-        CostSource::Paper => 1,
-        CostSource::Measured => 2,
-        CostSource::Fixed(_) => 3,
-    }
 }
 
 #[cfg(test)]

@@ -437,8 +437,7 @@ mod tests {
 
     /// Regression: `topologies()` only dropped *adjacent* repeats, so
     /// phases [1-D, Tree, 1-D] calibrated 1-D twice and keyed a different
-    /// calibration (and breaker class) than the same app declared
-    /// [1-D, Tree].
+    /// calibration than the same app declared [1-D, Tree].
     #[test]
     fn topologies_name_each_topology_once() {
         use netpart_model::{CommPhase, CompPhase, OpKind};
@@ -459,10 +458,14 @@ mod tests {
         );
         let once = Scenario::new(Testbed::paper(), app(&[Topology::OneD, Topology::Tree]));
         assert_eq!(repeated.topologies(), vec![Topology::OneD, Topology::Tree]);
-        assert_eq!(
-            super::super::scenario_class(&repeated),
-            super::super::scenario_class(&once)
-        );
+        let fingerprint = |s: &Scenario| {
+            netpart_calibrate::calibration_fingerprint(
+                &s.testbed,
+                &s.topologies(),
+                &CalibrationConfig::default(),
+            )
+        };
+        assert_eq!(fingerprint(&repeated), fingerprint(&once));
     }
 
     #[test]

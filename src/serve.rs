@@ -15,79 +15,30 @@
 //!   typed [`NetpartError::ServerOverloaded`];
 //! - a request's [`PlanRequest::deadline_ms`] is enforced cooperatively
 //!   through the calibration sweep and the partitioner's fill loop —
-//!   expiry terminates with [`NetpartError::PlanDeadlineExceeded`];
-//! - consecutive calibration failures for one fingerprint *class* open a
-//!   circuit breaker: further requests of the class are served degraded
-//!   — the last-known-good cached plan (stamped `StaleCache`) or a fresh
-//!   plan under the [`CostSource::Paper`] fallback model (`Fallback`)
-//!   when the paper's constants cover the scenario — while counted
-//!   half-open probes test for recovery.
+//!   expiry terminates with [`NetpartError::PlanDeadlineExceeded`].
 //!
 //! Planning is a deterministic function of the scenario, so a failed
 //! plan is never retried: re-running it could only reproduce the error.
-//! With the [`ServeConfig::transparent`] configuration (one worker, no
-//! queue bound, no deadline) the server is byte-transparent to calling
+//! The error goes back to the request (and to the duplicates coalesced
+//! onto it); a broken calibration is not re-run either, because the
+//! calibration memo remembers failures as well as fits. With the
+//! [`ServeConfig::transparent`] configuration (one worker, no queue
+//! bound, no deadline) the server is byte-transparent to calling
 //! [`Scenario::plan`] directly — property-tested in `tests/serve.rs`.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use netpart_model::{Budget, NetpartError};
 use netpart_serve::{PlanService, Server, Ticket};
 
-use crate::pipeline::{scenario_class, scenario_fingerprint, CostSource, Plan, PlanRequest};
+use crate::pipeline::{scenario_fingerprint, Plan, PlanRequest};
 #[cfg(doc)]
 use crate::pipeline::{PlanResponse, PlanSource, Scenario};
 
-pub use netpart_serve::{BreakerConfig, ServeConfig, ServerStats};
-
-/// Deterministic fault injection for chaos testing: each execution
-/// is independently replaced by an injected calibration failure with
-/// probability `fault_rate`, decided by a hash of `seed` and the
-/// execution index — reproducible across runs, no RNG state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosSpec {
-    /// Seed for the per-execution fault decision.
-    pub seed: u64,
-    /// Probability in [0, 1] that an execution fails.
-    pub fault_rate: f64,
-}
-
-impl ChaosSpec {
-    /// Does execution `n` get an injected fault?
-    pub fn injects(&self, n: u64) -> bool {
-        // splitmix64 of (seed, n) → unit interval.
-        let mut z = self
-            .seed
-            .wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        ((z >> 11) as f64 / (1u64 << 53) as f64) < self.fault_rate
-    }
-}
+pub use netpart_serve::{ServeConfig, ServerStats};
 
 /// The [`PlanService`] binding: fingerprints via [`scenario_fingerprint`],
-/// breaker classes via [`scenario_class`], execution via
-/// [`Scenario::plan_budgeted`], degraded fallback via
-/// [`CostSource::Paper`] when it covers the scenario. The default
-/// instance injects no faults.
+/// execution via [`Scenario::plan_budgeted`].
 #[derive(Debug, Default)]
-pub struct ScenarioService {
-    chaos: Option<ChaosSpec>,
-    executions: AtomicU64,
-}
-
-impl ScenarioService {
-    /// A service whose executions fail with an injected calibration
-    /// error as `chaos` decides — the chaos tests' way to break
-    /// calibration on demand.
-    pub fn with_chaos(chaos: ChaosSpec) -> ScenarioService {
-        ScenarioService {
-            chaos: Some(chaos),
-            ..ScenarioService::default()
-        }
-    }
-}
+pub struct ScenarioService;
 
 impl PlanService for ScenarioService {
     type Request = PlanRequest;
@@ -97,46 +48,12 @@ impl PlanService for ScenarioService {
         scenario_fingerprint(&req.scenario)
     }
 
-    fn class(&self, req: &PlanRequest) -> u64 {
-        scenario_class(&req.scenario)
-    }
-
     fn budget(&self, req: &PlanRequest) -> Budget {
         req.start_budget()
     }
 
     fn execute(&self, req: &PlanRequest, budget: &Budget) -> Result<Plan, NetpartError> {
-        if let Some(chaos) = &self.chaos {
-            let n = self.executions.fetch_add(1, Ordering::Relaxed);
-            if chaos.injects(n) {
-                return Err(NetpartError::Calibration(format!(
-                    "injected chaos fault on execution {n}"
-                )));
-            }
-        }
         req.scenario.plan_budgeted(budget)
-    }
-
-    fn breaker_counts(&self, err: &NetpartError) -> bool {
-        matches!(
-            err,
-            NetpartError::Calibration(_) | NetpartError::MissingFit { .. }
-        )
-    }
-
-    fn fallback(&self, req: &PlanRequest, budget: &Budget) -> Option<Result<Plan, NetpartError>> {
-        // Degraded mode only makes sense when the broken path is
-        // calibration; and the paper model must actually cover the
-        // scenario (model resolution says so with `MissingFit`), else the
-        // class's last typed error is the honest answer.
-        if !matches!(req.scenario.cost, CostSource::Calibrated(_)) {
-            return None;
-        }
-        let fallback = req.scenario.clone().with_cost(CostSource::Paper);
-        match fallback.plan_budgeted(budget) {
-            Err(NetpartError::MissingFit { .. }) => None,
-            planned => Some(planned),
-        }
     }
 }
 
@@ -145,7 +62,7 @@ impl PlanService for ScenarioService {
 pub type PlanTicket = Ticket<Plan>;
 
 /// A multi-threaded planning server with bounded admission, deadlines,
-/// load shedding, and degraded-mode serving. See the module docs for the
+/// load shedding, and a plan cache. See the module docs for the
 /// overload model; see [`ServeConfig`] for tuning.
 ///
 /// ```no_run
@@ -168,7 +85,7 @@ mod tests {
     use super::*;
     use crate::apps::stencil::{stencil_model, StencilVariant};
     use crate::calibrate::Testbed;
-    use crate::pipeline::{PlanResponse, PlanSource, Scenario};
+    use crate::pipeline::{CostSource, PlanResponse, PlanSource, Scenario};
 
     fn paper_scenario(n: u64) -> Scenario {
         Scenario::new(Testbed::paper(), stencil_model(n, StencilVariant::Sten2))
@@ -178,46 +95,6 @@ mod tests {
     fn plan(server: &PlanServer, scenario: Scenario) -> PlanResponse {
         let ticket = server.submit(PlanRequest::new(scenario)).expect("admitted");
         ticket.wait().expect("served")
-    }
-
-    #[test]
-    fn chaos_spec_is_deterministic_and_rate_bounded() {
-        let chaos = ChaosSpec {
-            seed: 42,
-            fault_rate: 0.3,
-        };
-        let a: Vec<bool> = (0..512).map(|n| chaos.injects(n)).collect();
-        let b: Vec<bool> = (0..512).map(|n| chaos.injects(n)).collect();
-        assert_eq!(a, b, "same seed, same faults");
-        let hits = a.iter().filter(|&&x| x).count();
-        assert!((80..230).contains(&hits), "~30% of 512, got {hits}");
-        let never = ChaosSpec {
-            seed: 42,
-            fault_rate: 0.0,
-        };
-        assert!((0..512).all(|n| !never.injects(n)));
-    }
-
-    #[test]
-    fn paper_covers_matches_the_model_predicate() {
-        let service = ScenarioService::default();
-        let fallback = |s: Scenario| service.fallback(&PlanRequest::new(s), &Budget::unlimited());
-        // `Scenario::new` prices by calibration, the one source that
-        // degrades to the paper's constants.
-        let two = Scenario::new(Testbed::paper(), stencil_model(100, StencilVariant::Sten2));
-        assert!(matches!(fallback(two), Some(Ok(_))));
-        let three = Scenario::new(
-            Testbed::synthetic(3, 4, 0.2),
-            stencil_model(100, StencilVariant::Sten2),
-        );
-        assert!(
-            fallback(three).is_none(),
-            "three clusters exceed the paper fit"
-        );
-        assert!(
-            fallback(paper_scenario(100)).is_none(),
-            "nothing to degrade from"
-        );
     }
 
     #[test]
