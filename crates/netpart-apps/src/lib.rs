@@ -26,7 +26,9 @@
 //! compiler vectorizes — but **never reassociate**: each point is still
 //! `(above + below + left + right) / 4.0` left to right, `x -= f * p` a
 //! multiply then a subtract, no fused multiply-add, no blocked sums; the
-//! scalar loops they replaced are the `#[cfg(test)]` oracles. Flop counts
+//! scalar loops they replaced are the `#[cfg(test)]` oracles. The stencil
+//! updates each rank's rows in place (see [`stencil`]), so the
+//! double-buffered scalar loop is its oracle too. Flop counts
 //! are the §4 annotations, not machine operations, so simulated time never
 //! depends on how a kernel is written.
 //!

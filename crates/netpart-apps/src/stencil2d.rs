@@ -26,7 +26,7 @@ use netpart_model::{AppModel, CommPhase, CompPhase, OpKind, PartitionVector};
 use netpart_spmd::{SpmdApp, Step};
 use netpart_topology::Topology;
 
-use crate::stencil::{initial_grid, Block};
+use crate::stencil::Block;
 use crate::wire;
 
 /// §4-style annotations for the 2-D decomposition at a *given* processor
@@ -66,12 +66,15 @@ pub struct Stencil2DApp {
     p: usize,
     mesh: (u32, u32),
     blocks: Vec<Block>,
-    initial: Vec<f32>,
+    /// The two-row ring every block's pass shares.
+    ring: Vec<f32>,
 }
 
 impl Stencil2DApp {
     /// An N×N stencil over `p` tasks arranged in the near-square mesh
-    /// `Topology::mesh_dims(p)`.
+    /// `Topology::mesh_dims(p)`, starting from
+    /// [`initial_grid`](crate::stencil::initial_grid): each task's block is
+    /// built from the start rows at setup, never cut from a whole grid.
     pub fn new(n: usize, iters: u64, p: usize) -> Stencil2DApp {
         assert!(n >= 2);
         assert!(p >= 1);
@@ -81,7 +84,7 @@ impl Stencil2DApp {
             p,
             mesh: Topology::mesh_dims(p as u32),
             blocks: Vec::with_capacity(p),
-            initial: initial_grid(n),
+            ring: vec![0.0; 2 * n],
         }
     }
 
@@ -125,8 +128,7 @@ impl SpmdApp for Stencil2DApp {
         let (rows, cols) = (self.mesh.0 as usize, self.mesh.1 as usize);
         let (mr, mc) = self.mesh_pos(rank);
         let (rspan, cspan) = (span(self.n, rows, mr), span(self.n, cols, mc));
-        self.blocks
-            .push(Block::cut(&self.initial, self.n, rspan, cspan));
+        self.blocks.push(Block::start(self.n, rspan, cspan));
     }
 
     fn num_cycles(&self) -> u64 {
@@ -182,8 +184,7 @@ impl SpmdApp for Stencil2DApp {
     fn compute(&mut self, rank: usize, _cycle: u64, _part: u32) -> (f64, OpKind) {
         let n = self.n;
         let b = &mut self.blocks[rank];
-        let rows_updated = b.update_rows(n, b.r0, b.r1);
-        b.swap();
+        let rows_updated = b.update_all(n, &mut self.ring);
         // 5 flops per updated point: the block's columns minus any fixed
         // global boundary column it holds.
         let cols_updated = b.c1.min(n - 1).saturating_sub(b.c0.max(1));
@@ -221,6 +222,20 @@ mod tests {
             app.compute(0, 0, 0);
         }
         assert_eq!(app.gather(), sequential_reference(n, 4));
+    }
+
+    /// After setup the mesh holds one copy of the grid — its blocks —
+    /// and O(p·N) of halos and scratch rows besides: no start grid.
+    #[test]
+    fn setup_leaves_one_copy_of_the_grid() {
+        let (n, p) = (30, 6);
+        let mut app = Stencil2DApp::new(n, 2, p);
+        for rank in 0..p {
+            app.setup(rank, &PartitionVector::equal(n as u64, p));
+        }
+        let held = app.blocks.iter().map(Block::floats).sum::<usize>() + app.ring.capacity();
+        assert!(held <= n * n + 8 * p * n, "{held} floats");
+        assert_eq!(app.gather(), crate::stencil::initial_grid(n));
     }
 
     #[test]
