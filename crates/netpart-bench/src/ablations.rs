@@ -1,7 +1,6 @@
 //! Ablations of the design choices DESIGN.md calls out (A1–A6).
 
 use netpart_apps::stencil::{stencil_model, StencilApp, StencilVariant};
-use netpart_baselines::run_dynamic_stencil;
 use netpart_calibrate::{
     calibrate_testbed_cached, CalibratedCostModel, CalibrationConfig, FittedCost, Testbed,
 };
@@ -12,6 +11,7 @@ use netpart_model::{NetpartError, PartitionVector};
 use netpart_spmd::Executor;
 use netpart_topology::{PlacementStrategy, Topology};
 
+use crate::dynamic::run_dynamic_stencil;
 use crate::experiments::run_stencil_config;
 
 /// A1 — cluster consideration order.

@@ -390,16 +390,6 @@ fn cmd_drift() -> Violations {
     drift_violations(&rows, &chaos)
 }
 
-fn cmd_congestion() -> Violations {
-    println!(
-        "Congested links — bounded queues, marks, window backpressure, segment-attributed drift:"
-    );
-    let report = ok(congestion_report(model(), 120, 30));
-    print!("{}", render_congestion(&report));
-    write_artifact("BENCH_congestion.json", &congestion_json(&report));
-    report.violations()
-}
-
 fn cmd_chaos_fuzz() -> Violations {
     println!("Chaos fuzzer — seeded random schedules over the whole fault model:");
     // 120 sweep seeds plus the fixed CI seeds, over two targets (STEN-1 and
@@ -438,7 +428,7 @@ type Command = (&'static str, bool, fn() -> Violations);
 /// Every subcommand but `all` and `export <dir>`. `all` runs them in this
 /// order and leaves out `chaos-fabric` (its 1024-node cells take
 /// minutes) and its CI subset `chaos-fabric-smoke`.
-const COMMANDS: [Command; 24] = [
+const COMMANDS: [Command; 23] = [
     ("calibrate", true, cmd_calibrate),
     ("transport", true, cmd_transport),
     ("table1", true, cmd_table1),
@@ -459,7 +449,6 @@ const COMMANDS: [Command; 24] = [
     ("metasystem", true, cmd_metasystem),
     ("faults", true, cmd_faults),
     ("drift", true, cmd_drift),
-    ("congestion", true, cmd_congestion),
     ("chaos-fuzz", true, cmd_chaos_fuzz),
     ("chaos-fabric", false, cmd_chaos_fabric),
     ("chaos-fabric-smoke", false, cmd_chaos_fabric_smoke),

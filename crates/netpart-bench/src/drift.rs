@@ -77,9 +77,9 @@ pub struct DriftChaosCase {
     pub adaptive: Checked,
 }
 
-/// The `Adapt` policy every gray-failure harness runs (drift and
-/// congestion alike): shared threshold and cooldown, caller's gate.
-pub(crate) fn adapt_policy(min_gain: f64) -> RecoveryPolicy {
+/// The `Adapt` policy every gray-failure harness runs: shared threshold
+/// and cooldown, caller's gate.
+fn adapt_policy(min_gain: f64) -> RecoveryPolicy {
     RecoveryPolicy::Adapt {
         degrade_threshold: DEGRADE_THRESHOLD,
         min_gain,
@@ -88,7 +88,7 @@ pub(crate) fn adapt_policy(min_gain: f64) -> RecoveryPolicy {
 }
 
 /// The `"policy"` object of every artefact whose runs use [`adapt_policy`].
-pub(crate) fn adapt_policy_json() -> Json {
+fn adapt_policy_json() -> Json {
     Json::obj([
         ("degrade_threshold", Json::fixed(DEGRADE_THRESHOLD, 2)),
         ("cooldown_cycles", COOLDOWN.into()),

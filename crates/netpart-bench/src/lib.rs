@@ -22,8 +22,8 @@
 pub mod ablations;
 pub mod chaos_fabric;
 pub mod chaos_fuzz;
-pub mod congestion;
 pub mod drift;
+pub mod dynamic;
 pub mod experiments;
 pub mod faults;
 pub mod report;
@@ -35,8 +35,8 @@ pub mod transport;
 pub use ablations::*;
 pub use chaos_fabric::*;
 pub use chaos_fuzz::*;
-pub use congestion::*;
 pub use drift::*;
+pub use dynamic::{run_dynamic_stencil, DynamicReport};
 pub use experiments::*;
 pub use faults::*;
 pub use report::*;

@@ -4,10 +4,10 @@
 //! sequential reference and its fault-free run. [`Target::run`] executes it
 //! under a fault schedule and a recovery policy and holds the outcome to
 //! the standing invariant — **bit-identical answer or a typed error** — as
-//! one [`Verdict`]. The harnesses (`faults`, `drift`, `congestion`,
-//! `chaos_fuzz`, `chaos_fabric`) choose the schedule, the policy and the
-//! columns; planning, the baseline, the recoverable run and the comparison
-//! happen here and nowhere else.
+//! one [`Verdict`]. The harnesses (`faults`, `drift`, `chaos_fuzz`,
+//! `chaos_fabric`) choose the schedule, the policy and the columns;
+//! planning, the baseline, the recoverable run and the comparison happen
+//! here and nowhere else.
 
 use netpart::{
     AppStart, CheckpointPolicy, CostSource, FaultSchedule, RecoveryPolicy, RecoveryStats, Run,

@@ -53,12 +53,6 @@ fn drift_json_is_well_formed() {
 }
 
 #[test]
-fn congestion_json_is_well_formed() {
-    let report = congestion_report(&model(), 120, 10).expect("congestion report");
-    assert_well_formed("congestion", &congestion_json(&report));
-}
-
-#[test]
 fn chaos_fuzz_json_is_well_formed() {
     // Seeds 18 and 56 force replans and a typed error: free text in
     // `detail`. The planted-bug repro adds `Debug`-printed fault events.

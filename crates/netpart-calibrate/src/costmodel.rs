@@ -58,12 +58,11 @@ impl FittedCost {
     }
 }
 
-/// A two-piece Eq. 1: one fit for the linear (below-knee) regime, a
-/// second for the saturated regime. Produced by gated calibration
-/// ([`crate::fit::calibrate_cluster_gated`]) when the single linear fit
-/// fails its lack-of-fit gate — the shape a congested segment's cost
-/// curve takes once offered load passes the knee of its utilization
-/// curve.
+/// A two-piece Eq. 1: one fit below `knee_p`, a second from it on. No
+/// calibration produces one, and nothing in the library fills
+/// [`CalibratedCostModel::piecewise`]; both stay only because the repo
+/// benchmark (`benchmark/`) compares that table, and they go with its
+/// next schema change.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PiecewiseCost {
     /// Fit for `p < knee_p` (the paper's linear regime).
@@ -82,27 +81,6 @@ impl PiecewiseCost {
             self.below.eval_ms(bytes, p)
         } else {
             self.above.eval_ms(bytes, p)
-        }
-    }
-}
-
-/// The typed result of a gated calibration: the linear Eq. 1 fit when it
-/// passes the lack-of-fit gate, or the two-piece fallback when the sweep
-/// crossed a congestion knee the linear shape cannot express.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CostModel {
-    /// The linear fit was adequate (or no gate was configured).
-    Linear(FittedCost),
-    /// The linear fit failed the gate; a two-piece fit replaced it.
-    Piecewise(PiecewiseCost),
-}
-
-impl CostModel {
-    /// Evaluate at `b` bytes and `p` processors.
-    pub fn eval_ms(&self, bytes: f64, p: u32) -> f64 {
-        match self {
-            CostModel::Linear(f) => f.eval_ms(bytes, p),
-            CostModel::Piecewise(pw) => pw.eval_ms(bytes, p),
         }
     }
 }
@@ -225,10 +203,8 @@ impl<T: CommCostModel + ?Sized> CommCostModel for &T {
 pub struct CalibratedCostModel {
     /// Eq. 1 constants per (cluster, topology).
     pub intra: FastMap<(usize, Topology), FittedCost>,
-    /// Two-piece overrides per (cluster, topology), for a caller that
-    /// carries a [`calibrate_cluster_gated`](crate::fit::calibrate_cluster_gated)
-    /// fallback in a fixed model. Consulted before `intra`; no calibration
-    /// entry point fills it.
+    /// Two-piece overrides per (cluster, topology), consulted before
+    /// `intra`. Always empty: see [`PiecewiseCost`].
     pub piecewise: FastMap<(usize, Topology), PiecewiseCost>,
     /// Router penalty per unordered cluster pair (stored with a ≤ b).
     pub router: FastMap<(usize, usize), LinearCost>,

@@ -12,7 +12,7 @@ use netpart_spmd::{CycleEngine, NoProbe};
 use netpart_topology::{PlacementStrategy, Topology};
 
 use crate::bench_app::CommBench;
-use crate::costmodel::{CalibratedCostModel, CostModel, FittedCost, LinearCost, PiecewiseCost};
+use crate::costmodel::{CalibratedCostModel, FittedCost, LinearCost};
 use crate::linreg::least_squares;
 use crate::testbed::Testbed;
 
@@ -35,18 +35,6 @@ impl Default for CalibrationConfig {
             warmup: 2,
         }
     }
-}
-
-/// Typed lack-of-fit report: the linear fit that failed the gate, the
-/// gate it failed, and the knee the two-piece fallback chose.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LackOfFit {
-    /// R² of the rejected linear fit.
-    pub linear_r_squared: f64,
-    /// The gate it fell below.
-    pub gate: f64,
-    /// First processor count priced by the saturated piece.
-    pub knee_p: u32,
 }
 
 /// Measure the mean communication-cycle time (ms) for a processor
@@ -256,85 +244,6 @@ pub fn fit_eq1(points: &[(u32, u32)], y: &[f64]) -> Option<FittedCost> {
 
 const SINGULAR: &str = "calibration sweep produced a singular system";
 
-/// The cluster fit with a lack-of-fit gate on it: when the linear fit's
-/// R² falls below `gate` (the measured curve bends — a congestion knee
-/// inside the swept `p` range the linear shape cannot express), fall back
-/// to a two-piece fit. The knee is chosen by searching every split of the
-/// swept `p` values with at least two distinct `p` on each side and
-/// keeping the split with the smallest total squared residual. Returns
-/// the model and, when the gate tripped, the typed [`LackOfFit`] report.
-pub fn calibrate_cluster_gated(
-    testbed: &Testbed,
-    cluster: usize,
-    topo: Topology,
-    cfg: &CalibrationConfig,
-    gate: f64,
-) -> Result<(CostModel, Option<LackOfFit>), NetpartError> {
-    let swept = sweep_cluster_grids(testbed, &[(cluster, topo)], cfg, &Budget::unlimited());
-    let (grid, y) = swept.into_iter().next().expect("one job, one entry")?;
-    let linear = fit_eq1(&grid, &y);
-    if let Some(f) = linear {
-        if f.r_squared >= gate {
-            return Ok((CostModel::Linear(f), None));
-        }
-    }
-    // Knee search: distinct swept p values, in order (the grid is built
-    // p-major so dedup preserves ascending order).
-    let mut ps: Vec<u32> = grid.iter().map(|&(p, _)| p).collect();
-    ps.dedup();
-    let mut best: Option<(f64, PiecewiseCost)> = None;
-    for &knee_p in ps.iter().take(ps.len().saturating_sub(1)).skip(2) {
-        let (mut below_pts, mut below_y) = (Vec::new(), Vec::new());
-        let (mut above_pts, mut above_y) = (Vec::new(), Vec::new());
-        for (&pt, &t) in grid.iter().zip(&y) {
-            if pt.0 < knee_p {
-                below_pts.push(pt);
-                below_y.push(t);
-            } else {
-                above_pts.push(pt);
-                above_y.push(t);
-            }
-        }
-        let (Some(below), Some(above)) =
-            (fit_eq1(&below_pts, &below_y), fit_eq1(&above_pts, &above_y))
-        else {
-            continue;
-        };
-        let pw = PiecewiseCost {
-            below,
-            above,
-            knee_p,
-        };
-        let sse: f64 = grid
-            .iter()
-            .zip(&y)
-            .map(|(&(p, b), &t)| {
-                let e = pw.eval_ms(b as f64, p) - t;
-                e * e
-            })
-            .sum();
-        if best.as_ref().is_none_or(|(s, _)| sse < *s) {
-            best = Some((sse, pw));
-        }
-    }
-    match best {
-        Some((_, pw)) => {
-            let report = LackOfFit {
-                linear_r_squared: linear.map_or(0.0, |f| f.r_squared),
-                gate,
-                knee_p: pw.knee_p,
-            };
-            Ok((CostModel::Piecewise(pw), Some(report)))
-        }
-        None => match linear {
-            // The sweep was too small to split (fewer than four distinct
-            // p values): keep the linear fit, gate or no gate.
-            Some(f) => Ok((CostModel::Linear(f), None)),
-            None => Err(NetpartError::Calibration(SINGULAR.into())),
-        },
-    }
-}
-
 /// Sweep `excess_ms` over the configured message sizes (checking `budget`
 /// before each), fit the excesses as `a + k·b`, and clamp both constants at
 /// 0: the shape of the router and the coercion penalty alike. Each sweep
@@ -510,6 +419,7 @@ pub(crate) fn calibrate_testbed_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costmodel::PiecewiseCost;
 
     fn quick_cfg() -> CalibrationConfig {
         CalibrationConfig {

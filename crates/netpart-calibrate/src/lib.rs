@@ -36,13 +36,9 @@ pub use cache::{
     calibration_fingerprint, CacheStatus,
 };
 pub use costmodel::{
-    CalibratedCostModel, CommCostModel, CostModel, FittedCost, LinearCost, PaperCostModel,
-    PiecewiseCost,
+    CalibratedCostModel, CommCostModel, FittedCost, LinearCost, PaperCostModel, PiecewiseCost,
 };
-pub use fit::{
-    calibrate_cluster_gated, calibrate_testbed, fit_eq1, measure_cycle, measure_cycle_ms,
-    CalibrationConfig, LackOfFit,
-};
+pub use fit::{calibrate_testbed, fit_eq1, measure_cycle, measure_cycle_ms, CalibrationConfig};
 pub use linreg::{least_squares, FitResult};
 pub use netpart_sim::{Fabric, Wiring};
 pub use recal::{speed_scale, InflatedCostModel};

@@ -2,40 +2,6 @@
 
 use netpart_sim::SimDur;
 
-/// Parameters of the opt-in per-destination congestion window (AIMD):
-/// at most `cwnd` messages per (sender, destination) pair are in flight;
-/// further sends are deferred and drained as acks arrive. The window
-/// halves when a congestion mark or a retransmission timeout is observed
-/// and recovers additively on each ack. When sustained congestion pins
-/// the window at `floor` while senders keep offering load, the service
-/// surfaces [`MmpsEvent::WindowCollapsed`](crate::MmpsEvent::WindowCollapsed)
-/// — the typed signal layers above turn into
-/// `NetpartError::SegmentSaturated`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowConfig {
-    /// Starting window, messages in flight per destination.
-    pub initial: u32,
-    /// Ceiling the additive increase cannot exceed.
-    pub max: u32,
-    /// Floor the multiplicative decrease cannot pass. A halving that
-    /// would land below this while load is still being offered collapses
-    /// the window (typed error upstream) instead of shrinking further.
-    pub floor: u32,
-    /// Additive window increase per acked message.
-    pub increase: u32,
-}
-
-impl Default for WindowConfig {
-    fn default() -> Self {
-        WindowConfig {
-            initial: 4,
-            max: 32,
-            floor: 1,
-            increase: 1,
-        }
-    }
-}
-
 /// Tuning parameters of the reliable messaging layer.
 #[derive(Debug, Clone)]
 pub struct MmpsConfig {
@@ -78,10 +44,6 @@ pub struct MmpsConfig {
     /// each retry — so a congested or slow hop (e.g. an overflowing
     /// router buffer) eventually sees fragments it can keep.
     pub retx_fragment_spacing: SimDur,
-    /// Opt-in AIMD congestion window per (sender, destination) pair.
-    /// `None` (the default) sends every message immediately — the
-    /// original, windowless behaviour, byte for byte.
-    pub congestion_window: Option<WindowConfig>,
 }
 
 impl Default for MmpsConfig {
@@ -97,7 +59,6 @@ impl Default for MmpsConfig {
             min_rto: SimDur::from_millis(5),
             give_up_after: None,
             retx_fragment_spacing: SimDur::from_millis(2),
-            congestion_window: None,
         }
     }
 }

@@ -43,7 +43,7 @@ pub mod message;
 pub mod rtt;
 pub mod service;
 
-pub use config::{MmpsConfig, WindowConfig};
+pub use config::MmpsConfig;
 pub use message::{
     epoch_of, strip_epoch, tag_of, untag, with_epoch, FragPlan, MsgId, CKPT_TAG, PING_TAG,
 };

@@ -19,15 +19,11 @@
 //! handed over zero-copy once the last fragment arrives. Loss and
 //! retransmission therefore affect timing and statistics, never content.
 
-use std::collections::VecDeque;
-
 use bytes::Bytes;
 
-use netpart_sim::{
-    FastMap, Network, NodeId, SegmentId, SimDur, SimError, SimEvent, SimTime, TimerId,
-};
+use netpart_sim::{FastMap, Network, NodeId, SimDur, SimError, SimEvent, SimTime, TimerId};
 
-use crate::config::{MmpsConfig, WindowConfig};
+use crate::config::MmpsConfig;
 use crate::message::{pack_tag, unpack_tag, FragPlan, MsgId, WireKind};
 use crate::rtt::RttEstimator;
 
@@ -97,27 +93,6 @@ pub enum MmpsEvent {
         /// Total transmission attempts made (original send + retries).
         attempts: u32,
     },
-    /// The congestion window for a (sender, destination) pair collapsed:
-    /// sustained marks/drop-timeouts pinned it at its floor while senders
-    /// kept offering load. Only ever fires with
-    /// [`WindowConfig`] configured. Layers above turn
-    /// this into `NetpartError::SegmentSaturated`.
-    WindowCollapsed {
-        /// Collapse time.
-        at: SimTime,
-        /// Sending node whose window collapsed.
-        src: NodeId,
-        /// Destination the window governs.
-        dst: NodeId,
-        /// The segment the congestion is attributed to: the one that
-        /// marked the most frames for this window, or the destination's
-        /// segment when no marks were seen (pure-drop congestion).
-        segment: SegmentId,
-        /// Messages offered (in flight + deferred) at collapse time.
-        offered: u32,
-        /// The window floor the load was squeezed into.
-        capacity: u32,
-    },
     /// Pass-through of [`SimEvent::ComputeDone`].
     ComputeDone {
         /// Completion time.
@@ -158,14 +133,10 @@ pub struct MmpsStats {
     /// Frames discarded by the receive-side frame checksum (corruption
     /// fault injection). The retransmission budget recovers the content.
     pub corrupt_dropped: u64,
-    /// Frames that arrived carrying an ECN-style congestion mark.
-    pub frames_marked: u64,
-    /// Congestion-window halvings (marks and retransmission timeouts).
+    /// Always 0: the service has no congestion window to halve. Kept only
+    /// because the repo benchmark (`benchmark/`) still reports it; it goes
+    /// with that benchmark's next schema change.
     pub window_halvings: u64,
-    /// Messages deferred at submission because the window was full.
-    pub messages_deferred: u64,
-    /// Windows that collapsed to their floor under sustained congestion.
-    pub window_collapses: u64,
 }
 
 struct OutMsg {
@@ -184,41 +155,6 @@ struct OutMsg {
 struct InMsg {
     got: Vec<bool>,
     n_got: u32,
-}
-
-/// Per-(sender, destination) AIMD window state. Only allocated when
-/// [`WindowConfig`] is configured.
-struct Window {
-    /// Current window, messages in flight.
-    cwnd: u32,
-    /// Messages transmitted and not yet acked/failed.
-    in_flight: u32,
-    /// Messages submitted while the window was full, awaiting a slot:
-    /// `(msg id, user tag, payload, len)`.
-    deferred: VecDeque<(u64, u64, Bytes, u32)>,
-    /// The message id whose mark/timeout last halved the window — one
-    /// multiplicative decrease per message, not per fragment.
-    halved_for: Option<u64>,
-    /// Congestion marks observed per segment for this window, for
-    /// attributing a collapse to the congested segment.
-    marks: FastMap<u16, u64>,
-    /// A collapse was already surfaced; cleared once the window recovers
-    /// above the floor, so sustained congestion fires one event per
-    /// episode rather than one per mark.
-    collapsed: bool,
-}
-
-impl Window {
-    fn new(cfg: &WindowConfig) -> Window {
-        Window {
-            cwnd: cfg.initial.max(cfg.floor).max(1),
-            in_flight: 0,
-            deferred: VecDeque::new(),
-            halved_for: None,
-            marks: FastMap::default(),
-            collapsed: false,
-        }
-    }
 }
 
 /// How many retired fragment bitmaps the pool keeps. In a cycle loop the
@@ -244,15 +180,6 @@ pub struct Mmps {
     /// steady-state cycle loop stops allocating one `Vec<bool>` per
     /// message received.
     frag_pool: Vec<Vec<bool>>,
-    /// Per-(sender, destination) congestion windows (empty and untouched
-    /// without a [`WindowConfig`]).
-    windows: FastMap<(NodeId, NodeId), Window>,
-    /// Congestion marks observed per segment, service-wide — the raw
-    /// signal drift monitoring attributes gray failures with.
-    segment_marks: FastMap<u16, u64>,
-    /// Events produced as side effects mid-dispatch (window collapses),
-    /// surfaced before the network is polled again.
-    pending_events: VecDeque<MmpsEvent>,
     stats: MmpsStats,
 }
 
@@ -269,19 +196,16 @@ impl Mmps {
             pending_delivery: FastMap::default(),
             rtt: FastMap::default(),
             frag_pool: Vec::new(),
-            windows: FastMap::default(),
-            segment_marks: FastMap::default(),
-            pending_events: VecDeque::new(),
             stats: MmpsStats::default(),
         }
     }
 
     /// Return the service and its network to their just-built state:
     /// [`Network::reset`], message ids from 0, every message, delivery,
-    /// RTT estimate, window, mark count and counter gone. The tables keep
-    /// their capacity and the fragment-bitmap pool its bitmaps; none of
-    /// them is read in an order that depends on capacity, so a run after
-    /// `reset` is the run on a fresh build.
+    /// RTT estimate and counter gone. The tables keep their capacity and
+    /// the fragment-bitmap pool its bitmaps; none of them is read in an
+    /// order that depends on capacity, so a run after `reset` is the run
+    /// on a fresh build.
     pub fn reset(&mut self) {
         // Destructured, so a field added to the service does not compile
         // until it is reset here too.
@@ -295,9 +219,6 @@ impl Mmps {
             pending_delivery,
             rtt,
             frag_pool: _,
-            windows,
-            segment_marks,
-            pending_events,
             stats,
         } = self;
         net.reset();
@@ -307,9 +228,6 @@ impl Mmps {
         completed.clear();
         pending_delivery.clear();
         rtt.clear();
-        windows.clear();
-        segment_marks.clear();
-        pending_events.clear();
         *stats = MmpsStats::default();
     }
 
@@ -416,24 +334,7 @@ impl Mmps {
             return Ok(msg);
         }
 
-        if let Some(wcfg) = self.cfg.congestion_window {
-            let w = self
-                .windows
-                .entry((src, dst))
-                .or_insert_with(|| Window::new(&wcfg));
-            if w.in_flight >= w.cwnd {
-                w.deferred.push_back((msg.0, tag, payload, len));
-                self.stats.messages_deferred += 1;
-                return Ok(msg);
-            }
-            w.in_flight += 1;
-        }
-        if let Err(e) = self.transmit(msg.0, src, dst, tag, payload, len) {
-            if let Some(w) = self.windows.get_mut(&(src, dst)) {
-                w.in_flight = w.in_flight.saturating_sub(1);
-            }
-            return Err(e);
-        }
+        self.transmit(msg.0, src, dst, tag, payload, len)?;
         Ok(msg)
     }
 
@@ -516,15 +417,11 @@ impl Mmps {
         );
     }
 
-    /// Give up on `msg`: drop its state, free its window slot — anything
-    /// deferred behind it gets its chance, so backpressure can never wedge
-    /// the queue (every offered message delivers or fails with a typed
-    /// event) — and report the failure.
+    /// Give up on `msg`: drop its state and report the failure.
     fn fail_message(&mut self, at: SimTime, msg: u64) -> Option<MmpsEvent> {
         let out = self.outgoing.remove(&msg)?;
         self.stats.messages_failed += 1;
         self.retire_incoming(msg);
-        self.window_release(out.src, out.dst);
         Some(MmpsEvent::MessageFailed {
             at,
             msg: MsgId(msg),
@@ -533,104 +430,6 @@ impl Mmps {
             tag: out.user_tag,
             attempts: out.retries,
         })
-    }
-
-    /// One in-flight slot for `(src, dst)` freed (ack, failure, or abort):
-    /// drain deferred messages while the window has room. Transmission
-    /// errors on drained messages (possible only on a malformed topology)
-    /// count as failures rather than silently wedging the queue.
-    fn window_release(&mut self, src: NodeId, dst: NodeId) {
-        if self.cfg.congestion_window.is_none() {
-            return;
-        }
-        if let Some(w) = self.windows.get_mut(&(src, dst)) {
-            w.in_flight = w.in_flight.saturating_sub(1);
-        }
-        loop {
-            let Some(w) = self.windows.get_mut(&(src, dst)) else {
-                return;
-            };
-            if w.in_flight >= w.cwnd {
-                return;
-            }
-            let Some((msg, tag, payload, len)) = w.deferred.pop_front() else {
-                return;
-            };
-            w.in_flight += 1;
-            if self.transmit(msg, src, dst, tag, payload, len).is_err() {
-                self.stats.messages_failed += 1;
-                if let Some(w) = self.windows.get_mut(&(src, dst)) {
-                    w.in_flight = w.in_flight.saturating_sub(1);
-                }
-            }
-        }
-    }
-
-    /// An ack completed a message for `(src, dst)`: additive increase.
-    fn window_acked(&mut self, src: NodeId, dst: NodeId) {
-        let Some(wcfg) = self.cfg.congestion_window else {
-            return;
-        };
-        if let Some(w) = self.windows.get_mut(&(src, dst)) {
-            w.cwnd = (w.cwnd + wcfg.increase).min(wcfg.max.max(wcfg.floor).max(1));
-            if w.cwnd > wcfg.floor {
-                w.collapsed = false;
-            }
-        }
-    }
-
-    /// A congestion signal (ECN mark on `mark_seg`, or a retransmission
-    /// timeout with `mark_seg == None`) hit message `cause_msg` of
-    /// `(src, dst)`: multiplicative decrease, at most once per message.
-    /// A halving squeezed against the floor while load is still offered
-    /// surfaces one [`MmpsEvent::WindowCollapsed`] per congestion episode.
-    fn window_halve(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        cause_msg: u64,
-        mark_seg: Option<SegmentId>,
-    ) {
-        let Some(wcfg) = self.cfg.congestion_window else {
-            return;
-        };
-        let Some(w) = self.windows.get_mut(&(src, dst)) else {
-            return;
-        };
-        if let Some(seg) = mark_seg {
-            *w.marks.entry(seg.0).or_insert(0) += 1;
-        }
-        if w.halved_for == Some(cause_msg) {
-            return;
-        }
-        w.halved_for = Some(cause_msg);
-        self.stats.window_halvings += 1;
-        let floor = wcfg.floor.max(1);
-        let halved = w.cwnd / 2;
-        if halved >= floor {
-            w.cwnd = halved;
-            return;
-        }
-        w.cwnd = floor;
-        let offered = w.in_flight + w.deferred.len() as u32;
-        if !w.collapsed && offered > floor {
-            w.collapsed = true;
-            self.stats.window_collapses += 1;
-            let segment = w
-                .marks
-                .iter()
-                .max_by_key(|&(&seg, &count)| (count, std::cmp::Reverse(seg)))
-                .map(|(&seg, _)| SegmentId(seg))
-                .unwrap_or(self.net.node(dst).segment);
-            self.pending_events.push_back(MmpsEvent::WindowCollapsed {
-                at: self.net.now(),
-                src,
-                dst,
-                segment,
-                offered,
-                capacity: floor,
-            });
-        }
     }
 
     /// Start a compute block (pass-through to the network).
@@ -652,9 +451,6 @@ impl Mmps {
 
     /// Advance the simulation to the next message-level event.
     pub fn next_event(&mut self) -> Option<MmpsEvent> {
-        if let Some(e) = self.pending_events.pop_front() {
-            return Some(e);
-        }
         loop {
             let evt = self.net.next_event()?;
             match evt {
@@ -692,13 +488,6 @@ impl Mmps {
     }
 
     fn on_datagram(&mut self, at: SimTime, dgram: netpart_sim::Datagram) -> Option<MmpsEvent> {
-        // Congestion marks are physical-layer state: account them before
-        // any protocol-level filtering, so even corrupted or duplicate
-        // frames still witness the congested segment.
-        if let Some(seg) = dgram.marked_by {
-            self.stats.frames_marked += 1;
-            *self.segment_marks.entry(seg.0).or_insert(0) += 1;
-        }
         // Frame checksum: a frame flagged corrupted by the wire is
         // discarded before any protocol accounting — data and acks alike.
         // The sender's retransmission budget recovers the content, so a
@@ -721,8 +510,6 @@ impl Mmps {
                         .or_default()
                         .observe(at.since(out.sent_at));
                 }
-                self.window_acked(out.src, out.dst);
-                self.window_release(out.src, out.dst);
                 Some(MmpsEvent::MessageAcked {
                     at,
                     msg: MsgId(msg),
@@ -730,15 +517,6 @@ impl Mmps {
                 })
             }
             WireKind::Data => {
-                // A marked data fragment tells this message's sender to
-                // back off (the service sees both ends, so the ECN echo
-                // that real TCP carries on the ack path is immediate here).
-                if dgram.marked_by.is_some() {
-                    if let Some(out) = self.outgoing.get(&msg) {
-                        let (src, dst) = (out.src, out.dst);
-                        self.window_halve(src, dst, msg, dgram.marked_by);
-                    }
-                }
                 if let Some(&sender) = self.completed.get(&msg) {
                     // Duplicate of an already-delivered message: re-ack.
                     self.stats.duplicates += 1;
@@ -827,12 +605,8 @@ impl Mmps {
                 // fires — failure *detection* belongs to live nodes whose
                 // own sends to the dead peer go unanswered.
                 if self.net.node_crashed(out.src) {
-                    let (src, dst) = (out.src, out.dst);
                     self.outgoing.remove(&msg);
                     self.retire_incoming(msg);
-                    // The dead stack's window (and anything deferred in
-                    // it) dies with the node.
-                    self.windows.remove(&(src, dst));
                     return None;
                 }
                 out.retries += 1;
@@ -848,10 +622,6 @@ impl Mmps {
                     let o = &*out;
                     (o.src, o.dst, o.plan, o.len, o.retries)
                 };
-                // A retransmission timeout is the drop-side congestion
-                // signal (under the `Drop` overflow policy there are no
-                // marks): multiplicative decrease, same as a mark.
-                self.window_halve(src, dst, msg, None);
                 // Pace the fragments out instead of re-bursting: a hop
                 // that dropped the tail of the original burst (slow
                 // router, tiny buffer) gets room to drain. Spacing doubles
@@ -930,21 +700,6 @@ impl Mmps {
         self.pending_delivery
             .retain(|_, (src, dst, ..)| *src != node && *dst != node);
         self.rtt.retain(|(a, b), _| *a != node && *b != node);
-        // Windows to/from the dead peer (and their deferred messages) are
-        // abandoned: the peer is declared dead, nothing will ack them.
-        self.windows
-            .retain(|(src, dst), _| *src != node && *dst != node);
-    }
-
-    /// Congestion marks observed per segment since the service started,
-    /// sorted by segment id. Empty unless frames crossed a `Mark`-policy
-    /// congested segment. This is the signal drift monitoring uses to
-    /// attribute sustained communication slowness to a *segment* rather
-    /// than a rank.
-    pub fn segment_marks(&self) -> Vec<(u16, u64)> {
-        let mut v: Vec<(u16, u64)> = self.segment_marks.iter().map(|(&s, &c)| (s, c)).collect();
-        v.sort_unstable();
-        v
     }
 
     /// Observed smoothed RTT between two nodes, if any acks completed.

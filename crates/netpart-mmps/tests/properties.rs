@@ -4,8 +4,8 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use netpart_mmps::{FragPlan, Mmps, MmpsConfig, MmpsEvent, WindowConfig};
-use netpart_sim::{CongestionSpec, NetworkBuilder, OverflowPolicy, ProcType, SegmentSpec, SimDur};
+use netpart_mmps::{FragPlan, Mmps, MmpsEvent};
+use netpart_sim::{NetworkBuilder, ProcType, SegmentSpec};
 
 proptest! {
     /// Fragmentation plans cover every byte exactly once for any size.
@@ -82,69 +82,5 @@ proptest! {
         prop_assert_eq!(acked, count);
         prop_assert_eq!(delivered, count);
         prop_assert_eq!(mmps.stats().retransmissions, 0);
-    }
-
-    /// Window backpressure never deadlocks: whatever mix of senders,
-    /// sizes, and window geometry is thrown at a Mark-policy congested
-    /// segment, draining the event queue terminates with every offered
-    /// message accounted for — delivered, or counted failed on a
-    /// malformed topology. A deferred message may never be stranded in a
-    /// window queue; a collapse is a *signal* (surfaced as an event),
-    /// not a stop.
-    #[test]
-    fn window_backpressure_never_strands_a_message(
-        pairs in 1usize..4,
-        per_pair in 1usize..12,
-        size in 1usize..4000,
-        initial in 1u32..6,
-        floor in 1u32..3,
-        queue_frames in 4usize..32,
-    ) {
-        let mut b = NetworkBuilder::new(7);
-        let pt = b.add_proc_type(ProcType::sparcstation_2());
-        let seg = b.add_segment(SegmentSpec {
-            congestion: Some(CongestionSpec {
-                queue_frames,
-                overflow: OverflowPolicy::Mark,
-                knee_queue: 2,
-                saturated_penalty: SimDur::from_micros(500),
-            }),
-            ..SegmentSpec::ethernet_10mbps()
-        });
-        let nodes: Vec<_> = (0..pairs * 2).map(|_| b.add_node(pt, seg)).collect();
-        let mut mmps = Mmps::new(
-            b.build().unwrap(),
-            MmpsConfig {
-                congestion_window: Some(WindowConfig {
-                    initial,
-                    max: initial.max(4) * 2,
-                    floor: floor.min(initial),
-                    increase: 1,
-                }),
-                ..MmpsConfig::default()
-            },
-        );
-        let sent = pairs * per_pair;
-        for k in 0..sent {
-            let (s, d) = (nodes[2 * (k % pairs)], nodes[2 * (k % pairs) + 1]);
-            mmps.send_message(s, d, k as u64, Bytes::from(vec![0xabu8; size])).unwrap();
-        }
-        let mut delivered = 0usize;
-        let mut steps = 0u64;
-        while let Some(evt) = mmps.next_event() {
-            steps += 1;
-            prop_assert!(steps < 2_000_000, "event drain did not terminate");
-            if let MmpsEvent::MessageDelivered { .. } = evt {
-                delivered += 1;
-            }
-        }
-        let st = mmps.stats();
-        prop_assert_eq!(st.messages_sent as usize, sent);
-        prop_assert_eq!(
-            delivered + st.messages_failed as usize,
-            sent,
-            "a message was stranded: delivered {} + failed {} != sent {} (deferred {}, collapses {})",
-            delivered, st.messages_failed, sent, st.messages_deferred, st.window_collapses
-        );
     }
 }

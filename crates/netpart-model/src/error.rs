@@ -71,19 +71,6 @@ pub enum NetpartError {
         /// (1000 = exactly as predicted, 4000 = 4× slower).
         severity_permille: u32,
     },
-    /// A congestion window collapsed to its floor under sustained marks or
-    /// drop-timeouts: the named segment cannot carry the offered load. A
-    /// gray failure, not a crash — the engine surfaces it so an adaptive
-    /// policy can recalibrate with the inflated segment cost and weigh
-    /// repartitioning away from the saturated segment.
-    SegmentSaturated {
-        /// The saturated segment's index.
-        segment: usize,
-        /// Messages offered (in flight + deferred) at collapse time.
-        offered: u32,
-        /// The window floor the load was squeezed into.
-        capacity: u32,
-    },
     /// The simulation went quiescent with ranks still blocked — a script
     /// bug (e.g. a `Recv` with no matching `Send`).
     Deadlock {
@@ -248,17 +235,6 @@ impl std::fmt::Display for NetpartError {
                     None => write!(f, "none)"),
                 }
             }
-            NetpartError::SegmentSaturated {
-                segment,
-                offered,
-                capacity,
-            } => {
-                write!(
-                    f,
-                    "segment {segment} is saturated: {offered} messages offered \
-                     against a collapsed window of {capacity}"
-                )
-            }
             NetpartError::Deadlock { blocked } => {
                 write!(f, "deadlock; blocked ranks: {blocked:?}")
             }
@@ -392,14 +368,6 @@ mod tests {
                     severity_permille: 1500,
                 },
                 "last consistent checkpoint: none",
-            ),
-            (
-                NetpartError::SegmentSaturated {
-                    segment: 2,
-                    offered: 9,
-                    capacity: 1,
-                },
-                "segment 2 is saturated: 9 messages offered",
             ),
             (
                 NetpartError::Deadlock {

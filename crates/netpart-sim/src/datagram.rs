@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 
-use crate::ids::{DgramId, NodeId, SegmentId};
+use crate::ids::{DgramId, NodeId};
 
 /// Maximum datagram payload the simulated network accepts, matching a
 /// classic ethernet MTU of 1500 bytes minus 20 (IP) + 8 (UDP) header bytes.
@@ -43,13 +43,6 @@ pub struct Datagram {
     /// corruption affects timing and retransmission statistics, never the
     /// bytes a reliable layer hands upward.
     pub corrupted: bool,
-    /// ECN-style congestion bit: set (to the marking segment) when the
-    /// frame transited a `Mark`-policy segment whose queue was past its
-    /// knee. Carried to the receiver so a window-based sender can be told
-    /// to back off. Always `None` without a [`CongestionSpec`].
-    ///
-    /// [`CongestionSpec`]: crate::segment::CongestionSpec
-    pub marked_by: Option<SegmentId>,
 }
 
 impl Datagram {
@@ -75,7 +68,6 @@ mod tests {
             payload: Bytes::from_static(b"hello"),
             wire_len: 5,
             corrupted: false,
-            marked_by: None,
         };
         assert_eq!(d.frame_bytes(), 5 + FRAME_OVERHEAD_BYTES);
     }

@@ -113,10 +113,6 @@ pub enum DropReason {
     /// (fault injection), or was in flight when the residual fabric lost
     /// its last path to the destination.
     LinkDown,
-    /// The segment's bounded transmit queue was at its hard limit
-    /// (congested-link model; never occurs without a
-    /// [`CongestionSpec`](crate::segment::CongestionSpec)).
-    QueueOverflow,
 }
 
 /// Internal scheduler work items. These drive the frame pipeline and are

@@ -184,11 +184,10 @@ pub enum FaultKind {
     },
     /// Until `until` a background cross-traffic flood runs on `segment`:
     /// `bytes`-byte frames injected every `period` between the segment's
-    /// first two attached nodes, contending for the channel (and the
-    /// congestion queue, when the segment has a
-    /// [`CongestionSpec`](crate::segment::CongestionSpec)) exactly like
-    /// application traffic. The frames carry tag 0, which reliability
-    /// layers ignore. A segment with fewer than two nodes floods nothing.
+    /// first two attached nodes, contending for the channel's FIFO queue
+    /// exactly like application traffic. The frames carry tag 0, which
+    /// reliability layers ignore. A segment with fewer than two nodes
+    /// floods nothing.
     TrafficBurst {
         /// The flooded segment.
         segment: SegmentId,
@@ -365,8 +364,7 @@ impl FaultPlan {
 
     /// Schedule a background traffic flood on `segment`: `bytes`-byte
     /// frames injected every `period` in `[from, until)`, contending with
-    /// application traffic (and filling the congestion queue, when the
-    /// segment has one).
+    /// application traffic for the channel.
     pub fn traffic_burst(
         self,
         segment: SegmentId,

@@ -76,5 +76,5 @@ pub use ids::{DgramId, NodeId, ProcTypeId, RouterId, SegmentId, TimerId};
 pub use network::{BackgroundFlow, Network, NetworkBuilder};
 pub use node::{Node, OpClass, ProcType};
 pub use router::{RouterSpec, RouterStats};
-pub use segment::{CongestionSpec, OverflowPolicy, SegmentSpec, SegmentStats};
+pub use segment::{SegmentSpec, SegmentStats};
 pub use time::{SimDur, SimTime};

@@ -44,7 +44,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::ids::{DgramId, NodeId, ProcTypeId, RouterId, SegmentId, TimerId};
 use crate::node::{Node, OpClass, ProcType};
 use crate::router::{Router, RouterSpec, RouterStats};
-use crate::segment::{OverflowPolicy, Segment, SegmentSpec, SegmentStats};
+use crate::segment::{Segment, SegmentSpec, SegmentStats};
 use crate::slab::{DgramHandle, DgramSlab};
 use crate::time::{SimDur, SimTime};
 
@@ -134,18 +134,6 @@ impl NetworkBuilder {
                 return Err(SimError::InvalidParameter(
                     "loss probability must be in [0,1)",
                 ));
-            }
-            if let Some(c) = &spec.congestion {
-                if c.queue_frames == 0 || c.knee_queue == 0 {
-                    return Err(SimError::InvalidParameter(
-                        "congestion queue bounds must be positive",
-                    ));
-                }
-                if c.knee_queue > c.queue_frames {
-                    return Err(SimError::InvalidParameter(
-                        "congestion knee must not exceed the hard queue bound",
-                    ));
-                }
             }
         }
         for (pt, seg) in &self.nodes {
@@ -650,7 +638,6 @@ impl Network {
             payload,
             wire_len,
             corrupted: false,
-            marked_by: None,
         };
 
         // Sender host processing: serialized on the node's protocol stack.
@@ -968,25 +955,7 @@ impl Network {
 
     /// A frame wants the channel on `segment`: queue it, and start
     /// transmitting if the channel is idle.
-    ///
-    /// With a [`CongestionSpec`](crate::segment::CongestionSpec) the queue
-    /// is bounded: at the hard limit the frame is tail-dropped (surfaced as
-    /// [`DropReason::QueueOverflow`]), and under the `Mark` policy frames
-    /// joining a queue at or past the knee carry an ECN-style congestion
-    /// bit to the receiver. Without one (the default) this is the original
-    /// unbounded FIFO, byte for byte.
     fn enqueue_frame(&mut self, segment: SegmentId, dgram: DgramHandle) -> Option<SimEvent> {
-        let seg = &self.segments[segment.index()];
-        if let Some(c) = seg.spec.congestion {
-            if seg.queue.len() >= c.queue_frames {
-                self.segments[segment.index()].frames_overflowed += 1;
-                return self.drop_frame(dgram, DropReason::QueueOverflow);
-            }
-            if c.overflow == OverflowPolicy::Mark && seg.queue.len() >= c.knee_queue {
-                self.segments[segment.index()].frames_marked += 1;
-                self.slab.get_mut(dgram).marked_by = Some(segment);
-            }
-        }
         let seg = &mut self.segments[segment.index()];
         seg.queue.push_back(dgram);
         if !seg.busy {

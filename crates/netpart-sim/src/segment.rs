@@ -2,90 +2,28 @@
 //!
 //! The essential property of a segment in the paper's model is *private
 //! bandwidth*: every frame sent by any station on the segment serializes
-//! through one shared channel. In the lightly-loaded regime the paper's
-//! 1994 testbed operated in, that serialization makes the offered load —
-//! and hence the measured per-cycle communication cost — linear in the
-//! number of communicating processors `p`, which is the shape the paper's
-//! cost functions `c1 + c2·p + b·(c3 + c4·p)` assume. The linearity is a
-//! property of that regime, not of shared media in general: past the knee
-//! of the utilization curve a real channel saturates, queues grow
-//! superlinearly, and frames are marked or dropped. The optional
-//! [`CongestionSpec`] models that regime; with it left `None` (the
-//! default, and the paper-testbed configuration) the channel can never
-//! saturate and behaves exactly as before.
+//! through one shared channel. The paper's cost functions
+//! `c1 + c2·p + b·(c3 + c4·p)` are linear in the number of communicating
+//! processors `p`, because on its lightly-loaded 1994 testbed "offered
+//! load is linear in p on ethernet" (§3).
 //!
 //! The model here is a FIFO channel with:
 //! * transmission time = frame bytes × 8 / bandwidth,
 //! * a fixed inter-frame gap (9.6 µs at 10 Mbit/s),
 //! * a contention penalty per frame that grows with the number of frames
-//!   already queued, standing in for CSMA/CD backoff,
-//! * optional random frame loss, and
-//! * an optional congestion model ([`CongestionSpec`]): a bounded
-//!   transmit queue with an overflow policy ([`OverflowPolicy::Drop`]
-//!   tail-drops, [`OverflowPolicy::Mark`] sets an ECN-style congestion
-//!   bit on frames that transit a queue deeper than the knee — and still
-//!   tail-drops at the hard bound), plus a saturating access-delay curve
-//!   that replaces the linear contention term above `knee_queue`.
+//!   already queued, standing in for CSMA/CD backoff, and
+//! * optional random frame loss.
+//!
+//! The contention penalty makes this channel *not* linear in `p`. A frame
+//! pays `contention_per_queued` for each frame already queued, and a
+//! bulk-synchronous exchange queues all `p` ranks' frames at once, so the
+//! queue holds O(p) frames, each pays O(p), and the exchange costs O(p²).
+//! ROADMAP item 1 replaces the law with one that stays linear in `p`.
 
 use std::collections::VecDeque;
 
 use crate::slab::DgramHandle;
 use crate::time::{SimDur, SimTime};
-
-/// What a congested segment does with frames once its bounded transmit
-/// queue passes the knee.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Tail-drop at the hard queue bound: the frame is silently lost and
-    /// surfaced as `DropReason::QueueOverflow`. The MMPS retry budget must
-    /// absorb the loss.
-    Drop,
-    /// ECN-style marking: frames that transit a queue deeper than
-    /// `knee_queue` carry a congestion bit to the receiver (RED-style
-    /// early notification), letting window-based senders back off before
-    /// loss. The hard bound still tail-drops — marking alone cannot bound
-    /// the queue against a non-reacting sender.
-    Mark,
-}
-
-/// Opt-in congestion model for a segment. `None` on [`SegmentSpec`] (the
-/// default and both stock constructors) keeps the original unbounded,
-/// linear-contention channel byte-for-byte.
-///
-/// Knee semantics: with `q` frames already queued at enqueue/access time,
-/// * `q < knee_queue` — linear regime, identical to the uncongested model;
-/// * `q >= knee_queue` — saturated regime: under [`OverflowPolicy::Mark`]
-///   the frame is marked, and the access delay follows a saturating curve
-///   `linear(knee) + saturated_penalty · excess / (excess + knee)` instead
-///   of growing linearly without bound;
-/// * `q >= queue_frames` — the hard bound: the frame is tail-dropped under
-///   either policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CongestionSpec {
-    /// Hard bound on queued frames; arrivals beyond it are tail-dropped.
-    pub queue_frames: usize,
-    /// What happens between the knee and the hard bound.
-    pub overflow: OverflowPolicy,
-    /// Queue depth at which the channel leaves the linear regime.
-    pub knee_queue: usize,
-    /// Asymptotic extra access delay at full saturation; the saturating
-    /// curve approaches (never exceeds) this bound as the queue fills.
-    pub saturated_penalty: SimDur,
-}
-
-impl CongestionSpec {
-    /// A mark-capable congestion model sized for a 10 Mbit/s ethernet:
-    /// knee at 8 queued frames, hard bound at 64, half a millisecond of
-    /// asymptotic saturation penalty.
-    pub fn ethernet_default(overflow: OverflowPolicy) -> CongestionSpec {
-        CongestionSpec {
-            queue_frames: 64,
-            overflow,
-            knee_queue: 8,
-            saturated_penalty: SimDur::from_micros(500),
-        }
-    }
-}
 
 /// Static description of a segment.
 #[derive(Debug, Clone)]
@@ -99,9 +37,6 @@ pub struct SegmentSpec {
     pub contention_per_queued: SimDur,
     /// Probability that a frame is silently lost on this channel.
     pub loss_probability: f64,
-    /// Opt-in congestion model. `None` (the default) leaves the channel
-    /// unbounded and linear — the paper-testbed behaviour.
-    pub congestion: Option<CongestionSpec>,
 }
 
 impl SegmentSpec {
@@ -112,7 +47,6 @@ impl SegmentSpec {
             inter_frame_gap: SimDur::from_nanos(9_600),
             contention_per_queued: SimDur::from_micros(5),
             loss_probability: 0.0,
-            congestion: None,
         }
     }
 
@@ -126,7 +60,6 @@ impl SegmentSpec {
             inter_frame_gap: SimDur::from_nanos(2_000),
             contention_per_queued: SimDur::ZERO,
             loss_probability: 0.0,
-            congestion: None,
         }
     }
 
@@ -173,12 +106,6 @@ pub(crate) struct Segment {
     pub(crate) corrupt_prob: f64,
     /// End of the current corruption-burst window (exclusive).
     pub(crate) corrupt_until: SimTime,
-    /// Frames that received an ECN-style congestion mark on this segment
-    /// (only ever non-zero with a `Mark`-policy [`CongestionSpec`]).
-    pub(crate) frames_marked: u64,
-    /// Frames tail-dropped at the bounded queue's hard limit (only ever
-    /// non-zero with a [`CongestionSpec`]).
-    pub(crate) frames_overflowed: u64,
 }
 
 impl Segment {
@@ -211,8 +138,6 @@ impl Segment {
             burst_until: SimTime::ZERO,
             corrupt_prob: 0.0,
             corrupt_until: SimTime::ZERO,
-            frames_marked: 0,
-            frames_overflowed: 0,
         }
     }
 
@@ -239,32 +164,13 @@ impl Segment {
     }
 
     /// Access delay the next frame must pay before its transmission starts,
-    /// given the current queue depth (the frame itself is already popped).
-    ///
-    /// Without a [`CongestionSpec`] the delay is linear in queue depth.
-    /// With one, depths past `knee_queue` switch to a saturating curve:
-    /// the linear term is frozen at the knee and an excess term
-    /// `saturated_penalty · e / (e + knee)` (with `e` frames past the
-    /// knee) approaches the configured asymptote instead of growing
-    /// without bound. All arithmetic is integer nanoseconds, so the curve
-    /// is deterministic across platforms.
+    /// given the current queue depth (the frame itself is already popped):
+    /// `inter_frame_gap + contention_per_queued · q` for `q` frames still
+    /// queued. All arithmetic is integer nanoseconds, so the delay is
+    /// deterministic across platforms.
     pub(crate) fn access_delay(&self) -> SimDur {
         let q = self.queue.len() as u64;
-        if let Some(c) = &self.spec.congestion {
-            let knee = c.knee_queue as u64;
-            if q > knee {
-                let excess = q - knee;
-                let denom = excess + knee.max(1);
-                let sat = (c.saturated_penalty.as_nanos() as u128 * excess as u128 / denom as u128)
-                    as u64;
-                return self.spec.inter_frame_gap
-                    + SimDur::from_nanos(self.spec.contention_per_queued.as_nanos() * knee + sat);
-            }
-        }
-        self.spec
-            .inter_frame_gap
-            .saturating_mul(1)
-            .max(SimDur::ZERO)
+        self.spec.inter_frame_gap
             + SimDur::from_nanos(self.spec.contention_per_queued.as_nanos() * q)
     }
 }
@@ -278,12 +184,6 @@ pub struct SegmentStats {
     pub frames_sent: u64,
     /// Bytes (incl. frame overhead) transmitted.
     pub bytes_sent: u64,
-    /// Frames that received an ECN-style congestion mark (zero unless a
-    /// `Mark`-policy [`CongestionSpec`] is configured).
-    pub frames_marked: u64,
-    /// Frames tail-dropped at the bounded queue's hard limit (zero unless
-    /// a [`CongestionSpec`] is configured).
-    pub frames_overflowed: u64,
 }
 
 impl Segment {
@@ -297,8 +197,6 @@ impl Segment {
             },
             frames_sent: self.frames_sent,
             bytes_sent: self.bytes_sent,
-            frames_marked: self.frames_marked,
-            frames_overflowed: self.frames_overflowed,
         }
     }
 }
@@ -328,45 +226,26 @@ mod tests {
 
     #[test]
     fn access_delay_grows_with_queue() {
+        // The channel's access law, pinned exactly: the gap plus one
+        // contention penalty per frame already queued, linear in q.
+        for spec in [SegmentSpec::ethernet_10mbps(), SegmentSpec::fddi_100mbps()] {
+            let mut seg = Segment::new(spec.clone());
+            for q in 0..=64u64 {
+                assert_eq!(
+                    seg.access_delay(),
+                    spec.inter_frame_gap
+                        + SimDur::from_nanos(q * spec.contention_per_queued.as_nanos()),
+                    "q = {q}"
+                );
+                seg.queue.push_back(DgramHandle(q as u32));
+            }
+        }
         let mut seg = Segment::new(SegmentSpec::ethernet_10mbps());
         let idle = seg.access_delay();
         for k in 0..4 {
             seg.queue.push_back(DgramHandle(k));
         }
         assert!(seg.access_delay() > idle);
-    }
-
-    #[test]
-    fn access_delay_saturates_above_knee() {
-        let mut spec = SegmentSpec::ethernet_10mbps();
-        spec.congestion = Some(CongestionSpec {
-            queue_frames: 64,
-            overflow: OverflowPolicy::Mark,
-            knee_queue: 4,
-            saturated_penalty: SimDur::from_micros(500),
-        });
-        let mut seg = Segment::new(spec.clone());
-        let mut uncongested = Segment::new(SegmentSpec::ethernet_10mbps());
-        // Below the knee the two models agree exactly.
-        for k in 0..4 {
-            assert_eq!(seg.access_delay(), uncongested.access_delay());
-            seg.queue.push_back(DgramHandle(k));
-            uncongested.queue.push_back(DgramHandle(k));
-        }
-        assert_eq!(seg.access_delay(), uncongested.access_delay());
-        // Past the knee the congested delay grows, but stays bounded by
-        // linear(knee) + saturated_penalty, while the linear model does not.
-        let bound = spec.inter_frame_gap
-            + SimDur::from_nanos(spec.contention_per_queued.as_nanos() * 4)
-            + SimDur::from_micros(500);
-        let mut prev = seg.access_delay();
-        for k in 4..60 {
-            seg.queue.push_back(DgramHandle(k));
-            let d = seg.access_delay();
-            assert!(d >= prev, "saturating curve must be monotone");
-            assert!(d < bound, "curve must stay under its asymptote");
-            prev = d;
-        }
     }
 
     #[test]

@@ -96,7 +96,6 @@ mod tests {
             payload: Bytes::new(),
             wire_len: 100,
             corrupted: false,
-            marked_by: None,
         }
     }
 

@@ -34,8 +34,6 @@
 //! a healthy but imbalanced step keeps fast ranks waiting on slow ones,
 //! and that wait says nothing about the links.
 
-use std::collections::HashMap;
-
 use netpart_sim::SimTime;
 
 use crate::engine::{Phase, Probe};
@@ -92,14 +90,6 @@ pub struct DriftReport {
     /// Global cycle at which the degraded ratio streak began — the drift
     /// onset as far as the monitor can tell.
     pub first_degraded_cycle: u64,
-    /// The congested segment, when the confirmation is comm-driven and
-    /// the message layer's congestion marks accumulated on one segment
-    /// during the degraded streak. `None` attributes the drift to the
-    /// rank itself — a slow processor, or a slow link that never marks.
-    /// Compute degradation always wins: a rank whose own compute ratio
-    /// is past threshold is reported as a rank problem even when marks
-    /// are present, so a congested segment can never shadow a slow node.
-    pub segment: Option<usize>,
 }
 
 impl DriftReport {
@@ -144,13 +134,6 @@ pub struct DriftMonitor {
     /// after a declined repartition).
     cooldown_until: u64,
     confirmed: Option<DriftReport>,
-    /// Latest cumulative per-segment congestion-mark snapshot from the
-    /// engine's cycle boundary (empty when the network never marks).
-    marks_latest: Vec<(u16, u64)>,
-    /// Per-rank snapshot of `marks_latest` taken when the rank's degraded
-    /// streak began, so attribution counts only marks accumulated
-    /// *during* the streak.
-    marks_at_streak: Vec<Vec<(u16, u64)>>,
 }
 
 impl DriftMonitor {
@@ -172,8 +155,6 @@ impl DriftMonitor {
             streak_start: vec![0; n],
             cooldown_until: 0,
             confirmed: None,
-            marks_latest: Vec::new(),
-            marks_at_streak: vec![Vec::new(); n],
         }
     }
 
@@ -192,14 +173,6 @@ impl DriftMonitor {
     /// The confirmed drift, if any.
     pub fn confirmed(&self) -> Option<&DriftReport> {
         self.confirmed.as_ref()
-    }
-
-    /// The message layer's cumulative per-segment congestion-mark counts
-    /// `(segment, marks)`, snapshotted at a cycle boundary after the
-    /// cycle was folded in. Only marks accumulated during a degraded
-    /// streak can name a segment.
-    pub(crate) fn observe_marks(&mut self, marks: Vec<(u16, u64)>) {
-        self.marks_latest = marks;
     }
 
     /// The smoothed observed/predicted compute ratio for `rank`, if any
@@ -291,19 +264,6 @@ impl DriftMonitor {
             Some(p) => p + alpha * (sample - p),
         }
     }
-
-    /// The segment that accumulated the most congestion marks since
-    /// `baseline`, if any did. Ties break toward the lowest segment id,
-    /// matching the message layer's own collapse attribution.
-    fn marked_segment_since(&self, baseline: &[(u16, u64)]) -> Option<usize> {
-        let base: HashMap<u16, u64> = baseline.iter().copied().collect();
-        self.marks_latest
-            .iter()
-            .map(|&(seg, n)| (seg, n.saturating_sub(base.get(&seg).copied().unwrap_or(0))))
-            .filter(|&(_, d)| d > 0)
-            .max_by_key(|&(seg, d)| (d, std::cmp::Reverse(seg)))
-            .map(|(seg, _)| seg as usize)
-    }
 }
 
 impl Probe for DriftMonitor {
@@ -349,20 +309,9 @@ impl Probe for DriftMonitor {
         if comp > self.cfg.degrade_threshold || comm > self.cfg.degrade_threshold {
             if self.streak[rank] == 0 {
                 self.streak_start[rank] = global;
-                self.marks_at_streak[rank] = self.marks_latest.clone();
             }
             self.streak[rank] += 1;
             if self.streak[rank] >= self.cfg.hysteresis.max(1) {
-                // Attribution: the rank's own slow compute always wins —
-                // marks riding the wire say nothing about who is slow at
-                // computing. Only a purely comm-driven confirmation may
-                // name a segment, and only if marks actually accumulated
-                // during the streak.
-                let segment = if comp > self.cfg.degrade_threshold {
-                    None
-                } else {
-                    self.marked_segment_since(&self.marks_at_streak[rank])
-                };
                 self.confirmed = Some(DriftReport {
                     rank,
                     cycle: global,
@@ -371,7 +320,6 @@ impl Probe for DriftMonitor {
                     // (pure network inflation), not the detection one.
                     comm_ratio: self.comm_ratio(rank).unwrap_or(1.0),
                     first_degraded_cycle: self.streak_start[rank],
-                    segment,
                 });
             }
         } else {
@@ -507,29 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn comm_drift_with_marks_names_the_segment() {
-        let cfg = DriftConfig {
-            hysteresis: 2,
-            warmup: 0,
-            alpha: 1.0,
-            ..DriftConfig::default()
-        };
-        let mut m = DriftMonitor::new(cfg, 0, vec![10.0], 2.0);
-        // Marks accumulate on segment 2 (and, slower, on segment 0)
-        // while the rank's receive-wait blows past even the skew
-        // allowance. The engine feeds marks after each on_cycle.
-        for c in 0..4 {
-            m.on_phase(0, c, Phase::Compute, t(0), t(10));
-            m.on_phase(0, c, Phase::Recv, t(10), t(80));
-            m.on_cycle(0, c, t(80));
-            m.observe_marks(vec![(0, 2 + c), (2, 50 * (c + 1))]);
-        }
-        let r = m.confirmed().expect("confirmed");
-        assert_eq!(r.segment, Some(2), "most-marked segment is named");
-        assert!(r.comp_ratio < 1.5);
-    }
-
-    #[test]
     fn comm_drift_without_marks_stays_rank_attributed() {
         let cfg = DriftConfig {
             hysteresis: 2,
@@ -538,35 +463,29 @@ mod tests {
             ..DriftConfig::default()
         };
         let mut m = DriftMonitor::new(cfg, 0, vec![10.0], 2.0);
-        // Two healthy cycles during which segment 1 marked 7 frames, then
-        // the marks freeze and a (mark-free) comm slowdown begins: the
-        // stale marks predate the streak and cannot explain it.
+        // Two healthy cycles, then a comm slowdown: the drift is the
+        // waiting rank's, and its streak starts with the slowdown.
         for c in 0..2 {
             m.on_phase(0, c, Phase::Compute, t(0), t(10));
             m.on_phase(0, c, Phase::Recv, t(10), t(11));
             m.on_cycle(0, c, t(11));
-            m.observe_marks(vec![(1, 7)]);
         }
         for c in 2..5 {
             m.on_phase(0, c, Phase::Compute, t(0), t(10));
             m.on_phase(0, c, Phase::Recv, t(10), t(80));
             m.on_cycle(0, c, t(80));
-            m.observe_marks(vec![(1, 7)]);
         }
         let r = m.confirmed().expect("confirmed");
         assert_eq!(r.rank, 0);
-        assert_eq!(
-            r.segment, None,
-            "marks that stopped growing before the streak attribute nothing"
-        );
+        assert_eq!(r.first_degraded_cycle, 2, "the healthy prefix is no streak");
+        assert!(r.comp_ratio < 1.5);
     }
 
-    /// Regression pin (congestion × skew-allowance interaction): a slow
-    /// *neighbour's compute* must never implicate the network, even when
-    /// congestion marks are present on the wire. The slow rank itself
-    /// confirms compute drift with `segment: None`; the waiting rank's
-    /// receive-wait stays inside the bulk-synchronous skew allowance and
-    /// never confirms at all.
+    /// Regression pin (skew-allowance interaction): a slow *neighbour's
+    /// compute* must never implicate the network. The slow rank itself
+    /// confirms compute drift; the waiting rank's receive-wait stays
+    /// inside the bulk-synchronous skew allowance and never confirms at
+    /// all.
     #[test]
     fn marks_never_implicate_network_for_slow_compute() {
         let cfg = DriftConfig {
@@ -584,15 +503,9 @@ mod tests {
             m.on_cycle(0, c, t(21));
             m.on_phase(1, c, Phase::Compute, t(0), t(40));
             m.on_cycle(1, c, t(40));
-            // Background congestion marks keep accumulating throughout.
-            m.observe_marks(vec![(0, 100 * (c + 1))]);
         }
         let r = m.confirmed().expect("slow rank confirms");
         assert_eq!(r.rank, 1, "the slow computer is named, not the waiter");
-        assert_eq!(
-            r.segment, None,
-            "marks on the wire must not shadow a slow node"
-        );
         assert!(r.comp_ratio > 3.0);
     }
 
@@ -658,12 +571,8 @@ mod tests {
             "the source's own wait, not the waiter's"
         );
         assert_eq!(
-            (source.cycle, source.first_degraded_cycle, source.segment),
-            (
-                confirmed.cycle,
-                confirmed.first_degraded_cycle,
-                confirmed.segment
-            )
+            (source.cycle, source.first_degraded_cycle),
+            (confirmed.cycle, confirmed.first_degraded_cycle)
         );
 
         // No outlier: a uniform bias is not a slowdown, so a comm-driven

@@ -106,8 +106,8 @@ pub struct Segment<'s> {
     /// names the buddy rank the engine mirrors every blob to over the
     /// ordinary message layer.
     pub store: &'s mut CheckpointStore,
-    /// Under an adaptive policy: fed phases, cycles and congestion marks,
-    /// and a confirmed drift ends the run with
+    /// Under an adaptive policy: fed phases and cycles, and a confirmed
+    /// drift ends the run with
     /// [`NetpartError::DriftDegraded`].
     pub monitor: Option<&'s mut DriftMonitor>,
 }
@@ -403,7 +403,7 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                         continue;
                     }
                     // Replica mirroring is best-effort background traffic:
-                    // a mirror that exhausts its budget (congested segment,
+                    // a mirror that exhausts its budget (lossy segment,
                     // dead buddy) costs one replica generation — which
                     // recovery's assembly already tolerates by falling back
                     // — and must not be read as the *computation* failing.
@@ -424,31 +424,6 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                                 to: usize::MAX,
                             });
                         }
-                    }
-                }
-                MmpsEvent::WindowCollapsed {
-                    src,
-                    dst,
-                    segment,
-                    offered,
-                    capacity,
-                    ..
-                } => {
-                    // The message layer's congestion window for a pair of
-                    // this run's nodes has been pinned at its floor with a
-                    // backlog behind it: the segment is saturated and the
-                    // run cannot make useful progress. Collapses between
-                    // nodes outside the computation (background traffic,
-                    // an abandoned epoch's retransmission tail) are not
-                    // our failure.
-                    if engine.node_to_rank.contains_key(&src)
-                        && engine.node_to_rank.contains_key(&dst)
-                    {
-                        return Err(NetpartError::SegmentSaturated {
-                            segment: segment.index(),
-                            offered,
-                            capacity,
-                        });
                     }
                 }
                 MmpsEvent::MessageAcked { .. } | MmpsEvent::TimerFired { .. } => {}
@@ -562,10 +537,9 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
     /// the monitor folds in the cycle; the store captures the checkpoint
     /// and, replicated, the blob rides the wire to the buddy's node as a
     /// normal reliable message (a dead buddy enters ordinary failure
-    /// detection as the suspect); the monitor reads the congestion marks,
-    /// so segment attribution and confirmation work from one snapshot;
-    /// a confirmed drift ends the run — after the checkpoint, so recovery
-    /// resumes from the freshest consistent state.
+    /// detection as the suspect); a confirmed drift ends the run — after
+    /// the checkpoint, so recovery resumes from the freshest consistent
+    /// state.
     fn segment_boundary(
         &mut self,
         rank: Rank,
@@ -591,7 +565,6 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
             }
         }
         if let Some(m) = seg.monitor.as_deref_mut() {
-            m.observe_marks(self.mmps.segment_marks());
             if let Some(d) = m.confirmed() {
                 return Err(NetpartError::DriftDegraded {
                     rank: d.rank,

@@ -6,7 +6,7 @@
 //! cargo run --release --example dynamic_rebalance
 //! ```
 
-use netpart::baselines::run_dynamic_stencil;
+use netpart_bench::run_dynamic_stencil;
 
 fn main() {
     let n = 300usize;

@@ -22,7 +22,6 @@
 //! | [`core`] | the partitioning method itself (cluster ordering, `T_c` estimator, configuration search) |
 //! | [`spmd`] | SPMD cycle runtime executing tasks over the simulated network |
 //! | [`apps`] | stencil (STEN-1/STEN-2 and a 2-D block variant), Gaussian elimination |
-//! | [`baselines`] | the dynamic load-balancing comparator |
 //!
 //! On top sits [`pipeline`], the typed **Scenario → plan → run** flow
 //! every experiment, example, and benchmark drives:
@@ -59,7 +58,6 @@ pub use pipeline::{
 pub use serve::{PlanServer, PlanTicket, ServeConfig};
 
 pub use netpart_apps as apps;
-pub use netpart_baselines as baselines;
 pub use netpart_calibrate as calibrate;
 pub use netpart_core as core;
 pub use netpart_mmps as mmps;

@@ -97,9 +97,7 @@ pub enum Fault {
     /// Cross traffic floods `cluster`'s segment inside the window: a
     /// background flow between the segment's first two nodes sends
     /// `bytes`-sized frames every `period_us` µs, competing with the
-    /// application for the medium. With the segment's congestion model
-    /// enabled the flood pushes the queue past its knee and the
-    /// application's frames come back marked.
+    /// application for the segment's FIFO channel.
     TrafficFlood {
         /// Cluster whose segment is flooded.
         cluster: usize,

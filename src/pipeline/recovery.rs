@@ -213,10 +213,6 @@ pub struct RecoveryStats {
     /// Drift confirmations by the monitor ([`RecoveryPolicy::Adapt`]
     /// only; gray failures, not fail-stop crashes).
     pub drift_detections: u32,
-    /// Drift confirmations the monitor attributed to a congested network
-    /// segment (via the message layer's congestion marks) rather than to
-    /// the confirmed rank itself; a subset of `drift_detections`.
-    pub congestion_confirmations: u32,
     /// Online recalibrations performed from in-flight drift measurements
     /// (one per confirmed drift).
     pub recalibrations: u32,

@@ -383,68 +383,6 @@ mod tests {
         assert_eq!(rapp.gather(), sequential_reference(40, iters));
     }
 
-    /// End-to-end pin for segment attribution: a cross-traffic flood on
-    /// the congestion-enabled testbed must surface as a *congestion*
-    /// confirmation (marks name the segment), not as a slow rank. This
-    /// exercises the whole path — Mark-policy queues, MMPS mark
-    /// bookkeeping, and the engine handing the segment's drift monitor
-    /// the marks at each cycle boundary; a break anywhere downgrades the
-    /// confirmation to a rank attribution and fails here.
-    #[test]
-    fn flood_confirms_the_segment_not_the_rank() {
-        use netpart_apps::stencil::sequential_reference;
-        use netpart_mmps::WindowConfig;
-        use netpart_sim::{CongestionSpec, OverflowPolicy};
-
-        let mut testbed = Testbed::paper();
-        testbed.segment.congestion = Some(CongestionSpec {
-            knee_queue: 2,
-            ..CongestionSpec::ethernet_default(OverflowPolicy::Mark)
-        });
-        testbed.mmps.congestion_window = Some(WindowConfig {
-            floor: 2,
-            ..WindowConfig::default()
-        });
-        // n=120 is the smallest grid the paper cost model spreads past a
-        // single rank on this testbed; one rank would leave the flood
-        // nothing to degrade.
-        let n = 120usize;
-        let s = Scenario::new(testbed, stencil_model(n as u64, StencilVariant::Sten1))
-            .with_cost(CostSource::Paper);
-        let plan = s.plan().unwrap();
-        let iters = 10u64;
-        let mut app = StencilApp::new(n, iters, StencilVariant::Sten1, plan.ranks());
-        let fault_free = plan.run(&mut app).unwrap();
-        assert!(plan.ranks() > 1, "flood needs border traffic to degrade");
-        let faults = FaultSchedule::new().with(Fault::TrafficFlood {
-            cluster: 0,
-            from_ms: fault_free.elapsed_ms * 0.15,
-            until_ms: fault_free.elapsed_ms * 1.5,
-            bytes: 1400,
-            period_us: 1500,
-        });
-        let (run, rapp) = s
-            .run_recoverable(
-                &faults,
-                RecoveryPolicy::Adapt {
-                    degrade_threshold: 1.75,
-                    min_gain: 0.0,
-                    cooldown: 4,
-                },
-                2,
-                stencil_factory(n, iters),
-            )
-            .unwrap();
-        let st = run.recovery.clone().expect("stats");
-        assert!(st.drift_detections >= 1, "drift must be confirmed: {st:?}");
-        assert!(
-            st.congestion_confirmations >= 1,
-            "the confirmation must name the flooded segment: {st:?}"
-        );
-        assert_eq!(st.recalibrations, st.drift_detections);
-        assert_eq!(rapp.gather(), sequential_reference(n, iters));
-    }
-
     #[test]
     fn crash_under_replan_recovers_bit_identically() {
         use netpart_apps::stencil::sequential_reference;

@@ -89,7 +89,7 @@ pub(super) struct Failure {
     /// instant, when any cluster pair's live route is longer than the
     /// planned one (read off the routing tables by the driver). A
     /// reroute is a *physical* cause for elevated comm waits, so it arms
-    /// the drift gate like a congestion confirmation.
+    /// the drift gate like a compute outlier does.
     pub detour_cluster: Option<usize>,
 }
 
@@ -146,10 +146,8 @@ struct Recal {
     comm_scale: f64,
     t_stay_ms: f64,
     /// The cluster whose *wire* explains the drift, when one does: the
-    /// segment the monitor confirmed as congested (marks accumulated
-    /// during the degraded streak, and the attribution survived the
-    /// compute outlier analysis), else the cluster most entangled in
-    /// fabric detours ([`Failure::detour_cluster`]).
+    /// cluster most entangled in fabric detours
+    /// ([`Failure::detour_cluster`]).
     wire: Option<usize>,
     confirmed_cycle: u64,
 }
@@ -472,18 +470,8 @@ impl<'s> RecoveryMachine<'s> {
         // the ratio's denominator), so prediction bias cannot distort it.
         let obs_comp_ms = source.comp_ratio * (b.t_comp_ms[cluster] + slack);
         let t_stay_ms = obs_comp_ms + (b.t_comm_ms * comm_scale - b.t_overlap_ms).max(0.0);
-        // Segment attribution holds only when no compute outlier explains
-        // the drift (a slow node must never hide behind wire congestion),
-        // and only for segments that map to a physical cluster of this
-        // testbed — the per-cluster segment ids are the cluster indices,
-        // so anything past `num_clusters` is backbone fabric no partition
-        // move can route around.
-        let clusters = self.scenario.testbed.num_clusters();
-        let on_cluster_wire = |&seg: &usize| comp_scale <= 1.0 && seg < clusters;
-        let congested_cluster = source.segment.filter(on_cluster_wire);
         s.stats.drift_detections += 1;
         s.stats.recalibrations += 1;
-        s.stats.congestion_confirmations += u32::from(congested_cluster.is_some());
         s.stats.detour_confirmations += u32::from(detour_cluster.is_some());
         s.stats.cycles_to_detect += source.cycle + 1 - source.first_degraded_cycle;
         Some(Recal {
@@ -492,7 +480,7 @@ impl<'s> RecoveryMachine<'s> {
             comp_scale,
             comm_scale,
             t_stay_ms,
-            wire: congested_cluster.or(detour_cluster),
+            wire: detour_cluster,
             confirmed_cycle: source.cycle,
         })
     }
@@ -606,9 +594,8 @@ impl<'s> RecoveryMachine<'s> {
             // burst — waiting it out beats shipping checkpoint state
             // through the already-degraded network — or a systematic comm
             // misprediction, and replanning on a model known to be wrong
-            // is thrashing. Three causes arm the gate: a compute outlier
-            // (a slow node to plan around), a mark-confirmed congested
-            // segment, or a fabric detour — for the latter two the
+            // is thrashing. Two causes arm the gate: a compute outlier
+            // (a slow node to plan around), or a fabric detour — there the
             // inflated model prices the implicated cluster's wire honestly
             // and the partitioner can route work off it. Past the
             // fail-stop budget a drift round declines, never errors.
