@@ -16,7 +16,8 @@
 //! One simulation shortcut is worth knowing: fragment *timing* is fully
 //! simulated (each fragment is a real frame contending for channels and
 //! routers), but the delivered payload is the sender's original buffer
-//! handed over zero-copy once the last fragment arrives. Loss and
+//! handed over zero-copy once the last fragment arrives, and the frames
+//! themselves carry only their wire size, no bytes. Loss and
 //! retransmission therefore affect timing and statistics, never content.
 
 use bytes::Bytes;
@@ -351,7 +352,7 @@ impl Mmps {
     ) -> Result<(), SimError> {
         let plan = FragPlan::new(len, self.cfg.header_bytes);
         for i in 0..plan.n_frags {
-            self.send_fragment(msg, src, dst, &plan, &payload, i)?;
+            self.send_fragment(msg, src, dst, &plan, i)?;
         }
         let timer = self.net.set_timer(
             self.effective_rto(src, dst, len),
@@ -376,30 +377,24 @@ impl Mmps {
         Ok(())
     }
 
-    /// Put fragment `i` of message `msg` on the wire. A message with a
-    /// length but no buffer (a calibration dummy, or one whose payload
-    /// already moved to the receiver) sends empty frames of the right
-    /// wire size.
+    /// Put fragment `i` of message `msg` on the wire. The frame carries
+    /// the fragment's wire size but no bytes: the receiver is handed the
+    /// sender's whole buffer once the last fragment arrives, so nothing
+    /// reads a fragment's content.
     fn send_fragment(
         &mut self,
         msg: u64,
         src: NodeId,
         dst: NodeId,
         plan: &FragPlan,
-        payload: &Bytes,
         i: u32,
     ) -> Result<(), SimError> {
         let (s, e) = plan.range(i);
-        let frag_payload = if payload.is_empty() && plan.total > 0 {
-            Bytes::new()
-        } else {
-            payload.slice(s as usize..e as usize)
-        };
         self.net.send_datagram_sized(
             src,
             dst,
             pack_tag(WireKind::Data, MsgId(msg), i),
-            frag_payload,
+            Bytes::new(),
             (e - s) + self.cfg.header_bytes,
         )?;
         Ok(())
@@ -542,11 +537,10 @@ impl Mmps {
                 // Complete: ack, then deliver (possibly after coercion).
                 // The payload is *moved* out of the sender's record rather
                 // than cloned: the receiver has the only remaining use for
-                // its content. A later retransmission (lost ack) finds an
-                // empty buffer and falls into the dummy-payload path, which
-                // keeps wire timing exact — and content no longer matters,
-                // since duplicates of a completed message are re-acked
-                // without being delivered.
+                // its content. A later retransmission (lost ack) needs only
+                // the fragment plan, since frames carry wire sizes and no
+                // bytes, and duplicates of a completed message are
+                // re-acked without being delivered.
                 self.retire_incoming(msg);
                 let out = self.outgoing.get_mut(&msg).expect("checked above");
                 let payload = std::mem::take(&mut out.payload);
@@ -652,8 +646,8 @@ impl Mmps {
                     & ((1 << (TOKEN_KIND_SHIFT - TOKEN_FRAG_SHIFT)) - 1))
                     as u32;
                 let out = self.outgoing.get(&msg_id)?; // acked meanwhile: skip
-                let (src, dst, plan, payload) = (out.src, out.dst, out.plan, out.payload.clone());
-                match self.send_fragment(msg_id, src, dst, &plan, &payload, frag) {
+                let (src, dst, plan) = (out.src, out.dst, out.plan);
+                match self.send_fragment(msg_id, src, dst, &plan, frag) {
                     // Every router path to the destination is down: fail
                     // the message *now* instead of burning the remaining
                     // retry budget on frames a partitioned fabric can only

@@ -14,18 +14,24 @@
 //!
 //! Items pop in `(time, class, seq)` order, exactly as the old binary
 //! heap did, where `seq` is a monotonically increasing insertion
-//! tie-breaker and `class` makes fault events (a [`FaultKind`] carried as
-//! the plan wrote it, and the window ends the network schedules for it)
-//! resolve first at equal instants. Ties broken by insertion order make
-//! every run of the simulator fully deterministic for a given seed, which
-//! the golden, chaos, and drift suites rely on byte-for-byte; a property
-//! test pits the wheel against the retired heap (kept below as a
-//! test-only shim) on causal push/pop scripts to pin the parity.
+//! tie-breaker and `class` makes fault events (an index into the
+//! network's fault table, and the window ends the network schedules for
+//! a fault) resolve first at equal instants. Ties broken by insertion
+//! order make every run of the simulator fully deterministic for a given
+//! seed, which the golden, chaos, and drift suites rely on
+//! byte-for-byte; a property test pits the wheel against the retired
+//! heap (kept below as a test-only shim) on causal push/pop scripts to
+//! pin the parity.
+//!
+//! A queue entry is 32 bytes: the time, one word packing `class` above
+//! `seq`, and a 16-byte `Work` item. Nothing bulky rides in the queue.
+//! A datagram is a slab handle, a fault an index into the network's fault
+//! table, and a timer a `(slot, generation)` pair naming its row in the
+//! network's timer table, where its owner and token words wait.
 
 use std::collections::VecDeque;
 
 use crate::datagram::Datagram;
-use crate::fault::FaultKind;
 use crate::ids::{DgramId, NodeId, RouterId, SegmentId, TimerId};
 use crate::slab::DgramHandle;
 use crate::time::SimTime;
@@ -147,15 +153,19 @@ pub(crate) enum Work {
     Deliver { dgram: DgramHandle },
     /// A compute block finished on `node`.
     ComputeDone { node: NodeId, token: u64 },
-    /// A timer matured.
-    Timer { id: TimerId, owner: u64, token: u64 },
+    /// A timer matured: its row in the network's timer table and the
+    /// generation the row had when the timer was set. A row whose
+    /// generation has moved on was cancelled (and maybe reused), so the
+    /// item is a tombstone.
+    Timer { slot: u32, gen: u32 },
     /// A background cross-traffic flow fires its next datagram.
-    BackgroundSend { flow: usize },
+    BackgroundSend { flow: u32 },
     /// A scheduled fault from a [`FaultPlan`](crate::fault::FaultPlan)
-    /// takes effect. The kind rides exactly as the plan spelled it; the
-    /// network clamps its magnitudes when it applies it. Windowed kinds
-    /// carry their end time so overlapping windows merge via `max`.
-    Fault(FaultKind),
+    /// takes effect: an index into the network's fault table, where the
+    /// kind sits exactly as the plan spelled it. The network clamps its
+    /// magnitudes when it applies it. Windowed kinds carry their end time
+    /// so overlapping windows merge via `max`.
+    Fault(u32),
     /// A router or link outage window ended: recompute the live routing
     /// table from current liveness. Scheduled when the outage is applied;
     /// with merged (max'd) overlapping windows an early restore finds the
@@ -163,7 +173,7 @@ pub(crate) enum Work {
     FabricRestore,
     /// A traffic burst's window ended: stop the background flow with the
     /// given handle. Scheduled when the burst starts.
-    FloodStop(usize),
+    FloodStop(u32),
 }
 
 impl Work {
@@ -185,16 +195,17 @@ impl Work {
 #[derive(Debug)]
 struct Entry {
     at: SimTime,
-    class: u8,
-    seq: u64,
+    /// `class << 63 | seq`: one word that orders exactly as the
+    /// `(class, seq)` pair, since `seq` never reaches 2^63.
+    rank: u64,
     work: Work,
 }
 
 impl Entry {
-    /// The total order every pop obeys.
+    /// The total order every pop obeys: `(time, class, seq)`.
     #[inline]
-    fn key(&self) -> (u64, u8, u64) {
-        (self.at.0, self.class, self.seq)
+    fn key(&self) -> (u64, u64) {
+        (self.at.0, self.rank)
     }
 }
 
@@ -318,11 +329,10 @@ impl EventQueue {
     pub(crate) fn push(&mut self, at: SimTime, work: Work) {
         let seq = self.seq;
         self.seq += 1;
-        let class = work.class();
+        debug_assert!(seq < 1 << 63, "seq overflows into the class bit");
         let e = Entry {
             at,
-            class,
-            seq,
+            rank: u64::from(work.class()) << 63 | seq,
             work,
         };
         self.len += 1;
@@ -481,17 +491,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A timer item whose slot doubles as the test's token.
     fn timer(token: u64) -> Work {
         Work::Timer {
-            id: TimerId(token),
-            owner: 0,
-            token,
+            slot: token as u32,
+            gen: 0,
         }
     }
 
     fn token_of(w: &Work) -> u64 {
         match w {
-            Work::Timer { token, .. } => *token,
+            Work::Timer { slot, .. } => u64::from(*slot),
             _ => panic!("not a timer"),
         }
     }
@@ -500,22 +510,48 @@ mod tests {
     /// time, the class, and the payload token.
     fn fingerprint(at: SimTime, w: &Work) -> (u64, u8, u64) {
         match w {
-            Work::Timer { token, .. } => (at.0, 1, *token),
-            Work::Fault(FaultKind::ExternalLoad { node, .. }) => (at.0, 0, node.0 as u64),
-            _ => panic!("parity tests only push timers and ExternalLoad faults"),
+            Work::Timer { slot, .. } => (at.0, 1, u64::from(*slot)),
+            Work::Fault(i) => (at.0, 0, u64::from(*i)),
+            _ => panic!("parity tests only push timers and faults"),
         }
     }
 
-    /// Every queue entry pays for the fattest work item. `Work::Fault`
-    /// carries a whole `FaultKind`, so a future fault kind with one field
-    /// too many would grow the hot path's entries; this pins the size.
+    /// Every queue entry pays for the fattest work item. A fault rides
+    /// as an index into the network's fault table and a timer as its
+    /// table row, so no fault kind or timer payload can grow the hot
+    /// path's entries; this pins the size.
     #[test]
     fn a_fault_kind_does_not_fatten_the_work_item() {
         assert!(
-            std::mem::size_of::<Work>() <= 32,
+            std::mem::size_of::<Work>() <= 16,
             "Work grew to {} bytes",
             std::mem::size_of::<Work>()
         );
+    }
+
+    /// The queue moves entries on every push, cascade and pop, and a deep
+    /// backlog holds hundreds of thousands of them: the time, the packed
+    /// `(class, seq)` word and the work item, 32 bytes in all.
+    #[test]
+    fn a_queue_entry_fits_in_32_bytes() {
+        assert!(
+            std::mem::size_of::<Entry>() <= 32,
+            "Entry grew to {} bytes",
+            std::mem::size_of::<Entry>()
+        );
+    }
+
+    #[test]
+    fn the_packed_rank_orders_as_class_then_seq() {
+        // A fault pushed last still beats every earlier same-instant item,
+        // and items of one class keep insertion order.
+        let mut q = EventQueue::new();
+        q.push(SimTime(5), timer(0));
+        q.push(SimTime(5), Work::Fault(7));
+        q.push(SimTime(5), timer(1));
+        q.push(SimTime(5), Work::FloodStop(3));
+        let ranks: Vec<u64> = q.batch.iter().map(|e| e.rank).collect();
+        assert_eq!(ranks, vec![1, 3, 1 << 63, 1 << 63 | 2]);
     }
 
     #[test]
@@ -545,10 +581,7 @@ mod tests {
         // at the shared instant the fault must still pop first.
         q.push(SimTime(5), timer(0));
         q.push(SimTime(5), timer(1));
-        q.push(
-            SimTime(5),
-            Work::Fault(FaultKind::EndSlowdown { node: NodeId(0) }),
-        );
+        q.push(SimTime(5), Work::Fault(0));
         // The window ends a fault schedules are fault-class too.
         q.push(SimTime(5), Work::FabricRestore);
         q.push(SimTime(5), Work::FloodStop(0));
@@ -561,10 +594,7 @@ mod tests {
         assert_eq!(token_of(&q.pop().unwrap().1), 1);
         // An earlier non-fault item still beats a later fault.
         q.push(SimTime(9), timer(7));
-        q.push(
-            SimTime(10),
-            Work::Fault(FaultKind::NodeRecover { node: NodeId(1) }),
-        );
+        q.push(SimTime(10), Work::Fault(1));
         assert_eq!(q.pop().unwrap().0, SimTime(9));
     }
 
@@ -906,7 +936,7 @@ mod tests {
             let mut heap = heap_shim::HeapQueue::new();
             let make = |k: u64, fault: bool| -> Work {
                 if fault {
-                    Work::Fault(FaultKind::ExternalLoad { node: NodeId(k as u32), load: 0.0 })
+                    Work::Fault(k as u32)
                 } else {
                     timer(k)
                 }

@@ -1,7 +1,8 @@
-//! A fast non-cryptographic hasher for the simulator's hot-path maps.
+//! A fast non-cryptographic hasher for the hot-path maps above the
+//! simulator.
 //!
-//! The event loop hits hash maps keyed by small integer ids (timer ids,
-//! message ids, node pairs) once or more per simulated frame. SipHash's
+//! The message layer hits hash maps keyed by small integer ids (message
+//! ids, node pairs) once or more per simulated frame. SipHash's
 //! per-lookup cost is measurable there and buys nothing: keys are
 //! program-generated sequence numbers, so HashDoS resistance is
 //! irrelevant. This is the multiply-rotate construction popularized by

@@ -6,8 +6,9 @@
 //! (or during) a run. A [`FaultEvent`] is an onset time plus a
 //! [`FaultKind`], and that is the only spelling of a fault in the crate:
 //! the builders write it, [`FaultPlan::validate`] reads the ids it names,
-//! the event queue carries the `FaultKind` as handed in, and the network
-//! applies (and clamps) it when it matures. Faults ride the same
+//! the network keeps the `FaultKind` as handed in (its event queue
+//! carries the kind's index in the network's fault table), and the
+//! network applies (and clamps) it when it matures. Faults ride the same
 //! time-ordered event queue as every other work item, so a given
 //! `(network description, seed, plan)` triple always produces the same
 //! trajectory, failure times included.
@@ -89,7 +90,7 @@ use crate::ids::{NodeId, RouterId, SegmentId};
 use crate::time::{SimDur, SimTime};
 
 /// One scheduled fault: what happens ([`FaultKind`]) and when. The
-/// simulator queues the kind exactly as written here.
+/// simulator keeps the kind exactly as written here.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// The instant the fault takes effect (window start for windowed

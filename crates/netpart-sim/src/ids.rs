@@ -1,8 +1,10 @@
 //! Identifier newtypes for the entities of the simulated network.
 //!
-//! All identifiers are small dense indices handed out by the
+//! The entity identifiers are small dense indices handed out by the
 //! [`NetworkBuilder`](crate::network::NetworkBuilder) in creation order, so
 //! they can be used to index the corresponding entity tables directly.
+//! [`DgramId`] counts the datagrams a run sent, and [`TimerId`] is an
+//! opaque handle (see its docs).
 
 use std::fmt;
 
@@ -65,7 +67,15 @@ id_type!(
     u64
 );
 id_type!(
-    /// A pending timer.
+    /// A timer set with
+    /// [`Network::set_timer`](crate::network::Network::set_timer): an
+    /// opaque handle, `generation << 32 | row`, naming a row of the
+    /// network's timer table and the row's generation when the timer was
+    /// set. It is not a sequence number: a fired or cancelled timer's row
+    /// is reused by a later timer under a new generation, so ids are not
+    /// ordered by set time, and a stale id cancels nothing. Compare ids
+    /// for equality only; [`index`](TimerId::index) returns the raw
+    /// handle.
     TimerId,
     "tm",
     u64

@@ -39,7 +39,6 @@ use bytes::Bytes;
 use crate::datagram::{Datagram, MAX_DATAGRAM_PAYLOAD};
 use crate::error::SimError;
 use crate::event::{DropReason, EventQueue, SimEvent, Work};
-use crate::fasthash::FastSet;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::ids::{DgramId, NodeId, ProcTypeId, RouterId, SegmentId, TimerId};
 use crate::node::{Node, OpClass, ProcType};
@@ -180,7 +179,8 @@ impl NetworkBuilder {
             routers: self.routers.into_iter().map(Router::new).collect(),
             queue: EventQueue::new(),
             slab: DgramSlab::new(),
-            pending_timers: FastSet::default(),
+            timers: TimerTable::default(),
+            faults: Vec::new(),
             background: Vec::new(),
             run: RunState::new(self.seed),
         })
@@ -224,12 +224,12 @@ pub struct Network {
     queue: EventQueue,
     /// In-flight datagrams; work items carry slab handles, not payloads.
     slab: DgramSlab,
-    /// Timers set but not yet fired or cancelled. A cancel removes the id
-    /// here; when the queued work item later pops it finds the id gone and
-    /// is swallowed. Bounded by the number of queued timers by
-    /// construction — unlike the old tombstone set, which grew forever if
-    /// callers cancelled already-fired timers.
-    pending_timers: FastSet<TimerId>,
+    /// Timers set but not yet fired or cancelled, one row each; queue
+    /// items name their row.
+    timers: TimerTable,
+    /// The kinds of every installed fault, in install order; a queued
+    /// `Work::Fault` names its entry here.
+    faults: Vec<FaultKind>,
     background: Vec<(BackgroundFlow, bool)>,
     /// Everything else a run changes.
     run: RunState,
@@ -251,7 +251,6 @@ struct RunState {
     route_recomputes: u64,
     now: SimTime,
     next_dgram: u64,
-    next_timer: u64,
     /// Cancelled timers whose queue entries have not popped yet; keeps
     /// [`pending_work`](Network::pending_work) honest.
     cancelled_unpopped: usize,
@@ -268,7 +267,6 @@ impl RunState {
             route_recomputes: 0,
             now: SimTime::ZERO,
             next_dgram: 0,
-            next_timer: 0,
             cancelled_unpopped: 0,
             rng: SmallRng::seed_from_u64(seed),
             delivered: 0,
@@ -278,15 +276,97 @@ impl RunState {
     }
 }
 
+/// The network's pending timers: one row per timer set and not yet
+/// fired or cancelled, plus a free list of rows to reuse. A queued
+/// `Work::Timer` names its row and the row's generation at arming; firing
+/// or cancelling bumps the generation and frees the row, so the queued
+/// item of a cancelled timer pops stale (a tombstone) and a stale
+/// [`TimerId`] cancels nothing, even once its row holds a newer timer.
+#[derive(Default)]
+struct TimerTable {
+    rows: Vec<TimerSlot>,
+    /// Rows free for reuse, last freed on top.
+    free: Vec<u32>,
+}
+
+#[derive(Clone, Copy, Default)]
+struct TimerSlot {
+    /// Bumped each time the row is freed; a handle or queue item made
+    /// under an older generation is stale.
+    gen: u32,
+    /// Whether a live timer holds the row. A handle the table never
+    /// handed out can match a free row's generation; this keeps a cancel
+    /// through it from freeing the row twice.
+    armed: bool,
+    owner: u64,
+    token: u64,
+}
+
+impl TimerTable {
+    /// The public handle of the timer in `slot` at generation `gen`.
+    #[inline]
+    fn id(slot: u32, gen: u32) -> TimerId {
+        TimerId(u64::from(gen) << 32 | u64::from(slot))
+    }
+
+    /// Take a free row (or a new one) for a timer; returns its slot and
+    /// generation.
+    fn arm(&mut self, owner: u64, token: u64) -> (u32, u32) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.rows.push(TimerSlot::default());
+            (self.rows.len() - 1) as u32
+        });
+        let row = &mut self.rows[slot as usize];
+        debug_assert!(!row.armed, "a free timer row is armed");
+        *row = TimerSlot {
+            armed: true,
+            owner,
+            token,
+            ..*row
+        };
+        (slot, row.gen)
+    }
+
+    /// Free the row of the live timer `slot` at `gen` (it fired or was
+    /// cancelled), returning its owner and token; `None` when that timer
+    /// is no longer live.
+    #[inline]
+    fn take(&mut self, slot: u32, gen: u32) -> Option<(u64, u64)> {
+        let row = self.rows.get_mut(slot as usize)?;
+        if !row.armed || row.gen != gen {
+            return None;
+        }
+        row.armed = false;
+        row.gen = row.gen.wrapping_add(1);
+        self.free.push(slot);
+        Some((row.owner, row.token))
+    }
+
+    /// Cancel the timer `id` names; whether it was live.
+    fn disarm(&mut self, id: TimerId) -> bool {
+        self.take(id.0 as u32, (id.0 >> 32) as u32).is_some()
+    }
+
+    /// Drop every row and the free list, so the next timer takes row 0
+    /// at generation 0, as on a fresh build.
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.free.clear();
+    }
+}
+
 impl Network {
     /// Return the network to exactly the state [`NetworkBuilder::build`]
     /// left it in: clock, id counters, event-queue sequence, the loss RNG
     /// re-seeded from the build seed, every node, segment and router's
-    /// runtime state, the live routing table, timers, background flows and
-    /// in-flight datagrams. The allocations a run grew — wheel slot
-    /// buffers, the datagram slab, the timer set, segment queues — are
-    /// kept, and none of them can change what a later run does: a run
-    /// after `reset` is event for event the run on a fresh build.
+    /// runtime state, the live routing table, timers, installed faults,
+    /// background flows and in-flight datagrams. The timer table's rows
+    /// and free list are emptied, so a reset network hands out the same
+    /// timer ids as a fresh build. The allocations a run grew — wheel
+    /// slot buffers, the datagram slab, the timer and fault tables,
+    /// segment queues — are kept, and none of them can change what a
+    /// later run does: a run after `reset` is event for event the run on
+    /// a fresh build.
     pub fn reset(&mut self) {
         // Destructured, so a field added to the network does not compile
         // until it is reset here too.
@@ -299,7 +379,8 @@ impl Network {
             routers,
             queue,
             slab,
-            pending_timers,
+            timers,
+            faults,
             background,
             run,
         } = self;
@@ -314,7 +395,8 @@ impl Network {
         }
         queue.clear();
         slab.clear();
-        pending_timers.clear();
+        timers.clear();
+        faults.clear();
         background.clear();
         *run = RunState::new(*seed);
     }
@@ -391,8 +473,9 @@ impl Network {
             .collect();
         plan.validate(self.nodes.len(), self.segments.len(), &ports)?;
         for ev in &plan.events {
-            self.queue
-                .push(ev.at.max(self.run.now), Work::Fault(ev.kind));
+            let i = self.faults.len() as u32;
+            self.faults.push(ev.kind);
+            self.queue.push(ev.at.max(self.run.now), Work::Fault(i));
         }
         Ok(())
     }
@@ -678,7 +761,7 @@ impl Network {
         let idx = self.background.len();
         self.background.push((flow, true));
         self.queue
-            .push(self.run.now, Work::BackgroundSend { flow: idx });
+            .push(self.run.now, Work::BackgroundSend { flow: idx as u32 });
         idx
     }
 
@@ -690,21 +773,20 @@ impl Network {
     }
 
     /// Set a timer that fires after `delay`. `owner` and `token` are
-    /// returned in the [`SimEvent::TimerFired`] event.
+    /// returned in the [`SimEvent::TimerFired`] event, with the id this
+    /// returns.
     pub fn set_timer(&mut self, delay: SimDur, owner: u64, token: u64) -> TimerId {
-        let id = TimerId(self.run.next_timer);
-        self.run.next_timer += 1;
-        self.pending_timers.insert(id);
+        let (slot, gen) = self.timers.arm(owner, token);
         self.queue
-            .push(self.run.now + delay, Work::Timer { id, owner, token });
-        id
+            .push(self.run.now + delay, Work::Timer { slot, gen });
+        TimerTable::id(slot, gen)
     }
 
     /// Cancel a pending timer. Cancelling an already-fired (or
-    /// already-cancelled) timer is a no-op and costs nothing: no state is
-    /// retained for ids that are not actually pending.
+    /// already-cancelled) timer is a no-op, also when its table row has
+    /// since been reused by another timer: the row's generation moved on.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        if self.pending_timers.remove(&id) {
+        if self.timers.disarm(id) {
             self.run.cancelled_unpopped += 1;
         }
     }
@@ -825,11 +907,11 @@ impl Network {
                     token,
                 })
             }
-            Work::Timer { id, owner, token } => {
-                if self.pending_timers.remove(&id) {
+            Work::Timer { slot, gen } => {
+                if let Some((owner, token)) = self.timers.take(slot, gen) {
                     Some(SimEvent::TimerFired {
                         at: self.run.now,
-                        id,
+                        id: TimerTable::id(slot, gen),
                         owner,
                         token,
                     })
@@ -840,7 +922,7 @@ impl Network {
                 }
             }
             Work::BackgroundSend { flow } => {
-                let (f, enabled) = self.background.get(flow)?;
+                let (f, enabled) = self.background.get(flow as usize)?;
                 if !*enabled {
                     return None;
                 }
@@ -855,8 +937,8 @@ impl Network {
                     .push(self.run.now + period, Work::BackgroundSend { flow });
                 None
             }
-            Work::Fault(kind) => {
-                self.apply_fault(kind);
+            Work::Fault(i) => {
+                self.apply_fault(self.faults[i as usize]);
                 None
             }
             Work::FabricRestore => {
@@ -864,7 +946,7 @@ impl Network {
                 None
             }
             Work::FloodStop(handle) => {
-                self.stop_background_flow(handle);
+                self.stop_background_flow(handle as usize);
                 None
             }
         }
@@ -934,7 +1016,7 @@ impl Network {
                         period: period.max(SimDur::from_nanos(1)),
                     });
                     self.queue
-                        .push(until.max(self.run.now), Work::FloodStop(handle));
+                        .push(until.max(self.run.now), Work::FloodStop(handle as u32));
                 }
             }
         }

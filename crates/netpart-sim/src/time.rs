@@ -77,7 +77,8 @@ impl SimDur {
         SimDur(ms * 1_000_000)
     }
 
-    /// Build a span from a floating point number of seconds.
+    /// Build a span from a floating point number of seconds, rounded to
+    /// the nearest nanosecond (halves away from zero).
     ///
     /// Negative or non-finite inputs clamp to zero; durations cannot be
     /// negative in the simulator.
@@ -86,7 +87,7 @@ impl SimDur {
         if !s.is_finite() || s <= 0.0 {
             return SimDur(0);
         }
-        SimDur((s * 1.0e9).round() as u64)
+        SimDur(round_to_u64(s * 1.0e9))
     }
 
     /// Build a span from a floating point number of milliseconds.
@@ -118,6 +119,21 @@ impl SimDur {
     pub fn saturating_mul(self, k: u64) -> SimDur {
         SimDur(self.0.saturating_mul(k))
     }
+}
+
+/// `x.round() as u64` for `x >= 0`, without `round`, which baseline
+/// x86-64 reaches through an out-of-line call on every packet and compute
+/// block. Below 2^52 the fraction `x - trunc(x)` is exact, so comparing it
+/// with one half rounds exactly half away from zero; from 2^52 on every
+/// `f64` is an integer and the cast (saturating at 2^64) is the answer.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    if x >= EXACT {
+        return x as u64;
+    }
+    let i = x as u64;
+    i + u64::from(x - i as f64 >= 0.5)
 }
 
 impl Add<SimDur> for SimTime {
@@ -193,6 +209,49 @@ impl fmt::Display for SimDur {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn rounding_matches_round_at_the_edges() {
+        let two52 = (1u64 << 52) as f64;
+        for x in [
+            0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            two52 - 0.5,
+            two52 - 1.5,
+            two52,
+            two52 + 1.0,
+            two52 * 2.0 + 2.0,
+            1.8446744073709552e19, // 2^64
+            f64::MAX,
+        ] {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x}");
+        }
+        assert_eq!(round_to_u64(0.5), 1);
+        assert_eq!(round_to_u64(0.49999999999999994), 0);
+        assert_eq!(round_to_u64(two52 - 0.5), 1 << 52);
+        assert_eq!(round_to_u64(1.8446744073709552e19), u64::MAX);
+    }
+
+    proptest! {
+        /// Exactly `round` over random bit patterns (every non-negative
+        /// finite `f64` is reachable) and over the dense range of halves
+        /// and quarters below 2^53, where rounding has work to do.
+        #[test]
+        fn rounding_matches_round(bits in any::<u64>(), m in 0u64..1 << 55, shift in 0u32..4) {
+            let x = f64::from_bits(bits >> 1);
+            if x.is_finite() {
+                prop_assert_eq!(round_to_u64(x), x.round() as u64);
+            }
+            let y = m as f64 / f64::from(1u32 << shift);
+            prop_assert_eq!(round_to_u64(y), y.round() as u64);
+            let s = y * 1e-9;
+            prop_assert_eq!(SimDur::from_secs_f64(s).0, (s * 1.0e9).round() as u64);
+        }
+    }
 
     #[test]
     fn time_arithmetic_round_trips() {
