@@ -4,8 +4,13 @@
 //! span the whole 64-bit clock: every item lands in one wheel slot with
 //! O(1) push, however far ahead it is scheduled (windowed fault ends,
 //! `give_up_after` deadlines, the tail of a deep router backlog). Pops
-//! drain the earliest occupied slot into a sorted batch, so the
-//! steady-state cost per event is O(1) plus a tiny amortized slot sort.
+//! drain the earliest occupied slot into a sorted batch. A slot of at most
+//! 64 items becomes the batch whole, and the batch then covers the slot's
+//! whole range: a push up to the end of that range (the horizon)
+//! binary-inserts into it, and every later push goes to the wheel. A fuller
+//! slot cascades instead: its earliest tick's items become the batch and
+//! later ticks re-enter a lower tier. So the steady-state cost per event is
+//! O(1) plus a small amortized sort.
 //!
 //! The queue's one contract is the simulator's causality: every push is
 //! at or after the time of the last pop (debug builds check it). The
@@ -241,6 +246,12 @@ const BITMAP_WORDS: usize = SLOTS / 64;
 /// calibration run 2–3 % slower); a burst that parked thousands of items
 /// in one slot must not keep that peak allocated for the network's life.
 const SLOT_KEEP: usize = 1024;
+/// Most items a drained slot may hold and still go to the batch whole,
+/// sorted. Below this, a sort of the whole slot is cheaper than placing
+/// its later ticks in a lower tier and draining that slot again; a fuller
+/// slot (a burst, a deep backlog) cascades one tier down instead, so the
+/// batch never grows with the backlog.
+const SLOT_WHOLE: usize = 64;
 
 #[inline]
 fn tick_of(at: SimTime) -> u64 {
@@ -258,6 +269,18 @@ fn first_occupied(words: &[u64; BITMAP_WORDS]) -> Option<usize> {
     None
 }
 
+/// Index into `EventQueue::slots` of every slot the bitmaps mark.
+fn occupied(occ: &[[u64; BITMAP_WORDS]; TIERS]) -> impl Iterator<Item = usize> + '_ {
+    occ.iter().flatten().enumerate().flat_map(|(w, &bits)| {
+        // Each step clears the lowest set bit.
+        std::iter::successors((bits != 0).then_some(bits), |&b| {
+            let rest = b & (b - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |b| w * 64 + b.trailing_zeros() as usize)
+    })
+}
+
 /// Time-ordered queue of internal work items (see the module docs for the
 /// wheel layout and the ordering contract).
 pub(crate) struct EventQueue {
@@ -267,10 +290,16 @@ pub(crate) struct EventQueue {
     /// Per-tier occupancy bitmaps so the next non-empty slot is a few
     /// `trailing_zeros` away instead of a 256-slot scan.
     occ: [[u64; BITMAP_WORDS]; TIERS],
-    /// Tick of the last popped item; advances monotonically.
+    /// Tick of the last popped item; advances monotonically, and only
+    /// inside the range of the slot drained last.
     cur_tick: u64,
-    /// The current tick's items, sorted ascending by `(time, class, seq)`.
-    /// Same-tick pushes during the drain binary-insert here.
+    /// Last tick the batch covers: every pending item at or before it is
+    /// in the batch, every item in the wheel lies beyond it. The cursor's
+    /// own tick after a cascade; the end of the drained slot's range when
+    /// the slot went to the batch whole.
+    horizon: u64,
+    /// Every pending item up to `horizon`, sorted ascending by
+    /// `(time, class, seq)`. Pushes up to `horizon` binary-insert here.
     batch: VecDeque<Entry>,
     len: usize,
     seq: u64,
@@ -288,18 +317,11 @@ impl EventQueue {
     /// `seq` at 0), keeping the slot and batch buffers a drained slot
     /// would keep. Only occupied slots are visited.
     pub(crate) fn clear(&mut self) {
-        for (tier, words) in self.occ.iter().enumerate() {
-            for (w, &bits) in words.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let slot =
-                        &mut self.slots[tier * SLOTS + w * 64 + bits.trailing_zeros() as usize];
-                    slot.clear();
-                    if slot.capacity() > SLOT_KEEP {
-                        *slot = Vec::new();
-                    }
-                    bits &= bits - 1;
-                }
+        for idx in occupied(&self.occ) {
+            let slot = &mut self.slots[idx];
+            slot.clear();
+            if slot.capacity() > SLOT_KEEP {
+                *slot = Vec::new();
             }
         }
         let slots = std::mem::take(&mut self.slots);
@@ -316,6 +338,7 @@ impl EventQueue {
             slots,
             occ: [[0; BITMAP_WORDS]; TIERS],
             cur_tick: 0,
+            horizon: 0,
             batch,
             len: 0,
             seq: 0,
@@ -326,6 +349,11 @@ impl EventQueue {
     /// Items scheduled for the same instant are processed in insertion
     /// order, except that fault events always resolve first (see
     /// [`Work::class`]).
+    ///
+    /// Inlined: as an out-of-line call, `push` read the caller's `Work`
+    /// back with one 16-byte load right after the caller had stored it in
+    /// two halves, a store-forwarding stall on every push.
+    #[inline]
     pub(crate) fn push(&mut self, at: SimTime, work: Work) {
         let seq = self.seq;
         self.seq += 1;
@@ -338,10 +366,11 @@ impl EventQueue {
         self.len += 1;
         let tick = tick_of(at);
         debug_assert!(tick >= self.cur_tick, "push behind the last pop");
-        if tick == self.cur_tick {
-            // The batch stays sorted so same-instant pushes made while the
-            // slot drains (zero-delay timers, fault-plan installs at `now`)
-            // pop in exact (time, class, seq) order.
+        if tick <= self.horizon {
+            // The batch stays sorted so pushes made while it drains
+            // (zero-delay timers, fault-plan installs at `now`, frames
+            // due before the drained slot's range ends) pop in exact
+            // (time, class, seq) order.
             let i = self.batch.partition_point(|x| x.key() < e.key());
             self.batch.insert(i, e);
         } else {
@@ -366,7 +395,8 @@ impl EventQueue {
     }
 
     /// Ensure the batch holds the earliest pending items, if any: drain
-    /// the earliest occupied slot.
+    /// the earliest occupied slot, whole when it holds at most
+    /// [`SLOT_WHOLE`] items, else by cascading its later ticks.
     fn prepare(&mut self) {
         if !self.batch.is_empty() {
             return;
@@ -377,17 +407,27 @@ impl EventQueue {
             return;
         };
         // Every lower tier is empty, so this slot holds the earliest
-        // pending items: move the cursor to their tick (not the slot's
-        // base tick) so they go straight to the batch and only later
-        // ticks re-enter a lower tier. The XOR invariants hold, since
-        // every item here shares the slot's bits from `tier`'s field up.
+        // pending items, and every item here shares the slot's bits from
+        // `tier`'s field up: the cursor may move anywhere in the slot's
+        // range and the XOR invariants hold.
         let idx = tier * SLOTS + slot;
         let mut moved = std::mem::take(&mut self.slots[idx]);
         self.occ[tier][slot >> 6] &= !(1u64 << (slot & 63));
         let first = moved.iter().map(|e| tick_of(e.at)).min();
         self.cur_tick = first.expect("an occupied slot holds an item");
-        for e in moved.drain(..) {
-            self.place(e);
+        if moved.len() <= SLOT_WHOLE {
+            // A small slot is the batch: it covers the slot's range, and
+            // nothing re-enters a lower tier to be drained again.
+            self.horizon = self.cur_tick | ((1u64 << (tier as u32 * SLOT_BITS)) - 1);
+            self.batch.extend(moved.drain(..));
+        } else {
+            // A full one cascades: the cursor moves to its earliest tick,
+            // whose items go straight to the batch, and only later ticks
+            // re-enter a lower tier.
+            self.horizon = self.cur_tick;
+            for e in moved.drain(..) {
+                self.place(e);
+            }
         }
         if moved.capacity() <= SLOT_KEEP {
             self.slots[idx] = moved;
@@ -404,6 +444,7 @@ impl EventQueue {
         self.prepare();
         let e = self.batch.pop_front()?;
         self.len -= 1;
+        self.cur_tick = tick_of(e.at);
         Some((e.at, e.work))
     }
 
@@ -504,6 +545,44 @@ mod tests {
             Work::Timer { slot, .. } => u64::from(*slot),
             _ => panic!("not a timer"),
         }
+    }
+
+    /// Assert the invariants the pop order rests on: the batch is sorted
+    /// and ends at or before the horizon; the horizon ends an aligned
+    /// block that holds the cursor; every wheel item lies beyond the
+    /// horizon, in the slot XOR placement gives it from the cursor; the
+    /// occupancy bitmaps and `len` agree with the slots.
+    fn check(q: &EventQueue) {
+        let keys: Vec<(u64, u64)> = q.batch.iter().map(Entry::key).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "batch out of order");
+        assert!(q.batch.iter().all(|e| tick_of(e.at) <= q.horizon));
+        assert!(
+            (0..TIERS as u32).any(|t| q.cur_tick | ((1u64 << (t * SLOT_BITS)) - 1) == q.horizon),
+            "horizon {} does not end the block of cursor {}",
+            q.horizon,
+            q.cur_tick
+        );
+        // Only marked slots are visited, so an item in an unmarked slot
+        // shows as a `len` mismatch.
+        let mut len = q.batch.len();
+        for idx in occupied(&q.occ) {
+            let (tier, slot) = (idx / SLOTS, idx % SLOTS);
+            let items = &q.slots[idx];
+            assert!(
+                !items.is_empty(),
+                "tier {tier} slot {slot} marked but empty"
+            );
+            for e in items {
+                let tick = tick_of(e.at);
+                assert!(tick > q.horizon, "a wheel item at or before the horizon");
+                let masked = tick ^ q.cur_tick;
+                let t = ((63 - masked.leading_zeros()) / SLOT_BITS) as usize;
+                let s = ((tick >> (t as u32 * SLOT_BITS)) & (SLOTS as u64 - 1)) as usize;
+                assert_eq!((t, s), (tier, slot), "an item placed off its slot");
+            }
+            len += items.len();
+        }
+        assert_eq!(len, q.len);
     }
 
     /// A comparable fingerprint of a popped item for parity tests: the
@@ -677,9 +756,10 @@ mod tests {
 
     #[test]
     fn a_cascaded_slot_sends_its_earliest_tick_straight_to_the_batch() {
-        // Ticks 300, 301 and 400 all sit in tier-1 slot 1 (ticks
-        // 256..512) while the cursor is at tick 0.
         let ns = |tick: u64, off: u64| (tick << TICK_SHIFT) + off;
+
+        // A small slot is the batch. Ticks 300, 301 and 400 all sit in
+        // tier-1 slot 1 (ticks 256..512) while the cursor is at tick 0.
         let mut q = EventQueue::new();
         q.push(SimTime(ns(400, 0)), timer(4));
         q.push(SimTime(ns(301, 9)), timer(3));
@@ -692,11 +772,48 @@ mod tests {
             q.pop().map(|(at, w)| (at.0, token_of(&w))),
             Some((ns(300, 5), 0))
         );
-        // One cascade: the cursor lands on tick 300 itself, whose items
-        // are the sorted batch; only the later ticks went to tier 0.
-        assert_eq!(q.cur_tick, 300);
+        // The whole slot went to the batch, sorted, and it covers the
+        // slot's range: nothing re-entered tier 0.
+        assert_eq!((q.cur_tick, q.horizon), (300, 511));
         let batch: Vec<u64> = q.batch.iter().map(|e| token_of(&e.work)).collect();
-        assert_eq!(batch, vec![2, 1]);
+        assert_eq!(batch, vec![2, 1, 3, 4]);
+        assert_eq!(first_occupied(&q.occ[0]), None);
+        assert_eq!(first_occupied(&q.occ[1]), None);
+        assert!(q.slots[..SLOTS].iter().all(|s| s.capacity() == 0));
+        // A push between the cursor's tick and the horizon binary-inserts;
+        // one past the horizon goes to the wheel.
+        q.push(SimTime(ns(350, 0)), timer(5));
+        q.push(SimTime(ns(512, 0)), timer(6));
+        assert_eq!(q.batch.len(), 5);
+        assert_eq!(first_occupied(&q.occ[1]), Some(2));
+        assert_eq!(
+            drain(&mut q),
+            vec![
+                (ns(300, 700), 2),
+                (ns(300, 700), 1),
+                (ns(301, 9), 3),
+                (ns(350, 0), 5),
+                (ns(400, 0), 4),
+                (ns(512, 0), 6),
+            ]
+        );
+
+        // A slot above the cap cascades: its earliest tick goes straight
+        // to the batch and only later ticks go to tier 0.
+        let n = SLOT_WHOLE as u64 + 1;
+        let mut q = EventQueue::new();
+        for k in (0..n).rev() {
+            q.push(SimTime(ns(300 + k, 0)), timer(k));
+        }
+        q.push(SimTime(ns(300, 1)), timer(n));
+        assert_eq!(first_occupied(&q.occ[1]), Some(1));
+        assert_eq!(
+            q.pop().map(|(at, w)| (at.0, token_of(&w))),
+            Some((ns(300, 0), 0))
+        );
+        assert_eq!((q.cur_tick, q.horizon), (300, 300));
+        let batch: Vec<u64> = q.batch.iter().map(|e| token_of(&e.work)).collect();
+        assert_eq!(batch, vec![n]);
         assert_eq!(first_occupied(&q.occ[1]), None);
         assert_eq!(first_occupied(&q.occ[0]), Some(301 % SLOTS));
         assert_eq!(
@@ -704,15 +821,12 @@ mod tests {
             0,
             "tick 300 skipped tier 0"
         );
-        assert_eq!(
-            drain(&mut q),
-            vec![
-                (ns(300, 700), 2),
-                (ns(300, 700), 1),
-                (ns(301, 9), 3),
-                (ns(400, 0), 4),
-            ]
-        );
+        // A fault pushed at the last pop's instant still pops first.
+        q.push(SimTime(ns(300, 0)), Work::Fault(0));
+        assert!(matches!(q.pop(), Some((at, Work::Fault(0))) if at.0 == ns(300, 0)));
+        let mut expect = vec![(ns(300, 1), n)];
+        expect.extend((1..n).map(|k| (ns(300 + k, 0), k)));
+        assert_eq!(drain(&mut q), expect);
     }
 
     #[test]
@@ -905,6 +1019,110 @@ mod tests {
         );
     }
 
+    /// How a push/pop script spreads its push times.
+    #[derive(Debug, Clone, Copy)]
+    enum Spread {
+        /// Each push lands up to 2^40 ns (≈ 18 min) past the last pop.
+        Free,
+        /// Non-decreasing push times whose gaps spread log-uniformly from
+        /// 0 (ties) to 2^63 ns, saturating at `u64::MAX`: the far-future
+        /// stream a router backlog pushes.
+        Monotone,
+        /// Timers land up to one tier-`t` slot's span (2^bits ns) past the
+        /// last pop, so the next slot of tier `t` collects about half of
+        /// them, past [`SLOT_WHOLE`] in a deep queue, and cascades while
+        /// pushes go on; pushes also fall between the cursor's tick and
+        /// the horizon of a slot drained whole. Faults land at the last
+        /// pop itself, inside the window being drained.
+        Clustered(u32),
+    }
+
+    impl Spread {
+        /// The spread a proptest case's `(mode, tier)` draw names; half
+        /// the cases are clustered.
+        fn of((mode, tier): (u8, u32)) -> Spread {
+            match mode {
+                0 => Spread::Free,
+                1 => Spread::Monotone,
+                _ => Spread::Clustered(TICK_SHIFT + tier * SLOT_BITS),
+            }
+        }
+    }
+
+    /// Run a causal push/pop script on `wheel` and on a new heap oracle,
+    /// failing at the first pop where they disagree, and return the time
+    /// of the last pop. The clock starts at `start` ns. Each step of
+    /// `script` (0–3) pops when it is below `pops`, else pushes the next
+    /// item, so a low `pops` builds a deep queue whose slots cascade while
+    /// pushes go on. Then, if `drain`, the rest of `items` is pushed and
+    /// both queues drain.
+    fn matches_heap(
+        wheel: &mut EventQueue,
+        start: u64,
+        spread: Spread,
+        (items, script, pops): (&[(u64, bool)], &[u8], u8),
+        drain: bool,
+    ) -> u64 {
+        let mut heap = heap_shim::HeapQueue::new();
+        let make = |k: usize, fault: bool| -> Work {
+            if fault {
+                Work::Fault(k as u32)
+            } else {
+                timer(k as u64)
+            }
+        };
+        let (mut last, mut stream) = (start, start);
+        let mut it = items.iter().enumerate();
+        let tail = std::iter::repeat_n(false, if drain { items.len() } else { 0 });
+        check(wheel);
+        for do_pop in script.iter().map(|&step| step < pops).chain(tail) {
+            if do_pop {
+                let a = wheel.pop().map(|(at, w)| fingerprint(at, &w));
+                let b = heap.pop().map(|(at, w)| fingerprint(at, &w));
+                prop_assert_eq!(a, b);
+                if let Some((t, ..)) = a {
+                    last = t;
+                }
+            } else if let Some((k, &(x, fault))) = it.next() {
+                let at = match spread {
+                    Spread::Free => last.saturating_add(x >> 24),
+                    Spread::Monotone => {
+                        stream = stream.saturating_add((x >> 1) >> (x % 64));
+                        stream
+                    }
+                    Spread::Clustered(_) if fault => last,
+                    Spread::Clustered(bits) => last.saturating_add(x >> (64 - bits)),
+                };
+                wheel.push(SimTime(at), make(k, fault));
+                heap.push(SimTime(at), make(k, fault));
+            }
+            check(wheel);
+        }
+        if drain {
+            loop {
+                let a = wheel.pop().map(|(at, w)| fingerprint(at, &w));
+                let b = heap.pop().map(|(at, w)| fingerprint(at, &w));
+                prop_assert_eq!(a, b);
+                check(wheel);
+                match a {
+                    Some((t, ..)) => last = t,
+                    None => break,
+                }
+            }
+        }
+        last
+    }
+
+    /// A script's clock origin: 0, 2^41 ns short of `u64::MAX`, or
+    /// `anywhere`, so scripts reach every tier from a cursor at 0.
+    fn origin((which, anywhere): (u8, u64)) -> u64 {
+        match which {
+            0 => 0,
+            1 => u64::MAX - (1 << 41),
+            _ => anywhere,
+        }
+    }
+
     proptest! {
         /// The wheel pops causal push/pop scripts in exactly the order the
         /// retired heap did — the determinism contract every
@@ -912,61 +1130,39 @@ mod tests {
         /// the last popped time, as in the simulator.
         #[test]
         fn wheel_matches_heap_pop_order(
-            items in prop::collection::vec((any::<u64>(), any::<bool>()), 1..300),
-            interleave in prop::collection::vec(any::<bool>(), 0..300),
-            monotone in any::<bool>(),
-            high in any::<bool>(),
+            items in prop::collection::vec((any::<u64>(), any::<bool>()), 1..600),
+            script in prop::collection::vec(0u8..4, 0..600),
+            pops in 1u8..3,
+            spread in (0u8..4, 0u32..4),
+            start in (0u8..3, any::<u64>()),
         ) {
-            // Free mode: each push lands up to 2^40 ns (≈ 18 min) past the
-            // last pop. Monotone mode: non-decreasing push times whose gaps
-            // spread log-uniformly from 0 (ties) to 2^63 ns, saturating at
-            // u64::MAX — the far-future stream a router backlog pushes.
-            // `high` starts the clock 2^41 ns short of u64::MAX.
-            let mut last = if high { u64::MAX - (1 << 41) } else { 0 };
-            let mut stream = last;
-            let mut next_at = |x: u64, last: u64| {
-                if monotone {
-                    stream = stream.saturating_add((x >> 1) >> (x % 64));
-                    stream
-                } else {
-                    last.saturating_add(x >> 24)
-                }
-            };
+            let (start, spread) = (origin(start), Spread::of(spread));
             let mut wheel = EventQueue::new();
-            let mut heap = heap_shim::HeapQueue::new();
-            let make = |k: u64, fault: bool| -> Work {
-                if fault {
-                    Work::Fault(k as u32)
-                } else {
-                    timer(k)
-                }
-            };
-            let mut it = items.iter().enumerate();
-            // Interleave pushes and pops per the boolean script, then
-            // push the rest and drain; both structures must agree at every
-            // step.
-            for do_pop in interleave.iter().copied().chain(std::iter::repeat(false)) {
-                if do_pop {
-                    let a = wheel.pop().map(|(at, w)| fingerprint(at, &w));
-                    let b = heap.pop().map(|(at, w)| fingerprint(at, &w));
-                    prop_assert_eq!(a, b);
-                    if let Some((t, ..)) = a {
-                        last = t;
-                    }
-                } else if let Some((k, &(x, fault))) = it.next() {
-                    let t = SimTime(next_at(x, last));
-                    wheel.push(t, make(k as u64, fault));
-                    heap.push(t, make(k as u64, fault));
-                } else {
-                    break;
-                }
-            }
-            loop {
-                let a = wheel.pop().map(|(at, w)| fingerprint(at, &w));
-                let b = heap.pop().map(|(at, w)| fingerprint(at, &w));
-                prop_assert_eq!(a, b);
-                if a.is_none() { break; }
-            }
+            matches_heap(&mut wheel, start, spread, (&items, &script, pops), true);
+        }
+
+        /// A cleared queue pops like a new one, whatever ran before the
+        /// clear and wherever it stopped: the queue's half of
+        /// `Network::reset`. The second script starts at the first one's
+        /// last pop, so its pushes straddle the cursor and the horizon the
+        /// first one left behind.
+        #[test]
+        fn reset_queue_matches_heap_pop_order(
+            items in prop::collection::vec((any::<u64>(), any::<bool>()), 1..300),
+            script in prop::collection::vec(0u8..4, 0..300),
+            items2 in prop::collection::vec((any::<u64>(), any::<bool>()), 1..300),
+            script2 in prop::collection::vec(0u8..4, 0..300),
+            pops in (1u8..3, 1u8..3, any::<bool>()),
+            spread in (0u8..4, 0u32..4),
+            start in (0u8..3, any::<u64>()),
+        ) {
+            let (start, spread) = (origin(start), Spread::of(spread));
+            let (pops, pops2, drain_first) = pops;
+            let mut wheel = EventQueue::new();
+            let first = (&items[..], &script[..], pops);
+            let last = matches_heap(&mut wheel, start, spread, first, drain_first);
+            wheel.clear();
+            matches_heap(&mut wheel, last, spread, (&items2, &script2, pops2), true);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! irrelevant. This is the multiply-rotate construction popularized by
 //! rustc's FxHash.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-rotate hasher over machine words.
@@ -70,9 +70,6 @@ impl Hasher for FastHasher {
 /// `HashMap` with the fast hasher.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// `HashSet` with the fast hasher.
-pub type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,11 +82,6 @@ mod tests {
         }
         assert_eq!(m.len(), 1000);
         assert_eq!(m.get(&500), Some(&1000));
-
-        let mut s: FastSet<(u32, u32)> = FastSet::default();
-        assert!(s.insert((1, 2)));
-        assert!(!s.insert((1, 2)));
-        assert!(s.contains(&(1, 2)));
     }
 
     #[test]

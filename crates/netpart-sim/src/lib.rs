@@ -70,7 +70,7 @@ pub use datagram::{Datagram, FRAME_OVERHEAD_BYTES, MAX_DATAGRAM_PAYLOAD};
 pub use error::SimError;
 pub use event::{DropReason, SimEvent};
 pub use fabric::{Fabric, FabricCluster, Wiring};
-pub use fasthash::{FastHasher, FastMap, FastSet};
+pub use fasthash::{FastHasher, FastMap};
 pub use fault::{FaultBounds, FaultEvent, FaultKind, FaultPlan};
 pub use ids::{DgramId, NodeId, ProcTypeId, RouterId, SegmentId, TimerId};
 pub use network::{BackgroundFlow, Network, NetworkBuilder};

@@ -45,7 +45,7 @@ use crate::node::{Node, OpClass, ProcType};
 use crate::router::{Router, RouterSpec, RouterStats};
 use crate::segment::{Segment, SegmentSpec, SegmentStats};
 use crate::slab::{DgramHandle, DgramSlab};
-use crate::time::{SimDur, SimTime};
+use crate::time::{SimDur, SimTime, SizeMemo};
 
 /// Builder for a [`Network`]. For the standard shapes (star, tree,
 /// fat-tree, dumbbell) prefer generating a validated
@@ -167,6 +167,7 @@ impl NetworkBuilder {
         let routes =
             crate::fabric::compute_routes(self.segments.len(), &self.routers, SimTime::ZERO);
         Ok(Network {
+            host: vec![HostCost::EMPTY; self.proc_types.len()],
             proc_types: self.proc_types,
             routes,
             seed: self.seed,
@@ -211,6 +212,8 @@ pub struct BackgroundFlow {
 /// just-built state while keeping the allocations it has grown.
 pub struct Network {
     proc_types: Vec<ProcType>,
+    /// Each processor type's per-datagram host costs, by size.
+    host: Vec<HostCost>,
     /// Dense next-hop table, `src_seg × dst_seg` → (router, egress
     /// segment), precomputed at build time by
     /// [`crate::fabric::compute_routes`]. This is the *static* table over
@@ -273,6 +276,39 @@ impl RunState {
             dropped: 0,
             events_processed: 0,
         }
+    }
+}
+
+/// A processor type's host cost per datagram on the send and the receive
+/// path, `overhead + wire_len × sec_per_byte`, served from a [`SizeMemo`]
+/// each: every frame pays one on each end.
+#[derive(Clone, Copy)]
+struct HostCost {
+    send: SizeMemo,
+    recv: SizeMemo,
+}
+
+impl HostCost {
+    const EMPTY: HostCost = HostCost {
+        send: SizeMemo::EMPTY,
+        recv: SizeMemo::EMPTY,
+    };
+
+    /// Host time `pt` spends handing a `wire_len`-byte datagram to the
+    /// network.
+    #[inline]
+    fn send(&mut self, pt: &ProcType, wire_len: u32) -> SimDur {
+        self.send.get(wire_len, |b| {
+            pt.send_overhead + SimDur::from_secs_f64(b as f64 * pt.send_sec_per_byte)
+        })
+    }
+
+    /// Host time `pt` spends accepting a `wire_len`-byte datagram.
+    #[inline]
+    fn recv(&mut self, pt: &ProcType, wire_len: u32) -> SimDur {
+        self.recv.get(wire_len, |b| {
+            pt.recv_overhead + SimDur::from_secs_f64(b as f64 * pt.recv_sec_per_byte)
+        })
     }
 }
 
@@ -372,6 +408,7 @@ impl Network {
         // until it is reset here too.
         let Network {
             proc_types: _,
+            host,
             routes: _,
             seed,
             segments,
@@ -393,6 +430,7 @@ impl Network {
         for r in routers {
             r.reset();
         }
+        host.fill(HostCost::EMPTY);
         queue.clear();
         slab.clear();
         timers.clear();
@@ -724,8 +762,8 @@ impl Network {
         };
 
         // Sender host processing: serialized on the node's protocol stack.
-        let pt = &self.proc_types[self.nodes[src.index()].proc_type.index()];
-        let host = pt.send_overhead + SimDur::from_secs_f64(wire_len as f64 * pt.send_sec_per_byte);
+        let pt = self.nodes[src.index()].proc_type.index();
+        let host = self.host[pt].send(&self.proc_types[pt], wire_len);
         let start = self.run.now.max(self.nodes[src.index()].net_free_at);
         let done = start + host;
         self.nodes[src.index()].net_free_at = done;
@@ -1053,12 +1091,13 @@ impl Network {
             seg.busy = false;
             return;
         };
-        // Access delay: inter-frame gap plus contention that grows with the
-        // number of stations still waiting — the linear-in-p load the
-        // paper's cost model assumes.
+        // Access delay: the inter-frame gap plus one contention penalty
+        // per frame still queued. A bulk-synchronous exchange queues all p
+        // ranks' frames at once, so this law makes it quadratic in p, not
+        // linear as the paper's cost model assumes (ROADMAP item 1).
         let access = seg.access_delay();
         let frame_bytes = self.slab.get(dgram).frame_bytes();
-        let tx = seg.spec.tx_time(frame_bytes);
+        let tx = seg.tx_time(frame_bytes);
         seg.busy = true;
         seg.busy_time += tx;
         seg.frames_sent += 1;
@@ -1105,9 +1144,8 @@ impl Network {
                 return self.drop_frame(dgram, DropReason::NodeDown);
             }
             // Final hop: receiver host processing, then delivery.
-            let pt = &self.proc_types[self.nodes[dst.index()].proc_type.index()];
-            let host =
-                pt.recv_overhead + SimDur::from_secs_f64(wire_len as f64 * pt.recv_sec_per_byte);
+            let pt = self.nodes[dst.index()].proc_type.index();
+            let host = self.host[pt].recv(&self.proc_types[pt], wire_len);
             let start = self.run.now.max(self.nodes[dst.index()].net_free_at);
             let done = start + host;
             self.nodes[dst.index()].net_free_at = done;
@@ -1133,7 +1171,7 @@ impl Network {
                 r.frames_dropped += 1;
                 return self.drop_frame(dgram, DropReason::RouterOverflow);
             }
-            let fwd = r.spec.forward_time(wire_len);
+            let fwd = r.forward_time(wire_len);
             let start = self.run.now.max(r.free_at);
             let mut done = start + fwd;
             r.free_at = done;
@@ -1168,6 +1206,50 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every per-frame duration the network serves from a memo equals the
+    /// formula it stands for, at every datagram size and frame size, on
+    /// every preset. Each size is fed between others, so every memo entry
+    /// is hit and every entry is overwritten by a miss.
+    #[test]
+    fn served_durations_equal_their_formulas_at_every_size() {
+        let order = |max: u32| -> Vec<u32> {
+            (0..=max)
+                .flat_map(|i| [i, max - i, i, (i * 7) % (max + 1), max - i, i])
+                .collect()
+        };
+        let payload = MAX_DATAGRAM_PAYLOAD as u32;
+        let procs = [
+            ProcType::sparcstation_2(),
+            ProcType::sun4_ipc(),
+            ProcType::rs6000(),
+            ProcType::hp9000(),
+        ];
+        for pt in procs {
+            let mut host = HostCost::EMPTY;
+            for w in order(payload) {
+                let send =
+                    pt.send_overhead + SimDur::from_secs_f64(w as f64 * pt.send_sec_per_byte);
+                let recv =
+                    pt.recv_overhead + SimDur::from_secs_f64(w as f64 * pt.recv_sec_per_byte);
+                assert_eq!(host.send(&pt, w), send, "{} send, {w} bytes", pt.name);
+                assert_eq!(host.recv(&pt, w), recv, "{} receive, {w} bytes", pt.name);
+            }
+        }
+        for spec in [SegmentSpec::ethernet_10mbps(), SegmentSpec::fddi_100mbps()] {
+            let mut seg = Segment::new(spec.clone());
+            for f in order(payload + crate::datagram::FRAME_OVERHEAD_BYTES) {
+                let tx = SimDur::from_secs_f64(f as f64 * 8.0 / spec.bandwidth_bps);
+                assert_eq!(seg.tx_time(f), tx, "{f}-byte frame");
+            }
+        }
+        let spec = RouterSpec::paper_router(vec![SegmentId(0), SegmentId(1)]);
+        let mut r = Router::new(spec.clone());
+        for w in order(payload) {
+            let fwd = spec.per_frame + SimDur::from_secs_f64(w as f64 * spec.per_byte_sec);
+            assert_eq!(r.forward_time(w), fwd, "{w} bytes forwarded");
+        }
+    }
 
     /// The queue carries a fault's magnitudes exactly as the plan wrote
     /// them; the clamps [`FaultKind`] documents are applied when the fault

@@ -13,7 +13,7 @@
 //! like any other station's frame.
 
 use crate::ids::SegmentId;
-use crate::time::{SimDur, SimTime};
+use crate::time::{SimDur, SimTime, SizeMemo};
 
 /// Static description of a router.
 #[derive(Debug, Clone)]
@@ -96,6 +96,8 @@ pub(crate) struct Router {
     /// `spec.segments`. Only consulted when `spec.port_bandwidth_bps` is
     /// set; stays all-zero (and allocation-free per forward) otherwise.
     pub(crate) port_free_at: Vec<SimTime>,
+    /// [`RouterSpec::forward_time`] of the payload sizes seen last.
+    fwd_memo: SizeMemo,
 }
 
 impl Router {
@@ -131,7 +133,16 @@ impl Router {
             down_until: SimTime::ZERO,
             port_down_until: Vec::new(),
             port_free_at,
+            fwd_memo: SizeMemo::EMPTY,
         }
+    }
+
+    /// [`RouterSpec::forward_time`] of a frame carrying `payload_bytes`,
+    /// bit for bit, without the `f64` rounding when the size repeats.
+    #[inline]
+    pub(crate) fn forward_time(&mut self, payload_bytes: u32) -> SimDur {
+        let spec = &self.spec;
+        self.fwd_memo.get(payload_bytes, |b| spec.forward_time(b))
     }
 
     /// Whether the router as a whole is inside an outage window at `now`.

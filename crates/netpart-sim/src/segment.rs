@@ -23,7 +23,7 @@
 use std::collections::VecDeque;
 
 use crate::slab::DgramHandle;
-use crate::time::{SimDur, SimTime};
+use crate::time::{SimDur, SimTime, SizeMemo};
 
 /// Static description of a segment.
 #[derive(Debug, Clone)]
@@ -106,6 +106,8 @@ pub(crate) struct Segment {
     pub(crate) corrupt_prob: f64,
     /// End of the current corruption-burst window (exclusive).
     pub(crate) corrupt_until: SimTime,
+    /// [`SegmentSpec::tx_time`] of the frame sizes seen last.
+    tx_memo: SizeMemo,
 }
 
 impl Segment {
@@ -138,7 +140,16 @@ impl Segment {
             burst_until: SimTime::ZERO,
             corrupt_prob: 0.0,
             corrupt_until: SimTime::ZERO,
+            tx_memo: SizeMemo::EMPTY,
         }
+    }
+
+    /// [`SegmentSpec::tx_time`] of a `bytes`-byte frame, bit for bit,
+    /// without the division when the size repeats.
+    #[inline]
+    pub(crate) fn tx_time(&mut self, bytes: u32) -> SimDur {
+        let spec = &self.spec;
+        self.tx_memo.get(bytes, |b| spec.tx_time(b))
     }
 
     /// The channel-loss probability in effect at `now`: `loss`,

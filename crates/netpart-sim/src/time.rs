@@ -136,6 +136,53 @@ fn round_to_u64(x: f64) -> u64 {
     i + u64::from(x - i as f64 >= 0.5)
 }
 
+/// A duration that depends only on a frame's size, served from the last
+/// [`MEMO_SIZES`] sizes it computed. The simulator charges a per-byte host
+/// or wire time on every frame, through `f64` arithmetic and
+/// [`SimDur::from_secs_f64`]'s rounding, and a run sends few distinct
+/// sizes: a flood repeats one, a fragment train cycles through full
+/// fragments, its last fragment and acks. A hit returns the value the
+/// formula returned for that size, so a served duration is bit-identical
+/// to a computed one by construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SizeMemo {
+    /// The sizes computed last; `u64::MAX` (no `u32` size) marks an empty
+    /// entry.
+    sizes: [u64; MEMO_SIZES],
+    durs: [SimDur; MEMO_SIZES],
+    /// The entry the next miss overwrites, the oldest.
+    next: usize,
+}
+
+/// Sizes a [`SizeMemo`] holds. A `calib256` grid point cycles through
+/// three per segment, router and processor type; with two entries a
+/// quarter of the lookups missed.
+const MEMO_SIZES: usize = 4;
+
+impl SizeMemo {
+    /// A memo that has computed nothing yet.
+    pub(crate) const EMPTY: SizeMemo = SizeMemo {
+        sizes: [u64::MAX; MEMO_SIZES],
+        durs: [SimDur::ZERO; MEMO_SIZES],
+        next: 0,
+    };
+
+    /// `formula(size)`, computed only when `size` is not among the sizes
+    /// held.
+    #[inline]
+    pub(crate) fn get(&mut self, size: u32, formula: impl FnOnce(u32) -> SimDur) -> SimDur {
+        let key = u64::from(size);
+        if let Some(i) = self.sizes.iter().position(|&s| s == key) {
+            return self.durs[i];
+        }
+        let d = formula(size);
+        self.sizes[self.next] = key;
+        self.durs[self.next] = d;
+        self.next = (self.next + 1) % MEMO_SIZES;
+        d
+    }
+}
+
 impl Add<SimDur> for SimTime {
     type Output = SimTime;
     #[inline]
