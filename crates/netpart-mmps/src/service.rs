@@ -394,7 +394,6 @@ impl Mmps {
             src,
             dst,
             pack_tag(WireKind::Data, MsgId(msg), i),
-            Bytes::new(),
             (e - s) + self.cfg.header_bytes,
         )?;
         Ok(())
@@ -407,7 +406,6 @@ impl Mmps {
             from,
             to,
             pack_tag(WireKind::Ack, MsgId(msg), 0),
-            Bytes::new(),
             self.cfg.ack_bytes,
         );
     }

@@ -1,13 +1,13 @@
 //! Datagrams: the unreliable unit of transport the network moves around.
 //!
-//! A datagram models one UDP packet. The simulator never inspects the
-//! payload; it only needs the wire length for timing. Reliability,
-//! fragmentation of larger messages, and retransmission belong to the MMPS
-//! layer built on top (`netpart-mmps`).
+//! A datagram models one UDP packet by its size alone: the simulator times
+//! every frame by its wire length and carries no payload bytes. Data the
+//! application moves travels in the layer above (MMPS hands the receiver
+//! the sender's buffer once its last fragment lands). Reliability,
+//! fragmentation of larger messages, and retransmission belong to that
+//! layer too (`netpart-mmps`).
 
-use bytes::Bytes;
-
-use crate::ids::{DgramId, NodeId};
+use crate::ids::NodeId;
 
 /// Maximum datagram payload the simulated network accepts, matching a
 /// classic ethernet MTU of 1500 bytes minus 20 (IP) + 8 (UDP) header bytes.
@@ -17,11 +17,10 @@ pub const MAX_DATAGRAM_PAYLOAD: usize = 1472;
 /// (8), IP header (20), UDP header (8).
 pub const FRAME_OVERHEAD_BYTES: u32 = 54;
 
-/// One UDP-like packet in flight.
+/// One UDP-like packet in flight: 24 bytes, and so is the slab slot
+/// `Option<Datagram>` (the `bool` lends its niche).
 #[derive(Debug, Clone)]
 pub struct Datagram {
-    /// Unique id assigned at send time.
-    pub id: DgramId,
     /// Sending node.
     pub src: NodeId,
     /// Destination node.
@@ -30,12 +29,10 @@ pub struct Datagram {
     /// fragment numbers in here via its own header, so the simulator treats
     /// it as opaque).
     pub tag: u64,
-    /// Payload bytes. May be empty when only timing matters (calibration
-    /// runs send dummy payloads); `wire_len` then still charges the channel.
-    pub payload: Bytes,
-    /// Number of payload bytes charged to the channel. Usually
-    /// `payload.len()`, but calibration programs may time a b-byte packet
-    /// without materializing b bytes.
+    /// Payload bytes charged to the channel: the length of the payload
+    /// given to [`send_datagram`](crate::network::Network::send_datagram),
+    /// or the size given to
+    /// [`send_datagram_sized`](crate::network::Network::send_datagram_sized).
     pub wire_len: u32,
     /// Set when a corruption fault flipped bits in flight. The frame still
     /// occupies the channel and is delivered, but any receiver that
@@ -61,11 +58,9 @@ mod tests {
     #[test]
     fn frame_bytes_includes_overhead() {
         let d = Datagram {
-            id: DgramId(0),
             src: NodeId(0),
             dst: NodeId(1),
             tag: 0,
-            payload: Bytes::from_static(b"hello"),
             wire_len: 5,
             corrupted: false,
         };

@@ -37,7 +37,7 @@
 use std::collections::VecDeque;
 
 use crate::datagram::Datagram;
-use crate::ids::{DgramId, NodeId, RouterId, SegmentId, TimerId};
+use crate::ids::{NodeId, RouterId, SegmentId, TimerId};
 use crate::slab::DgramHandle;
 use crate::time::SimTime;
 
@@ -62,8 +62,6 @@ pub enum SimEvent {
     DatagramDropped {
         /// Drop time.
         at: SimTime,
-        /// Id of the lost packet.
-        id: DgramId,
         /// Original sender.
         src: NodeId,
         /// Intended destination.
@@ -132,8 +130,7 @@ pub enum DropReason {
 ///
 /// In-flight datagrams are interned in the network's
 /// [`DgramSlab`](crate::slab::DgramSlab); work items carry the pooled
-/// handle, not the packet, so queue entries stay small and moving one
-/// never touches payload bytes.
+/// handle, not the packet, so queue entries stay small.
 #[derive(Debug)]
 pub(crate) enum Work {
     /// Sender-side host processing finished; frame joins its segment queue.
@@ -617,6 +614,31 @@ mod tests {
             std::mem::size_of::<Entry>() <= 32,
             "Entry grew to {} bytes",
             std::mem::size_of::<Entry>()
+        );
+    }
+
+    /// An in-flight frame is its size: addresses, tag, wire length and
+    /// the corruption flag, with no payload bytes or id. The datagram
+    /// slab holds one `Option<Datagram>` per standing frame (200,000 on
+    /// the benchmark's flood), so the slot must stay 24 bytes as well.
+    #[test]
+    fn a_datagram_and_its_slab_slot_fit_in_24_bytes() {
+        for (what, size) in [
+            ("Datagram", std::mem::size_of::<Datagram>()),
+            ("Option<Datagram>", std::mem::size_of::<Option<Datagram>>()),
+        ] {
+            assert!(size <= 24, "{what} grew to {size} bytes");
+        }
+    }
+
+    /// Every event `next_event` returns moves through the caller's loop;
+    /// a delivery carries its 24-byte datagram and its time.
+    #[test]
+    fn a_sim_event_fits_in_40_bytes() {
+        assert!(
+            std::mem::size_of::<SimEvent>() <= 40,
+            "SimEvent grew to {} bytes",
+            std::mem::size_of::<SimEvent>()
         );
     }
 

@@ -3,8 +3,7 @@
 //! The entity identifiers are small dense indices handed out by the
 //! [`NetworkBuilder`](crate::network::NetworkBuilder) in creation order, so
 //! they can be used to index the corresponding entity tables directly.
-//! [`DgramId`] counts the datagrams a run sent, and [`TimerId`] is an
-//! opaque handle (see its docs).
+//! [`TimerId`] is an opaque handle (see its docs).
 
 use std::fmt;
 
@@ -61,12 +60,6 @@ id_type!(
     u16
 );
 id_type!(
-    /// A datagram in flight.
-    DgramId,
-    "dg",
-    u64
-);
-id_type!(
     /// A timer set with
     /// [`Network::set_timer`](crate::network::Network::set_timer): an
     /// opaque handle, `generation << 32 | row`, naming a row of the
@@ -89,7 +82,7 @@ mod tests {
     fn debug_formatting_uses_prefixes() {
         assert_eq!(format!("{:?}", NodeId(3)), "n3");
         assert_eq!(format!("{}", SegmentId(1)), "seg1");
-        assert_eq!(format!("{:?}", DgramId(42)), "dg42");
+        assert_eq!(format!("{:?}", TimerId(42)), "tm42");
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! partitioning method depends on:
 //!
 //! * **Per-segment serialization** — all frames on a segment share one
-//!   channel, so per-cycle communication cost is linear in the number of
-//!   communicating processors (the form of the paper's cost functions).
+//!   channel, and each access pays a penalty per frame already queued on
+//!   it, so a bulk-synchronous exchange among `p` processors costs
+//!   O(p²) per cycle rather than the paper's linear law (see
+//!   [`segment`] and ROADMAP item 1).
 //! * **Router as an extra station** — cross-segment frames pay a per-byte
 //!   forwarding penalty and contend on every segment they cross. Frames
 //!   follow a precomputed shortest-path routing table hop by hop, so
@@ -43,6 +45,8 @@
 //!     Some(SimEvent::DatagramDelivered { dgram, at }) => {
 //!         assert_eq!(dgram.dst, c);
 //!         assert_eq!(dgram.tag, 0xBEEF);
+//!         // A frame is its size: the bytes are charged, not carried.
+//!         assert_eq!(dgram.wire_len, 10);
 //!         assert!(at.as_millis_f64() > 0.0);
 //!     }
 //!     other => panic!("expected delivery, got {other:?}"),
@@ -72,7 +76,7 @@ pub use event::{DropReason, SimEvent};
 pub use fabric::{Fabric, FabricCluster, Wiring};
 pub use fasthash::{FastHasher, FastMap};
 pub use fault::{FaultBounds, FaultEvent, FaultKind, FaultPlan};
-pub use ids::{DgramId, NodeId, ProcTypeId, RouterId, SegmentId, TimerId};
+pub use ids::{NodeId, ProcTypeId, RouterId, SegmentId, TimerId};
 pub use network::{BackgroundFlow, Network, NetworkBuilder};
 pub use node::{Node, OpClass, ProcType};
 pub use router::{RouterSpec, RouterStats};

@@ -40,7 +40,7 @@ use crate::datagram::{Datagram, MAX_DATAGRAM_PAYLOAD};
 use crate::error::SimError;
 use crate::event::{DropReason, EventQueue, SimEvent, Work};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::ids::{DgramId, NodeId, ProcTypeId, RouterId, SegmentId, TimerId};
+use crate::ids::{NodeId, ProcTypeId, RouterId, SegmentId, TimerId};
 use crate::node::{Node, OpClass, ProcType};
 use crate::router::{Router, RouterSpec, RouterStats};
 use crate::segment::{Segment, SegmentSpec, SegmentStats};
@@ -225,7 +225,7 @@ pub struct Network {
     nodes: Vec<Node>,
     routers: Vec<Router>,
     queue: EventQueue,
-    /// In-flight datagrams; work items carry slab handles, not payloads.
+    /// In-flight datagrams; work items carry slab handles.
     slab: DgramSlab,
     /// Timers set but not yet fired or cancelled, one row each; queue
     /// items name their row.
@@ -253,7 +253,6 @@ struct RunState {
     /// the byte-parity suites pin this).
     route_recomputes: u64,
     now: SimTime,
-    next_dgram: u64,
     /// Cancelled timers whose queue entries have not popped yet; keeps
     /// [`pending_work`](Network::pending_work) honest.
     cancelled_unpopped: usize,
@@ -269,7 +268,6 @@ impl RunState {
             live_routes: None,
             route_recomputes: 0,
             now: SimTime::ZERO,
-            next_dgram: 0,
             cancelled_unpopped: 0,
             rng: SmallRng::seed_from_u64(seed),
             delivered: 0,
@@ -678,37 +676,41 @@ impl Network {
 
     // ---- submitting work -------------------------------------------------
 
-    /// Send one datagram from `src` to `dst`. The payload must fit in a
-    /// single MTU ([`MAX_DATAGRAM_PAYLOAD`]); larger messages must be
-    /// fragmented by the caller (that is the MMPS layer's job).
+    /// Send one datagram of `payload.len()` bytes from `src` to `dst`.
+    /// Only the length is charged: the bytes are dropped here, and the
+    /// delivered [`Datagram`] carries its size, not its content. The
+    /// payload must fit in a single MTU ([`MAX_DATAGRAM_PAYLOAD`]); larger
+    /// messages must be fragmented by the caller (that is the MMPS
+    /// layer's job).
     ///
     /// Timing charged: sender host processing (serialized per node), then
     /// per wire hop a channel access + transmission, with a router
     /// store-and-forward between consecutive hops (zero routers same
     /// segment, one for the paper's star, more across hierarchical
-    /// fabrics), then receiver host processing. Returns the datagram id.
+    /// fabrics), then receiver host processing.
     pub fn send_datagram(
         &mut self,
         src: NodeId,
         dst: NodeId,
         tag: u64,
         payload: Bytes,
-    ) -> Result<DgramId, SimError> {
-        let wire_len = payload.len() as u32;
-        self.send_datagram_sized(src, dst, tag, payload, wire_len)
+    ) -> Result<(), SimError> {
+        // Saturate rather than wrap, so an oversized payload fails the MTU
+        // check instead of passing as its length modulo 2^32.
+        let wire_len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+        self.send_datagram_sized(src, dst, tag, wire_len)
     }
 
-    /// Like [`send_datagram`](Network::send_datagram) but with an explicit
-    /// wire length, so calibration programs can time b-byte packets without
-    /// materializing b bytes.
+    /// Like [`send_datagram`](Network::send_datagram) but with the wire
+    /// length given directly, so callers time a `wire_len`-byte packet
+    /// without materializing its bytes.
     pub fn send_datagram_sized(
         &mut self,
         src: NodeId,
         dst: NodeId,
         tag: u64,
-        payload: Bytes,
         wire_len: u32,
-    ) -> Result<DgramId, SimError> {
+    ) -> Result<(), SimError> {
         if src.index() >= self.nodes.len() {
             return Err(SimError::UnknownNode(src));
         }
@@ -741,22 +743,17 @@ impl Network {
             });
         }
 
-        let id = DgramId(self.run.next_dgram);
-        self.run.next_dgram += 1;
-
         // A crashed host's protocol stack is dead: the send is silently
         // swallowed (no frame, no error — fail-stop gives no feedback).
         if self.nodes[src.index()].crashed {
             self.run.dropped += 1;
-            return Ok(id);
+            return Ok(());
         }
 
         let dgram = Datagram {
-            id,
             src,
             dst,
             tag,
-            payload,
             wire_len,
             corrupted: false,
         };
@@ -769,7 +766,7 @@ impl Network {
         self.nodes[src.index()].net_free_at = done;
         let dgram = self.slab.insert(dgram);
         self.queue.push(done, Work::FrameReady { dgram });
-        Ok(id)
+        Ok(())
     }
 
     /// Start a compute block of `ops` operations of class `class` on
@@ -870,7 +867,6 @@ impl Network {
                     self.run.dropped += 1;
                     return Some(SimEvent::DatagramDropped {
                         at: self.run.now,
-                        id: d.id,
                         src: d.src,
                         dst: d.dst,
                         reason: DropReason::NodeDown,
@@ -919,7 +915,6 @@ impl Network {
                     self.run.dropped += 1;
                     return Some(SimEvent::DatagramDropped {
                         at: self.run.now,
-                        id: dgram.id,
                         src: dgram.src,
                         dst: dgram.dst,
                         reason: DropReason::NodeDown,
@@ -970,7 +965,7 @@ impl Network {
                     return None;
                 }
                 // Best effort: background traffic never fails the run.
-                let _ = self.send_datagram_sized(src, dst, 0, Bytes::new(), bytes);
+                let _ = self.send_datagram_sized(src, dst, 0, bytes);
                 self.queue
                     .push(self.run.now + period, Work::BackgroundSend { flow });
                 None
@@ -1066,7 +1061,6 @@ impl Network {
         self.run.dropped += 1;
         Some(SimEvent::DatagramDropped {
             at: self.run.now,
-            id: d.id,
             src: d.src,
             dst: d.dst,
             reason,

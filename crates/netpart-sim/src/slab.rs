@@ -1,8 +1,8 @@
 //! A free-list slab interning in-flight [`Datagram`]s.
 //!
 //! Work items in the event queue carry a 4-byte [`DgramHandle`] instead of
-//! the full `Datagram` (id, addresses, tag, `Bytes` payload, flags — ~64
-//! bytes plus an `Arc` bump per move). The packet is inserted once on
+//! the 24-byte `Datagram` (addresses, tag, wire length, corruption flag;
+//! a slot `Option<Datagram>` is 24 bytes too). The packet is inserted once on
 //! send, looked up by the frame pipeline, and taken back out exactly once
 //! on delivery or drop; the vacated slot is recycled, so a steady-state
 //! cycle loop reuses the same few slots forever and the queue shuffles
@@ -84,16 +84,13 @@ impl DgramSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{DgramId, NodeId};
-    use bytes::Bytes;
+    use crate::ids::NodeId;
 
-    fn dg(id: u64) -> Datagram {
+    fn dg(tag: u64) -> Datagram {
         Datagram {
-            id: DgramId(id),
             src: NodeId(0),
             dst: NodeId(1),
-            tag: 7,
-            payload: Bytes::new(),
+            tag,
             wire_len: 100,
             corrupted: false,
         }
@@ -105,15 +102,15 @@ mod tests {
         let a = s.insert(dg(1));
         let b = s.insert(dg(2));
         assert_eq!(s.live(), 2);
-        assert_eq!(s.get(a).id, DgramId(1));
+        assert_eq!(s.get(a).tag, 1);
         let out = s.take(a);
-        assert_eq!(out.id, DgramId(1));
+        assert_eq!(out.tag, 1);
         assert_eq!(s.live(), 1);
         // The vacated slot is reused; no growth.
         let c = s.insert(dg(3));
         assert_eq!(c, a);
-        assert_eq!(s.get(c).id, DgramId(3));
-        assert_eq!(s.get(b).id, DgramId(2));
+        assert_eq!(s.get(c).tag, 3);
+        assert_eq!(s.get(b).tag, 2);
         assert_eq!(s.live(), 2);
         s.get_mut(b).corrupted = true;
         assert!(s.take(b).corrupted);

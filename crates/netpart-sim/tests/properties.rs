@@ -4,9 +4,12 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use netpart_sim::{NetworkBuilder, NodeId, ProcType, SegmentSpec, SimEvent};
+use netpart_sim::{
+    FaultPlan, Network, NetworkBuilder, NodeId, ProcType, RouterSpec, SegmentId, SegmentSpec,
+    SimDur, SimEvent, SimTime,
+};
 
-fn build(p: usize, loss: f64, seed: u64) -> (netpart_sim::Network, Vec<NodeId>) {
+fn build(p: usize, loss: f64, seed: u64) -> (Network, Vec<NodeId>) {
     let mut b = NetworkBuilder::new(seed);
     let pt = b.add_proc_type(ProcType::sparcstation_2());
     let seg = b.add_segment(SegmentSpec {
@@ -46,6 +49,72 @@ fn trace(pattern: &[(usize, usize, u16)], p: usize, loss: f64, seed: u64) -> Vec
     out
 }
 
+/// Two segments of two nodes each, one lossy, joined by a router; a
+/// corruption burst on the other segment and a crash-and-recover of node
+/// 3, so frames take every delivery and drop path.
+fn faulty_pair(seed: u64) -> Network {
+    let mut b = NetworkBuilder::new(seed);
+    let fast = b.add_proc_type(ProcType::sparcstation_2());
+    let slow = b.add_proc_type(ProcType::sun4_ipc());
+    let lossy = b.add_segment(SegmentSpec {
+        loss_probability: 0.2,
+        ..SegmentSpec::ethernet_10mbps()
+    });
+    let clean = b.add_segment(SegmentSpec::ethernet_10mbps());
+    b.add_router(RouterSpec::paper_router(vec![lossy, clean]));
+    for seg in [lossy, clean] {
+        b.add_node(fast, seg);
+        b.add_node(slow, seg);
+    }
+    let mut net = b.build().expect("network");
+    let at_us = |us| SimTime::ZERO + SimDur::from_micros(us);
+    let plan = FaultPlan::new()
+        .corrupt_burst(SegmentId(1), at_us(2_000), at_us(40_000), 0.5)
+        .crash(at_us(10_000), NodeId(3))
+        .node_recover(at_us(20_000), NodeId(3));
+    net.install_fault_plan(&plan).expect("valid plan");
+    net
+}
+
+/// Run a send/advance script on [`faulty_pair`], sending each datagram
+/// through `send_datagram` with a payload of its length (`by_payload`) or
+/// through `send_datagram_sized` with the length alone; record every
+/// send's outcome and every event, then drain.
+fn entry_point_trace(
+    script: &[(bool, usize, usize, u16)],
+    seed: u64,
+    by_payload: bool,
+) -> Vec<String> {
+    let mut net = faulty_pair(seed);
+    let mut out = Vec::new();
+    for &(send, a, b, n) in script {
+        if send {
+            let (src, dst) = (NodeId(a as u32 % 4), NodeId(b as u32 % 4));
+            let sent = if by_payload {
+                net.send_datagram(src, dst, u64::from(n), Bytes::from(vec![7u8; n as usize]))
+            } else {
+                net.send_datagram_sized(src, dst, u64::from(n), u32::from(n))
+            };
+            out.push(format!("send {sent:?}"));
+        } else {
+            for _ in 0..n % 16 {
+                let Some(evt) = net.next_event() else { break };
+                out.push(format!("{evt:?}"));
+            }
+        }
+    }
+    while let Some(evt) = net.next_event() {
+        out.push(format!("{evt:?}"));
+    }
+    out.push(format!(
+        "events {} delivered {} dropped {}",
+        net.events_processed(),
+        net.datagrams_delivered(),
+        net.datagrams_dropped()
+    ));
+    out
+}
+
 proptest! {
     /// Identical seeds and traffic produce identical event traces — the
     /// determinism every regression test in this workspace leans on.
@@ -58,6 +127,21 @@ proptest! {
         let a = trace(&pattern, 6, loss, seed);
         let b = trace(&pattern, 6, loss, seed);
         prop_assert_eq!(a, b);
+    }
+
+    /// `send_datagram` and `send_datagram_sized` differ only in where the
+    /// length comes from: an `L`-byte payload and the size `L` give the
+    /// same outcomes and the same event trace, lengths past the MTU
+    /// included.
+    #[test]
+    fn payload_and_sized_sends_trace_alike(
+        script in prop::collection::vec((any::<bool>(), 0usize..4, 0usize..4, 0u16..1600), 1..80),
+        seed in 0u64..1000,
+    ) {
+        prop_assert_eq!(
+            entry_point_trace(&script, seed, true),
+            entry_point_trace(&script, seed, false)
+        );
     }
 
     /// Every datagram is either delivered or dropped — never both, never

@@ -45,7 +45,7 @@ fn single_datagram_latency_decomposes() {
         SimEvent::DatagramDelivered { at, dgram } => {
             assert_eq!(dgram.src, a);
             assert_eq!(dgram.dst, c);
-            assert_eq!(dgram.payload.len(), 1000);
+            assert_eq!(dgram.wire_len, 1000);
             let expected = expected_latency_ns(1000);
             let got = at.as_nanos();
             // Rounding of f64→ns conversions may shift a few ns.
