@@ -18,17 +18,12 @@
 
 use crate::report::Json;
 use crate::target::{replan_policy, Checked, Target};
+use netpart::pipeline::{DEGRADE_THRESHOLD, DRIFT_COOLDOWN};
 use netpart::{CheckpointPolicy, Fault, FaultSchedule, RecoveryPolicy};
 use netpart_apps::StencilVariant;
 use netpart_calibrate::{CalibratedCostModel, Testbed};
 use netpart_model::NetpartError;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-
-/// Drift-monitor threshold used by the table and chaos harness: a rank
-/// 75% over its predicted phase time counts as degraded.
-const DEGRADE_THRESHOLD: f64 = 1.75;
-/// Cooldown cycles after a declined repartition.
-const COOLDOWN: u64 = 4;
 
 /// One row of the drift table: a stencil under a mid-run gray slowdown,
 /// adaptive vs staying put.
@@ -77,21 +72,12 @@ pub struct DriftChaosCase {
     pub adaptive: Checked,
 }
 
-/// The `Adapt` policy every gray-failure harness runs: shared threshold
-/// and cooldown, caller's gate.
-fn adapt_policy(min_gain: f64) -> RecoveryPolicy {
-    RecoveryPolicy::Adapt {
-        degrade_threshold: DEGRADE_THRESHOLD,
-        min_gain,
-        cooldown: COOLDOWN,
-    }
-}
-
-/// The `"policy"` object of every artefact whose runs use [`adapt_policy`].
+/// The `"policy"` object of every artefact whose runs use
+/// [`RecoveryPolicy::Adapt`]: the pipeline's fixed threshold and cooldown.
 fn adapt_policy_json() -> Json {
     Json::obj([
         ("degrade_threshold", Json::fixed(DEGRADE_THRESHOLD, 2)),
-        ("cooldown_cycles", COOLDOWN.into()),
+        ("cooldown_cycles", DRIFT_COOLDOWN.into()),
     ])
 }
 
@@ -125,7 +111,7 @@ fn drift_row(
         onset_ms,
         min_gain_ms: min_gain,
         stay_ms: t.run(&faults, replan_policy(), ckpt).elapsed_ms(),
-        adaptive: t.run(&faults, adapt_policy(min_gain), ckpt),
+        adaptive: t.run(&faults, RecoveryPolicy::Adapt { min_gain }, ckpt),
     })
 }
 
@@ -249,7 +235,11 @@ pub fn drift_chaos_run(
         Ok(DriftChaosCase {
             app: t.label(),
             seed,
-            adaptive: t.run(&faults, adapt_policy(0.0), CheckpointPolicy::local(2)),
+            adaptive: t.run(
+                &faults,
+                RecoveryPolicy::Adapt { min_gain: 0.0 },
+                CheckpointPolicy::local(2),
+            ),
             faults,
             fault_free_ms: t.fault_free_ms(),
         })

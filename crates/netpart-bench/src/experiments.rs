@@ -15,8 +15,8 @@ use netpart_calibrate::{
     Testbed,
 };
 use netpart_core::{
-    determine_available, measure_overhead, partition, partition_exhaustive, AvailabilityPolicy,
-    Estimator, Partition, PartitionOptions, SystemModel,
+    determine_available, measure_overhead, partition, partition_exhaustive, Estimator, Partition,
+    PartitionOptions, SystemModel,
 };
 use netpart_model::{NetpartError, PartitionVector};
 use netpart_topology::{PlacementStrategy, Topology};
@@ -392,7 +392,7 @@ pub fn overhead_report(model: &CalibratedCostModel) -> Result<OverheadNumbers, N
     let clusters: Vec<Vec<netpart_sim::NodeId>> = (0..2u16)
         .map(|s| mmps.net_ref().nodes_on_segment(netpart_sim::SegmentId(s)))
         .collect();
-    let avail = determine_available(&mut mmps, &clusters, AvailabilityPolicy::default());
+    let avail = determine_available(&mut mmps, &clusters);
     Ok(OverheadNumbers {
         evaluations: oh.evaluations,
         bound: oh.bound,

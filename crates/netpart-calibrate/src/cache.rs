@@ -37,8 +37,8 @@ pub enum CacheStatus {
 }
 
 /// Fingerprint of everything the calibration result depends on: the full
-/// testbed description (machine classes, segment/router recipes, MMPS
-/// tuning, seed, wiring), the topology list, and the sweep configuration.
+/// testbed description (machine classes, segment/router recipes, seed,
+/// wiring), the topology list, and the sweep configuration.
 /// FNV-1a over the `Debug` rendering — every field of every component
 /// derives `Debug`, and `{:?}` prints floats with full round-trip
 /// precision, so any change to any constant changes the fingerprint.

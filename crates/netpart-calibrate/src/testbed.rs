@@ -9,7 +9,7 @@
 //! cluster list + wiring to a `Fabric` description, and
 //! [`Testbed::try_build`] validates and builds it.
 
-use netpart_mmps::{Mmps, MmpsConfig};
+use netpart_mmps::Mmps;
 use netpart_model::NetpartError;
 use netpart_sim::{Fabric, NodeId, ProcType, RouterSpec, SegmentSpec, SimError, Wiring};
 use netpart_topology::PlacementStrategy;
@@ -34,8 +34,6 @@ pub struct Testbed {
     pub segment: SegmentSpec,
     /// Router recipe (port lists filled in by the fabric generator).
     pub router: RouterSpec,
-    /// Message layer configuration.
-    pub mmps: MmpsConfig,
     /// Simulation seed.
     pub seed: u64,
     /// How the cluster leaf segments are wired together:
@@ -64,7 +62,6 @@ impl Testbed {
             ],
             segment: SegmentSpec::ethernet_10mbps(),
             router: RouterSpec::paper_router(Vec::new()),
-            mmps: MmpsConfig::default(),
             seed: 1994,
             wiring: Wiring::Star,
         }
@@ -91,7 +88,6 @@ impl Testbed {
             ],
             segment: SegmentSpec::ethernet_10mbps(),
             router: RouterSpec::paper_router(Vec::new()),
-            mmps: MmpsConfig::default(),
             seed: 1994,
             wiring: Wiring::Star,
         }
@@ -121,7 +117,6 @@ impl Testbed {
             clusters,
             segment: SegmentSpec::ethernet_10mbps(),
             router: RouterSpec::paper_router(Vec::new()),
-            mmps: MmpsConfig::default(),
             seed: 1994,
             wiring: Wiring::Star,
         }
@@ -299,7 +294,7 @@ impl Testbed {
     /// network errors.
     pub(crate) fn simulator(&self) -> Result<Mmps, NetpartError> {
         let net = self.fabric().build().map_err(map_sim_err)?;
-        Ok(Mmps::new(net, self.mmps.clone()))
+        Ok(Mmps::with_defaults(net))
     }
 }
 

@@ -51,7 +51,7 @@ pub mod search;
 pub mod system;
 
 pub use estimator::{Estimator, FillContext, TcBreakdown};
-pub use manager::{determine_available, AvailabilityPolicy, AvailabilityReport};
+pub use manager::{determine_available, AvailabilityReport, LOAD_THRESHOLD, PROBE_TIMEOUT};
 pub use overhead::{measure_overhead, OverheadReport};
 pub use partitioner::{
     partition, partition_budgeted, partition_exhaustive, ClusterOrder, Partition, PartitionOptions,

@@ -17,28 +17,17 @@ use bytes::Bytes;
 use netpart_mmps::{Mmps, MmpsEvent};
 use netpart_sim::{NodeId, SimDur};
 
-/// The availability policy: a node whose external load is at or below the
-/// threshold counts as available (and, per the paper's simplification, as
-/// a full-speed processor).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AvailabilityPolicy {
-    /// Maximum external load for a node to be considered available.
-    pub threshold: f64,
-    /// Maximum simulated time a manager waits for any probe's reply.
-    /// Members that have not answered when the deadline expires are
-    /// reported as [`suspected_dead`](AvailabilityReport::suspected_dead)
-    /// rather than stalling the round.
-    pub probe_timeout: SimDur,
-}
+/// The paper's threshold policy: a node whose external load is at or
+/// below this counts as available (and, per the paper's simplification,
+/// as a full-speed processor). Judged on the load as a reply carries it,
+/// one byte, for managers and members alike.
+pub const LOAD_THRESHOLD: f64 = 0.10;
 
-impl Default for AvailabilityPolicy {
-    fn default() -> Self {
-        AvailabilityPolicy {
-            threshold: 0.10,
-            probe_timeout: SimDur::from_millis_f64(500.0),
-        }
-    }
-}
+/// Maximum simulated time a manager waits for any probe's reply. Members
+/// that have not answered when the deadline expires are reported as
+/// [`suspected_dead`](AvailabilityReport::suspected_dead) rather than
+/// stalling the round.
+pub const PROBE_TIMEOUT: SimDur = SimDur::from_millis(500);
 
 /// Result of one availability round.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,16 +52,23 @@ const REPLY_TAG: u64 = 1 << 41;
 /// owner word, above anything applications use).
 const OWNER_AVAIL: u64 = u64::MAX - 2;
 
+/// A node's load as its reply carries it: one byte, `load × 255` rounded.
+fn quantize(load: f64) -> u8 {
+    (load * 255.0).round().clamp(0.0, 255.0) as u8
+}
+
+/// Whether a node reporting quantized load `q` is available: at or below
+/// [`LOAD_THRESHOLD`] up to the byte's half-step of rounding.
+fn admits(q: u8) -> bool {
+    q as f64 / 255.0 <= LOAD_THRESHOLD + 0.5 / 255.0
+}
+
 /// Run one round of the cooperative availability protocol.
 ///
 /// `clusters[k]` lists cluster `k`'s nodes; the first node of each cluster
 /// acts as its manager (the shaded nodes of the paper's Fig. 1). Returns
 /// per-cluster available counts, measured on the simulated clock.
-pub fn determine_available(
-    mmps: &mut Mmps,
-    clusters: &[Vec<NodeId>],
-    policy: AvailabilityPolicy,
-) -> AvailabilityReport {
+pub fn determine_available(mmps: &mut Mmps, clusters: &[Vec<NodeId>]) -> AvailabilityReport {
     let start = mmps.now();
     let mut available: Vec<Vec<NodeId>> = vec![Vec::new(); clusters.len()];
     let mut pending: Vec<NodeId> = Vec::new();
@@ -105,9 +101,11 @@ pub fn determine_available(
         // reporting its own observed state (the paper's load daemon), not
         // the manager peeking at fault-injection internals — and it is
         // what lets a degraded node be excluded while degraded and
-        // re-admitted automatically once its slowdown ends.
+        // re-admitted automatically once its slowdown ends. The manager
+        // judges its own load as it would judge a member's reply, so a
+        // node's verdict does not depend on its role.
         let mgr_load = mmps.net_ref().node(manager).effective_load();
-        if mgr_load <= policy.threshold {
+        if admits(quantize(mgr_load)) {
             available[k].push(manager);
         }
         for &member in members {
@@ -132,7 +130,7 @@ pub fn determine_available(
     // the start, so it bounds each probe's wait too). Cancelled once the
     // last reply arrives, so a fault-free round never observes it.
     let deadline =
-        (!pending.is_empty()).then(|| mmps.net().set_timer(policy.probe_timeout, OWNER_AVAIL, 0));
+        (!pending.is_empty()).then(|| mmps.net().set_timer(PROBE_TIMEOUT, OWNER_AVAIL, 0));
 
     // Pump: members answer probes with their load; managers tally replies.
     // A probe or reply that the message layer gives up on marks the member
@@ -145,8 +143,7 @@ pub fn determine_available(
             MmpsEvent::MessageDelivered { src, dst, tag, .. } => {
                 if tag & PROBE_TAG != 0 {
                     let k = tag & 0xFFFF_FFFF;
-                    let load = mmps.net_ref().node(dst).effective_load();
-                    let quantized = (load * 255.0).round().clamp(0.0, 255.0) as u8;
+                    let quantized = quantize(mmps.net_ref().node(dst).effective_load());
                     // A reply that cannot leave (fabric partitioned since
                     // the probe arrived) is simply lost: the manager's
                     // deadline suspects the member, same as a dropped
@@ -162,8 +159,7 @@ pub fn determine_available(
                 } else if tag & REPLY_TAG != 0 {
                     let k = (tag & 0xFFFF) as usize;
                     let quantized = ((tag >> 16) & 0xFF) as u8;
-                    let load = quantized as f64 / 255.0;
-                    if load <= policy.threshold + 0.5 / 255.0 {
+                    if admits(quantized) {
                         available[k].push(src);
                     }
                     pending.retain(|&n| n != src);
@@ -223,11 +219,28 @@ mod tests {
     #[test]
     fn all_idle_nodes_are_available() {
         let (mut mmps, clusters) = full_testbed();
-        let r = determine_available(&mut mmps, &clusters, AvailabilityPolicy::default());
+        let r = determine_available(&mut mmps, &clusters);
         assert_eq!(r.available, vec![6, 6]);
         assert!(r.protocol_time.as_millis_f64() > 0.0);
         // 5 probes + 5 replies per cluster.
         assert_eq!(r.messages, 20);
+    }
+
+    #[test]
+    fn a_load_gets_one_verdict_whatever_the_role() {
+        // 0.101 is above the threshold but rounds to the byte 26, which
+        // admits it; the manager and a member carrying it agree.
+        let (mut mmps, clusters) = full_testbed();
+        let (manager, member) = (clusters[0][0], clusters[0][1]);
+        mmps.net().set_external_load(manager, 0.101);
+        mmps.net().set_external_load(member, 0.101);
+        let r = determine_available(&mut mmps, &clusters);
+        assert_eq!(
+            r.nodes[0].contains(&manager),
+            r.nodes[0].contains(&member),
+            "manager and member verdicts differ: {:?}",
+            r.nodes[0]
+        );
     }
 
     #[test]
@@ -240,7 +253,7 @@ mod tests {
         }
         // Load one node below threshold: still available.
         mmps.net().set_external_load(clusters[1][2], 0.05);
-        let r = determine_available(&mut mmps, &clusters, AvailabilityPolicy::default());
+        let r = determine_available(&mut mmps, &clusters);
         assert_eq!(r.available, vec![4, 5]);
         for &n in &busy {
             assert!(!r.nodes[0].contains(&n) && !r.nodes[1].contains(&n));
@@ -251,7 +264,7 @@ mod tests {
     fn busy_manager_counts_itself_out() {
         let (mut mmps, clusters) = full_testbed();
         mmps.net().set_external_load(clusters[0][0], 0.9);
-        let r = determine_available(&mut mmps, &clusters, AvailabilityPolicy::default());
+        let r = determine_available(&mut mmps, &clusters);
         assert_eq!(r.available, vec![5, 6]);
     }
 
@@ -260,7 +273,7 @@ mod tests {
         // §6: the availability overhead must be small relative to stencil
         // elapsed times (hundreds to thousands of ms).
         let (mut mmps, clusters) = full_testbed();
-        let r = determine_available(&mut mmps, &clusters, AvailabilityPolicy::default());
+        let r = determine_available(&mut mmps, &clusters);
         assert!(
             r.protocol_time.as_millis_f64() < 50.0,
             "protocol took {} ms",
@@ -282,7 +295,7 @@ mod tests {
                     ),
             )
             .unwrap();
-        let r1 = determine_available(&mut mmps, &clusters, AvailabilityPolicy::default());
+        let r1 = determine_available(&mut mmps, &clusters);
         assert_eq!(r1.available, vec![5, 6], "4x-degraded node reports 0.75");
         assert!(!r1.nodes[0].contains(&slow));
         assert!(
@@ -298,7 +311,7 @@ mod tests {
                 break;
             }
         }
-        let r2 = determine_available(&mut mmps, &clusters, AvailabilityPolicy::default());
+        let r2 = determine_available(&mut mmps, &clusters);
         assert_eq!(r2.available, vec![6, 6], "recovered node rejoins the pool");
         assert!(r2.nodes[0].contains(&slow));
     }
@@ -312,18 +325,14 @@ mod tests {
                 &netpart_sim::FaultPlan::new().crash(netpart_sim::SimTime::ZERO, dead),
             )
             .unwrap();
-        let policy = AvailabilityPolicy {
-            probe_timeout: SimDur::from_millis_f64(200.0),
-            ..AvailabilityPolicy::default()
-        };
-        let r = determine_available(&mut mmps, &clusters, policy);
+        let r = determine_available(&mut mmps, &clusters);
         assert_eq!(r.suspected_dead, vec![dead], "only the crashed member");
         assert_eq!(r.available, vec![5, 6]);
         assert!(!r.nodes[0].contains(&dead));
         // The round ends at the deadline (or the message layer's earlier
         // give-up), never by unbounded waiting.
         assert!(
-            r.protocol_time.as_millis_f64() <= 200.0 + 1.0,
+            r.protocol_time <= PROBE_TIMEOUT + SimDur::from_millis(1),
             "round ran past the deadline: {} ms",
             r.protocol_time.as_millis_f64()
         );
@@ -345,9 +354,9 @@ mod tests {
             .unwrap();
         let clean = {
             let (mut m2, c2) = full_testbed();
-            determine_available(&mut m2, &c2, AvailabilityPolicy::default())
+            determine_available(&mut m2, &c2)
         };
-        let r = determine_available(&mut mmps, &clusters, AvailabilityPolicy::default());
+        let r = determine_available(&mut mmps, &clusters);
         assert_eq!(r.available, vec![6, 6], "loss must not hide live members");
         assert!(
             r.suspected_dead.is_empty(),

@@ -6,8 +6,7 @@ use netpart_calibrate::{
     calibrate_testbed, CalibrationConfig, CommCostModel, PaperCostModel, Testbed,
 };
 use netpart_core::{
-    determine_available, partition, partition_exhaustive, AvailabilityPolicy, Estimator,
-    PartitionOptions, SystemModel,
+    determine_available, partition, partition_exhaustive, Estimator, PartitionOptions, SystemModel,
 };
 use netpart_model::{AppModel, CommPhase, CompPhase, OpKind};
 use netpart_sim::SegmentSpec;
@@ -69,7 +68,7 @@ fn availability_survives_loss() {
         .map(|s| mmps.net_ref().nodes_on_segment(netpart_sim::SegmentId(s)))
         .collect();
     mmps.net().set_external_load(clusters[0][3], 0.7);
-    let r = determine_available(&mut mmps, &clusters, AvailabilityPolicy::default());
+    let r = determine_available(&mut mmps, &clusters);
     assert_eq!(r.available, vec![5, 6]);
     assert!(
         mmps.stats().retransmissions > 0 || mmps.stats().datagrams_dropped == 0,

@@ -43,7 +43,10 @@ pub mod message;
 pub mod rtt;
 pub mod service;
 
-pub use config::MmpsConfig;
+pub use config::{
+    rto_for, ACK_BYTES, BASE_RTO, COERCE_PER_BYTE, COERCE_PER_MSG, HEADER_BYTES, MAX_RETRIES,
+    MIN_RTO, RETX_FRAGMENT_SPACING, RTO_PER_BYTE,
+};
 pub use message::{
     epoch_of, strip_epoch, tag_of, untag, with_epoch, FragPlan, MsgId, CKPT_TAG, PING_TAG,
 };

@@ -2,14 +2,15 @@
 //!
 //! This estimator tracks the smoothed round-trip time and its variation
 //! per (sender, destination) pair and yields `srtt + max(4·rttvar,
-//! min_rto)`: RFC 6298's `srtt + max(G, K·rttvar)` with the configured
-//! floor as `G`. The floor matters on a bulk-synchronous channel, where
-//! every cycle's round trip is nearly the same: `rttvar` decays until the
-//! timeout sits a millisecond above `srtt`, and the first queueing
-//! excursion would fire it for a message that was never lost.
+//! MIN_RTO)`: RFC 6298's `srtt + max(G, K·rttvar)` with
+//! [`MIN_RTO`](crate::MIN_RTO) as `G`. The floor matters on a
+//! bulk-synchronous channel, where every cycle's round trip is nearly the
+//! same: `rttvar` decays until the timeout sits a millisecond above
+//! `srtt`, and the first queueing excursion would fire it for a message
+//! that was never lost.
 //!
-//! The static size-scaled RTO in [`MmpsConfig`](crate::MmpsConfig) is a
-//! pair's *first* timeout, used until the pair has a sample. It is not a
+//! The static size-scaled RTO, [`rto_for`](crate::rto_for), is a pair's
+//! *first* timeout, used until the pair has a sample. It is not a
 //! ceiling: many stations with large messages on one segment can need a
 //! round trip above it, and clamping there re-sends what is still queued.
 //!
@@ -131,7 +132,7 @@ mod tests {
     #[test]
     fn steady_samples_give_srtt_plus_floor() {
         // 100 equal samples decay rttvar to ~0, far below the floor, so
-        // the timeout is exactly srtt + min_rto.
+        // the timeout is exactly srtt + MIN_RTO.
         let mut e = RttEstimator::default();
         for _ in 0..100 {
             e.observe(SimDur::from_millis(12));

@@ -7,8 +7,8 @@
 //! * **fragmentation** — messages larger than one MTU are split into
 //!   header-carrying fragments;
 //! * **reliability** — receivers acknowledge complete messages; senders
-//!   retransmit on timeout with a size-scaled RTO and give up after
-//!   `max_retries`;
+//!   retransmit on timeout with a size-scaled first RTO and give up after
+//!   [`MAX_RETRIES`];
 //! * **coercion** — when sender and receiver data formats differ, the
 //!   receiver pays a per-byte + per-message conversion cost before
 //!   delivery (the paper's `T_coerce`).
@@ -24,7 +24,10 @@ use bytes::Bytes;
 
 use netpart_sim::{FastMap, Network, NodeId, SimDur, SimError, SimEvent, SimTime, TimerId};
 
-use crate::config::MmpsConfig;
+use crate::config::{
+    rto_for, ACK_BYTES, COERCE_PER_BYTE, COERCE_PER_MSG, HEADER_BYTES, MAX_RETRIES, MIN_RTO,
+    RETX_FRAGMENT_SPACING,
+};
 use crate::message::{pack_tag, unpack_tag, FragPlan, MsgId, WireKind};
 use crate::rtt::RttEstimator;
 
@@ -74,11 +77,12 @@ pub enum MmpsEvent {
         /// Original sender (the node that now knows its send completed).
         src: NodeId,
     },
-    /// A message exhausted its retransmission budget (`max_retries`) or
-    /// its per-message deadline (`give_up_after`): the peer is presumed
-    /// unreachable. This only ever fires at a *live* sender — a crashed
-    /// node's pending retransmissions die silently with its protocol
-    /// stack — so the `dst` field names the suspect, never the witness.
+    /// A message exhausted its retransmission budget: [`MAX_RETRIES`]
+    /// retries on a ladder that starts at [`rto_for`] and doubles up to
+    /// 64×. The peer is presumed unreachable. This only ever fires at a
+    /// *live* sender — a crashed node's pending retransmissions die
+    /// silently with its protocol stack — so the `dst` field names the
+    /// suspect, never the witness.
     MessageFailed {
         /// Give-up time.
         at: SimTime,
@@ -167,7 +171,6 @@ const FRAG_POOL_CAP: usize = 64;
 /// The reliable message-passing service. See the [module docs](self).
 pub struct Mmps {
     net: Network,
-    cfg: MmpsConfig,
     next_msg: u64,
     outgoing: FastMap<u64, OutMsg>,
     incoming: FastMap<u64, InMsg>,
@@ -186,10 +189,9 @@ pub struct Mmps {
 
 impl Mmps {
     /// Wrap a network.
-    pub fn new(net: Network, cfg: MmpsConfig) -> Mmps {
+    pub fn with_defaults(net: Network) -> Mmps {
         Mmps {
             net,
-            cfg,
             next_msg: 0,
             outgoing: FastMap::default(),
             incoming: FastMap::default(),
@@ -212,7 +214,6 @@ impl Mmps {
         // until it is reset here too.
         let Mmps {
             net,
-            cfg: _,
             next_msg,
             outgoing,
             incoming,
@@ -254,11 +255,6 @@ impl Mmps {
         }
     }
 
-    /// Wrap a network with default configuration.
-    pub fn with_defaults(net: Network) -> Mmps {
-        Mmps::new(net, MmpsConfig::default())
-    }
-
     /// The wrapped network (compute, timers, loads, statistics).
     pub fn net(&mut self) -> &mut Network {
         &mut self.net
@@ -277,11 +273,6 @@ impl Mmps {
     /// Service counters.
     pub fn stats(&self) -> MmpsStats {
         self.stats
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MmpsConfig {
-        &self.cfg
     }
 
     /// Send `payload` from `src` to `dst` with user `tag`. Returns the
@@ -350,7 +341,7 @@ impl Mmps {
         payload: Bytes,
         len: u32,
     ) -> Result<(), SimError> {
-        let plan = FragPlan::new(len, self.cfg.header_bytes);
+        let plan = FragPlan::new(len, HEADER_BYTES);
         for i in 0..plan.n_frags {
             self.send_fragment(msg, src, dst, &plan, i)?;
         }
@@ -394,7 +385,7 @@ impl Mmps {
             src,
             dst,
             pack_tag(WireKind::Data, MsgId(msg), i),
-            (e - s) + self.cfg.header_bytes,
+            (e - s) + HEADER_BYTES,
         )?;
         Ok(())
     }
@@ -406,7 +397,7 @@ impl Mmps {
             from,
             to,
             pack_tag(WireKind::Ack, MsgId(msg), 0),
-            self.cfg.ack_bytes,
+            ACK_BYTES,
         );
     }
 
@@ -602,11 +593,7 @@ impl Mmps {
                     return None;
                 }
                 out.retries += 1;
-                let deadline_hit = self
-                    .cfg
-                    .give_up_after
-                    .is_some_and(|d| at.since(out.sent_at) >= d);
-                if out.retries > self.cfg.max_retries || deadline_hit {
+                if out.retries > MAX_RETRIES {
                     return self.fail_message(at, msg);
                 }
                 self.stats.retransmissions += 1;
@@ -618,10 +605,7 @@ impl Mmps {
                 // that dropped the tail of the original burst (slow
                 // router, tiny buffer) gets room to drain. Spacing doubles
                 // with each retry.
-                let spacing = self
-                    .cfg
-                    .retx_fragment_spacing
-                    .saturating_mul(1u64 << (retries - 1).min(6));
+                let spacing = RETX_FRAGMENT_SPACING.saturating_mul(1u64 << (retries - 1).min(6));
                 for i in 0..plan.n_frags {
                     self.net.set_timer(
                         SimDur::from_nanos(spacing.as_nanos() * i as u64),
@@ -660,13 +644,13 @@ impl Mmps {
     }
 
     /// The retransmission timeout for a `len`-byte message from `src` to
-    /// `dst`: the adaptive estimate `srtt + max(4·rttvar, min_rto)` once
+    /// `dst`: the adaptive estimate `srtt + max(4·rttvar, MIN_RTO)` once
     /// the pair has an RTT sample, the static size-scaled RTO until then.
     fn effective_rto(&self, src: NodeId, dst: NodeId, len: u32) -> netpart_sim::SimDur {
         self.rtt
             .get(&(src, dst))
-            .and_then(|est| est.rto(self.cfg.min_rto))
-            .unwrap_or_else(|| self.cfg.rto_for(len))
+            .and_then(|est| est.rto(MIN_RTO))
+            .unwrap_or_else(|| rto_for(len))
     }
 
     /// Drop all protocol state involving `node`: pending outgoing messages
@@ -710,8 +694,7 @@ impl Mmps {
         if f_src == f_dst {
             SimDur::ZERO
         } else {
-            self.cfg.coerce_per_msg
-                + SimDur::from_nanos(self.cfg.coerce_per_byte.as_nanos() * len as u64)
+            COERCE_PER_MSG + SimDur::from_nanos(COERCE_PER_BYTE.as_nanos() * len as u64)
         }
     }
 }

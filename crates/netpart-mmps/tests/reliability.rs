@@ -2,7 +2,9 @@
 //! and give-up behaviour.
 
 use bytes::Bytes;
-use netpart_mmps::{Mmps, MmpsConfig, MmpsEvent};
+use netpart_mmps::{
+    rto_for, FragPlan, Mmps, MmpsEvent, HEADER_BYTES, MAX_RETRIES, RETX_FRAGMENT_SPACING,
+};
 use netpart_sim::{NetworkBuilder, NodeId, ProcType, SegmentSpec, SimDur, SimTime};
 
 fn pair_net(loss: f64, seed: u64) -> (Mmps, NodeId, NodeId) {
@@ -100,11 +102,6 @@ fn loss_is_recovered_by_retransmission() {
 
 #[test]
 fn hopeless_link_eventually_fails() {
-    let cfg = MmpsConfig {
-        max_retries: 3,
-        base_rto: SimDur::from_millis(10),
-        ..MmpsConfig::default()
-    };
     let mut b = NetworkBuilder::new(23);
     let pt = b.add_proc_type(ProcType::sparcstation_2());
     let seg = b.add_segment(SegmentSpec {
@@ -113,7 +110,7 @@ fn hopeless_link_eventually_fails() {
     });
     let a = b.add_node(pt, seg);
     let c = b.add_node(pt, seg);
-    let mut mmps = Mmps::new(b.build().unwrap(), cfg);
+    let mut mmps = Mmps::with_defaults(b.build().unwrap());
     mmps.send_message(a, c, 0, Bytes::from(vec![0u8; 4000]))
         .unwrap();
     let mut failed = false;
@@ -291,7 +288,6 @@ fn router_overflow_is_recovered_by_retransmission() {
         per_frame: SimDur::from_micros(120),
         per_byte_sec: 5.0e-6, // slower than the ingress wire: queue builds
         buffer_frames: 2,     // absurdly small: bursts overflow
-        port_bandwidth_bps: None,
     });
     let a = b.add_node(pt, s1);
     let c = b.add_node(pt, s2);
@@ -325,18 +321,13 @@ fn router_overflow_is_recovered_by_retransmission() {
 fn budget_exhaustion_reports_every_attempt_and_the_right_peer() {
     // A fully opaque link: the budget is spent to the last retry and the
     // failure must carry src/dst/tag and the exact attempt count
-    // (original transmission + max_retries retries).
-    let cfg = MmpsConfig {
-        max_retries: 4,
-        base_rto: SimDur::from_millis(10),
-        ..MmpsConfig::default()
-    };
+    // (original transmission + MAX_RETRIES retries).
     let mut b = NetworkBuilder::new(7);
     let pt = b.add_proc_type(ProcType::sparcstation_2());
     let seg = b.add_segment(SegmentSpec::ethernet_10mbps());
     let a = b.add_node(pt, seg);
     let c = b.add_node(pt, seg);
-    let mut mmps = Mmps::new(b.build().unwrap(), cfg);
+    let mut mmps = Mmps::with_defaults(b.build().unwrap());
     // A peer dead from the very start swallows every frame
     // deterministically, so the attempt count is exact. Multi-fragment:
     // the train is re-paced on every retry and the budget must still be
@@ -359,44 +350,62 @@ fn budget_exhaustion_reports_every_attempt_and_the_right_peer() {
             failure = Some((src, dst, tag, attempts));
         }
     }
-    assert_eq!(failure, Some((a, c, 0xBEEF, 5)), "1 send + 4 retries");
+    assert_eq!(
+        failure,
+        Some((a, c, 0xBEEF, 1 + MAX_RETRIES)),
+        "1 send + MAX_RETRIES retries"
+    );
     assert_eq!(mmps.stats().messages_failed, 1);
 }
 
 #[test]
-fn give_up_deadline_caps_time_to_detection() {
-    // With a per-message deadline the sender stops well before the retry
-    // budget would run out, and the failure still names the peer.
-    let cfg = MmpsConfig {
-        max_retries: 1000,
-        base_rto: SimDur::from_millis(10),
-        give_up_after: Some(SimDur::from_millis(80)),
-        ..MmpsConfig::default()
-    };
+fn retry_budget_sets_time_to_detection() {
+    // A peer dead from the start never acks, so the sender walks the whole
+    // retransmission ladder and the failure lands at an instant the public
+    // constants fix: the size-scaled first timeout, then for retry r the
+    // backed-off timeout `rto × 2^min(r, 6)` plus the paced fragments'
+    // spread `n_frags × spacing × 2^min(r - 1, 6)`, for r = 1..=MAX_RETRIES.
     let mut b = NetworkBuilder::new(11);
     let pt = b.add_proc_type(ProcType::sparcstation_2());
     let seg = b.add_segment(SegmentSpec::ethernet_10mbps());
     let a = b.add_node(pt, seg);
     let c = b.add_node(pt, seg);
-    let mut mmps = Mmps::new(b.build().unwrap(), cfg);
+    let mut mmps = Mmps::with_defaults(b.build().unwrap());
     mmps.net()
         .install_fault_plan(&netpart_sim::FaultPlan::new().crash(SimTime::ZERO, c))
         .unwrap();
+    let len = 2000;
     let sent_at = mmps.now();
-    mmps.send_message(a, c, 3, Bytes::from(vec![1u8; 2000]))
+    mmps.send_message(a, c, 3, Bytes::from(vec![1u8; len as usize]))
         .unwrap();
-    let mut failed_at = None;
+    let mut failure = None;
     while let Some(evt) = mmps.next_event() {
-        if let MmpsEvent::MessageFailed { at, src, dst, .. } = evt {
+        if let MmpsEvent::MessageFailed {
+            at,
+            src,
+            dst,
+            attempts,
+            ..
+        } = evt
+        {
             assert_eq!((src, dst), (a, c));
-            failed_at = Some(at);
+            failure = Some((at, attempts));
         }
     }
-    let took = failed_at.expect("deadline must fire").since(sent_at);
-    assert!(
-        took.as_millis_f64() >= 80.0 && took.as_millis_f64() < 400.0,
-        "detection bounded by the deadline plus one backoff step, took {took}"
-    );
+    let (failed_at, attempts) = failure.expect("the retry budget must run out");
+    assert_eq!(attempts, 1 + MAX_RETRIES);
+
+    let rto = rto_for(len).as_nanos();
+    let n_frags = u64::from(FragPlan::new(len, HEADER_BYTES).n_frags);
+    let spacing = RETX_FRAGMENT_SPACING.as_nanos();
+    let ladder: u64 = rto
+        + (1..=MAX_RETRIES)
+            .map(|r| (rto << r.min(6)) + n_frags * (spacing << (r - 1).min(6)))
+            .sum::<u64>();
+    assert_eq!(failed_at.since(sent_at), SimDur::from_nanos(ladder));
+    // 2,000 bytes: a 220 ms first timeout, waited 383 times over, plus
+    // 319 paced spreads of two fragments at 2 ms.
+    assert_eq!(ladder, 383 * 220_000_000 + 319 * 2 * 2_000_000);
 }
 
 #[test]
@@ -438,17 +447,12 @@ fn receiver_crash_fails_the_message_naming_the_receiver() {
     // The ack-side peer crashes while a long train is in flight: the live
     // sender must exhaust its budget and the typed failure must name the
     // *receiver* (the suspect), never the surviving sender.
-    let cfg = MmpsConfig {
-        max_retries: 3,
-        base_rto: SimDur::from_millis(10),
-        ..MmpsConfig::default()
-    };
     let mut b = NetworkBuilder::new(17);
     let pt = b.add_proc_type(ProcType::sparcstation_2());
     let seg = b.add_segment(SegmentSpec::ethernet_10mbps());
     let a = b.add_node(pt, seg);
     let c = b.add_node(pt, seg);
-    let mut mmps = Mmps::new(b.build().unwrap(), cfg);
+    let mut mmps = Mmps::with_defaults(b.build().unwrap());
     // Crash the receiver almost immediately: the 14-fragment train is
     // still being clocked out on the wire.
     mmps.net()
@@ -471,7 +475,11 @@ fn receiver_crash_fails_the_message_naming_the_receiver() {
     let (src, dst, attempts) = failure.expect("sender must give up");
     assert_eq!(src, a);
     assert_eq!(dst, c, "failure names the dead receiver");
-    assert_eq!(attempts, 4, "budget fully spent before declaring death");
+    assert_eq!(
+        attempts,
+        1 + MAX_RETRIES,
+        "budget fully spent before declaring death"
+    );
 }
 
 #[test]
@@ -510,17 +518,12 @@ fn corruption_burst_delivers_intact_or_fails_typed_never_mangled() {
     // An unbounded total-corruption burst: the sender must surface the
     // typed MessageFailed (peer presumed unreachable) — silence or a
     // mangled delivery are both bugs.
-    let cfg = MmpsConfig {
-        max_retries: 3,
-        base_rto: SimDur::from_millis(10),
-        ..MmpsConfig::default()
-    };
     let mut b = NetworkBuilder::new(31);
     let pt = b.add_proc_type(ProcType::sparcstation_2());
     let seg = b.add_segment(SegmentSpec::ethernet_10mbps());
     let a = b.add_node(pt, seg);
     let c = b.add_node(pt, seg);
-    let mut mmps = Mmps::new(b.build().unwrap(), cfg);
+    let mut mmps = Mmps::with_defaults(b.build().unwrap());
     mmps.net()
         .install_fault_plan(&netpart_sim::FaultPlan::new().corrupt_burst(
             netpart_sim::SegmentId(0),

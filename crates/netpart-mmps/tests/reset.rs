@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use netpart_mmps::{Mmps, MmpsConfig};
+use netpart_mmps::Mmps;
 use netpart_sim::{
     NetworkBuilder, NodeId, OpClass, ProcType, RouterSpec, SegmentId, SegmentSpec, SimDur,
 };
@@ -32,11 +32,7 @@ fn build(seed: u64) -> Mmps {
     for _ in 0..2 {
         b.add_node(rs, clean);
     }
-    let cfg = MmpsConfig {
-        max_retries: 6,
-        ..MmpsConfig::default()
-    };
-    Mmps::new(b.build().expect("network"), cfg)
+    Mmps::with_defaults(b.build().expect("network"))
 }
 
 fn node(i: usize) -> NodeId {

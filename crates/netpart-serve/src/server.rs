@@ -380,6 +380,13 @@ impl<S: PlanService> Inner<S> {
                 let mut inf = self.inflight.lock().expect("inflight poisoned");
                 match inf.get(&fp) {
                     Some(f) => Some(Arc::clone(f)),
+                    // A leader caches its success before it releases the
+                    // flight, so the miss above may be stale by now: a
+                    // leader that finished in between left no flight but
+                    // a cache entry.
+                    None if self.cache.lock().expect("cache poisoned").contains_key(&fp) => {
+                        continue;
+                    }
                     None => {
                         inf.insert(fp, Arc::new(Flight::new()));
                         None

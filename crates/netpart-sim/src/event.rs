@@ -2,8 +2,8 @@
 //!
 //! The queue is a hierarchical time-wheel (a calendar queue) whose tiers
 //! span the whole 64-bit clock: every item lands in one wheel slot with
-//! O(1) push, however far ahead it is scheduled (windowed fault ends,
-//! `give_up_after` deadlines, the tail of a deep router backlog). Pops
+//! O(1) push, however far ahead it is scheduled (backed-off retry timers,
+//! windowed fault ends, the tail of a deep router backlog). Pops
 //! drain the earliest occupied slot into a sorted batch. A slot of at most
 //! 64 items becomes the batch whole, and the batch then covers the slot's
 //! whole range: a push up to the end of that range (the horizon)

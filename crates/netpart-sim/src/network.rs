@@ -156,13 +156,6 @@ impl NetworkBuilder {
                     return Err(SimError::UnknownSegment(*s));
                 }
             }
-            if let Some(bps) = r.port_bandwidth_bps {
-                if bps.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                    return Err(SimError::InvalidParameter(
-                        "router port bandwidth must be positive",
-                    ));
-                }
-            }
         }
         let routes =
             crate::fabric::compute_routes(self.segments.len(), &self.routers, SimTime::ZERO);
@@ -1127,9 +1120,9 @@ impl Network {
             self.slab.get_mut(dgram).corrupted = true;
         }
 
-        let (dst, wire_len, frame_bytes) = {
+        let (dst, wire_len) = {
             let d = self.slab.get(dgram);
-            (d.dst, d.wire_len, d.frame_bytes())
+            (d.dst, d.wire_len)
         };
         let dst_seg = self.nodes[dst.index()].segment;
         if dst_seg == segment {
@@ -1167,22 +1160,8 @@ impl Network {
             }
             let fwd = r.forward_time(wire_len);
             let start = self.run.now.max(r.free_at);
-            let mut done = start + fwd;
+            let done = start + fwd;
             r.free_at = done;
-            // Per-direction port bandwidth: after the forwarding engine,
-            // the frame serializes through its egress port, independently
-            // of other ports. `None` (the default) skips this entirely.
-            if let Some(ptx) = r.spec.port_tx_time(frame_bytes) {
-                let port = r
-                    .spec
-                    .segments
-                    .iter()
-                    .position(|&s| s == egress)
-                    .expect("egress is one of the router's ports");
-                let dep = done.max(r.port_free_at[port]) + ptx;
-                r.port_free_at[port] = dep;
-                done = dep;
-            }
             r.in_flight += 1;
             self.queue.push(
                 done,

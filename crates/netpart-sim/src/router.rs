@@ -28,14 +28,6 @@ pub struct RouterSpec {
     /// Maximum frames the router will hold; arrivals beyond this are
     /// dropped (surfaced as `DropReason::RouterOverflow`).
     pub buffer_frames: usize,
-    /// Optional per-direction (egress-port) bandwidth in bits per second.
-    /// When set, a forwarded frame must additionally serialize through its
-    /// egress port: departures on the same port are spaced by the frame's
-    /// transmission time at this rate, independently per port, modelling a
-    /// router whose backplane outruns its line cards. `None` (the default
-    /// and `paper_router`) keeps the forwarding engine the only bottleneck,
-    /// matching the paper's single per-byte router penalty.
-    pub port_bandwidth_bps: Option<f64>,
 }
 
 impl RouterSpec {
@@ -47,16 +39,7 @@ impl RouterSpec {
             per_frame: SimDur::from_micros(120),
             per_byte_sec: 0.6e-6,
             buffer_frames: 256,
-            port_bandwidth_bps: None,
         }
-    }
-
-    /// Serialization time of a frame on an egress port, if per-port
-    /// bandwidth is configured.
-    #[inline]
-    pub fn port_tx_time(&self, frame_bytes: u32) -> Option<SimDur> {
-        self.port_bandwidth_bps
-            .map(|bps| SimDur::from_secs_f64(frame_bytes as f64 * 8.0 / bps))
     }
 
     /// Forwarding time for a frame carrying `payload_bytes`.
@@ -92,38 +75,12 @@ pub(crate) struct Router {
     /// `LinkDown` fault so fabrics that never see one pay nothing (an
     /// empty vector means every port is up).
     pub(crate) port_down_until: Vec<SimTime>,
-    /// Per-egress-port busy-until times, indexed parallel to
-    /// `spec.segments`. Only consulted when `spec.port_bandwidth_bps` is
-    /// set; stays all-zero (and allocation-free per forward) otherwise.
-    pub(crate) port_free_at: Vec<SimTime>,
     /// [`RouterSpec::forward_time`] of the payload sizes seen last.
     fwd_memo: SizeMemo,
 }
 
 impl Router {
     pub(crate) fn new(spec: RouterSpec) -> Router {
-        Router::initial(spec, Vec::new())
-    }
-
-    /// Return to the just-built state, keeping the port table's buffer.
-    pub(crate) fn reset(&mut self) {
-        let segments = std::mem::take(&mut self.spec.segments);
-        let port_free_at = std::mem::take(&mut self.port_free_at);
-        *self = Router::initial(
-            RouterSpec {
-                segments,
-                ..self.spec
-            },
-            port_free_at,
-        );
-    }
-
-    /// The just-built state of a router over `spec`, reusing
-    /// `port_free_at`'s buffer: the one definition [`new`](Router::new)
-    /// and [`reset`](Router::reset) share.
-    fn initial(spec: RouterSpec, mut port_free_at: Vec<SimTime>) -> Router {
-        port_free_at.clear();
-        port_free_at.resize(spec.segments.len(), SimTime::ZERO);
         Router {
             spec,
             free_at: SimTime::ZERO,
@@ -132,9 +89,17 @@ impl Router {
             frames_dropped: 0,
             down_until: SimTime::ZERO,
             port_down_until: Vec::new(),
-            port_free_at,
             fwd_memo: SizeMemo::EMPTY,
         }
+    }
+
+    /// Return to the just-built state.
+    pub(crate) fn reset(&mut self) {
+        let segments = std::mem::take(&mut self.spec.segments);
+        *self = Router::new(RouterSpec {
+            segments,
+            ..self.spec
+        });
     }
 
     /// [`RouterSpec::forward_time`] of a frame carrying `payload_bytes`,
@@ -199,15 +164,6 @@ mod tests {
         assert_eq!(t1.as_nanos() - t0.as_nanos(), t2.as_nanos() - t1.as_nanos());
         // 1000 bytes at 0.6 µs/byte = 600 µs.
         assert_eq!(t1.as_nanos() - t0.as_nanos(), 600_000);
-    }
-
-    #[test]
-    fn port_tx_time_only_with_port_bandwidth() {
-        let mut r = RouterSpec::paper_router(vec![SegmentId(0), SegmentId(1)]);
-        assert_eq!(r.port_tx_time(1250), None);
-        r.port_bandwidth_bps = Some(10.0e6);
-        // 1250 bytes at 10 Mbit/s = 1 ms.
-        assert_eq!(r.port_tx_time(1250), Some(SimDur::from_millis(1)));
     }
 
     #[test]

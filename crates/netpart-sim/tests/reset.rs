@@ -15,8 +15,7 @@ const NODES: usize = 6;
 const SEGMENTS: u16 = 3;
 const ROUTERS: u16 = 3;
 
-/// Three segments joined pairwise by three routers with egress-port
-/// bandwidth (so every router keeps per-port state), two nodes on each
+/// Three segments joined pairwise by three routers, two nodes on each
 /// segment, segment 0 lossy (so delivery draws from the loss RNG). A
 /// router outage reroutes over the other two.
 fn build(seed: u64) -> Network {
@@ -30,10 +29,7 @@ fn build(seed: u64) -> Network {
     let s1 = b.add_segment(SegmentSpec::ethernet_10mbps());
     let s2 = b.add_segment(SegmentSpec::ethernet_10mbps());
     for ports in [vec![lossy, s1], vec![s1, s2], vec![lossy, s2]] {
-        b.add_router(RouterSpec {
-            port_bandwidth_bps: Some(10.0e6),
-            ..RouterSpec::paper_router(ports)
-        });
+        b.add_router(RouterSpec::paper_router(ports));
     }
     for seg in [lossy, s1, s2] {
         b.add_node(fast, seg);

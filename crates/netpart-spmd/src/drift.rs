@@ -25,10 +25,10 @@
 //!
 //! One slow cycle is noise (a cold cache, an unlucky retransmission); a
 //! *sustained* ratio is a gray failure. Confirmation requires the
-//! smoothed observed/predicted ratio to exceed `degrade_threshold` for
-//! `hysteresis` consecutive cycles of the same rank, after a `warmup`
-//! prefix is ignored entirely and outside any cooldown window an adaptive
-//! policy may impose after declining to act. The communication test
+//! smoothed observed/predicted ratio to exceed [`DEGRADE_THRESHOLD`] for
+//! [`HYSTERESIS`] consecutive cycles of the same rank, after the first
+//! [`WARMUP_CYCLES`] are ignored entirely and outside any cooldown window
+//! an adaptive policy may impose after declining to act. The communication test
 //! additionally grants each rank one compute phase of bulk-synchronous
 //! skew allowance before any receive-wait counts against the network —
 //! a healthy but imbalanced step keeps fast ranks waiting on slow ones,
@@ -39,41 +39,27 @@ use netpart_sim::SimTime;
 use crate::engine::{Phase, Probe};
 use crate::task::Rank;
 
-/// Tuning knobs for a [`DriftMonitor`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftConfig {
-    /// Observed/predicted ratio above which a cycle counts as degraded
-    /// (e.g. `1.75` = 75% slower than the plan predicted).
-    pub degrade_threshold: f64,
-    /// Consecutive degraded cycles required to confirm drift.
-    pub hysteresis: u32,
-    /// Cycles (global) ignored at the start of the run — startup effects
-    /// (cold caches, distribution stragglers) are not drift.
-    pub warmup: u64,
-    /// EWMA smoothing factor in `(0, 1]`; 1.0 disables smoothing.
-    pub alpha: f64,
-    /// Absolute slack in milliseconds added to the predicted time before
-    /// the ratio test, so sub-millisecond predictions don't produce
-    /// spurious ratios.
-    pub slack_ms: f64,
-}
+/// Observed/predicted ratio above which a cycle counts as degraded
+/// (`1.75` = 75% slower than the plan predicted).
+pub const DEGRADE_THRESHOLD: f64 = 1.75;
 
-impl Default for DriftConfig {
-    fn default() -> DriftConfig {
-        DriftConfig {
-            degrade_threshold: 1.75,
-            hysteresis: 3,
-            warmup: 1,
-            // High enough that a step change (the typical gray failure)
-            // converges within the hysteresis window — downstream
-            // cost/benefit decisions read the smoothed ratio as the
-            // magnitude, not just as a binary alarm — while still damping
-            // single-cycle blips.
-            alpha: 0.7,
-            slack_ms: 0.25,
-        }
-    }
-}
+/// Consecutive degraded cycles required to confirm drift.
+pub const HYSTERESIS: u32 = 3;
+
+/// Cycles (global) ignored at the start of the run — startup effects
+/// (cold caches, distribution stragglers) are not drift.
+pub const WARMUP_CYCLES: u64 = 1;
+
+/// EWMA smoothing factor. High enough that a step change (the typical
+/// gray failure) converges within the hysteresis window — downstream
+/// cost/benefit decisions read the smoothed ratio as the magnitude, not
+/// just as a binary alarm — while still damping single-cycle blips.
+pub const EWMA_ALPHA: f64 = 0.7;
+
+/// Absolute slack in milliseconds added to the predicted time before the
+/// ratio test, so sub-millisecond predictions don't produce spurious
+/// ratios.
+pub const SLACK_MS: f64 = 0.25;
 
 /// What a confirmed drift looked like, for recalibration and the
 /// cost/benefit decision.
@@ -112,7 +98,6 @@ impl DriftReport {
 /// and reports all use one coordinate system across replans.
 #[derive(Debug, Clone)]
 pub struct DriftMonitor {
-    cfg: DriftConfig,
     base: u64,
     /// Per-rank predicted compute milliseconds per cycle (from the plan's
     /// `TcBreakdown`, mapped through the rank → cluster layout).
@@ -140,10 +125,9 @@ impl DriftMonitor {
     /// A monitor for `pred_comp_ms.len()` ranks with the given per-rank
     /// predicted compute times and shared predicted communication time
     /// (both per cycle, in milliseconds), starting at global cycle `base`.
-    pub fn new(cfg: DriftConfig, base: u64, pred_comp_ms: Vec<f64>, pred_comm_ms: f64) -> Self {
+    pub fn new(base: u64, pred_comp_ms: Vec<f64>, pred_comm_ms: f64) -> Self {
         let n = pred_comp_ms.len();
         DriftMonitor {
-            cfg,
             base,
             pred_comp_ms,
             pred_comm_ms,
@@ -179,13 +163,13 @@ impl DriftMonitor {
     /// compute phase has been observed. `1.0` ≈ running as planned.
     pub fn comp_ratio(&self, rank: Rank) -> Option<f64> {
         let obs = self.ewma_comp[rank]?;
-        Some(obs / (self.pred_comp_ms[rank] + self.cfg.slack_ms))
+        Some(obs / (self.pred_comp_ms[rank] + SLACK_MS))
     }
 
     /// The smoothed observed/predicted receive-wait ratio for `rank`.
     pub fn comm_ratio(&self, rank: Rank) -> Option<f64> {
         let obs = self.ewma_comm[rank]?;
-        Some(obs / (self.pred_comm_ms + self.cfg.slack_ms))
+        Some(obs / (self.pred_comm_ms + SLACK_MS))
     }
 
     /// The detection ratio for communication drift. Receive-wait confounds
@@ -198,7 +182,7 @@ impl DriftMonitor {
     /// inflation estimate, once a confirmation is in hand.)
     fn comm_wait_ratio(&self, rank: Rank) -> Option<f64> {
         let obs = self.ewma_comm[rank]?;
-        Some(obs / (self.pred_comm_ms + self.pred_comp_ms[rank] + self.cfg.slack_ms))
+        Some(obs / (self.pred_comm_ms + self.pred_comp_ms[rank] + SLACK_MS))
     }
 
     /// Attribute the confirmed drift to its *source*: the refined report
@@ -213,7 +197,7 @@ impl DriftMonitor {
     /// per-cluster compute prediction can be systematically biased for a
     /// given app, which shifts every ratio in a cluster by the same
     /// factor. Both problems cancel against same-cluster peers: the rank
-    /// whose compute ratio stands `degrade_threshold ×` above its peers'
+    /// whose compute ratio stands [`DEGRADE_THRESHOLD`]`×` above its peers'
     /// median (and above prediction in absolute terms) is the
     /// degradation source, and the ratio relative to that peer median is
     /// its slowdown.
@@ -239,7 +223,7 @@ impl DriftMonitor {
             .map(|r| (r, ratios[r] / peer_median(r)))
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .unwrap_or((report.rank, 1.0));
-        let (rank, comp_scale) = if worst.1 > self.cfg.degrade_threshold && ratios[worst.0] > 1.0 {
+        let (rank, comp_scale) = if worst.1 > DEGRADE_THRESHOLD && ratios[worst.0] > 1.0 {
             (worst.0, worst.1.max(1.0))
         } else {
             (report.rank, 1.0)
@@ -258,10 +242,10 @@ impl DriftMonitor {
         Some((source, comp_scale))
     }
 
-    fn smooth(prev: Option<f64>, sample: f64, alpha: f64) -> f64 {
+    fn smooth(prev: Option<f64>, sample: f64) -> f64 {
         match prev {
             None => sample,
-            Some(p) => p + alpha * (sample - p),
+            Some(p) => p + EWMA_ALPHA * (sample - p),
         }
     }
 }
@@ -284,34 +268,26 @@ impl Probe for DriftMonitor {
     }
 
     fn on_cycle(&mut self, rank: Rank, cycle: u64, _at: SimTime) {
-        self.ewma_comp[rank] = Some(Self::smooth(
-            self.ewma_comp[rank],
-            self.acc_comp[rank],
-            self.cfg.alpha,
-        ));
-        self.ewma_comm[rank] = Some(Self::smooth(
-            self.ewma_comm[rank],
-            self.acc_comm[rank],
-            self.cfg.alpha,
-        ));
+        self.ewma_comp[rank] = Some(Self::smooth(self.ewma_comp[rank], self.acc_comp[rank]));
+        self.ewma_comm[rank] = Some(Self::smooth(self.ewma_comm[rank], self.acc_comm[rank]));
         self.acc_comp[rank] = 0.0;
         self.acc_comm[rank] = 0.0;
         if self.confirmed.is_some() {
             return;
         }
         let global = self.base + cycle;
-        if global < self.cfg.warmup || global < self.cooldown_until {
+        if global < WARMUP_CYCLES || global < self.cooldown_until {
             self.streak[rank] = 0;
             return;
         }
         let comp = self.comp_ratio(rank).unwrap_or(1.0);
         let comm = self.comm_wait_ratio(rank).unwrap_or(1.0);
-        if comp > self.cfg.degrade_threshold || comm > self.cfg.degrade_threshold {
+        if comp > DEGRADE_THRESHOLD || comm > DEGRADE_THRESHOLD {
             if self.streak[rank] == 0 {
                 self.streak_start[rank] = global;
             }
             self.streak[rank] += 1;
-            if self.streak[rank] >= self.cfg.hysteresis.max(1) {
+            if self.streak[rank] >= HYSTERESIS {
                 self.confirmed = Some(DriftReport {
                     rank,
                     cycle: global,
@@ -344,7 +320,7 @@ mod tests {
 
     #[test]
     fn healthy_run_never_confirms() {
-        let mut m = DriftMonitor::new(DriftConfig::default(), 0, vec![10.0, 10.0], 2.0);
+        let mut m = DriftMonitor::new(0, vec![10.0, 10.0], 2.0);
         for c in 0..50 {
             feed_cycle(&mut m, 0, c, 10);
             feed_cycle(&mut m, 1, c, 11); // 10% off is not drift
@@ -354,13 +330,7 @@ mod tests {
 
     #[test]
     fn sustained_slowdown_confirms_after_hysteresis() {
-        let cfg = DriftConfig {
-            hysteresis: 3,
-            warmup: 0,
-            alpha: 1.0,
-            ..DriftConfig::default()
-        };
-        let mut m = DriftMonitor::new(cfg, 0, vec![10.0, 10.0], 2.0);
+        let mut m = DriftMonitor::new(0, vec![10.0, 10.0], 2.0);
         feed_cycle(&mut m, 0, 0, 10);
         feed_cycle(&mut m, 1, 0, 10);
         // Rank 1 goes 4× from cycle 1.
@@ -381,70 +351,54 @@ mod tests {
 
     #[test]
     fn transient_blip_resets_the_streak() {
-        let cfg = DriftConfig {
-            hysteresis: 3,
-            warmup: 0,
-            alpha: 1.0,
-            ..DriftConfig::default()
-        };
-        let mut m = DriftMonitor::new(cfg, 0, vec![10.0], 2.0);
-        // Two degraded, one healthy, two degraded: never three in a row.
-        for (c, ms) in [(0, 40), (1, 40), (2, 10), (3, 40), (4, 40)] {
+        let mut m = DriftMonitor::new(0, vec![10.0], 2.0);
+        // After the warmup cycle: two degraded, one healthy, two degraded,
+        // never three in a row. The healthy cycle is fast enough to pull
+        // the smoothed time (40 → 15.5 ms) back under the threshold.
+        for (c, ms) in [(0, 40), (1, 40), (2, 40), (3, 5), (4, 40), (5, 40)] {
             feed_cycle(&mut m, 0, c, ms);
         }
         assert!(m.confirmed().is_none());
+        feed_cycle(&mut m, 0, 6, 40);
+        assert!(m.confirmed().is_some(), "a third in a row confirms");
     }
 
     #[test]
     fn warmup_and_cooldown_suppress_confirmation() {
-        let cfg = DriftConfig {
-            hysteresis: 2,
-            warmup: 5,
-            alpha: 1.0,
-            ..DriftConfig::default()
-        };
-        let mut m = DriftMonitor::new(cfg, 0, vec![10.0], 2.0);
-        for c in 0..5 {
+        let mut m = DriftMonitor::new(0, vec![10.0], 2.0);
+        // Three degraded cycles would confirm, but the first is warmup.
+        for c in 0..3 {
             feed_cycle(&mut m, 0, c, 40);
         }
         assert!(m.confirmed().is_none(), "warmup cycles never count");
         m.set_cooldown_until(10);
-        for c in 5..10 {
+        for c in 3..10 {
             feed_cycle(&mut m, 0, c, 40);
         }
         assert!(m.confirmed().is_none(), "cooldown suppresses");
-        feed_cycle(&mut m, 0, 10, 40);
-        feed_cycle(&mut m, 0, 11, 40);
-        assert!(m.confirmed().is_some(), "re-arms after cooldown");
+        for c in 10..13 {
+            feed_cycle(&mut m, 0, c, 40);
+        }
+        let r = m.confirmed().expect("re-arms after cooldown");
+        assert_eq!(r.first_degraded_cycle, 10);
     }
 
     #[test]
     fn base_offset_shifts_the_coordinate_system() {
-        let cfg = DriftConfig {
-            hysteresis: 2,
-            warmup: 0,
-            alpha: 1.0,
-            ..DriftConfig::default()
-        };
         // Resumed segment: engine-local cycle 0 is global cycle 6.
-        let mut m = DriftMonitor::new(cfg, 6, vec![10.0], 2.0);
-        feed_cycle(&mut m, 0, 0, 40);
-        feed_cycle(&mut m, 0, 1, 40);
+        let mut m = DriftMonitor::new(6, vec![10.0], 2.0);
+        for c in 0..3 {
+            feed_cycle(&mut m, 0, c, 40);
+        }
         let r = m.confirmed().expect("confirmed");
-        assert_eq!(r.cycle, 7);
-        assert_eq!(r.first_degraded_cycle, 6);
+        assert_eq!(r.cycle, 8);
+        assert_eq!(r.first_degraded_cycle, 6, "global 6 is past the warmup");
     }
 
     #[test]
     fn comm_drift_confirms_too() {
-        let cfg = DriftConfig {
-            hysteresis: 2,
-            warmup: 0,
-            alpha: 1.0,
-            ..DriftConfig::default()
-        };
-        let mut m = DriftMonitor::new(cfg, 0, vec![10.0], 2.0);
-        for c in 0..3 {
+        let mut m = DriftMonitor::new(0, vec![10.0], 2.0);
+        for c in 0..4 {
             m.on_phase(0, c, Phase::Compute, t(0), t(10));
             m.on_phase(0, c, Phase::Recv, t(10), t(50)); // 40 ms vs 2 predicted
             m.on_cycle(0, c, t(50));
@@ -456,13 +410,7 @@ mod tests {
 
     #[test]
     fn comm_drift_without_marks_stays_rank_attributed() {
-        let cfg = DriftConfig {
-            hysteresis: 2,
-            warmup: 0,
-            alpha: 1.0,
-            ..DriftConfig::default()
-        };
-        let mut m = DriftMonitor::new(cfg, 0, vec![10.0], 2.0);
+        let mut m = DriftMonitor::new(0, vec![10.0], 2.0);
         // Two healthy cycles, then a comm slowdown: the drift is the
         // waiting rank's, and its streak starts with the slowdown.
         for c in 0..2 {
@@ -488,13 +436,7 @@ mod tests {
     /// all.
     #[test]
     fn marks_never_implicate_network_for_slow_compute() {
-        let cfg = DriftConfig {
-            hysteresis: 2,
-            warmup: 0,
-            alpha: 1.0,
-            ..DriftConfig::default()
-        };
-        let mut m = DriftMonitor::new(cfg, 0, vec![10.0, 10.0], 2.0);
+        let mut m = DriftMonitor::new(0, vec![10.0, 10.0], 2.0);
         for c in 0..6 {
             // Rank 1 computes 4× slow; rank 0 waits on it — a wait fully
             // explained by neighbour skew (11 ms < 10 + 2 + slack).
@@ -515,13 +457,7 @@ mod tests {
         // of skew (pred_comp 10 + pred_comm 2) must never confirm, no
         // matter how long it is sustained — it is the healthy signature
         // of an imbalanced bulk-synchronous step, not network drift.
-        let cfg = DriftConfig {
-            hysteresis: 2,
-            warmup: 0,
-            alpha: 1.0,
-            ..DriftConfig::default()
-        };
-        let mut m = DriftMonitor::new(cfg, 0, vec![10.0], 2.0);
+        let mut m = DriftMonitor::new(0, vec![10.0], 2.0);
         for c in 0..20 {
             m.on_phase(0, c, Phase::Compute, t(0), t(10));
             m.on_phase(0, c, Phase::Recv, t(10), t(21)); // 11 ms < 12.25 allowance
@@ -535,20 +471,14 @@ mod tests {
     /// cluster-wide prediction bias instead of reading it as drift.
     #[test]
     fn attribution_names_the_compute_outlier_not_the_waiting_rank() {
-        let cfg = DriftConfig {
-            hysteresis: 2,
-            warmup: 0,
-            alpha: 1.0,
-            ..DriftConfig::default()
-        };
         // Ranks 0-2 share cluster 0; rank 3 is alone in cluster 1. Every
         // cluster-0 rank runs 1.5x its (biased) prediction; rank 1 runs 6x.
-        let mut m = DriftMonitor::new(cfg, 0, vec![10.0; 4], 2.0);
+        let mut m = DriftMonitor::new(0, vec![10.0; 4], 2.0);
         assert!(
             m.attribute(&[0, 0, 0, 1]).is_none(),
             "nothing confirmed yet"
         );
-        for c in 0..3 {
+        for c in 0..4 {
             // Rank 0 waits 60 ms on its slow neighbour and trips first.
             m.on_phase(0, c, Phase::Compute, t(0), t(15));
             m.on_phase(0, c, Phase::Recv, t(15), t(75));
@@ -577,8 +507,8 @@ mod tests {
 
         // No outlier: a uniform bias is not a slowdown, so a comm-driven
         // confirmation stands as confirmed, with no compute scale.
-        let mut m = DriftMonitor::new(cfg, 0, vec![10.0; 2], 2.0);
-        for c in 0..3 {
+        let mut m = DriftMonitor::new(0, vec![10.0; 2], 2.0);
+        for c in 0..4 {
             for r in 0..2 {
                 m.on_phase(r, c, Phase::Compute, t(0), t(15));
                 m.on_phase(r, c, Phase::Recv, t(15), t(95));

@@ -28,7 +28,7 @@ pub mod runtime;
 pub mod task;
 
 pub use checkpoint::{AssembledCheckpoint, Checkpoint, CheckpointStore};
-pub use drift::{DriftConfig, DriftMonitor, DriftReport};
+pub use drift::{DriftMonitor, DriftReport, DEGRADE_THRESHOLD};
 pub use engine::{CycleEngine, NoProbe, Phase, Probe, Segment};
 pub use report::SpmdReport;
 pub use runtime::Executor;

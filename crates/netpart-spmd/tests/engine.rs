@@ -7,8 +7,7 @@ use netpart_mmps::Mmps;
 use netpart_model::{NetpartError, OpKind, PartitionVector};
 use netpart_sim::{NetworkBuilder, NodeId, ProcType, SegmentSpec};
 use netpart_spmd::{
-    CheckpointStore, DriftConfig, DriftMonitor, Executor, NoProbe, Segment, SpmdApp, SpmdReport,
-    Step,
+    CheckpointStore, DriftMonitor, Executor, NoProbe, Segment, SpmdApp, SpmdReport, Step,
 };
 use netpart_topology::Topology;
 
@@ -433,7 +432,7 @@ fn a_loaded_node_under_a_monitor_ends_the_run_as_drift() {
         .iter()
         .map(|d| d.as_millis_f64() / SEG_CYCLES as f64)
         .collect();
-    let mut monitor = DriftMonitor::new(DriftConfig::default(), 0, pred_comp, 1.0);
+    let mut monitor = DriftMonitor::new(0, pred_comp, 1.0);
     let mut store = CheckpointStore::new(4, 1, 0);
     let (mut mmps, nodes) = homogeneous_cluster(4);
     mmps.net().set_external_load(nodes[1], 0.75);

@@ -69,11 +69,7 @@ fn main() -> Result<(), NetpartError> {
 
     // Adapt: detect the drift, recalibrate, and repartition when the
     // projected saving over the remaining cycles beats the migration cost.
-    let adapt_policy = RecoveryPolicy::Adapt {
-        degrade_threshold: 1.75,
-        min_gain: 0.0,
-        cooldown: 4,
-    };
+    let adapt_policy = RecoveryPolicy::Adapt { min_gain: 0.0 };
     let (adaptive, recovered) = scenario.run_recoverable(&faults, adapt_policy, 2, factory)?;
     let stats = adaptive.recovery.clone().unwrap_or_default();
     println!(
@@ -106,9 +102,7 @@ fn main() -> Result<(), NetpartError> {
     // ever enough — the policy detects, recalibrates, then deliberately
     // declines and finishes on the degraded layout.
     let decline_policy = RecoveryPolicy::Adapt {
-        degrade_threshold: 1.75,
         min_gain: f64::INFINITY,
-        cooldown: 4,
     };
     let (declined, dapp) = scenario.run_recoverable(&faults, decline_policy, 2, factory)?;
     let dstats = declined.recovery.clone().unwrap_or_default();

@@ -9,9 +9,7 @@
 
 use netpart::apps::stencil::{stencil_model, StencilVariant};
 use netpart::calibrate::{calibrate_testbed_cached, CalibrationConfig, Testbed};
-use netpart::core::{
-    determine_available, partition, AvailabilityPolicy, Estimator, PartitionOptions, SystemModel,
-};
+use netpart::core::{determine_available, partition, Estimator, PartitionOptions, SystemModel};
 use netpart::model::NetpartError;
 use netpart::sim::SegmentId;
 use netpart::topology::{PlacementStrategy, Topology};
@@ -57,7 +55,7 @@ fn main() -> Result<(), NetpartError> {
     mmps.net().set_external_load(clusters[0][1], 0.8);
     mmps.net().set_external_load(clusters[0][3], 0.5);
     mmps.net().set_external_load(clusters[1][2], 0.9);
-    let avail = determine_available(&mut mmps, &clusters, AvailabilityPolicy::default());
+    let avail = determine_available(&mut mmps, &clusters);
     println!(
         "availability round: {:?} available ({} messages, {:.2} ms simulated)",
         avail.available,

@@ -49,13 +49,12 @@ fn main() -> Result<(), NetpartError> {
     let stats = server.stats();
     println!(
         "served {} requests: {} fresh, {} cached, {} coalesced \
-         (hit ratio {:.2}); queue high-water {}; burst latency median {:.3} ms, max {:.3} ms",
+         (hit ratio {:.2}); burst latency median {:.3} ms, max {:.3} ms",
         stats.completed(),
         stats.fresh,
         stats.cache_hits,
         stats.coalesced,
         stats.cache_hit_ratio(),
-        stats.queue_high_water,
         burst_ms[burst_ms.len() / 2],
         burst_ms[burst_ms.len() - 1],
     );

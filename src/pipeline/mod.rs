@@ -40,7 +40,10 @@ mod run;
 mod scenario;
 
 pub use fault::{Fault, FaultSchedule};
-pub use recovery::{AppStart, CheckpointPolicy, Durability, RecoveryPolicy, RecoveryStats};
+pub use recovery::{
+    AppStart, CheckpointPolicy, Durability, RecoveryPolicy, RecoveryStats, DEGRADE_THRESHOLD,
+    DRIFT_COOLDOWN,
+};
 pub use request::{scenario_fingerprint, PlanRequest, PlanResponse, PlanSource};
 pub use run::{PhaseTotals, Run};
 pub use scenario::{CostSource, Plan, Scenario};

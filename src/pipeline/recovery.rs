@@ -8,6 +8,8 @@
 use netpart_model::NetpartError;
 use netpart_spmd::{Checkpoint, Rank};
 
+pub use netpart_spmd::DEGRADE_THRESHOLD;
+
 mod driver;
 mod machine;
 
@@ -40,26 +42,25 @@ pub enum RecoveryPolicy {
     /// saving over the remaining cycles beats the migration cost
     /// (re-executed cycles plus shipping the checkpointed state) by more
     /// than `min_gain`. Otherwise it deliberately stays put and re-arms
-    /// the monitor after `cooldown` cycles. A fault-free run under
+    /// the monitor after [`DRIFT_COOLDOWN`] cycles. A cycle counts as
+    /// degraded past [`DEGRADE_THRESHOLD`]. A fault-free run under
     /// `Adapt` is byte-identical to one under `Replan` — the monitor is
     /// purely observational.
     Adapt {
-        /// Observed/predicted ratio above which a cycle counts as
-        /// degraded (e.g. `1.75` = 75% slower than planned).
-        degrade_threshold: f64,
         /// Minimum projected *net* gain (simulated ms over the rest of
         /// the run) required to repartition; below it the policy declines.
         min_gain: f64,
-        /// Cycles after a declined repartition during which the drift
-        /// monitor is suppressed, so an unprofitable degradation is not
-        /// re-litigated every few cycles.
-        cooldown: u64,
     },
 }
 
+/// Cycles after a drift round during which [`RecoveryPolicy::Adapt`]'s
+/// monitor is suppressed, so an unprofitable degradation is not
+/// re-litigated every few cycles and an accepted move gets to settle.
+pub const DRIFT_COOLDOWN: u64 = 4;
+
 /// Fail-stop replan budget used by [`RecoveryPolicy::Adapt`], which
 /// fixes the [`RecoveryPolicy::Replan`] knobs so its own surface stays
-/// the three drift parameters the cost/benefit gate actually needs. Its
+/// the one parameter the cost/benefit gate actually needs. Its
 /// decision pause is the flat 5 ms a `Replan { backoff_ms: 5.0 }` policy
 /// gets.
 const ADAPT_MAX_REPLANS: u32 = 4;

@@ -6,7 +6,7 @@
 
 use std::collections::VecDeque;
 
-use netpart_core::{determine_available, AvailabilityPolicy};
+use netpart_core::determine_available;
 use netpart_mmps::{Mmps, MmpsEvent};
 use netpart_model::{Budget, NetpartError};
 use netpart_sim::{Network, NodeId, SegmentId, SimDur, SimError};
@@ -216,7 +216,7 @@ fn probe(mmps: &mut Mmps, clusters: usize, exclude: &[NodeId], round: Round) -> 
                 .collect()
         })
         .collect();
-    let report = determine_available(mmps, &members, AvailabilityPolicy::default());
+    let report = determine_available(mmps, &members);
     let net = mmps.net_ref();
     let coord = report.nodes.iter().flatten().copied().next();
     let unreachable = (0..report.nodes.len())
@@ -270,11 +270,7 @@ mod tests {
         // The drift monitor is purely observational: without drift it must
         // not perturb the run by a single byte, and no drift statistic may
         // move off zero.
-        let policy = RecoveryPolicy::Adapt {
-            degrade_threshold: 1.75,
-            min_gain: 0.0,
-            cooldown: 4,
-        };
+        let policy = RecoveryPolicy::Adapt { min_gain: 0.0 };
         let (run, rapp) = s
             .run_recoverable(&FaultSchedule::new(), policy, 1, stencil_factory(40, 6))
             .unwrap();
@@ -318,11 +314,7 @@ mod tests {
         let (adapt, adapt_app) = s
             .run_recoverable(
                 &faults,
-                RecoveryPolicy::Adapt {
-                    degrade_threshold: 1.75,
-                    min_gain: 0.0,
-                    cooldown: 4,
-                },
+                RecoveryPolicy::Adapt { min_gain: 0.0 },
                 1,
                 stencil_factory(40, iters),
             )
@@ -365,11 +357,7 @@ mod tests {
         let (run, rapp) = s
             .run_recoverable(
                 &faults,
-                RecoveryPolicy::Adapt {
-                    degrade_threshold: 1.75,
-                    min_gain: 1e12,
-                    cooldown: 2,
-                },
+                RecoveryPolicy::Adapt { min_gain: 1e12 },
                 1,
                 stencil_factory(40, iters),
             )

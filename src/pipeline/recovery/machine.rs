@@ -29,13 +29,14 @@ use netpart_calibrate::{speed_scale, CommCostModel, InflatedCostModel};
 use netpart_core::{partition, AvailabilityReport, Estimator, Partition, SystemModel};
 use netpart_model::{NetpartError, PartitionVector};
 use netpart_sim::{NodeId, SimTime};
-use netpart_spmd::{Checkpoint, CheckpointStore, DriftConfig, DriftMonitor, SpmdReport};
+use netpart_spmd::drift::SLACK_MS;
+use netpart_spmd::{Checkpoint, CheckpointStore, DriftMonitor, SpmdReport};
 
 use super::super::run::{PhaseTotals, Run};
 use super::super::scenario::Scenario;
 use super::{
     classify_failure, CheckpointPolicy, Durability, FailureClass, RecoveryPolicy, RecoveryStats,
-    ADAPT_MAX_REPLANS,
+    ADAPT_MAX_REPLANS, DRIFT_COOLDOWN,
 };
 
 /// Where the machine is. `Running` and `Probing` are the two phases it
@@ -234,22 +235,22 @@ impl RecoveryState {
     }
 
     /// The cooldown/disarm rule after the gate's verdict on a drift
-    /// confirmed at `cycle`. Either way the monitor sleeps `cooldown`
-    /// cycles past the confirmation: an accepted move gets a settle
-    /// window (the re-executed cycles plus distribution stragglers must
-    /// not read as fresh drift), a decline gets one second look (the
-    /// degradation may worsen and tip the balance). But two consecutive
+    /// confirmed at `cycle`. Either way the monitor sleeps
+    /// [`DRIFT_COOLDOWN`] cycles past the confirmation: an accepted move
+    /// gets a settle window (the re-executed cycles plus distribution
+    /// stragglers must not read as fresh drift), a decline gets one second
+    /// look (the degradation may worsen and tip the balance). But two consecutive
     /// declines disarm the monitor for good — for a steady degradation
     /// the remaining-cycle saving only shrinks, so every further round
     /// would redo checkpointed work just to decline again — and so does
     /// a decline whose frontier has not advanced since the last drift
     /// round: the detector cannot make progress.
-    fn rearm(&mut self, accepted: bool, resume_at: u64, cycle: u64, cooldown: u64) {
+    fn rearm(&mut self, accepted: bool, resume_at: u64, cycle: u64) {
         let hopeless = self.prev_drift_resume == Some(resume_at) || self.declined_last_round;
         self.cooldown_until = if !accepted && hopeless {
             u64::MAX
         } else {
-            cycle + 1 + cooldown
+            cycle + 1 + DRIFT_COOLDOWN
         };
         self.prev_drift_resume = Some(resume_at);
         self.declined_last_round = !accepted;
@@ -324,19 +325,12 @@ impl<'s> RecoveryMachine<'s> {
                 CheckpointStore::replicated(ranks, every, base, &s.nodes, &clusters)
             }
         };
-        let RecoveryPolicy::Adapt {
-            degrade_threshold, ..
-        } = self.policy
-        else {
+        let RecoveryPolicy::Adapt { .. } = self.policy else {
             return (store, None);
         };
         let b = &s.part.breakdown;
         let preds = rc.iter().map(|&k| b.t_comp_ms[k as usize]).collect();
-        let cfg = DriftConfig {
-            degrade_threshold,
-            ..DriftConfig::default()
-        };
-        let mut monitor = DriftMonitor::new(cfg, base, preds, b.t_comm_ms);
+        let mut monitor = DriftMonitor::new(base, preds, b.t_comm_ms);
         monitor.set_cooldown_until(s.cooldown_until);
         (store, Some(monitor))
     }
@@ -460,15 +454,14 @@ impl<'s> RecoveryMachine<'s> {
         let rc = s.part.rank_clusters();
         let (source, comp_scale) = monitor?.attribute(&rc)?;
         let b = &s.part.breakdown;
-        let slack = DriftConfig::default().slack_ms;
         let cluster = rc[source.rank] as usize;
-        let pred_comm = b.t_comm_ms + slack;
+        let pred_comm = b.t_comm_ms + SLACK_MS;
         let comm_scale = speed_scale(source.comm_ratio * pred_comm, pred_comm);
         // Staying put prices every remaining cycle at the degraded rank's
         // pace — it gates the bulk-synchronous cycle. The compute term is
         // the rank's *observed* smoothed time (ratio × prediction undoes
         // the ratio's denominator), so prediction bias cannot distort it.
-        let obs_comp_ms = source.comp_ratio * (b.t_comp_ms[cluster] + slack);
+        let obs_comp_ms = source.comp_ratio * (b.t_comp_ms[cluster] + SLACK_MS);
         let t_stay_ms = obs_comp_ms + (b.t_comm_ms * comm_scale - b.t_overlap_ms).max(0.0);
         s.stats.drift_detections += 1;
         s.stats.recalibrations += 1;
@@ -577,13 +570,7 @@ impl<'s> RecoveryMachine<'s> {
         }
         let est = Estimator::new(&sys, model, &self.scenario.app);
         let planned = partition(&est, &self.scenario.options);
-        if let (
-            Some(r),
-            RecoveryPolicy::Adapt {
-                min_gain, cooldown, ..
-            },
-        ) = (recal, self.policy)
-        {
+        if let (Some(r), RecoveryPolicy::Adapt { min_gain }) = (recal, self.policy) {
             let gain = planned
                 .as_ref()
                 .ok()
@@ -602,7 +589,7 @@ impl<'s> RecoveryMachine<'s> {
             let caused = r.comp_scale > 1.0 || r.wire.is_some();
             let accept =
                 caused && gain.is_some_and(|g| g > min_gain) && s.stats.replans < ADAPT_MAX_REPLANS;
-            s.rearm(accept, resume_at, r.confirmed_cycle, cooldown);
+            s.rearm(accept, resume_at, r.confirmed_cycle);
             if !accept {
                 // Deliberately stay put: resume the same placement and
                 // decomposition from the checkpoint.
@@ -954,7 +941,8 @@ mod tests {
     fn rearm_rule_table() {
         let s = scenario();
         // Each row is one drift round: (gate accepted, frontier it resumes
-        // from, confirmation cycle) -> cooldown_until, with cooldown = 4.
+        // from, confirmation cycle) -> cooldown_until, with
+        // DRIFT_COOLDOWN = 4.
         const OFF: u64 = u64::MAX;
         type Round = (bool, u64, u64, u64);
         let cases: [(&str, &[Round]); 4] = [
@@ -978,7 +966,7 @@ mod tests {
         for (name, rounds) in cases {
             let mut m = machine(&s, REPLAN, CheckpointPolicy::local(1));
             for &(accepted, resume_at, cycle, want) in rounds {
-                m.state.rearm(accepted, resume_at, cycle, 4);
+                m.state.rearm(accepted, resume_at, cycle);
                 assert_eq!(
                     m.state.cooldown_until, want,
                     "{name}: round at cycle {cycle}"
@@ -990,11 +978,7 @@ mod tests {
     #[test]
     fn two_declined_drift_rounds_keep_the_placement_and_disarm() {
         let s = scenario();
-        let policy = RecoveryPolicy::Adapt {
-            degrade_threshold: 1.75,
-            min_gain: 1e12,
-            cooldown: 2,
-        };
+        let policy = RecoveryPolicy::Adapt { min_gain: 1e12 };
         let mut m = machine(&s, policy, CheckpointPolicy::local(1));
         let placement = m.state.nodes.clone();
         let drift = |cycle| NetpartError::DriftDegraded {
@@ -1021,7 +1005,11 @@ mod tests {
             assert_eq!(relaunches(&actions), vec![&placement], "declined: stay put");
             cooldowns.push((confirmed_at, m.state.cooldown_until));
         }
-        assert_eq!(cooldowns[0].1, cooldowns[0].0 + 1 + 2, "one second look");
+        assert_eq!(
+            cooldowns[0].1,
+            cooldowns[0].0 + 1 + DRIFT_COOLDOWN,
+            "one second look"
+        );
         assert_eq!(cooldowns[1].1, u64::MAX, "then disarmed for good");
         let st = &m.state.stats;
         assert_eq!((st.drift_detections, st.recalibrations), (2, 2));
@@ -1036,11 +1024,7 @@ mod tests {
     #[test]
     fn spent_budget_makes_a_crash_fatal_despite_a_confirmed_drift() {
         let s = scenario();
-        let policy = RecoveryPolicy::Adapt {
-            degrade_threshold: 1.75,
-            min_gain: 0.0,
-            cooldown: 2,
-        };
+        let policy = RecoveryPolicy::Adapt { min_gain: 0.0 };
         let mut m = machine(&s, policy, CheckpointPolicy::local(1));
         m.state.stats.replans = 4; // Adapt's fixed fail-stop budget, spent
         let mon = drifted_monitor(&m);
