@@ -7,7 +7,7 @@
 //! constants", executed against the simulator instead of real Sun4s.
 
 use netpart_mmps::{Mmps, MmpsStats};
-use netpart_model::{Budget, NetpartError, PartitionVector};
+use netpart_model::{NetpartError, PartitionVector};
 use netpart_spmd::{CycleEngine, NoProbe};
 use netpart_topology::{PlacementStrategy, Topology};
 
@@ -156,7 +156,7 @@ type SweptGrid = (Vec<(u32, u32)>, Vec<f64>);
 /// hands points out heaviest first: the cheap ones fill in behind the
 /// expensive ones instead of each job ending on its heaviest points with
 /// a worker idle. Results come back by index, so every grid is exactly
-/// what a job-by-job loop builds. Each point checks `budget` first.
+/// what a job-by-job loop builds.
 ///
 /// Errors come in the order a job-by-job loop meets them: each job's
 /// entry is its grid or its first failed point in `(p, b)` order, and the
@@ -167,7 +167,6 @@ fn sweep_cluster_grids(
     testbed: &Testbed,
     jobs: &[(usize, Topology)],
     cfg: &CalibrationConfig,
-    budget: &Budget,
 ) -> Vec<Result<SweptGrid, NetpartError>> {
     let too_small = jobs
         .iter()
@@ -195,13 +194,7 @@ fn sweep_cluster_grids(
             let (cluster, topo, p, b) = cells[i];
             let mut config = vec![0u32; testbed.num_clusters()];
             config[cluster] = p;
-            // Cooperative deadline checkpoint: each grid point is a full
-            // simulation, so an expired request stops here instead of
-            // finishing the sweep.
-            let time = budget
-                .check()
-                .and_then(|()| rig.cycle_ms(&config, topo, b, cfg));
-            (i, time)
+            (i, rig.cycle_ms(&config, topo, b, cfg))
         },
     );
     measured.sort_unstable_by_key(|&(i, _)| i);
@@ -244,21 +237,19 @@ pub fn fit_eq1(points: &[(u32, u32)], y: &[f64]) -> Option<FittedCost> {
 
 const SINGULAR: &str = "calibration sweep produced a singular system";
 
-/// Sweep `excess_ms` over the configured message sizes (checking `budget`
-/// before each), fit the excesses as `a + k·b`, and clamp both constants at
-/// 0: the shape of the router and the coercion penalty alike. Each sweep
+/// Sweep `excess_ms` over the configured message sizes, fit the excesses
+/// as `a + k·b`, and clamp both constants at 0: the shape of the router
+/// and the coercion penalty alike. Each sweep
 /// worker makes its simulators with `rigs` and measures every size it
 /// claims on them.
 fn fit_excess<S>(
     cfg: &CalibrationConfig,
-    budget: &Budget,
     what: &str,
     rigs: impl Fn() -> S + Sync,
     excess_ms: impl Fn(&mut S, u32) -> Result<f64, NetpartError> + Sync,
 ) -> Result<LinearCost, NetpartError> {
     let excesses = netpart_sweep::sweep_with(cfg.b_values.clone(), rigs, |rigs, b| {
-        budget.check()?;
-        Ok::<f64, NetpartError>(excess_ms(rigs, b)?.max(0.0))
+        excess_ms(rigs, b).map(|excess| excess.max(0.0))
     });
     let excesses = excesses.into_iter().collect::<Result<Vec<f64>, _>>()?;
     let rows: Vec<Vec<f64>> = cfg.b_values.iter().map(|&b| vec![1.0, b as f64]).collect();
@@ -287,7 +278,6 @@ fn calibrate_router(
     ca: usize,
     cb: usize,
     cfg: &CalibrationConfig,
-    budget: &Budget,
 ) -> Result<LinearCost, NetpartError> {
     // The penalty belongs to the *path*, not the machines, so measure it
     // with identical hosts on both sides: clone cluster `ca`'s machine
@@ -303,7 +293,6 @@ fn calibrate_router(
     // Both configurations run on the one network of `tb`.
     fit_excess(
         cfg,
-        budget,
         "router",
         || Rig::new(&tb),
         |rig, b| {
@@ -321,7 +310,6 @@ fn calibrate_coerce(
     ca: usize,
     cb: usize,
     cfg: &CalibrationConfig,
-    budget: &Budget,
 ) -> Result<LinearCost, NetpartError> {
     if testbed.clusters[ca].proc_type.data_format == testbed.clusters[cb].proc_type.data_format {
         return Ok(LinearCost::default());
@@ -331,7 +319,6 @@ fn calibrate_coerce(
     let cc = one_pair(testbed, ca, cb);
     fit_excess(
         cfg,
-        budget,
         "coercion",
         || (Rig::new(testbed), Rig::new(&unified)),
         |(with, without), b| {
@@ -361,19 +348,6 @@ pub fn calibrate_testbed(
     topologies: &[Topology],
     cfg: &CalibrationConfig,
 ) -> Result<CalibratedCostModel, NetpartError> {
-    calibrate_testbed_budgeted(testbed, topologies, cfg, &Budget::unlimited())
-}
-
-/// [`calibrate_testbed`] under a cooperative [`Budget`]: every sweep
-/// checks the budget before each simulated grid point, so an expired
-/// plan-server request abandons the procedure at the next point instead
-/// of finishing hours of benchmarking.
-pub(crate) fn calibrate_testbed_budgeted(
-    testbed: &Testbed,
-    topologies: &[Topology],
-    cfg: &CalibrationConfig,
-    budget: &Budget,
-) -> Result<CalibratedCostModel, NetpartError> {
     if testbed.num_clusters() == 0 {
         return Err(NetpartError::EmptyTestbed);
     }
@@ -385,10 +359,7 @@ pub(crate) fn calibrate_testbed_budgeted(
     let jobs: Vec<(usize, Topology)> = (0..testbed.num_clusters())
         .flat_map(|cluster| topologies.iter().map(move |&topo| (cluster, topo)))
         .collect();
-    for (&(cluster, topo), swept) in jobs
-        .iter()
-        .zip(sweep_cluster_grids(testbed, &jobs, cfg, budget))
-    {
+    for (&(cluster, topo), swept) in jobs.iter().zip(sweep_cluster_grids(testbed, &jobs, cfg)) {
         let (grid, y) = swept?;
         let fit = fit_eq1(&grid, &y).ok_or_else(|| NetpartError::Calibration(SINGULAR.into()))?;
         model.set_intra(cluster, topo, fit);
@@ -403,14 +374,14 @@ pub(crate) fn calibrate_testbed_budgeted(
     for pairs in by_distance.values() {
         // Lexicographically first pair at this distance represents it.
         let (ra, rb) = pairs[0];
-        let fit = calibrate_router(testbed, ra, rb, cfg, budget)?;
+        let fit = calibrate_router(testbed, ra, rb, cfg)?;
         for &(a, b) in pairs {
             model.set_router(a, b, fit);
         }
     }
     for a in 0..testbed.num_clusters() {
         for b in a + 1..testbed.num_clusters() {
-            model.set_coerce(a, b, calibrate_coerce(testbed, a, b, cfg, budget)?);
+            model.set_coerce(a, b, calibrate_coerce(testbed, a, b, cfg)?);
         }
     }
     Ok(model)
@@ -511,7 +482,7 @@ mod tests {
     fn fitted_constants_predict_measurements() {
         let tb = Testbed::paper();
         let cfg = quick_cfg();
-        let swept = sweep_cluster_grids(&tb, &[(0, Topology::OneD)], &cfg, &Budget::unlimited());
+        let swept = sweep_cluster_grids(&tb, &[(0, Topology::OneD)], &cfg);
         let (grid, y) = swept.into_iter().next().unwrap().unwrap();
         let fit = fit_eq1(&grid, &y).unwrap();
         assert!(fit.r_squared > 0.95, "fit quality {}", fit.r_squared);
@@ -544,7 +515,7 @@ mod tests {
     fn router_penalty_is_positive_and_per_byte() {
         let tb = Testbed::paper();
         let cfg = quick_cfg();
-        let r = calibrate_router(&tb, 0, 1, &cfg, &Budget::unlimited()).unwrap();
+        let r = calibrate_router(&tb, 0, 1, &cfg).unwrap();
         assert!(r.k > 0.0, "router per-byte must be positive: {r:?}");
         // Same order of magnitude as the paper's 0.0006 ms/byte.
         assert!(r.k > 0.0001 && r.k < 0.01, "per-byte {k}", k = r.k);
@@ -559,8 +530,8 @@ mod tests {
         use crate::Wiring;
         let tb = crate::Testbed::synthetic(4, 2, 1.2).with_wiring(Wiring::Tree { arity: 2 });
         let cfg = quick_cfg();
-        let near = calibrate_router(&tb, 0, 1, &cfg, &Budget::unlimited()).unwrap();
-        let far = calibrate_router(&tb, 0, 2, &cfg, &Budget::unlimited()).unwrap();
+        let near = calibrate_router(&tb, 0, 1, &cfg).unwrap();
+        let far = calibrate_router(&tb, 0, 2, &cfg).unwrap();
         assert!(
             far.eval_ms(4096.0) > near.eval_ms(4096.0) * 1.5,
             "3-hop penalty {far:?} should clearly exceed 1-hop {near:?}"
@@ -585,16 +556,15 @@ mod tests {
     }
 
     /// Regression: the hop matrix was computed after every intra sweep, so
-    /// a partitioned wiring under an expired budget reported the deadline,
-    /// not the wiring it could have reported before sweeping anything.
+    /// a partitioned wiring reported whatever the sweeps met first, not the
+    /// wiring it could have reported before sweeping anything. With one
+    /// node per cluster a sweep fails with `Calibration`, so getting
+    /// `InvalidFabric` shows the hop check ran first.
     #[test]
     fn a_partitioned_wiring_fails_before_any_sweep() {
         use crate::Wiring;
-        let tb = Testbed::synthetic(3, 2, 1.2).with_wiring(Wiring::Custom(vec![vec![0, 1]]));
-        let budget = Budget::deadline_ms(0.0);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let err =
-            calibrate_testbed_budgeted(&tb, &[Topology::OneD], &quick_cfg(), &budget).unwrap_err();
+        let tb = Testbed::synthetic(3, 1, 1.2).with_wiring(Wiring::Custom(vec![vec![0, 1]]));
+        let err = calibrate_testbed(&tb, &[Topology::OneD], &quick_cfg()).unwrap_err();
         assert!(
             matches!(err, NetpartError::InvalidFabric(_)),
             "expected InvalidFabric, got {err:?}"
@@ -711,8 +681,7 @@ mod tests {
             }
         }
         let excess = |what, f: &(dyn Fn(u32) -> f64 + Sync)| {
-            let unlimited = Budget::unlimited();
-            fit_excess(cfg, &unlimited, what, || (), |(), b| Ok(f(b))).expect("excess fit")
+            fit_excess(cfg, what, || (), |(), b| Ok(f(b))).expect("excess fit")
         };
         for pairs in by_distance.values() {
             let (ca, cb) = pairs[0];
@@ -919,7 +888,7 @@ mod tests {
     fn coercion_zero_for_same_format() {
         let tb = Testbed::paper();
         let cfg = quick_cfg();
-        let c = calibrate_coerce(&tb, 0, 1, &cfg, &Budget::unlimited()).unwrap();
+        let c = calibrate_coerce(&tb, 0, 1, &cfg).unwrap();
         assert_eq!(c, LinearCost::default());
     }
 
@@ -927,7 +896,7 @@ mod tests {
     fn coercion_positive_across_formats() {
         let tb = Testbed::metasystem();
         let cfg = quick_cfg();
-        let c = calibrate_coerce(&tb, 0, 2, &cfg, &Budget::unlimited()).unwrap();
+        let c = calibrate_coerce(&tb, 0, 2, &cfg).unwrap();
         assert!(c.k > 0.0, "cross-format coercion per byte: {c:?}");
     }
 }

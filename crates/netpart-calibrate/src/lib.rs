@@ -32,8 +32,7 @@ pub mod testbed;
 
 pub use bench_app::CommBench;
 pub use cache::{
-    calibrate_testbed_cached, calibrate_testbed_cached_budgeted, calibrate_testbed_cached_status,
-    calibration_fingerprint, CacheStatus,
+    calibrate_testbed_cached, calibrate_testbed_cached_status, calibration_fingerprint, CacheStatus,
 };
 pub use costmodel::{
     CalibratedCostModel, CommCostModel, FittedCost, LinearCost, PaperCostModel, PiecewiseCost,

@@ -53,8 +53,6 @@ pub mod system;
 pub use estimator::{Estimator, FillContext, TcBreakdown};
 pub use manager::{determine_available, AvailabilityReport, LOAD_THRESHOLD, PROBE_TIMEOUT};
 pub use overhead::{measure_overhead, OverheadReport};
-pub use partitioner::{
-    partition, partition_budgeted, partition_exhaustive, ClusterOrder, Partition, PartitionOptions,
-};
+pub use partitioner::{partition, partition_exhaustive, ClusterOrder, Partition, PartitionOptions};
 pub use search::{SearchResult, SearchStrategy};
 pub use system::{ClusterInfo, SystemModel};

@@ -15,7 +15,7 @@
 //! scalability argument), which [`Partition::evaluations`] lets tests
 //! verify.
 
-use netpart_model::{Budget, NetpartError, PartitionVector};
+use netpart_model::{NetpartError, PartitionVector};
 
 use crate::estimator::{Estimator, TcBreakdown};
 use crate::search::SearchStrategy;
@@ -94,21 +94,6 @@ impl Partition {
 
 /// Run the heuristic partitioning algorithm.
 pub fn partition(est: &Estimator<'_>, opts: &PartitionOptions) -> Result<Partition, NetpartError> {
-    partition_budgeted(est, opts, &Budget::unlimited())
-}
-
-/// [`partition`] under a cooperative [`Budget`]: the fill loop checks the
-/// budget before each cluster's search and each refinement pass, so an
-/// expired or revoked deadline returns the typed
-/// `PlanDeadlineExceeded` instead of finishing the search. With an
-/// unlimited budget the arithmetic — and therefore the output — is
-/// bit-identical to [`partition`].
-pub fn partition_budgeted(
-    est: &Estimator<'_>,
-    opts: &PartitionOptions,
-    budget: &Budget,
-) -> Result<Partition, NetpartError> {
-    budget.check()?;
     let sys = est.system();
     let k = sys.num_clusters();
     let order = consideration_order(est, &opts.order)?;
@@ -125,7 +110,6 @@ pub fn partition_budgeted(
     let mut filled = est.fill_state(&config);
     let mut first = true;
     for &cluster in &order {
-        budget.check()?;
         let avail = sys.clusters[cluster].available;
         if avail == 0 {
             if first {
@@ -158,7 +142,7 @@ pub fn partition_budgeted(
         return Err(NetpartError::NoProcessorsAvailable);
     }
 
-    let refinement_moves = refine(est, &mut config, opts.refine_passes, budget)?;
+    let refinement_moves = refine(est, &mut config, opts.refine_passes);
 
     Ok(finish(est, config, order, refinement_moves))
 }
@@ -219,21 +203,15 @@ fn consideration_order(
 /// processor the fill loop insists on using. One exchange pass recovers
 /// exactly that class of miss at O(K²) evaluations per pass, far below
 /// the exhaustive search's `Π(Nᵢ+1)`.
-fn refine(
-    est: &Estimator<'_>,
-    config: &mut [u32],
-    max_passes: u32,
-    budget: &Budget,
-) -> Result<u32, NetpartError> {
+fn refine(est: &Estimator<'_>, config: &mut [u32], max_passes: u32) -> u32 {
     if max_passes == 0 {
-        return Ok(0);
+        return 0;
     }
     let sys = est.system();
     let k = config.len();
     let mut best = est.t_c_ms(config);
     let mut moves = 0u32;
     while moves < max_passes {
-        budget.check()?;
         // Candidate moves: (from, to) shifts one processor; from == to
         // with a spare means "add one"; to == usize::MAX means "drop one".
         let mut winner: Option<(usize, usize, f64)> = None;
@@ -280,7 +258,7 @@ fn refine(
         best = tc;
         moves += 1;
     }
-    Ok(moves)
+    moves
 }
 
 /// The *general* partitioner: exhaustively search the full cross-product
@@ -639,8 +617,7 @@ mod tests {
                 break;
             }
         }
-        let refinement_moves =
-            refine(est, &mut config, opts.refine_passes, &Budget::unlimited()).unwrap();
+        let refinement_moves = refine(est, &mut config, opts.refine_passes);
         (config, order, refinement_moves)
     }
 
@@ -980,64 +957,6 @@ mod tests {
             partition(&est, &opts).unwrap_err(),
             NetpartError::InvalidOrder
         );
-    }
-
-    #[test]
-    fn budgeted_partition_with_unlimited_budget_is_bit_identical() {
-        let sys = paper_system();
-        let cost = PaperCostModel;
-        for n in [60u64, 300, 600, 1200] {
-            let app = stencil(n, false);
-            let est = Estimator::new(&sys, &cost, &app);
-            let plain = partition(&est, &PartitionOptions::default()).unwrap();
-            let budgeted =
-                partition_budgeted(&est, &PartitionOptions::default(), &Budget::unlimited())
-                    .unwrap();
-            assert_eq!(plain.config, budgeted.config);
-            assert_eq!(
-                plain.predicted_tc_ms().to_bits(),
-                budgeted.predicted_tc_ms().to_bits(),
-                "N={n}"
-            );
-            assert_eq!(
-                format!("{:?}", plain.vector),
-                format!("{:?}", budgeted.vector)
-            );
-        }
-    }
-
-    #[test]
-    fn expired_budget_cancels_the_fill_loop() {
-        let sys = paper_system();
-        let cost = PaperCostModel;
-        let app = stencil(600, false);
-        let est = Estimator::new(&sys, &cost, &app);
-        let b = Budget::deadline_ms(0.0);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        match partition_budgeted(&est, &PartitionOptions::default(), &b) {
-            Err(NetpartError::PlanDeadlineExceeded { .. }) => {}
-            other => panic!("expected PlanDeadlineExceeded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cancelled_budget_stops_refinement() {
-        let sys = paper_system();
-        let cost = PaperCostModel;
-        let app = stencil(300, false);
-        let est = Estimator::new(&sys, &cost, &app);
-        let b = Budget::unlimited();
-        b.cancel();
-        let opts = PartitionOptions {
-            refine_passes: 4,
-            ..Default::default()
-        };
-        match partition_budgeted(&est, &opts, &b) {
-            Err(NetpartError::PlanDeadlineExceeded { budget_ms, .. }) => {
-                assert_eq!(budget_ms, 0, "revoked budget reports 0")
-            }
-            other => panic!("expected PlanDeadlineExceeded, got {other:?}"),
-        }
     }
 
     #[test]

@@ -169,15 +169,6 @@ pub enum NetpartError {
         /// The configured admission-queue capacity.
         capacity: usize,
     },
-    /// A request's cooperative deadline budget expired (or was revoked)
-    /// before planning finished. Wall-clock milliseconds, rounded; a
-    /// revoked budget reports `budget_ms: 0`.
-    PlanDeadlineExceeded {
-        /// Wall-clock ms elapsed when the budget check failed.
-        elapsed_ms: u64,
-        /// The wall-clock budget the request carried.
-        budget_ms: u64,
-    },
     /// The plan server was stopped while this request was still queued.
     ServerStopped,
 }
@@ -290,16 +281,6 @@ impl std::fmt::Display for NetpartError {
                     f,
                     "plan server overloaded: {depth} requests queued against a \
                      capacity of {capacity}; request shed"
-                )
-            }
-            NetpartError::PlanDeadlineExceeded {
-                elapsed_ms,
-                budget_ms,
-            } => {
-                write!(
-                    f,
-                    "plan deadline exceeded: {elapsed_ms} ms elapsed against a \
-                     budget of {budget_ms} ms"
                 )
             }
             NetpartError::ServerStopped => {
@@ -427,13 +408,6 @@ mod tests {
                     capacity: 64,
                 },
                 "64 requests queued against a capacity of 64",
-            ),
-            (
-                NetpartError::PlanDeadlineExceeded {
-                    elapsed_ms: 120,
-                    budget_ms: 100,
-                },
-                "120 ms elapsed against a budget of 100 ms",
             ),
             (
                 NetpartError::ServerStopped,

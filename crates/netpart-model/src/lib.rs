@@ -41,13 +41,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod budget;
 pub mod error;
 pub mod model;
 pub mod partition_vector;
 pub mod phase;
 
-pub use budget::Budget;
 pub use error::NetpartError;
 pub use model::AppModel;
 pub use partition_vector::PartitionVector;

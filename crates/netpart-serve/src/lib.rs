@@ -6,10 +6,6 @@
 //! - **bounded admission** — beyond [`ServeConfig::queue_depth`] queued
 //!   requests, submissions are shed synchronously with the typed
 //!   `NetpartError::ServerOverloaded`;
-//! - **cooperative deadlines** — each request carries a
-//!   [`Budget`](netpart_model::Budget) checked after the queue wait,
-//!   before execution, and inside the computation itself, terminating
-//!   with `NetpartError::PlanDeadlineExceeded`;
 //! - **a fingerprinted response cache** with single-flight coalescing of
 //!   duplicate in-flight requests;
 //! - **[`ServerStats`]** — typed outcome counters and the queue
@@ -18,7 +14,10 @@
 //!
 //! Execution is deterministic: a failed request run again would fail the
 //! same way, so a failure goes straight back to its caller and is never
-//! retried.
+//! retried. For the same reason a request carries no deadline: a started
+//! computation always finishes, and its success is cached for the next
+//! caller. A caller that will not wait past some bound polls
+//! [`Ticket::try_wait`] and walks away.
 //!
 //! The invariant the whole crate exists to uphold: *every submitted
 //! request terminates with a correct response or a typed error — never a

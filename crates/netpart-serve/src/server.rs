@@ -1,6 +1,5 @@
 //! The generic overload-control engine: bounded admission, worker pool,
-//! cooperative deadlines, and a fingerprinted response cache with
-//! single-flight coalescing.
+//! and a fingerprinted response cache with single-flight coalescing.
 //!
 //! The engine is generic over a [`PlanService`] — the netpart facade
 //! binds it to `Scenario → plan()`; tests bind it to tiny controllable
@@ -11,9 +10,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use netpart_model::{Budget, NetpartError};
+use netpart_model::NetpartError;
 
 use crate::stats::ServerStats;
 
@@ -32,16 +31,8 @@ pub trait PlanService: Send + Sync + 'static {
     /// be interchangeable (same response).
     fn fingerprint(&self, req: &Self::Request) -> u64;
 
-    /// Start the request's cooperative budget clock (called once at
-    /// submission). Defaults to unlimited.
-    fn budget(&self, req: &Self::Request) -> Budget {
-        let _ = req;
-        Budget::unlimited()
-    }
-
-    /// Compute a fresh response under the request's budget.
-    fn execute(&self, req: &Self::Request, budget: &Budget)
-        -> Result<Self::Response, NetpartError>;
+    /// Compute a fresh response.
+    fn execute(&self, req: &Self::Request) -> Result<Self::Response, NetpartError>;
 }
 
 /// Which path produced a [`Served`] response.
@@ -115,8 +106,11 @@ struct TicketState<R> {
 impl<R: Clone> Ticket<R> {
     /// Block until the request terminates — with a response or a typed
     /// error. Every admitted request terminates: shedding happens at
-    /// submission, deadlines are enforced cooperatively, and shutdown
-    /// drains the queue with `ServerStopped`.
+    /// submission, and shutdown drains the queue with `ServerStopped`.
+    /// A caller that will not wait past some bound polls
+    /// [`try_wait`](Ticket::try_wait) instead and walks away; the
+    /// computation still finishes, and its success is cached for the
+    /// next caller.
     pub fn wait(&self) -> Result<Served<R>, NetpartError> {
         let mut slot = self.state.slot.lock().expect("ticket poisoned");
         loop {
@@ -140,7 +134,6 @@ impl<R: Clone> Ticket<R> {
 
 struct Job<S: PlanService> {
     req: S::Request,
-    budget: Budget,
     submitted: Instant,
     ticket: Arc<TicketState<S::Response>>,
 }
@@ -149,11 +142,6 @@ struct Job<S: PlanService> {
 struct Flight<R> {
     result: Mutex<Option<Result<R, NetpartError>>>,
     cv: Condvar,
-}
-
-enum FollowerOutcome<R> {
-    Ready(Result<R, NetpartError>),
-    Expired(NetpartError),
 }
 
 impl<R: Clone> Flight<R> {
@@ -170,26 +158,14 @@ impl<R: Clone> Flight<R> {
         self.cv.notify_all();
     }
 
-    /// Wait for the leader's result, bounded by the follower's budget.
-    fn wait(&self, budget: &Budget) -> FollowerOutcome<R> {
+    /// Wait for the leader's result.
+    fn wait(&self) -> Result<R, NetpartError> {
         let mut slot = self.result.lock().expect("flight poisoned");
         loop {
             if let Some(r) = slot.as_ref() {
-                return FollowerOutcome::Ready(r.clone());
+                return r.clone();
             }
-            if let Err(e) = budget.check() {
-                return FollowerOutcome::Expired(e);
-            }
-            let rem = budget.remaining_ms();
-            if rem.is_infinite() {
-                slot = self.cv.wait(slot).expect("flight poisoned");
-            } else {
-                let (s, _) = self
-                    .cv
-                    .wait_timeout(slot, Duration::from_millis(rem.ceil().max(1.0) as u64))
-                    .expect("flight poisoned");
-                slot = s;
-            }
+            slot = self.cv.wait(slot).expect("flight poisoned");
         }
     }
 }
@@ -209,11 +185,10 @@ struct Inner<S: PlanService> {
 }
 
 /// A multi-threaded server over a [`PlanService`]: bounded admission
-/// with typed shedding, per-request cooperative deadlines, and a
-/// fingerprinted response cache with single-flight coalescing. The
-/// invariant: **every submitted request terminates with a response or a
-/// typed error** — shed at the door, expired by its own budget, drained
-/// at shutdown, or completed.
+/// with typed shedding and a fingerprinted response cache with
+/// single-flight coalescing. The invariant: **every submitted request
+/// terminates with a response or a typed error** — shed at the door,
+/// drained at shutdown, or completed.
 pub struct Server<S: PlanService> {
     inner: Arc<Inner<S>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -257,7 +232,6 @@ impl<S: PlanService> Server<S> {
     /// full; otherwise returns a [`Ticket`] that is guaranteed to
     /// terminate.
     pub fn submit(&self, req: S::Request) -> Result<Ticket<S::Response>, NetpartError> {
-        let budget = self.inner.service.budget(&req);
         let state = Arc::new(TicketState {
             slot: Mutex::new(None),
             cv: Condvar::new(),
@@ -282,7 +256,6 @@ impl<S: PlanService> Server<S> {
             }
             q.push_back(Job {
                 req,
-                budget,
                 submitted: Instant::now(),
                 ticket: Arc::clone(&state),
             });
@@ -354,9 +327,7 @@ fn worker_loop<S: PlanService>(inner: Arc<Inner<S>>) {
 impl<S: PlanService> Inner<S> {
     fn process(&self, job: Job<S>) {
         let queue_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-        // Deadline re-check after the queue wait: an already-expired
-        // request must not burn the worker.
-        let outcome = job.budget.check().and_then(|()| self.serve(&job));
+        let outcome = self.serve(&job);
         self.complete(&job, outcome, queue_ms);
     }
 
@@ -364,10 +335,10 @@ impl<S: PlanService> Inner<S> {
     /// service.
     fn serve(&self, job: &Job<S>) -> Outcome<S::Response> {
         let fp = self.service.fingerprint(&job.req);
-        // The loop re-enters when a single-flight follower inherits a
-        // leader's *deadline* error while its own budget still holds: it
-        // retries the round and becomes the new leader.
-        loop {
+        // The loop re-enters only when the cache miss has gone stale: a
+        // leader for this fingerprint finished between the cache check
+        // and the in-flight check.
+        let flight = loop {
             let hit = self.cache.lock().expect("cache poisoned").get(&fp).cloned();
             if let Some(value) = hit {
                 self.stats.lock().expect("stats poisoned").cache_hits += 1;
@@ -376,53 +347,34 @@ impl<S: PlanService> Inner<S> {
 
             // Single-flight: first request for a fingerprint leads, the
             // rest follow its published result.
-            let flight = {
-                let mut inf = self.inflight.lock().expect("inflight poisoned");
-                match inf.get(&fp) {
-                    Some(f) => Some(Arc::clone(f)),
-                    // A leader caches its success before it releases the
-                    // flight, so the miss above may be stale by now: a
-                    // leader that finished in between left no flight but
-                    // a cache entry.
-                    None if self.cache.lock().expect("cache poisoned").contains_key(&fp) => {
-                        continue;
-                    }
-                    None => {
-                        inf.insert(fp, Arc::new(Flight::new()));
-                        None
-                    }
-                }
-            };
-            if let Some(flight) = flight {
-                match flight.wait(&job.budget) {
-                    FollowerOutcome::Expired(e) => return Err(e),
-                    FollowerOutcome::Ready(Ok(v)) => {
-                        self.stats.lock().expect("stats poisoned").coalesced += 1;
-                        return Ok((v, PlanSource::Cache));
-                    }
-                    FollowerOutcome::Ready(Err(e)) => {
-                        // The leader died of *its* deadline; ours may
-                        // still hold — retry the round as leader.
-                        let leader_deadline =
-                            matches!(e, NetpartError::PlanDeadlineExceeded { .. });
-                        if leader_deadline && job.budget.check().is_ok() {
-                            continue;
-                        }
-                        return Err(e);
-                    }
+            let mut inf = self.inflight.lock().expect("inflight poisoned");
+            match inf.get(&fp) {
+                Some(f) => break Some(Arc::clone(f)),
+                // A leader caches its success before it releases the
+                // flight, so the miss above may be stale by now: a leader
+                // that finished in between left no flight but a cache
+                // entry.
+                None if self.cache.lock().expect("cache poisoned").contains_key(&fp) => {}
+                None => {
+                    inf.insert(fp, Arc::new(Flight::new()));
+                    break None;
                 }
             }
-            return self.lead(job, fp);
+        };
+        match flight {
+            Some(flight) => {
+                let value = flight.wait()?;
+                self.stats.lock().expect("stats poisoned").coalesced += 1;
+                Ok((value, PlanSource::Cache))
+            }
+            None => self.lead(job, fp),
         }
     }
 
     /// Compute as the fingerprint's single-flight leader: cache a
     /// success, publish the outcome to followers.
     fn lead(&self, job: &Job<S>, fp: u64) -> Outcome<S::Response> {
-        let result = job
-            .budget
-            .check()
-            .and_then(|()| self.service.execute(&job.req, &job.budget));
+        let result = self.service.execute(&job.req);
         if let Ok(v) = &result {
             self.cache
                 .lock()
@@ -446,7 +398,6 @@ impl<S: PlanService> Inner<S> {
         if let Err(e) = &outcome {
             let mut st = self.stats.lock().expect("stats poisoned");
             match e {
-                NetpartError::PlanDeadlineExceeded { .. } => st.expired += 1,
                 NetpartError::ServerStopped => st.stopped += 1,
                 _ => st.failed += 1,
             }
@@ -469,6 +420,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::Barrier;
+    use std::time::Duration;
 
     /// A controllable service: responds with `req * 10`, counts
     /// executions, fails every execution of a request in its `fail` map,
@@ -477,7 +429,6 @@ mod tests {
         executions: AtomicU64,
         fail: Mutex<HashMap<u64, NetpartError>>,
         gate: Option<Arc<(Mutex<bool>, Condvar)>>,
-        deadline_ms: Mutex<HashMap<u64, f64>>,
     }
 
     impl TestService {
@@ -486,7 +437,6 @@ mod tests {
                 executions: AtomicU64::new(0),
                 fail: Mutex::new(HashMap::new()),
                 gate: None,
-                deadline_ms: Mutex::new(HashMap::new()),
             }
         }
 
@@ -499,10 +449,6 @@ mod tests {
 
         fn fail_with(&self, req: u64, err: NetpartError) {
             self.fail.lock().expect("fail").insert(req, err);
-        }
-
-        fn set_deadline(&self, req: u64, ms: f64) {
-            self.deadline_ms.lock().expect("deadline").insert(req, ms);
         }
     }
 
@@ -520,14 +466,7 @@ mod tests {
             *req
         }
 
-        fn budget(&self, req: &u64) -> Budget {
-            match self.deadline_ms.lock().expect("deadline").get(req) {
-                Some(&ms) => Budget::deadline_ms(ms),
-                None => Budget::unlimited(),
-            }
-        }
-
-        fn execute(&self, req: &u64, budget: &Budget) -> Result<u64, NetpartError> {
+        fn execute(&self, req: &u64) -> Result<u64, NetpartError> {
             if let Some(gate) = &self.gate {
                 let (lock, cv) = &**gate;
                 let mut open = lock.lock().expect("gate");
@@ -535,7 +474,6 @@ mod tests {
                     open = cv.wait(open).expect("gate");
                 }
             }
-            budget.check()?;
             self.executions.fetch_add(1, Ordering::SeqCst);
             match self.fail.lock().expect("fail").get(req) {
                 Some(err) => Err(err.clone()),
@@ -597,33 +535,6 @@ mod tests {
         let st = server.stats();
         assert_eq!(st.shed, 1);
         assert!(st.queue_high_water >= 2);
-        server.stop();
-    }
-
-    #[test]
-    fn expired_deadline_is_typed_not_hung() {
-        let (svc, gate) = TestService::gated();
-        svc.set_deadline(201, 5.0);
-        let server = Server::with_service(
-            svc,
-            ServeConfig {
-                workers: 1,
-                ..quick_cfg()
-            },
-        );
-        let t0 = server.submit(200).expect("blocks the worker");
-        std::thread::sleep(Duration::from_millis(10));
-        let t1 = server.submit(201).expect("queued behind the block");
-        std::thread::sleep(Duration::from_millis(10)); // deadline passes in queue
-        open_gate(&gate);
-        t0.wait().expect("long request fine");
-        match t1.wait() {
-            Err(NetpartError::PlanDeadlineExceeded { budget_ms, .. }) => {
-                assert_eq!(budget_ms, 5)
-            }
-            other => panic!("expected PlanDeadlineExceeded, got {other:?}"),
-        }
-        assert_eq!(server.stats().expired, 1);
         server.stop();
     }
 

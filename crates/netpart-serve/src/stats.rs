@@ -10,9 +10,6 @@ pub struct ServerStats {
     pub admitted: u64,
     /// Requests rejected at submission (`ServerOverloaded`).
     pub shed: u64,
-    /// Requests that terminated with `PlanDeadlineExceeded` — queued,
-    /// waiting on a coalesced computation, or mid-compute.
-    pub expired: u64,
     /// Responses served from the fingerprint cache.
     pub cache_hits: u64,
     /// Duplicate in-flight requests that coalesced onto another
@@ -21,7 +18,7 @@ pub struct ServerStats {
     /// Responses computed fresh by the full pipeline.
     pub fresh: u64,
     /// Requests that terminated with a typed error other than shed /
-    /// expired / stopped.
+    /// stopped.
     pub failed: u64,
     /// Requests completed with `ServerStopped` at shutdown.
     pub stopped: u64,
@@ -33,7 +30,7 @@ impl ServerStats {
     /// Requests that terminated, successfully or not (shed excluded —
     /// they never entered the queue).
     pub fn completed(&self) -> u64 {
-        self.fresh + self.cache_hits + self.coalesced + self.expired + self.failed + self.stopped
+        self.fresh + self.cache_hits + self.coalesced + self.failed + self.stopped
     }
 
     /// Cache hits over all successful responses, in [0, 1].
@@ -57,8 +54,7 @@ mod tests {
             fresh: 3,
             cache_hits: 6,
             coalesced: 1,
-            expired: 5,
-            failed: 2,
+            failed: 7,
             ..Default::default()
         };
         assert_eq!(stats.cache_hit_ratio(), 0.6);

@@ -1,7 +1,7 @@
 //! Planner-as-a-service in one page: start a [`PlanServer`], submit a
-//! burst of planning requests with deadlines, and read the typed
-//! outcomes — fresh plans, cache hits, shed requests — plus the latency
-//! each response carries.
+//! burst of planning requests, and read the typed outcomes — fresh
+//! plans, cache hits, shed requests — plus the latency each response
+//! carries.
 //!
 //! ```text
 //! cargo run --release --example plan_server
@@ -19,7 +19,7 @@ fn main() -> Result<(), NetpartError> {
     let server = PlanServer::start(ServeConfig::default());
     let scenario = Scenario::new(Testbed::paper(), stencil_model(600, StencilVariant::Sten2))
         .with_cost(CostSource::Paper);
-    let ticket = server.submit(PlanRequest::new(scenario).with_deadline_ms(5_000.0))?;
+    let ticket = server.submit(PlanRequest::new(scenario))?;
     let response = ticket.wait()?;
     println!(
         "{:?} plan in {:.2} ms: config {:?}, predicted T_c {:.1} ms",

@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 
 use netpart_core::determine_available;
 use netpart_mmps::{Mmps, MmpsEvent};
-use netpart_model::{Budget, NetpartError};
+use netpart_model::NetpartError;
 use netpart_sim::{Network, NodeId, SegmentId, SimDur, SimError};
 use netpart_spmd::{Executor, Segment, SpmdApp};
 
@@ -87,7 +87,7 @@ impl Scenario {
     {
         self.validate()?;
         let model = self.resolve_model()?;
-        let part = self.partition_under(&*model, &Budget::unlimited())?;
+        let part = self.partition_under(&*model)?;
         check_runnable(&part.vector)?;
         let (mmps, nodes) = self.testbed.try_build(&part.config, self.placement)?;
         let fault_plan = faults.translate(&nodes)?;

@@ -663,7 +663,6 @@ mod tests {
 
     use netpart_apps::stencil::{stencil_model, StencilVariant};
     use netpart_calibrate::Testbed;
-    use netpart_model::Budget;
     use netpart_sim::SimDur;
     use netpart_spmd::{Phase as EnginePhase, Probe};
 
@@ -688,7 +687,7 @@ mod tests {
         ckpt: CheckpointPolicy,
     ) -> RecoveryMachine<'_> {
         let model = s.resolve_model().unwrap();
-        let part = s.partition_under(&*model, &Budget::unlimited()).unwrap();
+        let part = s.partition_under(&*model).unwrap();
         assert!(
             part.config.iter().all(|&c| c > 0),
             "plan must span both clusters"

@@ -5,47 +5,22 @@ use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
 use netpart_calibrate::{FittedCost, LinearCost};
-use netpart_model::Budget;
 use netpart_topology::Topology;
 
 use super::scenario::{CostSource, Plan, Scenario};
 
 /// A planning request as submitted to a
-/// [`PlanServer`](crate::serve::PlanServer): the scenario plus an
-/// optional wall-clock deadline budget.
+/// [`PlanServer`](crate::serve::PlanServer): the scenario to plan.
 #[derive(Debug, Clone)]
 pub struct PlanRequest {
     /// The scenario to plan.
     pub scenario: Scenario,
-    /// Wall-clock deadline, milliseconds, measured from submission.
-    /// `None` = no deadline. An expired request terminates with the typed
-    /// [`NetpartError::PlanDeadlineExceeded`](crate::NetpartError::PlanDeadlineExceeded)
-    /// — queued, mid-calibration,
-    /// or mid-partition.
-    pub deadline_ms: Option<f64>,
 }
 
 impl PlanRequest {
-    /// A request with no deadline.
+    /// A request for `scenario`'s plan.
     pub fn new(scenario: Scenario) -> PlanRequest {
-        PlanRequest {
-            scenario,
-            deadline_ms: None,
-        }
-    }
-
-    /// Attach a wall-clock deadline budget, in milliseconds.
-    pub fn with_deadline_ms(mut self, ms: f64) -> PlanRequest {
-        self.deadline_ms = Some(ms);
-        self
-    }
-
-    /// Start the request's cooperative budget clock (at submission time).
-    pub fn start_budget(&self) -> Budget {
-        match self.deadline_ms {
-            Some(ms) => Budget::deadline_ms(ms),
-            None => Budget::unlimited(),
-        }
+        PlanRequest { scenario }
     }
 }
 

@@ -4,11 +4,11 @@
 use std::sync::Arc;
 
 use netpart_calibrate::{
-    calibrate_testbed_cached_budgeted, CalibratedCostModel, CalibrationConfig, CommCostModel,
-    PaperCostModel, Testbed,
+    calibrate_testbed_cached, CalibratedCostModel, CalibrationConfig, CommCostModel, FittedCost,
+    LinearCost, PaperCostModel, Testbed,
 };
-use netpart_core::{partition_budgeted, Estimator, Partition, PartitionOptions, SystemModel};
-use netpart_model::{AppModel, Budget, NetpartError, PartitionVector};
+use netpart_core::{partition, Estimator, Partition, PartitionOptions, SystemModel};
+use netpart_model::{AppModel, NetpartError, PartitionVector};
 use netpart_spmd::{Executor, SpmdApp};
 use netpart_topology::{PlacementStrategy, Topology};
 
@@ -107,18 +107,9 @@ impl Scenario {
 
     /// Resolve [`CostSource`] into a priced model, verifying it covers
     /// every (cluster, topology) pair the application can exercise. A
-    /// [`CostSource::Fixed`] model is borrowed, not copied.
+    /// [`CostSource::Fixed`] model is borrowed, not copied, and refused
+    /// when any of its constants is not finite.
     pub(super) fn resolve_model(&self) -> Result<Box<dyn CommCostModel + '_>, NetpartError> {
-        self.resolve_model_budgeted(&Budget::unlimited())
-    }
-
-    /// [`resolve_model`](Self::resolve_model) under a cooperative
-    /// [`Budget`]: a `Calibrated` cost source polls the budget through
-    /// the calibration sweep (cache hits are served regardless).
-    fn resolve_model_budgeted(
-        &self,
-        budget: &Budget,
-    ) -> Result<Box<dyn CommCostModel + '_>, NetpartError> {
         let model: Box<dyn CommCostModel + '_> = match &self.cost {
             CostSource::Measured => {
                 return Err(NetpartError::InvalidScenario(
@@ -128,13 +119,19 @@ impl Scenario {
                 ))
             }
             CostSource::Paper => Box::new(PaperCostModel),
-            CostSource::Calibrated(cfg) => Box::new(calibrate_testbed_cached_budgeted(
+            CostSource::Calibrated(cfg) => Box::new(calibrate_testbed_cached(
                 &self.testbed,
                 &self.topologies(),
                 cfg,
-                budget,
             )?),
-            CostSource::Fixed(m) => Box::new(m),
+            CostSource::Fixed(m) => {
+                if let Some(entry) = non_finite_entry(m) {
+                    return Err(NetpartError::InvalidScenario(format!(
+                        "fixed cost model has a non-finite constant in {entry}"
+                    )));
+                }
+                Box::new(m)
+            }
         };
         for cluster in 0..self.testbed.num_clusters() {
             if self.testbed.clusters[cluster].nodes == 0 {
@@ -156,19 +153,9 @@ impl Scenario {
     /// run the heuristic partitioner, and return the decision with its
     /// predicted per-cycle time.
     pub fn plan(&self) -> Result<Plan, NetpartError> {
-        self.plan_budgeted(&Budget::unlimited())
-    }
-
-    /// [`plan`](Self::plan) under a cooperative [`Budget`]: the
-    /// calibration sweep and the partitioner's fill loop poll the budget
-    /// at their checkpoints, so an expired request returns the typed
-    /// [`NetpartError::PlanDeadlineExceeded`] instead of finishing. With
-    /// an unlimited budget the arithmetic — and therefore the plan — is
-    /// bit-identical to [`plan`](Self::plan).
-    pub fn plan_budgeted(&self, budget: &Budget) -> Result<Plan, NetpartError> {
         self.validate()?;
-        let model = self.resolve_model_budgeted(budget)?;
-        let part = self.partition_under(&*model, budget)?;
+        let model = self.resolve_model()?;
+        let part = self.partition_under(&*model)?;
         Ok(Plan {
             testbed: Arc::new(self.testbed.clone()),
             placement: self.placement,
@@ -184,11 +171,10 @@ impl Scenario {
     pub(super) fn partition_under(
         &self,
         model: &dyn CommCostModel,
-        budget: &Budget,
     ) -> Result<Partition, NetpartError> {
         let sys = SystemModel::from_testbed(&self.testbed);
         let est = Estimator::new(&sys, model, &self.app);
-        partition_budgeted(&est, &self.options, budget)
+        partition(&est, &self.options)
     }
 
     /// The escape hatch for measured sweeps (Table 2's seven fixed
@@ -247,6 +233,29 @@ impl Scenario {
             partition: None,
         })
     }
+}
+
+/// The entry, named by table and key (the least name when there are
+/// several), of a fixed model whose constants are not all finite. The
+/// estimator takes the maximum of the per-cluster costs, and `f64::max`
+/// drops a NaN, so such an entry would price every configuration as if
+/// its term were absent.
+fn non_finite_entry(m: &CalibratedCostModel) -> Option<String> {
+    let fit = |f: &FittedCost| [f.c1, f.c2, f.c3, f.c4].iter().all(|x| x.is_finite());
+    let linear = |c: &LinearCost| c.a.is_finite() && c.k.is_finite();
+    let intra = m.intra.iter().filter(|(_, f)| !fit(f));
+    let piecewise = m
+        .piecewise
+        .iter()
+        .filter(|(_, pw)| !fit(&pw.below) || !fit(&pw.above));
+    let router = m.router.iter().filter(|(_, c)| !linear(c));
+    let coerce = m.coerce.iter().filter(|(_, c)| !linear(c));
+    intra
+        .map(|(k, _)| format!("intra {k:?}"))
+        .chain(piecewise.map(|(k, _)| format!("piecewise {k:?}")))
+        .chain(router.map(|(k, _)| format!("router {k:?}")))
+        .chain(coerce.map(|(k, _)| format!("coerce {k:?}")))
+        .min()
 }
 
 /// A partitioning decision ready to execute: which processors, which
@@ -484,6 +493,36 @@ mod tests {
             err.to_string(),
             "calibration error: cost model has no fit for cluster 0 topology 1-D"
         );
+    }
+
+    /// Regression: a NaN constant in a fixed model planned as if its term
+    /// were absent (`synthetic(3, 4, 1.2)`, STEN-1 N=300, every intra
+    /// `c1 = NaN`: config [4, 4, 4] at a predicted 14.57 ms), because the
+    /// estimator's `max` fold drops a NaN.
+    #[test]
+    fn a_fixed_model_with_a_non_finite_constant_is_refused() {
+        let testbed = Testbed::synthetic(3, 4, 1.2);
+        let app = stencil_model(300, StencilVariant::Sten1);
+        let finite = hop_cost_model(&testbed, &app);
+        let scenario = |cost: CalibratedCostModel| {
+            Scenario::new(testbed.clone(), app.clone()).with_cost(CostSource::Fixed(cost))
+        };
+        assert!(scenario(finite.clone()).plan().is_ok());
+
+        let mut nan_intra = finite.clone();
+        for fit in nan_intra.intra.values_mut() {
+            fit.c1 = f64::NAN;
+        }
+        let err = scenario(nan_intra).plan().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid scenario: fixed cost model has a non-finite constant in intra (0, OneD)"
+        );
+
+        let mut infinite_router = finite;
+        infinite_router.router.get_mut(&(1, 2)).unwrap().k = f64::INFINITY;
+        let err = scenario(infinite_router).plan().unwrap_err();
+        assert!(err.to_string().ends_with("router (1, 2)"), "{err}");
     }
 
     #[test]

@@ -2,31 +2,31 @@
 //! [`Scenario::plan`].
 //!
 //! [`PlanServer`] binds the generic engine in [`netpart_serve`] to the
-//! planning pipeline: submissions are [`PlanRequest`]s (a [`Scenario`]
-//! plus an optional deadline), responses are [`PlanResponse`]s (a
-//! [`Plan`] stamped with its [`PlanSource`]).
+//! planning pipeline: submissions are [`PlanRequest`]s (a [`Scenario`]),
+//! responses are [`PlanResponse`]s (a [`Plan`] stamped with its
+//! [`PlanSource`]).
 //! The server layers a fingerprinted **plan cache** over the calibration
 //! cache: two requests with equal [`scenario_fingerprint`]s get
 //! byte-identical plans, computed once.
 //!
-//! Overload behavior, end to end:
-//!
-//! - submissions beyond [`ServeConfig::queue_depth`] are shed with the
-//!   typed [`NetpartError::ServerOverloaded`];
-//! - a request's [`PlanRequest::deadline_ms`] is enforced cooperatively
-//!   through the calibration sweep and the partitioner's fill loop —
-//!   expiry terminates with [`NetpartError::PlanDeadlineExceeded`].
+//! Overload behavior, end to end: submissions beyond
+//! [`ServeConfig::queue_depth`] are shed with the typed
+//! [`NetpartError::ServerOverloaded`].
 //!
 //! Planning is a deterministic function of the scenario, so a failed
 //! plan is never retried: re-running it could only reproduce the error.
+//! Nor does a request carry a deadline: a started plan always finishes
+//! and is cached, and a caller that will not wait past some bound polls
+//! [`PlanTicket::try_wait`](netpart_serve::Ticket::try_wait) and walks
+//! away.
 //! The error goes back to the request (and to the duplicates coalesced
 //! onto it); a broken calibration is not re-run either, because the
 //! calibration memo remembers failures as well as fits. With the
 //! [`ServeConfig::transparent`] configuration (one worker, no queue
-//! bound, no deadline) the server is byte-transparent to calling
+//! bound) the server is byte-transparent to calling
 //! [`Scenario::plan`] directly — property-tested in `tests/serve.rs`.
 
-use netpart_model::{Budget, NetpartError};
+use netpart_model::NetpartError;
 use netpart_serve::{PlanService, Server, Ticket};
 
 use crate::pipeline::{scenario_fingerprint, Plan, PlanRequest};
@@ -36,7 +36,7 @@ use crate::pipeline::{PlanResponse, PlanSource, Scenario};
 pub use netpart_serve::{ServeConfig, ServerStats};
 
 /// The [`PlanService`] binding: fingerprints via [`scenario_fingerprint`],
-/// execution via [`Scenario::plan_budgeted`].
+/// execution via [`Scenario::plan`].
 #[derive(Debug, Default)]
 pub struct ScenarioService;
 
@@ -48,12 +48,8 @@ impl PlanService for ScenarioService {
         scenario_fingerprint(&req.scenario)
     }
 
-    fn budget(&self, req: &PlanRequest) -> Budget {
-        req.start_budget()
-    }
-
-    fn execute(&self, req: &PlanRequest, budget: &Budget) -> Result<Plan, NetpartError> {
-        req.scenario.plan_budgeted(budget)
+    fn execute(&self, req: &PlanRequest) -> Result<Plan, NetpartError> {
+        req.scenario.plan()
     }
 }
 
@@ -61,8 +57,8 @@ impl PlanService for ScenarioService {
 /// the [`PlanResponse`] or a typed error, `try_wait` peeks.
 pub type PlanTicket = Ticket<Plan>;
 
-/// A multi-threaded planning server with bounded admission, deadlines,
-/// load shedding, and a plan cache. See the module docs for the
+/// A multi-threaded planning server with bounded admission, load
+/// shedding, and a plan cache. See the module docs for the
 /// overload model; see [`ServeConfig`] for tuning.
 ///
 /// ```no_run
@@ -73,7 +69,7 @@ pub type PlanTicket = Ticket<Plan>;
 ///
 /// let server = PlanServer::start(ServeConfig::default());
 /// let scenario = Scenario::new(Testbed::paper(), stencil_model(600, StencilVariant::Sten2));
-/// let ticket = server.submit(PlanRequest::new(scenario).with_deadline_ms(5_000.0))?;
+/// let ticket = server.submit(PlanRequest::new(scenario))?;
 /// let response = ticket.wait()?;
 /// println!("{:?} plan: {:?}", response.source, response.plan.config);
 /// # Ok::<(), netpart::NetpartError>(())

@@ -1,6 +1,7 @@
 //! Integration and property tests for the plan server: byte-transparency
 //! of the trivial configuration, cache-hit ≡ cold-plan byte identity,
-//! single-flight coalescing, and typed overload and deadline errors.
+//! single-flight coalescing, typed overload errors, and failures that are
+//! never cached.
 //! Every ticket is drained against a wall-clock cap, so a hang fails a
 //! test instead of wedging the suite.
 
@@ -9,10 +10,11 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use netpart::apps::stencil::{stencil_model, StencilVariant};
-use netpart::calibrate::Testbed;
+use netpart::calibrate::{CalibratedCostModel, FittedCost, LinearCost, Testbed};
 use netpart::model::NetpartError;
 use netpart::pipeline::{PlanRequest, PlanResponse, PlanSource, Scenario};
 use netpart::serve::{PlanServer, PlanTicket, ServeConfig};
+use netpart::topology::Topology;
 use netpart::CostSource;
 
 /// Far beyond any sane completion time: a ticket still unresolved past
@@ -57,9 +59,9 @@ fn plan(server: &PlanServer, scenario: Scenario) -> Result<PlanResponse, Netpart
 }
 
 proptest! {
-    /// A trivially-configured server (one worker, unbounded queue, no
-    /// deadline) is byte-transparent to calling `plan()`
-    /// directly, for arbitrary scenario streams.
+    /// A trivially-configured server (one worker, unbounded queue) is
+    /// byte-transparent to calling `plan()` directly, for arbitrary
+    /// scenario streams.
     #[test]
     fn trivial_server_is_byte_transparent_to_plan(
         sizes in prop::collection::vec(50u64..1500, 1..6),
@@ -129,50 +131,42 @@ fn duplicate_in_flight_requests_coalesce_with_identical_results() {
     server.stop();
 }
 
-/// An expired deadline terminates with the typed error — here the budget
-/// is already spent when the worker picks the request up.
+/// A fixed cost model with a NaN constant is refused before partitioning:
+/// the request counts as failed, and nothing is cached, so asking again
+/// fails again instead of being served a plan priced without that term.
 #[test]
-fn expired_deadline_is_typed() {
-    let server = PlanServer::start(ServeConfig::transparent());
-    let req = PlanRequest::new(paper_scenario(500, StencilVariant::Sten2)).with_deadline_ms(0.0);
-    std::thread::sleep(Duration::from_millis(2));
-    let ticket = server.submit(req).expect("admitted");
-    match drain(vec![ticket]).remove(0) {
-        Err(NetpartError::PlanDeadlineExceeded { budget_ms, .. }) => assert_eq!(budget_ms, 0),
-        other => panic!("expected PlanDeadlineExceeded, got {other:?}"),
+fn a_non_finite_fixed_model_fails_and_is_not_cached() {
+    let mut cost = CalibratedCostModel::default();
+    for cluster in 0..3 {
+        let fit = FittedCost {
+            c1: f64::NAN,
+            c2: 0.5,
+            c3: -0.001,
+            c4: 0.0011,
+            r_squared: 1.0,
+            abs_fix: true,
+        };
+        cost.set_intra(cluster, Topology::OneD, fit);
+        for other in cluster + 1..3 {
+            cost.set_router(cluster, other, LinearCost { a: 0.5, k: 0.0006 });
+        }
     }
-    assert_eq!(server.stats().expired, 1);
-    server.stop();
-}
-
-/// A batch where every other request arrives with an already-spent
-/// budget: exactly those end `PlanDeadlineExceeded`, the rest are served.
-#[test]
-fn mixed_deadline_batch_expires_exactly_the_doomed_half() {
-    let server = PlanServer::start(ServeConfig {
-        workers: 1,
-        queue_depth: usize::MAX,
-    });
-    let tickets = (0..64u64)
-        .map(|i| {
-            let req = PlanRequest::new(paper_scenario(2_000 + i, StencilVariant::Sten2));
-            let req = if i % 2 == 0 {
-                req.with_deadline_ms(0.0)
-            } else {
-                req
-            };
-            server.submit(req).expect("admitted")
-        })
-        .collect();
-    for (i, r) in drain(tickets).into_iter().enumerate() {
-        match r {
-            Err(NetpartError::PlanDeadlineExceeded { .. }) if i % 2 == 0 => {}
-            Ok(_) if i % 2 == 1 => {}
-            other => panic!("request {i}: {other:?}"),
+    let scenario = Scenario::new(
+        Testbed::synthetic(3, 4, 1.2),
+        stencil_model(300, StencilVariant::Sten1),
+    )
+    .with_cost(CostSource::Fixed(cost));
+    let server = PlanServer::start(ServeConfig::transparent());
+    for _ in 0..2 {
+        match plan(&server, scenario.clone()) {
+            Err(NetpartError::InvalidScenario(msg)) => {
+                assert!(msg.contains("non-finite"), "{msg}")
+            }
+            other => panic!("expected InvalidScenario, got {other:?}"),
         }
     }
     let st = server.stats();
-    assert_eq!((st.expired, st.fresh), (32, 32), "{st:?}");
+    assert_eq!((st.failed, st.fresh, st.cache_hits), (2, 0, 0), "{st:?}");
     server.stop();
 }
 
