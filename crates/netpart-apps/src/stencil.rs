@@ -26,19 +26,27 @@
 //! Each rank holds its own rows and nothing more: no N×N start grid (setup
 //! builds every block from the start rows [`initial_grid`] is made of) and
 //! no second buffer. An iteration updates the rows in place through a
-//! two-row ring the app's ranks share, writing a row back only after the
+//! two-row ring the host thread owns, writing a row back only after the
 //! row below has read its old values, so every point is still
 //! `(above + below + left + right) / 4` over the previous iteration's
 //! operands, in the same order as the double-buffered
 //! [`sequential_reference`]. STEN-2's interior pass keeps old copies of
 //! its first and last rows for the border pass that follows.
+//!
+//! A block of at least `DETACH_MIN_POINTS` points leaves the app for its
+//! whole-block and interior passes: [`SpmdApp::compute_detached`] charges
+//! the rows the pass will update, counted without doing it, and returns a
+//! job that owns the block and runs the pass on a pool worker; the block
+//! is back, through [`SpmdApp::reattach`], before the rank's next step.
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::ops::Range;
 
 use bytes::Bytes;
 
 use netpart_model::{AppModel, CommPhase, CompPhase, OpKind, PartitionVector};
-use netpart_spmd::{Checkpoint, SpmdApp, Step};
+use netpart_spmd::{Checkpoint, Job, SpmdApp, Step};
 use netpart_topology::Topology;
 
 use crate::wire;
@@ -53,9 +61,19 @@ pub enum StencilVariant {
 }
 
 /// Compute part ids used in the scripts.
-const PART_ALL: u32 = 0;
+pub(crate) const PART_ALL: u32 = 0;
 const PART_INTERIOR: u32 = 1;
 const PART_BORDER: u32 = 2;
+
+/// Blocks of fewer points update inline: handing a smaller pass to a pool
+/// worker costs more than running it.
+const DETACH_MIN_POINTS: usize = 32 * 1024;
+
+thread_local! {
+    /// This thread's two-row ring, which every pass it runs borrows: no
+    /// app holds one and no job allocates one.
+    static RING: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// The §4 annotations as an [`AppModel`] for the partitioner.
 pub fn stencil_model(n: u64, variant: StencilVariant) -> AppModel {
@@ -151,7 +169,7 @@ fn five_point_row(out: &mut [f32], above: &[f32], below: &[f32], cur: &[f32]) {
 /// A pass writes each new row into a two-row ring and copies it back over
 /// the old one only after the row below has read it, so every point is
 /// computed from the previous iteration's values exactly as a second full
-/// buffer would give them. Passes run one at a time, so an app's blocks
+/// buffer would give them. A thread runs one pass at a time, so its passes
 /// share one ring, handed to each pass. STEN-2 splits an iteration in two
 /// passes, and the second needs rows the first one has overwritten:
 /// [`Block::update_interior`] keeps old copies of them in the block.
@@ -231,6 +249,41 @@ impl Block {
     pub(crate) fn paste(&self, grid: &mut [f32], n: usize) {
         for (row, gr) in self.cur.chunks_exact(self.width()).zip(self.r0..) {
             grid[gr * n + self.c0..gr * n + self.c1].copy_from_slice(row);
+        }
+    }
+
+    /// Compute part `part` through this thread's ring, returning how many
+    /// rows were not fixed global boundary rows.
+    fn update(&mut self, n: usize, part: u32) -> usize {
+        RING.with_borrow_mut(|ring| {
+            let need = 2 * self.width();
+            if ring.len() < need {
+                ring.resize(need, 0.0);
+            }
+            match part {
+                PART_ALL => self.update_all(n, ring),
+                PART_INTERIOR => self.update_interior(n, ring),
+                PART_BORDER => self.update_border(n, ring),
+                other => panic!("unknown stencil part {other}"),
+            }
+        })
+    }
+
+    /// The rows [`Block::update`] of `part` will count, without running
+    /// it: rows in its window that are not global rows 0 or N − 1.
+    fn rows_to_update(&self, n: usize, part: u32) -> usize {
+        let h = self.height();
+        let inner = |a: usize, b: usize| {
+            (self.r0 + a..self.r0 + b)
+                .filter(|&gr| gr != 0 && gr != n - 1)
+                .count()
+        };
+        match part {
+            PART_INTERIOR if h < 3 => 0,
+            PART_INTERIOR => inner(1, h - 1),
+            PART_BORDER if h >= 3 => inner(0, 1) + inner(h - 1, h),
+            PART_ALL | PART_BORDER => inner(0, h),
+            other => panic!("unknown stencil part {other}"),
         }
     }
 
@@ -344,14 +397,92 @@ impl Block {
     }
 }
 
+/// Every rank's [`Block`], each home in its slot except while a detached
+/// pass has it on a pool worker. Reaching for an absent block panics with
+/// the rank's name: the engine never touches a rank between its compute
+/// start and its completion, so that panic is an engine bug.
+pub(crate) struct Blocks(Vec<Option<Block>>);
+
+impl Blocks {
+    pub(crate) fn with_capacity(p: usize) -> Blocks {
+        Blocks(Vec::with_capacity(p))
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    pub(crate) fn push(&mut self, block: Block) {
+        self.0.push(Some(block));
+    }
+
+    pub(crate) fn get(&self, rank: usize) -> &Block {
+        self.0[rank].as_ref().unwrap_or_else(|| away(rank))
+    }
+
+    pub(crate) fn get_mut(&mut self, rank: usize) -> &mut Block {
+        self.0[rank].as_mut().unwrap_or_else(|| away(rank))
+    }
+
+    /// Every block, in rank order; all must be home.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Block> {
+        (0..self.0.len()).map(|rank| self.get(rank))
+    }
+
+    /// Compute part `part` of `rank`'s block, returning the rows it
+    /// counts. A block of at least [`DETACH_MIN_POINTS`] points leaves in
+    /// the returned job, for any part but STEN-2's border pass; the rest
+    /// update inline.
+    pub(crate) fn detach(&mut self, rank: usize, n: usize, part: u32) -> (usize, Option<Job>) {
+        if part == PART_BORDER || self.get(rank).cur.len() < DETACH_MIN_POINTS {
+            return (self.get_mut(rank).update(n, part), None);
+        }
+        let mut block = self.0[rank].take().unwrap_or_else(|| away(rank));
+        let rows = block.rows_to_update(n, part);
+        let job: Job = Box::new(move || {
+            let updated = block.update(n, part);
+            debug_assert_eq!(updated, rows, "a detached pass charged other rows");
+            Box::new(block)
+        });
+        (rows, Some(job))
+    }
+
+    /// Put back the block `rank`'s job returned.
+    pub(crate) fn reattach(&mut self, rank: usize, state: Box<dyn Any + Send>) {
+        let block = state
+            .downcast::<Block>()
+            .expect("a stencil job returns its block");
+        let slot = &mut self.0[rank];
+        assert!(slot.is_none(), "rank {rank}'s block came back twice");
+        *slot = Some(*block);
+    }
+}
+
+fn away(rank: usize) -> ! {
+    panic!("rank {rank}'s block is away on a detached compute")
+}
+
+/// [`SpmdApp::compute`] for an app whose arithmetic is its
+/// [`SpmdApp::compute_detached`]: any job runs here, inline.
+pub(crate) fn compute_inline(
+    app: &mut impl SpmdApp,
+    rank: usize,
+    cycle: u64,
+    part: u32,
+) -> (f64, OpKind) {
+    let (ops, kind, job) = app.compute_detached(rank, cycle, part);
+    if let Some(job) = job {
+        app.reattach(rank, job());
+    }
+    (ops, kind)
+}
+
 /// The distributed stencil application.
 pub struct StencilApp {
     n: usize,
     iters: u64,
     variant: StencilVariant,
-    ranks: Vec<Block>,
-    /// The two-row ring every rank's passes share.
-    ring: Vec<f32>,
+    blocks: Blocks,
     p: usize,
     /// The grid [`StencilApp::from_grid`] was handed, held until setup has
     /// cut the last rank's block out of it and emptied then (not set to
@@ -370,8 +501,7 @@ impl StencilApp {
             n,
             iters,
             variant,
-            ranks: Vec::with_capacity(p),
-            ring: vec![0.0; 2 * n],
+            blocks: Blocks::with_capacity(p),
             p,
             grid: None,
         }
@@ -430,7 +560,7 @@ impl StencilApp {
     /// Reassemble the full grid from all ranks (host-side, after a run).
     pub fn gather(&self) -> Vec<f32> {
         let mut g = vec![0.0f32; self.n * self.n];
-        for s in &self.ranks {
+        for s in self.blocks.iter() {
             s.paste(&mut g, self.n);
         }
         g
@@ -440,19 +570,21 @@ impl StencilApp {
 impl SpmdApp for StencilApp {
     fn setup(&mut self, rank: usize, vector: &PartitionVector) {
         if rank == 0 {
-            self.ranks.clear();
+            self.blocks.clear();
             assert_eq!(vector.num_ranks(), self.p, "vector/rank mismatch");
             assert_eq!(vector.total(), self.n as u64, "PDUs must equal rows");
         }
         // Ranks are set up in rank order, so each block starts where the
         // previous one ended — O(1), where `vector.ranges()` is O(p).
-        let gs = self.ranks.last().map_or(0, |s| s.r1);
+        let gs = rank
+            .checked_sub(1)
+            .map_or(0, |prev| self.blocks.get(prev).r1);
         let ge = gs + vector.count(rank) as usize;
         let block = match &self.grid {
             None => Block::start(self.n, (gs, ge), (0, self.n)),
             Some(grid) => Block::cut(grid, self.n, (gs, ge), (0, self.n)),
         };
-        self.ranks.push(block);
+        self.blocks.push(block);
         if rank + 1 == self.p {
             if let Some(grid) = &mut self.grid {
                 *grid = Vec::new();
@@ -489,7 +621,7 @@ impl SpmdApp for StencilApp {
     fn produce(&mut self, rank: usize, _cycle: u64, to: usize) -> Bytes {
         // Communication complexity 4N: one row of 4-byte points.
         let n = self.n;
-        let s = &self.ranks[rank];
+        let s = self.blocks.get(rank);
         let row = if to < rank {
             &s.cur[0..n] // my top row goes up
         } else {
@@ -502,7 +634,7 @@ impl SpmdApp for StencilApp {
 
     fn consume(&mut self, rank: usize, _cycle: u64, from: usize, payload: &[u8]) {
         // A border row is exactly 4N bytes; the codec refuses anything else.
-        let s = &mut self.ranks[rank];
+        let s = self.blocks.get_mut(rank);
         let target = if from < rank {
             &mut s.halo_n
         } else {
@@ -511,22 +643,28 @@ impl SpmdApp for StencilApp {
         wire::get_f32s(payload, target);
     }
 
-    fn compute(&mut self, rank: usize, _cycle: u64, part: u32) -> (f64, OpKind) {
-        let n = self.n;
-        let (s, ring) = (&mut self.ranks[rank], &mut self.ring);
-        let rows_updated = match part {
-            PART_ALL => s.update_all(n, ring),
-            PART_INTERIOR => s.update_interior(n, ring),
-            PART_BORDER => s.update_border(n, ring),
-            other => panic!("unknown stencil part {other}"),
-        };
+    fn compute(&mut self, rank: usize, cycle: u64, part: u32) -> (f64, OpKind) {
+        compute_inline(self, rank, cycle, part)
+    }
+
+    fn compute_detached(
+        &mut self,
+        rank: usize,
+        _cycle: u64,
+        part: u32,
+    ) -> (f64, OpKind, Option<Job>) {
+        let (rows, job) = self.blocks.detach(rank, self.n, part);
         // The §4 annotation: 5N flops per PDU (row).
-        (5.0 * n as f64 * rows_updated as f64, OpKind::Flop)
+        (5.0 * self.n as f64 * rows as f64, OpKind::Flop, job)
+    }
+
+    fn reattach(&mut self, rank: usize, state: Box<dyn Any + Send>) {
+        self.blocks.reattach(rank, state);
     }
 
     fn distribution_bytes(&self, rank: usize) -> u64 {
         // The master ships each rank its block of 4-byte points.
-        let s = &self.ranks[rank];
+        let s = self.blocks.get(rank);
         (s.cur.len() * 4) as u64
     }
 
@@ -535,7 +673,7 @@ impl SpmdApp for StencilApp {
         // (every pass writes in place, and the cycle's last one has run).
         // Blob layout:
         // start u64 LE, end u64 LE, then (end-start)*N points, f32 LE.
-        let s = &self.ranks[rank];
+        let s = self.blocks.get(rank);
         let mut buf = Vec::with_capacity(16 + s.cur.len() * 4);
         wire::put_u64s(&mut buf, &[s.r0 as u64, s.r1 as u64]);
         wire::put_f32s(&mut buf, &s.cur);
@@ -682,8 +820,7 @@ mod tests {
             }
             assert_eq!(app.gather(), initial_grid(n), "{name}");
             let held = |app: &StencilApp| {
-                app.ranks.iter().map(Block::floats).sum::<usize>()
-                    + app.ring.capacity()
+                app.blocks.iter().map(Block::floats).sum::<usize>()
                     + app.grid.as_ref().map_or(0, Vec::capacity)
             };
             assert!(
@@ -754,8 +891,9 @@ mod tests {
         /// 2-D), STEN-2's interior pass then its border pass (the row
         /// windows the double-buffered STEN-2 used), and one pass over any
         /// `[lo, hi)` row window. The in-place passes leave the bits the
-        /// oracle leaves after its swap, and count the same points; stale
-        /// ring and kept rows change nothing.
+        /// oracle leaves after its swap, and count the same points — the
+        /// rows a detached pass charges before it runs; stale ring and
+        /// kept rows change nothing.
         #[test]
         fn slice_kernel_matches_scalar_oracle(
             n in 2usize..40,
@@ -784,7 +922,11 @@ mod tests {
             }
             let want = b.clone();
             let (rows_updated, windows) = match schedule {
-                0 => (b.update_all(n, &mut ring), vec![(r0, r1)]),
+                0 => {
+                    let rows = b.update_all(n, &mut ring);
+                    prop_assert_eq!(rows, want.rows_to_update(n, PART_ALL));
+                    (rows, vec![(r0, r1)])
+                }
                 1 => {
                     let interior = (r0 + 1, (r1 - 1).max(r0 + 1));
                     let border = if r1 - r0 == 1 {
@@ -792,8 +934,11 @@ mod tests {
                     } else {
                         vec![interior, (r0, r0 + 1), (r1 - 1, r1)]
                     };
-                    let rows = b.update_interior(n, &mut ring) + b.update_border(n, &mut ring);
-                    (rows, border)
+                    let interior_rows = b.update_interior(n, &mut ring);
+                    let border_rows = b.update_border(n, &mut ring);
+                    prop_assert_eq!(interior_rows, want.rows_to_update(n, PART_INTERIOR));
+                    prop_assert_eq!(border_rows, want.rows_to_update(n, PART_BORDER));
+                    (interior_rows + border_rows, border)
                 }
                 _ => (b.pass(n, &mut ring, lo - r0, hi - r0, false), vec![(lo, hi)]),
             };

@@ -20,13 +20,15 @@
 //! partition vector cannot describe. The 1-D/2-D ablation uses this to
 //! show where each decomposition wins.
 
+use std::any::Any;
+
 use bytes::Bytes;
 
 use netpart_model::{AppModel, CommPhase, CompPhase, OpKind, PartitionVector};
-use netpart_spmd::{SpmdApp, Step};
+use netpart_spmd::{Job, SpmdApp, Step};
 use netpart_topology::Topology;
 
-use crate::stencil::Block;
+use crate::stencil::{compute_inline, Block, Blocks, PART_ALL};
 use crate::wire;
 
 /// §4-style annotations for the 2-D decomposition at a *given* processor
@@ -65,9 +67,7 @@ pub struct Stencil2DApp {
     iters: u64,
     p: usize,
     mesh: (u32, u32),
-    blocks: Vec<Block>,
-    /// The two-row ring every block's pass shares.
-    ring: Vec<f32>,
+    blocks: Blocks,
 }
 
 impl Stencil2DApp {
@@ -83,8 +83,7 @@ impl Stencil2DApp {
             iters,
             p,
             mesh: Topology::mesh_dims(p as u32),
-            blocks: Vec::with_capacity(p),
-            ring: vec![0.0; 2 * n],
+            blocks: Blocks::with_capacity(p),
         }
     }
 
@@ -104,7 +103,7 @@ impl Stencil2DApp {
     /// Reassemble the full grid.
     pub fn gather(&self) -> Vec<f32> {
         let mut g = vec![0.0f32; self.n * self.n];
-        for b in &self.blocks {
+        for b in self.blocks.iter() {
             b.paste(&mut g, self.n);
         }
         g
@@ -150,7 +149,7 @@ impl SpmdApp for Stencil2DApp {
     fn produce(&mut self, rank: usize, _cycle: u64, to: usize) -> Bytes {
         let (mr, mc) = self.mesh_pos(rank);
         let (tr, tc) = self.mesh_pos(to);
-        let b = &self.blocks[rank];
+        let b = self.blocks.get(rank);
         let (w, h) = (b.width(), b.r1 - b.r0);
         // Sized exactly: the `Bytes` keeps the allocation as it is.
         let mut buf = Vec::with_capacity(4 * if tr != mr { w } else { h });
@@ -168,7 +167,7 @@ impl SpmdApp for Stencil2DApp {
     fn consume(&mut self, rank: usize, _cycle: u64, from: usize, payload: &[u8]) {
         let (mr, mc) = self.mesh_pos(rank);
         let (fr, fc) = self.mesh_pos(from);
-        let b = &mut self.blocks[rank];
+        let b = self.blocks.get_mut(rank);
         let target = if fr < mr {
             &mut b.halo_n
         } else if fr > mr {
@@ -181,18 +180,30 @@ impl SpmdApp for Stencil2DApp {
         wire::get_f32s(payload, target);
     }
 
-    fn compute(&mut self, rank: usize, _cycle: u64, _part: u32) -> (f64, OpKind) {
-        let n = self.n;
-        let b = &mut self.blocks[rank];
-        let rows_updated = b.update_all(n, &mut self.ring);
+    fn compute(&mut self, rank: usize, cycle: u64, part: u32) -> (f64, OpKind) {
+        compute_inline(self, rank, cycle, part)
+    }
+
+    fn compute_detached(
+        &mut self,
+        rank: usize,
+        _cycle: u64,
+        _part: u32,
+    ) -> (f64, OpKind, Option<Job>) {
         // 5 flops per updated point: the block's columns minus any fixed
-        // global boundary column it holds.
+        // global boundary column it holds, read before the block leaves.
+        let (n, b) = (self.n, self.blocks.get(rank));
         let cols_updated = b.c1.min(n - 1).saturating_sub(b.c0.max(1));
-        (5.0 * (rows_updated * cols_updated) as f64, OpKind::Flop)
+        let (rows, job) = self.blocks.detach(rank, n, PART_ALL);
+        (5.0 * (rows * cols_updated) as f64, OpKind::Flop, job)
+    }
+
+    fn reattach(&mut self, rank: usize, state: Box<dyn Any + Send>) {
+        self.blocks.reattach(rank, state);
     }
 
     fn distribution_bytes(&self, rank: usize) -> u64 {
-        let b = &self.blocks[rank];
+        let b = self.blocks.get(rank);
         (b.cur.len() * 4) as u64
     }
 }
@@ -233,7 +244,7 @@ mod tests {
         for rank in 0..p {
             app.setup(rank, &PartitionVector::equal(n as u64, p));
         }
-        let held = app.blocks.iter().map(Block::floats).sum::<usize>() + app.ring.capacity();
+        let held = app.blocks.iter().map(Block::floats).sum::<usize>();
         assert!(held <= n * n + 8 * p * n, "{held} floats");
         assert_eq!(app.gather(), crate::stencil::initial_grid(n));
     }

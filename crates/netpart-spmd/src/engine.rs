@@ -15,6 +15,14 @@
 //! checkpoint capture, replica traffic, a drift abort, the error a crash
 //! becomes — arrives as an explicit [`Segment`] the engine consults at
 //! each cycle boundary.
+//!
+//! The event loop runs on one thread and never reads host time. A rank's
+//! arithmetic may leave it: a [`Job`](crate::Job) from
+//! [`SpmdApp::compute_detached`] runs on the `netpart_sweep` pool between
+//! the rank's compute start and its `ComputeDone`, where the engine joins
+//! it and hands the state back through [`SpmdApp::reattach`].
+
+use std::any::Any;
 
 use bytes::Bytes;
 
@@ -23,6 +31,7 @@ use netpart_mmps::{
 };
 use netpart_model::{NetpartError, PartitionVector};
 use netpart_sim::{FastMap, NodeId, SimDur, SimTime};
+use netpart_sweep::Pending;
 
 use crate::checkpoint::CheckpointStore;
 use crate::drift::DriftMonitor;
@@ -163,6 +172,10 @@ pub struct CycleEngine<'a, A: SpmdApp, P: Probe> {
     num_cycles: u64,
     node_to_rank: FastMap<NodeId, Rank>,
     epoch: u16,
+    /// Per rank, the job its in-flight compute detached, if any: its
+    /// state returns to the app at the rank's `ComputeDone`, or at the
+    /// end of the run.
+    detached: Vec<Option<Pending<Box<dyn Any + Send>>>>,
 }
 
 impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
@@ -230,7 +243,23 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
             num_cycles,
             node_to_rank,
             epoch,
+            detached: (0..n).map(|_| None).collect(),
         };
+        let result = Self::execute(&mut engine, distribute, run_start);
+        // Every detached state comes home, however the run ended.
+        for rank in 0..n {
+            engine.reattach(rank);
+        }
+        result
+    }
+
+    /// The run proper, from the startup distribution to the report.
+    fn execute(
+        engine: &mut Self,
+        distribute: bool,
+        run_start: SimTime,
+    ) -> Result<SpmdReport, NetpartError> {
+        let (n, num_cycles, epoch) = (engine.nodes.len(), engine.num_cycles, engine.epoch);
 
         // Startup distribution: rank 0's node ships every other rank its
         // block before that rank may begin cycling.
@@ -381,6 +410,7 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                     let rank = (token & 0xFFFF_FFFF) as usize;
                     debug_assert_eq!(engine.nodes[rank], node);
                     debug_assert_eq!(engine.states[rank].waiting, Waiting::Compute);
+                    engine.reattach(rank);
                     engine.states[rank].waiting = Waiting::Ready;
                     let started = engine.compute_started[rank];
                     engine.compute_busy[rank] += at.since(started);
@@ -491,6 +521,14 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
                 .map_err(send_err(to))?;
         }
         Ok(targets.len())
+    }
+
+    /// Wait for `rank`'s detached job, if it has one, and hand its state
+    /// back to the app. A job that panicked panics here.
+    fn reattach(&mut self, rank: Rank) {
+        if let Some(job) = self.detached[rank].take() {
+            self.app.reattach(rank, job.join());
+        }
     }
 
     fn load_script(&mut self, rank: Rank) {
@@ -659,7 +697,10 @@ impl<'a, A: SpmdApp, P: Probe> CycleEngine<'a, A, P> {
             &Step::Compute { part } => {
                 let started = self.phase_enter(rank);
                 let cycle = self.states[rank].cycle;
-                let (ops, kind) = self.app.compute(rank, cycle, part);
+                let (ops, kind, job) = self.app.compute_detached(rank, cycle, part);
+                if let Some(job) = job {
+                    self.detached[rank] = Some(netpart_sweep::submit(job));
+                }
                 let class = match kind {
                     netpart_model::OpKind::Flop => netpart_sim::OpClass::Flop,
                     netpart_model::OpKind::IntOp => netpart_sim::OpClass::IntOp,

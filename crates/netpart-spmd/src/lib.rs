@@ -12,8 +12,12 @@
 //! the quantity the partitioning algorithm's `T_c` estimate predicts.
 //!
 //! The applications do their *real* computation (actual floating point
-//! math on actual arrays) inside [`SpmdApp::compute`]; only time is
-//! simulated. Tests exploit this: the distributed stencil must produce
+//! math on actual arrays) inside [`SpmdApp::compute`], or in the [`Job`]
+//! [`SpmdApp::compute_detached`] returns; only time is simulated. A job
+//! runs on a pool worker (see `netpart_sweep::submit`) between its rank's
+//! compute start and its completion, and simulated time never reads host
+//! time, so where the arithmetic ran changes no simulated number. Tests
+//! exploit the real arithmetic: the distributed stencil must produce
 //! bit-identical grids to a sequential reference, regardless of how the
 //! partitioner sliced the domain.
 
@@ -32,4 +36,4 @@ pub use drift::{DriftMonitor, DriftReport, DEGRADE_THRESHOLD};
 pub use engine::{CycleEngine, NoProbe, Phase, Probe, Segment};
 pub use report::SpmdReport;
 pub use runtime::Executor;
-pub use task::{Rank, SpmdApp, Step};
+pub use task::{Job, Rank, SpmdApp, Step};

@@ -17,11 +17,18 @@
 //! nodes, and the pivot-row broadcast is a `Send` to everyone from
 //! whichever rank owns the pivot that cycle.
 
+use std::any::Any;
+
 use bytes::Bytes;
 use netpart_model::{OpKind, PartitionVector};
 
 /// Task rank within the SPMD computation.
 pub type Rank = usize;
+
+/// A rank's arithmetic, detached from the app by
+/// [`SpmdApp::compute_detached`]: it owns the state it updates and returns
+/// it, type-erased, for [`SpmdApp::reattach`].
+pub type Job = Box<dyn FnOnce() -> Box<dyn Any + Send> + Send>;
 
 /// One element of a rank's per-cycle script.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,9 +60,19 @@ pub enum Step {
 ///
 /// The runtime guarantees: `setup` first; within a rank and cycle, steps
 /// execute in script order; `consume` for a `Recv` runs before any later
-/// `Compute` of the same script; `compute` is invoked exactly once per
-/// `Compute` step. Ranks otherwise drift independently — there is no
-/// global barrier between cycles, exactly like the paper's testbed.
+/// `Compute` of the same script; exactly one of `compute` and
+/// `compute_detached` is invoked once per `Compute` step. The engine calls
+/// `compute_detached`; when that returns a [`Job`], the job's state comes
+/// back through `reattach` at the step's simulated completion, before the
+/// rank's next step, and no other method is called for that rank in
+/// between. Every detached state is back before the run returns, whether
+/// it ends in `Ok`, a crash, a deadlock or a drift abort. Ranks otherwise
+/// drift independently — there is no global barrier between cycles,
+/// exactly like the paper's testbed.
+///
+/// The stencil apps detach a large enough block's grid update; Gaussian
+/// elimination, the calibration benchmark and the redistribution app keep
+/// the default, which computes inline.
 pub trait SpmdApp {
     /// Called once per rank before any cycle, with the rank's partition
     /// vector (PDU counts for every rank, in rank order).
@@ -77,6 +94,28 @@ pub trait SpmdApp {
     /// the application's data — and return the operation count and class
     /// to charge to the simulated processor.
     fn compute(&mut self, rank: Rank, cycle: u64, part: u32) -> (f64, OpKind);
+
+    /// [`SpmdApp::compute`], optionally with its arithmetic moved out of
+    /// the app: return the operation count and class to charge — known
+    /// without doing the math — and a [`Job`] that owns `rank`'s state and
+    /// does it. The engine runs the job on another host thread and hands
+    /// its result to [`SpmdApp::reattach`] when the simulated compute
+    /// completes; simulated time reads only the returned count, so the
+    /// run is the same either way. Default: `compute`, inline.
+    fn compute_detached(
+        &mut self,
+        rank: Rank,
+        cycle: u64,
+        part: u32,
+    ) -> (f64, OpKind, Option<Job>) {
+        let (ops, kind) = self.compute(rank, cycle, part);
+        (ops, kind, None)
+    }
+
+    /// Take back what `rank`'s [`Job`] returned. Default: nothing to take.
+    fn reattach(&mut self, rank: Rank, state: Box<dyn Any + Send>) {
+        let _ = (rank, state);
+    }
 
     /// Bytes of initial data the master must ship to `rank` before cycle
     /// 0 (the paper's startup distribution, excluded from its timings).

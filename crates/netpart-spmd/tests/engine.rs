@@ -2,12 +2,18 @@
 //! overlap benefit, load-balance behaviour, distribution accounting,
 //! failure paths, and what a [`Segment`] adds to a run.
 
+use std::any::Any;
+use std::panic;
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
+
 use bytes::Bytes;
 use netpart_mmps::Mmps;
 use netpart_model::{NetpartError, OpKind, PartitionVector};
-use netpart_sim::{NetworkBuilder, NodeId, ProcType, SegmentSpec};
+use netpart_sim::{FaultPlan, NetworkBuilder, NodeId, ProcType, SegmentSpec, SimDur, SimTime};
 use netpart_spmd::{
-    CheckpointStore, DriftMonitor, Executor, NoProbe, Segment, SpmdApp, SpmdReport, Step,
+    CheckpointStore, DriftMonitor, Executor, Job, NoProbe, Segment, SpmdApp, SpmdReport, Step,
 };
 use netpart_topology::Topology;
 
@@ -462,4 +468,205 @@ fn a_loaded_node_under_a_monitor_ends_the_run_as_drift() {
             severity_permille: report.severity_permille(),
         }
     );
+}
+
+/// [`HaloApp`] with every compute detached: a rank's rows leave in the job
+/// and come back through `reattach`. Touching a rank whose rows are away
+/// panics, and the job of `doomed` = (rank, cycle) panics.
+struct DetachedHalo {
+    halo: HaloApp,
+    away: Vec<bool>,
+    doomed: Option<(usize, u64)>,
+}
+
+impl DetachedHalo {
+    fn new(halo: HaloApp) -> DetachedHalo {
+        let away = vec![false; halo.p];
+        DetachedHalo {
+            halo,
+            away,
+            doomed: None,
+        }
+    }
+
+    fn home(&self, rank: usize) -> &HaloApp {
+        assert!(!self.away[rank], "rank {rank} touched while detached");
+        &self.halo
+    }
+}
+
+impl SpmdApp for DetachedHalo {
+    fn setup(&mut self, rank: usize, vector: &PartitionVector) {
+        self.halo.setup(rank, vector);
+    }
+    fn num_cycles(&self) -> u64 {
+        self.halo.num_cycles()
+    }
+    fn script(&self, rank: usize, cycle: u64) -> Vec<Step> {
+        self.halo.script(rank, cycle)
+    }
+    fn produce(&mut self, rank: usize, cycle: u64, to: usize) -> Bytes {
+        self.home(rank);
+        self.halo.produce(rank, cycle, to)
+    }
+    fn consume(&mut self, rank: usize, cycle: u64, from: usize, payload: &[u8]) {
+        self.home(rank);
+        self.halo.consume(rank, cycle, from, payload);
+    }
+    fn compute(&mut self, rank: usize, cycle: u64, part: u32) -> (f64, OpKind) {
+        self.home(rank);
+        self.halo.compute(rank, cycle, part)
+    }
+    fn compute_detached(
+        &mut self,
+        rank: usize,
+        cycle: u64,
+        _part: u32,
+    ) -> (f64, OpKind, Option<Job>) {
+        self.home(rank);
+        let mut rows = std::mem::take(&mut self.halo.data[rank]);
+        let ops = rows.len() as f64 * self.halo.ops_per_pdu;
+        self.away[rank] = true;
+        let doomed = self.doomed == Some((rank, cycle));
+        let job: Job = Box::new(move || {
+            assert!(!doomed, "rank {rank}'s job failed");
+            for x in &mut rows {
+                *x += 0.5;
+            }
+            Box::new(rows)
+        });
+        (ops, OpKind::Flop, Some(job))
+    }
+    fn reattach(&mut self, rank: usize, state: Box<dyn Any + Send>) {
+        assert!(self.away[rank], "rank {rank} came back twice");
+        self.halo.data[rank] = *state
+            .downcast::<Vec<f64>>()
+            .expect("a halo job returns its rows");
+        self.away[rank] = false;
+    }
+    fn checkpoint(&self, rank: usize, cycle: u64) -> Option<Bytes> {
+        self.home(rank).checkpoint(rank, cycle)
+    }
+}
+
+/// Detaching changes nothing a run reports: the same report and the same
+/// consumed values as the inline app, with every rank's rows home.
+#[test]
+fn a_detached_run_matches_the_inline_one() {
+    let (plain, plain_app, _) = halo_run(None);
+    netpart_sweep::set_threads(2);
+    let (mmps, nodes) = homogeneous_cluster(4);
+    let mut app = DetachedHalo::new(HaloApp::new(4, SEG_CYCLES, 1000.0, false));
+    let report = Executor::new(mmps, nodes)
+        .run(&mut app, &PartitionVector::equal(40, 4), false)
+        .expect("run");
+    netpart_sweep::set_threads(0);
+    assert_eq!(report.elapsed, plain.elapsed);
+    assert_eq!(report.per_cycle, plain.per_cycle);
+    assert_eq!(report.compute_time, plain.compute_time);
+    assert_eq!(report.mmps, plain.mmps);
+    assert_eq!(app.halo.consumed, plain_app.consumed);
+    assert_eq!(app.halo.data, plain_app.data);
+    assert!(app.away.iter().all(|&a| !a));
+}
+
+/// A node that fail-stops while its rank's compute is detached: its
+/// `ComputeDone` never fires, the run ends with the typed error naming the
+/// rank, and the rows come home anyway, so every checkpoint still reads.
+#[test]
+fn a_crash_during_a_detached_compute_returns_the_typed_error_with_every_rank_home() {
+    netpart_sweep::set_threads(2);
+    let (mut mmps, nodes) = homogeneous_cluster(4);
+    // Each compute is 10 rows × 100k flops × 0.3 µs = 300 ms; the crash
+    // lands inside cycle 0's.
+    let crash = FaultPlan::new().crash(SimTime::ZERO + SimDur::from_millis(100), nodes[2]);
+    mmps.net().install_fault_plan(&crash).expect("valid plan");
+    let mut app = DetachedHalo::new(HaloApp::new(4, 3, 100_000.0, false));
+    let err = Executor::new(mmps, nodes)
+        .run(&mut app, &PartitionVector::equal(40, 4), false)
+        .unwrap_err();
+    netpart_sweep::set_threads(0);
+    assert!(
+        matches!(err, NetpartError::PeerUnreachable { rank: 2, .. }),
+        "{err}"
+    );
+    assert!(app.away.iter().all(|&a| !a), "{:?}", app.away);
+    for rank in 0..4 {
+        assert_eq!(app.halo.data[rank].len(), 10, "rank {rank}");
+        assert!(app.checkpoint(rank, 0).is_some());
+    }
+}
+
+/// A drift abort ends the run at the loaded rank's cycle boundary while
+/// rank 3, holding six times the rows, is still computing detached: its
+/// rows come home too.
+#[test]
+fn a_drift_abort_brings_every_detached_rank_home() {
+    let vector = PartitionVector::from_counts(vec![10, 10, 10, 60]);
+    let (mmps, nodes) = homogeneous_cluster(4);
+    let plain = Executor::new(mmps, nodes)
+        .run(
+            &mut HaloApp::new(4, SEG_CYCLES, 1000.0, false),
+            &vector,
+            false,
+        )
+        .expect("run");
+    let pred_comp = plain
+        .compute_time
+        .iter()
+        .map(|d| d.as_millis_f64() / SEG_CYCLES as f64)
+        .collect();
+    let mut monitor = DriftMonitor::new(0, pred_comp, 1.0);
+    let mut store = CheckpointStore::new(4, 1, 0);
+    let (mut mmps, nodes) = homogeneous_cluster(4);
+    mmps.net().set_external_load(nodes[1], 0.75);
+    let mut app = DetachedHalo::new(HaloApp::new(4, 12, 1000.0, false));
+    let segment = Segment {
+        epoch: 1,
+        store: &mut store,
+        monitor: Some(&mut monitor),
+    };
+    netpart_sweep::set_threads(2);
+    let err = Executor::new(mmps, nodes)
+        .run_segment(&mut app, &vector, false, &mut NoProbe, segment)
+        .unwrap_err();
+    netpart_sweep::set_threads(0);
+    assert!(
+        matches!(err, NetpartError::DriftDegraded { rank: 1, .. }),
+        "{err}"
+    );
+    assert!(app.away.iter().all(|&a| !a), "{:?}", app.away);
+}
+
+/// A job that panics surfaces as a panic from the run, not a hang. The
+/// run goes on its own thread so a hang fails the wait instead of
+/// stalling the suite.
+#[test]
+fn a_panicking_job_panics_the_caller_within_a_bounded_wait() {
+    let (tx, rx) = mpsc::channel();
+    let runner = thread::spawn(move || {
+        let out = panic::catch_unwind(|| {
+            netpart_sweep::set_threads(2);
+            let (mmps, nodes) = homogeneous_cluster(4);
+            let mut app = DetachedHalo::new(HaloApp::new(4, 3, 1000.0, false));
+            app.doomed = Some((1, 1));
+            Executor::new(mmps, nodes)
+                .run(&mut app, &PartitionVector::equal(40, 4), false)
+                .is_ok()
+        });
+        netpart_sweep::set_threads(0);
+        let out = out.map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        });
+        tx.send(out).expect("the test waits");
+    });
+    let out = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the run returned or panicked instead of hanging");
+    runner.join().expect("the runner caught the panic");
+    let msg = out.expect_err("the job's panic reaches the caller");
+    assert_eq!(msg, "rank 1's job failed");
 }

@@ -20,29 +20,44 @@
 //! `init` made (a simulator's `reset`) before reading it. [`sweep`] is the
 //! stateless case.
 //!
+//! [`submit`] is the other use of the cores: one job at a time, handed to
+//! a process-wide pool of [`threads`]` − 1` workers and redeemed with
+//! [`Pending::join`], whose caller runs queued jobs itself while it waits.
+//! The SPMD engine runs a rank's arithmetic this way between its compute
+//! start and its completion. A job submitted from a [`sweep`] worker runs
+//! inline, so a parallel sweep of runs does not oversubscribe the cores.
+//!
 //! Thread count: `NETPART_SWEEP_THREADS` env var, else a programmatic
 //! [`set_threads`] override, else [`std::thread::available_parallelism`].
-//! A count of 1 (or a single cell) runs the one worker loop on the calling
-//! thread with zero spawn overhead.
+//! It sizes both the sweep and the pool. A count of 1 (or a single cell)
+//! runs the one worker loop on the calling thread with zero spawn
+//! overhead, and every submitted job inline.
 
 #![forbid(unsafe_code)]
 
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
 
 /// Programmatic thread-count override; 0 means "auto".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Force the worker count for subsequent [`sweep`] calls (0 restores
-/// auto-detection). Results are byte-identical for any count, so racing
-/// callers can only affect speed, never output — tests use this to compare
-/// the sequential and parallel paths directly.
+/// The host's [`thread::available_parallelism`], the "auto" count.
+static AVAILABLE: OnceLock<usize> = OnceLock::new();
+
+/// Force the thread count for subsequent [`sweep`] and [`submit`] calls
+/// (0 restores auto-detection). Results are byte-identical for any count,
+/// so racing callers can only affect speed, never output — tests use
+/// this to compare the sequential and parallel paths directly.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// The worker count [`sweep`] will use right now.
+/// The thread count [`sweep`] and [`submit`] use right now: a sweep's
+/// workers, and the pool's workers plus the joining thread.
 pub fn threads() -> usize {
     if let Ok(v) = std::env::var("NETPART_SWEEP_THREADS") {
         if let Ok(n) = v.parse::<usize>() {
@@ -52,7 +67,9 @@ pub fn threads() -> usize {
         }
     }
     match THREAD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => thread::available_parallelism().map_or(1, |n| n.get()),
+        // Read once: on Linux the call reads cgroup files, too slow for a
+        // count asked for on every submitted job.
+        0 => *AVAILABLE.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get())),
         n => n,
     }
 }
@@ -96,7 +113,10 @@ where
         0 | 1 => worker(),
         workers => thread::scope(|s| {
             for _ in 0..workers {
-                s.spawn(worker);
+                s.spawn(|| {
+                    IS_WORKER.set(true);
+                    worker()
+                });
             }
         }),
     }
@@ -119,6 +139,136 @@ where
     F: Fn(usize) -> R + Sync,
 {
     sweep((0..n).collect(), run_cell)
+}
+
+thread_local! {
+    /// Whether this thread is a spawned sweep worker or a pool worker:
+    /// the cores are taken, so what it submits runs inline.
+    static IS_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// A queued job, type-erased: it stores its own outcome.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// The process-wide pool behind [`submit`]. Its workers live as long as
+/// the process and are never joined: every job runs under
+/// `catch_unwind`, so a worker outlives any job's panic and the panic
+/// reaches the job's joiner instead.
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Signalled when a job is queued or finishes: idle workers wait for
+    /// the first, joiners for either.
+    changed: Condvar,
+}
+
+struct PoolState {
+    queue: VecDeque<Task>,
+    workers: usize,
+}
+
+static POOL: Pool = Pool {
+    state: Mutex::new(PoolState {
+        queue: VecDeque::new(),
+        workers: 0,
+    }),
+    changed: Condvar::new(),
+};
+
+fn pool_state() -> MutexGuard<'static, PoolState> {
+    // Jobs run outside the lock, so no panic can poison it.
+    POOL.state.lock().expect("pool lock poisoned")
+}
+
+/// Run `task` outside the pool lock, then retake it and wake the waiters:
+/// its joiner checks for the outcome under the lock, so the wake-up cannot
+/// slip in between that check and its wait.
+fn run_unlocked(
+    state: MutexGuard<'static, PoolState>,
+    task: Task,
+) -> MutexGuard<'static, PoolState> {
+    drop(state);
+    task();
+    let state = pool_state();
+    POOL.changed.notify_all();
+    state
+}
+
+/// A pool worker: runs queued jobs, in submission order, until the
+/// process ends.
+fn pool_worker() {
+    IS_WORKER.set(true);
+    let mut state = pool_state();
+    loop {
+        state = match state.queue.pop_front() {
+            Some(task) => run_unlocked(state, task),
+            None => POOL.changed.wait(state).expect("pool lock poisoned"),
+        };
+    }
+}
+
+/// A job handed to [`submit`], redeemed for its result by [`Pending::join`].
+pub struct Pending<R> {
+    outcome: Arc<Mutex<Option<thread::Result<R>>>>,
+}
+
+/// Hand `job` to the process-wide pool and return at once. With
+/// [`threads`]` == 1`, or from a sweep or pool worker, the job runs inline
+/// before `submit` returns; either way its result, or its panic, comes out
+/// of [`Pending::join`].
+pub fn submit<R, F>(job: F) -> Pending<R>
+where
+    R: Send + 'static,
+    F: FnOnce() -> R + Send + 'static,
+{
+    let outcome = Arc::new(Mutex::new(None));
+    let run = {
+        let outcome = Arc::clone(&outcome);
+        move || {
+            let out = panic::catch_unwind(AssertUnwindSafe(job));
+            *outcome.lock().expect("job outcome poisoned") = Some(out);
+        }
+    };
+    let workers = threads().saturating_sub(1);
+    if workers == 0 || IS_WORKER.get() {
+        run();
+    } else {
+        let mut state = pool_state();
+        while state.workers < workers {
+            // A worker that cannot start costs speed, not progress: every
+            // joiner runs queued jobs itself.
+            let spawned = thread::Builder::new()
+                .name("netpart-pool".into())
+                .spawn(pool_worker);
+            if spawned.is_err() {
+                break;
+            }
+            state.workers += 1;
+        }
+        state.queue.push_back(Box::new(run));
+        drop(state);
+        POOL.changed.notify_all();
+    }
+    Pending { outcome }
+}
+
+impl<R> Pending<R> {
+    /// Wait for the job and return its result; while it is not done, run
+    /// queued jobs (its own among them) on this thread. A job that
+    /// panicked re-raises its panic here.
+    pub fn join(self) -> R {
+        let mut state = pool_state();
+        let out = loop {
+            if let Some(out) = self.outcome.lock().expect("job outcome poisoned").take() {
+                break out;
+            }
+            state = match state.queue.pop_front() {
+                Some(task) => run_unlocked(state, task),
+                None => POOL.changed.wait(state).expect("pool lock poisoned"),
+            };
+        };
+        drop(state);
+        out.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
 }
 
 #[cfg(test)]
@@ -194,6 +344,59 @@ mod tests {
     fn sweep_with_never_inits_without_cells() {
         let out: Vec<u32> = sweep_with(Vec::<u32>::new(), || panic!("init ran"), |(), x| x);
         assert!(out.is_empty());
+    }
+
+    /// Whatever the thread count, every job's result comes back to its
+    /// own handle, joined in any order.
+    #[test]
+    fn submitted_jobs_return_their_own_results() {
+        for workers in [1, 2, 4] {
+            set_threads(workers);
+            let pending: Vec<_> = (0..50u64)
+                .map(|i| submit(move || i.wrapping_mul(0x9E37).rotate_left(7)))
+                .collect();
+            set_threads(0);
+            let got: Vec<u64> = pending.into_iter().rev().map(Pending::join).collect();
+            let want: Vec<u64> = (0..50u64)
+                .rev()
+                .map(|i| i.wrapping_mul(0x9E37).rotate_left(7))
+                .collect();
+            assert_eq!(got, want, "{workers} threads");
+        }
+    }
+
+    /// A job's panic comes out of its joiner, not a worker, and the pool
+    /// keeps serving afterwards.
+    #[test]
+    fn a_panicking_job_panics_its_joiner() {
+        for workers in [1, 2] {
+            set_threads(workers);
+            let doomed = submit(move || -> u32 { panic!("job {workers} failed") });
+            let fine = submit(|| 7u32);
+            set_threads(0);
+            let payload = panic::catch_unwind(AssertUnwindSafe(|| doomed.join()))
+                .expect_err("the job's panic reaches its joiner");
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert_eq!(msg, &format!("job {workers} failed"));
+            assert_eq!(fine.join(), 7);
+        }
+    }
+
+    /// A spawned sweep worker already holds a core: what it submits runs
+    /// on its own thread.
+    #[test]
+    fn a_sweep_worker_runs_its_jobs_inline() {
+        set_threads(2);
+        let ran = sweep((0..4).collect(), |_: u32| {
+            let job = submit(|| thread::current().id());
+            (IS_WORKER.get(), thread::current().id(), job.join())
+        });
+        set_threads(0);
+        for (spawned, here, job) in ran {
+            if spawned {
+                assert_eq!(here, job);
+            }
+        }
     }
 
     #[test]
