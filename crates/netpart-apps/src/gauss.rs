@@ -148,10 +148,14 @@ pub struct GaussApp {
     pivots: Vec<usize>,
     /// The current pivot row's data, per rank: columns `k..N` then b.
     pivot_row: Vec<Vec<f64>>,
+    /// The system [`GaussApp::new`] was handed, held until setup has cut
+    /// the last rank's rows out of it and emptied then (not dropped, so a
+    /// second setup fails rather than restart from it).
     a_full: Vec<f64>,
     b_full: Vec<f64>,
-    /// Rank 0's gathered view of the eliminated system (filled by the
-    /// final gather cycle; rank 0's own block is copied at solve time).
+    /// Rank 0's gathered view of the eliminated system: empty until the
+    /// final gather cycle's first message; rank 0's own block is copied
+    /// at solve time.
     gathered_a: Vec<f64>,
     gathered_b: Vec<f64>,
     /// Global cycle that engine-local cycle 0 corresponds to. Zero for a
@@ -173,8 +177,8 @@ impl GaussApp {
             used: vec![false; n],
             pivots: Vec::with_capacity(n),
             pivot_row: vec![Vec::new(); p],
-            gathered_a: vec![0.0; n * n],
-            gathered_b: vec![0.0; n],
+            gathered_a: Vec::new(),
+            gathered_b: Vec::new(),
             a_full: a,
             b_full: b,
             base_cycle: 0,
@@ -250,6 +254,9 @@ impl GaussApp {
         let n = self.n;
         let mut a = self.gathered_a.clone();
         let mut b = self.gathered_b.clone();
+        // A one-rank run gathers nothing.
+        a.resize(n * n, 0.0);
+        b.resize(n, 0.0);
         let s0 = &self.ranks[0];
         a[s0.start * n..s0.end * n].copy_from_slice(&s0.a);
         b[s0.start..s0.end].copy_from_slice(&s0.b);
@@ -285,6 +292,10 @@ impl SpmdApp for GaussApp {
             b: self.b_full[gs..ge].to_vec(),
             candidate: (0.0, usize::MAX),
         });
+        if rank + 1 == self.p {
+            self.a_full = Vec::new();
+            self.b_full = Vec::new();
+        }
     }
 
     fn num_cycles(&self) -> u64 {
@@ -412,6 +423,8 @@ impl SpmdApp for GaussApp {
                 (s.start, s.end)
             };
             let (a_bytes, b_bytes) = payload.split_at(8 * (ge - gs) * n);
+            self.gathered_a.resize(n * n, 0.0);
+            self.gathered_b.resize(n, 0.0);
             wire::get_f64s(a_bytes, &mut self.gathered_a[gs * n..ge * n]);
             wire::get_f64s(b_bytes, &mut self.gathered_b[gs..ge]);
             return;
@@ -631,6 +644,29 @@ mod tests {
                 prop_assert_eq!(bits(&app.ranks[rank].b), bits(&want.b));
             }
         }
+    }
+
+    /// After setup the app holds the system once — its ranks' rows —
+    /// with no copy of what `new` was handed and no gather buffer; a
+    /// second setup fails rather than restart from the handed system.
+    #[test]
+    fn setup_leaves_one_copy_of_the_matrix() {
+        let (n, p) = (12, 3);
+        let vector = PartitionVector::from_counts(vec![5, 1, 6]);
+        let (a, b, _) = make_system(n, 9);
+        let mut app = GaussApp::new(n, a.clone(), b.clone(), p);
+        for rank in 0..p {
+            app.setup(rank, &vector);
+        }
+        let rows: usize = app.ranks.iter().map(|s| s.a.capacity()).sum();
+        let rhs: usize = app.ranks.iter().map(|s| s.b.capacity()).sum();
+        assert_eq!((rows, rhs), (n * n, n));
+        let rest = [&app.a_full, &app.b_full, &app.gathered_a, &app.gathered_b];
+        assert!(rest.iter().all(|v| v.capacity() == 0));
+        let stacked: Vec<f64> = app.ranks.iter().flat_map(|s| s.a.clone()).collect();
+        assert_eq!(stacked, a);
+        let again = std::panic::catch_unwind(move || app.setup(0, &vector));
+        assert!(again.is_err(), "a second setup must fail");
     }
 
     #[test]

@@ -33,6 +33,14 @@
 //! [`sequential_reference`]. STEN-2's interior pass keeps old copies of
 //! its first and last rows for the border pass that follows.
 //!
+//! Everything else a rank holds is scratch that lives for one iteration:
+//! a halo is allocated by the `consume` that decodes its message into it,
+//! and kept rows by the interior pass that copies them; the pass that
+//! finishes the iteration (STEN-1's and the 2-D whole-block pass,
+//! STEN-2's border pass) releases both. Between iterations, and after the
+//! run, a rank holds its rows and nothing more. A pass that needs a halo
+//! whose message has not arrived panics and names the side.
+//!
 //! A block of at least `DETACH_MIN_POINTS` points leaves the app for its
 //! whole-block and interior passes: [`SpmdApp::compute_detached`] charges
 //! the rows the pass will update, counted without doing it, and returns a
@@ -173,6 +181,12 @@ fn five_point_row(out: &mut [f32], above: &[f32], below: &[f32], cur: &[f32]) {
 /// share one ring, handed to each pass. STEN-2 splits an iteration in two
 /// passes, and the second needs rows the first one has overwritten:
 /// [`Block::update_interior`] keeps old copies of them in the block.
+///
+/// The halos and kept rows are empty except within one iteration: a halo
+/// from the [`fill_halo`] that decodes its message to the pass that ends
+/// the iteration, kept rows from the interior pass to the border pass.
+/// The pass that ends an iteration releases them all, whether it read
+/// them or not.
 #[cfg_attr(test, derive(Clone))]
 pub(crate) struct Block {
     pub(crate) r0: usize,
@@ -184,8 +198,8 @@ pub(crate) struct Block {
     pub(crate) halo_s: Vec<f32>,
     pub(crate) halo_w: Vec<f32>,
     pub(crate) halo_e: Vec<f32>,
-    /// The old first and last rows of the last interior pass; empty until
-    /// the first one.
+    /// The old first and last rows, from STEN-2's interior pass to its
+    /// border pass.
     kept: Vec<f32>,
 }
 
@@ -229,10 +243,10 @@ impl Block {
             c0,
             c1,
             cur,
-            halo_n: vec![0.0; w],
-            halo_s: vec![0.0; w],
-            halo_w: vec![0.0; h],
-            halo_e: vec![0.0; h],
+            halo_n: Vec::new(),
+            halo_s: Vec::new(),
+            halo_w: Vec::new(),
+            halo_e: Vec::new(),
             kept: Vec::new(),
         }
     }
@@ -291,7 +305,9 @@ impl Block {
     /// decomposition's update — returning how many rows were not fixed
     /// global boundary rows. `ring` holds at least two rows.
     pub(crate) fn update_all(&mut self, n: usize, ring: &mut [f32]) -> usize {
-        self.pass(n, ring, 0, self.height(), false)
+        let rows = self.pass(n, ring, 0, self.height(), false);
+        self.release();
+        rows
     }
 
     /// STEN-2's first pass: the rows that touch no halo (none in a block
@@ -302,9 +318,7 @@ impl Block {
         if h < 3 {
             return 0;
         }
-        self.kept.resize(2 * w, 0.0);
-        self.kept[..w].copy_from_slice(&self.cur[w..2 * w]);
-        self.kept[w..].copy_from_slice(&self.cur[(h - 2) * w..(h - 1) * w]);
+        self.kept = [&self.cur[w..2 * w], &self.cur[(h - 2) * w..(h - 1) * w]].concat();
         self.pass(n, ring, 1, h - 1, false)
     }
 
@@ -317,7 +331,29 @@ impl Block {
         if h < 3 {
             return self.update_all(n, ring);
         }
-        self.pass(n, ring, 0, 1, true) + self.pass(n, ring, h - 1, h, true)
+        assert!(
+            !self.kept.is_empty(),
+            "block at row {}, column {}: a border pass with no interior pass before it",
+            self.r0,
+            self.c0
+        );
+        let rows = self.pass(n, ring, 0, 1, true) + self.pass(n, ring, h - 1, h, true);
+        self.release();
+        rows
+    }
+
+    /// Drop the halos and kept rows: the iteration that needed them is
+    /// done.
+    fn release(&mut self) {
+        for scratch in [
+            &mut self.halo_n,
+            &mut self.halo_s,
+            &mut self.halo_w,
+            &mut self.halo_e,
+            &mut self.kept,
+        ] {
+            *scratch = Vec::new();
+        }
     }
 
     /// Update local rows `a..b` in place, returning how many were not
@@ -353,14 +389,14 @@ impl Block {
                 // Row above / below: a halo, a kept copy, or old data
                 // still in `cur` (the ring holds back the row above).
                 let north = if li == 0 {
-                    &halo_n[..]
+                    arrived(halo_n, "north", (*r0, *c0))
                 } else if li == a && kept {
                     &kept_rows[w..]
                 } else {
                     &cur[(li - 1) * w..li * w]
                 };
                 let south = if li + 1 == h {
-                    &halo_s[..]
+                    arrived(halo_s, "south", (*r0, *c0))
                 } else if li + 1 == b && kept {
                     &kept_rows[..w]
                 } else {
@@ -374,8 +410,16 @@ impl Block {
                     out[lj] = if gc == 0 || gc == n - 1 {
                         here[lj]
                     } else {
-                        let west = if lj > 0 { here[lj - 1] } else { halo_w[li] };
-                        let east = if lj + 1 < w { here[lj + 1] } else { halo_e[li] };
+                        let west = if lj > 0 {
+                            here[lj - 1]
+                        } else {
+                            arrived(halo_w, "west", (*r0, *c0))[li]
+                        };
+                        let east = if lj + 1 < w {
+                            here[lj + 1]
+                        } else {
+                            arrived(halo_e, "east", (*r0, *c0))[li]
+                        };
                         (north[lj] + south[lj] + west + east) / 4.0
                     };
                 }
@@ -395,6 +439,24 @@ impl Block {
         }
         rows_updated
     }
+}
+
+/// The halo on `side` of the block whose first point is at row `r0`,
+/// column `c0`, which a pass is about to read; panics if its message has
+/// not arrived.
+fn arrived<'h>(halo: &'h [f32], side: &str, (r0, c0): (usize, usize)) -> &'h [f32] {
+    assert!(
+        !halo.is_empty(),
+        "block at row {r0}, column {c0}: the {side} halo has not arrived"
+    );
+    halo
+}
+
+/// Decode a neighbour's border run of `len` points into `halo`, allocated
+/// now; the pass that ends the iteration releases it.
+pub(crate) fn fill_halo(halo: &mut Vec<f32>, len: usize, payload: &[u8]) {
+    *halo = vec![0.0; len];
+    wire::get_f32s(payload, halo);
 }
 
 /// Every rank's [`Block`], each home in its slot except while a detached
@@ -635,12 +697,12 @@ impl SpmdApp for StencilApp {
     fn consume(&mut self, rank: usize, _cycle: u64, from: usize, payload: &[u8]) {
         // A border row is exactly 4N bytes; the codec refuses anything else.
         let s = self.blocks.get_mut(rank);
-        let target = if from < rank {
+        let halo = if from < rank {
             &mut s.halo_n
         } else {
             &mut s.halo_s
         };
-        wire::get_f32s(payload, target);
+        fill_halo(halo, self.n, payload);
     }
 
     fn compute(&mut self, rank: usize, cycle: u64, part: u32) -> (f64, OpKind) {
@@ -786,10 +848,22 @@ mod tests {
         }
     }
 
-    /// After setup, and after an iteration, an app holds one copy of the
-    /// grid — its ranks' rows — and O(p·N) of halos and scratch rows
-    /// besides: no start grid, no second buffer, no grid handed to
-    /// `from_grid` or `resume` kept past the last rank's setup.
+    /// Deliver every rank's borders to its neighbours, as one cycle's
+    /// sends and receives would.
+    fn exchange(app: &mut StencilApp) {
+        for rank in 0..app.p {
+            for to in app.neighbors(rank) {
+                let row = app.produce(rank, 0, to);
+                app.consume(to, 0, rank, &row);
+            }
+        }
+    }
+
+    /// After setup, and after an iteration of every part, an app holds one
+    /// copy of the grid — its ranks' rows — and nothing more: no start
+    /// grid, no second buffer, no grid handed to `from_grid` or `resume`
+    /// kept past the last rank's setup, and no halo or kept row past the
+    /// pass that ends its iteration.
     #[test]
     fn setup_leaves_one_copy_of_the_grid() {
         let (n, p) = (64, 5);
@@ -823,22 +897,75 @@ mod tests {
                 app.blocks.iter().map(Block::floats).sum::<usize>()
                     + app.grid.as_ref().map_or(0, Vec::capacity)
             };
-            assert!(
-                held(&app) <= n * n + 8 * p * n,
-                "{name}: {} floats",
-                held(&app)
-            );
+            assert_eq!(held(&app), n * n, "{name}: after setup");
+            // STEN-1's iteration, then STEN-2's.
+            exchange(&mut app);
             for rank in 0..p {
-                for part in [PART_ALL, PART_INTERIOR, PART_BORDER] {
-                    app.compute(rank, 0, part);
+                app.compute(rank, 0, PART_ALL);
+            }
+            assert_eq!(held(&app), n * n, "{name}: after the whole-block pass");
+            exchange(&mut app);
+            for part in [PART_INTERIOR, PART_BORDER] {
+                for rank in 0..p {
+                    app.compute(rank, 1, part);
                 }
             }
-            assert!(
-                held(&app) <= n * n + 8 * p * n,
-                "{name}: {} floats",
-                held(&app)
+            assert_eq!(held(&app), n * n, "{name}: after the border pass");
+            assert_eq!(
+                bits(&app.gather()),
+                bits(&sequential_reference(n, 2)),
+                "{name}"
             );
         }
+    }
+
+    /// A pass that reaches a halo whose message has not arrived panics and
+    /// names the side; so does a border pass with no kept rows.
+    #[test]
+    fn a_pass_without_its_halo_names_the_side() {
+        let n = 12;
+        // A 4 × 4 block inside the grid: every side reads its halo.
+        let mut whole = Block::start(n, (4, 8), (4, 8));
+        for halo in [
+            &mut whole.halo_n,
+            &mut whole.halo_s,
+            &mut whole.halo_w,
+            &mut whole.halo_e,
+        ] {
+            *halo = vec![1.0; 4];
+        }
+        let refusal = |mut block: Block, border: bool| {
+            let caught = std::panic::catch_unwind(move || {
+                let mut ring = vec![0.0; 2 * n];
+                if border {
+                    block.update_border(n, &mut ring)
+                } else {
+                    block.update_all(n, &mut ring)
+                }
+            });
+            let payload = caught.expect_err("the pass must refuse");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("a formatted message")
+        };
+        for side in ["north", "south", "west", "east"] {
+            let mut block = whole.clone();
+            match side {
+                "north" => block.halo_n.clear(),
+                "south" => block.halo_s.clear(),
+                "west" => block.halo_w.clear(),
+                _ => block.halo_e.clear(),
+            }
+            let message = refusal(block, false);
+            assert!(
+                message.contains(&format!("the {side} halo has not arrived")),
+                "{side}: {message}"
+            );
+            assert!(message.contains("row 4, column 4"), "{side}: {message}");
+        }
+        let message = refusal(whole, true);
+        assert!(message.contains("no interior pass"), "{message}");
     }
 
     /// The scalar, branch-per-point, double-buffered loop the in-place
@@ -913,7 +1040,14 @@ mod tests {
             let mut vals = values.into_iter();
             let mut b = Block::cut(&vec![0.0; n * n], n, (r0, r1), (c0, c1));
             let mut ring = vec![0.0; 2 * n];
-            b.kept = vec![0.0; 2 * (c1 - c0)];
+            // The scratch `fill_halo` and the interior pass would allocate.
+            let (w, h) = (c1 - c0, r1 - r0);
+            for (halo, len) in [
+                (&mut b.halo_n, w), (&mut b.halo_s, w), (&mut b.halo_w, h), (&mut b.halo_e, h),
+                (&mut b.kept, 2 * w),
+            ] {
+                *halo = vec![0.0; len];
+            }
             for run in [
                 &mut b.cur, &mut b.halo_n, &mut b.halo_s, &mut b.halo_w, &mut b.halo_e,
                 &mut b.kept, &mut ring,
@@ -942,6 +1076,10 @@ mod tests {
                 }
                 _ => (b.pass(n, &mut ring, lo - r0, hi - r0, false), vec![(lo, hi)]),
             };
+            if schedule < 2 {
+                // The pass that ends the iteration released its scratch.
+                prop_assert_eq!(b.floats(), b.cur.capacity());
+            }
             let mut next = want.cur.clone();
             let want_points: u64 = windows
                 .iter()

@@ -28,7 +28,7 @@ use netpart_model::{AppModel, CommPhase, CompPhase, OpKind, PartitionVector};
 use netpart_spmd::{Job, SpmdApp, Step};
 use netpart_topology::Topology;
 
-use crate::stencil::{compute_inline, Block, Blocks, PART_ALL};
+use crate::stencil::{compute_inline, fill_halo, Block, Blocks, PART_ALL};
 use crate::wire;
 
 /// §4-style annotations for the 2-D decomposition at a *given* processor
@@ -158,8 +158,7 @@ impl SpmdApp for Stencil2DApp {
             wire::put_f32s(&mut buf, &b.cur[first..first + w]); // my north or south row
         } else {
             let c = if tc < mc { 0 } else { w - 1 };
-            let column: Vec<f32> = b.cur[c..].iter().step_by(w).copied().collect();
-            wire::put_f32s(&mut buf, &column); // my west or east column
+            wire::put_f32s(&mut buf, b.cur[c..].iter().step_by(w)); // my west or east column
         }
         Bytes::from(buf)
     }
@@ -168,16 +167,17 @@ impl SpmdApp for Stencil2DApp {
         let (mr, mc) = self.mesh_pos(rank);
         let (fr, fc) = self.mesh_pos(from);
         let b = self.blocks.get_mut(rank);
-        let target = if fr < mr {
-            &mut b.halo_n
+        let (w, h) = (b.width(), b.r1 - b.r0);
+        let (halo, len) = if fr < mr {
+            (&mut b.halo_n, w)
         } else if fr > mr {
-            &mut b.halo_s
+            (&mut b.halo_s, w)
         } else if fc < mc {
-            &mut b.halo_w
+            (&mut b.halo_w, h)
         } else {
-            &mut b.halo_e
+            (&mut b.halo_e, h)
         };
-        wire::get_f32s(payload, target);
+        fill_halo(halo, len, payload);
     }
 
     fn compute(&mut self, rank: usize, cycle: u64, part: u32) -> (f64, OpKind) {
@@ -235,8 +235,9 @@ mod tests {
         assert_eq!(app.gather(), sequential_reference(n, 4));
     }
 
-    /// After setup the mesh holds one copy of the grid — its blocks —
-    /// and O(p·N) of halos and scratch rows besides: no start grid.
+    /// After setup, and after an iteration, the mesh holds one copy of
+    /// the grid — its blocks — and nothing more: no start grid, and no
+    /// halo past the pass that ends its iteration.
     #[test]
     fn setup_leaves_one_copy_of_the_grid() {
         let (n, p) = (30, 6);
@@ -244,9 +245,21 @@ mod tests {
         for rank in 0..p {
             app.setup(rank, &PartitionVector::equal(n as u64, p));
         }
-        let held = app.blocks.iter().map(Block::floats).sum::<usize>();
-        assert!(held <= n * n + 8 * p * n, "{held} floats");
+        let held = |app: &Stencil2DApp| app.blocks.iter().map(Block::floats).sum::<usize>();
+        assert_eq!(held(&app), n * n, "after setup");
         assert_eq!(app.gather(), crate::stencil::initial_grid(n));
+        // One cycle's sends and receives, then every block's pass.
+        for rank in 0..p {
+            for to in app.neighbors(rank) {
+                let border = app.produce(rank, 0, to);
+                app.consume(to, 0, rank, &border);
+            }
+        }
+        for rank in 0..p {
+            app.compute(rank, 0, PART_ALL);
+        }
+        assert_eq!(held(&app), n * n, "after an iteration");
+        assert_eq!(app.gather(), sequential_reference(n, 1));
     }
 
     #[test]

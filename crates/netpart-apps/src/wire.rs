@@ -2,15 +2,21 @@
 //! checkpoint blob is a concatenation of little-endian `u64` header words
 //! and runs of `f32`/`f64` raw bit patterns — no framing, padding or
 //! length prefix, so NaN payloads, signed zeros and subnormals cross the
-//! wire bit for bit. `put_*` appends to a `Vec` the caller pre-sized,
-//! `get_*` fills a slice the caller owns; both go through `chunks_exact`,
-//! which compiles to a straight copy on little-endian targets.
+//! wire bit for bit. `put_*` appends a slice, or any run of known length
+//! such as a strided column, to a `Vec` the caller pre-sized; `get_*`
+//! fills a slice the caller owns; both go through `chunks_exact`, which
+//! compiles to a straight copy on little-endian targets.
 
 macro_rules! codec {
     ($put:ident, $get:ident, $t:ty) => {
         /// Append `vals` to `buf`, little-endian, in order.
-        pub(crate) fn $put(buf: &mut Vec<u8>, vals: &[$t]) {
+        pub(crate) fn $put<'a, I>(buf: &mut Vec<u8>, vals: I)
+        where
+            I: IntoIterator<Item = &'a $t>,
+            I::IntoIter: ExactSizeIterator,
+        {
             const W: usize = std::mem::size_of::<$t>();
+            let vals = vals.into_iter();
             let at = buf.len();
             buf.resize(at + W * vals.len(), 0);
             for (dst, v) in buf[at..].chunks_exact_mut(W).zip(vals) {

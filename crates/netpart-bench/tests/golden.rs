@@ -85,3 +85,66 @@ fn paper_testbed_lowers_to_the_paper_fabric() {
     assert!(net.route_exists(a, b));
     assert_eq!(net.hop_count(a, b), Some(1));
 }
+
+/// EXPERIMENTS.md's §6 table restates the `experiments -- gauss` block of
+/// `experiments_all.txt`: for each N, the predicted configuration and its
+/// time, the fastest probe and its configuration, and the gap between
+/// them. A fixture regenerated without the table fails here.
+#[test]
+fn experiments_md_gauss_table_matches_the_fixture() {
+    let doc = include_str!("../../../EXPERIMENTS.md");
+    let section = doc
+        .split("\n## ")
+        .find(|s| s.starts_with("§6 — Gaussian elimination"))
+        .expect("EXPERIMENTS.md has a §6 Gaussian elimination section");
+    let table: Vec<Vec<String>> = section
+        .lines()
+        .filter(|l| l.starts_with("| ") && l.as_bytes()[2].is_ascii_digit())
+        .map(|l| {
+            l.trim_matches('|')
+                .split('|')
+                .map(|c| c.trim().to_owned())
+                .collect()
+        })
+        .collect();
+
+    let all = include_str!("fixtures/experiments_all.txt");
+    let block = all
+        .split("\n\n")
+        .find(|b| b.starts_with("§6 — Gaussian elimination"))
+        .expect("the fixture has the gauss block");
+    // "N= 128: predicted (2,0) → 719.7 ms (residual …)", its probes
+    // "probe (1,0) → 431.7 ms", then "predicted within 66.7% of best probe".
+    fn ms_of(line: &str) -> Option<&str> {
+        line.split("→ ").nth(1)?.split(" ms").next()
+    }
+    let mut want: Vec<Vec<String>> = Vec::new();
+    let mut best: Option<(f64, String)> = None;
+    for line in block.lines().skip(1).map(str::trim) {
+        if let Some(head) = line.strip_prefix("N=") {
+            let (n, rest) = head.split_once(':').expect("N=…: …");
+            let config = rest.split_whitespace().nth(1).expect("a configuration");
+            let ms = ms_of(line).expect("a predicted time");
+            want.push(vec![n.trim().into(), config.into(), ms.into()]);
+            best = None;
+        } else if let Some(probe) = line.strip_prefix("probe ") {
+            let ms = ms_of(line).expect("a probe time");
+            let config = probe.split_whitespace().next().expect("a configuration");
+            let value: f64 = ms.parse().expect("a number");
+            if best.as_ref().is_none_or(|(b, _)| value < *b) {
+                best = Some((value, format!("{ms} {config}")));
+            }
+        } else if let Some(gap) = line.strip_prefix("predicted within ") {
+            let gap: f64 = gap
+                .split('%')
+                .next()
+                .and_then(|g| g.parse().ok())
+                .expect("a gap");
+            let row = want.last_mut().expect("a row before its gap");
+            row.push(best.take().expect("probes before the gap").1);
+            row.push(format!("{}{gap:.1}%", if gap > 0.0 { "+" } else { "" }));
+        }
+    }
+    assert_eq!(want.len(), 3, "the fixture's gauss block has three sizes");
+    assert_eq!(table, want, "EXPERIMENTS.md §6 against experiments_all.txt");
+}
