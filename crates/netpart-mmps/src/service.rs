@@ -174,8 +174,10 @@ pub struct Mmps {
     next_msg: u64,
     outgoing: FastMap<u64, OutMsg>,
     incoming: FastMap<u64, InMsg>,
-    /// Completed message ids → original sender, kept to re-ack duplicates.
-    completed: FastMap<u64, NodeId>,
+    /// One bit per message id, set once the message is delivered, kept to
+    /// re-ack duplicates. Ids are dense from 0 (per build and per
+    /// [`reset`](Mmps::reset)), so word `id / 64` holds id's bit.
+    completed: Vec<u64>,
     /// Deliveries delayed by coercion: msg id → ready event.
     pending_delivery: FastMap<u64, (NodeId, NodeId, u64, Bytes, u32)>,
     /// Per-(sender, receiver) round-trip estimators for adaptive RTO.
@@ -195,7 +197,7 @@ impl Mmps {
             next_msg: 0,
             outgoing: FastMap::default(),
             incoming: FastMap::default(),
-            completed: FastMap::default(),
+            completed: Vec::new(),
             pending_delivery: FastMap::default(),
             rtt: FastMap::default(),
             frag_pool: Vec::new(),
@@ -244,6 +246,22 @@ impl Mmps {
             }
             None => vec![false; n],
         }
+    }
+
+    /// Whether message `msg` was delivered (its bit in `completed`).
+    fn is_completed(&self, msg: u64) -> bool {
+        self.completed
+            .get((msg / 64) as usize)
+            .is_some_and(|w| w >> (msg % 64) & 1 == 1)
+    }
+
+    /// Record message `msg` as delivered.
+    fn mark_completed(&mut self, msg: u64) {
+        let word = (msg / 64) as usize;
+        if word >= self.completed.len() {
+            self.completed.resize(word + 1, 0);
+        }
+        self.completed[word] |= 1 << (msg % 64);
     }
 
     /// Retire a finished incoming message's bitmap back into the pool.
@@ -501,10 +519,12 @@ impl Mmps {
                 })
             }
             WireKind::Data => {
-                if let Some(&sender) = self.completed.get(&msg) {
+                if self.is_completed(msg) {
                     // Duplicate of an already-delivered message: re-ack.
+                    // Every data fragment, first send or retransmission,
+                    // leaves from the message's sender.
                     self.stats.duplicates += 1;
-                    self.send_ack(msg, dgram.dst, sender);
+                    self.send_ack(msg, dgram.dst, dgram.src);
                     return None;
                 }
                 let out = self.outgoing.get(&msg)?;
@@ -534,7 +554,7 @@ impl Mmps {
                 let out = self.outgoing.get_mut(&msg).expect("checked above");
                 let payload = std::mem::take(&mut out.payload);
                 let (src, dst, tag, len) = (out.src, out.dst, out.user_tag, out.len);
-                self.completed.insert(msg, src);
+                self.mark_completed(msg);
                 self.send_ack(msg, dst, src);
                 let coerce = self.coercion_cost(src, dst, len);
                 if coerce > SimDur::ZERO {
