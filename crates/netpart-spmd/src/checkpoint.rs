@@ -38,7 +38,32 @@
 //! every rank has an intact copy on a live node, falling back to the
 //! buddy replica when the primary holder is dead or its blob fails the
 //! checksum, and to an older generation (replaying the extra cycles) when
-//! neither copy survives.
+//! a newer one is only partly recorded.
+//!
+//! # Held generations
+//!
+//! A generation is **settled** once every rank holds it in full: its
+//! primary, plus its replica when the rank has a buddy (in a local store
+//! the settled generation is the [frontier](CheckpointStore::frontier)).
+//! Settling drops every older generation, and a later `record` or
+//! `record_replica` for a generation older than the settled one is
+//! dropped unhashed. A store therefore holds the settled generation and
+//! the partly recorded ones above it — about two in a run without
+//! faults, whatever its length — rather than one per checkpoint. A
+//! per-generation count of the ranks holding it in full finds settlement
+//! in O(log generations) per record, with no scan over ranks.
+//!
+//! Nothing restorable is dropped. Within one store a rank's copies sit
+//! on the same two nodes (owner and buddy) in every generation, so an
+//! older generation survives a set of dead nodes only if the settled one
+//! does; `assemble` returns the newest restorable generation, and `take`
+//! reads the frontier, never older than the settled generation. The
+//! argument assumes no stored blob rots, and nothing outside the tests
+//! rots one: the message layer hands the buddy the sender's own buffer,
+//! and corrupted frames never deliver. So when both copies of a settled
+//! blob fail their checksum (test-injected rot), the store has no older
+//! generation to offer, and recovery resumes from an older archived
+//! store or replays from cycle 0.
 
 use std::collections::BTreeMap;
 
@@ -165,6 +190,12 @@ pub struct CheckpointStore {
     nodes: Vec<NodeId>,
     /// Highest global cycle any rank has completed (`None` until one has).
     max_cycle_seen: Option<u64>,
+    /// The newest generation every rank holds in full; nothing older is
+    /// held.
+    settled: Option<u64>,
+    /// For each generation newer than `settled`, how many ranks hold it
+    /// in full.
+    full: BTreeMap<u64, usize>,
 }
 
 /// The result of [`CheckpointStore::assemble`]: the newest restorable
@@ -195,6 +226,8 @@ impl CheckpointStore {
             buddies: None,
             nodes: Vec::new(),
             max_cycle_seen: None,
+            settled: None,
+            full: BTreeMap::new(),
         }
     }
 
@@ -237,6 +270,8 @@ impl CheckpointStore {
             buddies: Some(buddies),
             nodes: nodes.to_vec(),
             max_cycle_seen: None,
+            settled: None,
+            full: BTreeMap::new(),
         }
     }
 
@@ -256,7 +291,9 @@ impl CheckpointStore {
 
     /// Assemble the consistent snapshot at global `cycle` (normally the
     /// [`frontier`](CheckpointStore::frontier)). `None` if any rank lacks
-    /// a blob for that cycle. Reads primary copies only and verifies
+    /// a blob for that cycle, which includes every cycle older than the
+    /// settled generation (the store no longer holds them; the frontier
+    /// is never among them). Reads primary copies only and verifies
     /// nothing, so it hashes no byte — the local-durability restore path,
     /// unchanged from before replication existed.
     pub fn take(&self, cycle: u64) -> Option<Checkpoint> {
@@ -272,10 +309,13 @@ impl CheckpointStore {
     /// nodes: per rank, prefer an intact (checksum-verified) primary copy
     /// on a live node, fall back to an intact replica on a live buddy
     /// node, and when neither exists for some rank, fall back a whole
-    /// generation (the resumed run replays the extra cycles). `None` when
-    /// no generation is fully restorable. Only the live copies the search
-    /// reaches are hashed: the newest generation's primaries in the
-    /// common case.
+    /// generation (the resumed run replays the extra cycles). The oldest
+    /// generation held is the settled one, so a fallback only passes
+    /// newer, partly recorded generations; without rot no older
+    /// generation could survive where the settled one does not (see the
+    /// module docs). `None` when no held generation is fully restorable.
+    /// Only the live copies the search reaches are hashed: the newest
+    /// generation's primaries in the common case.
     ///
     /// A local store has no checksums, no placement and no replicas, so
     /// here `assemble` verifies nothing and ignores `dead`: it returns the
@@ -283,15 +323,7 @@ impl CheckpointStore {
     /// [`frontier`](Self::frontier), counting the newer, partly recorded
     /// generations as fallbacks.
     pub fn assemble(&self, dead: &[NodeId]) -> Option<AssembledCheckpoint> {
-        let mut cycles: Vec<u64> = self
-            .per_rank
-            .iter()
-            .chain(self.replicas.iter())
-            .flat_map(|m| m.keys().copied())
-            .collect();
-        cycles.sort_unstable();
-        cycles.dedup();
-        for (generation_fallbacks, &cycle) in cycles.iter().rev().enumerate() {
+        for (generation_fallbacks, &cycle) in self.held_cycles().iter().rev().enumerate() {
             if let Some((ranks, replica_restores)) = self.assemble_at(cycle, dead) {
                 return Some(AssembledCheckpoint {
                     checkpoint: Checkpoint { cycle, ranks },
@@ -361,10 +393,15 @@ impl CheckpointStore {
 
     /// `rank`'s serialized state at the completion of engine-local `cycle`.
     /// A replicated store hashes the blob here, the only time before a
-    /// restore check; a local store keeps it unhashed.
+    /// restore check; a local store keeps it unhashed. A blob for a
+    /// generation older than the settled one is dropped unhashed.
     pub fn record(&mut self, rank: Rank, cycle: u64, blob: Bytes) {
+        let global = self.base + cycle;
+        if self.is_stale(global) {
+            return;
+        }
         let crc = self.buddies.is_some().then(|| crc32(&blob));
-        self.per_rank[rank].insert(self.base + cycle, Held { data: blob, crc });
+        self.keep(rank, global, Held { data: blob, crc }, false);
     }
 
     /// The mirror copy of `owner`'s blob for engine-local `cycle`, arrived
@@ -375,9 +412,72 @@ impl CheckpointStore {
     /// replica without an owner entry is hashed here.
     pub(crate) fn record_replica(&mut self, owner: Rank, cycle: u64, blob: Bytes) {
         let global = self.base + cycle;
+        if self.is_stale(global) {
+            return;
+        }
         let owners = self.per_rank[owner].get(&global).and_then(|h| h.crc);
         let crc = Some(owners.unwrap_or_else(|| crc32(&blob)));
-        self.replicas[owner].insert(global, Held { data: blob, crc });
+        self.keep(owner, global, Held { data: blob, crc }, true);
+    }
+
+    /// Whether global `cycle` is older than the settled generation, so
+    /// no copy of it is kept.
+    fn is_stale(&self, cycle: u64) -> bool {
+        self.settled.is_some_and(|s| cycle < s)
+    }
+
+    /// Whether `rank` holds global `cycle` in full: its primary, and its
+    /// replica when it has a buddy.
+    fn holds_in_full(&self, rank: Rank, cycle: u64) -> bool {
+        self.per_rank[rank].contains_key(&cycle)
+            && (self.buddy_of(rank).is_none() || self.replicas[rank].contains_key(&cycle))
+    }
+
+    /// Store a copy of `rank`'s blob at global `cycle`, its replica when
+    /// `replica` is set. If that made the rank hold the generation in
+    /// full, count it, and settle the generation once every rank does:
+    /// every older copy is dropped.
+    fn keep(&mut self, rank: Rank, cycle: u64, held: Held, replica: bool) {
+        let was_full = self.holds_in_full(rank, cycle);
+        let copies = if replica {
+            &mut self.replicas
+        } else {
+            &mut self.per_rank
+        };
+        copies[rank].insert(cycle, held);
+        if was_full || !self.holds_in_full(rank, cycle) {
+            return;
+        }
+        let holders = self.full.entry(cycle).or_insert(0);
+        *holders += 1;
+        if *holders < self.per_rank.len() {
+            return;
+        }
+        self.settled = Some(cycle);
+        self.full = self.full.split_off(&(cycle + 1));
+        for kept in self.per_rank.iter_mut().chain(self.replicas.iter_mut()) {
+            *kept = kept.split_off(&cycle);
+        }
+    }
+
+    /// How many generations the store holds any copy of. Not part of the
+    /// API: tests pin the held bound with it.
+    #[doc(hidden)]
+    pub fn generations_held(&self) -> usize {
+        self.held_cycles().len()
+    }
+
+    /// Every generation any copy is held for, oldest first.
+    fn held_cycles(&self) -> Vec<u64> {
+        let mut cycles: Vec<u64> = self
+            .per_rank
+            .iter()
+            .chain(self.replicas.iter())
+            .flat_map(|m| m.keys().copied())
+            .collect();
+        cycles.sort_unstable();
+        cycles.dedup();
+        cycles
     }
 }
 
@@ -629,11 +729,12 @@ mod tests {
         let (a, hashed) = hashed_by(|| s.assemble(&[]).unwrap());
         assert_eq!((a.replica_restores, hashed), (1, 3 * len(3)));
         // Both copies of rank 0 bad: rank 1 at cycle 3 is never looked
-        // at, then the older generation's two primaries.
+        // at, and generation 1 went when generation 3 settled, so rank
+        // 0's two copies are all the search hashes.
         assert!(s.corrupt_replica(0, 3, (0, 0)));
-        let (a, hashed) = hashed_by(|| s.assemble(&[]).unwrap());
-        assert_eq!(a.checkpoint.cycle, 1);
-        assert_eq!(hashed, 2 * len(3) + 2 * len(1));
+        let (a, hashed) = hashed_by(|| s.assemble(&[]));
+        assert!(a.is_none());
+        assert_eq!(hashed, 2 * len(3));
     }
 
     /// The replica carries its owner's checksum, so a buddy copy whose
@@ -650,13 +751,12 @@ mod tests {
         }
         s.record_replica(0, 3, sized(80, 99));
         assert!(!s.replicas[0][&3].intact());
-        assert!(s.replicas[0][&1].intact() && s.replicas[1][&3].intact());
+        assert!(s.replicas[1][&3].intact());
         // With the primary good the replica is never read.
         assert_eq!(s.assemble(&[]).unwrap().checkpoint.cycle, 3);
-        // Primary lost too: generation 3 has no intact copy of rank 0.
-        let a = s.assemble(&[NodeId(0)]).unwrap();
-        assert_eq!((a.checkpoint.cycle, a.generation_fallbacks), (1, 1));
-        assert_eq!(&a.checkpoint.ranks[0][..], &sized(80, 0)[..]);
+        // Primary lost too: settled generation 3 has no intact copy of
+        // rank 0, and the store holds nothing older.
+        assert!(s.assemble(&[NodeId(0)]).is_none());
     }
 
     #[test]
@@ -681,17 +781,27 @@ mod tests {
         assert_eq!(CheckpointStore::new(4, 1, 0).buddy_of(0), None);
     }
 
-    #[test]
-    fn assemble_prefers_primary_then_replica_then_older_generation() {
+    /// A two-rank replicated store with generations 1 and 3 recorded and
+    /// mirrored on both ranks; rank `r`'s blob at `cycle` is the byte
+    /// `10 * r + cycle`.
+    fn two_generations() -> CheckpointStore {
         let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
         let mut s = CheckpointStore::replicated(2, 2, 0, &nodes, &[0, 1]);
-        // Two generations recorded on both ranks, mirrored to buddies.
         for cycle in [1u64, 3] {
             for rank in 0..2usize {
                 s.record(rank, cycle, blob(10 * rank as u8 + cycle as u8));
                 s.record_replica(rank, cycle, blob(10 * rank as u8 + cycle as u8));
             }
         }
+        s
+    }
+
+    #[test]
+    fn assemble_prefers_primary_then_replica_then_older_generation() {
+        let mut s = two_generations();
+        // Generation 3 is settled, so generation 1 is gone.
+        assert_eq!(s.generations_held(), 1);
+        assert!(s.take(1).is_none());
         // Clean store: newest generation, all primaries.
         let a = s.assemble(&[]).unwrap();
         assert_eq!(a.checkpoint.cycle, 3);
@@ -705,15 +815,29 @@ mod tests {
         assert_eq!((a.replica_restores, a.generation_fallbacks), (1, 0));
         assert_eq!(&a.checkpoint.ranks[0][..], &[3u8]);
 
-        // Kill the replica too: generation 3 is gone for rank 0; the
-        // store falls back one generation and the older snapshot is
-        // intact.
+        // Kill the replica too: rank 0 has no intact copy of the settled
+        // generation, and the store holds none older to fall back to.
         assert!(s.corrupt_replica(0, 3, (0, 0)));
+        assert!(s.assemble(&[]).is_none());
+
+        // The fallback a run can take: generation 5 is partly recorded
+        // (both primaries, rank 1's replica only), so with node 0 dead
+        // rank 0 has no copy of it, and the store falls back to the
+        // settled generation, restoring rank 0 from its buddy.
+        let mut s = two_generations();
+        for rank in 0..2usize {
+            s.record(rank, 5, blob(10 * rank as u8 + 5));
+        }
+        s.record_replica(1, 5, blob(15));
+        assert_eq!(s.generations_held(), 2);
         let a = s.assemble(&[]).unwrap();
-        assert_eq!(a.checkpoint.cycle, 1);
-        assert_eq!(a.generation_fallbacks, 1);
-        assert_eq!(&a.checkpoint.ranks[0][..], &[1u8]);
-        assert_eq!(&a.checkpoint.ranks[1][..], &[11u8]);
+        assert_eq!(a.checkpoint.cycle, 5);
+        assert_eq!((a.replica_restores, a.generation_fallbacks), (0, 0));
+        let a = s.assemble(&[NodeId(0)]).unwrap();
+        assert_eq!(a.checkpoint.cycle, 3);
+        assert_eq!((a.replica_restores, a.generation_fallbacks), (1, 1));
+        assert_eq!(&a.checkpoint.ranks[0][..], &[3u8]);
+        assert_eq!(&a.checkpoint.ranks[1][..], &[13u8]);
     }
 
     #[test]
@@ -732,5 +856,149 @@ mod tests {
         assert_eq!(&a.checkpoint.ranks[0][..], &[1u8]);
         // Both nodes dead: nothing survives anywhere.
         assert!(s.assemble(&[NodeId(0), NodeId(1)]).is_none());
+    }
+
+    /// The never-pruning reference: `record` and `record_replica` as they
+    /// were before generations settled, keeping every copy.
+    impl CheckpointStore {
+        fn keep_primary(&mut self, rank: Rank, cycle: u64, blob: Bytes) {
+            let crc = self.buddies.is_some().then(|| crc32(&blob));
+            self.per_rank[rank].insert(self.base + cycle, Held { data: blob, crc });
+        }
+
+        fn keep_replica(&mut self, owner: Rank, cycle: u64, blob: Bytes) {
+            let global = self.base + cycle;
+            let owners = self.per_rank[owner].get(&global).and_then(|h| h.crc);
+            let crc = Some(owners.unwrap_or_else(|| crc32(&blob)));
+            self.replicas[owner].insert(global, Held { data: blob, crc });
+        }
+
+        /// The newest generation every rank holds in full, by a scan.
+        fn settled_by_scan(&self) -> Option<u64> {
+            self.held_cycles()
+                .into_iter()
+                .rev()
+                .find(|&c| (0..self.per_rank.len()).all(|r| self.holds_in_full(r, c)))
+        }
+    }
+
+    /// An assembled snapshot as comparable values.
+    type Assembled = Option<(u64, Vec<Bytes>, u64, u64)>;
+
+    fn assembled(a: Option<AssembledCheckpoint>) -> Assembled {
+        a.map(|a| {
+            let counts = (a.replica_restores, a.generation_fallbacks);
+            (a.checkpoint.cycle, a.checkpoint.ranks, counts.0, counts.1)
+        })
+    }
+
+    /// Every set of at most two of the first `nodes` nodes.
+    fn dead_sets(nodes: usize) -> Vec<Vec<NodeId>> {
+        let mut sets = vec![vec![]];
+        for a in 0..nodes {
+            sets.push(vec![NodeId(a as u32)]);
+            for b in a + 1..nodes {
+                sets.push(vec![NodeId(a as u32), NodeId(b as u32)]);
+            }
+        }
+        sets
+    }
+
+    proptest! {
+        /// A pruning store against the never-pruning reference over random
+        /// schedules. Each rank records six primaries in order (fewer in
+        /// about half the draws), each a random gap after the last; each
+        /// replica arrives a random delay after its primary, so late, out
+        /// of order with later ones, or never (a delay of 36 or more).
+        /// Delays longer than gaps make a replica arrive after its
+        /// generation was passed by, so the stale path runs; about a
+        /// quarter of the replicas arrive twice. After every copy both
+        /// stores agree on the frontier, on `take` there, and on
+        /// `assemble` for every dead set of up to two nodes. The pruning
+        /// store holds exactly the reference's generations from the
+        /// settled one up, and drops a copy older than that unhashed.
+        #[test]
+        fn a_pruning_store_restores_what_a_keeping_one_does(
+            ranks in 1usize..7,
+            replicated in any::<bool>(),
+            clusters in prop::collection::vec(0usize..3, 6..7),
+            recorded in prop::collection::vec(0u64..12, 6..7),
+            timing in prop::collection::vec((1u32..4, 0u32..40, 0u32..160), 36..37),
+            base in 0u64..4,
+        ) {
+            let nodes: Vec<NodeId> = (0..ranks as u32).map(NodeId).collect();
+            let build = || {
+                if replicated {
+                    CheckpointStore::replicated(ranks, 1, base, &nodes, &clusters[..ranks])
+                } else {
+                    CheckpointStore::new(ranks, 1, base)
+                }
+            };
+            let (mut pruning, mut keeping) = (build(), build());
+            // (arrival, is replica, rank, engine-local cycle)
+            let mut copies = Vec::new();
+            for (rank, &count) in recorded.iter().enumerate().take(ranks) {
+                let mut at = 0;
+                for cycle in 0..count.min(6) {
+                    let (gap, delay, again) = timing[rank * 6 + cycle as usize];
+                    at += gap;
+                    copies.push((at, false, rank, cycle));
+                    if delay < 36 && pruning.buddy_of(rank).is_some() {
+                        copies.push((at + delay, true, rank, cycle));
+                        if again < 40 {
+                            copies.push((at + delay + again, true, rank, cycle));
+                        }
+                    }
+                }
+            }
+            copies.sort_unstable();
+            let dead_sets = dead_sets(ranks);
+            for (_, replica, rank, cycle) in copies {
+                let data = Bytes::from(vec![rank as u8, cycle as u8, 0x5A, 0xC3]);
+                let stale = pruning.settled.is_some_and(|s| base + cycle < s);
+                let held_before = pruning.held_cycles();
+                let ((), hashed) = hashed_by(|| {
+                    if replica {
+                        pruning.record_replica(rank, cycle, data.clone());
+                    } else {
+                        pruning.record(rank, cycle, data.clone());
+                    }
+                });
+                if replica {
+                    keeping.keep_replica(rank, cycle, data);
+                } else {
+                    keeping.keep_primary(rank, cycle, data);
+                }
+                if stale {
+                    prop_assert_eq!(hashed, 0);
+                    prop_assert_eq!(pruning.held_cycles(), held_before);
+                }
+
+                let settled = keeping.settled_by_scan();
+                prop_assert_eq!(pruning.settled, settled);
+                let from_settled: Vec<u64> = keeping
+                    .held_cycles()
+                    .into_iter()
+                    .filter(|&c| settled.is_none_or(|s| c >= s))
+                    .collect();
+                prop_assert_eq!(pruning.held_cycles(), from_settled);
+                prop_assert!(pruning.full.keys().all(|&c| settled.is_none_or(|s| c > s)));
+
+                let frontier = keeping.frontier();
+                prop_assert_eq!(pruning.frontier(), frontier);
+                if let Some(f) = frontier {
+                    let took = |s: &CheckpointStore| s.take(f).map(|c| c.ranks);
+                    prop_assert_eq!(took(&pruning), took(&keeping));
+                }
+                for dead in &dead_sets {
+                    prop_assert_eq!(
+                        assembled(pruning.assemble(dead)),
+                        assembled(keeping.assemble(dead)),
+                        "dead {:?}",
+                        dead
+                    );
+                }
+            }
+        }
     }
 }

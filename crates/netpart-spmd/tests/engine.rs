@@ -366,11 +366,19 @@ const SEG_CYCLES: u64 = 7;
 const SEG_EVERY: u64 = 3;
 const SEG_CHECKPOINTS: u64 = 2;
 
-/// A halo run on a fresh 4-node cluster, in epoch 1 under `store` when one
-/// is given, plainly otherwise.
+/// A `SEG_CYCLES` halo run on a fresh 4-node cluster, in epoch 1 under
+/// `store` when one is given, plainly otherwise.
 fn halo_run(store: Option<&mut CheckpointStore>) -> (SpmdReport, HaloApp, Vec<NodeId>) {
+    halo_run_for(SEG_CYCLES, store)
+}
+
+/// [`halo_run`] for `cycles` cycles.
+fn halo_run_for(
+    cycles: u64,
+    store: Option<&mut CheckpointStore>,
+) -> (SpmdReport, HaloApp, Vec<NodeId>) {
     let (mmps, nodes) = homogeneous_cluster(4);
-    let mut app = HaloApp::new(4, SEG_CYCLES, 1000.0, false);
+    let mut app = HaloApp::new(4, cycles, 1000.0, false);
     let mut exec = Executor::new(mmps, nodes.clone());
     let vector = PartitionVector::equal(40, 4);
     let report = match store {
@@ -427,6 +435,35 @@ fn a_replicated_store_mirrors_every_blob_beside_the_app() {
         assert_eq!(a.replica_restores, 1, "rank {rank}");
         assert_eq!(a.checkpoint.ranks, primaries.ranks, "rank {rank}");
     }
+}
+
+/// A store that checkpoints every cycle holds the settled generation and
+/// the partly recorded ones above it, however long the run: as many
+/// generations after 200 cycles as after 50, not one per cycle. Each
+/// dead node's blob still comes from its buddy, at the frontier or, when
+/// the last cycle's replica was still in flight as the run ended, at the
+/// settled generation just below it.
+#[test]
+fn a_replicated_store_holds_as_many_generations_after_200_cycles_as_after_50() {
+    let held = |cycles: u64| {
+        let (_, nodes) = homogeneous_cluster(4);
+        let mut store = CheckpointStore::replicated(4, 1, 0, &nodes, &[0; 4]);
+        let (_, _, nodes) = halo_run_for(cycles, Some(&mut store));
+        let frontier = store.frontier().expect("checkpointed");
+        assert_eq!(frontier, cycles - 1, "every cycle is a checkpoint");
+        for (rank, &dead) in nodes.iter().enumerate() {
+            let a = store.assemble(&[dead]).expect("the buddy holds a copy");
+            let cycle = a.checkpoint.cycle;
+            assert!(cycle + 1 >= frontier, "rank {rank} restored cycle {cycle}");
+            assert_eq!(a.replica_restores, 1, "rank {rank}");
+            let primaries = store.take(cycle).expect("consistent");
+            assert_eq!(a.checkpoint.ranks, primaries.ranks, "rank {rank}");
+        }
+        store.generations_held()
+    };
+    let after_50 = held(50);
+    assert!(after_50 <= 2, "{after_50} generations held after 50 cycles");
+    assert_eq!(held(200), after_50);
 }
 
 #[test]

@@ -148,8 +148,9 @@ pub enum Durability {
     /// Each rank's blob is additionally mirrored over the message layer
     /// to a buddy rank (preferentially in another cluster), checksummed,
     /// and kept generationally: recovery falls back to the buddy replica
-    /// when the primary holder is dead or its blob fails the CRC, and to
-    /// an older generation when neither copy survives.
+    /// when the primary holder is dead or its blob fails the CRC, and
+    /// from a partly recorded generation to the newest one every rank
+    /// holds in full, the oldest a store keeps.
     Replicated,
 }
 

@@ -208,8 +208,10 @@ impl RecoveryState {
         }
         // Never cache an assembled snapshot across rounds: the dead set
         // grows, so every round re-assembles from the archived stores,
-        // newest segment first, falling back across replicas and
-        // generations as needed.
+        // newest segment first. Within a store `assemble` falls back from
+        // primary to replica, and from a partly recorded generation to
+        // the settled one, the oldest a store keeps (no older one could
+        // survive where it does not); past that, to an older archive.
         self.archives.push(store);
         let dead = &self.known_dead;
         let newest = self.archives.iter().rev().find_map(|st| st.assemble(dead));
